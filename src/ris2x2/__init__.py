@@ -3,9 +3,9 @@
 A numpy/scipy library (plus a small CLI) for the complete performance
 characterization of singular-vector transmission modes with and without
 per-tile phase compensation: exact alignment-factor and eigenvalue laws,
-closed-form outage and throughput with independent quadrature oracles, a
-jointly optimized alternating benchmark, and a reproducible Monte Carlo
-harness.
+closed-form outage and throughput with independent quadrature oracles, the
+closed-form joint optimum over transmit/combine vectors and tile phases as
+a benchmark, and a reproducible Monte Carlo harness.
 """
 
 from .linalg2 import Svd2, UnitaryAngles, angles_from_unitary, svd2, unitary_from_angles
@@ -60,13 +60,7 @@ from .analytic import (
     throughput_closed_r22_cmp,
     z_factor_cdf,
 )
-from .altopt import (
-    AltOptResult,
-    alt_outage_mc,
-    alt_throughput_mc,
-    optimize_batch,
-    optimize_joint,
-)
+from .altopt import optimal_configuration, optimize_batch
 from .montecarlo import (
     ALT,
     AltScheme,

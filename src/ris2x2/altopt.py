@@ -1,20 +1,26 @@
-"""Joint optimization of (a, b, Phi) by block-coordinate ascent.
+"""Joint optimum of (a, b, Phi) in closed form.
 
 The benchmark scheme maximizes the instantaneous SNR
 gamma_bar * |b^H G Phi H a|^2 over unit vectors a, b and the diagonal
-unitary Phi.  The problem is non-convex; alternating the two exact
-sub-problems is used instead:
+unitary Phi = diag(exp(j*phi1), exp(j*phi2)).  For a fixed Phi the best
+(b, a) are the leading left/right singular vectors of M = G Phi H, worth
+sigma_max^2(M), so only the tile phases remain.  With g_k the columns of G
+and h_k the rows of H,
 
-* given Phi, the optimal (b, a) are the leading left/right singular
-  vectors of G Phi H;
-* given (a, b), the optimal phases are phi_k = -arg((G^H b)_k^* (H a)_k),
-  which aligns the two tile contributions (triangle-inequality equality).
+    M = exp(j*phi1) g1 h1 + exp(j*phi2) g2 h2,
 
-Each sub-step is an exact argmax of the same objective, so the iterate
-sequence is nondecreasing.  The iteration is warm-started at the
-compensated mode (1, 1): Phi = Phi of compensated_phases(v_1, w_1) with
-a = q_1, b = u_1, whose SNR is exactly gamma_{1,cmp}^{(1)}; the optimized
-SNR therefore dominates that mode pointwise, realization by realization.
+so |det M| = |det G| |det H| does not depend on Phi, and
+
+    sigma_max^2(M) = F/2 + sqrt(F^2/4 - |det G|^2 |det H|^2)
+
+grows with F = ||M||_F^2 = ||g1||^2 ||h1||^2 + ||g2||^2 ||h2||^2
++ 2 Re(exp(j*(phi2 - phi1)) c), where c = (g1^H g2)(h2 h1^H).  F peaks at
+
+    F* = ||g1||^2 ||h1||^2 + ||g2||^2 ||h2||^2 + 2 |c|
+
+for the relative phase phi2 - phi1 = -arg(c); the common phase is free.
+Every mode, compensated or not, is one feasible (a, b, Phi), so the optimum
+dominates each of them realization by realization.
 """
 
 from __future__ import annotations
@@ -23,266 +29,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg2 import svd2
-from .sampling import ChannelRealization, RngState, channel_realizations
-from .sysmodel import PhaseConfig, _wrap_phase
+from .linalg2 import svd2  # looked up here by perfbench/child.py, which wraps it
+from .sampling import ChannelRealization
 
-__all__ = ["AltOptResult", "BatchAltOpt", "optimize_joint", "optimize_batch",
-           "alt_outage_mc", "alt_throughput_mc"]
-
-_TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class AltOptResult:
-    """Outcome of one alternating optimization run."""
-
-    a: np.ndarray
-    b: np.ndarray
-    phi: PhaseConfig
-    gamma_alt: float
-    iterations: int
-    converged: bool
-    trace: np.ndarray  # objective after the warm start and each full cycle
+__all__ = ["BatchAltOpt", "optimize_batch", "optimal_configuration"]
 
 
 @dataclass(frozen=True)
 class BatchAltOpt:
-    """Vectorized outcome over a stack of realizations.
-
-    ``snr_factor`` is gamma_alt / gamma_bar (the optimization does not
-    depend on gamma_bar); ``monotone_violations`` counts per-trial cycle
-    transitions that decreased the objective by more than a 1e-12 relative
-    slack (exact argmax sub-steps make this zero up to rounding).
-    """
+    """Per-trial optimum SNR / gamma_bar (it does not depend on gamma_bar)."""
 
     snr_factor: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    monotone_violations: int
-    initial_factor: np.ndarray
-    trace: np.ndarray | None
+    iterations: np.ndarray  # all zero; perfbench/child.py sums it as altopt.trial_cycles
 
 
-def _align_phases(g, h, a, b):
-    """Step B quantities: c_k = (G^H b)_k^* (H a)_k, the per-tile complex
-    contributions; |c| sums to the aligned amplitude."""
-    gb = np.einsum("...kj,...k->...j", np.conjugate(g), b)
-    ha = np.einsum("...jk,...k->...j", h, a)
-    c = np.conjugate(gb) * ha
-    return c
-
-
-def optimize_batch(
-    ch: ChannelRealization,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    record_trace: bool = False,
-    random_init: RngState | None = None,
-) -> BatchAltOpt:
-    """Alternating ascent on a stack of realizations.
-
-    Trials freeze as soon as their relative improvement per cycle drops
-    below ``tol``; the remaining active subset keeps iterating, so results
-    are independent of how a batch is chunked.  ``random_init`` replaces
-    the warm start by uniform phases (sensitivity experiments only).
-    """
-    g = np.atleast_3d(ch.g).reshape(-1, 2, 2)
-    h = np.atleast_3d(ch.h).reshape(-1, 2, 2)
-    n = g.shape[0]
-    sig_g = ch.svd_g.sigma.reshape(-1, 2)
-    sig_h = ch.svd_h.sigma.reshape(-1, 2)
-    v1 = ch.svd_g.v.reshape(-1, 2, 2)[:, :, 0]
-    w1 = ch.svd_h.u.reshape(-1, 2, 2)[:, :, 0]
-    u1 = ch.svd_g.u.reshape(-1, 2, 2)[:, :, 0]
-    q1 = ch.svd_h.v.reshape(-1, 2, 2)[:, :, 0]
-
-    if random_init is None:
-        prod = np.conjugate(v1) * w1
-        mag = np.abs(prod)
-        phase = np.where(mag > _TINY, np.conjugate(prod) / np.maximum(mag, _TINY), 1.0 + 0.0j)
-        a = q1.copy()
-        b = u1.copy()
-        # warm-start objective == compensated (1,1) SNR factor
-        lam1 = sig_g[:, 0] ** 2
-        om1 = sig_h[:, 0] ** 2
-        zc = np.einsum("nk,nk->n", np.abs(v1), np.abs(w1)) ** 2
-        s = lam1 * om1 * np.minimum(zc, 1.0)
-    else:
-        u = np.random.Generator(
-            np.random.Philox(
-                key=np.array(
-                    [random_init.seed & 0xFFFFFFFFFFFFFFFF,
-                     random_init.stream & 0xFFFFFFFFFFFFFFFF],
-                    dtype=np.uint64,
-                )
-            )
-        ).random((n, 2))
-        phase = np.exp(1j * (2.0 * np.pi) * u)
-        a = q1.copy()
-        b = u1.copy()
-        amp = np.einsum("nk,nk->n", np.conjugate(b), np.einsum(
-            "nij,nj->ni", g * phase[:, None, :], np.einsum("nij,nj->ni", h, a)))
-        s = np.abs(amp) ** 2
-
-    initial = s.copy()
-    trace = [s.copy()] if record_trace else None
-    iterations = np.zeros(n, dtype=np.int64)
-    converged = np.zeros(n, dtype=bool)
-    violations = 0
-
-    active = np.arange(n)
-    s_act = s.copy()
-    g_act, h_act, phase_act = g, h, phase
-    a_all, b_all = a, b
-    for cycle in range(1, max_iter + 1):
-        if active.size == 0:
-            break
-        m = g_act * phase_act[:, None, :] @ h_act
-        dec = svd2(m)
-        b_new = dec.u[:, :, 0]
-        a_new = dec.v[:, :, 0]
-        c = _align_phases(g_act, h_act, a_new, b_new)
-        mag = np.abs(c)
-        phase_act = np.where(mag > _TINY, np.conjugate(c) / np.where(mag > _TINY, mag, 1.0), 1.0 + 0.0j)
-        s_new = mag.sum(axis=1) ** 2
-
-        violations += int(np.count_nonzero(s_new < s_act * (1.0 - 1e-12)))
-        improved = (s_new - s_act) > tol * np.maximum(s_act, _TINY)
-        s[active] = s_new
-        a_all[active] = a_new
-        b_all[active] = b_new
-        iterations[active] = cycle
-        if record_trace:
-            step = trace[-1].copy()
-            step[active] = s_new
-            trace.append(step)
-
-        done = ~improved
-        converged[active[done]] = True
-        keep = improved
-        active = active[keep]
-        s_act = s_new[keep]
-        g_act = g_act[keep]
-        h_act = h_act[keep]
-        phase_act = phase_act[keep]
-
-    return BatchAltOpt(
-        snr_factor=s,
-        iterations=iterations,
-        converged=converged,
-        monotone_violations=violations,
-        initial_factor=initial,
-        trace=np.stack(trace, axis=0) if record_trace else None,
-    )
-
-
-def optimize_joint(
-    ch: ChannelRealization,
-    gamma_bar: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    random_init: RngState | None = None,
-) -> AltOptResult:
-    """Alternating optimization of a single realization."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if gamma_bar <= 0.0:
-        raise ValueError("gamma_bar must be positive")
-    single = ChannelRealization(
-        g=ch.g[None, ...],
-        h=ch.h[None, ...],
-        svd_g=type(ch.svd_g)(
-            ch.svd_g.u[None], ch.svd_g.sigma[None], ch.svd_g.v[None]
-        ),
-        svd_h=type(ch.svd_h)(
-            ch.svd_h.u[None], ch.svd_h.sigma[None], ch.svd_h.v[None]
-        ),
-    )
-    res = optimize_batch(
-        single, tol=tol, max_iter=max_iter, record_trace=True, random_init=random_init
-    )
-    trace = gamma_bar * res.trace[:, 0]
-    a, b, phi = _final_configuration(ch, res, random_init)
-    return AltOptResult(
-        a=a,
-        b=b,
-        phi=phi,
-        gamma_alt=float(gamma_bar * res.snr_factor[0]),
-        iterations=int(res.iterations[0]),
-        converged=bool(res.converged[0]),
-        trace=trace,
-    )
-
-
-def _final_configuration(ch, res, random_init):
-    """Replay the iteration on one realization to expose (a, b, Phi)."""
+def _cross_term(ch: ChannelRealization):
+    """c = (g1^H g2)(h2 h1^H) and sum_k ||g_k||^2 ||h_k||^2, per realization."""
     g, h = ch.g, ch.h
-    v1 = ch.svd_g.v[:, 0]
-    w1 = ch.svd_h.u[:, 0]
-    a = ch.svd_h.v[:, 0]
-    b = ch.svd_g.u[:, 0]
-    if random_init is None:
-        prod = np.conjugate(v1) * w1
-        phase = np.where(np.abs(prod) > _TINY, np.conjugate(prod) / np.maximum(np.abs(prod), _TINY), 1.0 + 0.0j)
-    else:
-        u = np.random.Generator(
-            np.random.Philox(
-                key=np.array(
-                    [random_init.seed & 0xFFFFFFFFFFFFFFFF,
-                     random_init.stream & 0xFFFFFFFFFFFFFFFF],
-                    dtype=np.uint64,
-                )
-            )
-        ).random((1, 2))[0]
-        phase = np.exp(1j * (2.0 * np.pi) * u)
-    for _ in range(int(res.iterations[0])):
-        m = g * phase[None, :] @ h
-        dec = svd2(m)
-        b = dec.u[:, 0]
-        a = dec.v[:, 0]
-        c = np.conjugate(np.conjugate(g).T @ b) * (h @ a)
-        mag = np.abs(c)
-        phase = np.where(mag > _TINY, np.conjugate(c) / np.maximum(mag, _TINY), 1.0 + 0.0j)
-    ph = np.angle(phase)
-    return a, b, PhaseConfig(_wrap_phase(ph[0]), _wrap_phase(ph[1]))
+    c = np.einsum("...k,...k->...", np.conjugate(g[..., :, 0]), g[..., :, 1]) * np.einsum(
+        "...k,...k->...", np.conjugate(h[..., 0, :]), h[..., 1, :]
+    )
+    tiles = (np.abs(g) ** 2).sum(axis=-2) * (np.abs(h) ** 2).sum(axis=-1)
+    return c, tiles.sum(axis=-1)
 
 
-def alt_outage_mc(
-    gamma_bar: float,
-    gamma_th: float,
-    trials: int,
-    seed: int,
-    stream: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-):
-    """Monte Carlo outage of the optimized scheme with a Wilson interval."""
-    from .montecarlo import wilson_halfwidth  # local import, no cycle at load
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ch = channel_realizations(RngState(seed, stream), trials)
-    res = optimize_batch(ch, tol=tol, max_iter=max_iter)
-    hits = int(np.count_nonzero(gamma_bar * res.snr_factor <= gamma_th))
-    return hits / trials, wilson_halfwidth(hits, trials)
+def optimize_batch(ch: ChannelRealization) -> BatchAltOpt:
+    """sigma_max^2 of G Phi* H for each realization of a (stacked) draw."""
+    c, tiles = _cross_term(ch)
+    f = tiles + 2.0 * np.abs(c)
+    det2 = np.prod(ch.svd_g.sigma * ch.svd_h.sigma, axis=-1) ** 2
+    s = 0.5 * f + np.sqrt(np.maximum(0.25 * f * f - det2, 0.0))
+    return BatchAltOpt(snr_factor=s, iterations=np.zeros(s.shape, dtype=np.int64))
 
 
-def alt_throughput_mc(
-    gamma_bar: float,
-    trials: int,
-    seed: int,
-    stream: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-):
-    """Monte Carlo mean of ln(1 + gamma_alt) with a normal-theory CI."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ch = channel_realizations(RngState(seed, stream), trials)
-    res = optimize_batch(ch, tol=tol, max_iter=max_iter)
-    vals = np.log1p(gamma_bar * res.snr_factor)
-    half = 1.959963984540054 * vals.std(ddof=1) / np.sqrt(trials)
-    return float(vals.mean()), float(half)
+def optimal_configuration(ch: ChannelRealization):
+    """Optimal (phasors, a, b) of a (stacked) realization.
+
+    ``phasors[..., k]`` is exp(j*phi_k) with tile 1 held at phase 0; a and b
+    are the leading right and left singular vectors of G Phi* H.
+    """
+    c, _ = _cross_term(ch)
+    mag = np.abs(c)
+    rel = np.where(mag > 0.0, np.conjugate(c) / np.where(mag > 0.0, mag, 1.0), 1.0)
+    phasors = np.stack([np.ones_like(rel), rel], axis=-1)
+    dec = svd2(ch.g * phasors[..., None, :] @ ch.h)
+    return phasors, dec.v[..., :, 0], dec.u[..., :, 0]

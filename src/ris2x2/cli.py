@@ -265,6 +265,8 @@ def cmd_throughput(args) -> int:
 def cmd_gain(args) -> int:
     trials = args.trials if args.trials is not None else 1_000_000
     seed = args.seed if args.seed is not None else 1729
+    if trials < 100:
+        raise ValueError("trials must be >= 100")
     stats = montecarlo.channel_statistics(seed, trials, workers=4)
     zc = stats.z_comp[:, 0, 0]
     zp = stats.z_plain[:, 0, 0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .altopt import optimize_batch
+from .altopt import optimize_batch  # perfbench/child.py wraps this name here
 from .sampling import RngState, channel_realizations
 from .sysmodel import MODES, Mode, mode_z_factors
 
@@ -47,10 +47,7 @@ _Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class AltScheme:
-    """The jointly optimized benchmark scheme."""
-
-    tol: float = 1e-10
-    max_iter: int = 200
+    """The jointly optimized benchmark scheme (closed form, see altopt)."""
 
 
 ALT = AltScheme()
@@ -105,9 +102,8 @@ class TrialStats:
     z_plain: np.ndarray  # (n, 2, 2) fixed-surface alignment factors [j, i]
     z_comp: np.ndarray  # (n, 2, 2) compensated alignment factors [j, i]
     alt_factor: np.ndarray | None  # (n,) optimized SNR / gamma_bar
-    alt_iterations: np.ndarray | None
-    alt_converged: np.ndarray | None
-    alt_monotone_violations: int
+    alt_iterations: None = None  # always None; read by perfbench/child.py
+    alt_converged: None = None  # always None; read by perfbench/child.py
 
 
 def _chunk_ranges(trials: int, chunk_size: int):
@@ -116,15 +112,13 @@ def _chunk_ranges(trials: int, chunk_size: int):
     ]
 
 
-def _stats_chunk(state, lo, hi, include_alt, alt_tol, alt_max_iter):
+def _stats_chunk(state, lo, hi, include_alt):
     ch = channel_realizations(state, hi - lo, start=lo)
     lam = ch.svd_g.sigma**2
     om = ch.svd_h.sigma**2
     z_plain, z_comp = mode_z_factors(ch)
-    if include_alt:
-        res = optimize_batch(ch, tol=alt_tol, max_iter=alt_max_iter)
-        return lam, om, z_plain, z_comp, res
-    return lam, om, z_plain, z_comp, None
+    alt = optimize_batch(ch).snr_factor if include_alt else None
+    return lam, om, z_plain, z_comp, alt
 
 
 def channel_statistics(
@@ -132,8 +126,6 @@ def channel_statistics(
     trials: int,
     stream: int = 0,
     include_alt: bool = False,
-    alt_tol: float = 1e-10,
-    alt_max_iter: int = 200,
     workers: int = 1,
     chunk_size: int = 1 << 17,
 ) -> TrialStats:
@@ -150,30 +142,15 @@ def channel_statistics(
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
-                pool.map(
-                    lambda r: _stats_chunk(
-                        state, r[0], r[1], include_alt, alt_tol, alt_max_iter
-                    ),
-                    ranges,
-                )
+                pool.map(lambda r: _stats_chunk(state, r[0], r[1], include_alt), ranges)
             )
     else:
-        parts = [
-            _stats_chunk(state, lo, hi, include_alt, alt_tol, alt_max_iter)
-            for lo, hi in ranges
-        ]
+        parts = [_stats_chunk(state, lo, hi, include_alt) for lo, hi in ranges]
     lam = np.concatenate([p[0] for p in parts])
     om = np.concatenate([p[1] for p in parts])
     z_plain = np.concatenate([p[2] for p in parts])
     z_comp = np.concatenate([p[3] for p in parts])
-    if include_alt:
-        alt_factor = np.concatenate([p[4].snr_factor for p in parts])
-        alt_iters = np.concatenate([p[4].iterations for p in parts])
-        alt_conv = np.concatenate([p[4].converged for p in parts])
-        violations = sum(p[4].monotone_violations for p in parts)
-    else:
-        alt_factor = alt_iters = alt_conv = None
-        violations = 0
+    alt_factor = np.concatenate([p[4] for p in parts]) if include_alt else None
     return TrialStats(
         seed=seed,
         stream=stream,
@@ -183,9 +160,6 @@ def channel_statistics(
         z_plain=z_plain,
         z_comp=z_comp,
         alt_factor=alt_factor,
-        alt_iterations=alt_iters,
-        alt_converged=alt_conv,
-        alt_monotone_violations=violations,
     )
 
 

@@ -6,16 +6,18 @@ Criterion 9 intentionally asserts the derived mean-ratio of 7 and only
 displays the quoted 7.78 dB reference.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from ris2x2.acceptance import (
     AcceptanceContext,
     AcceptanceSettings,
-    check_alternating,
     check_closed_forms,
     check_determinism,
     check_eigenvalue_laws,
     check_gain,
+    check_joint_optimum,
     check_mean_orderings,
     check_mode_gap,
     check_outage_curves,
@@ -61,12 +63,19 @@ def test_criterion_06_throughput_curves(ctx):
     _run(check_throughput_curves, ctx)
 
 
+def test_criterion_06_smoke_seed_6():
+    # at seed 6 the MC alt throughput sits high enough that an unpaired gap
+    # (MC alt minus analytic j1i1-cmp) crosses 0.1 nats at 10^4 trials; the
+    # paired gap over the same trials stays near its 0.084 mean
+    _run(check_throughput_curves, AcceptanceContext(replace(AcceptanceSettings.smoke(), seed=6)))
+
+
 def test_criterion_07_mean_orderings(ctx):
     _run(check_mean_orderings, ctx)
 
 
-def test_criterion_08_alternating_optimizer(ctx):
-    _run(check_alternating, ctx)
+def test_criterion_08_joint_optimum(ctx):
+    _run(check_joint_optimum, ctx)
 
 
 def test_criterion_09_mode_gap_discrepancy_surfaced(ctx):

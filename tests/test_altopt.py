@@ -1,129 +1,109 @@
 import numpy as np
 import pytest
 
-from ris2x2.altopt import alt_outage_mc, alt_throughput_mc, optimize_batch, optimize_joint
+from ris2x2.altopt import optimal_configuration, optimize_batch
 from ris2x2.linalg2 import svd2
+from ris2x2.montecarlo import ALT, estimate_outage, estimate_throughput
 from ris2x2.sampling import ChannelRealization, RngState, channel_realizations, sample_channel_realization
-from ris2x2.sysmodel import mode_z_factors, phase_matrix
+from ris2x2.sysmodel import mode_z_factors
 
 STATE = RngState(31337, 0)
 
 
-def _single(batch, k):
-    return ChannelRealization(
-        g=batch.g[k],
-        h=batch.h[k],
-        svd_g=type(batch.svd_g)(batch.svd_g.u[k], batch.svd_g.sigma[k], batch.svd_g.v[k]),
-        svd_h=type(batch.svd_h)(batch.svd_h.u[k], batch.svd_h.sigma[k], batch.svd_h.v[k]),
-    )
+def _realization(g, h):
+    return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
+
+
+def _config_factor(ch, phasors, a, b):
+    """|b^H G Phi H a|^2 of a (stacked) configuration."""
+    m = ch.g * phasors[..., None, :] @ ch.h
+    amp = np.einsum("...k,...k->...", np.conjugate(b), np.einsum("...ij,...j->...i", m, a))
+    return np.abs(amp) ** 2
 
 
 def test_identity_channels():
     eye = np.eye(2, dtype=complex)
-    ch = ChannelRealization(g=eye, h=eye, svd_g=svd2(eye), svd_h=svd2(eye))
-    res = optimize_joint(ch, gamma_bar=2.5)
-    assert res.gamma_alt == pytest.approx(2.5)
-    assert res.converged
-    assert res.iterations == 1
-    assert abs(np.abs(res.a[0]) - 1.0) < 1e-12 and abs(res.a[1]) < 1e-12
-    assert abs(np.abs(res.b[0]) - 1.0) < 1e-12 and abs(res.b[1]) < 1e-12
+    ch = _realization(eye, eye)
+    assert optimize_batch(ch).snr_factor == pytest.approx(1.0, rel=1e-15)
+    phasors, a, b = optimal_configuration(ch)
+    assert np.array_equal(phasors, [1.0, 1.0])
+    assert abs(np.abs(a[0]) - 1.0) < 1e-12 and abs(a[1]) < 1e-12
+    assert abs(np.abs(b[0]) - 1.0) < 1e-12 and abs(b[1]) < 1e-12
 
 
-def test_trace_is_monotone():
-    ch = channel_realizations(STATE, 2000)
-    res = optimize_batch(ch, record_trace=True)
-    assert res.monotone_violations == 0
-    diffs = np.diff(res.trace, axis=0)
-    assert np.all(diffs >= -1e-12 * res.trace[:-1])
-    assert np.array_equal(res.trace[-1], res.snr_factor)
+def test_rank_one_g():
+    # G = x y^H makes M = x (y^H Phi H) rank one, so sigma_max^2 = ||M||_F^2
+    # = ||x||^2 ||conj(y1) exp(j phi1) h1 + conj(y2) exp(j phi2) h2||^2,
+    # largest when the two row terms are phase aligned
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    ch = _realization(np.outer(x, np.conjugate(y)), h)
+    t1 = np.abs(y[0]) ** 2 * np.vdot(h[0], h[0]).real
+    t2 = np.abs(y[1]) ** 2 * np.vdot(h[1], h[1]).real
+    cross = 2.0 * np.abs(y[0] * y[1]) * np.abs(np.vdot(h[0], h[1]))
+    expected = np.vdot(x, x).real * (t1 + t2 + cross)
+    got = optimize_batch(ch).snr_factor
+    assert got == pytest.approx(expected, rel=1e-13)
+    assert _config_factor(ch, *optimal_configuration(ch)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_pointwise_dominance_over_compensated_mode():
     ch = channel_realizations(STATE.child(1), 10_000)
     res = optimize_batch(ch)
-    _, z_comp = mode_z_factors(ch)
-    z_plain, _ = mode_z_factors(ch)
+    z_plain, z_comp = mode_z_factors(ch)
     lam1 = ch.svd_g.sigma[:, 0] ** 2
     om1 = ch.svd_h.sigma[:, 0] ** 2
     g_cmp = lam1 * om1 * z_comp[:, 0, 0]
     g_unc = lam1 * om1 * z_plain[:, 0, 0]
     assert np.all(res.snr_factor >= g_cmp * (1.0 - 1e-12))
     assert np.all(g_cmp >= g_unc * (1.0 - 1e-12))
-    assert res.converged.all()
-
-
-def test_scalar_matches_batch():
-    batch = channel_realizations(STATE.child(2), 50)
-    res = optimize_batch(batch)
-    one = optimize_joint(_single(batch, 17), gamma_bar=1.0)
-    assert one.gamma_alt == res.snr_factor[17]
-    assert one.iterations == res.iterations[17]
-    assert one.trace[0] == res.initial_factor[17]
+    assert not res.iterations.any()
 
 
 def test_final_configuration_is_consistent():
-    ch = sample_channel_realization(STATE.child(3), index=4)
-    res = optimize_joint(ch, gamma_bar=3.0)
-    # step-B equality: aligned phases meet the triangle bound exactly
-    amp = np.conjugate(res.b) @ (ch.g @ phase_matrix(res.phi) @ ch.h) @ res.a
-    gb = np.conjugate(ch.g).T @ res.b
-    ha = ch.h @ res.a
-    bound = np.abs(np.conjugate(gb) * ha).sum()
-    assert np.abs(amp) == pytest.approx(bound, rel=1e-12)
-    assert 3.0 * np.abs(amp) ** 2 == pytest.approx(res.gamma_alt, rel=1e-12)
-    assert abs(np.linalg.norm(res.a) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(res.b) - 1.0) < 1e-12
+    ch = channel_realizations(STATE.child(3), 2000)
+    phasors, a, b = optimal_configuration(ch)
+    assert np.allclose(np.abs(phasors), 1.0, rtol=0, atol=1e-15)
+    assert np.all(phasors[:, 0] == 1.0)
+    assert np.allclose(np.linalg.norm(a, axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(b, axis=-1), 1.0, rtol=0, atol=1e-12)
+    factor = _config_factor(ch, phasors, a, b)
+    assert np.allclose(factor, optimize_batch(ch).snr_factor, rtol=1e-12, atol=0)
+    # a single realization goes through the same code path
+    one = sample_channel_realization(STATE.child(3), index=17)
+    cfg = optimal_configuration(one)
+    assert _config_factor(one, *cfg) == pytest.approx(factor[17], rel=1e-12)
 
 
-def test_fixed_point_under_extra_cycles():
-    batch = channel_realizations(STATE.child(4), 200)
-    a = optimize_batch(batch, max_iter=200)
-    b = optimize_batch(batch, max_iter=500)
-    assert np.array_equal(a.snr_factor, b.snr_factor)
-
-
-def test_random_initialization_is_dominated_by_warm_start_rarely_better():
-    ch = channel_realizations(STATE.child(5), 2000)
-    warm = optimize_batch(ch)
-    rnd = optimize_batch(ch, random_init=RngState(7, 7))
-    # both are valid ascents; the warm start must never lose by more than
-    # numerical slack on its own start value
-    lam1 = ch.svd_g.sigma[:, 0] ** 2
-    om1 = ch.svd_h.sigma[:, 0] ** 2
-    _, z_comp = mode_z_factors(ch)
-    g_cmp = lam1 * om1 * z_comp[:, 0, 0]
-    assert np.all(warm.snr_factor >= g_cmp * (1.0 - 1e-12))
-    # the random start sometimes finds a worse local maximum
-    assert rnd.snr_factor.mean() <= warm.snr_factor.mean() * 1.01
-
-
-def test_validation():
-    eye = np.eye(2, dtype=complex)
-    ch = ChannelRealization(g=eye, h=eye, svd_g=svd2(eye), svd_h=svd2(eye))
-    with pytest.raises(ValueError):
-        optimize_joint(ch, gamma_bar=1.0, tol=0.0)
-    with pytest.raises(ValueError):
-        optimize_joint(ch, gamma_bar=1.0, max_iter=0)
-    with pytest.raises(ValueError):
-        optimize_joint(ch, gamma_bar=0.0)
+def test_phase_sweep_never_beats_optimum():
+    # brute-force oracle: sigma_max^2 of G diag(1, exp(j t)) H on a fine grid
+    ch = channel_realizations(STATE.child(4), 1000)
+    best = optimize_batch(ch).snr_factor
+    sweep = np.zeros_like(best)
+    for t in 2.0 * np.pi * np.arange(720) / 720:
+        tiles = np.array([1.0, np.exp(1j * t)])
+        sweep = np.maximum(sweep, svd2(ch.g * tiles @ ch.h).sigma[:, 0] ** 2)
+    assert np.all(sweep <= best * (1.0 + 1e-12))
+    # the grid step of 0.5 degree gets within a relative 1e-4 of the optimum
+    assert np.all(sweep >= best * (1.0 - 1e-4))
 
 
 def test_alt_outage_mc_zero_threshold():
-    est, half = alt_outage_mc(10.0, 0.0, trials=500, seed=5)
-    assert est == 0.0
-    assert half > 0.0
+    est = estimate_outage(ALT, 10.0, 0.0, trials=500, seed=5)
+    assert est.value == 0.0
+    assert est.ci_half_width > 0.0
 
 
 def test_alt_outage_mc_ci_scaling():
     # quadrupling the trials roughly halves the interval
-    _, half1 = alt_outage_mc(1.0, 1.0, trials=2000, seed=6)
-    _, half2 = alt_outage_mc(1.0, 1.0, trials=8000, seed=6)
+    half1 = estimate_outage(ALT, 1.0, 1.0, trials=2000, seed=6).ci_half_width
+    half2 = estimate_outage(ALT, 1.0, 1.0, trials=8000, seed=6).ci_half_width
     assert abs(half1 / half2 / 2.0 - 1.0) < 0.2
 
 
 def test_alt_throughput_mc():
-    v1, h1 = alt_throughput_mc(10.0, trials=4000, seed=8)
-    v2, _ = alt_throughput_mc(10.0, trials=4000, seed=8)
-    assert v1 == v2  # fixed seed reproducibility
-    tiny, _ = alt_throughput_mc(1e-4, trials=4000, seed=8)
-    assert tiny < 1e-2
+    a = estimate_throughput(ALT, 10.0, trials=4000, seed=8)
+    b = estimate_throughput(ALT, 10.0, trials=4000, seed=8)
+    assert a == b  # fixed seed reproducibility
+    assert estimate_throughput(ALT, 1e-4, trials=4000, seed=8).value < 1e-2

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import ris2x2.acceptance
@@ -129,6 +135,8 @@ def test_gain_command(capsys):
     assert "8.4510 dB" in out
     assert "7.7815 dB" in out
     assert "+-" in out
+    assert main(["gain", "--trials", "1"]) == 2
+    assert "trials must be >= 100" in capsys.readouterr().err
 
 
 def test_verify_smoke_passes(capsys):
@@ -149,3 +157,19 @@ def test_verify_negative_control(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "[FAIL]" in out
+
+
+def test_benchmark_traced_run(tmp_path):
+    # the benchmark's traced mode wraps program names by attribute; a name it
+    # reads that the program no longer has fails the run. It monkeypatches
+    # modules, so it runs in a process of its own.
+    root = Path(__file__).resolve().parents[1]
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), str(result), "--trace", "--",
+         "outage", "--trials", "1000", "--snr-db-step", "10", "--out", str(tmp_path / "o.csv")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(result.read_text())["exit_code"] == 0

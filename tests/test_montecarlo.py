@@ -43,7 +43,6 @@ def test_worker_and_chunk_invariance():
         assert np.array_equal(base.z_plain, other.z_plain)
         assert np.array_equal(base.z_comp, other.z_comp)
         assert np.array_equal(base.alt_factor, other.alt_factor)
-        assert np.array_equal(base.alt_iterations, other.alt_iterations)
 
 
 def test_outage_matches_closed_form():
