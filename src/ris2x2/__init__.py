@@ -3,7 +3,8 @@
 A numpy/scipy library (plus a small CLI) for the complete performance
 characterization of singular-vector transmission modes with and without
 per-tile phase compensation: exact alignment-factor and eigenvalue laws,
-closed-form outage and throughput with independent quadrature oracles, the
+closed-form outage, Mellin-Barnes throughput of every mode and the closed
+forms of the weakest mode, each with an independent quadrature oracle, the
 closed-form joint optimum over transmit/combine vectors and tile phases as
 a benchmark, and a reproducible Monte Carlo harness.
 """
@@ -58,6 +59,7 @@ from .analytic import (
     throughput,
     throughput_closed_r22,
     throughput_closed_r22_cmp,
+    throughput_quadrature,
     z_factor_cdf,
 )
 from .altopt import optimal_configuration, optimize_batch

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _GRID_SPEC = QuadratureSpec(1e-9, 1e-7, 200)
+# C6 compares the Mellin throughput with its quadrature oracle to this
+# relative tolerance on the six distinct modes at oracle_snr_db.
+_ORACLE_REL_TOL = 1e-8
 # C8 checks the optimum's configuration and a relative-phase sweep on the
 # first _OPTIMUM_SAMPLE trials, one phase at a time so that memory stays that
 # of _OPTIMUM_SAMPLE matrices; 64 phases take about 0.05 s.
@@ -50,6 +53,7 @@ class AcceptanceSettings:
     threshold_db: float = 0.0
     closed_form_grid: tuple = (1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0)
     throughput_snr_db: tuple = tuple(float(s) for s in range(-5, 26))
+    oracle_snr_db: tuple = (-5.0, 5.0, 15.0, 25.0)
     ks_tol: float = 0.002
     mean_rel_tol: float = 0.01
     gap_rel_tol: float = 0.02
@@ -70,6 +74,7 @@ class AcceptanceSettings:
             snr_db=tuple(float(s) for s in range(-5, 26, 5)),
             closed_form_grid=(1e-2, 0.25, 2.0),
             throughput_snr_db=(-5.0, 5.0, 15.0, 25.0),
+            oracle_snr_db=(5.0,),
             ks_tol=0.02,
             mean_rel_tol=0.1,
             gap_rel_tol=0.2,
@@ -359,24 +364,42 @@ def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
                 max_gap_low = max(max_gap_low, gap)
             else:
                 max_gap_high = max(max_gap_high, gap)
+        worst_oracle = 0.0
+        worst_oracle_at = ""
+        for snr_db in s.oracle_snr_db:
+            gbar = 10.0 ** (snr_db / 10.0)
+            for mode in _DISTINCT_MODES:
+                dev = abs(
+                    analytic.throughput(mode, gbar, _GRID_SPEC)
+                    / analytic.throughput_quadrature(mode, gbar, _GRID_SPEC)
+                    - 1.0
+                )
+                if dev >= worst_oracle:
+                    worst_oracle = dev
+                    worst_oracle_at = f"{mode.label} @ {snr_db:g} dB"
         ok = (
             worst_ratio <= 1.0
             and worst_closed <= s.closed_vs_analytic_rel_tol
+            and worst_oracle <= _ORACLE_REL_TOL
             and bound_ok
             and max_gap_low < s.alt_gap_nats
         )
         return (
             ok,
             f"worst |analytic-MC| = {worst_ratio:.3f} x (3 CI), closed-form rel dev "
-            f"{worst_closed:.2e}, paired alt gap <=10dB {max_gap_low:.4f}",
+            f"{worst_closed:.2e}, Mellin vs quadrature oracle rel dev "
+            f"{worst_oracle:.2e} ({worst_oracle_at}), paired alt gap <=10dB "
+            f"{max_gap_low:.4f}",
             f"gap above 10 dB reaches {max_gap_high:.4f} nats (reported only)",
         )
 
     return _timed(
         6,
         "throughput curve reproduction",
-        "integral, closed forms and MC mutually agree; optimized bound tight",
-        f"3 CI / rel {s.closed_vs_analytic_rel_tol} / gap {s.alt_gap_nats}",
+        "Mellin, quadrature oracle, closed forms and MC mutually agree; "
+        "optimized bound tight",
+        f"3 CI / rel {s.closed_vs_analytic_rel_tol} / oracle rel {_ORACLE_REL_TOL} "
+        f"/ gap {s.alt_gap_nats}",
         run,
     )
 

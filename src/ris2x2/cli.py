@@ -27,6 +27,8 @@ from .special import QuadratureSpec
 __all__ = ["ExperimentConfig", "main"]
 
 _CURVE_SPEC = QuadratureSpec(1e-9, 1e-7, 200)
+# Largest SNR grid a sweep accepts (0.01 dB steps over 100 dB).
+_MAX_GRID_POINTS = 10_001
 
 
 @dataclass(frozen=True)
@@ -42,10 +44,18 @@ class ExperimentConfig:
     svg: bool = False
 
     def validate(self):
+        for name in ("snr_db_min", "snr_db_max", "snr_db_step", "threshold_db"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.snr_db_min > self.snr_db_max:
             raise ValueError("snr_db_min must be <= snr_db_max")
         if self.snr_db_step <= 0.0:
             raise ValueError("snr_db_step must be positive")
+        points = self._grid_points()
+        if points > _MAX_GRID_POINTS:
+            raise ValueError(
+                f"SNR grid would have {points:.3g} points; at most {_MAX_GRID_POINTS}"
+            )
         if self.trials < 100:
             raise ValueError("trials must be >= 100")
         if not self.schemes:
@@ -53,8 +63,12 @@ class ExperimentConfig:
         for name in self.schemes:
             parse_scheme(name)
 
+    def _grid_points(self) -> float:
+        """Grid size as a float, so that a huge grid is sized, not built."""
+        return np.floor((self.snr_db_max - self.snr_db_min) / self.snr_db_step + 1e-9) + 1
+
     def snr_grid_db(self):
-        count = int(np.floor((self.snr_db_max - self.snr_db_min) / self.snr_db_step + 1e-9)) + 1
+        count = int(self._grid_points())
         return [self.snr_db_min + k * self.snr_db_step for k in range(count)]
 
 

@@ -17,7 +17,9 @@ families used here the integrand decays like exp(-mu*|Im s|) with
 mu = (2(m+n) - p - q) * pi / 2 > 0, so a trapezoid rule with step halving
 converges geometrically.  Repeated b parameters (they do occur: the ladder
 b = (-1, -1, -2) appears throughout) are harmless on this route since the
-contour never touches a pole; no residue bookkeeping is needed.
+contour never touches a pole; no residue bookkeeping is needed.  The same
+truncated, step-halved trapezoid (``_vertical_line_integral``) also
+evaluates the Mellin-Barnes throughput integral of ``analytic.throughput``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ __all__ = [
 
 
 class MeijerGError(RuntimeError):
-    """Raised when a G-function evaluation cannot meet its tolerances."""
+    """Raised when a Mellin-Barnes line integral (a G-function, or the
+    Mellin throughput of ``analytic``) cannot meet its tolerances."""
 
 
 class QuadratureError(RuntimeError):
@@ -151,6 +154,51 @@ def _contour_integrand(params: MeijerParams, s: np.ndarray, log_z: float) -> np.
     return np.exp(lg + s * log_z)
 
 
+def _vertical_line_integral(
+    integrand, c: float, mu: float, spec: QuadratureSpec, what: str
+) -> float:
+    """(1/2*pi*j) * int_{c-j*inf}^{c+j*inf} integrand(s) ds for an integrand
+    that is real on the real axis, analytic on a strip around Re(s) = c and
+    decaying like exp(-mu*|Im s|) times a power of |Im s|.
+
+    ``integrand`` maps an array of complex s to an array of values.  The
+    line is truncated where the tail bound falls below 1% of ``abs_tol``,
+    and a trapezoid rule on the truncated line is refined by step halving
+    until two estimates agree; the rule converges geometrically because
+    the integrand is analytic on a strip.
+    """
+    # Truncation: the integrand decays like exp(-mu*t) times a power of t.
+    half_span = max(28.0, 80.0 / mu)
+    for _ in range(12):
+        tail = abs(integrand(np.array([c + 1j * half_span]))[0])
+        if tail * (2.0 / mu) <= 0.01 * spec.abs_tol:
+            break
+        half_span *= 1.5
+    else:
+        raise MeijerGError(f"{what}: contour tail does not decay (T={half_span:.1f})")
+
+    # Trapezoid with step halving; geometric convergence for analytic
+    # integrands on a strip.
+    step = 0.25
+    previous = None
+    for _ in range(6):
+        count = 2 * int(round(half_span / step)) + 1
+        t = (np.arange(count) - (count - 1) / 2.0) * step
+        vals = integrand(c + 1j * t)
+        estimate = step * np.sum(vals.real) / (2.0 * np.pi)
+        if previous is not None:
+            if abs(estimate - previous) <= 0.5 * max(
+                spec.abs_tol, spec.rel_tol * abs(estimate)
+            ):
+                return float(estimate)
+        previous = estimate
+        step *= 0.5
+    raise MeijerGError(
+        f"{what}: contour refinement stalled at step {step:.4g} "
+        f"(last two estimates {previous:.6e})"
+    )
+
+
 def meijer_g(
     params: MeijerParams,
     z: float,
@@ -170,36 +218,8 @@ def meijer_g(
         raise MeijerGError("integrand does not decay on a vertical contour")
     c = _contour_abscissa(params, contour_shift)
     log_z = float(np.log(z))
-
-    # Truncation: the integrand decays like exp(-mu*t) times a power of t.
-    half_span = max(28.0, 80.0 / mu)
-    for _ in range(12):
-        tail = abs(_contour_integrand(params, np.array([c + 1j * half_span]), log_z)[0])
-        if tail * (2.0 / mu) <= 0.01 * spec.abs_tol:
-            break
-        half_span *= 1.5
-    else:
-        raise MeijerGError(f"contour tail does not decay (T={half_span:.1f})")
-
-    # Trapezoid with step halving; geometric convergence for analytic
-    # integrands on a strip.
-    step = 0.25
-    previous = None
-    for _ in range(6):
-        count = 2 * int(round(half_span / step)) + 1
-        t = (np.arange(count) - (count - 1) / 2.0) * step
-        vals = _contour_integrand(params, c + 1j * t, log_z)
-        estimate = step * np.sum(vals.real) / (2.0 * np.pi)
-        if previous is not None:
-            if abs(estimate - previous) <= 0.5 * max(
-                spec.abs_tol, spec.rel_tol * abs(estimate)
-            ):
-                return float(estimate)
-        previous = estimate
-        step *= 0.5
-    raise MeijerGError(
-        f"contour refinement stalled at step {step:.4g} "
-        f"(last two estimates {previous:.6e})"
+    return _vertical_line_integral(
+        lambda s: _contour_integrand(params, s, log_z), c, mu, spec, "meijer_g"
     )
 
 

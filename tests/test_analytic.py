@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 from ris2x2 import analytic
 from ris2x2.montecarlo import channel_statistics, scheme_snr_factor, throughput_from_stats
-from ris2x2.special import QuadratureSpec
 from ris2x2.sysmodel import MODES, Mode
 
 
@@ -158,8 +157,11 @@ def test_throughput_limits_and_monotonicity():
     grid = [0.5, 1.0, 2.0, 4.0, 8.0]
     vals = [analytic.throughput(Mode(1, 1, True), g) for g in grid]
     assert np.all(np.diff(vals) > 0.0)
-    with pytest.raises(ValueError):
-        analytic.throughput(Mode(1, 1), 0.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            analytic.throughput(Mode(1, 1), bad)
+        with pytest.raises(ValueError):
+            analytic.throughput_quadrature(Mode(1, 1), bad)
 
 
 def test_throughput_matches_monte_carlo():
@@ -193,9 +195,46 @@ def test_throughput_closed_r22_positive_on_grid():
         assert analytic.throughput_closed_r22(10.0 ** (snr_db / 10.0)) > 0.0
 
 
-def test_throughput_definition_route_agrees():
-    loose = QuadratureSpec(1e-6, 1e-5, 200)
-    direct = analytic.throughput(Mode(2, 2, False), 1.0, loose, method="outage-integral")
-    assert direct == pytest.approx(analytic.throughput(Mode(2, 2, False), 1.0), rel=1e-5)
-    with pytest.raises(ValueError):
-        analytic.throughput(Mode(2, 2), 1.0, method="bogus")
+_ENGINE_GAMMAS = (1e-4, 1e-2, 1.0, 10.0, 10.0**2.5, 1e4)
+
+
+def test_throughput_matches_quadrature_oracle():
+    for mode in MODES:
+        for gamma_bar in _ENGINE_GAMMAS:
+            assert analytic.throughput(mode, gamma_bar) == pytest.approx(
+                analytic.throughput_quadrature(mode, gamma_bar), rel=1e-8
+            )
+
+
+def test_throughput_transmit_receive_symmetry():
+    for compensated in (False, True):
+        for gamma_bar in _ENGINE_GAMMAS:
+            a = analytic.throughput(Mode(1, 2, compensated), gamma_bar)
+            b = analytic.throughput(Mode(2, 1, compensated), gamma_bar)
+            assert a == pytest.approx(b, rel=1e-15, abs=0.0)
+
+
+def test_throughput_below_jensen_bound():
+    for mode in MODES:
+        for gamma_bar in _ENGINE_GAMMAS:
+            bound = np.log1p(analytic.mean_mode_snr(mode, gamma_bar))
+            assert analytic.throughput(mode, gamma_bar) < bound
+
+
+def test_throughput_low_snr_slope_is_mean_snr():
+    # E ln(1 + g X) = g E{X} - g^2 E{X^2}/2 + ...
+    gamma_bar = 1e-6
+    for mode in MODES:
+        assert analytic.throughput(mode, gamma_bar) / gamma_bar == pytest.approx(
+            analytic.mean_mode_snr(mode, 1.0), rel=1e-4
+        )
+
+
+def test_throughput_z_rule_is_converged(monkeypatch):
+    # the Gauss-Legendre rule of the compensated E{z^-s}: doubling its
+    # nodes must not move any throughput
+    modes = [m for m in MODES if m.compensated]
+    base = [analytic.throughput(m, g) for m in modes for g in _ENGINE_GAMMAS]
+    monkeypatch.setattr(analytic, "_Z_NODES", 2 * analytic._Z_NODES)
+    doubled = [analytic.throughput(m, g) for m in modes for g in _ENGINE_GAMMAS]
+    assert doubled == pytest.approx(base, rel=1e-12, abs=0.0)

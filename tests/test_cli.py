@@ -31,6 +31,28 @@ def test_config_validation():
         ExperimentConfig(schemes=()).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(schemes=("nope",)).validate()
+    for field in ("snr_db_min", "snr_db_max", "snr_db_step", "threshold_db"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                ExperimentConfig(**{field: bad}).validate()
+    for step in (1e-300, 5e-324, 0.001):
+        with pytest.raises(ValueError, match="at most 10001"):
+            ExperimentConfig(snr_db_step=step).validate()
+    # 0.01 dB over 100 dB is the largest grid accepted
+    ExperimentConfig(snr_db_min=-50.0, snr_db_max=50.0, snr_db_step=0.01).validate()
+
+
+def test_bad_sweep_input_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for flag, value in (
+        ("--snr-db-max", "inf"),
+        ("--snr-db-min", "nan"),
+        ("--threshold-db", "nan"),
+        ("--snr-db-step", "1e-300"),
+    ):
+        assert main(["outage", *FAST, flag, value, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_outage_csv_schema_and_grid(tmp_path):
