@@ -10,10 +10,11 @@ with the angle-difference density behind the compensated law.
 import numpy as np
 
 from ris2x2 import (
+    EmpiricalCdf,
     RngState,
+    alignment_factors,
     angle_diff_cdf,
     angle_diff_pdf,
-    empirical_cdf,
     haar_angles,
     haar_unitaries,
     z_factor_cdf,
@@ -22,22 +23,22 @@ from ris2x2 import (
 state = RngState(seed=77, stream=0)
 n = 1_000_000
 
-v = haar_unitaries(state.child(1), n)[:, :, 0]
-w = haar_unitaries(state.child(2), n)[:, :, 0]
-z_plain = np.abs(np.einsum("nk,nk->n", np.conjugate(v), w)) ** 2
-z_comp = (np.abs(v) * np.abs(w)).sum(axis=1) ** 2
+# first columns of two Haar draws, through the routine of the statistics pass
+v = haar_unitaries(state.child(1), n)[:, :, :1]
+w = haar_unitaries(state.child(2), n)[:, :, :1]
+z_plain, z_comp = (z[:, 0, 0] for z in alignment_factors(v, w))
 
 print(f"E[z] fixed surface   : {z_plain.mean():.6f}   (law: 0.5)")
 print(f"E[z] compensated     : {z_comp.mean():.6f}   (law: {0.5 * (1 + np.pi**2 / 16):.6f})")
-ks_p = empirical_cdf(z_plain).ks_distance(lambda z: z_factor_cdf(z, compensated=False))
-ks_c = empirical_cdf(z_comp).ks_distance(lambda z: z_factor_cdf(z, compensated=True))
+ks_p = EmpiricalCdf(z_plain).ks_distance(lambda z: z_factor_cdf(z, compensated=False))
+ks_c = EmpiricalCdf(z_comp).ks_distance(lambda z: z_factor_cdf(z, compensated=True))
 print(f"KS uniform law       : {ks_p:.5f}")
 print(f"KS compensated law   : {ks_c:.5f}")
 
 print("\nmixing-angle difference density (two independent Haar draws):")
 a = haar_angles(state.child(3), n).theta12
 b = haar_angles(state.child(4), n).theta12
-ks_d = empirical_cdf(a - b).ks_distance(angle_diff_cdf)
+ks_d = EmpiricalCdf(a - b).ks_distance(angle_diff_cdf)
 print(f"KS empirical vs analytic CDF: {ks_d:.5f}")
 for x in (0.0, 0.5, 1.0, 1.5):
     print(f"  pdf({x:3.1f}) = {angle_diff_pdf(x):.6f}")

@@ -7,6 +7,10 @@ closed-form outage, Mellin-Barnes throughput of every mode and the closed
 forms of the weakest mode, each with an independent quadrature oracle, the
 closed-form joint optimum over transmit/combine vectors and tile phases as
 a benchmark, and a reproducible Monte Carlo harness.
+
+Sampling, the system model and the joint optimum have one code path each:
+every function takes one realization or a stack of a million (leading
+axes), and a tile configuration is always a pair of unit phasors.
 """
 
 from .linalg2 import Svd2, UnitaryAngles, angles_from_unitary, svd2, unitary_from_angles
@@ -20,18 +24,13 @@ from .sampling import (
     gaussian_channels,
     haar_angles,
     haar_unitaries,
-    sample_channel_realization,
-    sample_gaussian_channel,
-    sample_haar_unitary,
 )
 from .sysmodel import (
     MODES,
     Mode,
-    PhaseConfig,
-    SnrSample,
+    alignment_factors,
     compensated_phases,
     instantaneous_snr,
-    mode_snr,
     mode_vectors,
     mode_z_factors,
 )
@@ -70,7 +69,6 @@ from .montecarlo import (
     McEstimate,
     TrialStats,
     channel_statistics,
-    empirical_cdf,
     estimate_outage,
     estimate_throughput,
     outage_from_stats,

@@ -19,10 +19,10 @@ import numpy as np
 from . import analytic, montecarlo
 from .altopt import optimal_configuration
 from .linalg2 import svd2
-from .montecarlo import ALT, TrialStats
+from .montecarlo import ALT, EmpiricalCdf, TrialStats
 from .sampling import RngState, channel_realizations, haar_unitaries
-from .special import QuadratureSpec
-from .sysmodel import MODES, Mode
+from .special import CURVE_QUADRATURE
+from .sysmodel import MODES, Mode, alignment_factors, instantaneous_snr
 
 __all__ = [
     "AcceptanceSettings",
@@ -33,7 +33,6 @@ __all__ = [
     "format_report",
 ]
 
-_GRID_SPEC = QuadratureSpec(1e-9, 1e-7, 200)
 # C6 compares the Mellin throughput with its quadrature oracle to this
 # relative tolerance on the six distinct modes at oracle_snr_db.
 _ORACLE_REL_TOL = 1e-8
@@ -114,16 +113,12 @@ class AcceptanceContext:
 
     @property
     def haar_z(self):
-        """Alignment factor samples from independent Haar pairs."""
+        """(z_plain, z_comp) of the first columns of independent Haar pairs."""
         if self._haar is None:
             s = self.settings
-            v = haar_unitaries(RngState(s.seed, 101), s.trials)
-            w = haar_unitaries(RngState(s.seed, 102), s.trials)
-            v1 = v[:, :, 0]
-            w1 = w[:, :, 0]
-            z_plain = np.abs(np.einsum("nk,nk->n", np.conjugate(v1), w1)) ** 2
-            z_comp = np.einsum("nk,nk->n", np.abs(v1), np.abs(w1)) ** 2
-            self._haar = (np.minimum(z_plain, 1.0), np.minimum(z_comp, 1.0))
+            v = haar_unitaries(RngState(s.seed, 101), s.trials)[:, :, :1]
+            w = haar_unitaries(RngState(s.seed, 102), s.trials)[:, :, :1]
+            self._haar = tuple(z[:, 0, 0] for z in alignment_factors(v, w))
         return self._haar
 
     @property
@@ -181,10 +176,10 @@ def check_z_laws(ctx: AcceptanceContext) -> CheckResult:
 
     def run():
         z_plain, z_comp = ctx.haar_z
-        ks_c = montecarlo.empirical_cdf(z_comp).ks_distance(
+        ks_c = EmpiricalCdf(z_comp).ks_distance(
             lambda z: analytic.z_factor_cdf(z, True)
         )
-        ks_p = montecarlo.empirical_cdf(z_plain).ks_distance(
+        ks_p = EmpiricalCdf(z_plain).ks_distance(
             lambda z: analytic.z_factor_cdf(z, False)
         )
         worst = max(ks_c, ks_p)
@@ -208,10 +203,10 @@ def check_eigenvalue_laws(ctx: AcceptanceContext) -> CheckResult:
 
     def run():
         stats = ctx.stats
-        ks1 = montecarlo.empirical_cdf(stats.lam[:, 0]).ks_distance(
+        ks1 = EmpiricalCdf(stats.lam[:, 0]).ks_distance(
             lambda y: analytic.eigenvalue_cdf(y, "largest")
         )
-        ks2 = montecarlo.empirical_cdf(stats.lam[:, 1]).ks_distance(
+        ks2 = EmpiricalCdf(stats.lam[:, 1]).ks_distance(
             lambda y: analytic.eigenvalue_cdf(y, "smallest")
         )
         m1 = abs(float(stats.lam[:, 0].mean()) / 3.5 - 1.0)
@@ -335,7 +330,7 @@ def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
             ana = {}
             for mode in MODES:
                 est = montecarlo.throughput_from_stats(stats, mode, gbar)
-                ana[mode] = analytic.throughput(mode, gbar, _GRID_SPEC)
+                ana[mode] = analytic.throughput(mode, gbar, CURVE_QUADRATURE)
                 worst_ratio = max(
                     worst_ratio,
                     abs(ana[mode] - est.value) / (3.0 * est.ci_half_width),
@@ -343,12 +338,12 @@ def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
             worst_closed = max(
                 worst_closed,
                 abs(
-                    analytic.throughput_closed_r22(gbar, _GRID_SPEC)
+                    analytic.throughput_closed_r22(gbar, CURVE_QUADRATURE)
                     / ana[Mode(2, 2, False)]
                     - 1.0
                 ),
                 abs(
-                    analytic.throughput_closed_r22_cmp(gbar, _GRID_SPEC)
+                    analytic.throughput_closed_r22_cmp(gbar, CURVE_QUADRATURE)
                     / ana[Mode(2, 2, True)]
                     - 1.0
                 ),
@@ -370,8 +365,8 @@ def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
             gbar = 10.0 ** (snr_db / 10.0)
             for mode in _DISTINCT_MODES:
                 dev = abs(
-                    analytic.throughput(mode, gbar, _GRID_SPEC)
-                    / analytic.throughput_quadrature(mode, gbar, _GRID_SPEC)
+                    analytic.throughput(mode, gbar, CURVE_QUADRATURE)
+                    / analytic.throughput_quadrature(mode, gbar, CURVE_QUADRATURE)
                     - 1.0
                 )
                 if dev >= worst_oracle:
@@ -410,9 +405,8 @@ def check_mean_orderings(ctx: AcceptanceContext) -> CheckResult:
         notes = []
         ok = True
         for compensated in (False, True):
-            z = stats.z_comp if compensated else stats.z_plain
             g = {
-                (j, i): stats.lam[:, j - 1] * stats.om[:, i - 1] * z[:, j - 1, i - 1]
+                (j, i): montecarlo.scheme_snr_factor(stats, Mode(i, j, compensated))
                 for j in (1, 2)
                 for i in (1, 2)
             }
@@ -458,9 +452,8 @@ def check_joint_optimum(ctx: AcceptanceContext) -> CheckResult:
         ch = channel_realizations(RngState(stats.seed, stats.stream), n)
         alt = alt[:n]
         phasors, a, b = optimal_configuration(ch)
-        m = ch.g * phasors[:, None, :] @ ch.h
-        amp = np.einsum("nk,nk->n", np.conjugate(b), np.einsum("nij,nj->ni", m, a))
-        config_dev = float(np.max(np.abs(np.abs(amp) ** 2 / alt - 1.0)))
+        config = instantaneous_snr(ch.g, ch.h, phasors, a, b, 1.0)
+        config_dev = float(np.max(np.abs(config / alt - 1.0)))
         sweep = np.zeros(n)
         for t in 2.0 * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID:
             tiles = np.array([1.0, np.exp(1j * t)])
@@ -495,8 +488,8 @@ def check_mode_gap(ctx: AcceptanceContext) -> CheckResult:
 
     def run():
         stats = ctx.stats
-        g11 = stats.lam[:, 0] * stats.om[:, 0] * stats.z_plain[:, 0, 0]
-        g21 = stats.lam[:, 1] * stats.om[:, 0] * stats.z_plain[:, 1, 0]
+        g11 = montecarlo.scheme_snr_factor(stats, Mode(1, 1))
+        g21 = montecarlo.scheme_snr_factor(stats, Mode(1, 2))
         ratio = float(g11.mean() / g21.mean())
         derived_db, reported_db = analytic.consecutive_mode_gap_db()
         ok = abs(ratio / 7.0 - 1.0) <= s.gap_rel_tol

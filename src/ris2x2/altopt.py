@@ -65,8 +65,9 @@ def optimize_batch(ch: ChannelRealization) -> BatchAltOpt:
 def optimal_configuration(ch: ChannelRealization):
     """Optimal (phasors, a, b) of a (stacked) realization.
 
-    ``phasors[..., k]`` is exp(j*phi_k) with tile 1 held at phase 0; a and b
-    are the leading right and left singular vectors of G Phi* H.
+    ``phasors[..., k]`` is exp(j*phi_k), the tile configuration of
+    :mod:`sysmodel`, with tile 1 held at phase 0; a and b are the leading
+    right and left singular vectors of G Phi* H.
     """
     c, _ = _cross_term(ch)
     mag = np.abs(c)

@@ -37,6 +37,7 @@ from .special import (
     DEFAULT_QUADRATURE,
     MeijerParams,
     QuadratureSpec,
+    _g30,
     _integrate_quad,
     _vertical_line_integral,
     meijer_g,
@@ -222,8 +223,8 @@ def outage_quadrature(
 ) -> float:
     """Outage probability P{lambda_j omega_i z <= x} by direct quadrature
     of E{F_lambda(x / (omega z))}; the reference implementation."""
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
+    if not 0.0 <= x < np.inf:
+        raise ValueError("x must be nonnegative and finite")
     if x == 0.0:
         return 0.0
     lam_law = "largest" if mode.rx == 1 else "smallest"
@@ -238,19 +239,13 @@ def outage_quadrature(
     return _outer_substituted(inner, om_law, spec, f"outage({mode.label})")
 
 
-def _calg(z: float, a: float, spec: QuadratureSpec) -> float:
-    """G^{3,0}_{1,3}(z | 0; -1, -a, -2), the block of the plain-surface
-    outage expressions."""
-    return meijer_g(MeijerParams(3, 0, 1, 3, (0.0,), (-1.0, -a, -2.0)), z, spec)
-
-
 def outage_closed_form(
     mode: Mode, x: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """Closed-form outage, mode-by-mode assembly of the Bessel and
     Meijer-G expressions; validated against :func:`outage_quadrature`."""
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
+    if not 0.0 <= x < np.inf:
+        raise ValueError("x must be nonnegative and finite")
     if x == 0.0:
         return 0.0
     z = float(x)
@@ -286,27 +281,27 @@ def outage_closed_form(
     if (j, i) == (1, 1):
         return (
             1.0
-            - 4.0 * z**2 * _calg(z, 1.0, spec)
+            - 4.0 * z**2 * _g30(z, -1.0, -2.0, spec)
             + 8.0 * sz * kv(1, 2.0 * sz)
-            - 2.0 * z**2 * _calg(z, -1.0, spec)
-            + 8.0 * z**2 * _calg(2.0 * z, 1.0, spec)
+            - 2.0 * z**2 * _g30(z, 1.0, -2.0, spec)
+            + 8.0 * z**2 * _g30(2.0 * z, -1.0, -2.0, spec)
             - 4.0 * z * kv(0, 2.0 * sz)
             + 4.0 * z * sz * kv(1, 2.0 * sz)
             - 2.0 * z**2 * kv(2, 2.0 * sz)
             + 4.0 * z * kv(0, 2.0 * np.sqrt(2.0 * z))
-            + 8.0 * z**2 * _calg(2.0 * z, 1.0, spec)
+            + 8.0 * z**2 * _g30(2.0 * z, -1.0, -2.0, spec)
             - 4.0 * np.sqrt(2.0 * z) * kv(1, 2.0 * np.sqrt(2.0 * z))
-            + 4.0 * z**2 * _calg(2.0 * z, -1.0, spec)
-            - 16.0 * z**2 * _calg(4.0 * z, 1.0, spec)
+            + 4.0 * z**2 * _g30(2.0 * z, 1.0, -2.0, spec)
+            - 16.0 * z**2 * _g30(4.0 * z, -1.0, -2.0, spec)
         )
     if (j, i) in ((2, 1), (1, 2)):
         return (
             1.0
-            - 8.0 * z**2 * _calg(2.0 * z, 1.0, spec)
+            - 8.0 * z**2 * _g30(2.0 * z, -1.0, -2.0, spec)
             - 4.0 * z * kv(0, np.sqrt(8.0 * z))
-            + 16.0 * z**2 * _calg(4.0 * z, 1.0, spec)
+            + 16.0 * z**2 * _g30(4.0 * z, -1.0, -2.0, spec)
         )
-    return 1.0 - 16.0 * z**2 * _calg(4.0 * z, 1.0, spec)
+    return 1.0 - 16.0 * z**2 * _g30(4.0 * z, -1.0, -2.0, spec)
 
 
 def _laguerre_stieltjes(x: float, alpha: int) -> float:
@@ -440,8 +435,8 @@ def throughput_closed_r22(
 ) -> float:
     """Closed form of the plain-surface (2,2)-mode throughput,
     (16/gamma_bar^2) G^{4,1}_{2,4}(4/gamma_bar | -2,0; -2,-1,-1,-2)."""
-    if gamma_bar <= 0.0:
-        raise ValueError("gamma_bar must be positive")
+    if not 0.0 < gamma_bar < np.inf:
+        raise ValueError("gamma_bar must be positive and finite")
     params = MeijerParams(4, 1, 2, 4, (-2.0, 0.0), (-2.0, -1.0, -1.0, -2.0))
     return 16.0 / gamma_bar**2 * meijer_g(params, 4.0 / gamma_bar, spec)
 
@@ -451,8 +446,8 @@ def throughput_closed_r22_cmp(
 ) -> float:
     """Closed form of the compensated (2,2)-mode throughput: a single
     G^{3,1}_{1,3} tail integral plus half the plain-surface value."""
-    if gamma_bar <= 0.0:
-        raise ValueError("gamma_bar must be positive")
+    if not 0.0 < gamma_bar < np.inf:
+        raise ValueError("gamma_bar must be positive and finite")
     params = MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0))
 
     def tail(u):

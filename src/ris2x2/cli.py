@@ -22,11 +22,12 @@ import numpy as np
 
 from . import analytic, montecarlo
 from .acceptance import AcceptanceSettings, format_report, run_acceptance
-from .montecarlo import ALL_SCHEME_LABELS, AltScheme, parse_scheme
-from .special import QuadratureSpec
+from .montecarlo import _Z95, ALL_SCHEME_LABELS, AltScheme, parse_scheme
+from .special import CURVE_QUADRATURE
+from .sysmodel import Mode
+
 __all__ = ["ExperimentConfig", "main"]
 
-_CURVE_SPEC = QuadratureSpec(1e-9, 1e-7, 200)
 # Largest SNR grid a sweep accepts (0.01 dB steps over 100 dB).
 _MAX_GRID_POINTS = 10_001
 
@@ -154,7 +155,7 @@ def _curve_rows(cfg: ExperimentConfig, kind: str):
             elif kind == "outage":
                 ana = analytic.outage_closed_form(scheme, threshold / gamma_bar)
             else:
-                ana = analytic.throughput(scheme, gamma_bar, _CURVE_SPEC)
+                ana = analytic.throughput(scheme, gamma_bar, CURVE_QUADRATURE)
             if kind == "outage":
                 est = montecarlo.outage_from_stats(stats, scheme, gamma_bar, threshold)
             else:
@@ -293,9 +294,9 @@ def cmd_gain(args) -> int:
         + cov[1, 1] / zp.mean() ** 2
         - 2.0 * cov[0, 1] / (zc.mean() * zp.mean())
     )
-    half = 1.959963984540054 * float(np.sqrt(max(var, 0.0)))
-    g11 = stats.lam[:, 0] * stats.om[:, 0] * zp
-    g21 = stats.lam[:, 1] * stats.om[:, 0] * stats.z_plain[:, 1, 0]
+    half = _Z95 * float(np.sqrt(max(var, 0.0)))
+    g11 = montecarlo.scheme_snr_factor(stats, Mode(1, 1))
+    g21 = montecarlo.scheme_snr_factor(stats, Mode(1, 2))
     gap_ratio = float(g11.mean() / g21.mean())
     derived_db, reported_db = analytic.consecutive_mode_gap_db()
     print(

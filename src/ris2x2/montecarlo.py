@@ -39,7 +39,6 @@ __all__ = [
     "estimate_throughput",
     "wilson_halfwidth",
     "EmpiricalCdf",
-    "empirical_cdf",
 ]
 
 _Z95 = 1.959963984540054
@@ -277,7 +276,3 @@ class EmpiricalCdf:
         upper = np.max(np.abs(i / self.n - ref))
         lower = np.max(np.abs((i - 1) / self.n - ref))
         return float(max(upper, lower))
-
-
-def empirical_cdf(samples) -> EmpiricalCdf:
-    return EmpiricalCdf(samples)

@@ -4,7 +4,8 @@ Randomness is keyed by ``RngState(seed, stream)`` and a draw index: draw k
 of a given kind touches a fixed window of Philox counter blocks, so the
 k-th draw is a pure function of (seed, stream, k).  Splitting a batch into
 chunks or workers therefore cannot change any value, and every sequence is
-bit-for-bit reproducible.
+bit-for-bit reproducible.  Every generator returns a stack; one draw is a
+stack of one (``n=1, start=k``).
 
 Normals come from Box-Muller applied to the raw uniform stream (fixed
 consumption of uniforms per draw, no rejection), matrix entries are
@@ -24,11 +25,8 @@ from .linalg2 import Svd2, UnitaryAngles, svd2, unitary_from_angles
 __all__ = [
     "RngState",
     "ChannelRealization",
-    "sample_gaussian_channel",
     "gaussian_channels",
-    "sample_channel_realization",
     "channel_realizations",
-    "sample_haar_unitary",
     "haar_unitaries",
     "haar_angles",
     "angle_diff_pdf",
@@ -102,10 +100,6 @@ def gaussian_channels(state: RngState, n: int, start: int = 0) -> np.ndarray:
     return _matrices_from_uniforms(u.reshape(n, 8)).reshape(n, 2, 2)
 
 
-def sample_gaussian_channel(state: RngState, index: int = 0) -> np.ndarray:
-    return gaussian_channels(state, 1, start=index)[0]
-
-
 def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:
     """Draws start..start+n-1 of channel pairs (g, h) with cached SVDs.
 
@@ -117,16 +111,6 @@ def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelReal
     g = mats[:, 0]
     h = mats[:, 1]
     return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
-
-
-def sample_channel_realization(state: RngState, index: int = 0) -> ChannelRealization:
-    batch = channel_realizations(state, 1, start=index)
-    return ChannelRealization(
-        g=batch.g[0],
-        h=batch.h[0],
-        svd_g=Svd2(batch.svd_g.u[0], batch.svd_g.sigma[0], batch.svd_g.v[0]),
-        svd_h=Svd2(batch.svd_h.u[0], batch.svd_h.sigma[0], batch.svd_h.v[0]),
-    )
 
 
 def haar_angles(state: RngState, n: int, start: int = 0) -> UnitaryAngles:
@@ -143,10 +127,6 @@ def haar_angles(state: RngState, n: int, start: int = 0) -> UnitaryAngles:
 def haar_unitaries(state: RngState, n: int, start: int = 0) -> np.ndarray:
     """Haar-distributed U(2) draws start..start+n-1."""
     return unitary_from_angles(haar_angles(state, n, start=start))
-
-
-def sample_haar_unitary(state: RngState, index: int = 0) -> np.ndarray:
-    return haar_unitaries(state, 1, start=index)[0]
 
 
 def angle_diff_pdf(x):

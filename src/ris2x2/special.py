@@ -37,6 +37,7 @@ __all__ = [
     "MeijerGError",
     "QuadratureError",
     "DEFAULT_QUADRATURE",
+    "CURVE_QUADRATURE",
     "bessel_k",
     "meijer_g",
     "weighted_bessel_integral",
@@ -68,6 +69,9 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+# Tolerances of the SNR sweeps: the CLI curves and the acceptance checks
+# that reproduce them.
+CURVE_QUADRATURE = QuadratureSpec(1e-9, 1e-7, 200)
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,8 @@ def meijer_g(
 
 
 def _g30(z: float, b2: float, b3: float, spec: QuadratureSpec) -> float:
+    """G^{3,0}_{1,3}(z | 0; -1, b2, b3), the Meijer block of the outage
+    closed forms."""
     return meijer_g(MeijerParams(3, 0, 1, 3, (0.0,), (-1.0, b2, b3)), z, spec)
 
 

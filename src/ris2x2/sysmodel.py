@@ -1,9 +1,11 @@
 """Transmission modes, instantaneous SNR, and surface phase compensation.
 
 The link is y = G Phi H x + n with diagonal reflection matrix
-Phi = diag(exp(j*phi1), exp(j*phi2)).  A transmission mode (i, j) sends
-along the i-th right singular vector of H and combines along the j-th left
-singular vector of G, which factors the SNR as
+Phi = diag(exp(j*phi1), exp(j*phi2)).  A tile configuration is the pair of
+unit phasors (exp(j*phi1), exp(j*phi2)), an array whose last axis has
+length 2.  A transmission mode (i, j) sends along the i-th right singular
+vector of H and combines along the j-th left singular vector of G, which
+factors the SNR as
 
     gamma = gamma_bar * lambda_j * omega_i * z,     z = |v_j^H Phi w_i|^2,
 
@@ -11,8 +13,10 @@ with lambda/omega the squared singular values of G/H, v_j a right singular
 vector of G and w_i a left singular vector of H.  Compensation picks the
 tile phases that align the two reflected paths, turning z into the squared
 sum of moduli (the triangle-inequality bound).  Without compensation the
-surface keeps a fixed reference configuration, identity by default; the
-law of z does not depend on that fixed choice.
+surface keeps the identity configuration; the law of z is the same for
+any fixed configuration.
+
+Every function takes one realization or a stack of them (leading axes).
 """
 
 from __future__ import annotations
@@ -24,41 +28,18 @@ import numpy as np
 from .sampling import ChannelRealization
 
 __all__ = [
-    "PhaseConfig",
     "Mode",
-    "SnrSample",
     "MODES",
-    "REFERENCE_PHASES",
-    "phase_matrix",
     "mode_vectors",
     "compensated_phases",
     "instantaneous_snr",
-    "mode_snr",
+    "alignment_factors",
     "mode_z_factors",
 ]
 
-_PI = np.pi
-
-
-def _wrap_phase(phi: float) -> float:
-    """Wrap to [-pi, pi)."""
-    return float((phi + _PI) % (2.0 * _PI) - _PI)
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Constant phase shifts of the two tiles, each in [-pi, pi)."""
-
-    phi1: float
-    phi2: float
-
-    def __post_init__(self):
-        for name, p in (("phi1", self.phi1), ("phi2", self.phi2)):
-            if not (-_PI <= p < _PI):
-                raise ValueError(f"{name}={p} outside [-pi, pi)")
-
-
-REFERENCE_PHASES = PhaseConfig(0.0, 0.0)
+# Largest deviation from unit norm (vectors) or unit modulus (phasors)
+# that instantaneous_snr accepts.
+_UNIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,20 +68,6 @@ MODES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class SnrSample:
-    """Instantaneous SNR gamma = gamma_bar * lambda_j * omega_i * z."""
-
-    gamma: float
-    lambda_j: float
-    omega_i: float
-    z: float
-
-
-def phase_matrix(phi: PhaseConfig) -> np.ndarray:
-    return np.diag(np.exp(1j * np.array([phi.phi1, phi.phi2])))
-
-
 def mode_vectors(ch: ChannelRealization, mode: Mode):
     """Unit transmit and combining vectors (a, b) of a mode."""
     a = ch.svd_h.v[..., :, mode.tx - 1]
@@ -108,75 +75,53 @@ def mode_vectors(ch: ChannelRealization, mode: Mode):
     return a, b
 
 
-def compensated_phases(v_j: np.ndarray, w_i: np.ndarray) -> PhaseConfig:
-    """Tile phases aligning the two reflected paths for the given singular
-    vector pair: phi_k = -arg(conj(v_jk) * w_ik).
+def compensated_phases(v_j, w_i) -> np.ndarray:
+    """Tile phasors aligning the two reflected paths for the given singular
+    vector pair: exp(j*phi_k) with phi_k = -arg(conj(v_jk) * w_ik).
 
-    A vanishing product leaves that tile's phase at zero (the SNR does not
+    A vanishing product leaves that tile at phasor 1 (the SNR does not
     depend on it there).
     """
-    prod = np.conjugate(np.asarray(v_j)) * np.asarray(w_i)
-    phis = []
-    for k in range(2):
-        if abs(prod[k]) < 1e-300:
-            phis.append(0.0)
-        else:
-            phis.append(_wrap_phase(-np.angle(prod[k])))
-    return PhaseConfig(phis[0], phis[1])
+    prod = np.conjugate(v_j) * np.asarray(w_i)
+    mag = np.abs(prod)
+    live = mag >= 1e-300
+    return np.where(live, np.conjugate(prod) / np.where(live, mag, 1.0), 1.0 + 0.0j)
 
 
-def instantaneous_snr(g, h, phi: PhaseConfig, a, b, gamma_bar: float) -> float:
-    """gamma_bar * |b^H G Phi H a|^2 for unit vectors a, b."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-10 or abs(np.linalg.norm(b) - 1.0) > 1e-10:
-        raise ValueError("a and b must be unit vectors")
-    if gamma_bar <= 0.0:
-        raise ValueError("gamma_bar must be positive")
-    amp = np.conjugate(b) @ np.asarray(g) @ phase_matrix(phi) @ np.asarray(h) @ a
-    return float(gamma_bar) * float(np.abs(amp) ** 2)
+def instantaneous_snr(g, h, phasors, a, b, gamma_bar: float):
+    """gamma_bar * |b^H G Phi H a|^2 for unit vectors a, b and unit tile
+    phasors (Phi = diag(phasors)), one value per realization."""
+    a, b, phasors = np.asarray(a), np.asarray(b), np.asarray(phasors)
+    for vec in (a, b):
+        if not np.all(np.abs(np.linalg.norm(vec, axis=-1) - 1.0) <= _UNIT_TOL):
+            raise ValueError("a and b must be unit vectors")
+    if not np.all(np.abs(np.abs(phasors) - 1.0) <= _UNIT_TOL):
+        raise ValueError("tile phasors must have unit modulus")
+    if not 0.0 < gamma_bar < np.inf:
+        raise ValueError("gamma_bar must be positive and finite")
+    bg = np.einsum("...i,...ij->...j", np.conjugate(b), g)
+    ha = np.einsum("...ij,...j->...i", h, a)
+    amp = np.einsum("...k,...k,...k->...", bg, phasors, ha)
+    out = float(gamma_bar) * (amp.real**2 + amp.imag**2)
+    return out if out.ndim else float(out)
 
 
-def mode_snr(
-    ch: ChannelRealization,
-    mode: Mode,
-    gamma_bar: float,
-    reference: PhaseConfig = REFERENCE_PHASES,
-) -> SnrSample:
-    """SNR sample of a mode on one channel realization.
-
-    Compensated modes use the channel-matched phases; uncompensated modes
-    use the fixed ``reference`` configuration.
-    """
-    j = mode.rx - 1
-    i = mode.tx - 1
-    lam = float(ch.svd_g.sigma[j]) ** 2
-    om = float(ch.svd_h.sigma[i]) ** 2
-    v_j = ch.svd_g.v[:, j]
-    w_i = ch.svd_h.u[:, i]
-    if mode.compensated:
-        z = float(np.sum(np.abs(v_j) * np.abs(w_i)) ** 2)
-    else:
-        amp = np.conjugate(v_j) @ phase_matrix(reference) @ w_i
-        z = float(np.abs(amp) ** 2)
-    z = min(z, 1.0)
-    gamma = float(gamma_bar) * lam * om * z
-    return SnrSample(gamma=gamma, lambda_j=lam, omega_i=om, z=z)
-
-
-def mode_z_factors(ch: ChannelRealization, reference: PhaseConfig = REFERENCE_PHASES):
-    """All eight z factors of a (stacked) realization at once.
+def alignment_factors(v, w):
+    """All four alignment factors of the bases V (right singular vectors of
+    G, as columns) and W (left singular vectors of H).
 
     Returns (z_plain, z_comp), each indexed [..., j-1, i-1]:
-    z_plain = |(V^H Phi_ref W)_{ji}|^2 and z_comp = ((|V|^T |W|)_{ji})^2,
-    where V collects right singular vectors of G and W left singular
-    vectors of H.
+    z_plain = |(V^H W)_{ji}|^2 (identity surface) and
+    z_comp = ((|V|^T |W|)_{ji})^2 (compensated surface).
     """
-    v = ch.svd_g.v
-    w = ch.svd_h.u
-    ref = np.exp(1j * np.array([reference.phi1, reference.phi2]))
-    cross = np.einsum("...kj,k,...ki->...ji", np.conjugate(v), ref, w)
+    cross = np.einsum("...kj,...ki->...ji", np.conjugate(v), w)
     z_plain = cross.real**2 + cross.imag**2
     amps = np.einsum("...kj,...ki->...ji", np.abs(v), np.abs(w))
     z_comp = amps**2
     return np.minimum(z_plain, 1.0), np.minimum(z_comp, 1.0)
+
+
+def mode_z_factors(ch: ChannelRealization):
+    """All eight z factors of a (stacked) realization at once, as
+    :func:`alignment_factors` of its singular bases."""
+    return alignment_factors(ch.svd_g.v, ch.svd_h.u)

@@ -102,8 +102,11 @@ def test_outage_quadrature_endpoints():
     for mode in MODES:
         assert analytic.outage_quadrature(mode, 0.0) == 0.0
         assert analytic.outage_quadrature(mode, 1e4) == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        analytic.outage_quadrature(Mode(1, 1), -0.5)
+    for fn in (analytic.outage_quadrature, analytic.outage_closed_form):
+        for mode in MODES:
+            for bad in (-0.5, np.nan, np.inf):
+                with pytest.raises(ValueError, match="x must be nonnegative and finite"):
+                    fn(mode, bad)
 
 
 def test_outage_transmit_receive_symmetry():
@@ -158,10 +161,14 @@ def test_throughput_limits_and_monotonicity():
     vals = [analytic.throughput(Mode(1, 1, True), g) for g in grid]
     assert np.all(np.diff(vals) > 0.0)
     for bad in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            analytic.throughput(Mode(1, 1), bad)
-        with pytest.raises(ValueError):
-            analytic.throughput_quadrature(Mode(1, 1), bad)
+        for fn in (
+            lambda g: analytic.throughput(Mode(1, 1), g),
+            lambda g: analytic.throughput_quadrature(Mode(1, 1), g),
+            analytic.throughput_closed_r22,
+            analytic.throughput_closed_r22_cmp,
+        ):
+            with pytest.raises(ValueError, match="gamma_bar must be positive and finite"):
+                fn(bad)
 
 
 def test_throughput_matches_monte_carlo():

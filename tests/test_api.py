@@ -1,0 +1,31 @@
+"""Export hygiene: every advertised name exists where it is advertised."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import ris2x2
+
+INIT = Path(ris2x2.__file__)
+MODULES = sorted(
+    m.name for m in pkgutil.iter_modules([str(INIT.parent)]) if m.name != "__main__"
+)
+
+
+def test_every_all_name_resolves():
+    for name in MODULES:
+        module = importlib.import_module(f"ris2x2.{name}")
+        assert hasattr(module, "__all__"), name
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, f"ris2x2.{name}.__all__ names missing {missing}"
+
+
+def test_package_reexports_are_public():
+    tree = ast.parse(INIT.read_text())
+    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1]
+    assert {n.module for n in imports} <= set(MODULES)
+    for node in imports:
+        public = importlib.import_module(f"ris2x2.{node.module}").__all__
+        stray = [a.name for a in node.names if a.name not in public]
+        assert not stray, f"ris2x2 re-exports {stray} outside ris2x2.{node.module}.__all__"

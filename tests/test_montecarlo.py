@@ -5,8 +5,8 @@ from ris2x2 import analytic
 from ris2x2.montecarlo import (
     ALT,
     AltScheme,
+    EmpiricalCdf,
     channel_statistics,
-    empirical_cdf,
     estimate_outage,
     estimate_throughput,
     parse_scheme,
@@ -95,7 +95,7 @@ def test_wilson_interval():
 
 
 def test_empirical_cdf_point_mass():
-    cdf = empirical_cdf([2.0, 2.0, 2.0])
+    cdf = EmpiricalCdf([2.0, 2.0, 2.0])
     assert cdf(1.9) == 0.0
     assert cdf(2.0) == 1.0
     assert cdf(2.1) == 1.0
@@ -104,16 +104,16 @@ def test_empirical_cdf_point_mass():
 def test_empirical_cdf_uniform_ks():
     rng = np.random.default_rng(4)
     samples = rng.random(1_000_000)
-    ks = empirical_cdf(samples).ks_distance(lambda x: np.clip(x, 0.0, 1.0))
+    ks = EmpiricalCdf(samples).ks_distance(lambda x: np.clip(x, 0.0, 1.0))
     assert ks < 0.002
 
 
 def test_alignment_factor_laws_from_channels():
     stats = channel_statistics(SEED, 300_000)
-    ks_c = empirical_cdf(stats.z_comp[:, 0, 0]).ks_distance(
+    ks_c = EmpiricalCdf(stats.z_comp[:, 0, 0]).ks_distance(
         lambda z: analytic.z_factor_cdf(z, True)
     )
-    ks_p = empirical_cdf(stats.z_plain[:, 0, 1]).ks_distance(
+    ks_p = EmpiricalCdf(stats.z_plain[:, 0, 1]).ks_distance(
         lambda z: analytic.z_factor_cdf(z, False)
     )
     assert ks_c < 0.0037  # 0.002 * sqrt(1e6 / 3e5)

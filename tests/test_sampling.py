@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from ris2x2.linalg2 import unitary_from_angles
-from ris2x2.montecarlo import empirical_cdf
+from ris2x2.montecarlo import EmpiricalCdf
 from ris2x2.sampling import (
     RngState,
     angle_diff_cdf,
@@ -13,18 +13,17 @@ from ris2x2.sampling import (
     gaussian_channels,
     haar_angles,
     haar_unitaries,
-    sample_channel_realization,
-    sample_gaussian_channel,
 )
 
 STATE = RngState(20240514, 0)
 
 
 def test_fixed_seed_reproducible():
-    a = sample_gaussian_channel(STATE, index=5)
-    b = sample_gaussian_channel(STATE, index=5)
+    a = gaussian_channels(STATE, 1, start=5)
+    b = gaussian_channels(STATE, 1, start=5)
+    assert a.shape == (1, 2, 2)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_gaussian_channel(STATE, index=6))
+    assert not np.array_equal(a, gaussian_channels(STATE, 1, start=6))
 
 
 def test_chunked_generation_is_identical():
@@ -50,12 +49,12 @@ def test_gaussian_moments_large_sample():
 
 
 def test_channel_realization_caches_svd():
-    ch = sample_channel_realization(STATE, index=3)
-    rec = ch.svd_g.u @ np.diag(ch.svd_g.sigma) @ ch.svd_g.v.conj().T
+    ch = channel_realizations(STATE, 1, start=3)
+    rec = ch.svd_g.u * ch.svd_g.sigma[..., None, :] @ ch.svd_g.v.conj().swapaxes(-1, -2)
     assert np.allclose(rec, ch.g, rtol=0, atol=1e-13)
     batch = channel_realizations(STATE, 10)
-    assert np.array_equal(batch.g[3], ch.g)
-    assert np.array_equal(batch.h[3], ch.h)
+    assert np.array_equal(batch.g[3], ch.g[0])
+    assert np.array_equal(batch.h[3], ch.h[0])
 
 
 def test_haar_draws_are_unitary():
@@ -66,7 +65,7 @@ def test_haar_draws_are_unitary():
 
 def test_haar_mixing_angle_distribution():
     ang = haar_angles(STATE.child(2), 1_000_000)
-    ks = empirical_cdf(ang.theta12).ks_distance(lambda t: np.sin(t) ** 2)
+    ks = EmpiricalCdf(ang.theta12).ks_distance(lambda t: np.sin(t) ** 2)
     assert ks < 0.0017
 
 
@@ -82,7 +81,7 @@ def test_haar_left_invariance():
     t = unitary_from_angles(UnitaryAngles(0.9, 0.6, 4.0, 2.5))
     s = haar_unitaries(STATE.child(9), 1_000_000)
     ts = np.einsum("ij,njk->nik", t, s)
-    ks = empirical_cdf(np.abs(ts[:, 0, 0]) ** 2).ks_distance(
+    ks = EmpiricalCdf(np.abs(ts[:, 0, 0]) ** 2).ks_distance(
         lambda z: np.clip(z, 0.0, 1.0)
     )
     assert ks < 0.002
@@ -124,7 +123,7 @@ def test_angle_diff_cdf_matches_pdf():
 def test_empirical_angle_difference_law():
     a = haar_angles(STATE.child(21), 1_000_000).theta12
     b = haar_angles(STATE.child(22), 1_000_000).theta12
-    ks = empirical_cdf(a - b).ks_distance(angle_diff_cdf)
+    ks = EmpiricalCdf(a - b).ks_distance(angle_diff_cdf)
     assert ks < 0.002
 
 
@@ -134,7 +133,7 @@ def test_empirical_angle_sum_law():
     grid = np.linspace(0.0, np.pi, 2049)
     pdf = angle_sum_pdf(grid)
     cdf_grid = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(grid))])
-    ks = empirical_cdf(a + b).ks_distance(
+    ks = EmpiricalCdf(a + b).ks_distance(
         lambda x: np.interp(x, grid, cdf_grid / cdf_grid[-1])
     )
     assert ks < 0.003
