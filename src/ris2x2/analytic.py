@@ -11,10 +11,17 @@ over three known laws:
       F_smallest(y) = 1 - e^{-2y},
   with means 7/2 and 1/2.
 
-Outage is computed twice on purpose: ``outage_quadrature`` integrates the
-defining expectation directly (the reference implementation), while
-``outage_closed_form`` assembles the Bessel/Meijer-G expressions; the two
-routes are required to agree to well below 1e-6.
+Outage is computed twice on purpose: ``outage_closed_form`` assembles the
+Bessel/Meijer-G expressions, and ``outage_quadrature`` integrates the
+defining expectation E{F_lambda(x / (omega z))} directly, with no Bessel,
+Meijer-G or Mellin step (the reference implementation); the two routes are
+required to agree to well below 1e-6.  The oracle is one 2-D trapezoid rule
+in s = ln omega and a logistic variable of the alignment factor, in which
+the integrand is analytic on a strip, so halving the step converges
+geometrically.  Its tails are cut by closed-form bounds relative to a lower
+bound of P, and the eigenvalue laws and the alignment weight are evaluated
+without cancellation, so it is accurate in relative terms, not only
+absolute ones, far into the high-SNR tail.
 
 Throughput R = E ln(1 + gamma) is also computed twice.  ``throughput`` uses
 the independence directly: the Mellin transform E{X^-s} of
@@ -30,12 +37,16 @@ other two dimensions by nested adaptive quadrature.
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
-from scipy.special import exp1, kv, loggamma
+from numpy.polynomial.polynomial import polyval
+from scipy.special import exp1, expit, kv, loggamma
 
 from .special import (
     DEFAULT_QUADRATURE,
     MeijerParams,
+    QuadratureError,
     QuadratureSpec,
     _g30,
     _integrate_quad,
@@ -74,12 +85,38 @@ GAIN_LINEAR = 1.0 + np.pi**2 / 16.0
 REPORTED_GAP_DB = 10.0 * np.log10(6.0)
 
 # Abscissa of the Mellin-Barnes throughput line, mid-strip between the
-# poles of pi/(s sin pi s) at s = -1 and s = 0.
+# poles of pi/(s sin pi s) at s = -1 and s = 0, and the half-span its
+# truncation starts from: the integrand is below 1e-19 of its peak beyond
+# |Im s| ~ 7, and the tail test widens the span wherever that is not enough.
 _MELLIN_ABSCISSA = -0.5
+_MELLIN_SPAN = 8.0
 
 # Gauss-Legendre nodes in t of the compensated E{z^-s}.  Doubling them
 # moves no throughput by more than 1e-13 relative (checked in the tests).
 _Z_NODES = 64
+
+# Both eigenvalue laws are saturated in double precision beyond this
+# argument; clipping there also keeps an infinite argument from giving inf*0.
+_EIG_SATURATION = 1e3
+
+# Taylor coefficients of the small-argument branches, each taken where the
+# direct expression loses more than a few digits to cancellation:
+# (sinh v - v)/v^3 in v^2 (v < 1), (2 - 2y + y^2 - 2e^-y)/y^3 in y (y < 1)
+# and (sin a - a cos a)/(2a^3) in a^2 (a < 1).
+_SINH_SERIES = tuple(1.0 / factorial(2 * n + 1) for n in range(1, 11))
+_PDF_SERIES = tuple(2.0 * (-1) ** m / factorial(m + 3) for m in range(17))
+_Z_WEIGHT_SERIES = tuple(
+    (-1) ** (k + 1) * k / factorial(2 * k + 1) for k in range(1, 11)
+)
+
+# The outage oracle's rule: the share of rel_tol * P that each of its four
+# truncated tails may leave out, the step of its first level, the nodes
+# evaluated at once (64 kB per array) and the most nodes a level may have
+# (a few seconds of work; no x in [1e-8, 1e4] needs more than 4e5).
+_OUTAGE_TAIL_SHARE = 2.5e-4
+_OUTAGE_FIRST_STEP = 1.0
+_OUTAGE_BLOCK = 1 << 13
+_OUTAGE_MAX_NODES = 1 << 25
 
 
 def z_factor_cdf(z, compensated: bool = True):
@@ -95,34 +132,48 @@ def z_factor_cdf(z, compensated: bool = True):
 
 def eigenvalue_cdf(y, which: str = "largest"):
     """CDF of the largest/smallest squared singular value of a 2x2
-    complex Gaussian matrix (unit-variance entries)."""
+    complex Gaussian matrix (unit-variance entries), accurate in relative
+    terms down to y -> 0, where the largest law goes like y^4/12."""
     y = np.asarray(y, dtype=np.float64)
-    yc = np.maximum(y, 0.0)
+    yc = np.clip(y, 0.0, _EIG_SATURATION).ravel()
     if which == "largest":
-        val = 1.0 - 2.0 * np.exp(-yc) - yc**2 * np.exp(-yc) + np.exp(-2.0 * yc)
+        # 1 - 2e^-y - y^2 e^-y + e^-2y = (1 - e^-y)^2 - (y e^(-y/2))^2, and
+        # the factor 1 - e^-y - y e^(-y/2) that vanishes is 2 e^-v (sinh v - v)
+        # with v = y/2; head holds e^-v (sinh v - v)
+        v = 0.5 * yc
+        decay = np.exp(-v)
+        rise = -np.expm1(-yc)
+        head = 0.5 * rise - v * decay
+        small = v < 1.0
+        vs = v[small]
+        head[small] = decay[small] * vs**3 * polyval(vs * vs, _SINH_SERIES)
+        val = 2.0 * head * (rise + yc * decay)
     elif which == "smallest":
-        val = 1.0 - np.exp(-2.0 * yc)
+        val = -np.expm1(-2.0 * yc)
     else:
         raise ValueError("which must be 'largest' or 'smallest'")
-    val = np.where(y < 0.0, 0.0, val)
+    val = np.where(y < 0.0, 0.0, val.reshape(y.shape))
     return val if val.ndim else float(val)
 
 
 def eigenvalue_pdf(y, which: str = "largest"):
+    """Density of the largest/smallest squared singular value, accurate in
+    relative terms down to y -> 0, where the largest law goes like y^3/3."""
     y = np.asarray(y, dtype=np.float64)
-    yc = np.maximum(y, 0.0)
+    yc = np.clip(y, 0.0, _EIG_SATURATION).ravel()
     if which == "largest":
-        val = (
-            2.0 * np.exp(-yc)
-            - 2.0 * yc * np.exp(-yc)
-            + yc**2 * np.exp(-yc)
-            - 2.0 * np.exp(-2.0 * yc)
-        )
+        # e^-y (2 - 2y + y^2 - 2e^-y); the bracket is 2 y^3/3! - 2 y^4/4! + ...
+        decay = np.exp(-yc)
+        bracket = 2.0 - 2.0 * yc + yc * yc - 2.0 * decay
+        small = yc < 1.0
+        ys = yc[small]
+        bracket[small] = ys**3 * polyval(ys, _PDF_SERIES)
+        val = decay * bracket
     elif which == "smallest":
         val = 2.0 * np.exp(-2.0 * yc)
     else:
         raise ValueError("which must be 'largest' or 'smallest'")
-    val = np.where(y < 0.0, 0.0, val)
+    val = np.where(y < 0.0, 0.0, val.reshape(y.shape))
     return val if val.ndim else float(val)
 
 
@@ -189,6 +240,9 @@ def _z_average(fn, compensated: bool, spec: QuadratureSpec, what: str) -> float:
     if compensated:
 
         def integrand(t):
+            # quad asks for one t at a time, where the array form
+            # _z_weight costs 10x; the cancellation near t = 0 it avoids
+            # is far below this quadrature's absolute tolerance
             weight = 0.5 * np.sin(2.0 * t) - t * np.cos(2.0 * t)
             return fn(np.sin(t) ** 2) * weight
 
@@ -196,47 +250,150 @@ def _z_average(fn, compensated: bool, spec: QuadratureSpec, what: str) -> float:
     return _integrate_quad(fn, 0.0, 1.0, spec, what)
 
 
-def _averaged_eig_cdf(
-    b: float, lam_law: str, compensated: bool, spec: QuadratureSpec
+def _z_weight(t):
+    """sin(2t)/2 - t cos(2t), the alignment density in z = sin^2 t with
+    compensation, accurate in relative terms down to t -> 0 (~ 4t^3/3)."""
+    a = 2.0 * np.asarray(t, dtype=np.float64)
+    direct = 0.5 * (np.sin(a) - a * np.cos(a))
+    return np.where(a < 1.0, a**3 * polyval(a * a, _Z_WEIGHT_SERIES), direct)
+
+
+def _outage_tail_mass(
+    lam_law: str, om_law: str, compensated: bool, x: float, rel_tol: float
 ) -> float:
-    """E over the alignment law of F_lambda(b / z).
+    """The probability mass each truncated tail of the oracle may drop:
+    a share of rel_tol times a lower bound of P(x).
 
-    Integrating by parts gives F_lambda(b) + int_b^inf f_lambda(t) F_z(b/t)
-    dt, which has no boundary layer for small b and no singular weight; the
-    remaining sqrt cusp of the compensated CDF at t = b is absorbed by
-    t = b + v^2.
+    Since the three events together imply lambda omega z <= x, P is at
+    least P{lambda <= a} P{omega <= b} P{z <= c} whenever abc = x; the
+    bound gives all of x <= 1 to the factor with the heaviest lower tail
+    (with compensation F_z(c) >= c^2/3), and sqrt(x) to each eigenvalue
+    above.  The mass is floored at the smallest normal float, which keeps
+    the nodes finite; relative accuracy holds while P is above about 1e-290.
     """
-    if b >= 600.0:  # survival beyond this underflows; outage is saturated
-        return 1.0
-    base = eigenvalue_cdf(b, lam_law)
+    if x > 1.0:
+        bound = eigenvalue_cdf(np.sqrt(x), lam_law) * eigenvalue_cdf(np.sqrt(x), om_law)
+    else:
+        f_lam = eigenvalue_cdf(np.array([x, 1.0]), lam_law)
+        f_om = eigenvalue_cdf(np.array([x, 1.0]), om_law)
+        f_z = x * x / 3.0 if compensated else x
+        bound = max(f_lam[0] * f_om[1], f_lam[1] * f_om[0], f_lam[1] * f_om[1] * f_z)
+    return max(_OUTAGE_TAIL_SHARE * rel_tol * bound, np.finfo(np.float64).tiny)
 
-    def integrand(v):
-        t = b + v * v
-        return 2.0 * v * eigenvalue_pdf(t, lam_law) * z_factor_cdf(b / t, compensated)
 
-    tail = _integrate_quad(integrand, 0.0, np.inf, spec, "outage inner")
-    return base + tail
+def _omega_log_range(which: str, mass: float):
+    """[ln w_lo, ln w_hi] with P{omega < w_lo} and P{omega > w_hi} at most
+    ``mass``, from F(w) <= 2w, S(w) = e^-2w (smallest) and
+    F(w) <= w^4/12, S(w) <= (2 + w^2) e^-w (largest)."""
+    if which == "smallest":
+        return np.log(0.5 * mass), np.log(-0.5 * np.log(mass))
+    w_hi = -np.log(mass)
+    for _ in range(8):  # w = ln((2 + w^2)/mass) is a contraction
+        w_hi = np.log(2.0 + w_hi * w_hi) - np.log(mass)
+    return 0.25 * np.log(12.0 * mass), np.log(w_hi)
+
+
+def _alignment_log_range(compensated: bool, mass: float):
+    """[u_lo, u_hi] of the logistic variable of the alignment factor with
+    at most ``mass`` of probability beyond either end.
+
+    Without compensation z = expit(u) and P{z < expit(ln m)} <= m.  With
+    it t = (pi/2) expit(u) and z = sin^2 t, whose weight is at most 4t^3/3
+    below and at most pi/2 everywhere, so P{t < t_lo} <= t_lo^4/3 and
+    P{t > pi/2 - d} <= pi d/2.
+    """
+    if not compensated:
+        return np.log(mass), -np.log(mass)
+    t_lo = (3.0 * mass) ** 0.25
+    return np.log(2.0 * t_lo / np.pi), np.log(0.25 * np.pi**2 / mass)
+
+
+def _alignment_nodes(u, compensated: bool):
+    """1/z and the weight of the alignment law per unit u at logistic
+    nodes u."""
+    up, down = expit(u), expit(-u)
+    if not compensated:
+        return 1.0 + np.exp(-u), up * down
+    half_pi = 0.5 * np.pi
+    t = half_pi * up
+    return 1.0 / np.sin(t) ** 2, _z_weight(t) * half_pi * up * down
 
 
 def outage_quadrature(
     mode: Mode, x: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """Outage probability P{lambda_j omega_i z <= x} by direct quadrature
-    of E{F_lambda(x / (omega z))}; the reference implementation."""
+    of E{F_lambda(x / (omega z))}; the reference implementation.
+
+    The expectation is one 2-D trapezoid rule in s = ln omega and the
+    logistic variable u of the alignment factor (z = expit(u), or with
+    compensation t = (pi/2) expit(u) in z = sin^2 t, weighted by
+    sin(2t)/2 - t cos(2t)).  The integrand is analytic on a strip around
+    both real axes, so the rule converges geometrically.  ``spec.rel_tol``
+    sets both of its knobs: each of the four truncated tails leaves out at
+    most 2.5e-4 rel_tol times a closed-form lower bound of P, and the step
+    is halved from 1, reusing the nodes of the level before, until two
+    levels agree to rel_tol relative.  The CDF of lambda and the densities
+    are evaluated without cancellation, so P is accurate in relative terms
+    while it is above about 1e-290; further down, where the tails can no
+    longer be cut that finely, QuadratureError is raised.  ``abs_tol`` and
+    ``max_subdivisions`` belong to the adaptive quadratures and play no
+    part here.
+    """
     if not 0.0 <= x < np.inf:
         raise ValueError("x must be nonnegative and finite")
     if x == 0.0:
         return 0.0
-    lam_law = "largest" if mode.rx == 1 else "smallest"
-    om_law = "largest" if mode.tx == 1 else "smallest"
-    inner_spec = QuadratureSpec(
-        spec.abs_tol / 10.0, spec.rel_tol, spec.max_subdivisions
+    x = float(x)
+    # P is symmetric in the two eigenvalues; the outer one, omega, is the
+    # largest whenever one is, since its lower tail (F ~ w^4/12) is short
+    lam_law = "largest" if max(mode.rx, mode.tx) == 1 else "smallest"
+    om_law = "largest" if min(mode.rx, mode.tx) == 1 else "smallest"
+    mass = _outage_tail_mass(lam_law, om_law, mode.compensated, x, spec.rel_tol)
+    s_lo, s_hi = _omega_log_range(om_law, mass)
+    u_lo, u_hi = _alignment_log_range(mode.compensated, mass)
+
+    def rows(k, step):
+        omega = np.exp(s_lo + k * step)
+        return x / omega, eigenvalue_pdf(omega, om_law) * omega
+
+    def cols(k, step):
+        return _alignment_nodes(u_lo + k * step, mode.compensated)
+
+    def node_sum(row_nodes, col_nodes):
+        (x_over_omega, row_weight), (inv_z, col_weight) = row_nodes, col_nodes
+        block = max(1, _OUTAGE_BLOCK // inv_z.size)
+        total = 0.0
+        for i in range(0, x_over_omega.size, block):
+            y = np.multiply.outer(x_over_omega[i : i + block], inv_z)
+            cdf = eigenvalue_cdf(y, lam_law)
+            total += row_weight[i : i + block] @ (cdf @ col_weight)
+        return total
+
+    step = _OUTAGE_FIRST_STEP
+    n_s = int(np.ceil((s_hi - s_lo) / step)) + 1
+    n_u = int(np.ceil((u_hi - u_lo) / step)) + 1
+    # an x/(omega z) that overflows to inf just saturates the CDF
+    with np.errstate(over="ignore"):
+        total = node_sum(rows(np.arange(n_s), step), cols(np.arange(n_u), step))
+        estimate, change = step * step * total, np.inf
+        while (2 * n_s - 1) * (2 * n_u - 1) <= _OUTAGE_MAX_NODES:
+            step *= 0.5
+            n_s, n_u = 2 * n_s - 1, 2 * n_u - 1
+            # the new nodes: odd rows at all columns, even rows at odd columns
+            odd_rows = rows(np.arange(1, n_s, 2), step)
+            even_rows = rows(np.arange(0, n_s, 2), step)
+            total += node_sum(odd_rows, cols(np.arange(n_u), step))
+            total += node_sum(even_rows, cols(np.arange(1, n_u, 2), step))
+            previous, estimate = estimate, step * step * total
+            change = abs(estimate - previous)
+            if change <= spec.rel_tol * estimate:
+                return float(estimate)
+    raise QuadratureError(
+        f"outage({mode.label}) at x={x:g}: trapezoid not converged at step "
+        f"{step:g} on {n_s}x{n_u} nodes (estimate {estimate:.6e}, last change "
+        f"{change:.3e})"
     )
-
-    def inner(w):
-        return _averaged_eig_cdf(x / w, lam_law, mode.compensated, inner_spec)
-
-    return _outer_substituted(inner, om_law, spec, f"outage({mode.label})")
 
 
 def outage_closed_form(
@@ -357,7 +514,7 @@ def _mellin_z(compensated: bool):
     x, w = np.polynomial.legendre.leggauss(_Z_NODES)
     t = 0.25 * np.pi * (x + 1.0)
     minus_log_z = -2.0 * np.log(np.sin(t))
-    weight = 0.25 * np.pi * w * (0.5 * np.sin(2.0 * t) - t * np.cos(2.0 * t))
+    weight = 0.25 * np.pi * w * _z_weight(t)
 
     def transform(s):
         powers = np.outer(s, minus_log_z)
@@ -396,7 +553,12 @@ def throughput(
         return kernel * eig * mellin_z(s)
 
     return _vertical_line_integral(
-        integrand, _MELLIN_ABSCISSA, 2.0 * np.pi, spec, f"throughput({mode.label})"
+        integrand,
+        _MELLIN_ABSCISSA,
+        2.0 * np.pi,
+        spec,
+        f"throughput({mode.label})",
+        start_span=_MELLIN_SPAN,
     )
 
 

@@ -31,6 +31,10 @@ __all__ = ["ExperimentConfig", "main"]
 # Largest SNR grid a sweep accepts (0.01 dB steps over 100 dB).
 _MAX_GRID_POINTS = 10_001
 
+# dB range of the SNR bounds and the threshold: inside it 10^(v/10) is a
+# positive, finite, normal float (10^-307.6 and 10^308.2).
+_DB_RANGE = (-3076.0, 3082.0)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,6 +52,12 @@ class ExperimentConfig:
         for name in ("snr_db_min", "snr_db_max", "snr_db_step", "threshold_db"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        lo, hi = _DB_RANGE
+        for name in ("snr_db_min", "snr_db_max", "threshold_db"):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(
+                    f"{name} must be within [{lo:g}, {hi:g}] dB, got {getattr(self, name)}"
+                )
         if self.snr_db_min > self.snr_db_max:
             raise ValueError("snr_db_min must be <= snr_db_max")
         if self.snr_db_step <= 0.0:

@@ -159,7 +159,12 @@ def _contour_integrand(params: MeijerParams, s: np.ndarray, log_z: float) -> np.
 
 
 def _vertical_line_integral(
-    integrand, c: float, mu: float, spec: QuadratureSpec, what: str
+    integrand,
+    c: float,
+    mu: float,
+    spec: QuadratureSpec,
+    what: str,
+    start_span: float | None = None,
 ) -> float:
     """(1/2*pi*j) * int_{c-j*inf}^{c+j*inf} integrand(s) ds for an integrand
     that is real on the real axis, analytic on a strip around Re(s) = c and
@@ -167,12 +172,13 @@ def _vertical_line_integral(
 
     ``integrand`` maps an array of complex s to an array of values.  The
     line is truncated where the tail bound falls below 1% of ``abs_tol``,
-    and a trapezoid rule on the truncated line is refined by step halving
-    until two estimates agree; the rule converges geometrically because
-    the integrand is analytic on a strip.
+    widening from ``start_span`` (default max(28, 80/mu)), and a trapezoid
+    rule on the truncated line is refined by step halving until two
+    estimates agree; the rule converges geometrically because the integrand
+    is analytic on a strip.
     """
     # Truncation: the integrand decays like exp(-mu*t) times a power of t.
-    half_span = max(28.0, 80.0 / mu)
+    half_span = max(28.0, 80.0 / mu) if start_span is None else start_span
     for _ in range(12):
         tail = abs(integrand(np.array([c + 1j * half_span]))[0])
         if tail * (2.0 / mu) <= 0.01 * spec.abs_tol:

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from ris2x2 import analytic
 from ris2x2.montecarlo import channel_statistics, scheme_snr_factor, throughput_from_stats
+from ris2x2.special import QuadratureSpec
 from ris2x2.sysmodel import MODES, Mode
 
 
@@ -40,6 +41,24 @@ def test_eigenvalue_pdf_integrates_to_cdf():
     for which in ("largest", "smallest"):
         val, _ = quad(lambda y: analytic.eigenvalue_pdf(y, which), 0.0, 2.0, epsabs=1e-13)
         assert val == pytest.approx(analytic.eigenvalue_cdf(2.0, which), abs=1e-11)
+
+
+def test_eigenvalue_laws_are_relatively_accurate_near_zero():
+    # the largest law goes like y^4/12 (density y^3/3); its textbook form
+    # 1 - 2e^-y - y^2 e^-y + e^-2y loses every digit there
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        for y in (2.1, 1.9, 0.5, 1e-2, 1e-5, 1e-9):
+            t = mp.mpf(y)
+            e = mp.exp(-t)
+            cdf = 1 - 2 * e - t**2 * e + e**2
+            pdf = 2 * e - 2 * t * e + t**2 * e - 2 * e**2
+            for value, want in (
+                (analytic.eigenvalue_cdf(y, "largest"), cdf),
+                (analytic.eigenvalue_pdf(y, "largest"), pdf),
+                (analytic.eigenvalue_cdf(y, "smallest"), 1 - e**2),
+            ):
+                assert value == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
 def test_eigenvalue_means():
@@ -107,6 +126,37 @@ def test_outage_quadrature_endpoints():
             for bad in (-0.5, np.nan, np.inf):
                 with pytest.raises(ValueError, match="x must be nonnegative and finite"):
                     fn(mode, bad)
+
+
+def test_outage_quadrature_plain_small_threshold_limit():
+    # with z uniform, P(x) = x E{1/lambda} E{1/omega} - E{(x/(lambda omega) - 1)+}
+    # and E{1/lambda_largest} = 2 ln 2 - 1; the correction term is of order
+    # x^4 here, far below the tolerance
+    limit = (2.0 * np.log(2.0) - 1.0) ** 2
+    for x in (1e-6, 1e-8):
+        ratio = analytic.outage_quadrature(Mode(1, 1, False), x) / x
+        assert ratio == pytest.approx(limit, rel=1e-9)
+
+
+def test_outage_quadrature_compensated_small_threshold_limit():
+    # with compensation F_z(z) ~ z^2/3, so P(x)/x^2 tends to
+    # E{1/lambda^2}^2 / 3 = (3 - 4 ln 2)^2 / 3, and the deviation falls with x
+    limit = (3.0 - 4.0 * np.log(2.0)) ** 2 / 3.0
+    deviations = [
+        abs(analytic.outage_quadrature(Mode(1, 1, True), x) / x**2 / limit - 1.0)
+        for x in (1e-4, 1e-6, 1e-8)
+    ]
+    assert deviations == sorted(deviations, reverse=True)
+    assert deviations[-1] < 1e-6
+
+
+def test_outage_quadrature_step_halving_is_converged():
+    tight = QuadratureSpec(rel_tol=1e-13)
+    for mode in MODES:
+        for x in np.logspace(-6.0, 2.0, 9):
+            assert analytic.outage_quadrature(mode, x) == pytest.approx(
+                analytic.outage_quadrature(mode, x, tight), rel=1e-10, abs=0.0
+            )
 
 
 def test_outage_transmit_receive_symmetry():

@@ -8,6 +8,7 @@ import pytest
 
 import ris2x2.acceptance
 import ris2x2.analytic
+import ris2x2.montecarlo
 from ris2x2.cli import ExperimentConfig, main
 
 FAST = ["--trials", "2000", "--seed", "11"]
@@ -42,8 +43,13 @@ def test_config_validation():
     ExperimentConfig(snr_db_min=-50.0, snr_db_max=50.0, snr_db_step=0.01).validate()
 
 
-def test_bad_sweep_input_exits_2(tmp_path, capsys):
+def test_bad_sweep_input_exits_2(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "x.csv")
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("bad input reached the statistics pass")
+
+    monkeypatch.setattr(ris2x2.montecarlo, "channel_statistics", no_trials)
     for flag, value in (
         ("--snr-db-max", "inf"),
         ("--snr-db-min", "nan"),
@@ -51,6 +57,15 @@ def test_bad_sweep_input_exits_2(tmp_path, capsys):
         ("--snr-db-step", "1e-300"),
     ):
         assert main(["outage", *FAST, flag, value, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    # 10^(v/10) would overflow, or underflow to zero, in the sweep
+    for command, flags in (
+        ("outage", ["--snr-db-min", "4000", "--snr-db-max", "4000"]),
+        ("outage", ["--snr-db-min", "-4000", "--snr-db-max", "-4000"]),
+        ("outage", ["--threshold-db", "4000"]),
+        ("throughput", ["--threshold-db", "4000"]),
+    ):
+        assert main([command, *FAST, *flags, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
 
