@@ -5,12 +5,15 @@ registry is shared by the ``verify`` CLI subcommand and the test suite.
 Expensive inputs (the Monte Carlo statistics passes) are computed once per
 run through a lazy :class:`AcceptanceContext`.
 
-Statistical tolerances are stated at the full trial counts; the smoke
-profile scales them by sqrt(full/smoke) so a quick run stays meaningful.
+Statistical tolerances scale as 1/sqrt(trials), so a quick smoke run
+stays as meaningful as the full one.  C5 and C6 check the rows of
+:func:`curve_rows`, the same rows ``ris2x2 outage`` and ``ris2x2 throughput``
+write.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -19,7 +22,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .altopt import optimal_configuration
 from .linalg2 import svd2
-from .montecarlo import ALT, EmpiricalCdf, TrialStats
+from .montecarlo import ALL_SCHEME_LABELS, AltScheme, EmpiricalCdf, TrialStats, parse_scheme
 from .sampling import RngState, channel_realizations, haar_unitaries
 from .special import CURVE_QUADRATURE
 from .sysmodel import MODES, Mode, alignment_factors, instantaneous_snr
@@ -29,6 +32,7 @@ __all__ = [
     "AcceptanceContext",
     "CheckResult",
     "CRITERIA",
+    "curve_rows",
     "run_acceptance",
     "format_report",
 ]
@@ -36,6 +40,13 @@ __all__ = [
 # C6 compares the Mellin throughput with its quadrature oracle to this
 # relative tolerance on the six distinct modes at oracle_snr_db.
 _ORACLE_REL_TOL = 1e-8
+# Outage threshold of C5 (dB), C4's absolute tolerance, C6's relative
+# tolerance of the (2,2) closed forms and its bound on the paired alt gap
+# at or below 10 dB (nats).
+_THRESHOLD_DB = 0.0
+_CLOSED_FORM_ABS_TOL = 1e-6
+_CLOSED_VS_ANALYTIC_REL_TOL = 1e-4
+_ALT_GAP_NATS = 0.1
 # C8 checks the optimum's configuration and a relative-phase sweep on the
 # first _OPTIMUM_SAMPLE trials, one phase at a time so that memory stays that
 # of _OPTIMUM_SAMPLE matrices; 64 phases take about 0.05 s.
@@ -49,16 +60,14 @@ class AcceptanceSettings:
     trials: int = 1_000_000
     seed: int = 1729
     snr_db: tuple = tuple(float(s) for s in range(-5, 26))
-    threshold_db: float = 0.0
     closed_form_grid: tuple = (1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0)
     throughput_snr_db: tuple = tuple(float(s) for s in range(-5, 26))
     oracle_snr_db: tuple = (-5.0, 5.0, 15.0, 25.0)
-    ks_tol: float = 0.002
-    mean_rel_tol: float = 0.01
-    gap_rel_tol: float = 0.02
-    closed_form_abs_tol: float = 1e-6
-    closed_vs_analytic_rel_tol: float = 1e-4
-    alt_gap_nats: float = 0.1
+
+    # statistical tolerances go as 1/sqrt(trials): 0.002, 0.01 and 0.02 at 10^6
+    ks_tol = property(lambda self: 2.0 / math.sqrt(self.trials))
+    mean_rel_tol = property(lambda self: 10.0 / math.sqrt(self.trials))
+    gap_rel_tol = property(lambda self: 20.0 / math.sqrt(self.trials))
 
     @classmethod
     def full(cls) -> "AcceptanceSettings":
@@ -66,7 +75,6 @@ class AcceptanceSettings:
 
     @classmethod
     def smoke(cls) -> "AcceptanceSettings":
-        # statistical tolerances widen by sqrt(1e6 / 1e4) = 10
         return cls(
             level="smoke",
             trials=10_000,
@@ -74,9 +82,6 @@ class AcceptanceSettings:
             closed_form_grid=(1e-2, 0.25, 2.0),
             throughput_snr_db=(-5.0, 5.0, 15.0, 25.0),
             oracle_snr_db=(5.0,),
-            ks_tol=0.02,
-            mean_rel_tol=0.1,
-            gap_rel_tol=0.2,
         )
 
 
@@ -253,7 +258,7 @@ def check_closed_forms(ctx: AcceptanceContext) -> CheckResult:
                     worst = diff
                     worst_at = f"{mode.label} @ x={x:g}"
         return (
-            worst <= s.closed_form_abs_tol,
+            worst <= _CLOSED_FORM_ABS_TOL,
             f"worst |closed - quadrature| = {worst:.2e} ({worst_at})",
             "",
         )
@@ -262,41 +267,66 @@ def check_closed_forms(ctx: AcceptanceContext) -> CheckResult:
         4,
         "closed-form outage vs quadrature oracle",
         "six expressions match the 2-D quadrature",
-        f"abs {s.closed_form_abs_tol}",
+        f"abs {_CLOSED_FORM_ABS_TOL}",
         run,
     )
+
+
+def curve_rows(stats: TrialStats, names, snr_db, threshold: float, kind: str):
+    """(snr_db, name, analytic, mc, ci95) rows of an outage or throughput
+    sweep, SNR-major, with analytic None for the optimized scheme.
+
+    One statistics pass serves every grid point; ``threshold`` is the linear
+    outage threshold (unused for throughput).  These are the CSV rows of
+    ``ris2x2 outage`` and ``ris2x2 throughput`` and the rows C5 and C6 check.
+    """
+    if kind not in ("outage", "throughput"):
+        raise ValueError(f"unknown curve kind: {kind!r}")
+    schemes = [parse_scheme(name) for name in names]
+    rows = []
+    for db in snr_db:
+        gamma_bar = 10.0 ** (db / 10.0)
+        for name, scheme in zip(names, schemes):
+            if isinstance(scheme, AltScheme):
+                ana = None
+            elif kind == "outage":
+                ana = analytic.outage_closed_form(scheme, threshold / gamma_bar)
+            else:
+                ana = analytic.throughput(scheme, gamma_bar, CURVE_QUADRATURE)
+            if kind == "outage":
+                est = montecarlo.outage_from_stats(stats, scheme, gamma_bar, threshold)
+            else:
+                est = montecarlo.throughput_from_stats(stats, scheme, gamma_bar)
+            rows.append((db, name, ana, est.value, est.ci_half_width))
+    return rows
+
+
+def _worst_ci_ratio(rows):
+    """Largest |analytic - mc| / (3 ci95) over the mode rows, and where
+    (a Wilson interval is at least z^2/(2n) wide, so no outage ci95 is 0)."""
+    worst, worst_at = 0.0, ""
+    for db, name, ana, mc, ci in rows:
+        if ana is None:
+            continue
+        ratio = abs(ana - mc) / (3.0 * ci)
+        if ratio > worst:
+            worst, worst_at = ratio, f"{name} @ {db:g} dB"
+    return worst, worst_at
 
 
 def check_outage_curves(ctx: AcceptanceContext) -> CheckResult:
     s = ctx.settings
 
     def run():
-        stats = ctx.stats
-        th = 10.0 ** (s.threshold_db / 10.0)
-        worst_ratio = 0.0
-        worst_at = ""
-        order_ok = True
-        for snr_db in s.snr_db:
-            gbar = 10.0 ** (snr_db / 10.0)
-            frac = {}
-            for mode in MODES:
-                est = montecarlo.outage_from_stats(stats, mode, gbar, th)
-                ana = analytic.outage_closed_form(mode, th / gbar)
-                tol = 3.0 * max(est.ci_half_width, 1e-12)
-                ratio = abs(ana - est.value) / tol
-                if ratio > worst_ratio:
-                    worst_ratio = ratio
-                    worst_at = f"{mode.label} @ {snr_db:g} dB"
-                frac[mode] = est.value
-            alt = montecarlo.outage_from_stats(stats, ALT, gbar, th).value
-            for i in (1, 2):
-                for j in (1, 2):
-                    if frac[Mode(i, j, True)] > frac[Mode(i, j, False)]:
-                        order_ok = False
-            if not (
-                alt <= frac[Mode(1, 1, True)] <= frac[Mode(1, 1, False)]
-            ):
-                order_ok = False
+        th = 10.0 ** (_THRESHOLD_DB / 10.0)
+        rows = curve_rows(ctx.stats, ALL_SCHEME_LABELS, s.snr_db, th, "outage")
+        worst_ratio, worst_at = _worst_ci_ratio(rows)
+        p = {(db, name): mc for db, name, _ana, mc, _ci in rows}
+        order_ok = all(
+            all(p[db, f"{m.label}-cmp"] <= p[db, m.label] for m in MODES if not m.compensated)
+            and p[db, "alt"] <= p[db, "j1i1-cmp"] <= p[db, "j1i1"]
+            for db in s.snr_db
+        )
         ok = worst_ratio <= 1.0 and order_ok
         return (
             ok,
@@ -319,7 +349,13 @@ def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
 
     def run():
         stats = ctx.stats
-        worst_ratio = 0.0
+        rows = curve_rows(stats, ALL_SCHEME_LABELS, s.throughput_snr_db, 0.0, "throughput")
+        worst_ratio, _ = _worst_ci_ratio(rows)
+        cell = {(db, name): (ana, mc, ci) for db, name, ana, mc, ci in rows}
+        closed_forms = (
+            ("j2i2", analytic.throughput_closed_r22),
+            ("j2i2-cmp", analytic.throughput_closed_r22_cmp),
+        )
         worst_closed = 0.0
         max_gap_low = 0.0
         max_gap_high = 0.0
@@ -327,31 +363,11 @@ def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
         g_cmp = montecarlo.scheme_snr_factor(stats, Mode(1, 1, True))
         for snr_db in s.throughput_snr_db:
             gbar = 10.0 ** (snr_db / 10.0)
-            ana = {}
-            for mode in MODES:
-                est = montecarlo.throughput_from_stats(stats, mode, gbar)
-                ana[mode] = analytic.throughput(mode, gbar, CURVE_QUADRATURE)
-                worst_ratio = max(
-                    worst_ratio,
-                    abs(ana[mode] - est.value) / (3.0 * est.ci_half_width),
-                )
-            worst_closed = max(
-                worst_closed,
-                abs(
-                    analytic.throughput_closed_r22(gbar, CURVE_QUADRATURE)
-                    / ana[Mode(2, 2, False)]
-                    - 1.0
-                ),
-                abs(
-                    analytic.throughput_closed_r22_cmp(gbar, CURVE_QUADRATURE)
-                    / ana[Mode(2, 2, True)]
-                    - 1.0
-                ),
-            )
-            alt = montecarlo.throughput_from_stats(stats, ALT, gbar)
-            lower = ana[Mode(1, 1, True)]
-            if lower > alt.value + 3.0 * alt.ci_half_width:
-                bound_ok = False
+            for name, closed in closed_forms:
+                dev = abs(closed(gbar, CURVE_QUADRATURE) / cell[snr_db, name][0] - 1.0)
+                worst_closed = max(worst_closed, dev)
+            _ana, alt, alt_ci = cell[snr_db, "alt"]
+            bound_ok = bound_ok and cell[snr_db, "j1i1-cmp"][0] <= alt + 3.0 * alt_ci
             # paired over the same trials, so the gap carries no MC noise of
             # the alt estimate on its own
             gap = float(np.mean(np.log1p(gbar * stats.alt_factor) - np.log1p(gbar * g_cmp)))
@@ -374,10 +390,10 @@ def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
                     worst_oracle_at = f"{mode.label} @ {snr_db:g} dB"
         ok = (
             worst_ratio <= 1.0
-            and worst_closed <= s.closed_vs_analytic_rel_tol
+            and worst_closed <= _CLOSED_VS_ANALYTIC_REL_TOL
             and worst_oracle <= _ORACLE_REL_TOL
             and bound_ok
-            and max_gap_low < s.alt_gap_nats
+            and max_gap_low < _ALT_GAP_NATS
         )
         return (
             ok,
@@ -393,8 +409,8 @@ def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
         "throughput curve reproduction",
         "Mellin, quadrature oracle, closed forms and MC mutually agree; "
         "optimized bound tight",
-        f"3 CI / rel {s.closed_vs_analytic_rel_tol} / oracle rel {_ORACLE_REL_TOL} "
-        f"/ gap {s.alt_gap_nats}",
+        f"3 CI / rel {_CLOSED_VS_ANALYTIC_REL_TOL} / oracle rel {_ORACLE_REL_TOL} "
+        f"/ gap {_ALT_GAP_NATS}",
         run,
     )
 
@@ -529,9 +545,10 @@ def check_determinism(ctx: AcceptanceContext) -> CheckResult:
         same = (
             all(r == runs[0] for r in runs)
             and repeat == runs[0]
-            and np.array_equal(a.lam, b.lam)
-            and np.array_equal(a.z_comp, b.z_comp)
-            and np.array_equal(a.alt_factor, b.alt_factor)
+            and all(
+                np.array_equal(getattr(a, f), getattr(b, f))
+                for f in ("lam", "om", "z_plain", "z_comp", "alt_factor")
+            )
         )
         return (
             same,

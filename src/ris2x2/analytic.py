@@ -120,11 +120,18 @@ _OUTAGE_MAX_NODES = 1 << 25
 
 
 def z_factor_cdf(z, compensated: bool = True):
-    """CDF of the alignment factor z, clamped outside [0, 1]."""
+    """CDF of the alignment factor z, clamped outside [0, 1].
+
+    With compensation it is z - sqrt(z(1-z)) arcsin(sqrt z), which cancels
+    like z^2/3 near 0; in z = sin^2 t it is sin t (sin t - t cos t), taken
+    as 2 sqrt(z) _z_weight(t/2), accurate in relative terms down to z -> 0.
+    """
     z = np.asarray(z, dtype=np.float64)
     zc = np.clip(z, 0.0, 1.0)
     if compensated:
-        val = zc - np.sqrt(zc * (1.0 - zc)) * np.arcsin(np.sqrt(zc))
+        # arctan2 keeps t accurate near z = 1, where arcsin(sqrt z) is not
+        t = np.arctan2(np.sqrt(zc), np.sqrt(1.0 - zc))
+        val = 2.0 * np.sqrt(zc) * _z_weight(0.5 * t)
     else:
         val = zc
     return val if val.ndim else float(val)

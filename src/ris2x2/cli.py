@@ -2,7 +2,8 @@
 
 ``outage`` and ``throughput`` reproduce the reference curves as CSV (one
 row per grid point and scheme, columns exactly snr_db, scheme, analytic,
-mc, ci95) with an optional self-contained SVG rendering of the same rows.
+mc, ci95) with an optional self-contained SVG rendering of the same rows;
+the rows are those of :func:`ris2x2.acceptance.curve_rows`, which verify checks.
 ``gain`` prints the compensation gain and mode-gap constants with Monte
 Carlo confirmation, and ``verify`` runs the acceptance checks.
 
@@ -21,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, montecarlo
-from .acceptance import AcceptanceSettings, format_report, run_acceptance
+from .acceptance import AcceptanceSettings, curve_rows, format_report, run_acceptance
 from .montecarlo import _Z95, ALL_SCHEME_LABELS, AltScheme, parse_scheme
-from .special import CURVE_QUADRATURE
+from .special import MeijerGError, QuadratureError
 from .sysmodel import Mode
 
 __all__ = ["ExperimentConfig", "main"]
@@ -149,31 +150,6 @@ def _write_csv(path: str, rows):
     Path(path).write_bytes(text.encode("ascii"))
 
 
-def _curve_rows(cfg: ExperimentConfig, kind: str):
-    schemes = [parse_scheme(name) for name in cfg.schemes]
-    include_alt = any(isinstance(s, AltScheme) for s in schemes)
-    stats = montecarlo.channel_statistics(
-        cfg.seed, cfg.trials, include_alt=include_alt, workers=4
-    )
-    threshold = 10.0 ** (cfg.threshold_db / 10.0)
-    rows = []
-    for snr_db in cfg.snr_grid_db():
-        gamma_bar = 10.0 ** (snr_db / 10.0)
-        for name, scheme in zip(cfg.schemes, schemes):
-            if isinstance(scheme, AltScheme):
-                ana = None
-            elif kind == "outage":
-                ana = analytic.outage_closed_form(scheme, threshold / gamma_bar)
-            else:
-                ana = analytic.throughput(scheme, gamma_bar, CURVE_QUADRATURE)
-            if kind == "outage":
-                est = montecarlo.outage_from_stats(stats, scheme, gamma_bar, threshold)
-            else:
-                est = montecarlo.throughput_from_stats(stats, scheme, gamma_bar)
-            rows.append((snr_db, name, ana, est.value, est.ci_half_width))
-    return rows
-
-
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#17becf",
@@ -261,28 +237,24 @@ def _write_svg(path: str, rows, log_y: bool, title: str):
     Path(path).write_text("\n".join(parts))
 
 
-def cmd_outage(args) -> int:
-    cfg = _build_config(args, default_out="outage.csv")
-    rows = _curve_rows(cfg, "outage")
+def cmd_curve(args) -> int:
+    """``outage`` or ``throughput`` (by ``args.command``): one statistics
+    pass, then the rows of :func:`acceptance.curve_rows` as CSV (and SVG)."""
+    kind = args.command
+    cfg = _build_config(args, default_out=f"{kind}.csv")
+    include_alt = any(isinstance(parse_scheme(s), AltScheme) for s in cfg.schemes)
+    stats = montecarlo.channel_statistics(
+        cfg.seed, cfg.trials, include_alt=include_alt, workers=4
+    )
+    threshold = 10.0 ** (cfg.threshold_db / 10.0)
+    rows = curve_rows(stats, cfg.schemes, cfg.snr_grid_db(), threshold, kind)
     _write_csv(cfg.out, rows)
     if cfg.svg:
-        _write_svg(
-            str(Path(cfg.out).with_suffix(".svg")), rows, log_y=True,
-            title=f"Outage probability, threshold {cfg.threshold_db:g} dB",
-        )
-    print(f"wrote {cfg.out}" + (" (+svg)" if cfg.svg else ""))
-    return 0
-
-
-def cmd_throughput(args) -> int:
-    cfg = _build_config(args, default_out="throughput.csv")
-    rows = _curve_rows(cfg, "throughput")
-    _write_csv(cfg.out, rows)
-    if cfg.svg:
-        _write_svg(
-            str(Path(cfg.out).with_suffix(".svg")), rows, log_y=False,
-            title="Average throughput (nats/s/Hz)",
-        )
+        outage = kind == "outage"
+        title = "Average throughput (nats/s/Hz)"
+        if outage:
+            title = f"Outage probability, threshold {cfg.threshold_db:g} dB"
+        _write_svg(str(Path(cfg.out).with_suffix(".svg")), rows, log_y=outage, title=title)
     print(f"wrote {cfg.out}" + (" (+svg)" if cfg.svg else ""))
     return 0
 
@@ -358,13 +330,13 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_out = sub.add_parser("outage", help="outage probability vs average SNR")
-    _add_common(p_out)
-    p_out.set_defaults(fn=cmd_outage)
-
-    p_thr = sub.add_parser("throughput", help="average throughput vs average SNR")
-    _add_common(p_thr)
-    p_thr.set_defaults(fn=cmd_throughput)
+    for kind, what in (
+        ("outage", "outage probability vs average SNR"),
+        ("throughput", "average throughput vs average SNR"),
+    ):
+        p_curve = sub.add_parser(kind, help=what)
+        _add_common(p_curve)
+        p_curve.set_defaults(fn=cmd_curve)
 
     p_gain = sub.add_parser("gain", help="print gain/gap constants with MC checks")
     p_gain.add_argument("--trials", type=int, default=None)
@@ -379,7 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MeijerGError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,5 +83,13 @@ def test_criterion_09_mode_gap_discrepancy_surfaced(ctx):
     assert "8.451" in result.note and "7.782" in result.note
 
 
+def test_statistical_tolerances_scale_as_inverse_sqrt_trials():
+    smoke, full = AcceptanceSettings.smoke(), AcceptanceSettings.full()
+    assert (smoke.ks_tol, smoke.mean_rel_tol, smoke.gap_rel_tol) == (0.02, 0.1, 0.2)
+    assert (full.ks_tol, full.mean_rel_tol, full.gap_rel_tol) == (0.002, 0.01, 0.02)
+    assert replace(smoke, seed=6).seed == 6
+    assert replace(smoke, seed=6).ks_tol == 0.02
+
+
 def test_criterion_10_determinism(ctx):
     _run(check_determinism, ctx)

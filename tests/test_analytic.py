@@ -29,6 +29,17 @@ def test_z_cdf_is_valid_cdf():
     assert np.all(np.diff(vals) >= -1e-15)
 
 
+def test_z_cdf_compensated_is_relatively_accurate():
+    # z - sqrt(z(1-z)) asin(sqrt z) cancels like z^2/3 near 0; the old form
+    # was off by 2.5e-4 relative at 1e-12 and returned 0 at 1e-17
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(250):
+        for z in (1e-17, 1e-12, 1e-8, 0.5, 1.0 - 1e-12):
+            t = mp.mpf(z)
+            want = t - mp.sqrt(t * (1 - t)) * mp.asin(mp.sqrt(t))
+            assert analytic.z_factor_cdf(z) == pytest.approx(float(want), rel=4e-15, abs=0.0)
+
+
 def test_eigenvalue_cdf_values():
     assert analytic.eigenvalue_cdf(0.0, "largest") == 0.0
     assert analytic.eigenvalue_cdf(0.0, "smallest") == 0.0

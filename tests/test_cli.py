@@ -9,7 +9,10 @@ import pytest
 import ris2x2.acceptance
 import ris2x2.analytic
 import ris2x2.montecarlo
+from ris2x2.acceptance import curve_rows
 from ris2x2.cli import ExperimentConfig, main
+from ris2x2.special import MeijerGError, QuadratureError
+from ris2x2.sysmodel import Mode
 
 FAST = ["--trials", "2000", "--seed", "11"]
 
@@ -68,6 +71,50 @@ def test_bad_sweep_input_exits_2(tmp_path, capsys, monkeypatch):
         assert main([command, *FAST, *flags, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        # the contour of the closed forms and of the Mellin throughput gives up
+        ("outage", ["--snr-db-min", "300", "--snr-db-max", "300"]),
+        ("throughput", ["--snr-db-min", "300", "--snr-db-max", "300"]),
+        # the j1i1-cmp closed form's Bessel quadrature gives up
+        ("outage", ["--snr-db-min", "100", "--snr-db-max", "100", "--schemes", "j1i1-cmp"]),
+    ],
+)
+def test_numerical_failure_exits_2(tmp_path, capsys, command, flags):
+    out = tmp_path / "x.csv"
+    assert main([command, "--trials", "1000", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_numerical_failures_are_the_caught_errors():
+    with pytest.raises(MeijerGError):
+        ris2x2.analytic.outage_closed_form(Mode(1, 1, False), 1e-30)
+    with pytest.raises(MeijerGError):
+        ris2x2.analytic.throughput(Mode(1, 1, False), 1e30)
+    with pytest.raises(QuadratureError):
+        ris2x2.analytic.outage_closed_form(Mode(1, 1, True), 1e-10)
+
+
+@pytest.mark.parametrize("command", ["outage", "throughput"])
+def test_curve_rows_are_the_csv_rows(tmp_path, command):
+    out = tmp_path / "c.csv"
+    assert main([command, "--trials", "1000", "--snr-db-step", "10", "--out", str(out)]) == 0
+    cfg = ExperimentConfig(trials=1000, snr_db_step=10.0)
+    stats = ris2x2.montecarlo.channel_statistics(cfg.seed, cfg.trials, include_alt=True)
+    rows = curve_rows(stats, cfg.schemes, cfg.snr_grid_db(), 1.0, command)
+
+    def cell(x):
+        return "" if x is None else format(float(x), ".12g")
+
+    text = "snr_db,scheme,analytic,mc,ci95\n" + "".join(
+        ",".join([cell(db), name, cell(ana), cell(mc), cell(ci)]) + "\n"
+        for db, name, ana, mc, ci in rows
+    )
+    assert out.read_text() == text
 
 
 def test_outage_csv_schema_and_grid(tmp_path):
