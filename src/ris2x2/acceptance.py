@@ -272,33 +272,46 @@ def check_closed_forms(ctx: AcceptanceContext) -> CheckResult:
     )
 
 
-def curve_rows(stats: TrialStats, names, snr_db, threshold: float, kind: str):
+def curve_rows(stats, names, snr_db, threshold: float, kind: str):
     """(snr_db, name, analytic, mc, ci95) rows of an outage or throughput
     sweep, SNR-major, with analytic None for the optimized scheme.
 
-    One statistics pass serves every grid point; ``threshold`` is the linear
-    outage threshold (unused for throughput).  These are the CSV rows of
-    ``ris2x2 outage`` and ``ris2x2 throughput`` and the rows C5 and C6 check.
+    One statistics pass serves every grid point, and each scheme is reduced
+    over the whole grid in one call; ``threshold`` is the linear outage
+    threshold (unused for throughput).  ``stats`` is the pass, or a function
+    of no arguments that runs it: it is called once the analytic column is
+    complete, so a closed form or contour that fails does so before any
+    trial is drawn.  These are the CSV rows of ``ris2x2 outage`` and
+    ``ris2x2 throughput`` and the rows C5 and C6 check.
     """
     if kind not in ("outage", "throughput"):
         raise ValueError(f"unknown curve kind: {kind!r}")
+    outage = kind == "outage"
+    snr_db = list(snr_db)
     schemes = [parse_scheme(name) for name in names]
-    rows = []
-    for db in snr_db:
-        gamma_bar = 10.0 ** (db / 10.0)
-        for name, scheme in zip(names, schemes):
-            if isinstance(scheme, AltScheme):
-                ana = None
-            elif kind == "outage":
-                ana = analytic.outage_closed_form(scheme, threshold / gamma_bar)
-            else:
-                ana = analytic.throughput(scheme, gamma_bar, CURVE_QUADRATURE)
-            if kind == "outage":
-                est = montecarlo.outage_from_stats(stats, scheme, gamma_bar, threshold)
-            else:
-                est = montecarlo.throughput_from_stats(stats, scheme, gamma_bar)
-            rows.append((db, name, ana, est.value, est.ci_half_width))
-    return rows
+    gamma_bars = [10.0 ** (db / 10.0) for db in snr_db]
+
+    def analytic_value(scheme, gamma_bar):
+        if isinstance(scheme, AltScheme):
+            return None
+        if outage:
+            return analytic.outage_closed_form(scheme, threshold / gamma_bar)
+        return analytic.throughput(scheme, gamma_bar, CURVE_QUADRATURE)
+
+    ana = [[analytic_value(scheme, g) for scheme in schemes] for g in gamma_bars]
+    if callable(stats):
+        stats = stats()
+    mc = [
+        montecarlo.outage_from_stats(stats, scheme, gamma_bars, threshold)
+        if outage
+        else montecarlo.throughput_from_stats(stats, scheme, gamma_bars)
+        for scheme in schemes
+    ]
+    return [
+        (db, name, ana[p][k], mc[k][p].value, mc[k][p].ci_half_width)
+        for p, db in enumerate(snr_db)
+        for k, name in enumerate(names)
+    ]
 
 
 def _worst_ci_ratio(rows):

@@ -238,16 +238,22 @@ def _write_svg(path: str, rows, log_y: bool, title: str):
 
 
 def cmd_curve(args) -> int:
-    """``outage`` or ``throughput`` (by ``args.command``): one statistics
-    pass, then the rows of :func:`acceptance.curve_rows` as CSV (and SVG)."""
+    """``outage`` or ``throughput`` (by ``args.command``): the rows of
+    :func:`acceptance.curve_rows` as CSV (and SVG).  The statistics pass
+    runs after the analytic column, so a failing closed form costs no trials."""
     kind = args.command
     cfg = _build_config(args, default_out=f"{kind}.csv")
     include_alt = any(isinstance(parse_scheme(s), AltScheme) for s in cfg.schemes)
-    stats = montecarlo.channel_statistics(
-        cfg.seed, cfg.trials, include_alt=include_alt, workers=4
-    )
     threshold = 10.0 ** (cfg.threshold_db / 10.0)
-    rows = curve_rows(stats, cfg.schemes, cfg.snr_grid_db(), threshold, kind)
+    rows = curve_rows(
+        lambda: montecarlo.channel_statistics(
+            cfg.seed, cfg.trials, include_alt=include_alt, workers=4
+        ),
+        cfg.schemes,
+        cfg.snr_grid_db(),
+        threshold,
+        kind,
+    )
     _write_csv(cfg.out, rows)
     if cfg.svg:
         outage = kind == "outage"

@@ -5,11 +5,18 @@ statistic the figures need (squared singular values, the eight alignment
 factors, optionally the jointly optimized SNR factor).  Since the scheme
 SNRs scale linearly with gamma_bar, one pass serves a whole SNR sweep.
 
-Trial t is a pure function of (seed, stream, t) (see sampling), chunks are
-assembled in trial order, and reductions use numpy's pairwise summation,
-so estimates are bit-for-bit identical regardless of chunking or worker
-count.  Proportions carry 95% Wilson intervals (sane coverage near zero
-outage), means carry normal-theory intervals.
+Trial t is a pure function of (seed, stream, t) (see sampling).  The pass
+allocates its output arrays once and each chunk of trials (2^15 by
+default, so that the temporaries of a few threads stay small) writes its
+own slice, so memory is the statistics plus a few chunks' temporaries.
+Reductions use numpy's pairwise summation, so estimates are bit-for-bit
+identical regardless of chunking or worker count.
+
+A sweep reduces each scheme once: its per-trial factor is formed once,
+sorted once for outage counts (the trials in outage at any gamma_bar are
+a prefix of the sorted factors) and reused at every grid point for
+throughput.  Proportions carry 95% Wilson intervals (sane coverage near
+zero outage), means carry normal-theory intervals.
 """
 
 from __future__ import annotations
@@ -111,45 +118,45 @@ def _chunk_ranges(trials: int, chunk_size: int):
     ]
 
 
-def _stats_chunk(state, lo, hi, include_alt):
-    ch = channel_realizations(state, hi - lo, start=lo)
-    lam = ch.svd_g.sigma**2
-    om = ch.svd_h.sigma**2
-    z_plain, z_comp = mode_z_factors(ch)
-    alt = optimize_batch(ch).snr_factor if include_alt else None
-    return lam, om, z_plain, z_comp, alt
-
-
 def channel_statistics(
     seed: int,
     trials: int,
     stream: int = 0,
     include_alt: bool = False,
     workers: int = 1,
-    chunk_size: int = 1 << 17,
+    chunk_size: int = 1 << 15,
 ) -> TrialStats:
     """One vectorized statistics pass over ``trials`` channel draws.
 
-    Work is split into fixed chunks of the trial range; chunks may be
-    evaluated by a thread pool, and results are assembled in trial order,
-    so the output is independent of ``workers`` and ``chunk_size``.
+    The output arrays are allocated once; the trial range is split into
+    fixed chunks, each of which writes its own slice, and chunks may be
+    evaluated by a thread pool.  The output is independent of ``workers``
+    and ``chunk_size``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     state = RngState(seed, stream)
+    lam = np.empty((trials, 2))
+    om = np.empty((trials, 2))
+    z_plain = np.empty((trials, 2, 2))
+    z_comp = np.empty((trials, 2, 2))
+    alt_factor = np.empty(trials) if include_alt else None
+
+    def fill(lo, hi):
+        ch = channel_realizations(state, hi - lo, start=lo)
+        np.square(ch.svd_g.sigma, out=lam[lo:hi])
+        np.square(ch.svd_h.sigma, out=om[lo:hi])
+        z_plain[lo:hi], z_comp[lo:hi] = mode_z_factors(ch)
+        if include_alt:
+            alt_factor[lo:hi] = optimize_batch(ch).snr_factor
+
     ranges = _chunk_ranges(trials, chunk_size)
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda r: _stats_chunk(state, r[0], r[1], include_alt), ranges)
-            )
+            list(pool.map(lambda r: fill(*r), ranges))
     else:
-        parts = [_stats_chunk(state, lo, hi, include_alt) for lo, hi in ranges]
-    lam = np.concatenate([p[0] for p in parts])
-    om = np.concatenate([p[1] for p in parts])
-    z_plain = np.concatenate([p[2] for p in parts])
-    z_comp = np.concatenate([p[3] for p in parts])
-    alt_factor = np.concatenate([p[4] for p in parts]) if include_alt else None
+        for lo, hi in ranges:
+            fill(lo, hi)
     return TrialStats(
         seed=seed,
         stream=stream,
@@ -185,30 +192,72 @@ def wilson_halfwidth(hits: int, trials: int, z: float = _Z95) -> float:
     )
 
 
-def outage_from_stats(
-    stats: TrialStats, scheme: Scheme, gamma_bar: float, gamma_th: float
-) -> McEstimate:
-    snr = gamma_bar * scheme_snr_factor(stats, scheme)
-    hits = int(np.count_nonzero(snr <= gamma_th))
+def _gamma_bars(gamma_bar):
+    """(1-D float64 array, was-scalar flag) of one average SNR or a sequence."""
+    g = np.asarray(gamma_bar, dtype=np.float64)
+    if g.ndim > 1:
+        raise ValueError("gamma_bar must be a scalar or a 1-D sequence")
+    if not np.all((g >= 0.0) & (g < np.inf)):
+        raise ValueError("gamma_bar must be nonnegative and finite")
+    return np.atleast_1d(g), g.ndim == 0
+
+
+def _estimate(stats: TrialStats, value: float, half: float) -> McEstimate:
     return McEstimate(
-        value=hits / stats.trials,
-        ci_half_width=wilson_halfwidth(hits, stats.trials),
-        trials=stats.trials,
-        seed=stats.seed,
+        value=value, ci_half_width=half, trials=stats.trials, seed=stats.seed
     )
 
 
-def throughput_from_stats(
-    stats: TrialStats, scheme: Scheme, gamma_bar: float
-) -> McEstimate:
-    vals = np.log1p(gamma_bar * scheme_snr_factor(stats, scheme))
-    half = _Z95 * float(vals.std(ddof=1)) / np.sqrt(stats.trials)
-    return McEstimate(
-        value=float(vals.mean()),
-        ci_half_width=half,
-        trials=stats.trials,
-        seed=stats.seed,
-    )
+def _count_at_most(f_sorted: np.ndarray, g, gamma_th: float) -> int:
+    """Number of sorted factors f with fl(g * f) <= gamma_th.
+
+    Rounding is monotone, so those factors are a prefix of ``f_sorted``.  A
+    binary search for gamma_th / g lands within a rounding step of its end,
+    and whole runs of equal factors are then stepped across until the
+    predicate holds exactly.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = int(np.searchsorted(f_sorted, gamma_th / g, side="right"))
+    while k < f_sorted.size and g * f_sorted[k] <= gamma_th:
+        k = int(np.searchsorted(f_sorted, f_sorted[k], side="right"))
+    while k > 0 and not g * f_sorted[k - 1] <= gamma_th:
+        k = int(np.searchsorted(f_sorted, f_sorted[k - 1], side="left"))
+    return k
+
+
+def outage_from_stats(stats: TrialStats, scheme: Scheme, gamma_bar, gamma_th: float):
+    """Fraction of trials with gamma_bar * factor <= gamma_th.
+
+    ``gamma_bar`` is one average SNR (one estimate is returned) or a 1-D
+    sequence (a list of estimates, one per value).  The scheme factor is
+    formed and sorted once; each count is exact.
+    """
+    gammas, scalar = _gamma_bars(gamma_bar)
+    if np.isnan(gamma_th):
+        raise ValueError("gamma_th must not be NaN")
+    f_sorted = np.sort(scheme_snr_factor(stats, scheme))
+    out = []
+    for g in gammas:
+        hits = _count_at_most(f_sorted, g, gamma_th)
+        out.append(
+            _estimate(stats, hits / stats.trials, wilson_halfwidth(hits, stats.trials))
+        )
+    return out[0] if scalar else out
+
+
+def throughput_from_stats(stats: TrialStats, scheme: Scheme, gamma_bar):
+    """Sample mean of ln(1 + gamma_bar * factor), with ``gamma_bar`` one
+    average SNR or a 1-D sequence as in :func:`outage_from_stats`.  The
+    scheme factor is formed once."""
+    gammas, scalar = _gamma_bars(gamma_bar)
+    f = scheme_snr_factor(stats, scheme)
+    vals = np.empty_like(f)
+    out = []
+    for g in gammas:
+        np.log1p(np.multiply(g, f, out=vals), out=vals)
+        half = _Z95 * float(vals.std(ddof=1)) / np.sqrt(stats.trials)
+        out.append(_estimate(stats, float(vals.mean()), half))
+    return out[0] if scalar else out
 
 
 def estimate_outage(

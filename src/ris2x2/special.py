@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -233,12 +234,21 @@ def meijer_g(
     )
 
 
+# Distinct closed-form terms kept per cached function.  An SNR sweep
+# repeats terms across modes and within one expression (the default
+# 31-point outage sweep needs 341 distinct G blocks and 372 distinct
+# composite terms); the functions are pure, so a cached value is the value.
+_TERM_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_TERM_CACHE_SIZE)
 def _g30(z: float, b2: float, b3: float, spec: QuadratureSpec) -> float:
     """G^{3,0}_{1,3}(z | 0; -1, b2, b3), the Meijer block of the outage
     closed forms."""
     return meijer_g(MeijerParams(3, 0, 1, 3, (0.0,), (-1.0, b2, b3)), z, spec)
 
 
+@lru_cache(maxsize=_TERM_CACHE_SIZE)
 def weighted_bessel_integral(
     a: int,
     alpha: int,
@@ -256,7 +266,7 @@ def weighted_bessel_integral(
 
     evaluated as a Meijer G term plus a one-dimensional Bessel tail
     integral.  The endpoint singularity 1/sqrt(t-1) of the tail is removed
-    by substituting t = 1 + u^2.
+    by substituting t = 1 + u^2.  Values are cached by argument.
     """
     if a not in (0, 2):
         raise ValueError("a must be 0 or 2")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -83,8 +84,13 @@ def test_bad_sweep_input_exits_2(tmp_path, capsys, monkeypatch):
         ("outage", ["--snr-db-min", "100", "--snr-db-max", "100", "--schemes", "j1i1-cmp"]),
     ],
 )
-def test_numerical_failure_exits_2(tmp_path, capsys, command, flags):
+def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch, command, flags):
     out = tmp_path / "x.csv"
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a failing analytic column reached the statistics pass")
+
+    monkeypatch.setattr(ris2x2.montecarlo, "channel_statistics", no_trials)
     assert main([command, "--trials", "1000", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -115,6 +121,21 @@ def test_curve_rows_are_the_csv_rows(tmp_path, command):
         for db, name, ana, mc, ci in rows
     )
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "command, sha256",
+    [
+        ("outage", "0db0451ef499f6edd0517a85071e80662e9fc4f23ac07bc34a85f8cef0aebe7c"),
+        ("throughput", "ce864f8f920f18b87b8b925c03a702595884ba30dca7d630437374ae2b656c48"),
+    ],
+)
+def test_small_sweep_csv_bytes_are_pinned(tmp_path, command, sha256):
+    # pinned bytes of a small sweep at the default seed: a speed-up must not
+    # move a bit of the analytic or the MC column
+    out = tmp_path / "c.csv"
+    assert main([command, "--trials", "2000", "--snr-db-step", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_outage_csv_schema_and_grid(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from ris2x2.montecarlo import (
     ALT,
     AltScheme,
     EmpiricalCdf,
+    TrialStats,
     channel_statistics,
     estimate_outage,
     estimate_throughput,
+    outage_from_stats,
     parse_scheme,
     scheme_label,
     scheme_snr_factor,
@@ -137,3 +141,90 @@ def test_mean_reduction_is_chunk_order_independent():
     va = throughput_from_stats(stats_a, Mode(1, 1, True), 10.0)
     vb = throughput_from_stats(stats_b, Mode(1, 1, True), 10.0)
     assert va == vb
+
+
+def _factor_stats(f):
+    """Statistics whose alt factor and j1i1 factor are both exactly ``f``."""
+    f = np.asarray(f, dtype=np.float64)
+    n = f.size
+    lam = np.ones((n, 2))
+    lam[:, 0] = f
+    return TrialStats(
+        seed=0, stream=0, trials=n, lam=lam, om=np.ones((n, 2)),
+        z_plain=np.ones((n, 2, 2)), z_comp=np.ones((n, 2, 2)), alt_factor=f,
+    )
+
+
+def test_sorted_outage_counts_are_exact_at_the_boundary():
+    # factors at th/gamma_bar and one and two ulps either side, with ties
+    # and zeros; at some gamma_bar fl(gamma_bar * f) rounds across th
+    th = 7.155094189435861
+    gammas = np.concatenate([[0.0], np.geomspace(0.5, 700.0, 300)])
+    c = th / gammas[1:]
+    f = np.concatenate([
+        c, c, c,
+        np.nextafter(c, 0.0), np.nextafter(np.nextafter(c, 0.0), 0.0),
+        np.nextafter(c, np.inf), np.nextafter(np.nextafter(c, np.inf), np.inf),
+        np.full(50, c[7]), np.zeros(20),
+    ])
+    rng = np.random.default_rng(5)
+    f = f[rng.permutation(f.size)]
+    # the binary search alone would be off in both directions
+    assert np.any(gammas[1:] * c > th)
+    assert np.any(gammas[1:] * np.nextafter(c, np.inf) <= th)
+    stats = _factor_stats(f)
+    for threshold in (th, 1.0, 0.0, -1.0, np.inf):
+        want = [np.count_nonzero(g * f <= threshold) / f.size for g in gammas]
+        for scheme in (ALT, Mode(1, 1)):
+            got = outage_from_stats(stats, scheme, gammas, threshold)
+            assert [e.value for e in got] == want
+            assert [outage_from_stats(stats, scheme, g, threshold) for g in gammas] == got
+
+
+def test_sequence_reductions_equal_per_point_calls():
+    stats = channel_statistics(SEED, 5000, include_alt=True)
+    gammas = [10.0 ** (db / 10.0) for db in range(-5, 26, 3)]
+    for scheme in (*MODES, ALT):
+        f = scheme_snr_factor(stats, scheme)
+        seq = throughput_from_stats(stats, scheme, gammas)
+        assert seq == [throughput_from_stats(stats, scheme, g) for g in gammas]
+        assert [e.value for e in seq] == [float(np.log1p(g * f).mean()) for g in gammas]
+        outs = outage_from_stats(stats, scheme, gammas, 1.0)
+        assert [e.value for e in outs] == [
+            np.count_nonzero(g * f <= 1.0) / stats.trials for g in gammas
+        ]
+
+
+def test_reduction_input_validation():
+    stats = channel_statistics(SEED, 1000)
+    for bad in (-1.0, np.inf, np.nan, [[1.0]]):
+        with pytest.raises(ValueError, match="gamma_bar"):
+            outage_from_stats(stats, Mode(1, 1), bad, 1.0)
+        with pytest.raises(ValueError, match="gamma_bar"):
+            throughput_from_stats(stats, Mode(1, 1), bad)
+    with pytest.raises(ValueError, match="gamma_th"):
+        outage_from_stats(stats, Mode(1, 1), 1.0, np.nan)
+    assert outage_from_stats(stats, Mode(1, 1), [], 1.0) == []
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _stats_nbytes(stats):
+    return sum(a.nbytes for a in (stats.lam, stats.om, stats.z_plain, stats.z_comp))
+
+
+def test_pass_memory_is_the_statistics_plus_a_few_chunks():
+    # the pass writes into preallocated arrays: its traced peak is the
+    # statistics plus a bounded number of chunk temporaries, not a second
+    # copy of the statistics or a few large chunks
+    one, one_peak = _traced_peak(lambda: channel_statistics(SEED, 1 << 15, workers=1))
+    chunk_temporaries = one_peak - _stats_nbytes(one)
+    stats, peak = _traced_peak(lambda: channel_statistics(SEED, 1 << 18, workers=1))
+    assert peak < _stats_nbytes(stats) + 2 * chunk_temporaries

@@ -3,15 +3,18 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
+from ris2x2 import analytic, special
 from ris2x2.special import (
     DEFAULT_QUADRATURE,
     MeijerGError,
     MeijerParams,
+    QuadratureError,
     QuadratureSpec,
     bessel_k,
     meijer_g,
     weighted_bessel_integral,
 )
+from ris2x2.sysmodel import MODES, Mode
 
 
 def _bessel_integral_oracle(order, x):
@@ -212,3 +215,32 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
     assert DEFAULT_QUADRATURE.abs_tol == 1e-12
+
+
+def test_term_cache_is_bounded_and_bit_identical(monkeypatch):
+    # the closed-form terms are cached by argument; the cache is bounded and
+    # a cached sweep equals the uncached terms bit for bit
+    for fn in (special._g30, special.weighted_bessel_integral):
+        assert 0 < fn.cache_info().maxsize < np.inf
+    # the x = threshold / gamma_bar of the default sweep at 0 dB
+    xs = [1.0 / 10.0 ** (db / 10.0) for db in range(-5, 26)]
+
+    def sweep():
+        return [[analytic.outage_closed_form(m, x) for m in MODES] for x in xs]
+
+    cached = sweep()
+    assert special._g30.cache_info().hits > 0
+    assert special.weighted_bessel_integral.cache_info().hits > 0
+    g30, wbi = special._g30.__wrapped__, special.weighted_bessel_integral.__wrapped__
+    monkeypatch.setattr(special, "_g30", g30)
+    monkeypatch.setattr(analytic, "_g30", g30)
+    monkeypatch.setattr(analytic, "weighted_bessel_integral", wbi)
+    assert sweep() == cached
+
+
+def test_failed_terms_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(MeijerGError):
+            analytic.outage_closed_form(Mode(1, 1, False), 1e-30)
+        with pytest.raises(QuadratureError):
+            analytic.outage_closed_form(Mode(1, 1, True), 1e-10)
