@@ -3,10 +3,11 @@
 A numpy/scipy library (plus a small CLI) for the complete performance
 characterization of singular-vector transmission modes with and without
 per-tile phase compensation: exact alignment-factor and eigenvalue laws,
-closed-form outage, Mellin-Barnes throughput of every mode and the closed
-forms of the weakest mode, each with an independent quadrature oracle, the
-closed-form joint optimum over transmit/combine vectors and tile phases as
-a benchmark, and a reproducible Monte Carlo harness.
+the paper's closed-form outage, Mellin-Barnes outage and throughput of
+every mode and the closed forms of the weakest mode, each with an
+independent quadrature oracle, the closed-form joint optimum over
+transmit/combine vectors and tile phases as a benchmark, and a
+reproducible Monte Carlo harness.
 
 Sampling, the system model and the joint optimum have one code path each:
 every function takes one realization or a stack of a million (leading
@@ -46,11 +47,13 @@ from .special import (
 )
 from .analytic import (
     consecutive_mode_gap_db,
+    diversity_order,
     eigenvalue_cdf,
     eigenvalue_mean,
     eigenvalue_pdf,
     mean_mode_snr,
     mean_z,
+    outage,
     outage_closed_form,
     outage_quadrature,
     snr_gain_db,

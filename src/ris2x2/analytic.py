@@ -11,23 +11,28 @@ over three known laws:
       F_smallest(y) = 1 - e^{-2y},
   with means 7/2 and 1/2.
 
-Outage is computed twice on purpose: ``outage_closed_form`` assembles the
-Bessel/Meijer-G expressions, and ``outage_quadrature`` integrates the
+Outage is computed three ways on purpose.  ``outage_closed_form``
+assembles the paper's Bessel/Meijer-G expressions, the reproduced artifact;
+their "1 - sum" form cancels at high SNR.  ``outage`` is the analytic
+column of the outage sweeps: one Mellin-Barnes line integral of the same
+product of transforms as ``throughput``, over a whole grid of thresholds at
+once, accurate in relative terms.  ``outage_quadrature`` integrates the
 defining expectation E{F_lambda(x / (omega z))} directly, with no Bessel,
-Meijer-G or Mellin step (the reference implementation); the two routes are
-required to agree to well below 1e-6.  The oracle is one 2-D trapezoid rule
-in s = ln omega and a logistic variable of the alignment factor, in which
-the integrand is analytic on a strip, so halving the step converges
-geometrically.  Its tails are cut by closed-form bounds relative to a lower
-bound of P, and the eigenvalue laws and the alignment weight are evaluated
-without cancellation, so it is accurate in relative terms, not only
-absolute ones, far into the high-SNR tail.
+Meijer-G or Mellin step (the reference implementation); the closed forms
+must agree with it to well below 1e-6 absolute, and ``outage`` to 1e-8
+relative.  The oracle is one 2-D trapezoid rule in s = ln omega and a
+logistic variable of the alignment factor, in which the integrand is
+analytic on a strip, so halving the step converges geometrically.  Its
+tails are cut by closed-form bounds relative to a lower bound of P, and
+the eigenvalue laws and the alignment weight are evaluated without
+cancellation, so it is accurate in relative terms, not only absolute ones,
+far into the high-SNR tail.
 
 Throughput R = E ln(1 + gamma) is also computed twice.  ``throughput`` uses
 the independence directly: the Mellin transform E{X^-s} of
 X = lambda_j omega_i z is the product of three one-dimensional transforms
-(closed forms for the eigenvalues and the fixed surface, a fixed
-Gauss-Legendre rule for the compensated z), and R is one Mellin-Barnes
+(closed forms for the eigenvalues and the fixed surface, a Gauss-Legendre
+rule built once for the compensated z), and R is one Mellin-Barnes
 line integral of it against pi/(s sin pi s), the transform of ln(1 + y),
 on the trapezoid rule that also evaluates the Meijer G-functions.
 ``throughput_quadrature`` is its independent oracle: it integrates the
@@ -37,11 +42,12 @@ other two dimensions by nested adaptive quadrature.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import exp1, expit, kv, loggamma
+from scipy.special import exp1, expit, kv, loggamma, roots_legendre
 
 from .special import (
     DEFAULT_QUADRATURE,
@@ -68,6 +74,8 @@ __all__ = [
     "snr_gain_db",
     "consecutive_mode_gap_db",
     "mean_mode_snr",
+    "diversity_order",
+    "outage",
     "outage_quadrature",
     "outage_closed_form",
     "throughput",
@@ -91,9 +99,21 @@ REPORTED_GAP_DB = 10.0 * np.log10(6.0)
 _MELLIN_ABSCISSA = -0.5
 _MELLIN_SPAN = 8.0
 
-# Gauss-Legendre nodes in t of the compensated E{z^-s}.  Doubling them
-# moves no throughput by more than 1e-13 relative (checked in the tests).
-_Z_NODES = 64
+# Gauss-Legendre nodes in u of the compensated E{z^-s}, with t = (pi/2) u^2.
+# Doubling them moves no throughput by more than 1e-12 relative and no
+# outage by more than 1e-10 (checked in the tests).
+_Z_NODES = 200
+
+# The Mellin-Barnes outage: the first step and the finest step of its
+# trapezoid rule, the half-span its truncation starts from, the share of
+# eps * sum|terms| its truncated tail may leave out, and the distance from
+# the leading pole of the abscissa that small x fall back to.
+_LINE_FIRST_STEP = 0.25
+_LINE_MIN_STEP = 2.0**-10
+_LINE_SPAN = 16.0
+_LINE_TAIL_SHARE = 1e-2
+_POLE_MARGIN = 0.15
+_EPS = np.finfo(np.float64).eps
 
 # Both eigenvalue laws are saturated in double precision beyond this
 # argument; clipping there also keeps an infinite argument from giving inf*0.
@@ -218,8 +238,7 @@ def consecutive_mode_gap_db():
 
 def mean_mode_snr(mode: Mode, gamma_bar: float) -> float:
     """E{gamma} of a mode: (gamma_bar) * E{lambda_j} E{omega_i} E{z}."""
-    lam = eigenvalue_mean("largest" if mode.rx == 1 else "smallest")
-    om = eigenvalue_mean("largest" if mode.tx == 1 else "smallest")
+    lam, om = (eigenvalue_mean(law) for law in _mode_laws(mode))
     return gamma_bar * lam * om * mean_z(mode.compensated)
 
 
@@ -501,33 +520,273 @@ def _capacity_kernel(c: float, which: str) -> float:
 
 
 def _mellin_eigenvalue(s, which: str):
-    """E{lambda^-s} of the largest/smallest squared singular value, Re s < 1,
-    term by term from the densities."""
-    g = np.exp(loggamma(1.0 - s))
-    if which == "smallest":
-        return 2.0**s * g
-    return g * (2.0 - 2.0 * (1.0 - s) + (2.0 - s) * (1.0 - s) - 2.0**s)
+    """E{lambda^-s} of the largest/smallest squared singular value, Re s < 1
+    (smallest) or Re s < 4 (largest), term by term from the densities."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.exp(loggamma(1.0 - s))
+        if which == "smallest":
+            return 2.0**s * g
+        val = g * (2.0 - 2.0 * (1.0 - s) + (2.0 - s) * (1.0 - s) - 2.0**s)
+    # the bracket cancels the poles of Gamma(1 - s) at s = 1, 2, 3; the only
+    # one a contour crosses is s = 1, where the limit is E{1/lambda}
+    return np.where(s == 1.0, 2.0 * np.log(2.0) - 1.0, val)
 
 
-def _mellin_z(compensated: bool):
-    """s -> E{z^-s} of the alignment factor, Re s < 1.
+@lru_cache(maxsize=4)
+def _z_rule(nodes: int):
+    """Gauss-Legendre rule of the compensated alignment law in u, with
+    z = sin^2 t and t = (pi/2) u^2, u in [0, 1].
 
-    With compensation this is int_0^{pi/2} (sin t)^{-2s} w(t) dt with the
-    smooth weight of :func:`_z_average`, taken by one fixed Gauss-Legendre
-    rule in t at every s at once.
+    Returns (-ln z, weight, -ln t^2, onset): E{f(z)} ~ weight @ f(z), and
+    onset @ t^-2s is the rule's value of int_0^{pi/2} (4/3) t^(3-2s) dt,
+    the leading term of the law at t -> 0 (see :func:`_mellin_z`).  The
+    factor pi u of dt flattens the weight's t^3 onset to u^7.  Built on
+    first use and shared by every caller; the arrays are read-only.
+    """
+    x, w = roots_legendre(nodes)
+    u = 0.5 * (x + 1.0)
+    t = 0.5 * np.pi * u * u
+    jacobian = 0.5 * np.pi * u * w
+    rule = (
+        -2.0 * np.log(np.sin(t)),
+        jacobian * _z_weight(t),
+        -2.0 * np.log(t),
+        jacobian * (4.0 / 3.0) * t**3,
+    )
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def _mellin_z(s, compensated: bool):
+    """E{z^-s} of the alignment factor at complex s, Re s < 1 (fixed
+    surface) or Re s < 2 (compensated).
+
+    With compensation it is int_0^{pi/2} (sin t)^-2s w(t) dt, w(t) =
+    4t^3/3 + O(t^5), on the rule of :func:`_z_rule`.  Near the pole at
+    s = 2 the integrand goes like t^(3-2s), which no fixed rule resolves;
+    so where some Re s exceeds 1, the onset (4/3) t^(3-2s) is integrated
+    exactly, (4/3)(pi/2)^(4-2s)/(4-2s), and the rule takes only the rest,
+    of order t^(5-2s).
     """
     if not compensated:
-        return lambda s: 1.0 / (1.0 - s)
-    x, w = np.polynomial.legendre.leggauss(_Z_NODES)
-    t = 0.25 * np.pi * (x + 1.0)
-    minus_log_z = -2.0 * np.log(np.sin(t))
-    weight = 0.25 * np.pi * w * _z_weight(t)
+        return 1.0 / (1.0 - s)
+    minus_log_z, weight, minus_log_t2, onset = _z_rule(_Z_NODES)
+    value = _weighted_powers(s, minus_log_z, weight)
+    if np.max(np.real(s)) > 1.0:
+        exact = (4.0 / 3.0) * np.exp((4.0 - 2.0 * s) * np.log(0.5 * np.pi)) / (4.0 - 2.0 * s)
+        value += exact - _weighted_powers(s, minus_log_t2, onset)
+    return value
 
-    def transform(s):
-        powers = np.outer(s, minus_log_z)
-        return np.exp(powers, out=powers) @ weight
 
-    return transform
+def _weighted_powers(s, log_base, weight):
+    """sum_k weight_k exp(s log_base_k) for every s, from real moduli and
+    phases (twice as fast as numpy's complex exp)."""
+    modulus = np.exp(np.multiply.outer(np.real(s), log_base))
+    modulus *= weight
+    phase = np.multiply.outer(np.imag(s), log_base)
+    return (modulus * np.cos(phase)).sum(axis=-1) + 1j * (modulus * np.sin(phase)).sum(axis=-1)
+
+
+def _mode_laws(mode: Mode):
+    """Laws of lambda_j and omega_i: "largest" for index 1."""
+    return (
+        "largest" if mode.rx == 1 else "smallest",
+        "largest" if mode.tx == 1 else "smallest",
+    )
+
+
+def _mellin_transform(mode: Mode, s):
+    """E{X^-s} of X = lambda_j omega_i z at complex s."""
+    lam_law, om_law = _mode_laws(mode)
+    # the eigenvalue product first, so that swapping tx and rx changes only
+    # the rounding of that product
+    eig = _mellin_eigenvalue(s, lam_law) * _mellin_eigenvalue(s, om_law)
+    return eig * _mellin_z(s, mode.compensated)
+
+
+def diversity_order(mode: Mode) -> float:
+    """Leading pole p of E{X^-s}, X = lambda_j omega_i z: the outage goes
+    like x^p (times powers of ln x) as x -> 0.
+
+    It is the smallest of the factors' poles: 1 for the smallest eigenvalue
+    (density 2 at 0), 4 for the largest (density ~ y^3/3), 1 for the fixed
+    surface's uniform z and 2 with compensation (F(z) ~ z^2/3).  So it is 2
+    for the compensated (1,1) mode and 1 for every other mode.
+    """
+    lam_law, om_law = _mode_laws(mode)
+    poles = {"smallest": 1.0, "largest": 4.0}
+    return min(poles[lam_law], poles[om_law], 2.0 if mode.compensated else 1.0)
+
+
+@lru_cache(maxsize=64)
+def _line_level(mode: Mode, c: float, level: int):
+    """Nodes t >= 0 and terms g(t) = M(s)/s, s = c + jt, that level
+    ``level`` of the outage rule on Re s = c adds: every multiple of the
+    first step up to the truncation span (the term at t = 0 halved) at
+    level 0, the odd multiples of step / 2^level after.
+
+    Cached, read-only: the calls of one sweep and of the checks that reuse
+    a mode's contour evaluate M once per node.
+    """
+    def g(t):
+        s = c + 1j * t
+        return _mellin_transform(mode, s) / s
+
+    if level == 0:
+        # truncation: wherever the cancellation bound holds, a tail below
+        # _LINE_TAIL_SHARE * eps * sum|terms| is at most that share of rel_tol
+        span = _LINE_SPAN
+        while True:
+            t = _LINE_FIRST_STEP * np.arange(int(np.ceil(span / _LINE_FIRST_STEP)) + 1)
+            values = g(t)
+            values[0] *= 0.5
+            if np.abs(values[-1]) <= _LINE_TAIL_SHARE * _EPS * np.abs(values).sum():
+                break
+            span *= 1.5
+    else:
+        intervals = (len(_line_level(mode, c, 0)[0]) - 1) << (level - 1)
+        t = _LINE_FIRST_STEP * 0.5**level * np.arange(1, 2 * intervals, 2)
+        values = g(t)
+    for arr in (t, values):
+        arr.setflags(write=False)
+    return t, values
+
+
+def _outage_line(mode: Mode, c: float, log_x: np.ndarray, spec: QuadratureSpec):
+    """P at x = exp(log_x) from the line Re s = c, and which x it certifies.
+
+    With g = M(s)/s and S(x) = (1/pi) int_0^inf Re[x^{jt} g(c + jt)] dt (Re
+    of the integrand is even in t), P = x^c S for c > 0 and 1 + x^c S for
+    c < 0, where the line has passed the pole of 1/s at 0 (residue 1).
+    x^{jt} is one outer product per level (:func:`_line_level`), and each
+    halving of the step adds only the odd nodes of the finer level.
+
+    Returns (P, ok); ok marks the x at which, relative to P, the
+    cancellation bound eps * sum|terms|, the last step-halving change and
+    the alias bound below are all within spec.rel_tol.  The other x carry
+    no usable value.
+    """
+    log_tol = np.log(spec.rel_tol)
+
+    def real_sum(t, values):
+        # sum over nodes of Re[x^{jt} g(t)], one row per x
+        phase = np.multiply.outer(log_x, t)
+        return np.cos(phase) @ values.real - np.sin(phase) @ values.imag
+
+    # The rule's error is the sum of its aliases, S at x e^(2 pi m/h) times
+    # e^(2 pi m c/h), m != 0 (Poisson summation).  Halving removes only the
+    # odd m, so it cannot see aliases that grow with |m|; these bounds can.
+    # Toward 0 (x' > x for c > 0, x' < x for c < 0) P or 1 - P is at most
+    # 1, and beyond the line Markov's inequality gives P(x') <= M(sigma)
+    # x'^sigma for c < sigma < p (1 - P(x') for sigma < c < 0), so that
+    # relative to |P| the aliases add up to at most
+    #     [q(c) + M(sigma) x^sigma q(sigma - c)] / |P|,
+    # with q(a) = e^(-2 pi |a| / h) / (1 - e^(-2 pi |a| / h)), and the
+    # tightest of a few sigma is taken.
+    pole = diversity_order(mode)
+    if c > 0.0:
+        sigmas = pole - (pole - c) * 0.5 ** np.arange(1, 9)
+    else:
+        sigmas = c * 2.0 ** np.arange(1, 5)
+    moments = _mellin_transform(mode, sigmas.astype(np.complex128)).real
+    log_moments = np.log(moments) + np.multiply.outer(log_x, sigmas)
+    x_c = np.exp(c * log_x)
+    t, values = _line_level(mode, c, 0)
+    magnitude = np.abs(values).sum()
+    total = real_sum(t, values)
+    step = _LINE_FIRST_STEP
+    estimate = step * total / np.pi
+    level = 0
+    while step > _LINE_MIN_STEP:
+        level += 1
+        step *= 0.5
+        t, values = _line_level(mode, c, level)
+        magnitude += np.abs(values).sum()
+        total += real_sum(t, values)
+        previous, estimate = estimate, step * total / np.pi
+        value = x_c * estimate + (c < 0.0)
+        # |P| / x^c, the scale of the sums (x^c underflows for tiny x)
+        scaled = np.abs(estimate) if c > 0.0 else np.abs(value) / x_c
+        live = _EPS * step * magnitude / np.pi <= spec.rel_tol * scaled
+        near = np.min(log_moments + _log_geometric(sigmas - c, step), axis=1)
+        log_alias = np.logaddexp(_log_geometric(c, step), near) - (c * log_x + np.log(scaled))
+        ok = (
+            live
+            & (np.abs(estimate - previous) <= spec.rel_tol * scaled)
+            & (log_alias <= log_tol)
+        )
+        if np.array_equal(ok, live):
+            break
+    return value, ok
+
+
+def _log_geometric(a, step: float):
+    """ln of q / (1 - q) with q = e^(-2 pi |a| / step)."""
+    log_q = -2.0 * np.pi * np.abs(a) / step
+    return log_q - np.log1p(-np.exp(log_q))
+
+
+def outage(mode: Mode, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, abscissa=None):
+    """Outage probability P{lambda_j omega_i z <= x} at every x of an array
+    at once, by Mellin-Barnes.
+
+    With M(s) = E{X^-s} and X = lambda_j omega_i z, the product of three
+    one-dimensional transforms,
+
+        P(x) = (1/2 pi j) int_{c-j inf}^{c+j inf} x^s M(s) / s ds,
+
+    for 0 < c < p, with p = :func:`diversity_order` the leading pole of
+    M: 2 for the compensated (1,1) mode and 1 for the others.  M is
+    evaluated once per node of a contour, and x^s over all x is one outer
+    product.  On the line the integrand is of size x^c while P goes like
+    x^p as x -> 0, so the sum cancels by about x^(c-p) for small x, and by
+    x^c for large x.  Each x therefore takes the first of these lines that
+    meets ``spec.rel_tol``: c = p/2; then, below x = 1, c = p - 0.15, and
+    from x = 1 on c = -p/2, where the line has crossed the pole at 0 and
+    P = 1 + (the line integral).  A line meets the tolerance at x when its
+    trapezoid rule, halved step by step, has converged there, its alias
+    bound is within the tolerance, and so is its cancellation bound
+    eps * sum|terms| / |P|.  An x that no line certifies raises
+    QuadratureError: step-halving agreement cannot detect cancellation.
+    ``abscissa`` evaluates one given line instead (c < p, c != 0).
+
+    Returns a float for a scalar x, else an array of x's shape.
+    :func:`outage_quadrature` is the independent oracle, and
+    :func:`outage_closed_form` the paper's expressions.
+    """
+    xs = np.asarray(x, dtype=np.float64)
+    if not np.all((xs >= 0.0) & (xs < np.inf)):
+        raise ValueError("x must be nonnegative and finite")
+    pole = diversity_order(mode)
+    if abscissa is not None and not (abscissa < pole and abscissa != 0.0):
+        raise ValueError(f"abscissa must be below the leading pole {pole:g} and nonzero")
+    flat = xs.ravel()
+    result = np.zeros(flat.shape)
+    todo = np.flatnonzero(flat > 0.0)
+    with np.errstate(divide="ignore"):
+        log_x = np.log(flat)
+    if abscissa is None:
+        contours = (0.5 * pole, pole - _POLE_MARGIN, -0.5 * pole)
+    else:
+        contours = (abscissa,)
+    for c in contours:
+        where = todo
+        if c != contours[0]:
+            # the fallbacks: c = p - 0.15 below x = 1, c = -p/2 from x = 1 on
+            where = todo[(log_x[todo] < 0.0) == (c > 0.0)]
+        if where.size == 0:
+            continue
+        value, ok = _outage_line(mode, c, log_x[where], spec)
+        result[where[ok]] = value[ok]
+        todo = np.setdiff1d(todo, where[ok])
+    if todo.size:
+        raise QuadratureError(
+            f"outage({mode.label}): no Mellin-Barnes line meets rel_tol "
+            f"{spec.rel_tol:g} at x = {flat[todo[0]]:g} ({todo.size} of {flat.size} x)"
+        )
+    result = result.reshape(xs.shape)
+    return result if result.ndim else float(result)
 
 
 def throughput(
@@ -547,17 +806,11 @@ def throughput(
     """
     if not 0.0 < gamma_bar < np.inf:
         raise ValueError("gamma_bar must be positive and finite")
-    lam_law = "largest" if mode.rx == 1 else "smallest"
-    om_law = "largest" if mode.tx == 1 else "smallest"
     log_gamma_bar = float(np.log(gamma_bar))
-    mellin_z = _mellin_z(mode.compensated)
 
     def integrand(s):
-        # the eigenvalue product first, so that swapping tx and rx gives
-        # bit-identical values
-        eig = _mellin_eigenvalue(s, lam_law) * _mellin_eigenvalue(s, om_law)
         kernel = np.pi / (s * np.sin(np.pi * s)) * np.exp(-s * log_gamma_bar)
-        return kernel * eig * mellin_z(s)
+        return kernel * _mellin_transform(mode, s)
 
     return _vertical_line_integral(
         integrand,
@@ -582,8 +835,7 @@ def throughput_quadrature(
     """
     if not 0.0 < gamma_bar < np.inf:
         raise ValueError("gamma_bar must be positive and finite")
-    lam_law = "largest" if mode.rx == 1 else "smallest"
-    om_law = "largest" if mode.tx == 1 else "smallest"
+    lam_law, om_law = _mode_laws(mode)
     inner_spec = QuadratureSpec(
         spec.abs_tol / 10.0, spec.rel_tol, spec.max_subdivisions
     )

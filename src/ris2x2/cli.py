@@ -3,7 +3,9 @@
 ``outage`` and ``throughput`` reproduce the reference curves as CSV (one
 row per grid point and scheme, columns exactly snr_db, scheme, analytic,
 mc, ci95) with an optional self-contained SVG rendering of the same rows;
-the rows are those of :func:`ris2x2.acceptance.curve_rows`, which verify checks.
+the rows are those of :func:`ris2x2.acceptance.curve_rows`, which verify
+checks.  Both analytic columns are Mellin-Barnes line integrals; the
+paper's closed forms are what ``verify`` checks against the oracles.
 ``gain`` prints the compensation gain and mode-gap constants with Monte
 Carlo confirmation, and ``verify`` runs the acceptance checks.
 
@@ -239,8 +241,9 @@ def _write_svg(path: str, rows, log_y: bool, title: str):
 
 def cmd_curve(args) -> int:
     """``outage`` or ``throughput`` (by ``args.command``): the rows of
-    :func:`acceptance.curve_rows` as CSV (and SVG).  The statistics pass
-    runs after the analytic column, so a failing closed form costs no trials."""
+    :func:`acceptance.curve_rows` as CSV (and SVG).  The analytic column is
+    the Mellin-Barnes outage or throughput, and the statistics pass runs
+    after it, so a contour that fails costs no trials."""
     kind = args.command
     cfg = _build_config(args, default_out=f"{kind}.csv")
     include_alt = any(isinstance(parse_scheme(s), AltScheme) for s in cfg.schemes)

@@ -28,7 +28,6 @@ TWO_PI = 2.0 * np.pi
 _RANK_EPS = 1e-14
 
 
-@dataclass(frozen=True)
 class Svd2:
     """Decomposition m = u @ diag(sigma) @ v^H with sigma[0] >= sigma[1] >= 0.
 
@@ -36,11 +35,35 @@ class Svd2:
     (..., 2).  Columns of v are phase fixed so that the largest-modulus
     component of each column is real and nonnegative (ties resolved toward
     the first row); u inherits the same gauge through u_i = m v_i / sigma_i.
+
+    ``sigma`` and the columns of v are formed by :func:`svd2`; the stacks
+    ``v`` and ``u`` are formed on first read, so a caller pays only for the
+    bases it reads.  ``u`` is formed from m itself, which must therefore
+    not change before then.  Threads that read a basis at the same time may
+    each form it, with the same bits.
     """
 
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
+    __slots__ = ("sigma", "_m", "_columns", "_v", "_u")
+
+    def __init__(self, m, sigma, columns):
+        self.sigma = sigma
+        self._m = m
+        self._columns = columns  # (vx, vy, wx, wy): the two columns of v
+        self._v = None
+        self._u = None
+
+    @property
+    def v(self) -> np.ndarray:
+        if self._v is None:
+            vx, vy, wx, wy = self._columns
+            self._v = _basis(vx, vy, wx, wy)
+        return self._v
+
+    @property
+    def u(self) -> np.ndarray:
+        if self._u is None:
+            self._u = _left_basis(self._m, self.sigma, *self._columns)
+        return self._u
 
 
 @dataclass(frozen=True)
@@ -84,7 +107,8 @@ def svd2(m: np.ndarray) -> Svd2:
     for the squared singular values (the smaller one recovered from
     |det m|^2 / sigma1^2, which avoids cancellation), eigenvectors from
     whichever row of the shifted Gram matrix is better conditioned, and
-    left vectors from m v / sigma.  Deterministic for identical input.
+    left vectors from m v / sigma (on first read of ``u``).  Deterministic
+    for identical input.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape[-2:] != (2, 2):
@@ -133,8 +157,24 @@ def svd2(m: np.ndarray) -> Svd2:
     vx, vy = _gauge_column(vx, vy)
     wx, wy = _orthogonal_complement(vx, vy)
     wx, wy = _gauge_column(wx, wy)
+    return Svd2(m, np.stack([s1, s2], axis=-1), (vx, vy, wx, wy))
 
-    # Left vectors u_i = m v_i / sigma_i, renormalized against rounding.
+
+def _basis(x1, y1, x2, y2):
+    """(..., 2, 2) matrix with columns (x1, y1) and (x2, y2)."""
+    return np.stack([np.stack([x1, x2], axis=-1), np.stack([y1, y2], axis=-1)], axis=-2)
+
+
+def _left_basis(m, sigma, vx, vy, wx, wy):
+    """Left vectors u_i = m v_i / sigma_i, renormalized against rounding;
+    the second is completed by orthogonality where m is rank deficient."""
+    m00 = m[..., 0, 0]
+    m01 = m[..., 0, 1]
+    m10 = m[..., 1, 0]
+    m11 = m[..., 1, 1]
+    s1 = sigma[..., 0]
+    s2 = sigma[..., 1]
+
     def _left(colx, coly, s):
         ux = m00 * colx + m01 * coly
         uy = m10 * colx + m11 * coly
@@ -155,15 +195,7 @@ def svd2(m: np.ndarray) -> Svd2:
     cx, cy = _orthogonal_complement(u1x, u1y)
     u2x = np.where(ok2, u2x, cx)
     u2y = np.where(ok2, u2y, cy)
-
-    u = np.stack(
-        [np.stack([u1x, u2x], axis=-1), np.stack([u1y, u2y], axis=-1)], axis=-2
-    )
-    v = np.stack(
-        [np.stack([vx, wx], axis=-1), np.stack([vy, wy], axis=-1)], axis=-2
-    )
-    sigma = np.stack([s1, s2], axis=-1)
-    return Svd2(u=u, sigma=sigma, v=v)
+    return _basis(u1x, u1y, u2x, u2y)
 
 
 def unitary_from_angles(angles: UnitaryAngles) -> np.ndarray:

@@ -189,20 +189,23 @@ def _vertical_line_integral(
         raise MeijerGError(f"{what}: contour tail does not decay (T={half_span:.1f})")
 
     # Trapezoid with step halving; geometric convergence for analytic
-    # integrands on a strip.
+    # integrands on a strip.  Each level adds only the midpoints of the
+    # last one, so no node is evaluated twice.
     step = 0.25
+    count = 2 * int(round(half_span / step)) + 1
+    total = np.sum(integrand(c + 1j * (np.arange(count) - (count - 1) / 2.0) * step).real)
     previous = None
     for _ in range(6):
-        count = 2 * int(round(half_span / step)) + 1
-        t = (np.arange(count) - (count - 1) / 2.0) * step
-        vals = integrand(c + 1j * t)
-        estimate = step * np.sum(vals.real) / (2.0 * np.pi)
+        estimate = step * total / (2.0 * np.pi)
         if previous is not None:
             if abs(estimate - previous) <= 0.5 * max(
                 spec.abs_tol, spec.rel_tol * abs(estimate)
             ):
                 return float(estimate)
         previous = estimate
+        midpoints = (np.arange(count - 1) - (count - 2) / 2.0) * step
+        total += np.sum(integrand(c + 1j * midpoints).real)
+        count = 2 * count - 1
         step *= 0.5
     raise MeijerGError(
         f"{what}: contour refinement stalled at step {step:.4g} "

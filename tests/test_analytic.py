@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from ris2x2 import analytic
 from ris2x2.montecarlo import channel_statistics, scheme_snr_factor, throughput_from_stats
-from ris2x2.special import QuadratureSpec
+from ris2x2.special import QuadratureError, QuadratureSpec
 from ris2x2.sysmodel import MODES, Mode
 
 
@@ -132,7 +132,7 @@ def test_outage_quadrature_endpoints():
     for mode in MODES:
         assert analytic.outage_quadrature(mode, 0.0) == 0.0
         assert analytic.outage_quadrature(mode, 1e4) == pytest.approx(1.0, abs=1e-8)
-    for fn in (analytic.outage_quadrature, analytic.outage_closed_form):
+    for fn in (analytic.outage_quadrature, analytic.outage_closed_form, analytic.outage):
         for mode in MODES:
             for bad in (-0.5, np.nan, np.inf):
                 with pytest.raises(ValueError, match="x must be nonnegative and finite"):
@@ -175,10 +175,15 @@ def test_outage_transmit_receive_symmetry():
         a = analytic.outage_quadrature(Mode(2, 1, compensated), 0.5)
         b = analytic.outage_quadrature(Mode(1, 2, compensated), 0.5)
         assert a == pytest.approx(b, abs=1e-8)
-        # the closed forms share one expression for both index orders
+        # the closed forms share one expression for both index orders, and
+        # the Mellin transform is the same product
         ca = analytic.outage_closed_form(Mode(2, 1, compensated), 0.5)
         cb = analytic.outage_closed_form(Mode(1, 2, compensated), 0.5)
         assert ca == cb
+        grid = np.logspace(-6.0, 2.0, 9)
+        ma = analytic.outage(Mode(2, 1, compensated), grid)
+        mb = analytic.outage(Mode(1, 2, compensated), grid)
+        assert ma == pytest.approx(mb, rel=1e-13, abs=0.0)
 
 
 def test_closed_form_matches_quadrature_spot_checks():
@@ -188,6 +193,69 @@ def test_closed_form_matches_quadrature_spot_checks():
             cf = analytic.outage_closed_form(mode, x)
             qd = analytic.outage_quadrature(mode, x)
             assert cf == pytest.approx(qd, abs=1e-9)
+
+
+def test_outage_matches_quadrature_oracle():
+    grid = np.logspace(-6.0, 2.0, 9)
+    for mode in MODES:
+        oracle = [analytic.outage_quadrature(mode, x) for x in grid]
+        assert analytic.outage(mode, grid) == pytest.approx(oracle, rel=1e-8, abs=0.0)
+
+
+def test_outage_matches_closed_forms_on_the_curve_grid():
+    # the closed forms are accurate in absolute terms on the default sweep
+    # (threshold 0 dB, -5 to 25 dB); their cancellation stays below 1e-12
+    grid = 10.0 ** (-np.arange(-5.0, 26.0, 5.0) / 10.0)
+    for mode in MODES:
+        closed = [analytic.outage_closed_form(mode, x) for x in grid]
+        assert analytic.outage(mode, grid) == pytest.approx(closed, rel=0.0, abs=1e-12)
+
+
+def test_outage_does_not_move_with_its_contour():
+    grid = np.array([1e-2, 0.3, 2.0, 50.0])
+    for mode in MODES:
+        p = analytic.diversity_order(mode)
+        mid = analytic.outage(mode, grid, abscissa=0.5 * p)
+        assert analytic.outage(mode, grid, abscissa=p - 0.15) == pytest.approx(mid, rel=1e-10)
+        # past the pole at 0: P = 1 + the line integral
+        left = analytic.outage(mode, grid[2:], abscissa=-0.5 * p)
+        assert left == pytest.approx(mid[2:], rel=1e-10)
+
+
+def test_outage_high_snr_laws():
+    # P(x)/x -> E{1/lambda} E{1/omega} = (2 ln 2 - 1)^2 for j1i1, and with
+    # compensation P(x)/x^2 -> E{1/lambda^2}^2 / 3 = (3 - 4 ln 2)^2 / 3:
+    # far below where the closed forms have cancelled away
+    for x in (1e-12, 1e-16):
+        plain = analytic.outage(Mode(1, 1, False), x) / x
+        assert plain == pytest.approx((2.0 * np.log(2.0) - 1.0) ** 2, rel=1e-10)
+        comp = analytic.outage(Mode(1, 1, True), x) / x**2
+        assert comp == pytest.approx((3.0 - 4.0 * np.log(2.0)) ** 2 / 3.0, rel=1e-10)
+    assert analytic.diversity_order(Mode(1, 1, True)) == 2.0
+    assert {analytic.diversity_order(m) for m in MODES if m != Mode(1, 1, True)} == {1.0}
+
+
+def test_outage_refuses_what_it_cannot_certify():
+    # at 1000 dB the rule's aliases and the cancellation of its sum dwarf P
+    # on every contour: no mode may return a value; at the largest x, P = 1
+    for mode in MODES:
+        with pytest.raises(QuadratureError, match="no Mellin-Barnes line"):
+            analytic.outage(mode, 1e-100)
+        assert analytic.outage(mode, np.finfo(np.float64).max) == 1.0
+
+
+def test_outage_shapes_and_arguments():
+    assert analytic.outage(Mode(1, 1), 0.0) == 0.0
+    assert isinstance(analytic.outage(Mode(1, 1), 0.5), float)
+    grid = np.array([[0.0, 0.1], [1.0, 10.0]])
+    values = analytic.outage(Mode(2, 2, True), grid)
+    assert values.shape == (2, 2) and values[0, 0] == 0.0
+    # a grid refines until its every x converges, so it agrees with one x
+    # to the tolerance, not bit for bit
+    assert values[1, 1] == pytest.approx(analytic.outage(Mode(2, 2, True), 10.0), rel=1e-10)
+    for bad in (1.0, 2.5, 0.0):
+        with pytest.raises(ValueError, match="abscissa"):
+            analytic.outage(Mode(1, 1), 0.5, abscissa=bad)
 
 
 def test_closed_form_monotone_in_threshold():
@@ -296,6 +364,21 @@ def test_throughput_low_snr_slope_is_mean_snr():
         assert analytic.throughput(mode, gamma_bar) / gamma_bar == pytest.approx(
             analytic.mean_mode_snr(mode, 1.0), rel=1e-4
         )
+
+
+def test_outage_z_rule_is_converged(monkeypatch):
+    # the same rule, near the pole of E{z^-s} at s = 2 (j1i1-cmp at small x)
+    modes = [m for m in MODES if m.compensated]
+    grid = np.logspace(-10.0, 2.0, 13)
+    analytic._line_level.cache_clear()
+    base = [analytic.outage(m, grid) for m in modes]
+    monkeypatch.setattr(analytic, "_Z_NODES", 2 * analytic._Z_NODES)
+    analytic._line_level.cache_clear()
+    try:
+        doubled = [analytic.outage(m, grid) for m in modes]
+    finally:
+        analytic._line_level.cache_clear()
+    assert np.concatenate(doubled) == pytest.approx(np.concatenate(base), rel=1e-10, abs=0.0)
 
 
 def test_throughput_z_rule_is_converged(monkeypatch):

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ris2x2 import analytic
+from ris2x2 import analytic, linalg2, montecarlo
+from ris2x2.altopt import optimize_batch
 from ris2x2.montecarlo import (
     ALT,
     AltScheme,
@@ -19,7 +20,8 @@ from ris2x2.montecarlo import (
     throughput_from_stats,
     wilson_halfwidth,
 )
-from ris2x2.sysmodel import MODES, Mode
+from ris2x2.sampling import RngState, channel_realizations
+from ris2x2.sysmodel import MODES, Mode, mode_z_factors
 
 SEED = 2718
 
@@ -47,6 +49,43 @@ def test_worker_and_chunk_invariance():
         assert np.array_equal(base.z_plain, other.z_plain)
         assert np.array_equal(base.z_comp, other.z_comp)
         assert np.array_equal(base.alt_factor, other.alt_factor)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("chunk", [1 << 15, 1000, 1 << 9])
+def test_pass_is_the_realization_pipeline(workers, chunk):
+    # the lean pass is the public pipeline over the same draws, bit for bit
+    trials = 5000
+    stats = channel_statistics(SEED, trials, include_alt=True, workers=workers, chunk_size=chunk)
+    ch = channel_realizations(RngState(SEED), trials)
+    z_plain, z_comp = mode_z_factors(ch)
+    assert np.array_equal(stats.lam, ch.svd_g.sigma**2)
+    assert np.array_equal(stats.om, ch.svd_h.sigma**2)
+    assert np.array_equal(stats.z_plain, z_plain)
+    assert np.array_equal(stats.z_comp, z_comp)
+    assert np.array_equal(stats.alt_factor, optimize_batch(ch).snr_factor)
+
+
+def test_pass_forms_only_the_bases_it_reads(monkeypatch):
+    # the z factors read the right basis of G and the left basis of H
+    drawn, formed = [], []
+    draw, left_basis = montecarlo.channel_realizations, linalg2._left_basis
+
+    def recorded_draw(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    def recorded_left_basis(m, *args):
+        formed.append(m)
+        return left_basis(m, *args)
+
+    monkeypatch.setattr(montecarlo, "channel_realizations", recorded_draw)
+    monkeypatch.setattr(linalg2, "_left_basis", recorded_left_basis)
+    channel_statistics(SEED, 3000, include_alt=True, chunk_size=1000)
+    assert len(drawn) == 3
+    assert all(any(m is ch.h for m in formed) for ch in drawn)
+    assert not any(m is ch.g for ch in drawn for m in formed)
+    assert all(ch.svd_h._v is None for ch in drawn)
 
 
 def test_outage_matches_closed_form():
