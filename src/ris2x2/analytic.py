@@ -104,10 +104,12 @@ _MELLIN_SPAN = 8.0
 # outage by more than 1e-10 (checked in the tests).
 _Z_NODES = 200
 
-# The Mellin-Barnes outage: the first step and the finest step of its
-# trapezoid rule, the half-span its truncation starts from, the share of
-# eps * sum|terms| its truncated tail may leave out, and the distance from
-# the leading pole of the abscissa that small x fall back to.
+# The Mellin-Barnes outage: the relative tolerance every value is certified
+# to, the first step and the finest step of its trapezoid rule, the
+# half-span its truncation starts from, the share of eps * sum|terms| its
+# truncated tail may leave out, and the distance from the leading pole of
+# the abscissa that small x fall back to.
+_LINE_REL_TOL = DEFAULT_QUADRATURE.rel_tol
 _LINE_FIRST_STEP = 0.25
 _LINE_MIN_STEP = 2.0**-10
 _LINE_SPAN = 16.0
@@ -653,7 +655,7 @@ def _line_level(mode: Mode, c: float, level: int):
     return t, values
 
 
-def _outage_line(mode: Mode, c: float, log_x: np.ndarray, spec: QuadratureSpec):
+def _outage_line(mode: Mode, c: float, log_x: np.ndarray):
     """P at x = exp(log_x) from the line Re s = c, and which x it certifies.
 
     With g = M(s)/s and S(x) = (1/pi) int_0^inf Re[x^{jt} g(c + jt)] dt (Re
@@ -664,10 +666,10 @@ def _outage_line(mode: Mode, c: float, log_x: np.ndarray, spec: QuadratureSpec):
 
     Returns (P, ok); ok marks the x at which, relative to P, the
     cancellation bound eps * sum|terms|, the last step-halving change and
-    the alias bound below are all within spec.rel_tol.  The other x carry
+    the alias bound below are all within _LINE_REL_TOL.  The other x carry
     no usable value.
     """
-    log_tol = np.log(spec.rel_tol)
+    log_tol = np.log(_LINE_REL_TOL)
 
     def real_sum(t, values):
         # sum over nodes of Re[x^{jt} g(t)], one row per x
@@ -708,12 +710,12 @@ def _outage_line(mode: Mode, c: float, log_x: np.ndarray, spec: QuadratureSpec):
         value = x_c * estimate + (c < 0.0)
         # |P| / x^c, the scale of the sums (x^c underflows for tiny x)
         scaled = np.abs(estimate) if c > 0.0 else np.abs(value) / x_c
-        live = _EPS * step * magnitude / np.pi <= spec.rel_tol * scaled
+        live = _EPS * step * magnitude / np.pi <= _LINE_REL_TOL * scaled
         near = np.min(log_moments + _log_geometric(sigmas - c, step), axis=1)
         log_alias = np.logaddexp(_log_geometric(c, step), near) - (c * log_x + np.log(scaled))
         ok = (
             live
-            & (np.abs(estimate - previous) <= spec.rel_tol * scaled)
+            & (np.abs(estimate - previous) <= _LINE_REL_TOL * scaled)
             & (log_alias <= log_tol)
         )
         if np.array_equal(ok, live):
@@ -727,7 +729,7 @@ def _log_geometric(a, step: float):
     return log_q - np.log1p(-np.exp(log_q))
 
 
-def outage(mode: Mode, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, abscissa=None):
+def outage(mode: Mode, x):
     """Outage probability P{lambda_j omega_i z <= x} at every x of an array
     at once, by Mellin-Barnes.
 
@@ -742,14 +744,13 @@ def outage(mode: Mode, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, abscissa=No
     product.  On the line the integrand is of size x^c while P goes like
     x^p as x -> 0, so the sum cancels by about x^(c-p) for small x, and by
     x^c for large x.  Each x therefore takes the first of these lines that
-    meets ``spec.rel_tol``: c = p/2; then, below x = 1, c = p - 0.15, and
-    from x = 1 on c = -p/2, where the line has crossed the pole at 0 and
-    P = 1 + (the line integral).  A line meets the tolerance at x when its
-    trapezoid rule, halved step by step, has converged there, its alias
-    bound is within the tolerance, and so is its cancellation bound
-    eps * sum|terms| / |P|.  An x that no line certifies raises
+    meets the relative tolerance ``DEFAULT_QUADRATURE.rel_tol`` (1e-10):
+    c = p/2; then, below x = 1, c = p - 0.15, and from x = 1 on c = -p/2,
+    where the line has crossed the pole at 0 and P = 1 + (the line
+    integral).  A line meets the tolerance at x when its trapezoid rule,
+    halved step by step, has converged there, its alias bound is within the
+    tolerance, and so is its cancellation bound eps * sum|terms| / |P|.  An x that no line certifies raises
     QuadratureError: step-halving agreement cannot detect cancellation.
-    ``abscissa`` evaluates one given line instead (c < p, c != 0).
 
     Returns a float for a scalar x, else an array of x's shape.
     :func:`outage_quadrature` is the independent oracle, and
@@ -759,17 +760,12 @@ def outage(mode: Mode, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, abscissa=No
     if not np.all((xs >= 0.0) & (xs < np.inf)):
         raise ValueError("x must be nonnegative and finite")
     pole = diversity_order(mode)
-    if abscissa is not None and not (abscissa < pole and abscissa != 0.0):
-        raise ValueError(f"abscissa must be below the leading pole {pole:g} and nonzero")
     flat = xs.ravel()
     result = np.zeros(flat.shape)
     todo = np.flatnonzero(flat > 0.0)
     with np.errstate(divide="ignore"):
         log_x = np.log(flat)
-    if abscissa is None:
-        contours = (0.5 * pole, pole - _POLE_MARGIN, -0.5 * pole)
-    else:
-        contours = (abscissa,)
+    contours = (0.5 * pole, pole - _POLE_MARGIN, -0.5 * pole)
     for c in contours:
         where = todo
         if c != contours[0]:
@@ -777,13 +773,13 @@ def outage(mode: Mode, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, abscissa=No
             where = todo[(log_x[todo] < 0.0) == (c > 0.0)]
         if where.size == 0:
             continue
-        value, ok = _outage_line(mode, c, log_x[where], spec)
+        value, ok = _outage_line(mode, c, log_x[where])
         result[where[ok]] = value[ok]
         todo = np.setdiff1d(todo, where[ok])
     if todo.size:
         raise QuadratureError(
             f"outage({mode.label}): no Mellin-Barnes line meets rel_tol "
-            f"{spec.rel_tol:g} at x = {flat[todo[0]]:g} ({todo.size} of {flat.size} x)"
+            f"{_LINE_REL_TOL:g} at x = {flat[todo[0]]:g} ({todo.size} of {flat.size} x)"
         )
     result = result.reshape(xs.shape)
     return result if result.ndim else float(result)

@@ -38,9 +38,9 @@ class Svd2:
 
     ``sigma`` and the columns of v are formed by :func:`svd2`; the stacks
     ``v`` and ``u`` are formed on first read, so a caller pays only for the
-    bases it reads.  ``u`` is formed from m itself, which must therefore
-    not change before then.  Threads that read a basis at the same time may
-    each form it, with the same bits.
+    bases it reads.  ``u`` is formed from :func:`svd2`'s own copy of m, so
+    later writes to the caller's array do not reach it.  Threads that read
+    a basis at the same time may each form it, with the same bits.
     """
 
     __slots__ = ("sigma", "_m", "_columns", "_v", "_u")
@@ -110,7 +110,8 @@ def svd2(m: np.ndarray) -> Svd2:
     left vectors from m v / sigma (on first read of ``u``).  Deterministic
     for identical input.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    # a copy: ``u`` is formed from m after this returns
+    m = np.array(m, dtype=np.complex128)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected trailing (2, 2) shape, got {m.shape}")
     if not np.all(np.isfinite(m)):

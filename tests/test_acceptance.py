@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from ris2x2 import analytic
 from ris2x2.acceptance import (
     AcceptanceContext,
     AcceptanceSettings,
@@ -24,6 +25,7 @@ from ris2x2.acceptance import (
     check_throughput_curves,
     check_z_laws,
 )
+from ris2x2.sysmodel import Mode
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,22 @@ def test_criterion_03_eigenvalue_laws(ctx):
 
 def test_criterion_04_closed_forms(ctx):
     _run(check_closed_forms, ctx)
+
+
+def test_criterion_04_fails_when_no_point_certifies_on_both_contours(monkeypatch):
+    # a mode whose shifted contour certifies no x has nothing to compare:
+    # C4 must report a failure, not raise (j2i2 never needs that contour
+    # for its own outage on the smoke grid)
+    line = analytic._outage_line
+
+    def uncertified_near_pole(mode, c, log_x):
+        value, ok = line(mode, c, log_x)
+        return value, ok & (mode != Mode(2, 2) or c != 1.0 - 0.15)
+
+    monkeypatch.setattr(analytic, "_outage_line", uncertified_near_pole)
+    result = check_closed_forms(AcceptanceContext(AcceptanceSettings.smoke()))
+    assert not result.passed
+    assert "contour shift rel dev inf" in result.observed
 
 
 def test_criterion_05_outage_curves(ctx):

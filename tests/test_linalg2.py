@@ -73,6 +73,16 @@ def test_gauge_rule_and_determinism():
         assert lead.real.min() >= 0.0
 
 
+def test_bases_do_not_see_later_writes_to_the_input():
+    # u is formed on first read; a write to the input after svd2 returns
+    # must not reach it
+    m = _random_matrices(100, seed=5)
+    expected = svd2(m.copy()).u
+    r = svd2(m)
+    m[...] = 0.0
+    assert np.array_equal(r.u, expected)
+
+
 def test_degenerate_equal_singular_values():
     # exactly degenerate Gram: canonical basis returned deterministically
     r0 = svd2(2.0 * np.eye(2, dtype=complex))

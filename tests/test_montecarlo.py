@@ -83,8 +83,8 @@ def test_pass_forms_only_the_bases_it_reads(monkeypatch):
     monkeypatch.setattr(linalg2, "_left_basis", recorded_left_basis)
     channel_statistics(SEED, 3000, include_alt=True, chunk_size=1000)
     assert len(drawn) == 3
-    assert all(any(m is ch.h for m in formed) for ch in drawn)
-    assert not any(m is ch.g for ch in drawn for m in formed)
+    assert all(any(m is ch.svd_h._m for m in formed) for ch in drawn)
+    assert not any(m is ch.svd_g._m for ch in drawn for m in formed)
     assert all(ch.svd_h._v is None for ch in drawn)
 
 
