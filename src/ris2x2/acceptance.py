@@ -313,12 +313,11 @@ def curve_rows(stats, names, snr_db, threshold: float, kind: str):
     """(snr_db, name, analytic, mc, ci95) rows of an outage or throughput
     sweep, SNR-major, with analytic None for the optimized scheme.
 
-    The analytic column is the Mellin-Barnes outage (one call per mode over
-    the whole grid) or the Mellin-Barnes throughput; the paper's closed
-    forms are checked by C4 and C6, not written here.  One statistics pass
-    serves every grid point, and each scheme is reduced over the whole grid
-    in one call; ``threshold`` is the linear outage threshold (unused for
-    throughput).  ``stats`` is the pass, or a function of no arguments that
+    The analytic column is the Mellin-Barnes outage or throughput, one call
+    per mode over the whole grid; the paper's closed forms are checked by
+    C4 and C6, not written here.  One statistics pass serves every grid
+    point, and each scheme is reduced over the whole grid in one call;
+    ``threshold`` is the linear outage threshold (unused for throughput).  ``stats`` is the pass, or a function of no arguments that
     runs it: it is called once the analytic column is complete, so a
     contour that fails does so before any trial is drawn.  These are the
     CSV rows of ``ris2x2 outage`` and ``ris2x2 throughput`` and the rows C5
@@ -336,7 +335,7 @@ def curve_rows(stats, names, snr_db, threshold: float, kind: str):
             return [None] * len(gamma_bars)
         if outage:
             return analytic.outage(scheme, threshold / np.array(gamma_bars)).tolist()
-        return [analytic.throughput(scheme, g, CURVE_QUADRATURE) for g in gamma_bars]
+        return analytic.throughput(scheme, np.array(gamma_bars)).tolist()
 
     ana = [analytic_column(scheme) for scheme in schemes]
     if callable(stats):
@@ -430,14 +429,12 @@ def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
                 max_gap_high = max(max_gap_high, gap)
         worst_oracle = 0.0
         worst_oracle_at = ""
-        for snr_db in s.oracle_snr_db:
-            gbar = 10.0 ** (snr_db / 10.0)
+        oracle_gbars = [10.0 ** (snr_db / 10.0) for snr_db in s.oracle_snr_db]
+        mellin = {m: analytic.throughput(m, np.array(oracle_gbars)) for m in _DISTINCT_MODES}
+        for p, (snr_db, gbar) in enumerate(zip(s.oracle_snr_db, oracle_gbars)):
             for mode in _DISTINCT_MODES:
-                dev = abs(
-                    analytic.throughput(mode, gbar, CURVE_QUADRATURE)
-                    / analytic.throughput_quadrature(mode, gbar, CURVE_QUADRATURE)
-                    - 1.0
-                )
+                oracle = analytic.throughput_quadrature(mode, gbar, CURVE_QUADRATURE)
+                dev = abs(mellin[mode][p] / oracle - 1.0)
                 if dev >= worst_oracle:
                     worst_oracle = dev
                     worst_oracle_at = f"{mode.label} @ {snr_db:g} dB"

@@ -17,9 +17,9 @@ families used here the integrand decays like exp(-mu*|Im s|) with
 mu = (2(m+n) - p - q) * pi / 2 > 0, so a trapezoid rule with step halving
 converges geometrically.  Repeated b parameters (they do occur: the ladder
 b = (-1, -1, -2) appears throughout) are harmless on this route since the
-contour never touches a pole; no residue bookkeeping is needed.  The same
-truncated, step-halved trapezoid (``_vertical_line_integral``) also
-evaluates the Mellin-Barnes throughput integral of ``analytic.throughput``.
+contour never touches a pole; no residue bookkeeping is needed.  The
+Mellin-Barnes outage and throughput of ``analytic`` run on a rule of their
+own, which certifies each value in relative terms.
 """
 
 from __future__ import annotations
@@ -46,12 +46,13 @@ __all__ = [
 
 
 class MeijerGError(RuntimeError):
-    """Raised when a Mellin-Barnes line integral (a G-function, or the
-    Mellin throughput of ``analytic``) cannot meet its tolerances."""
+    """Raised when the Mellin-Barnes line integral of a G-function cannot
+    meet its tolerances."""
 
 
 class QuadratureError(RuntimeError):
-    """Raised when an adaptive quadrature reports an unusable result."""
+    """Raised when a quadrature reports an unusable result, or a
+    Mellin-Barnes outage or throughput of ``analytic`` cannot be certified."""
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-# Tolerances of the SNR sweeps: the CLI curves and the acceptance checks
-# that reproduce them.
+# Tolerances of the quadratures that C6 checks the throughput curve with:
+# the (2,2) closed forms and the throughput oracle.
 CURVE_QUADRATURE = QuadratureSpec(1e-9, 1e-7, 200)
 
 
@@ -160,12 +161,7 @@ def _contour_integrand(params: MeijerParams, s: np.ndarray, log_z: float) -> np.
 
 
 def _vertical_line_integral(
-    integrand,
-    c: float,
-    mu: float,
-    spec: QuadratureSpec,
-    what: str,
-    start_span: float | None = None,
+    integrand, c: float, mu: float, spec: QuadratureSpec, what: str
 ) -> float:
     """(1/2*pi*j) * int_{c-j*inf}^{c+j*inf} integrand(s) ds for an integrand
     that is real on the real axis, analytic on a strip around Re(s) = c and
@@ -173,13 +169,12 @@ def _vertical_line_integral(
 
     ``integrand`` maps an array of complex s to an array of values.  The
     line is truncated where the tail bound falls below 1% of ``abs_tol``,
-    widening from ``start_span`` (default max(28, 80/mu)), and a trapezoid
-    rule on the truncated line is refined by step halving until two
-    estimates agree; the rule converges geometrically because the integrand
-    is analytic on a strip.
+    widening from max(28, 80/mu), and a trapezoid rule on the truncated
+    line is refined by step halving until two estimates agree; the rule
+    converges geometrically because the integrand is analytic on a strip.
     """
     # Truncation: the integrand decays like exp(-mu*t) times a power of t.
-    half_span = max(28.0, 80.0 / mu) if start_span is None else start_span
+    half_span = max(28.0, 80.0 / mu)
     for _ in range(12):
         tail = abs(integrand(np.array([c + 1j * half_span]))[0])
         if tail * (2.0 / mu) <= 0.01 * spec.abs_tol:

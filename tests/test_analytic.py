@@ -176,14 +176,14 @@ def test_outage_transmit_receive_symmetry():
         b = analytic.outage_quadrature(Mode(1, 2, compensated), 0.5)
         assert a == pytest.approx(b, abs=1e-8)
         # the closed forms share one expression for both index orders, and
-        # the Mellin transform is the same product
+        # the Mellin transform is the same product, taken in one order
         ca = analytic.outage_closed_form(Mode(2, 1, compensated), 0.5)
         cb = analytic.outage_closed_form(Mode(1, 2, compensated), 0.5)
         assert ca == cb
         grid = np.logspace(-6.0, 2.0, 9)
         ma = analytic.outage(Mode(2, 1, compensated), grid)
         mb = analytic.outage(Mode(1, 2, compensated), grid)
-        assert ma == pytest.approx(mb, rel=1e-13, abs=0.0)
+        assert np.array_equal(ma, mb)
 
 
 def test_closed_form_matches_quadrature_spot_checks():
@@ -249,15 +249,52 @@ def test_outage_refuses_what_it_cannot_certify():
         assert analytic.outage(mode, np.finfo(np.float64).max) == 1.0
 
 
-def test_outage_shapes_and_arguments():
-    assert analytic.outage(Mode(1, 1), 0.0) == 0.0
-    assert isinstance(analytic.outage(Mode(1, 1), 0.5), float)
-    grid = np.array([[0.0, 0.1], [1.0, 10.0]])
-    values = analytic.outage(Mode(2, 2, True), grid)
-    assert values.shape == (2, 2) and values[0, 0] == 0.0
-    # a grid refines until its every x converges, so it agrees with one x
-    # to the tolerance, not bit for bit
-    assert values[1, 1] == pytest.approx(analytic.outage(Mode(2, 2, True), 10.0), rel=1e-10)
+@pytest.mark.parametrize(
+    "fn, grid, bad, message",
+    [
+        (analytic.outage, [[0.0, 0.1], [1.0, 10.0]], (-1.0, np.nan, np.inf),
+         "x must be nonnegative and finite"),
+        (analytic.throughput, [[1e-3, 0.1], [1.0, 1e3]], (0.0, -1.0, np.nan, np.inf),
+         "gamma_bar must be positive and finite"),
+    ],
+    ids=["outage", "throughput"],
+)
+def test_outage_shapes_and_arguments(fn, grid, bad, message):
+    # the two Mellin-Barnes columns share one contract
+    if fn is analytic.outage:
+        assert fn(Mode(1, 1), 0.0) == 0.0
+    assert isinstance(fn(Mode(1, 1), 0.5), float)
+    assert fn(Mode(1, 1), np.array([])).shape == (0,)
+    for mode in MODES:
+        values = fn(mode, np.array(grid))
+        assert values.shape == (2, 2)
+        # a grid refines until its every point converges, past where one
+        # point stops; the rule has long reached rounding by then
+        single = [fn(mode, x) for x in np.ravel(grid)]
+        assert values.ravel() == pytest.approx(single, rel=1e-14, abs=0.0)
+    for value in bad:
+        with pytest.raises(ValueError, match=message):
+            fn(Mode(1, 1), np.array([1.0, value, 2.0]))
+        with pytest.raises(ValueError, match=message):
+            fn(Mode(1, 1), value)
+
+
+@pytest.mark.parametrize("fn, grid", [
+    (analytic.outage, np.logspace(-6.0, 2.0, 9)),
+    (analytic.throughput, np.logspace(-2.0, 3.0, 11)),
+], ids=["outage", "throughput"])
+def test_mellin_terms_are_evaluated_once_per_node(fn, grid):
+    # the nodes are cached per mode, contour, kernel and level: a second
+    # call on the same mode and grid evaluates no M(s)
+    analytic._line_level.cache_clear()
+    try:
+        first = fn(Mode(1, 1, True), grid)
+        misses = analytic._line_level.cache_info().misses
+        assert misses > 0
+        assert np.array_equal(fn(Mode(1, 1, True), grid), first)
+        assert analytic._line_level.cache_info().misses == misses
+    finally:
+        analytic._line_level.cache_clear()
 
 
 def test_closed_form_monotone_in_threshold():
@@ -345,11 +382,11 @@ def test_throughput_matches_quadrature_oracle():
 
 
 def test_throughput_transmit_receive_symmetry():
+    # the Mellin transform takes the eigenvalue product in one order
     for compensated in (False, True):
-        for gamma_bar in _ENGINE_GAMMAS:
-            a = analytic.throughput(Mode(1, 2, compensated), gamma_bar)
-            b = analytic.throughput(Mode(2, 1, compensated), gamma_bar)
-            assert a == pytest.approx(b, rel=1e-15, abs=0.0)
+        a = analytic.throughput(Mode(1, 2, compensated), np.array(_ENGINE_GAMMAS))
+        b = analytic.throughput(Mode(2, 1, compensated), np.array(_ENGINE_GAMMAS))
+        assert np.array_equal(a, b)
 
 
 def test_throughput_below_jensen_bound():
@@ -385,9 +422,27 @@ def test_outage_z_rule_is_converged(monkeypatch):
 
 def test_throughput_z_rule_is_converged(monkeypatch):
     # the Gauss-Legendre rule of the compensated E{z^-s}: doubling its
-    # nodes must not move any throughput
+    # nodes must not move any throughput (the cached nodes hold M of the
+    # rule they were built with, so the cache is cleared around the change)
     modes = [m for m in MODES if m.compensated]
-    base = [analytic.throughput(m, g) for m in modes for g in _ENGINE_GAMMAS]
+    grid = np.array(_ENGINE_GAMMAS)
+    analytic._line_level.cache_clear()
+    base = [analytic.throughput(m, grid) for m in modes]
     monkeypatch.setattr(analytic, "_Z_NODES", 2 * analytic._Z_NODES)
-    doubled = [analytic.throughput(m, g) for m in modes for g in _ENGINE_GAMMAS]
-    assert doubled == pytest.approx(base, rel=1e-12, abs=0.0)
+    analytic._line_level.cache_clear()
+    try:
+        doubled = [analytic.throughput(m, grid) for m in modes]
+    finally:
+        analytic._line_level.cache_clear()
+    assert np.concatenate(doubled) == pytest.approx(np.concatenate(base), rel=1e-12, abs=0.0)
+
+
+def test_throughput_is_certified_from_minus_60_to_130_db():
+    # past about 136 dB (j1i1-cmp) the sum cancels below the tolerance and
+    # QuadratureError is raised; below it every mode returns a value
+    grid = 10.0 ** (np.arange(-60.0, 131.0, 10.0) / 10.0)
+    for mode in MODES:
+        values = analytic.throughput(mode, grid)
+        assert np.all(np.diff(values) > 0.0)
+    with pytest.raises(QuadratureError, match="does not meet rel_tol"):
+        analytic.throughput(Mode(1, 1, True), 10.0**14)

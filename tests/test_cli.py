@@ -77,8 +77,8 @@ def test_bad_sweep_input_exits_2(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command, flags",
     [
-        # no contour of the Mellin outage escapes cancellation; the contour
-        # of the Mellin throughput gives up
+        # no contour of the Mellin outage escapes cancellation, nor does
+        # the line of the Mellin throughput
         ("outage", ["--snr-db-min", "3000", "--snr-db-max", "3000"]),
         ("throughput", ["--snr-db-min", "300", "--snr-db-max", "300"]),
         ("outage", ["--snr-db-min", "1000", "--snr-db-max", "1000", "--schemes", "j1i1-cmp"]),
@@ -99,7 +99,7 @@ def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch, command, flags
 def test_numerical_failures_are_the_caught_errors():
     with pytest.raises(MeijerGError):
         ris2x2.analytic.outage_closed_form(Mode(1, 1, False), 1e-30)
-    with pytest.raises(MeijerGError):
+    with pytest.raises(QuadratureError, match="Mellin-Barnes line does not meet"):
         ris2x2.analytic.throughput(Mode(1, 1, False), 1e30)
     with pytest.raises(QuadratureError):
         ris2x2.analytic.outage_closed_form(Mode(1, 1, True), 1e-10)
