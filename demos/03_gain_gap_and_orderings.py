@@ -21,8 +21,8 @@ from ris2x2 import (
 stats = channel_statistics(seed=123, trials=500_000, workers=4)
 
 print(f"analytic compensation gain: {snr_gain_linear():.6f} = {snr_gain_db():.4f} dB")
-zc = stats.z_comp[:, 0, 0].mean()
-zp = stats.z_plain[:, 0, 0].mean()
+zc = stats.z_comp[:, 0].mean()
+zp = stats.z_plain[:, 0].mean()
 print(f"Monte Carlo gain          : {zc / zp:.6f}")
 
 derived_db, quoted_db = consecutive_mode_gap_db()

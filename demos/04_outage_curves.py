@@ -15,7 +15,7 @@ ris2x2 outage --svg --out fig1.csv
 from ris2x2 import channel_statistics
 from ris2x2.acceptance import curve_rows
 
-stats = channel_statistics(seed=42, trials=200_000, include_alt=True, workers=4)
+stats = channel_statistics(seed=42, trials=200_000, workers=4)
 threshold = 1.0  # 0 dB
 names = ("j1i1", "j1i1-cmp", "j2i2", "alt")
 rows = curve_rows(stats, names, range(-5, 26), threshold, "outage")

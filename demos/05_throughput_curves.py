@@ -21,7 +21,7 @@ from ris2x2 import (
     throughput_quadrature,
 )
 
-stats = channel_statistics(seed=42, trials=200_000, include_alt=True, workers=4)
+stats = channel_statistics(seed=42, trials=200_000, workers=4)
 
 plain, comp = Mode(2, 2, False), Mode(2, 2, True)
 snr_dbs = (0, 10, 20)

@@ -137,9 +137,7 @@ class AcceptanceContext:
     def stats(self) -> TrialStats:
         if self._stats is None:
             s = self.settings
-            self._stats = montecarlo.channel_statistics(
-                s.seed, s.trials, include_alt=True, workers=4
-            )
+            self._stats = montecarlo.channel_statistics(s.seed, s.trials, workers=4)
         return self._stats
 
 
@@ -588,10 +586,8 @@ def check_determinism(ctx: AcceptanceContext) -> CheckResult:
             for w in (1, 4, 16)
         ]
         repeat = montecarlo.estimate_outage(mode, 10.0, 1.0, trials, s.seed)
-        a = montecarlo.channel_statistics(s.seed, 1000, include_alt=True)
-        b = montecarlo.channel_statistics(
-            s.seed, 1000, include_alt=True, workers=4, chunk_size=128
-        )
+        a = montecarlo.channel_statistics(s.seed, 1000)
+        b = montecarlo.channel_statistics(s.seed, 1000, workers=4, chunk_size=128)
         same = (
             all(r == runs[0] for r in runs)
             and repeat == runs[0]

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg2 import svd2  # looked up here by perfbench/child.py, which wraps it
+from .linalg2 import abs_det2, gram2, svd2  # perfbench/child.py wraps svd2 here
 from .sampling import ChannelRealization
 
-__all__ = ["BatchAltOpt", "optimize_batch", "optimal_configuration"]
+__all__ = ["BatchAltOpt", "joint_optimum", "optimize_batch", "optimal_configuration"]
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,22 @@ class BatchAltOpt:
     iterations: np.ndarray  # all zero; perfbench/child.py sums it as altopt.trial_cycles
 
 
-def _cross_term(ch: ChannelRealization):
-    """c = (g1^H g2)(h2 h1^H) and sum_k ||g_k||^2 ||h_k||^2, per realization."""
-    g, h = ch.g, ch.h
-    c = np.einsum("...k,...k->...", np.conjugate(g[..., :, 0]), g[..., :, 1]) * np.einsum(
-        "...k,...k->...", np.conjugate(h[..., 0, :]), h[..., 1, :]
-    )
-    tiles = (np.abs(g) ** 2).sum(axis=-2) * (np.abs(h) ** 2).sum(axis=-1)
-    return c, tiles.sum(axis=-1)
+def joint_optimum(a, b, det2):
+    """sigma_max^2 of G Phi* H from the Gram entries a = (a00, a11, a01) of
+    G^H G and b = (b00, b11, b01) of H H^H (see :func:`linalg2.gram2`) and
+    det2 = |det G|^2 |det H|^2.
+
+    ||g_k||^2 = a_kk, ||h_k||^2 = b_kk and c = a01 conj(b01), so
+    F* = a00 b00 + a11 b11 + 2 |a01 conj(b01)|.
+    """
+    # temporary on the left: see linalg2.gram2
+    f = a[0] * b[0] + a[1] * b[1] + 2.0 * np.abs(np.conjugate(b[2]) * a[2])
+    return 0.5 * f + np.sqrt(np.maximum(0.25 * f * f - det2, 0.0))
 
 
 def optimize_batch(ch: ChannelRealization) -> BatchAltOpt:
     """sigma_max^2 of G Phi* H for each realization of a (stacked) draw."""
-    c, tiles = _cross_term(ch)
-    f = tiles + 2.0 * np.abs(c)
-    det2 = np.prod(ch.svd_g.sigma * ch.svd_h.sigma, axis=-1) ** 2
-    s = 0.5 * f + np.sqrt(np.maximum(0.25 * f * f - det2, 0.0))
+    s = joint_optimum(gram2(ch.g), gram2(ch.h, left=True), abs_det2(ch.g) * abs_det2(ch.h))
     return BatchAltOpt(snr_factor=s, iterations=np.zeros(s.shape, dtype=np.int64))
 
 
@@ -69,7 +69,7 @@ def optimal_configuration(ch: ChannelRealization):
     :mod:`sysmodel`, with tile 1 held at phase 0; a and b are the leading
     right and left singular vectors of G Phi* H.
     """
-    c, _ = _cross_term(ch)
+    c = np.conjugate(gram2(ch.h, left=True)[2]) * gram2(ch.g)[2]
     mag = np.abs(c)
     rel = np.where(mag > 0.0, np.conjugate(c) / np.where(mag > 0.0, mag, 1.0), 1.0)
     phasors = np.stack([np.ones_like(rel), rel], axis=-1)

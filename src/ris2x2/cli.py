@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analytic, montecarlo
 from .acceptance import AcceptanceSettings, curve_rows, format_report, run_acceptance
-from .montecarlo import _Z95, ALL_SCHEME_LABELS, AltScheme, parse_scheme
+from .montecarlo import _Z95, ALL_SCHEME_LABELS, parse_scheme
 from .special import MeijerGError, QuadratureError
 from .sysmodel import Mode
 
@@ -246,12 +246,9 @@ def cmd_curve(args) -> int:
     after it, so a contour that fails costs no trials."""
     kind = args.command
     cfg = _build_config(args, default_out=f"{kind}.csv")
-    include_alt = any(isinstance(parse_scheme(s), AltScheme) for s in cfg.schemes)
     threshold = 10.0 ** (cfg.threshold_db / 10.0)
     rows = curve_rows(
-        lambda: montecarlo.channel_statistics(
-            cfg.seed, cfg.trials, include_alt=include_alt, workers=4
-        ),
+        lambda: montecarlo.channel_statistics(cfg.seed, cfg.trials, workers=4),
         cfg.schemes,
         cfg.snr_grid_db(),
         threshold,
@@ -274,8 +271,8 @@ def cmd_gain(args) -> int:
     if trials < 100:
         raise ValueError("trials must be >= 100")
     stats = montecarlo.channel_statistics(seed, trials, workers=4)
-    zc = stats.z_comp[:, 0, 0]
-    zp = stats.z_plain[:, 0, 0]
+    zc = stats.z_comp[:, 0]
+    zp = stats.z_plain[:, 0]
     ratio = float(zc.mean() / zp.mean())
     # delta-method CI of the ratio of correlated means
     n = stats.trials

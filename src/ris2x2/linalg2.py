@@ -4,7 +4,10 @@ Everything here operates on arrays whose trailing two axes form a 2x2
 complex matrix, so a single code path serves one matrix or a stack of a
 million.  The SVD is computed analytically (quadratic eigenvalues of the
 2x2 Hermitian Gram matrix) rather than iteratively, and singular vectors
-are gauge fixed so repeated calls are bit-for-bit reproducible.
+are gauge fixed so repeated calls are bit-for-bit reproducible.  The Gram
+entries and the eigen-solution are public: the Monte Carlo statistics
+pass reads its gauge-invariant quantities from them without forming any
+basis.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import numpy as np
 __all__ = [
     "Svd2",
     "UnitaryAngles",
+    "gram2",
+    "abs_det2",
+    "hermitian_eigen2",
     "svd2",
     "unitary_from_angles",
     "angles_from_unitary",
@@ -23,47 +29,21 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# Relative threshold below which the smaller singular value is treated as
-# rank deficient and the second left vector is completed by orthogonality.
-_RANK_EPS = 1e-14
 
-
+@dataclass(frozen=True)
 class Svd2:
     """Decomposition m = u @ diag(sigma) @ v^H with sigma[0] >= sigma[1] >= 0.
 
     Fields may carry leading batch axes: u, v are (..., 2, 2), sigma is
     (..., 2).  Columns of v are phase fixed so that the largest-modulus
     component of each column is real and nonnegative (ties resolved toward
-    the first row); u inherits the same gauge through u_i = m v_i / sigma_i.
-
-    ``sigma`` and the columns of v are formed by :func:`svd2`; the stacks
-    ``v`` and ``u`` are formed on first read, so a caller pays only for the
-    bases it reads.  ``u`` is formed from :func:`svd2`'s own copy of m, so
-    later writes to the caller's array do not reach it.  Threads that read
-    a basis at the same time may each form it, with the same bits.
+    the first row); u_1 = m v_1 / sigma_1 inherits that gauge, and u_2 is
+    the orthogonal complement of u_1 phased so that u_2^H m v_2 >= 0.
     """
 
-    __slots__ = ("sigma", "_m", "_columns", "_v", "_u")
-
-    def __init__(self, m, sigma, columns):
-        self.sigma = sigma
-        self._m = m
-        self._columns = columns  # (vx, vy, wx, wy): the two columns of v
-        self._v = None
-        self._u = None
-
-    @property
-    def v(self) -> np.ndarray:
-        if self._v is None:
-            vx, vy, wx, wy = self._columns
-            self._v = _basis(vx, vy, wx, wy)
-        return self._v
-
-    @property
-    def u(self) -> np.ndarray:
-        if self._u is None:
-            self._u = _left_basis(self._m, self.sigma, *self._columns)
-        return self._u
+    u: np.ndarray
+    sigma: np.ndarray
+    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,6 +63,10 @@ class UnitaryAngles:
     theta22: np.ndarray | float
 
 
+def _abs2(z):
+    return z.real**2 + z.imag**2
+
+
 def _orthogonal_complement(x, y):
     """Unit vector orthogonal to (x, y) in C^2, as components."""
     return -np.conjugate(y), np.conjugate(x)
@@ -91,74 +75,79 @@ def _orthogonal_complement(x, y):
 def _gauge_column(x, y):
     """Rotate the column (x, y) by a unit phase making its largest-modulus
     component real nonnegative; ties pick the first component."""
-    ax = np.abs(x)
-    ay = np.abs(y)
-    ref = np.where(ax >= ay, x, y)
+    ref = np.where(np.abs(x) >= np.abs(y), x, y)
     aref = np.abs(ref)
-    safe = np.where(aref > 0.0, aref, 1.0)
-    phase = np.where(aref > 0.0, np.conjugate(ref) / safe, 1.0 + 0.0j)
+    phase = np.where(aref > 0.0, np.conjugate(ref) / np.where(aref > 0.0, aref, 1.0), 1.0 + 0.0j)
     return x * phase, y * phase
+
+
+def gram2(m: np.ndarray, left: bool = False):
+    """Entries (a00, a11, a01) of the Hermitian Gram matrix m^H m of
+    (stacked) 2x2 matrices, or of m m^H with ``left=True``; a10 = conj(a01).
+
+    Each complex product keeps its temporary as the left operand: numpy
+    may compute ``x * tmp`` as ``tmp *= x`` for large arrays only, and
+    complex products in swapped order can differ in the last bit, which
+    would make results depend on the stack size.
+    """
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    if left:  # m m^H is the conjugate of the Gram matrix of m^T
+        m01, m10 = m10, m01
+    a01 = np.conjugate(m00) * m01 + np.conjugate(m10) * m11
+    return _abs2(m00) + _abs2(m10), _abs2(m01) + _abs2(m11), np.conjugate(a01) if left else a01
+
+
+def abs_det2(m: np.ndarray) -> np.ndarray:
+    """|det m|^2 of (stacked) 2x2 matrices."""
+    return _abs2(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+
+
+def hermitian_eigen2(a00, a11, a01, det):
+    """Eigenvalues e1 >= e2 >= 0 of the positive semidefinite matrix
+    [[a00, a01], [conj(a01), a11]] with determinant ``det``, and an
+    unnormalized leading eigenvector (x, y) with its squared norm.
+
+    e1 is the exact quadratic root and e2 = det / e1, which avoids the
+    cancellation of the smaller root.  Each row of the shifted matrix gives
+    a leading eigenvector; the larger-norm one is the numerically reliable
+    one.  Both vanish only for a multiple of the identity, where every
+    vector is an eigenvector and (1, 0) is returned.
+    """
+    abs_a01_sq = _abs2(a01)
+    e1 = 0.5 * (a00 + a11) + np.sqrt(0.25 * (a00 - a11) ** 2 + abs_a01_sq)
+    pos = e1 > 0.0
+    e2 = np.where(pos, det / np.where(pos, e1, 1.0), 0.0)
+    d0, d1 = e1 - a00, e1 - a11
+    n0, n1 = abs_a01_sq + d0**2, d1**2 + abs_a01_sq
+    use0 = n0 >= n1
+    norm2 = np.where(use0, n0, n1)
+    degenerate = norm2 == 0.0
+    x = np.where(degenerate, 1.0 + 0.0j, np.where(use0, a01, d1))
+    y = np.where(degenerate, 0.0 + 0.0j, np.where(use0, d0, np.conjugate(a01)))
+    return e1, e2, x, y, np.where(degenerate, 1.0, norm2)
 
 
 def svd2(m: np.ndarray) -> Svd2:
     """Singular value decomposition of (stacked) 2x2 complex matrices.
 
-    Uses the analytic eigen-decomposition of m^H m: exact quadratic roots
-    for the squared singular values (the smaller one recovered from
-    |det m|^2 / sigma1^2, which avoids cancellation), eigenvectors from
-    whichever row of the shifted Gram matrix is better conditioned, and
-    left vectors from m v / sigma (on first read of ``u``).  Deterministic
-    for identical input.
+    Uses the analytic eigen-decomposition of m^H m
+    (:func:`hermitian_eigen2`), left vector u_1 = m v_1 / sigma_1 and u_2
+    completing it by orthogonality.  Deterministic for identical input.
     """
-    # a copy: ``u`` is formed from m after this returns
-    m = np.array(m, dtype=np.complex128)
+    m = np.asarray(m, dtype=np.complex128)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected trailing (2, 2) shape, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-
-    m00 = m[..., 0, 0]
-    m01 = m[..., 0, 1]
-    m10 = m[..., 1, 0]
-    m11 = m[..., 1, 1]
-
-    # Hermitian Gram matrix a = m^H m (a10 = conj(a01)).
-    a00 = m00.real**2 + m00.imag**2 + m10.real**2 + m10.imag**2
-    a11 = m01.real**2 + m01.imag**2 + m11.real**2 + m11.imag**2
-    a01 = np.conjugate(m00) * m01 + np.conjugate(m10) * m11
-    abs_a01_sq = a01.real**2 + a01.imag**2
-
-    half_gap = np.sqrt(0.25 * (a00 - a11) ** 2 + abs_a01_sq)
-    e1 = 0.5 * (a00 + a11) + half_gap
-    det_m = m00 * m11 - m01 * m10
-    e2_raw = det_m.real**2 + det_m.imag**2  # = det(a) = e1 * e2
-    pos = e1 > 0.0
-    e2 = np.where(pos, e2_raw / np.where(pos, e1, 1.0), 0.0)
-    s1 = np.sqrt(e1)
-    s2 = np.sqrt(e2)
-
-    # Leading eigenvector of the Gram matrix: two algebraically equivalent
-    # candidates; the larger-norm one is the numerically reliable one.
-    c1x, c1y = a01, (e1 - a00).astype(np.complex128)
-    c2x, c2y = (e1 - a11).astype(np.complex128), np.conjugate(a01)
-    n1 = abs_a01_sq + (e1 - a00) ** 2
-    n2 = (e1 - a11) ** 2 + abs_a01_sq
-    use1 = n1 >= n2
-    vx = np.where(use1, c1x, c2x)
-    vy = np.where(use1, c1y, c2y)
-    nrm = np.sqrt(vx.real**2 + vx.imag**2 + vy.real**2 + vy.imag**2)
-    # Both candidates vanish only when the Gram matrix is a multiple of the
-    # identity (degenerate equal singular values); any orthonormal pair is
-    # then an eigenbasis and we pick the canonical one.
-    degenerate = nrm == 0.0
-    safe_nrm = np.where(degenerate, 1.0, nrm)
-    vx = np.where(degenerate, 1.0 + 0.0j, vx / safe_nrm)
-    vy = np.where(degenerate, 0.0 + 0.0j, vy / safe_nrm)
-
-    vx, vy = _gauge_column(vx, vy)
-    wx, wy = _orthogonal_complement(vx, vy)
-    wx, wy = _gauge_column(wx, wy)
-    return Svd2(m, np.stack([s1, s2], axis=-1), (vx, vy, wx, wy))
+    e1, e2, vx, vy, norm2 = hermitian_eigen2(*gram2(m), abs_det2(m))
+    nrm = np.sqrt(norm2)
+    vx, vy = _gauge_column(vx / nrm, vy / nrm)
+    wx, wy = _gauge_column(*_orthogonal_complement(vx, vy))
+    return Svd2(
+        u=_left_basis(m, vx, vy, wx, wy),
+        sigma=np.sqrt(np.stack([e1, e2], axis=-1)),
+        v=_basis(vx, vy, wx, wy),
+    )
 
 
 def _basis(x1, y1, x2, y2):
@@ -166,37 +155,24 @@ def _basis(x1, y1, x2, y2):
     return np.stack([np.stack([x1, x2], axis=-1), np.stack([y1, y2], axis=-1)], axis=-2)
 
 
-def _left_basis(m, sigma, vx, vy, wx, wy):
-    """Left vectors u_i = m v_i / sigma_i, renormalized against rounding;
-    the second is completed by orthogonality where m is rank deficient."""
-    m00 = m[..., 0, 0]
-    m01 = m[..., 0, 1]
-    m10 = m[..., 1, 0]
-    m11 = m[..., 1, 1]
-    s1 = sigma[..., 0]
-    s2 = sigma[..., 1]
-
-    def _left(colx, coly, s):
-        ux = m00 * colx + m01 * coly
-        uy = m10 * colx + m11 * coly
-        ok = s > 0.0
-        inv = np.where(ok, 1.0 / np.where(ok, s, 1.0), 0.0)
-        ux = ux * inv
-        uy = uy * inv
-        n = np.sqrt(ux.real**2 + ux.imag**2 + uy.real**2 + uy.imag**2)
-        good = n > 0.0
-        sn = np.where(good, n, 1.0)
-        return np.where(good, ux / sn, 0.0), np.where(good, uy / sn, 0.0), good
-
-    u1x, u1y, ok1 = _left(vx, vy, s1)
-    u1x = np.where(ok1, u1x, 1.0 + 0.0j)
-    u1y = np.where(ok1, u1y, 0.0 + 0.0j)
-
-    u2x, u2y, ok2 = _left(wx, wy, np.where(s2 > _RANK_EPS * s1, s2, 0.0))
-    cx, cy = _orthogonal_complement(u1x, u1y)
-    u2x = np.where(ok2, u2x, cx)
-    u2y = np.where(ok2, u2y, cy)
-    return _basis(u1x, u1y, u2x, u2y)
+def _left_basis(m, vx, vy, wx, wy):
+    """Left vectors: u_1 = m v_1 normalized (e_1 where m = 0), and u_2 the
+    orthogonal complement of u_1 with the phase that makes u_2^H m v_2 real
+    and nonnegative.  Unlike m v_2 / sigma_2, the complement is orthogonal
+    to u_1 to rounding however small sigma_2 is."""
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    ux = m00 * vx + m01 * vy
+    uy = m10 * vx + m11 * vy
+    n = np.sqrt(_abs2(ux) + _abs2(uy))
+    good = n > 0.0
+    n = np.where(good, n, 1.0)
+    ux = np.where(good, ux / n, 1.0 + 0.0j)
+    uy = np.where(good, uy / n, 0.0 + 0.0j)
+    cx, cy = _orthogonal_complement(ux, uy)
+    t = np.conjugate(cx) * (m00 * wx + m01 * wy) + np.conjugate(cy) * (m10 * wx + m11 * wy)
+    at = np.abs(t)
+    phase = np.where(at > 0.0, t / np.where(at > 0.0, at, 1.0), 1.0 + 0.0j)
+    return _basis(ux, uy, cx * phase, cy * phase)
 
 
 def unitary_from_angles(angles: UnitaryAngles) -> np.ndarray:

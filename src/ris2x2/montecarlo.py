@@ -1,8 +1,11 @@
 """Monte Carlo estimation harness and empirical-distribution utilities.
 
 A single vectorized pass over channel draws produces every per-trial
-statistic the figures need (squared singular values, the eight alignment
-factors, optionally the jointly optimized SNR factor).  Since the scheme
+statistic the figures need, 9 doubles: the squared singular values of G
+and H, the matched and crossed alignment factors z with and without
+compensation, and the jointly optimized SNR factor.  All are gauge
+invariant, so they come from the Gram matrices G^H G and H H^H and one
+leading eigenvector of each, without a singular basis.  Since the scheme
 SNRs scale linearly with gamma_bar, one pass serves a whole SNR sweep.
 
 Trial t is a pure function of (seed, stream, t) (see sampling).  The pass
@@ -26,9 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .altopt import optimize_batch  # perfbench/child.py wraps this name here
-from .sampling import RngState, channel_realizations
-from .sysmodel import MODES, Mode, mode_z_factors
+from .altopt import joint_optimum
+from .linalg2 import abs_det2, gram2, hermitian_eigen2
+from .sampling import RngState, channel_matrices
+from .sysmodel import MODES, Mode, leading_z_factors
+
+# perfbench/child.py wraps these names here; the pass calls none of them
+from .altopt import optimize_batch  # noqa: F401
+from .sampling import channel_realizations  # noqa: F401
+from .sysmodel import mode_z_factors  # noqa: F401
 
 __all__ = [
     "AltScheme",
@@ -37,6 +46,7 @@ __all__ = [
     "McEstimate",
     "TrialStats",
     "parse_scheme",
+    "trial_statistics",
     "scheme_label",
     "channel_statistics",
     "scheme_snr_factor",
@@ -98,16 +108,17 @@ class McEstimate:
 @dataclass(frozen=True)
 class TrialStats:
     """Per-trial channel statistics; SNR of mode (i,j) at average SNR
-    gamma_bar is gamma_bar * lam[:, j-1] * om[:, i-1] * z[:, j-1, i-1]."""
+    gamma_bar is gamma_bar * lam[:, j-1] * om[:, i-1] * z[:, k], with k = 0
+    for the matched modes (i = j) and k = 1 for the crossed ones."""
 
     seed: int
     stream: int
     trials: int
     lam: np.ndarray  # (n, 2) squared singular values of G, descending
     om: np.ndarray  # (n, 2) squared singular values of H, descending
-    z_plain: np.ndarray  # (n, 2, 2) fixed-surface alignment factors [j, i]
-    z_comp: np.ndarray  # (n, 2, 2) compensated alignment factors [j, i]
-    alt_factor: np.ndarray | None  # (n,) optimized SNR / gamma_bar
+    z_plain: np.ndarray  # (n, 2) fixed-surface alignment factors [matched, crossed]
+    z_comp: np.ndarray  # (n, 2) compensated alignment factors [matched, crossed]
+    alt_factor: np.ndarray  # (n,) optimized SNR / gamma_bar
     alt_iterations: None = None  # always None; read by perfbench/child.py
     alt_converged: None = None  # always None; read by perfbench/child.py
 
@@ -118,11 +129,29 @@ def _chunk_ranges(trials: int, chunk_size: int):
     ]
 
 
+def trial_statistics(g: np.ndarray, h: np.ndarray):
+    """(lam, om, z_plain, z_comp, alt_factor) of stacked channel pairs, the
+    per-trial columns of :class:`TrialStats`, from the Gram matrices
+    G^H G and H H^H and the two determinants; no singular basis is formed.
+    """
+    a, b = gram2(g), gram2(h, left=True)
+    det_g, det_h = abs_det2(g), abs_det2(h)
+    lam1, lam2, vx, vy, v_norm2 = hermitian_eigen2(*a, det_g)
+    om1, om2, wx, wy, w_norm2 = hermitian_eigen2(*b, det_h)
+    z_plain, z_comp = leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2)
+    return (
+        np.stack([lam1, lam2], axis=-1),
+        np.stack([om1, om2], axis=-1),
+        z_plain,
+        z_comp,
+        joint_optimum(a, b, det_g * det_h),
+    )
+
+
 def channel_statistics(
     seed: int,
     trials: int,
     stream: int = 0,
-    include_alt: bool = False,
     workers: int = 1,
     chunk_size: int = 1 << 15,
 ) -> TrialStats:
@@ -136,19 +165,11 @@ def channel_statistics(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     state = RngState(seed, stream)
-    lam = np.empty((trials, 2))
-    om = np.empty((trials, 2))
-    z_plain = np.empty((trials, 2, 2))
-    z_comp = np.empty((trials, 2, 2))
-    alt_factor = np.empty(trials) if include_alt else None
+    columns = [np.empty((trials, 2)) for _ in range(4)] + [np.empty(trials)]
 
     def fill(lo, hi):
-        ch = channel_realizations(state, hi - lo, start=lo)
-        np.square(ch.svd_g.sigma, out=lam[lo:hi])
-        np.square(ch.svd_h.sigma, out=om[lo:hi])
-        z_plain[lo:hi], z_comp[lo:hi] = mode_z_factors(ch)
-        if include_alt:
-            alt_factor[lo:hi] = optimize_batch(ch).snr_factor
+        for out, value in zip(columns, trial_statistics(*channel_matrices(state, hi - lo, lo))):
+            out[lo:hi] = value
 
     ranges = _chunk_ranges(trials, chunk_size)
     if workers > 1 and len(ranges) > 1:
@@ -157,28 +178,17 @@ def channel_statistics(
     else:
         for lo, hi in ranges:
             fill(lo, hi)
-    return TrialStats(
-        seed=seed,
-        stream=stream,
-        trials=trials,
-        lam=lam,
-        om=om,
-        z_plain=z_plain,
-        z_comp=z_comp,
-        alt_factor=alt_factor,
-    )
+    return TrialStats(seed, stream, trials, *columns)
 
 
 def scheme_snr_factor(stats: TrialStats, scheme: Scheme) -> np.ndarray:
     """Per-trial SNR / gamma_bar of a scheme."""
     if isinstance(scheme, AltScheme):
-        if stats.alt_factor is None:
-            raise ValueError("statistics pass was run without include_alt")
         return stats.alt_factor
     z = stats.z_comp if scheme.compensated else stats.z_plain
     j = scheme.rx - 1
     i = scheme.tx - 1
-    return stats.lam[:, j] * stats.om[:, i] * z[:, j, i]
+    return stats.lam[:, j] * stats.om[:, i] * z[:, int(i != j)]
 
 
 def wilson_halfwidth(hits: int, trials: int, z: float = _Z95) -> float:
@@ -272,13 +282,7 @@ def estimate_outage(
     """Fraction of i.i.d. channel draws whose scheme SNR is <= gamma_th."""
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    stats = channel_statistics(
-        seed,
-        trials,
-        stream=stream,
-        include_alt=isinstance(scheme, AltScheme),
-        workers=workers,
-    )
+    stats = channel_statistics(seed, trials, stream=stream, workers=workers)
     return outage_from_stats(stats, scheme, gamma_bar, gamma_th)
 
 
@@ -293,13 +297,7 @@ def estimate_throughput(
     """Sample mean of ln(1 + gamma) over i.i.d. channel draws."""
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    stats = channel_statistics(
-        seed,
-        trials,
-        stream=stream,
-        include_alt=isinstance(scheme, AltScheme),
-        workers=workers,
-    )
+    stats = channel_statistics(seed, trials, stream=stream, workers=workers)
     return throughput_from_stats(stats, scheme, gamma_bar)
 
 

@@ -7,10 +7,10 @@ chunks or workers therefore cannot change any value, and every sequence is
 bit-for-bit reproducible.  Every generator returns a stack; one draw is a
 stack of one (``n=1, start=k``).
 
-Normals come from Box-Muller applied to the raw uniform stream (fixed
-consumption of uniforms per draw, no rejection), matrix entries are
-CN(0, 1), and Haar unitaries are assembled from the angle densities of the
-U(2) parameterization (theta12 with density sin 2*theta via inverse CDF,
+Matrix entries are CN(0, 1), by Box-Muller applied to the raw uniform
+stream (fixed consumption of uniforms per draw, no rejection), and Haar
+unitaries are assembled from the angle densities of the U(2)
+parameterization (theta12 with density sin 2*theta via inverse CDF,
 the three phase angles uniform on [0, 2*pi)).
 """
 
@@ -26,6 +26,7 @@ __all__ = [
     "RngState",
     "ChannelRealization",
     "gaussian_channels",
+    "channel_matrices",
     "channel_realizations",
     "haar_unitaries",
     "haar_angles",
@@ -72,26 +73,33 @@ def _uniform_blocks(state: RngState, start_block: int, n_blocks: int) -> np.ndar
     )
     bitgen = np.random.Philox(key=key, counter=int(start_block))
     raw = bitgen.random_raw(n_blocks * _WORDS_PER_BLOCK)
-    return (raw >> np.uint64(11)) * (2.0 ** -53)
+    raw >>= np.uint64(11)
+    # 53-bit integers convert exactly, and faster from int64 than from uint64
+    return np.multiply(raw.view(np.int64), 2.0 ** -53)
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Standard normals from consecutive uniform pairs (last axis even)."""
-    u1 = u[..., 0::2]
-    u2 = u[..., 1::2]
-    r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], no log(0)
-    ang = (2.0 * np.pi) * u2
-    out = np.empty_like(u)
-    out[..., 0::2] = r * np.cos(ang)
-    out[..., 1::2] = r * np.sin(ang)
-    return out
+# numpy's complex division by sqrt(2) multiplies by this reciprocal
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _matrices_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Map rows of 8 uniforms to 2x2 CN(0,1) matrices (row-major entries)."""
-    z = _box_muller(u)
-    entries = (z[..., 0::2] + 1j * z[..., 1::2]) / np.sqrt(2.0)
-    return entries.reshape(u.shape[:-1] + (-1, 2, 2))
+    """Map each row of 8k uniforms to k 2x2 CN(0,1) matrices (row-major
+    entries), an (n, k, 2, 2) view of an entry-major array (each entry is
+    contiguous across draws, as the elementwise stages after it read best).
+
+    Box-Muller takes uniform pair (u1, u2) to the entry (r cos t + j r sin t)
+    / sqrt(2), r = sqrt(-2 ln(1 - u1)), t = 2 pi u2, part by part.
+    """
+    u1 = u[:, 0::2]
+    r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], no log(0)
+    ang = (2.0 * np.pi) * u[:, 1::2]
+    out = np.empty(u1.shape[::-1], dtype=np.complex128)
+    np.multiply((r * np.cos(ang)).T, _INV_SQRT2, out=out.real)
+    np.multiply((r * np.sin(ang)).T, _INV_SQRT2, out=out.imag)
+    # a zero radius (u1 = 0) gives +0 in both parts, as the complex sum did
+    parts = out.view(np.float64)
+    parts += 0.0
+    return out.T.reshape(u.shape[0], -1, 2, 2)
 
 
 def gaussian_channels(state: RngState, n: int, start: int = 0) -> np.ndarray:
@@ -100,16 +108,20 @@ def gaussian_channels(state: RngState, n: int, start: int = 0) -> np.ndarray:
     return _matrices_from_uniforms(u.reshape(n, 8)).reshape(n, 2, 2)
 
 
-def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:
-    """Draws start..start+n-1 of channel pairs (g, h) with cached SVDs.
+def channel_matrices(state: RngState, n: int, start: int = 0):
+    """Draws start..start+n-1 of channel pairs (g, h), each (n, 2, 2).
 
     Pair t consumes counter blocks [4t, 4t+4): the first 8 uniforms build
     g, the next 8 build h.
     """
     u = _uniform_blocks(state, _BLOCKS_PER_PAIR * start, _BLOCKS_PER_PAIR * n)
     mats = _matrices_from_uniforms(u.reshape(n, 16))
-    g = mats[:, 0]
-    h = mats[:, 1]
+    return mats[:, 0], mats[:, 1]
+
+
+def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:
+    """The draws of :func:`channel_matrices` with their SVDs."""
+    g, h = channel_matrices(state, n, start=start)
     return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "compensated_phases",
     "instantaneous_snr",
     "alignment_factors",
+    "leading_z_factors",
     "mode_z_factors",
 ]
 
@@ -119,6 +120,26 @@ def alignment_factors(v, w):
     amps = np.einsum("...kj,...ki->...ji", np.abs(v), np.abs(w))
     z_comp = amps**2
     return np.minimum(z_plain, 1.0), np.minimum(z_comp, 1.0)
+
+
+def leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2):
+    """All z factors from unnormalized leading eigenvectors v of G^H G and
+    w of H H^H, with their squared norms; d = |v|^2 |w|^2.
+
+    The second singular vectors are the orthogonal complements of the
+    first, so z depends only on whether j = i.  Returns (z_plain, z_comp)
+    with last axis [matched (1,1) = (2,2), crossed (1,2) = (2,1)]:
+    z_plain = |v^H w|^2 / d, |vx wy - vy wx|^2 / d (1 - z_plain[0] without
+    its cancellation) and z_comp = (|vx||wx| + |vy||wy|)^2 / d, with wx
+    and wy swapped for the crossed pair.
+    """
+    inv = (1.0 / (v_norm2 * w_norm2))[..., None]
+    cross = np.conjugate(vx) * wx + np.conjugate(vy) * wy
+    det = vx * wy - vy * wx
+    z_plain = np.stack([cross.real**2 + cross.imag**2, det.real**2 + det.imag**2], -1) * inv
+    avx, avy, awx, awy = np.abs(vx), np.abs(vy), np.abs(wx), np.abs(wy)
+    z_comp = np.stack([avx * awx + avy * awy, avx * awy + avy * awx], -1) ** 2 * inv
+    return np.minimum(z_plain, 1.0, out=z_plain), np.minimum(z_comp, 1.0, out=z_comp)
 
 
 def mode_z_factors(ch: ChannelRealization):

@@ -130,7 +130,7 @@ def test_curve_rows_are_the_csv_rows(tmp_path, command):
     out = tmp_path / "c.csv"
     assert main([command, "--trials", "1000", "--snr-db-step", "10", "--out", str(out)]) == 0
     cfg = ExperimentConfig(trials=1000, snr_db_step=10.0)
-    stats = ris2x2.montecarlo.channel_statistics(cfg.seed, cfg.trials, include_alt=True)
+    stats = ris2x2.montecarlo.channel_statistics(cfg.seed, cfg.trials)
     rows = curve_rows(stats, cfg.schemes, cfg.snr_grid_db(), 1.0, command)
 
     def cell(x):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ris2x2.linalg2 import UnitaryAngles, angles_from_unitary, svd2, unitary_from_angles
+from ris2x2.linalg2 import (
+    UnitaryAngles,
+    angles_from_unitary,
+    gram2,
+    hermitian_eigen2,
+    svd2,
+    unitary_from_angles,
+)
 
 
 def _random_matrices(n, seed):
@@ -74,8 +81,7 @@ def test_gauge_rule_and_determinism():
 
 
 def test_bases_do_not_see_later_writes_to_the_input():
-    # u is formed on first read; a write to the input after svd2 returns
-    # must not reach it
+    # a write to the input after svd2 returns must not reach the bases
     m = _random_matrices(100, seed=5)
     expected = svd2(m.copy()).u
     r = svd2(m)
@@ -98,6 +104,41 @@ def test_degenerate_equal_singular_values():
     assert np.allclose(r.v.conj().T @ r.v, np.eye(2), atol=1e-13)
     again = svd2(s)
     assert np.array_equal(again.v, r.v)
+
+
+def test_second_left_vector_is_completed_by_orthogonality():
+    # u_2 = m v_2 / sigma_2 lost orthogonality like eps (sigma_1 / sigma_2)^2
+    # (8e-14 on these draws, 1e-5 at sigma_2 / sigma_1 ~ 1e-9); the
+    # complement of u_1 keeps it to rounding, and its phase makes
+    # u_2^H m v_2 = sigma_2
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
+    y = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
+    nearly_rank_one = np.einsum("ni,nj->nij", x, np.conjugate(y)) + 1e-9 * _random_matrices(1000, 23)
+    for m in (_random_matrices(100_000, seed=21), nearly_rank_one):
+        r = svd2(m)
+        u1, u2, v2 = r.u[:, :, 0], r.u[:, :, 1], r.v[:, :, 1]
+        assert np.abs(np.einsum("ni,ni->n", np.conjugate(u1), u2)).max() <= 1e-15
+        t = np.einsum("ni,nij,nj->n", np.conjugate(u2), m, v2)
+        s1, s2 = r.sigma[:, 0], r.sigma[:, 1]
+        assert np.all(np.abs(t.imag) <= 1e-15 * s1)
+        assert np.all(np.abs(t.real - s2) <= 2e-15 * s1)
+
+
+def test_eigen_solution_of_a_multiple_of_the_identity():
+    # every vector is an eigenvector there; the solver returns e_1
+    a00, a11, a01 = gram2(np.array([[1, 1j], [1j, 1]], dtype=complex))
+    assert (a00, a11, a01) == (2.0, 2.0, 0.0)
+    e1, e2, x, y, norm2 = hermitian_eigen2(a00, a11, a01, 4.0)
+    assert (e1, e2, x, y, norm2) == (2.0, 2.0, 1.0, 0.0, 1.0)
+
+
+def test_left_gram_is_the_gram_of_the_conjugate_transpose():
+    m = _random_matrices(1000, seed=29)
+    left = gram2(m, left=True)
+    right = gram2(np.conjugate(m).swapaxes(-1, -2))
+    for a, b in zip(left, right):
+        assert np.abs(a - b).max() <= 1e-14
 
 
 def test_rank_deficient_completion():

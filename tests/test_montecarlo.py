@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ris2x2 import analytic, linalg2, montecarlo
+from ris2x2 import analytic
 from ris2x2.altopt import optimize_batch
+from ris2x2.linalg2 import svd2
 from ris2x2.montecarlo import (
     ALT,
     AltScheme,
@@ -18,10 +19,11 @@ from ris2x2.montecarlo import (
     scheme_label,
     scheme_snr_factor,
     throughput_from_stats,
+    trial_statistics,
     wilson_halfwidth,
 )
-from ris2x2.sampling import RngState, channel_realizations
-from ris2x2.sysmodel import MODES, Mode, mode_z_factors
+from ris2x2.sampling import RngState, channel_matrices, channel_realizations, haar_unitaries
+from ris2x2.sysmodel import MODES, Mode, alignment_factors, mode_z_factors
 
 SEED = 2718
 
@@ -39,11 +41,9 @@ def test_fixed_seed_bit_exact():
 
 
 def test_worker_and_chunk_invariance():
-    base = channel_statistics(SEED, 20_000, include_alt=True)
+    base = channel_statistics(SEED, 20_000)
     for workers, chunk in ((4, 1 << 11), (16, 1 << 9)):
-        other = channel_statistics(
-            SEED, 20_000, include_alt=True, workers=workers, chunk_size=chunk
-        )
+        other = channel_statistics(SEED, 20_000, workers=workers, chunk_size=chunk)
         assert np.array_equal(base.lam, other.lam)
         assert np.array_equal(base.om, other.om)
         assert np.array_equal(base.z_plain, other.z_plain)
@@ -54,38 +54,119 @@ def test_worker_and_chunk_invariance():
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("chunk", [1 << 15, 1000, 1 << 9])
 def test_pass_is_the_realization_pipeline(workers, chunk):
-    # the lean pass is the public pipeline over the same draws, bit for bit
+    # the Gram-matrix pass gives the values of the SVD pipeline over the same
+    # draws, to rounding: the two routes differ in operation order only
     trials = 5000
-    stats = channel_statistics(SEED, trials, include_alt=True, workers=workers, chunk_size=chunk)
+    stats = channel_statistics(SEED, trials, workers=workers, chunk_size=chunk)
     ch = channel_realizations(RngState(SEED), trials)
     z_plain, z_comp = mode_z_factors(ch)
-    assert np.array_equal(stats.lam, ch.svd_g.sigma**2)
-    assert np.array_equal(stats.om, ch.svd_h.sigma**2)
-    assert np.array_equal(stats.z_plain, z_plain)
-    assert np.array_equal(stats.z_comp, z_comp)
-    assert np.array_equal(stats.alt_factor, optimize_batch(ch).snr_factor)
+    assert np.allclose(stats.lam, ch.svd_g.sigma**2, rtol=2e-15, atol=0)
+    assert np.allclose(stats.om, ch.svd_h.sigma**2, rtol=2e-15, atol=0)
+    for pair, full in ((stats.z_plain, z_plain), (stats.z_comp, z_comp)):
+        for j in (0, 1):
+            for i in (0, 1):
+                assert np.abs(pair[:, int(i != j)] - full[:, j, i]).max() <= 1e-12
+    assert np.allclose(stats.alt_factor, optimize_batch(ch).snr_factor, rtol=1e-14, atol=0)
 
 
-def test_pass_forms_only_the_bases_it_reads(monkeypatch):
-    # the z factors read the right basis of G and the left basis of H
-    drawn, formed = [], []
-    draw, left_basis = montecarlo.channel_realizations, linalg2._left_basis
+def test_gram_factors_match_the_singular_bases_on_a_large_stack():
+    g, h = channel_matrices(RngState(SEED, 5), 100_000)
+    lam, om, z_plain, z_comp, _ = trial_statistics(g, h)
+    svd_g, svd_h = svd2(g), svd2(h)
+    full = alignment_factors(svd_g.v, svd_h.u)
+    for pair, z in zip((z_plain, z_comp), full):
+        for j in (0, 1):
+            for i in (0, 1):
+                assert np.abs(pair[:, int(i != j)] - z[:, j, i]).max() <= 1e-12
+    assert np.allclose(lam, svd_g.sigma**2, rtol=2e-15, atol=0)
+    assert np.allclose(om, svd_h.sigma**2, rtol=2e-15, atol=0)
 
-    def recorded_draw(*args, **kwargs):
-        drawn.append(draw(*args, **kwargs))
-        return drawn[-1]
 
-    def recorded_left_basis(m, *args):
-        formed.append(m)
-        return left_basis(m, *args)
+def _mp_trial_statistics(mp, g, h):
+    """(lam, om, z_plain, z_comp, alt, kappa) of one pair from a 40-digit
+    eigendecomposition of G^H G and H H^H: z pairs the leading eigenvector
+    of G^H G with the leading (matched) and the second (crossed)
+    eigenvector of H H^H.  A Gram matrix that is a multiple of the identity
+    takes the canonical basis, whose e_1 the pass takes too.  kappa = 1 +
+    sum of (e1 + e2) / (e1 - e2) over the other Gram matrices bounds the
+    growth of rounding errors in the leading vectors."""
+    with mp.workdps(40):
+        gm = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in g])
+        hm = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in h])
+        a, b = gm.H * gm, hm * hm.H
+        kappa = 1
+        pairs, bases = [], []
+        for m in (a, b):
+            e, q = mp.eighe(m)  # ascending eigenvalues
+            pairs.append([e[1], e[0]])
+            if m[0, 1] == 0 and m[0, 0] == m[1, 1]:
+                bases.append([(mp.mpc(1), mp.mpc(0)), (mp.mpc(0), mp.mpc(1))])
+            else:
+                bases.append([(q[0, 1], q[1, 1]), (q[0, 0], q[1, 0])])
+                kappa += (e[1] + e[0]) / (e[1] - e[0])
+        (vx, vy), _ = bases[0]
+        z_plain = [abs(mp.conj(vx) * wx + mp.conj(vy) * wy) ** 2 for wx, wy in bases[1]]
+        z_comp = [(abs(vx) * abs(wx) + abs(vy) * abs(wy)) ** 2 for wx, wy in bases[1]]
+        # the optimum from its definition: sigma_max^2 of G Phi* H
+        c = a[0, 1] * mp.conj(b[0, 1])
+        rel = mp.conj(c) / abs(c) if c != 0 else mp.mpc(1)
+        m = gm * mp.diag([1, rel]) * hm
+        alt = max(mp.eighe(m.H * m)[0])
+        return [np.array([float(x) for x in v]) for v in (*pairs, z_plain, z_comp, [alt], [kappa])]
 
-    monkeypatch.setattr(montecarlo, "channel_realizations", recorded_draw)
-    monkeypatch.setattr(linalg2, "_left_basis", recorded_left_basis)
-    channel_statistics(SEED, 3000, include_alt=True, chunk_size=1000)
-    assert len(drawn) == 3
-    assert all(any(m is ch.svd_h._m for m in formed) for ch in drawn)
-    assert not any(m is ch.svd_g._m for ch in drawn for m in formed)
-    assert all(ch.svd_h._v is None for ch in drawn)
+
+def _near_degenerate_cases():
+    rng = np.random.default_rng(11)
+
+    def draws(n):
+        return (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))) / np.sqrt(2)
+
+    # Gram matrices that are exact multiples of the identity
+    scaled_unitary = np.array([[[1, 1j], [1j, 1]], [[2, 0], [0, 2]]], dtype=complex)
+    other = np.array([[[1, -1], [1, 1]], [[0, 3j], [3, 0]]], dtype=complex)
+    yield scaled_unitary, draws(2)
+    yield draws(2), other
+    yield scaled_unitary, other
+    # singular values 1 and 1 + delta
+    u = haar_unitaries(RngState(SEED, 6), 4)
+    v = haar_unitaries(RngState(SEED, 7), 4)
+    for delta in (1e-2, 1e-4, 1e-6, 1e-8):
+        near = u * np.array([1.0, 1.0 + delta]) @ np.conjugate(v).swapaxes(-1, -2)
+        yield near, draws(4)
+        yield draws(4), near
+    # z -> 0: v = e_1 and w at angle s from e_2
+    s = np.array([1e-3, 1e-6, 1e-9])
+    yield (
+        np.broadcast_to(np.diag([2.0, 1.0]).astype(complex), (3, 2, 2)),
+        np.array([[[1, -3 * x], [x, 3]] for x in s], dtype=complex),
+    )
+    # the smallest matched and crossed z_plain of 2^15 draws (5.6e-7 to 7.7e-5)
+    g, h = channel_matrices(RngState(1729), 1 << 15)
+    z = trial_statistics(g, h)[2]
+    pick = np.concatenate([np.argsort(z[:, 0])[:4], np.argsort(z[:, 1])[:4]])
+    yield g[pick], h[pick]
+    # zero entries, diagonal Gram matrices either way round
+    g, h = draws(4), draws(4)
+    g[0, 0, 1] = g[1, 1, 0] = h[0, 1, 0] = h[1, 0, 0] = h[2, 0, 1] = 0.0
+    g[2], g[3] = np.diag([0.5, 2.0]), np.diag([2.0, 0.5j])
+    yield g, h
+
+
+def test_gram_factors_match_a_40_digit_eigendecomposition():
+    # rounding moves a leading eigenvector by about eps * kappa, so z moves
+    # by about eps * sqrt(z) * kappa; measured up to 2e-16 * sqrt(z) * kappa
+    mp = pytest.importorskip("mpmath").mp
+    checked = 0
+    for g, h in _near_degenerate_cases():
+        got = trial_statistics(g, h)
+        for k in range(g.shape[0]):
+            lam, om, z_plain, z_comp, alt, kappa = _mp_trial_statistics(mp, g[k], h[k])
+            for value, ref in ((got[0][k], lam), (got[1][k], om), (got[4][k], alt)):
+                assert np.all(np.abs(value - ref) <= 2e-15 * ref), (k, value, ref)
+            for value, ref in ((got[2][k], z_plain), (got[3][k], z_comp)):
+                assert np.all(np.abs(value - ref) <= 2e-15 * np.sqrt(ref) * kappa), (k, value, ref)
+            checked += 1
+    assert checked == 53
 
 
 def test_outage_matches_closed_form():
@@ -112,12 +193,6 @@ def test_compensation_improves_every_mode():
 def test_small_snr_throughput_bound():
     est = estimate_throughput(Mode(1, 1), 1e-3, trials=20_000, seed=SEED)
     assert est.value < 0.01
-
-
-def test_scheme_snr_factor_requires_alt_pass():
-    stats = channel_statistics(SEED, 1000)
-    with pytest.raises(ValueError):
-        scheme_snr_factor(stats, ALT)
 
 
 def test_trials_validation():
@@ -153,10 +228,10 @@ def test_empirical_cdf_uniform_ks():
 
 def test_alignment_factor_laws_from_channels():
     stats = channel_statistics(SEED, 300_000)
-    ks_c = EmpiricalCdf(stats.z_comp[:, 0, 0]).ks_distance(
+    ks_c = EmpiricalCdf(stats.z_comp[:, 0]).ks_distance(
         lambda z: analytic.z_factor_cdf(z, True)
     )
-    ks_p = EmpiricalCdf(stats.z_plain[:, 0, 1]).ks_distance(
+    ks_p = EmpiricalCdf(stats.z_plain[:, 1]).ks_distance(
         lambda z: analytic.z_factor_cdf(z, False)
     )
     assert ks_c < 0.0037  # 0.002 * sqrt(1e6 / 3e5)
@@ -190,7 +265,7 @@ def _factor_stats(f):
     lam[:, 0] = f
     return TrialStats(
         seed=0, stream=0, trials=n, lam=lam, om=np.ones((n, 2)),
-        z_plain=np.ones((n, 2, 2)), z_comp=np.ones((n, 2, 2)), alt_factor=f,
+        z_plain=np.ones((n, 2)), z_comp=np.ones((n, 2)), alt_factor=f,
     )
 
 
@@ -221,7 +296,7 @@ def test_sorted_outage_counts_are_exact_at_the_boundary():
 
 
 def test_sequence_reductions_equal_per_point_calls():
-    stats = channel_statistics(SEED, 5000, include_alt=True)
+    stats = channel_statistics(SEED, 5000)
     gammas = [10.0 ** (db / 10.0) for db in range(-5, 26, 3)]
     for scheme in (*MODES, ALT):
         f = scheme_snr_factor(stats, scheme)
@@ -256,7 +331,8 @@ def _traced_peak(fn):
 
 
 def _stats_nbytes(stats):
-    return sum(a.nbytes for a in (stats.lam, stats.om, stats.z_plain, stats.z_comp))
+    arrays = (stats.lam, stats.om, stats.z_plain, stats.z_comp, stats.alt_factor)
+    return sum(a.nbytes for a in arrays)
 
 
 def test_pass_memory_is_the_statistics_plus_a_few_chunks():

@@ -6,6 +6,7 @@ from ris2x2.linalg2 import unitary_from_angles
 from ris2x2.montecarlo import EmpiricalCdf
 from ris2x2.sampling import (
     RngState,
+    _matrices_from_uniforms,
     angle_diff_cdf,
     angle_diff_pdf,
     angle_sum_pdf,
@@ -55,6 +56,28 @@ def test_channel_realization_caches_svd():
     batch = channel_realizations(STATE, 10)
     assert np.array_equal(batch.g[3], ch.g[0])
     assert np.array_equal(batch.h[3], ch.h[0])
+
+
+def test_box_muller_entries_are_the_complex_sum_bit_for_bit():
+    # the entries are written part by part; they must equal the former
+    # construction (x + 1j y) / sqrt(2) from interleaved normals, signs of
+    # zero included: a zero radius (u1 = 0) gave +0 in both parts even where
+    # cos or sin of the angle is negative
+    rng = np.random.default_rng(3)
+    u = rng.random((20_000, 8))
+    u[:40, 0::2] = 0.0
+    u[:40, 1::2] = np.array([0.0, 0.3, 0.6, 0.9])  # all four sign patterns
+    u[40:50, 1::2] = 0.0
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    ang = 2.0 * np.pi * u[:, 1::2]
+    want = (r * np.cos(ang) + 1j * (r * np.sin(ang))) / np.sqrt(2.0)
+    got = _matrices_from_uniforms(u).reshape(-1, 4)
+    for part in ("real", "imag"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    zero = got[:40]
+    assert np.all(zero == 0.0)
+    assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
 
 
 def test_haar_draws_are_unitary():
