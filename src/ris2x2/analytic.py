@@ -18,25 +18,18 @@ ln(1 + y)): one step-halved trapezoid rule on cached contour nodes, over a
 whole grid at once, certifying each value in relative terms.
 
 Outage is computed three ways on purpose.  ``outage_closed_form``
-assembles the paper's Bessel/Meijer-G expressions, the reproduced artifact;
-their "1 - sum" form cancels at high SNR.  ``outage`` is the analytic
-column of the outage sweeps.  ``outage_quadrature`` integrates the
-defining expectation E{F_lambda(x / (omega z))} directly, with no Bessel,
-Meijer-G or Mellin step (the reference implementation); the closed forms
-must agree with it to well below 1e-6 absolute, and ``outage`` to 1e-8
-relative.  The oracle is one 2-D trapezoid rule in s = ln omega and a
-logistic variable of the alignment factor, in which the integrand is
-analytic on a strip, so halving the step converges geometrically.  Its
-tails are cut by closed-form bounds relative to a lower bound of P, and
-the eigenvalue laws and the alignment weight are evaluated without
-cancellation, so it is accurate in relative terms, not only absolute ones,
-far into the high-SNR tail.
-
-Throughput R = E ln(1 + gamma) is also computed twice.  ``throughput`` is
-the analytic column of the throughput sweeps; its independent oracle
-``throughput_quadrature`` integrates the eigenvalue law analytically (an
-exponential-integral kernel) and the other two dimensions by nested
-adaptive quadrature.
+assembles the paper's Bessel/Meijer-G expressions, the reproduced artifact,
+whose "1 - sum" form cancels at high SNR; ``outage`` is the analytic column
+of the sweeps; ``outage_quadrature`` integrates E{F_lambda(x / (omega z))}
+directly, with no Bessel, Meijer-G or Mellin step.  Throughput has
+``throughput`` and its oracle ``throughput_quadrature``, which takes
+E ln(1 + c lambda) as an exponential-integral kernel.  Both oracles run in
+the real domain on one 2-D trapezoid rule in s = ln omega and a logistic
+variable of the alignment factor, where the integrand is analytic on a
+strip, so halving the step converges geometrically; their tails are cut
+by closed-form bounds relative to P or R, and the laws are evaluated
+without cancellation, so they are accurate in relative terms far into the
+high-SNR tail.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ from .special import (
     QuadratureError,
     QuadratureSpec,
     _g30,
-    _integrate_quad,
+    _half_line_integral,
     meijer_g,
     weighted_bessel_integral,
 )
@@ -126,14 +119,14 @@ _Z_WEIGHT_SERIES = tuple(
     (-1) ** (k + 1) * k / factorial(2 * k + 1) for k in range(1, 11)
 )
 
-# The outage oracle's rule: the share of rel_tol * P that each of its four
+# The oracles' rule: the share of rel_tol times P or R that each of its four
 # truncated tails may leave out, the step of its first level, the nodes
 # evaluated at once (64 kB per array) and the most nodes a level may have
-# (a few seconds of work; no x in [1e-8, 1e4] needs more than 4e5).
-_OUTAGE_TAIL_SHARE = 2.5e-4
-_OUTAGE_FIRST_STEP = 1.0
-_OUTAGE_BLOCK = 1 << 13
-_OUTAGE_MAX_NODES = 1 << 25
+# (a few seconds of work; no outage x in [1e-8, 1e4] needs more than 4e5).
+_ORACLE_TAIL_SHARE = 2.5e-4
+_ORACLE_FIRST_STEP = 1.0
+_ORACLE_BLOCK = 1 << 13
+_ORACLE_MAX_NODES = 1 << 25
 
 
 def z_factor_cdf(z, compensated: bool = True):
@@ -239,40 +232,6 @@ def mean_mode_snr(mode: Mode, gamma_bar: float) -> float:
     return gamma_bar * lam * om * mean_z(mode.compensated)
 
 
-def _outer_substituted(inner, which: str, spec: QuadratureSpec, what: str) -> float:
-    """int_0^inf f_omega(w) inner(w) dw via w = u/(1-u)."""
-
-    def integrand(u):
-        if u >= 1.0:
-            return 0.0
-        w = u / (1.0 - u)
-        density = eigenvalue_pdf(w, which)
-        if density == 0.0:
-            return 0.0
-        return density * inner(w) / (1.0 - u) ** 2
-
-    return _integrate_quad(integrand, 0.0, 1.0, spec, what)
-
-
-def _z_average(fn, compensated: bool, spec: QuadratureSpec, what: str) -> float:
-    """E over the alignment law of fn(z).
-
-    The compensated density is singular at z = 1; substituting z = sin^2 t
-    turns the weight into the smooth sin(2t)/2 - t cos(2t).
-    """
-    if compensated:
-
-        def integrand(t):
-            # quad asks for one t at a time, where the array form
-            # _z_weight costs 10x; the cancellation near t = 0 it avoids
-            # is far below this quadrature's absolute tolerance
-            weight = 0.5 * np.sin(2.0 * t) - t * np.cos(2.0 * t)
-            return fn(np.sin(t) ** 2) * weight
-
-        return _integrate_quad(integrand, 0.0, np.pi / 2.0, spec, what)
-    return _integrate_quad(fn, 0.0, 1.0, spec, what)
-
-
 def _z_weight(t):
     """sin(2t)/2 - t cos(2t), the alignment density in z = sin^2 t with
     compensation, accurate in relative terms down to t -> 0 (~ 4t^3/3)."""
@@ -281,11 +240,9 @@ def _z_weight(t):
     return np.where(a < 1.0, a**3 * polyval(a * a, _Z_WEIGHT_SERIES), direct)
 
 
-def _outage_tail_mass(
-    lam_law: str, om_law: str, compensated: bool, x: float, rel_tol: float
-) -> float:
-    """The probability mass each truncated tail of the oracle may drop:
-    a share of rel_tol times a lower bound of P(x).
+def _outage_tail_mass(mode: Mode, x: float, rel_tol: float) -> float:
+    """The probability mass each truncated tail of the outage oracle may
+    drop: a share of rel_tol times a lower bound of P(x).
 
     Since the three events together imply lambda omega z <= x, P is at
     least P{lambda <= a} P{omega <= b} P{z <= c} whenever abc = x; the
@@ -294,14 +251,15 @@ def _outage_tail_mass(
     above.  The mass is floored at the smallest normal float, which keeps
     the nodes finite; relative accuracy holds while P is above about 1e-290.
     """
+    lam_law, om_law = _mode_laws(mode)
     if x > 1.0:
         bound = eigenvalue_cdf(np.sqrt(x), lam_law) * eigenvalue_cdf(np.sqrt(x), om_law)
     else:
         f_lam = eigenvalue_cdf(np.array([x, 1.0]), lam_law)
         f_om = eigenvalue_cdf(np.array([x, 1.0]), om_law)
-        f_z = x * x / 3.0 if compensated else x
+        f_z = x * x / 3.0 if mode.compensated else x
         bound = max(f_lam[0] * f_om[1], f_lam[1] * f_om[0], f_lam[1] * f_om[1] * f_z)
-    return max(_OUTAGE_TAIL_SHARE * rel_tol * bound, np.finfo(np.float64).tiny)
+    return max(_ORACLE_TAIL_SHARE * rel_tol * bound, np.finfo(np.float64).tiny)
 
 
 def _omega_log_range(which: str, mass: float):
@@ -342,178 +300,195 @@ def _alignment_nodes(u, compensated: bool):
     return 1.0 / np.sin(t) ** 2, _z_weight(t) * half_pi * up * down
 
 
+def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, mass: float, rel_tol: float):
+    """int int kernel(y, lam_law) f_omega(e^s) e^s w(u) ds du at every a of
+    ``scales``, y = a e^s z(u) (a e^-s / z(u) if ``inverse``), with the laws
+    of :func:`_mode_laws`: the 2-D trapezoid rule of both oracles.
+
+    s = ln omega and the logistic variable u of the alignment factor (z =
+    expit(u), or with compensation t = (pi/2) expit(u) in z = sin^2 t,
+    weighted by sin(2t)/2 - t cos(2t)) are cut where at most ``mass`` of
+    probability lies beyond either end.  The step is halved from 1, reusing
+    the nodes of the level before, until two levels agree to rel_tol
+    relative at an a, which then drops out; QuadratureError is raised once
+    a level would exceed _ORACLE_MAX_NODES.
+    """
+    lam_law, om_law = _mode_laws(mode)
+    s_lo, s_hi = _omega_log_range(om_law, mass)
+    u_lo, u_hi = _alignment_log_range(mode.compensated, mass)
+    outer = np.divide.outer if inverse else np.multiply.outer
+
+    def node_sum(k_s, k_u, step, a):
+        # the rule's sum over the nodes (s_lo + k_s step, u_lo + k_u step) at every a
+        omega = np.exp(s_lo + k_s * step)
+        row_weight = eigenvalue_pdf(omega, om_law) * omega
+        inv_z, col_weight = _alignment_nodes(u_lo + k_u * step, mode.compensated)
+        rows, cols = outer(a, omega), (inv_z if inverse else 1.0 / inv_z)
+        block = max(1, _ORACLE_BLOCK // (a.size * cols.size))
+        total = np.zeros(a.size)
+        for i in range(0, omega.size, block):
+            y = np.multiply.outer(rows[:, i : i + block], cols)
+            total += (kernel(y, lam_law) @ col_weight) @ row_weight[i : i + block]
+        return total
+
+    step = _ORACLE_FIRST_STEP
+    n_s = int(np.ceil((s_hi - s_lo) / step)) + 1
+    n_u = int(np.ceil((u_hi - u_lo) / step)) + 1
+    result = np.empty(scales.shape)
+    active = np.arange(scales.size)
+    # a y that overflows to inf just saturates the outage kernel
+    with np.errstate(over="ignore"):
+        total = node_sum(np.arange(n_s), np.arange(n_u), step, scales)
+        estimate, change = step * step * total, np.full(scales.shape, np.inf)
+        while (2 * n_s - 1) * (2 * n_u - 1) <= _ORACLE_MAX_NODES:
+            step *= 0.5
+            n_s, n_u = 2 * n_s - 1, 2 * n_u - 1
+            # the new nodes: odd rows at all columns, even rows at odd columns
+            a = scales[active]
+            total += node_sum(np.arange(1, n_s, 2), np.arange(n_u), step, a)
+            total += node_sum(np.arange(0, n_s, 2), np.arange(1, n_u, 2), step, a)
+            previous, estimate = estimate, step * step * total
+            change = np.abs(estimate - previous)
+            done = change <= rel_tol * estimate
+            result[active[done]] = estimate[done]
+            active, total, estimate, change = (v[~done] for v in (active, total, estimate, change))
+            if active.size == 0:
+                return result
+    raise QuadratureError(
+        f"{'outage' if inverse else 'throughput'}_quadrature({mode.label}) at "
+        f"{scales[active[0]]:g}: trapezoid not converged at step "
+        f"{step:g} on {n_s}x{n_u} nodes (estimate {estimate[0]:.6e}, last "
+        f"change {change[0]:.3e})"
+    )
+
+
 def outage_quadrature(
     mode: Mode, x: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """Outage probability P{lambda_j omega_i z <= x} by direct quadrature
     of E{F_lambda(x / (omega z))}; the reference implementation.
 
-    The expectation is one 2-D trapezoid rule in s = ln omega and the
-    logistic variable u of the alignment factor (z = expit(u), or with
-    compensation t = (pi/2) expit(u) in z = sin^2 t, weighted by
-    sin(2t)/2 - t cos(2t)).  The integrand is analytic on a strip around
-    both real axes, so the rule converges geometrically.  ``spec.rel_tol``
-    sets both of its knobs: each of the four truncated tails leaves out at
-    most 2.5e-4 rel_tol times a closed-form lower bound of P, and the step
-    is halved from 1, reusing the nodes of the level before, until two
-    levels agree to rel_tol relative.  The CDF of lambda and the densities
-    are evaluated without cancellation, so P is accurate in relative terms
-    while it is above about 1e-290; further down, where the tails can no
-    longer be cut that finely, QuadratureError is raised.  ``abs_tol`` and
-    ``max_subdivisions`` belong to the adaptive quadratures and play no
-    part here.
+    It runs on the oracles' rule (:func:`_oracle_rule`), whose four tails
+    each leave out at most 2.5e-4 ``spec.rel_tol`` times a closed-form lower
+    bound of P, until two levels agree to rel_tol relative; ``abs_tol`` plays
+    no part.  P is accurate in relative terms while it is above about
+    1e-290; further down, where the tails can no longer be cut that finely,
+    QuadratureError is raised.
     """
     if not 0.0 <= x < np.inf:
         raise ValueError("x must be nonnegative and finite")
     if x == 0.0:
         return 0.0
-    x = float(x)
-    # P is symmetric in the two eigenvalues; the outer one, omega, is the
-    # largest whenever one is, since its lower tail (F ~ w^4/12) is short
-    lam_law = "largest" if max(mode.rx, mode.tx) == 1 else "smallest"
-    om_law = "largest" if min(mode.rx, mode.tx) == 1 else "smallest"
-    mass = _outage_tail_mass(lam_law, om_law, mode.compensated, x, spec.rel_tol)
-    s_lo, s_hi = _omega_log_range(om_law, mass)
-    u_lo, u_hi = _alignment_log_range(mode.compensated, mass)
-
-    def rows(k, step):
-        omega = np.exp(s_lo + k * step)
-        return x / omega, eigenvalue_pdf(omega, om_law) * omega
-
-    def cols(k, step):
-        return _alignment_nodes(u_lo + k * step, mode.compensated)
-
-    def node_sum(row_nodes, col_nodes):
-        (x_over_omega, row_weight), (inv_z, col_weight) = row_nodes, col_nodes
-        block = max(1, _OUTAGE_BLOCK // inv_z.size)
-        total = 0.0
-        for i in range(0, x_over_omega.size, block):
-            y = np.multiply.outer(x_over_omega[i : i + block], inv_z)
-            cdf = eigenvalue_cdf(y, lam_law)
-            total += row_weight[i : i + block] @ (cdf @ col_weight)
-        return total
-
-    step = _OUTAGE_FIRST_STEP
-    n_s = int(np.ceil((s_hi - s_lo) / step)) + 1
-    n_u = int(np.ceil((u_hi - u_lo) / step)) + 1
-    # an x/(omega z) that overflows to inf just saturates the CDF
-    with np.errstate(over="ignore"):
-        total = node_sum(rows(np.arange(n_s), step), cols(np.arange(n_u), step))
-        estimate, change = step * step * total, np.inf
-        while (2 * n_s - 1) * (2 * n_u - 1) <= _OUTAGE_MAX_NODES:
-            step *= 0.5
-            n_s, n_u = 2 * n_s - 1, 2 * n_u - 1
-            # the new nodes: odd rows at all columns, even rows at odd columns
-            odd_rows = rows(np.arange(1, n_s, 2), step)
-            even_rows = rows(np.arange(0, n_s, 2), step)
-            total += node_sum(odd_rows, cols(np.arange(n_u), step))
-            total += node_sum(even_rows, cols(np.arange(1, n_u, 2), step))
-            previous, estimate = estimate, step * step * total
-            change = abs(estimate - previous)
-            if change <= spec.rel_tol * estimate:
-                return float(estimate)
-    raise QuadratureError(
-        f"outage({mode.label}) at x={x:g}: trapezoid not converged at step "
-        f"{step:g} on {n_s}x{n_u} nodes (estimate {estimate:.6e}, last change "
-        f"{change:.3e})"
-    )
+    mass = _outage_tail_mass(mode, float(x), spec.rel_tol)
+    return float(_oracle_rule(mode, np.array([x]), True, eigenvalue_cdf, mass, spec.rel_tol)[0])
 
 
 def outage_closed_form(
     mode: Mode, x: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """Closed-form outage, mode-by-mode assembly of the Bessel and
-    Meijer-G expressions; validated against :func:`outage_quadrature`."""
+    Meijer-G expressions; validated against :func:`outage_quadrature`.
+
+    Each Meijer-G and Bessel-tail term is certified to about max(abs_tol,
+    rel_tol |term|), so P = 1 + sum of the terms carries an error budget of
+    abs_tol times their |coefficients| plus rel_tol times their |values|,
+    plus eps times all |terms|.  Where that is not below |P|, QuadratureError
+    is raised: for j1i1-cmp below x ~ 3e-4, P ~ 0.0172 x^2 drowns in terms
+    of order one.
+    """
     if not 0.0 <= x < np.inf:
         raise ValueError("x must be nonnegative and finite")
     if x == 0.0:
         return 0.0
     z = float(x)
     j, i = mode.rx, mode.tx
+    zz, sz, s2z = z**2, np.sqrt(z), np.sqrt(2.0 * z)
+    # (coefficient, value, from a quadrature) of every term after the leading 1
     if mode.compensated:
-        cal = lambda a, alpha, gam, arg: weighted_bessel_integral(a, alpha, gam, arg, spec)
+        cal = lambda c, a, alpha, gam, arg: (
+            c, weighted_bessel_integral(a, alpha, gam, arg, spec), True
+        )
         if (j, i) == (1, 1):
-            return (
-                1.0
-                - 4.0 * cal(0, 1, 1.0, z)
-                + 4.0 * cal(0, 2, 1.0, z)
-                - 2.0 * cal(0, 3, 1.0, z)
-                + 4.0 * cal(0, 1, 2.0, z)
-                - 2.0 * z**2 * cal(2, -1, 1.0, z)
-                + 2.0 * z**2 * cal(2, 0, 1.0, z)
-                - z**2 * cal(2, 1, 1.0, z)
-                + 2.0 * z**2 * cal(2, -1, 2.0, z)
-                + 2.0 * cal(0, 1, 1.0, 2.0 * z)
-                - 2.0 * cal(0, 2, 1.0, 2.0 * z)
-                + cal(0, 3, 1.0, 2.0 * z)
-                - 2.0 * cal(0, 1, 2.0, 2.0 * z)
-            )
-        if (j, i) in ((2, 1), (1, 2)):
-            return (
-                1.0
-                - 4.0 * cal(0, 1, 2.0, z)
-                - 2.0 * z**2 * cal(2, -1, 2.0, z)
-                + 2.0 * cal(0, 1, 2.0, 2.0 * z)
-            )
-        return 1.0 - 2.0 * cal(0, 1, 2.0, 2.0 * z)
-
-    sz = np.sqrt(z)
-    if (j, i) == (1, 1):
-        return (
-            1.0
-            - 4.0 * z**2 * _g30(z, -1.0, -2.0, spec)
-            + 8.0 * sz * kv(1, 2.0 * sz)
-            - 2.0 * z**2 * _g30(z, 1.0, -2.0, spec)
-            + 8.0 * z**2 * _g30(2.0 * z, -1.0, -2.0, spec)
-            - 4.0 * z * kv(0, 2.0 * sz)
-            + 4.0 * z * sz * kv(1, 2.0 * sz)
-            - 2.0 * z**2 * kv(2, 2.0 * sz)
-            + 4.0 * z * kv(0, 2.0 * np.sqrt(2.0 * z))
-            + 8.0 * z**2 * _g30(2.0 * z, -1.0, -2.0, spec)
-            - 4.0 * np.sqrt(2.0 * z) * kv(1, 2.0 * np.sqrt(2.0 * z))
-            + 4.0 * z**2 * _g30(2.0 * z, 1.0, -2.0, spec)
-            - 16.0 * z**2 * _g30(4.0 * z, -1.0, -2.0, spec)
+            terms = [
+                cal(-4.0, 0, 1, 1.0, z), cal(4.0, 0, 2, 1.0, z), cal(-2.0, 0, 3, 1.0, z),
+                cal(4.0, 0, 1, 2.0, z), cal(-2.0 * zz, 2, -1, 1.0, z), cal(2.0 * zz, 2, 0, 1.0, z),
+                cal(-zz, 2, 1, 1.0, z), cal(2.0 * zz, 2, -1, 2.0, z), cal(2.0, 0, 1, 1.0, 2.0 * z),
+                cal(-2.0, 0, 2, 1.0, 2.0 * z), cal(1.0, 0, 3, 1.0, 2.0 * z),
+                cal(-2.0, 0, 1, 2.0, 2.0 * z),
+            ]
+        elif (j, i) in ((2, 1), (1, 2)):
+            terms = [cal(-4.0, 0, 1, 2.0, z), cal(-2.0 * zz, 2, -1, 2.0, z),
+                     cal(2.0, 0, 1, 2.0, 2.0 * z)]
+        else:
+            terms = [cal(-2.0, 0, 1, 2.0, 2.0 * z)]
+    else:
+        g30 = lambda c, arg, b2: (c, _g30(arg, b2, -2.0, spec), True)
+        bessel = lambda c, order, arg: (c, kv(order, arg), False)
+        if (j, i) == (1, 1):
+            terms = [
+                g30(-4.0 * zz, z, -1.0), bessel(8.0 * sz, 1, 2.0 * sz), g30(-2.0 * zz, z, 1.0),
+                g30(8.0 * zz, 2.0 * z, -1.0), bessel(-4.0 * z, 0, 2.0 * sz),
+                bessel(4.0 * z * sz, 1, 2.0 * sz), bessel(-2.0 * zz, 2, 2.0 * sz),
+                bessel(4.0 * z, 0, 2.0 * s2z), g30(8.0 * zz, 2.0 * z, -1.0),
+                bessel(-4.0 * s2z, 1, 2.0 * s2z), g30(4.0 * zz, 2.0 * z, 1.0),
+                g30(-16.0 * zz, 4.0 * z, -1.0),
+            ]
+        elif (j, i) in ((2, 1), (1, 2)):
+            terms = [
+                g30(-8.0 * zz, 2.0 * z, -1.0), bessel(-4.0 * z, 0, np.sqrt(8.0 * z)),
+                g30(16.0 * zz, 4.0 * z, -1.0),
+            ]
+        else:
+            terms = [g30(-16.0 * zz, 4.0 * z, -1.0)]
+    value = 1.0
+    for c, term, _ in terms:
+        value += c * term
+    budget = _EPS + sum(
+        (spec.abs_tol * abs(c) + spec.rel_tol * abs(c * t)) * quad + _EPS * abs(c * t)
+        for c, t, quad in terms
+    )
+    if not budget < abs(value):
+        raise QuadratureError(
+            f"outage_closed_form({mode.label}) at x = {z:g}: error budget "
+            f"{budget:.3e} not below |P| = {abs(value):.3e}"
         )
-    if (j, i) in ((2, 1), (1, 2)):
-        return (
-            1.0
-            - 8.0 * z**2 * _g30(2.0 * z, -1.0, -2.0, spec)
-            - 4.0 * z * kv(0, np.sqrt(8.0 * z))
-            + 16.0 * z**2 * _g30(4.0 * z, -1.0, -2.0, spec)
-        )
-    return 1.0 - 16.0 * z**2 * _g30(4.0 * z, -1.0, -2.0, spec)
+    return value
 
 
-def _laguerre_stieltjes(x: float, alpha: int) -> float:
-    """int_0^inf u^alpha e^-u / (x + u) du for x > 0, alpha in {0, 2}.
+def _laguerre_stieltjes(x, alphas):
+    """int_0^inf u^alpha e^-u / (x + u) du at every x > 0 of an array, for
+    each alpha of ``alphas`` (0 or 2).
 
     alpha = 0 is exp(x) E1(x) and alpha = 2 is 1 - x + x^2 exp(x) E1(x).
     Past x = 50 the first product overflows (x ~ 700) and the second
-    cancels, so both come from the Jacobi continued fraction of the
-    Laguerre weight u^alpha e^-u there.
+    cancels, so both come from 16 levels of the Jacobi continued fraction
+    of the Laguerre weight u^alpha e^-u there (the same bits as 60).
     """
-    if x <= 50.0:
-        a0 = float(np.exp(x) * exp1(x))
-        return a0 if alpha == 0 else 1.0 - x + x * x * a0
-    cf = 0.0
-    for k in range(60, 0, -1):
-        cf = k * (k + alpha) / (x + 2.0 * k + alpha + 1.0 - cf)
-    return (1.0 if alpha == 0 else 2.0) / (x + alpha + 1.0 - cf)
+    near = x <= 50.0
+    xn, xf = x[near], x[~near]
+    a0 = np.exp(xn) * exp1(xn)
+    values = []
+    for alpha in alphas:
+        value = np.empty(x.shape)
+        value[near] = a0 if alpha == 0 else 1.0 - xn + xn * xn * a0
+        cf = np.zeros(xf.shape)
+        for k in range(16, 0, -1):
+            cf = k * (k + alpha) / (xf + 2.0 * k + alpha + 1.0 - cf)
+        value[~near] = (1.0 if alpha == 0 else 2.0) / (xf + alpha + 1.0 - cf)
+        values.append(value)
+    return values
 
 
-def _capacity_kernel(c: float, which: str) -> float:
-    """int_0^inf S_lambda(u) * c / (1 + c u) du, the per-eigenvalue part of
-    E ln(1 + gamma) after exchanging the order of integration; with
-    S_largest(u) = 2 e^-u + u^2 e^-u - e^-2u and S_smallest(u) = e^-2u."""
-    if c <= 0.0:
-        return 0.0
+def _capacity_kernel(c, which: str):
+    """int_0^inf S_lambda(u) * c / (1 + c u) du = E ln(1 + c lambda) at every
+    c > 0 of an array, the per-eigenvalue part of E ln(1 + gamma) after
+    exchanging the order of integration; with S_largest(u) = 2 e^-u +
+    u^2 e^-u - e^-2u and S_smallest(u) = e^-2u."""
+    (half,) = _laguerre_stieltjes(2.0 / c, (0,))
     if which == "smallest":
-        return _laguerre_stieltjes(2.0 / c, 0)
-    return (
-        2.0 * _laguerre_stieltjes(1.0 / c, 0)
-        + _laguerre_stieltjes(1.0 / c, 2)
-        - _laguerre_stieltjes(2.0 / c, 0)
-    )
+        return half
+    zeroth, second = _laguerre_stieltjes(1.0 / c, (0, 2))
+    return 2.0 * zeroth + second - half
 
 
 def _mellin_eigenvalue(s, which: str):
@@ -586,11 +561,11 @@ def _weighted_powers(s, log_base, weight):
 
 
 def _mode_laws(mode: Mode):
-    """Laws of lambda_j and omega_i: "largest" for index 1."""
-    return (
-        "largest" if mode.rx == 1 else "smallest",
-        "largest" if mode.tx == 1 else "smallest",
-    )
+    """Laws of a mode's two eigenvalues, "largest" for index 1, the smallest
+    first.  Every result is symmetric in the two; the oracles take the
+    second as omega, the outer one, whose short lower tail (F ~ w^4/12) is
+    then used whenever the mode has one."""
+    return sorted(("largest" if k == 1 else "smallest" for k in (mode.rx, mode.tx)), reverse=True)
 
 
 def _mellin_transform(mode: Mode, s):
@@ -823,33 +798,48 @@ def throughput(mode: Mode, gamma_bar):
     return result if result.ndim else float(result)
 
 
+def _throughput_tail_mass(mode: Mode, gamma_bar, rel_tol: float) -> float:
+    """The probability mass each truncated tail of the throughput oracle may
+    drop on a grid of gamma_bar: a share of rel_tol times a lower bound of
+    R, R >= P{lambda, omega, z >= 1/2} ln(1 + gamma_bar/8), over what a unit
+    of mass can carry.  A tail A of (omega, z) of mass m drops at most
+    m ln(1 + 3.5 gamma_bar) + E[omega; A] (ln(1 + ab) <= ln(1 + a) + b, and
+    Jensen over lambda), and E[omega; A] <= (w_hi + 3.5) m, w_hi the upper
+    cut of omega, which grows like ln(1/m); so m is solved for twice and
+    halved."""
+    lam_law, om_law = _mode_laws(mode)
+    survival = (1.0 - eigenvalue_cdf(0.5, lam_law)) * (1.0 - eigenvalue_cdf(0.5, om_law))
+    survival *= 1.0 - z_factor_cdf(0.5, mode.compensated)
+    budget = _ORACLE_TAIL_SHARE * rel_tol * survival * np.log1p(gamma_bar / 8.0)
+    carry = np.log1p(3.5 * gamma_bar) + 3.5
+    mass = budget / carry
+    for _ in range(2):
+        mass = 0.5 * budget / (carry + np.exp(_omega_log_range(om_law, mass)[1]))
+    return max(float(np.min(mass)), np.finfo(np.float64).tiny)
+
+
 def throughput_quadrature(
-    mode: Mode, gamma_bar: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Average throughput E ln(1 + gamma) by quadrature; the oracle of
+    mode: Mode, gamma_bar, spec: QuadratureSpec = DEFAULT_QUADRATURE
+):
+    """Average throughput E ln(1 + gamma) by quadrature at every gamma_bar
+    of an array at once (a float for a scalar); the oracle of
     :func:`throughput`.
 
-    The eigenvalue law is integrated analytically (an exponential-integral
-    kernel, the identity R = int (1 - P(z/gamma_bar))/(1+z) dz with the
-    order of integration exchanged) and the remaining two dimensions by
-    nested adaptive quadrature.
+    E ln(1 + c lambda) is an exponential-integral kernel
+    (:func:`_capacity_kernel`), and omega and z run on the oracles' rule
+    (:func:`_oracle_rule`), with no Mellin step.  Each of its four tails
+    leaves out at most 2.5e-4 ``spec.rel_tol`` times a closed-form lower
+    bound of R, and each value is certified by step halving to rel_tol
+    relative, or QuadratureError is raised; ``abs_tol`` plays no part.
     """
-    if not 0.0 < gamma_bar < np.inf:
+    gammas = np.asarray(gamma_bar, dtype=np.float64)
+    if not np.all((gammas > 0.0) & (gammas < np.inf)):
         raise ValueError("gamma_bar must be positive and finite")
-    lam_law, om_law = _mode_laws(mode)
-    inner_spec = QuadratureSpec(
-        spec.abs_tol / 10.0, spec.rel_tol, spec.max_subdivisions
-    )
-
-    def inner(w):
-        return _z_average(
-            lambda z: _capacity_kernel(gamma_bar * w * z, lam_law),
-            mode.compensated,
-            inner_spec,
-            "throughput inner",
-        )
-
-    return _outer_substituted(inner, om_law, spec, f"throughput({mode.label})")
+    flat = gammas.ravel()
+    mass = _throughput_tail_mass(mode, flat, spec.rel_tol)
+    result = _oracle_rule(mode, flat, False, _capacity_kernel, mass, spec.rel_tol)
+    result = result.reshape(gammas.shape)
+    return result if result.ndim else float(result)
 
 
 def throughput_closed_r22(
@@ -873,14 +863,10 @@ def throughput_closed_r22_cmp(
     params = MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0))
 
     def tail(u):
+        # one G evaluation, on one contour, for every node of a level
         t = 1.0 + u * u
-        return (
-            2.0
-            * (1.0 - u * u)
-            / t**2
-            * np.arcsin(1.0 / np.sqrt(t))
-            * meijer_g(params, 4.0 * t / gamma_bar, spec)
-        )
+        g = meijer_g(params, 4.0 * t / gamma_bar, spec)
+        return 2.0 * (1.0 - u * u) / t**2 * np.arcsin(1.0 / np.sqrt(t)) * g
 
-    integral = _integrate_quad(tail, 0.0, np.inf, spec, "throughput_closed_r22_cmp")
+    integral = _half_line_integral(tail, spec, "throughput_closed_r22_cmp")
     return 0.5 * integral + 0.5 * throughput_closed_r22(gamma_bar, spec)

@@ -318,6 +318,21 @@ def test_compensation_improves_outage_everywhere():
             assert np.all(comp <= plain + 1e-12)
 
 
+def test_closed_form_refuses_where_no_digit_is_right():
+    # j1i1-cmp is P ~ 0.0172 x^2 summed from terms of order one: at x = 1e-8
+    # the sum is about 4e-11 while P is 1.7e-18, so the error budget raises
+    mode = Mode(1, 1, True)
+    for x in (1e-8, 1e-7, 1e-5):
+        with pytest.raises(QuadratureError, match="error budget"):
+            analytic.outage_closed_form(mode, x)
+    # on the C4 grid the budget is well below P
+    assert analytic.outage_closed_form(mode, 1e-3) == pytest.approx(
+        analytic.outage(mode, 1e-3), rel=1e-6
+    )
+    with pytest.raises(QuadratureError, match="error budget"):
+        analytic.outage_closed_form(Mode(1, 1, False), 1e-10)
+
+
 def test_outage_zero_threshold_skips_special_functions():
     assert analytic.outage_closed_form(Mode(1, 1, True), 0.0) == 0.0
 
@@ -374,11 +389,47 @@ _ENGINE_GAMMAS = (1e-4, 1e-2, 1.0, 10.0, 10.0**2.5, 1e4)
 
 
 def test_throughput_matches_quadrature_oracle():
+    grid = np.array(_ENGINE_GAMMAS)
     for mode in MODES:
-        for gamma_bar in _ENGINE_GAMMAS:
-            assert analytic.throughput(mode, gamma_bar) == pytest.approx(
-                analytic.throughput_quadrature(mode, gamma_bar), rel=1e-8
-            )
+        oracle = analytic.throughput_quadrature(mode, grid)
+        assert oracle.shape == grid.shape
+        assert analytic.throughput(mode, grid) == pytest.approx(oracle, rel=1e-8, abs=0.0)
+    # a scalar gamma_bar gives a float, and the same value as on a grid
+    value = analytic.throughput_quadrature(Mode(1, 1, True), 10.0)
+    assert isinstance(value, float)
+    assert value == pytest.approx(
+        analytic.throughput_quadrature(Mode(1, 1, True), grid)[3], rel=1e-10, abs=0.0
+    )
+
+
+def test_throughput_oracle_matches_mellin_from_minus_40_to_40_db():
+    grid = 10.0 ** (np.arange(-40.0, 41.0, 5.0) / 10.0)
+    for mode in MODES:
+        assert analytic.throughput_quadrature(mode, grid) == pytest.approx(
+            analytic.throughput(mode, grid), rel=1e-10, abs=0.0
+        )
+
+
+def test_capacity_kernel_matches_exponential_integral():
+    # E ln(1 + c lambda) = 2 L0(1/c) + L2(1/c) - L0(2/c) (largest) and L0(2/c)
+    # (smallest), L0(x) = e^x E1(x) and L2(x) = 1 - x + x^2 L0(x); the grid
+    # crosses the continued-fraction branch at 1/c = 50 and 2/c = 50
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    c = np.concatenate([np.logspace(-8.0, 8.0, 81), [1.0 / 50.0, 1.0 / 49.9, 1.0 / 50.1, 2.0 / 50.1]])
+
+    def l0(x):
+        return mp.exp(x) * mp.e1(x)
+
+    for which in ("largest", "smallest"):
+        ref = []
+        for ci in c:
+            x = 1 / mp.mpf(ci)
+            if which == "smallest":
+                ref.append(float(l0(2 * x)))
+            else:
+                ref.append(float(2 * l0(x) + (1 - x + x * x * l0(x)) - l0(2 * x)))
+        assert analytic._capacity_kernel(c, which) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_throughput_transmit_receive_symmetry():

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import ris2x2
@@ -29,3 +32,24 @@ def test_package_reexports_are_public():
         public = importlib.import_module(f"ris2x2.{node.module}").__all__
         stray = [a.name for a in node.names if a.name not in public]
         assert not stray, f"ris2x2 re-exports {stray} outside ris2x2.{node.module}.__all__"
+
+
+def test_scipy_integrate_is_never_imported():
+    # no rule of the program runs on scipy.integrate, whose import (with
+    # scipy.optimize, scipy.sparse and scipy.linalg) would add about a
+    # third of a second to the start-up of every run
+    code = (
+        "import sys\n"
+        "import ris2x2.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'after import'\n"
+        "assert ris2x2.cli.main(['verify', '--level', 'smoke']) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'after verify'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(INIT.parents[1])] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -145,6 +145,61 @@ def test_meijer_g_small_argument_limit():
     assert val8 == pytest.approx(oracle, abs=1e-9)
 
 
+def test_meijer_g_takes_an_array_of_z():
+    # one contour for every z equals one call per z, on the C4 and C6 terms
+    cases = [
+        (_G30(1), np.array([1e-3, 0.01, 0.25, 2.0, 4.0, 20.0])),
+        (_G30(-1), np.array([[2e-3, 0.5], [4.0, 10.0]])),
+        (_G31, 4.0 * (1.0 + np.logspace(-4.0, 4.0, 9) ** 2) / 10.0),
+        (_G41, 4.0 / 10.0 ** (np.arange(-5.0, 26.0, 10.0) / 10.0)),
+    ]
+    for params, z in cases:
+        values = meijer_g(params, z)
+        assert values.shape == z.shape
+        scalar = np.array([meijer_g(params, float(v)) for v in z.ravel()])
+        assert values.ravel() == pytest.approx(scalar, rel=1e-10, abs=1e-12)
+    assert isinstance(meijer_g(_G31, 1.0), float)
+    with pytest.raises(ValueError):
+        meijer_g(_G31, np.array([1.0, 0.0]))
+
+
+def test_half_line_rule_matches_adaptive_quadrature():
+    # the Bessel tails of the C4 closed forms and the Meijer tail of C6,
+    # against scipy's adaptive quad as an outside check
+    spec = DEFAULT_QUADRATURE
+    for a, alpha, gam, x in [(0, 1, 1.0, 1e-3), (0, 3, 1.0, 0.25), (2, -1, 2.0, 2.0), (0, 1, 2.0, 10.0)]:
+        w = 2.0 * np.sqrt(gam * x)
+        exponent = a + alpha / 2.0 - 2.0
+
+        def tail(u):
+            t = 1.0 + u * u
+            return 2.0 * t**exponent * (1.0 - u * u) * kv(alpha, w * np.sqrt(t)) * np.arcsin(1.0 / np.sqrt(t))
+
+        ref, _ = quad(tail, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=400)
+        mine = special._half_line_integral(tail, spec, "test")
+        assert mine == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    for gamma_bar in (10.0**-0.5, 10.0**2.5):
+
+        def g_tail(u):
+            t = 1.0 + u * u
+            g = np.array([meijer_g(_G31, 4.0 * v / gamma_bar) for v in np.atleast_1d(t)])
+            return 2.0 * (1.0 - u * u) / t**2 * np.arcsin(1.0 / np.sqrt(t)) * g
+
+        ref, _ = quad(lambda u: g_tail(u)[0], 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
+        assert special._half_line_integral(g_tail, spec, "test") == pytest.approx(ref, rel=1e-8)
+
+
+def test_half_line_rule_refuses_what_it_cannot_certify():
+    spec = DEFAULT_QUADRATURE
+    with pytest.raises(QuadratureError, match="does not decay"):
+        special._half_line_integral(lambda u: 1.0 / (1.0 + u), spec, "test")
+    with pytest.raises(QuadratureError, match="not finite"):
+        special._half_line_integral(lambda u: np.where(u > 1.0, np.nan, 1.0), spec, "test")
+    # an integrand with a kink at u = 1 converges only algebraically
+    with pytest.raises(QuadratureError, match="not converged"):
+        special._half_line_integral(lambda u: np.exp(-u) * np.abs(u - 1.0) ** 0.5, spec, "test")
+
+
 def test_meijer_g_rejects_unsupported():
     with pytest.raises(ValueError):
         meijer_g(_G31, -1.0)
@@ -212,8 +267,6 @@ def test_weighted_bessel_integral_validation():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
     assert DEFAULT_QUADRATURE.abs_tol == 1e-12
 
 
