@@ -35,16 +35,7 @@ from .sysmodel import (
     mode_vectors,
     mode_z_factors,
 )
-from .special import (
-    DEFAULT_QUADRATURE,
-    MeijerGError,
-    MeijerParams,
-    QuadratureError,
-    QuadratureSpec,
-    bessel_k,
-    meijer_g,
-    weighted_bessel_integral,
-)
+from .special import MeijerParams, QuadratureError, meijer_g, weighted_bessel_integral
 from .analytic import (
     consecutive_mode_gap_db,
     diversity_order,

@@ -14,8 +14,10 @@ over three known laws:
 ``outage`` and ``throughput`` are Mellin-Barnes line integrals of the
 transform E{X^-s} of X = lambda_j omega_i z, a product of three
 one-dimensional transforms, against a kernel (1/s, or pi/(s sin pi s) for
-ln(1 + y)): one step-halved trapezoid rule on cached contour nodes, over a
-whole grid at once, certifying each value in relative terms.
+ln(1 + y)).  Both run on the vertical-line rule of ``special``, the one the
+Meijer G functions of the closed forms run on: a step-halved trapezoid rule
+on cached contour nodes, over a whole grid at once, certifying each value
+in relative terms.
 
 Outage is computed three ways on purpose.  ``outage_closed_form``
 assembles the paper's Bessel/Meijer-G expressions, the reproduced artifact,
@@ -34,6 +36,7 @@ high-SNR tail.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -42,12 +45,14 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import exp1, expit, kv, loggamma, roots_legendre
 
 from .special import (
-    DEFAULT_QUADRATURE,
+    _ABS_TOL,
+    _EPS,
+    _REL_TOL,
     MeijerParams,
     QuadratureError,
-    QuadratureSpec,
     _g30,
     _half_line_integral,
+    _line_integral,
     meijer_g,
     weighted_bessel_integral,
 )
@@ -92,18 +97,8 @@ _THROUGHPUT_ABSCISSA = -0.5
 # outage by more than 1e-10 (checked in the tests).
 _Z_NODES = 200
 
-# The Mellin-Barnes rule of outage and throughput: the relative tolerance
-# every value is certified to, the first step of its trapezoid rule and how
-# often it may be halved, the half-span its truncation starts from, the
-# share of eps * sum|terms| its truncated tail may leave out, and the
-# distance from the leading pole of the abscissa small outage x fall back to.
-_LINE_REL_TOL = DEFAULT_QUADRATURE.rel_tol
-_LINE_FIRST_STEP = 0.25
-_LINE_HALVINGS = 8
-_LINE_SPAN = 16.0
-_LINE_TAIL_SHARE = 1e-2
+# Distance from the leading pole of the abscissa small outage x fall back to.
 _POLE_MARGIN = 0.15
-_EPS = np.finfo(np.float64).eps
 
 # Both eigenvalue laws are saturated in double precision beyond this
 # argument; clipping there also keeps an infinite argument from giving inf*0.
@@ -362,36 +357,32 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, mass: float, rel_tol
     )
 
 
-def outage_quadrature(
-    mode: Mode, x: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def outage_quadrature(mode: Mode, x: float) -> float:
     """Outage probability P{lambda_j omega_i z <= x} by direct quadrature
     of E{F_lambda(x / (omega z))}; the reference implementation.
 
     It runs on the oracles' rule (:func:`_oracle_rule`), whose four tails
-    each leave out at most 2.5e-4 ``spec.rel_tol`` times a closed-form lower
-    bound of P, until two levels agree to rel_tol relative; ``abs_tol`` plays
-    no part.  P is accurate in relative terms while it is above about
-    1e-290; further down, where the tails can no longer be cut that finely,
-    QuadratureError is raised.
+    each leave out at most 2.5e-4 ``special._REL_TOL`` times a closed-form
+    lower bound of P, until two levels agree to that relative tolerance.  P
+    is accurate in relative terms while it is above about 1e-290; further
+    down, where the tails can no longer be cut that finely, QuadratureError
+    is raised.
     """
     if not 0.0 <= x < np.inf:
         raise ValueError("x must be nonnegative and finite")
     if x == 0.0:
         return 0.0
-    mass = _outage_tail_mass(mode, float(x), spec.rel_tol)
-    return float(_oracle_rule(mode, np.array([x]), True, eigenvalue_cdf, mass, spec.rel_tol)[0])
+    mass = _outage_tail_mass(mode, float(x), _REL_TOL)
+    return float(_oracle_rule(mode, np.array([x]), True, eigenvalue_cdf, mass, _REL_TOL)[0])
 
 
-def outage_closed_form(
-    mode: Mode, x: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def outage_closed_form(mode: Mode, x: float) -> float:
     """Closed-form outage, mode-by-mode assembly of the Bessel and
     Meijer-G expressions; validated against :func:`outage_quadrature`.
 
-    Each Meijer-G and Bessel-tail term is certified to about max(abs_tol,
-    rel_tol |term|), so P = 1 + sum of the terms carries an error budget of
-    abs_tol times their |coefficients| plus rel_tol times their |values|,
+    Each Meijer-G and Bessel-tail term is certified to about max(_ABS_TOL,
+    _REL_TOL |term|), so P = 1 + sum of the terms carries an error budget of
+    _ABS_TOL times their |coefficients| plus _REL_TOL times their |values|,
     plus eps times all |terms|.  Where that is not below |P|, QuadratureError
     is raised: for j1i1-cmp below x ~ 3e-4, P ~ 0.0172 x^2 drowns in terms
     of order one.
@@ -406,7 +397,7 @@ def outage_closed_form(
     # (coefficient, value, from a quadrature) of every term after the leading 1
     if mode.compensated:
         cal = lambda c, a, alpha, gam, arg: (
-            c, weighted_bessel_integral(a, alpha, gam, arg, spec), True
+            c, weighted_bessel_integral(a, alpha, gam, arg), True
         )
         if (j, i) == (1, 1):
             terms = [
@@ -422,7 +413,7 @@ def outage_closed_form(
         else:
             terms = [cal(-2.0, 0, 1, 2.0, 2.0 * z)]
     else:
-        g30 = lambda c, arg, b2: (c, _g30(arg, b2, -2.0, spec), True)
+        g30 = lambda c, arg, b2: (c, _g30(arg, b2, -2.0), True)
         bessel = lambda c, order, arg: (c, kv(order, arg), False)
         if (j, i) == (1, 1):
             terms = [
@@ -444,7 +435,7 @@ def outage_closed_form(
     for c, term, _ in terms:
         value += c * term
     budget = _EPS + sum(
-        (spec.abs_tol * abs(c) + spec.rel_tol * abs(c * t)) * quad + _EPS * abs(c * t)
+        (_ABS_TOL * abs(c) + _REL_TOL * abs(c * t)) * quad + _EPS * abs(c * t)
         for c, t, quad in terms
     )
     if not budget < abs(value):
@@ -591,84 +582,24 @@ def diversity_order(mode: Mode) -> float:
     return min(poles[lam_law], poles[om_law], 2.0 if mode.compensated else 1.0)
 
 
-@lru_cache(maxsize=64)
-def _line_level(mode: Mode, c: float, kernel: str, level: int):
-    """Nodes t >= 0 and terms g(t) = K(s) M(s), s = c + jt, that level
-    ``level`` of the rule on Re s = c adds: every multiple of the first
-    step up to the truncation span (the term at t = 0 halved) at level 0,
-    the odd multiples of step / 2^level after.  K is 1/s for "outage" and
-    pi/(s sin pi s), the transform of ln(1 + y), for "throughput".
+@dataclass(frozen=True)
+class _KernelTransform:
+    """K(s) M(s), s complex, the transform of the vertical-line rule of
+    ``special`` for a mode's Mellin-Barnes column: K is 1/s for "outage" and
+    pi/(s sin pi s), the transform of ln(1 + y), for "throughput".  Hashable,
+    so the rule caches its nodes per mode and kernel."""
 
-    Cached, read-only: the calls of one sweep and of the checks that reuse
-    a mode's contour evaluate M once per node.
-    """
-    def g(t):
-        s = c + 1j * t
-        m = _mellin_transform(mode, s)
-        return m / s if kernel == "outage" else np.pi * m / (s * np.sin(np.pi * s))
+    mode: Mode
+    kernel: str
 
-    if level == 0:
-        # truncation: wherever the cancellation bound holds, a tail below
-        # _LINE_TAIL_SHARE * eps * sum|terms| is at most that share of rel_tol
-        span = _LINE_SPAN
-        while True:
-            t = _LINE_FIRST_STEP * np.arange(int(np.ceil(span / _LINE_FIRST_STEP)) + 1)
-            values = g(t)
-            values[0] *= 0.5
-            if np.abs(values[-1]) <= _LINE_TAIL_SHARE * _EPS * np.abs(values).sum():
-                break
-            span *= 1.5
-    else:
-        intervals = (len(_line_level(mode, c, kernel, 0)[0]) - 1) << (level - 1)
-        t = _LINE_FIRST_STEP * 0.5**level * np.arange(1, 2 * intervals, 2)
-        values = g(t)
-    for arr in (t, values):
-        arr.setflags(write=False)
-    return t, values
-
-
-def _line_integral(mode: Mode, c: float, kernel: str, log_x, residue=0.0, alias=None):
-    """V = residue + (1/2 pi j) int x^s K(s) M(s) ds on Re s = c at
-    x = exp(log_x), and which x it certifies.
-
-    With g = K M and S(x) = (1/pi) int_0^inf Re[x^{jt} g(c + jt)] dt (Re
-    of the integrand is even in t), V = residue + x^c S.  x^{jt} is one
-    outer product per level (:func:`_line_level`), and each halving of the
-    step adds only the odd nodes of the finer level.
-
-    Returns (V, ok); ok marks the x at which, relative to V, the
-    cancellation bound eps * sum|terms| and the last step-halving change
-    are within _LINE_REL_TOL, and so is ``alias(step, scaled)``, the ln of
-    a bound of the rule's aliases relative to V, if given (``scaled`` is
-    |V| / x^c).  The other x carry no usable value.
-    """
-    x_c = np.exp(c * log_x)
-    total = magnitude = estimate = 0.0
-    for level in range(_LINE_HALVINGS + 1):
-        step = _LINE_FIRST_STEP * 0.5**level
-        t, values = _line_level(mode, c, kernel, level)
-        magnitude += np.abs(values).sum()
-        # Re[x^{jt} g(t)] summed over the nodes, one row per x
-        phase = np.multiply.outer(log_x, t)
-        total += np.cos(phase) @ values.real - np.sin(phase) @ values.imag
-        previous, estimate = estimate, step * total / np.pi
-        if level == 0:
-            continue
-        value = x_c * estimate + residue
-        # |V| / x^c, the scale of the sums (x^c underflows for tiny x)
-        scaled = np.abs(value) / x_c if residue else np.abs(estimate)
-        live = _EPS * step * magnitude / np.pi <= _LINE_REL_TOL * scaled
-        ok = live & (np.abs(estimate - previous) <= _LINE_REL_TOL * scaled)
-        if alias is not None:
-            ok &= alias(step, scaled) <= np.log(_LINE_REL_TOL)
-        if np.array_equal(ok, live):
-            break
-    return value, ok
+    def __call__(self, s):
+        m = _mellin_transform(self.mode, s)
+        return m / s if self.kernel == "outage" else np.pi * m / (s * np.sin(np.pi * s))
 
 
 def _outage_line(mode: Mode, c: float, log_x: np.ndarray):
     """P at x = exp(log_x) from the line Re s = c, and which x it certifies:
-    :func:`_line_integral` with K = 1/s, held also to the alias bound below.
+    the vertical-line rule with K = 1/s, held also to the alias bound below.
     For c < 0 the line has passed the pole of 1/s at 0, whose residue 1 is
     added."""
     # The rule's error is the sum of its aliases, S at x e^(2 pi m/h) times
@@ -693,7 +624,7 @@ def _outage_line(mode: Mode, c: float, log_x: np.ndarray):
         near = np.min(log_moments + _log_geometric(sigmas - c, step), axis=1)
         return np.logaddexp(_log_geometric(c, step), near) - (c * log_x + np.log(scaled))
 
-    return _line_integral(mode, c, "outage", log_x, float(c < 0.0), alias)
+    return _line_integral(_KernelTransform(mode, "outage"), c, log_x, float(c < 0.0), alias)
 
 
 def _log_geometric(a, step: float):
@@ -717,7 +648,7 @@ def outage(mode: Mode, x):
     product.  On the line the integrand is of size x^c while P goes like
     x^p as x -> 0, so the sum cancels by about x^(c-p) for small x, and by
     x^c for large x.  Each x therefore takes the first of these lines that
-    meets the relative tolerance ``DEFAULT_QUADRATURE.rel_tol`` (1e-10):
+    meets the relative tolerance ``special._REL_TOL`` (1e-10):
     c = p/2; then, below x = 1, c = p - 0.15, and from x = 1 on c = -p/2,
     where the line has crossed the pole at 0 and P = 1 + (the line
     integral).  A line meets the tolerance at x when its trapezoid rule,
@@ -753,7 +684,7 @@ def outage(mode: Mode, x):
     if todo.size:
         raise QuadratureError(
             f"outage({mode.label}): no Mellin-Barnes line meets rel_tol "
-            f"{_LINE_REL_TOL:g} at x = {flat[todo[0]]:g} ({todo.size} of {flat.size} x)"
+            f"{_REL_TOL:g} at x = {flat[todo[0]]:g} ({todo.size} of {flat.size} x)"
         )
     result = result.reshape(xs.shape)
     return result if result.ndim else float(result)
@@ -772,7 +703,7 @@ def throughput(mode: Mode, gamma_bar):
     decays like exp(-2 pi |Im s|).  It runs on the rule and the cached
     nodes of :func:`outage`, so y^s over all gamma_bar is one outer product.
     Each value is certified, by step halving and the cancellation bound
-    eps * sum|terms| y^c / R, to ``DEFAULT_QUADRATURE.rel_tol`` (1e-10), or
+    eps * sum|terms| y^c / R, to ``special._REL_TOL`` (1e-10), or
     QuadratureError is raised: from 136.5 dB on for j1i1-cmp, 155.5 dB for
     j2i2-cmp.
 
@@ -787,11 +718,13 @@ def throughput(mode: Mode, gamma_bar):
     # at y e^(2 pi m/h) times e^(pi m/h); R falls like 1/y one way and grows
     # like ln(1/y) the other, so the aliases shrink like e^(-pi |m| / h) on
     # both sides and halving the step sees the leading one.
-    value, ok = _line_integral(mode, _THROUGHPUT_ABSCISSA, "throughput", -np.log(flat))
+    value, ok = _line_integral(
+        _KernelTransform(mode, "throughput"), _THROUGHPUT_ABSCISSA, -np.log(flat)
+    )
     if not ok.all():
         raise QuadratureError(
             f"throughput({mode.label}): the Mellin-Barnes line does not meet rel_tol "
-            f"{_LINE_REL_TOL:g} at gamma_bar = {flat[~ok][0]:g} "
+            f"{_REL_TOL:g} at gamma_bar = {flat[~ok][0]:g} "
             f"({np.count_nonzero(~ok)} of {flat.size} gamma_bar)"
         )
     result = value.reshape(gammas.shape)
@@ -818,9 +751,7 @@ def _throughput_tail_mass(mode: Mode, gamma_bar, rel_tol: float) -> float:
     return max(float(np.min(mass)), np.finfo(np.float64).tiny)
 
 
-def throughput_quadrature(
-    mode: Mode, gamma_bar, spec: QuadratureSpec = DEFAULT_QUADRATURE
-):
+def throughput_quadrature(mode: Mode, gamma_bar):
     """Average throughput E ln(1 + gamma) by quadrature at every gamma_bar
     of an array at once (a float for a scalar); the oracle of
     :func:`throughput`.
@@ -828,34 +759,30 @@ def throughput_quadrature(
     E ln(1 + c lambda) is an exponential-integral kernel
     (:func:`_capacity_kernel`), and omega and z run on the oracles' rule
     (:func:`_oracle_rule`), with no Mellin step.  Each of its four tails
-    leaves out at most 2.5e-4 ``spec.rel_tol`` times a closed-form lower
-    bound of R, and each value is certified by step halving to rel_tol
-    relative, or QuadratureError is raised; ``abs_tol`` plays no part.
+    leaves out at most 2.5e-4 ``special._REL_TOL`` times a closed-form lower
+    bound of R, and each value is certified by step halving to that relative
+    tolerance, or QuadratureError is raised.
     """
     gammas = np.asarray(gamma_bar, dtype=np.float64)
     if not np.all((gammas > 0.0) & (gammas < np.inf)):
         raise ValueError("gamma_bar must be positive and finite")
     flat = gammas.ravel()
-    mass = _throughput_tail_mass(mode, flat, spec.rel_tol)
-    result = _oracle_rule(mode, flat, False, _capacity_kernel, mass, spec.rel_tol)
+    mass = _throughput_tail_mass(mode, flat, _REL_TOL)
+    result = _oracle_rule(mode, flat, False, _capacity_kernel, mass, _REL_TOL)
     result = result.reshape(gammas.shape)
     return result if result.ndim else float(result)
 
 
-def throughput_closed_r22(
-    gamma_bar: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def throughput_closed_r22(gamma_bar: float) -> float:
     """Closed form of the plain-surface (2,2)-mode throughput,
     (16/gamma_bar^2) G^{4,1}_{2,4}(4/gamma_bar | -2,0; -2,-1,-1,-2)."""
     if not 0.0 < gamma_bar < np.inf:
         raise ValueError("gamma_bar must be positive and finite")
     params = MeijerParams(4, 1, 2, 4, (-2.0, 0.0), (-2.0, -1.0, -1.0, -2.0))
-    return 16.0 / gamma_bar**2 * meijer_g(params, 4.0 / gamma_bar, spec)
+    return 16.0 / gamma_bar**2 * meijer_g(params, 4.0 / gamma_bar)
 
 
-def throughput_closed_r22_cmp(
-    gamma_bar: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def throughput_closed_r22_cmp(gamma_bar: float) -> float:
     """Closed form of the compensated (2,2)-mode throughput: a single
     G^{3,1}_{1,3} tail integral plus half the plain-surface value."""
     if not 0.0 < gamma_bar < np.inf:
@@ -865,8 +792,8 @@ def throughput_closed_r22_cmp(
     def tail(u):
         # one G evaluation, on one contour, for every node of a level
         t = 1.0 + u * u
-        g = meijer_g(params, 4.0 * t / gamma_bar, spec)
+        g = meijer_g(params, 4.0 * t / gamma_bar)
         return 2.0 * (1.0 - u * u) / t**2 * np.arcsin(1.0 / np.sqrt(t)) * g
 
-    integral = _half_line_integral(tail, spec, "throughput_closed_r22_cmp")
-    return 0.5 * integral + 0.5 * throughput_closed_r22(gamma_bar, spec)
+    integral = _half_line_integral(tail, "throughput_closed_r22_cmp")
+    return 0.5 * integral + 0.5 * throughput_closed_r22(gamma_bar)

@@ -26,7 +26,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .acceptance import AcceptanceSettings, curve_rows, format_report, run_acceptance
 from .montecarlo import _Z95, ALL_SCHEME_LABELS, parse_scheme
-from .special import MeijerGError, QuadratureError
+from .special import QuadratureError
 from .sysmodel import Mode
 
 __all__ = ["ExperimentConfig", "main"]
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, MeijerGError, QuadratureError) as exc:
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

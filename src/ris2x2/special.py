@@ -1,27 +1,33 @@
 """Special functions behind the closed-form outage and throughput results.
 
-Three things live here: the modified Bessel function K of integer order,
-a numerical Meijer G evaluator for the handful of parameter families the
-closed forms need, and the composite Bessel/Meijer integral that the
-compensated outage expressions are built from.
+Two rules live here, with the terms the closed forms are built from: the
+package's one vertical-line rule, behind both :func:`meijer_g` and the
+Mellin-Barnes outage and throughput of ``analytic``, and a half-line rule,
+behind the composite Bessel/Meijer integral of the compensated outage
+expressions.
 
-The G-function is evaluated by direct quadrature of its Mellin-Barnes
-definition
+A Meijer G function and a Mellin-Barnes column are the same object,
 
-    G(z) = (1/2*pi*j) * int_L  prod Gamma(b_j - s) * prod Gamma(1 - a_j + s)
-                               ---------------------------------------------  z^s ds
-                               prod Gamma(1 - b_j + s) * prod Gamma(a_j - s)
+    V(x) = (1/2*pi*j) * int_L  T(s) x^s ds,
 
-along a vertical line Re(s) = c separating the two pole ladders.  For the
-families used here the integrand decays like exp(-mu*|Im s|) with
-mu = (2(m+n) - p - q) * pi / 2 > 0, so a trapezoid rule with step halving
-converges geometrically; one contour serves a whole array of z.  Repeated
-b parameters (the ladder b = (-1, -1, -2) appears throughout) are
-harmless on this route since the contour never touches a pole.  Integrals
-over a half-line run on a trapezoid rule in the exp-sinh variable
-u = exp((pi/2) sinh tau), which converges geometrically too (Takahasi &
-Mori, Publ. RIMS 1974).  Both rules certify each value by step halving to
-a :class:`QuadratureSpec`, or raise.
+along a vertical line Re(s) = c, for a transform T that is real on the real
+axis, analytic on a strip around the line and decays exponentially along
+it.  For G^{m,n}_{p,q}(x | a; b) T is the Gamma ratio
+
+    prod Gamma(b_j - s) * prod Gamma(1 - a_j + s)
+    ---------------------------------------------
+    prod Gamma(1 - b_j + s) * prod Gamma(a_j - s),
+
+which decays like exp(-mu*|Im s|) with mu = (2(m+n) - p - q) * pi / 2 > 0
+on a line between the two pole ladders; repeated b parameters (the ladder
+b = (-1, -1, -2) appears throughout) are harmless since the line never
+touches a pole.  On such a line the trapezoid rule converges geometrically
+as its step is halved (Trefethen & Weideman, SIAM Review 2014); the nodes of
+a transform and a line are evaluated once and cached, and one contour serves
+a whole array of x.  Integrals over a half-line run on a trapezoid rule in
+the exp-sinh variable u = exp((pi/2) sinh tau), which converges
+geometrically too (Takahasi & Mori, Publ. RIMS 1974).  Both rules certify
+each value by step halving, or raise :class:`QuadratureError`.
 """
 
 from __future__ import annotations
@@ -33,46 +39,44 @@ import numpy as np
 from scipy.special import kv, loggamma
 
 __all__ = [
-    "QuadratureSpec",
     "MeijerParams",
-    "MeijerGError",
     "QuadratureError",
-    "DEFAULT_QUADRATURE",
-    "bessel_k",
     "meijer_g",
     "weighted_bessel_integral",
 ]
 
 
-class MeijerGError(RuntimeError):
-    """Raised when the Mellin-Barnes line integral of a G-function cannot
-    meet its tolerances."""
-
-
 class QuadratureError(RuntimeError):
-    """Raised when a half-line integral, an oracle, a closed form or a
-    Mellin-Barnes outage or throughput of ``analytic`` cannot be certified."""
+    """Raised when a vertical-line or half-line integral, an oracle or a
+    closed form cannot be certified to its tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances of the step-halved rules: a value is accepted once two
-    levels agree to max(abs_tol, rel_tol |value|) (the oracles: rel_tol)."""
+# The tolerances of every certified value: two levels of a step-halved rule
+# agree to max(_ABS_TOL, _REL_TOL |value|); the Mellin-Barnes columns and
+# the oracles use _REL_TOL alone.
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# The vertical-line rule: the first step of its trapezoid rule and how often
+# it may be halved, the half-span its truncation starts from and how often
+# that may grow by half, and the share of eps * sum|terms| its truncated tail
+# may leave out.
+_LINE_FIRST_STEP = 0.25
+_LINE_HALVINGS = 8
+_LINE_SPAN = 16.0
+_LINE_GROWTHS = 12
+_LINE_TAIL_SHARE = 1e-2
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
 class MeijerParams:
-    """Orders and parameters of G^{m,n}_{p,q}(z | a; b)."""
+    """Orders and parameters of G^{m,n}_{p,q}(z | a; b).
+
+    Called at an array of complex s, it returns the Gamma ratio of the
+    Mellin-Barnes integrand, without z^s: the transform that
+    :func:`meijer_g` integrates on the vertical-line rule.
+    """
 
     m: int
     n: int
@@ -87,126 +91,147 @@ class MeijerParams:
         if len(self.a) != self.p or len(self.b) != self.q:
             raise ValueError("parameter lengths must match p and q")
 
-
-def bessel_k(order: int, x: float) -> float:
-    """Modified Bessel function of the second kind, integer order 0..2."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    return float(kv(order, x))
-
-
-def _contour_abscissa(params: MeijerParams, shift: float) -> float:
-    """Real part of the integration line, between the pole ladders."""
-    right_edge = min(params.b[: params.m])
-    if params.n > 0:
-        left_edge = max(params.a[: params.n]) - 1.0
-        if left_edge >= right_edge:
-            raise MeijerGError(
-                f"no separating vertical contour for a={params.a}, b={params.b}"
-            )
-        c = 0.5 * (left_edge + right_edge) + shift
-        margin = min(right_edge - c, c - left_edge)
-    else:
-        c = right_edge - 0.5 + shift
-        margin = right_edge - c
-    if margin < 0.2:
-        raise MeijerGError(f"contour shift {shift} leaves margin {margin:.3f} < 0.2")
-    return c
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        lg = np.zeros_like(s)
+        for b in self.b[: self.m]:
+            lg += loggamma(b - s)
+        for a in self.a[: self.n]:
+            lg += loggamma(1.0 - a + s)
+        for b in self.b[self.m :]:
+            lg -= loggamma(1.0 - b + s)
+        for a in self.a[self.n :]:
+            lg -= loggamma(a - s)
+        return np.exp(lg)
 
 
-def _contour_integrand(params: MeijerParams, s: np.ndarray) -> np.ndarray:
-    """The Gamma ratio of the Mellin-Barnes integrand, without z^s."""
-    lg = np.zeros_like(s)
-    for b in params.b[: params.m]:
-        lg += loggamma(b - s)
-    for a in params.a[: params.n]:
-        lg += loggamma(1.0 - a + s)
-    for b in params.b[params.m :]:
-        lg -= loggamma(1.0 - b + s)
-    for a in params.a[params.n :]:
-        lg -= loggamma(a - s)
-    return np.exp(lg)
+@lru_cache(maxsize=64)
+def _line_level(transform, c: float, level: int):
+    """Nodes t >= 0 and terms transform(c + jt) that level ``level`` of the
+    rule on Re s = c adds: every multiple of the first step up to the
+    truncation span (the term at t = 0 halved) at level 0, the odd multiples
+    of step / 2^level after.
 
+    The span grows by half from _LINE_SPAN until the last term is below
+    _LINE_TAIL_SHARE * eps * sum|terms|; wherever the cancellation bound of
+    :func:`_line_integral` holds, the tail left out is then at most that
+    share of the tolerance.  If _LINE_GROWTHS tries do not get there, the
+    transform does not decay and QuadratureError is raised.
 
-def _vertical_line_integral(
-    integrand, c: float, mu: float, log_z: np.ndarray, spec: QuadratureSpec
-) -> np.ndarray:
-    """(1/2*pi*j) * int_{c-j*inf}^{c+j*inf} integrand(s) z^s ds at every
-    z = exp(log_z), for an integrand that is real on the real axis, analytic
-    on a strip around Re(s) = c and decaying like exp(-mu*|Im s|) times a
-    power of |Im s|.
-
-    ``integrand`` maps an array of complex s to an array of values.  The
-    integral is (z^c/pi) int_0^inf Re[integrand(c + jt) z^jt] dt, so the
-    integrand is evaluated once per node for all z, and z^jt is one outer
-    product.  The line is cut where the tail bound at the largest z^c falls
-    below 1% of ``abs_tol``, and the step is halved until two levels agree
-    at every z.
+    ``transform`` is hashable (a :class:`MeijerParams`, or a kernel and a
+    mode of ``analytic``).  Cached, read-only: the calls of one sweep and of
+    the checks that reuse a line evaluate the transform once per node.
     """
-    scale = np.exp(c * log_z)
-    half_span = max(28.0, 80.0 / mu)
-    for _ in range(12):
-        tail = abs(integrand(np.array([c + 1j * half_span]))[0]) * scale.max()
-        if tail * (2.0 / mu) <= 0.01 * spec.abs_tol:
-            break
-        half_span *= 1.5
-    else:
-        raise MeijerGError(f"meijer_g: contour tail does not decay (T={half_span:.1f})")
-
-    step = 0.25
-    intervals = int(round(half_span / step))
-    t = step * np.arange(intervals + 1)
-    total = estimate = 0.0
-    for level in range(6):
-        values = integrand(c + 1j * t)
-        if level == 0:
+    if level == 0:
+        span = _LINE_SPAN
+        for _ in range(_LINE_GROWTHS):
+            t = _LINE_FIRST_STEP * np.arange(int(np.ceil(span / _LINE_FIRST_STEP)) + 1)
+            values = transform(c + 1j * t)
             values[0] *= 0.5
-        phase = np.multiply.outer(log_z, t)
+            if np.abs(values[-1]) <= _LINE_TAIL_SHARE * _EPS * np.abs(values).sum():
+                break
+            span *= 1.5
+        else:
+            raise QuadratureError(
+                f"{transform} does not decay on the line Re s = {c:g} (half-span {span:g})"
+            )
+    else:
+        intervals = (len(_line_level(transform, c, 0)[0]) - 1) << (level - 1)
+        t = _LINE_FIRST_STEP * 0.5**level * np.arange(1, 2 * intervals, 2)
+        values = transform(c + 1j * t)
+    for arr in (t, values):
+        arr.setflags(write=False)
+    return t, values
+
+
+def _line_integral(transform, c: float, log_x, residue=0.0, alias=None, floor=0.0):
+    """V = residue + (1/2 pi j) int x^s T(s) ds on Re s = c at x = exp(log_x),
+    for T = ``transform``, and which x it certifies.
+
+    With S(x) = (1/pi) int_0^inf Re[x^{jt} T(c + jt)] dt (Re of the integrand
+    is even in t), V = residue + x^c S.  x^{jt} is one outer product per
+    level (:func:`_line_level`), and each halving of the step adds only the
+    odd nodes of the finer level.
+
+    Returns (V, ok); ok marks the x at which the cancellation bound
+    eps * sum|terms| and the last step-halving change are within the
+    tolerance, and so is ``alias(step, scaled)``, the ln of a bound of the
+    rule's aliases relative to V, if given (``scaled`` is |V| / x^c).  The
+    tolerance is _REL_TOL |V|, raised to an absolute ``floor`` if one is
+    given (:func:`meijer_g`'s).  The step is halved until ok marks every x
+    the cancellation bound leaves, at most _LINE_HALVINGS times; the other x
+    carry no usable value.
+    """
+    x_c = np.exp(c * log_x)
+    total = magnitude = estimate = 0.0
+    for level in range(_LINE_HALVINGS + 1):
+        step = _LINE_FIRST_STEP * 0.5**level
+        t, values = _line_level(transform, c, level)
+        magnitude += np.abs(values).sum()
+        # Re[x^{jt} T(c + jt)] summed over the nodes, one row per x
+        phase = np.multiply.outer(log_x, t)
         total += np.cos(phase) @ values.real - np.sin(phase) @ values.imag
-        previous, estimate = estimate, scale * step * total / np.pi
-        change = np.abs(estimate - previous)
-        ok = change <= 0.5 * np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate))
-        if level and ok.all():
-            return estimate
-        # the next level adds the odd multiples of half the step
-        step *= 0.5
-        intervals *= 2
-        t = step * np.arange(1, intervals, 2)
-    bad = np.flatnonzero(~ok)[0]
-    raise MeijerGError(
-        f"meijer_g: contour refinement stalled at step {2.0 * step:.4g} at "
-        f"z = {np.exp(log_z[bad]):g} (last two estimates {previous[bad]:.6e}, "
-        f"{estimate[bad]:.6e})"
-    )
+        previous, estimate = estimate, step * total / np.pi
+        if level == 0:
+            continue
+        value = x_c * estimate + residue
+        # |V| / x^c, the scale of the sums (x^c underflows for tiny x)
+        scaled = np.abs(value) / x_c if residue else np.abs(estimate)
+        tol = _REL_TOL * scaled
+        if floor:
+            tol = np.maximum(tol, floor / x_c)
+        live = _EPS * step * magnitude / np.pi <= tol
+        ok = live & (np.abs(estimate - previous) <= tol)
+        if alias is not None:
+            ok &= alias(step, scaled) <= np.log(_REL_TOL)
+        if np.array_equal(ok, live):
+            break
+    return value, ok
 
 
-def meijer_g(
-    params: MeijerParams, z, spec: QuadratureSpec = DEFAULT_QUADRATURE, contour_shift: float = 0.0
-):
+def _contour_abscissa(params: MeijerParams) -> float:
+    """Real part of the line of :func:`meijer_g`, between the pole ladders:
+    mid-way, or 1/2 left of the right ladder when there is no left one.
+
+    ValueError if the Gamma ratio does not decay on a vertical line, or the
+    ladders leave no line at least 0.2 clear of both.
+    """
+    if 2 * (params.m + params.n) <= params.p + params.q:
+        raise ValueError("the integrand does not decay on a vertical contour")
+    right_edge = min(params.b[: params.m])
+    if params.n == 0:
+        return right_edge - 0.5
+    left_edge = max(params.a[: params.n]) - 1.0
+    if right_edge - left_edge < 0.4:
+        raise ValueError(
+            f"no vertical contour 0.2 clear of both pole ladders for a={params.a}, b={params.b}"
+        )
+    return 0.5 * (left_edge + right_edge)
+
+
+def meijer_g(params: MeijerParams, z):
     """Evaluate G^{m,n}_{p,q}(z | a; b) for real parameters at every z > 0
-    of an array at once, on one contour; a float for a scalar z.
+    of an array at once, on one line; a float for a scalar z.
 
-    ``contour_shift`` moves the vertical line off its default abscissa
-    (staying clear of both pole ladders); the result must not depend on it,
-    which makes it a cheap independent consistency check.
+    The vertical-line rule (:func:`_line_integral`) integrates the Gamma
+    ratio ``params`` on the line of :func:`_contour_abscissa` to
+    max(_ABS_TOL, _REL_TOL |G|) at every z, or QuadratureError is raised.
     """
     zs = np.asarray(z, dtype=np.float64)
     if not np.all(zs > 0.0):
         raise ValueError("z must be positive")
-    mu = (2.0 * (params.m + params.n) - params.p - params.q) * np.pi / 2.0
-    if mu <= 0.0:
-        raise MeijerGError("integrand does not decay on a vertical contour")
-    c = _contour_abscissa(params, contour_shift)
-    values = _vertical_line_integral(
-        lambda s: _contour_integrand(params, s), c, mu, np.log(zs.ravel()), spec
-    )
+    flat = zs.ravel()
+    values, ok = _line_integral(params, _contour_abscissa(params), np.log(flat), floor=_ABS_TOL)
+    if not ok.all():
+        raise QuadratureError(
+            f"meijer_g{params.m, params.n, params.p, params.q}: the vertical line does "
+            f"not meet its tolerance at z = {flat[~ok][0]:g} ({np.count_nonzero(~ok)} "
+            f"of {flat.size} z)"
+        )
     result = values.reshape(zs.shape)
     return result if result.ndim else float(result)
 
 
-def _half_line_integral(f, spec: QuadratureSpec, what: str) -> float:
+def _half_line_integral(f, what: str) -> float:
     """int_0^inf f(u) du for an integrand analytic on a neighbourhood of the
     half-line that decays at infinity at least like a power u^-(1+d), d > 0.
 
@@ -219,7 +244,7 @@ def _half_line_integral(f, spec: QuadratureSpec, what: str) -> float:
     1% of the tolerance (a span cut where a coarse level's terms are small
     could miss a narrow bump between them), and evaluates its new midpoints
     as one array.  The value is certified once two levels agree to
-    0.5 max(abs_tol, rel_tol |value|); otherwise, or if a term is not
+    0.5 max(_ABS_TOL, _REL_TOL |value|); otherwise, or if a term is not
     finite, QuadratureError is raised.
     """
 
@@ -235,7 +260,7 @@ def _half_line_integral(f, spec: QuadratureSpec, what: str) -> float:
     total = values.sum()
     estimate = step * total
     ends = step * max(abs(values[0]), abs(values[-1]))
-    if ends > 0.01 * max(spec.abs_tol, spec.rel_tol * abs(estimate)):
+    if ends > 0.01 * max(_ABS_TOL, _REL_TOL * abs(estimate)):
         raise QuadratureError(f"{what}: integrand does not decay on the half-line")
     for _ in range(6):
         # the next level adds the odd multiples of half the step
@@ -243,7 +268,7 @@ def _half_line_integral(f, spec: QuadratureSpec, what: str) -> float:
         last *= 2
         total += terms(step * np.arange(1 - last, last, 2)).sum()
         previous, estimate = estimate, step * total
-        if abs(estimate - previous) <= 0.5 * max(spec.abs_tol, spec.rel_tol * abs(estimate)):
+        if abs(estimate - previous) <= 0.5 * max(_ABS_TOL, _REL_TOL * abs(estimate)):
             return float(estimate)
     raise QuadratureError(
         f"{what}: half-line rule not converged at step {step:g} (last two "
@@ -251,28 +276,13 @@ def _half_line_integral(f, spec: QuadratureSpec, what: str) -> float:
     )
 
 
-# Distinct closed-form terms kept per cached function.  An SNR sweep
-# repeats terms across modes and within one expression (the default
-# 31-point outage sweep needs 341 distinct G blocks and 372 distinct
-# composite terms); the functions are pure, so a cached value is the value.
-_TERM_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_TERM_CACHE_SIZE)
-def _g30(z: float, b2: float, b3: float, spec: QuadratureSpec) -> float:
+def _g30(z: float, b2: float, b3: float) -> float:
     """G^{3,0}_{1,3}(z | 0; -1, b2, b3), the Meijer block of the outage
     closed forms."""
-    return meijer_g(MeijerParams(3, 0, 1, 3, (0.0,), (-1.0, b2, b3)), z, spec)
+    return meijer_g(MeijerParams(3, 0, 1, 3, (0.0,), (-1.0, b2, b3)), z)
 
 
-@lru_cache(maxsize=_TERM_CACHE_SIZE)
-def weighted_bessel_integral(
-    a: int,
-    alpha: int,
-    gamma_param: float,
-    x: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def weighted_bessel_integral(a: int, alpha: int, gamma_param: float, x: float) -> float:
     """The composite term of the compensated outage expressions.
 
     Equal to the double integral over the unit-interval alignment density
@@ -283,7 +293,7 @@ def weighted_bessel_integral(
 
     evaluated as a Meijer G term plus a one-dimensional Bessel tail
     integral.  The endpoint singularity 1/sqrt(t-1) of the tail is removed
-    by substituting t = 1 + u^2.  Values are cached by argument.
+    by substituting t = 1 + u^2.
     """
     if a not in (0, 2):
         raise ValueError("a must be 0 or 2")
@@ -294,7 +304,7 @@ def weighted_bessel_integral(
     gam = float(gamma_param)
     x = float(x)
 
-    g30 = _g30(gam * x, alpha + a - 2.0, a - 2.0, spec)
+    g30 = _g30(gam * x, alpha + a - 2.0, a - 2.0)
     g_term = x ** (2 - a) / (2.0 * gam ** (alpha + a - 2)) * g30
     w = 2.0 * np.sqrt(gam * x)
     exponent = a + alpha / 2.0 - 2.0
@@ -305,4 +315,4 @@ def weighted_bessel_integral(
         return 2.0 * t**exponent * (1.0 - u * u) * bessel * np.arcsin(1.0 / np.sqrt(t))
 
     what = f"weighted_bessel_integral(a={a}, alpha={alpha})"
-    return g_term + (x / gam) ** (alpha / 2.0) * _half_line_integral(tail, spec, what)
+    return g_term + (x / gam) ** (alpha / 2.0) * _half_line_integral(tail, what)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ris2x2 import analytic
+from ris2x2 import analytic, special
 from ris2x2.montecarlo import channel_statistics, scheme_snr_factor, throughput_from_stats
-from ris2x2.special import QuadratureError, QuadratureSpec
+from ris2x2.special import MeijerParams, QuadratureError
 from ris2x2.sysmodel import MODES, Mode
 
 
@@ -161,13 +161,12 @@ def test_outage_quadrature_compensated_small_threshold_limit():
     assert deviations[-1] < 1e-6
 
 
-def test_outage_quadrature_step_halving_is_converged():
-    tight = QuadratureSpec(rel_tol=1e-13)
-    for mode in MODES:
-        for x in np.logspace(-6.0, 2.0, 9):
-            assert analytic.outage_quadrature(mode, x) == pytest.approx(
-                analytic.outage_quadrature(mode, x, tight), rel=1e-10, abs=0.0
-            )
+def test_outage_quadrature_step_halving_is_converged(monkeypatch):
+    grid = np.logspace(-6.0, 2.0, 9)
+    base = [analytic.outage_quadrature(mode, x) for mode in MODES for x in grid]
+    monkeypatch.setattr(analytic, "_REL_TOL", 1e-13)
+    tight = [analytic.outage_quadrature(mode, x) for mode in MODES for x in grid]
+    assert base == pytest.approx(tight, rel=1e-10, abs=0.0)
 
 
 def test_outage_transmit_receive_symmetry():
@@ -279,22 +278,24 @@ def test_outage_shapes_and_arguments(fn, grid, bad, message):
             fn(Mode(1, 1), value)
 
 
-@pytest.mark.parametrize("fn, grid", [
-    (analytic.outage, np.logspace(-6.0, 2.0, 9)),
-    (analytic.throughput, np.logspace(-2.0, 3.0, 11)),
-], ids=["outage", "throughput"])
-def test_mellin_terms_are_evaluated_once_per_node(fn, grid):
-    # the nodes are cached per mode, contour, kernel and level: a second
-    # call on the same mode and grid evaluates no M(s)
-    analytic._line_level.cache_clear()
+@pytest.mark.parametrize("fn, transform, grid", [
+    (analytic.outage, Mode(1, 1, True), np.logspace(-6.0, 2.0, 9)),
+    (analytic.throughput, Mode(1, 1, True), np.logspace(-2.0, 3.0, 11)),
+    (special.meijer_g, MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0)), np.logspace(-3.0, 3.0)),
+], ids=["outage", "throughput", "meijer_g"])
+def test_mellin_terms_are_evaluated_once_per_node(fn, transform, grid):
+    # the vertical-line rule caches its nodes per transform (a mode and a
+    # kernel, or a G family), line and level: a second call on the same
+    # transform and grid evaluates no new node
+    special._line_level.cache_clear()
     try:
-        first = fn(Mode(1, 1, True), grid)
-        misses = analytic._line_level.cache_info().misses
+        first = fn(transform, grid)
+        misses = special._line_level.cache_info().misses
         assert misses > 0
-        assert np.array_equal(fn(Mode(1, 1, True), grid), first)
-        assert analytic._line_level.cache_info().misses == misses
+        assert np.array_equal(fn(transform, grid), first)
+        assert special._line_level.cache_info().misses == misses
     finally:
-        analytic._line_level.cache_clear()
+        special._line_level.cache_clear()
 
 
 def test_closed_form_monotone_in_threshold():
@@ -460,14 +461,14 @@ def test_outage_z_rule_is_converged(monkeypatch):
     # the same rule, near the pole of E{z^-s} at s = 2 (j1i1-cmp at small x)
     modes = [m for m in MODES if m.compensated]
     grid = np.logspace(-10.0, 2.0, 13)
-    analytic._line_level.cache_clear()
+    special._line_level.cache_clear()
     base = [analytic.outage(m, grid) for m in modes]
     monkeypatch.setattr(analytic, "_Z_NODES", 2 * analytic._Z_NODES)
-    analytic._line_level.cache_clear()
+    special._line_level.cache_clear()
     try:
         doubled = [analytic.outage(m, grid) for m in modes]
     finally:
-        analytic._line_level.cache_clear()
+        special._line_level.cache_clear()
     assert np.concatenate(doubled) == pytest.approx(np.concatenate(base), rel=1e-10, abs=0.0)
 
 
@@ -477,14 +478,14 @@ def test_throughput_z_rule_is_converged(monkeypatch):
     # rule they were built with, so the cache is cleared around the change)
     modes = [m for m in MODES if m.compensated]
     grid = np.array(_ENGINE_GAMMAS)
-    analytic._line_level.cache_clear()
+    special._line_level.cache_clear()
     base = [analytic.throughput(m, grid) for m in modes]
     monkeypatch.setattr(analytic, "_Z_NODES", 2 * analytic._Z_NODES)
-    analytic._line_level.cache_clear()
+    special._line_level.cache_clear()
     try:
         doubled = [analytic.throughput(m, grid) for m in modes]
     finally:
-        analytic._line_level.cache_clear()
+        special._line_level.cache_clear()
     assert np.concatenate(doubled) == pytest.approx(np.concatenate(base), rel=1e-12, abs=0.0)
 
 

@@ -12,7 +12,7 @@ import ris2x2.analytic
 import ris2x2.montecarlo
 from ris2x2.acceptance import curve_rows
 from ris2x2.cli import ExperimentConfig, main
-from ris2x2.special import MeijerGError, QuadratureError
+from ris2x2.special import QuadratureError
 from ris2x2.sysmodel import Mode
 
 FAST = ["--trials", "2000", "--seed", "11"]
@@ -97,7 +97,7 @@ def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch, command, flags
 
 
 def test_numerical_failures_are_the_caught_errors():
-    with pytest.raises(MeijerGError):
+    with pytest.raises(QuadratureError, match="meijer_g"):
         ris2x2.analytic.outage_closed_form(Mode(1, 1, False), 1e-30)
     with pytest.raises(QuadratureError, match="Mellin-Barnes line does not meet"):
         ris2x2.analytic.throughput(Mode(1, 1, False), 1e30)
@@ -298,17 +298,21 @@ def test_verify_negative_control(monkeypatch, capsys):
     assert "[FAIL]" in out
 
 
-def test_benchmark_traced_run(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["outage", "--trials", "1000", "--snr-db-step", "10", "--out", "o.csv"],
+    ["verify", "--level", "smoke"],
+], ids=["outage", "verify"])
+def test_benchmark_traced_run(tmp_path, argv):
     # the benchmark's traced mode wraps program names by attribute; a name it
-    # reads that the program no longer has fails the run. It monkeypatches
-    # modules, so it runs in a process of its own.
+    # reads that the program no longer has fails the run, on either of the
+    # paths its workloads take. It monkeypatches modules, so it runs in a
+    # process of its own.
     root = Path(__file__).resolve().parents[1]
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "child.py"), str(result), "--trace", "--",
-         "outage", "--trials", "1000", "--snr-db-step", "10", "--out", str(tmp_path / "o.csv")],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, str(root / "perfbench" / "child.py"), str(result), "--trace", "--", *argv],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(result.read_text())["exit_code"] == 0
