@@ -18,7 +18,7 @@ from ris2x2 import (
     snr_gain_linear,
 )
 
-stats = channel_statistics(seed=123, trials=500_000, workers=4)
+stats = channel_statistics(seed=123, trials=500_000)
 
 print(f"analytic compensation gain: {snr_gain_linear():.6f} = {snr_gain_db():.4f} dB")
 zc = stats.z_comp[:, 0].mean()

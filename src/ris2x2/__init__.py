@@ -61,6 +61,7 @@ from .montecarlo import (
     AltScheme,
     EmpiricalCdf,
     McEstimate,
+    OutageCounter,
     TrialStats,
     channel_statistics,
     estimate_outage,

@@ -142,7 +142,7 @@ class AcceptanceContext:
     def stats(self) -> TrialStats:
         if self._stats is None:
             s = self.settings
-            self._stats = montecarlo.channel_statistics(s.seed, s.trials, workers=4)
+            self._stats = montecarlo.channel_statistics(s.seed, s.trials)
         return self._stats
 
 
@@ -319,12 +319,17 @@ def curve_rows(stats, names, snr_db, threshold: float, kind: str):
     The analytic column is the Mellin-Barnes outage or throughput, one call
     per mode over the whole grid; the paper's closed forms are checked by
     C4 and C6, not written here.  One statistics pass serves every grid
-    point, and each scheme is reduced over the whole grid in one call;
-    ``threshold`` is the linear outage threshold (unused for throughput).  ``stats`` is the pass, or a function of no arguments that
-    runs it: it is called once the analytic column is complete, so a
-    contour that fails does so before any trial is drawn.  These are the
-    CSV rows of ``ris2x2 outage`` and ``ris2x2 throughput`` and the rows C5
-    and C6 check.
+    point; ``threshold`` is the linear outage threshold (unused for
+    throughput).  ``stats`` is a stored pass, or a function that runs one,
+    ``stats(consume=None)`` with the signature of
+    :func:`montecarlo.channel_statistics` past its seed and trials.  That
+    function is called once the analytic column is complete, so a contour
+    that fails does so before any trial is drawn.  Outage streams the pass
+    through one :class:`montecarlo.OutageCounter` of every scheme (a stored
+    pass is counted as a single chunk); throughput stores the pass and
+    reduces the schemes over the whole grid on a thread each.  These are
+    the CSV rows of ``ris2x2 outage`` and ``ris2x2 throughput`` and the
+    rows C5 and C6 check.
     """
     if kind not in ("outage", "throughput"):
         raise ValueError(f"unknown curve kind: {kind!r}")
@@ -341,14 +346,19 @@ def curve_rows(stats, names, snr_db, threshold: float, kind: str):
         return analytic.throughput(scheme, np.array(gamma_bars)).tolist()
 
     ana = [analytic_column(scheme) for scheme in schemes]
-    if callable(stats):
-        stats = stats()
-    mc = [
-        montecarlo.outage_from_stats(stats, scheme, gamma_bars, threshold)
-        if outage
-        else montecarlo.throughput_from_stats(stats, scheme, gamma_bars)
-        for scheme in schemes
-    ]
+    if outage:
+        counter = montecarlo.OutageCounter(schemes, gamma_bars, threshold)
+        if callable(stats):
+            stats(consume=counter)
+        else:
+            counter(0, stats)
+        mc = counter.estimates()
+    else:
+        if callable(stats):
+            stats = stats()
+        mc = montecarlo._thread_map(
+            lambda scheme: montecarlo.throughput_from_stats(stats, scheme, gamma_bars), schemes
+        )
     return [
         (db, name, ana[k][p], mc[k][p].value, mc[k][p].ci_half_width)
         for p, db in enumerate(snr_db)
@@ -590,21 +600,38 @@ def check_determinism(ctx: AcceptanceContext) -> CheckResult:
         ]
         repeat = montecarlo.estimate_outage(mode, 10.0, 1.0, trials, s.seed)
         a = montecarlo.channel_statistics(s.seed, _CHUNK_CHECK_TRIALS)
-        b = montecarlo.channel_statistics(
-            s.seed, _CHUNK_CHECK_TRIALS, workers=4, chunk_size=_SMALL_CHUNK
-        )
+        # the outage sweep's counts, streamed at both chunk sizes, against
+        # the stored pass; every streamed chunk must equal its slice of it
+        schemes = [parse_scheme(name) for name in ALL_SCHEME_LABELS]
+        gamma_bars = [10.0 ** (db / 10.0) for db in s.snr_db]
+        th = 10.0 ** (_THRESHOLD_DB / 10.0)
+        streamed, chunks_equal = [], []
+        for kwargs in ({}, {"chunk_size": _SMALL_CHUNK, "workers": 4}):
+            counter = montecarlo.OutageCounter(schemes, gamma_bars, th)
+
+            def consume(lo, chunk, counter=counter):
+                counter(lo, chunk)
+                chunks_equal.append(
+                    all(
+                        np.array_equal(getattr(a, f)[lo : lo + chunk.trials], getattr(chunk, f))
+                        for f in montecarlo._COLUMNS
+                    )
+                )
+
+            montecarlo.channel_statistics(s.seed, _CHUNK_CHECK_TRIALS, consume=consume, **kwargs)
+            streamed.append(counter.estimates())
+        stored = [montecarlo.outage_from_stats(a, scheme, gamma_bars, th) for scheme in schemes]
         same = (
             all(r == runs[0] for r in runs)
             and repeat == runs[0]
-            and all(
-                np.array_equal(getattr(a, f), getattr(b, f))
-                for f in ("lam", "om", "z_plain", "z_comp", "alt_factor")
-            )
+            and all(chunks_equal)
+            and streamed[0] == streamed[1] == stored
         )
         return (
             same,
             "bit-identical across reruns, worker counts 1/4/16, and chunk sizes "
-            f"2^15/2^11 over {_CHUNK_CHECK_TRIALS} trials",
+            f"2^15/2^11 over {_CHUNK_CHECK_TRIALS} trials; streamed outage counts "
+            "equal the stored pass's",
             "",
         )
 

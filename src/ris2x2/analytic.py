@@ -42,7 +42,7 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import exp1, expit, kv, loggamma, roots_legendre
+from scipy.special import eval_legendre, exp1, expit, kv, loggamma
 
 from .special import (
     _ABS_TOL,
@@ -495,6 +495,36 @@ def _mellin_eigenvalue(s, which: str):
     return np.where(s == 1.0, 2.0 * np.log(2.0) - 1.0, val)
 
 
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre recurrence, refined by one Newton step, and the weights are
+    1 / (P_{n-1} P_n') normalized to sum to 2.  These are the steps and
+    the operation order of ``scipy.special.roots_legendre``, whose output
+    this matches bit for bit, but on ``numpy.linalg``: scipy's version
+    imports all of scipy.linalg for its banded eigensolver.
+    """
+    k = np.arange(1.0, n)
+    off = k * np.sqrt(1.0 / (4 * k * k - 1))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    y = eval_legendre(n, x)
+    dy = (-n * x * y + n * eval_legendre(n - 1, x)) / (1 - x**2)
+    x -= y / dy
+    # P_{n-1} and P_n' span many decades: scale each by its geometric
+    # mid-range before the product
+    fm = eval_legendre(n - 1, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=4)
 def _z_rule(nodes: int):
     """Gauss-Legendre rule of the compensated alignment law in u, with
@@ -506,7 +536,7 @@ def _z_rule(nodes: int):
     factor pi u of dt flattens the weight's t^3 onset to u^7.  Built on
     first use and shared by every caller; the arrays are read-only.
     """
-    x, w = roots_legendre(nodes)
+    x, w = _gauss_legendre(nodes)
     u = 0.5 * (x + 1.0)
     t = 0.5 * np.pi * u * u
     jacobian = 0.5 * np.pi * u * w

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +249,7 @@ def cmd_curve(args) -> int:
     cfg = _build_config(args, default_out=f"{kind}.csv")
     threshold = 10.0 ** (cfg.threshold_db / 10.0)
     rows = curve_rows(
-        lambda: montecarlo.channel_statistics(cfg.seed, cfg.trials, workers=4),
+        partial(montecarlo.channel_statistics, cfg.seed, cfg.trials),
         cfg.schemes,
         cfg.snr_grid_db(),
         threshold,
@@ -270,7 +271,7 @@ def cmd_gain(args) -> int:
     seed = args.seed if args.seed is not None else 1729
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    stats = montecarlo.channel_statistics(seed, trials, workers=4)
+    stats = montecarlo.channel_statistics(seed, trials)
     zc = stats.z_comp[:, 0]
     zp = stats.z_plain[:, 0]
     ratio = float(zc.mean() / zp.mean())

@@ -9,21 +9,29 @@ leading eigenvector of each, without a singular basis.  Since the scheme
 SNRs scale linearly with gamma_bar, one pass serves a whole SNR sweep.
 
 Trial t is a pure function of (seed, stream, t) (see sampling).  The pass
-allocates its output arrays once and each chunk of trials (2^15 by
-default, so that the temporaries of a few threads stay small) writes its
-own slice, so memory is the statistics plus a few chunks' temporaries.
-Reductions use numpy's pairwise summation, so estimates are bit-for-bit
-identical regardless of chunking or worker count.
-
-A sweep reduces each scheme once: its per-trial factor is formed once,
-sorted once for outage counts (the trials in outage at any gamma_bar are
-a prefix of the sorted factors) and reused at every grid point for
-throughput.  Proportions carry 95% Wilson intervals (sane coverage near
-zero outage), means carry normal-theory intervals.
+is one loop over fixed chunks of trials (2^15 by default, so that the
+temporaries of a few threads stay small), run in turn or on a thread pool
+with one worker per available CPU, that hands each chunk's statistics to
+a consumer.  There are two.  Storing writes each chunk into one
+preallocated :class:`TrialStats` of the whole pass; the acceptance checks
+need it for their distribution tests, and throughput is reduced from it.
+:class:`OutageCounter` keeps only integer counts: per chunk it forms and
+sorts each scheme's factor (the trials in outage at any gamma_bar are a
+prefix of the sorted factors), counts every (scheme, gamma_bar) exactly
+and adds the counts to its total.  A streamed outage sweep therefore holds
+a few chunks, whatever the number of trials, and integer sums make its
+estimates independent of chunking and worker count.  Throughput uses
+numpy's pairwise summation over the stored pass, whose result does not
+depend on how the pass was chunked either; each scheme's factor is formed
+once and reused at every grid point.  Proportions carry 95% Wilson
+intervals (sane coverage near zero outage), means carry normal-theory
+intervals.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -45,6 +53,7 @@ __all__ = [
     "Scheme",
     "McEstimate",
     "TrialStats",
+    "OutageCounter",
     "parse_scheme",
     "trial_statistics",
     "scheme_label",
@@ -123,10 +132,27 @@ class TrialStats:
     alt_converged: None = None  # always None; read by perfbench/child.py
 
 
-def _chunk_ranges(trials: int, chunk_size: int):
-    return [
-        (lo, min(lo + chunk_size, trials)) for lo in range(0, trials, chunk_size)
-    ]
+_COLUMNS = ("lam", "om", "z_plain", "z_comp", "alt_factor")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the default number of worker threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _thread_map(fn, items, workers=None):
+    """[fn(x) for x in items], on a pool of ``workers`` threads (default:
+    the available CPUs) when there is more than one item.  numpy releases
+    the GIL inside the array work, so the threads run in parallel."""
+    items = list(items)
+    workers = _cpu_count() if workers is None else workers
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def trial_statistics(g: np.ndarray, h: np.ndarray):
@@ -152,33 +178,45 @@ def channel_statistics(
     seed: int,
     trials: int,
     stream: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
     chunk_size: int = 1 << 15,
-) -> TrialStats:
+    consume=None,
+) -> TrialStats | None:
     """One vectorized statistics pass over ``trials`` channel draws.
 
-    The output arrays are allocated once; the trial range is split into
-    fixed chunks, each of which writes its own slice, and chunks may be
-    evaluated by a thread pool.  The output is independent of ``workers``
-    and ``chunk_size``.
+    The trial range is split into fixed chunks of ``chunk_size`` trials,
+    evaluated in turn or by a pool of ``workers`` threads (default: the
+    CPUs this process may run on).  Each chunk's statistics, a
+    :class:`TrialStats` of its own trials, go to ``consume(lo, chunk)``,
+    ``lo`` being the index of its first trial; chunks arrive in any order
+    and from several threads at once.  With no consumer, the chunks are
+    written into one preallocated :class:`TrialStats` of the whole pass,
+    which is returned; with one, None is returned and the pass holds only
+    the chunks in flight.  No value depends on ``workers`` or
+    ``chunk_size``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     state = RngState(seed, stream)
-    columns = [np.empty((trials, 2)) for _ in range(4)] + [np.empty(trials)]
+    stats = None
+    if consume is None:
+        stats = TrialStats(
+            seed, stream, trials, *[np.empty((trials, 2)) for _ in range(4)], np.empty(trials)
+        )
 
-    def fill(lo, hi):
-        for out, value in zip(columns, trial_statistics(*channel_matrices(state, hi - lo, lo))):
-            out[lo:hi] = value
+        def consume(lo, chunk):
+            for name in _COLUMNS:
+                getattr(stats, name)[lo : lo + chunk.trials] = getattr(chunk, name)
 
-    ranges = _chunk_ranges(trials, chunk_size)
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: fill(*r), ranges))
-    else:
-        for lo, hi in ranges:
-            fill(lo, hi)
-    return TrialStats(seed, stream, trials, *columns)
+    def run(lo):
+        n = min(chunk_size, trials - lo)
+        columns = trial_statistics(*channel_matrices(state, n, lo))
+        consume(lo, TrialStats(seed, stream, n, *columns))
+
+    _thread_map(run, range(0, trials, chunk_size), workers)
+    return stats
 
 
 def scheme_snr_factor(stats: TrialStats, scheme: Scheme) -> np.ndarray:
@@ -218,41 +256,92 @@ def _estimate(stats: TrialStats, value: float, half: float) -> McEstimate:
     )
 
 
-def _count_at_most(f_sorted: np.ndarray, g, gamma_th: float) -> int:
-    """Number of sorted factors f with fl(g * f) <= gamma_th.
+def _count_at_most(f_sorted: np.ndarray, gammas: np.ndarray, gamma_th: float) -> np.ndarray:
+    """Number of sorted factors f with fl(g * f) <= gamma_th, for each g of
+    ``gammas``.
 
     Rounding is monotone, so those factors are a prefix of ``f_sorted``.  A
-    binary search for gamma_th / g lands within a rounding step of its end,
-    and whole runs of equal factors are then stepped across until the
-    predicate holds exactly.
+    binary search for gamma_th / g lands within a rounding step of its end.
+    Where the predicate then holds just past the end or fails just before
+    it, whole runs of equal factors are stepped across until it holds
+    exactly.
     """
+    n = f_sorted.size
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = int(np.searchsorted(f_sorted, gamma_th / g, side="right"))
-    while k < f_sorted.size and g * f_sorted[k] <= gamma_th:
-        k = int(np.searchsorted(f_sorted, f_sorted[k], side="right"))
-    while k > 0 and not g * f_sorted[k - 1] <= gamma_th:
-        k = int(np.searchsorted(f_sorted, f_sorted[k - 1], side="left"))
-    return k
+        counts = np.searchsorted(f_sorted, gamma_th / gammas, side="right")
+    off = (counts < n) & (gammas * f_sorted[np.minimum(counts, n - 1)] <= gamma_th)
+    off |= (counts > 0) & ~(gammas * f_sorted[np.maximum(counts - 1, 0)] <= gamma_th)
+    for p in np.flatnonzero(off):
+        g, k = gammas[p], int(counts[p])
+        while k < n and g * f_sorted[k] <= gamma_th:
+            k = int(np.searchsorted(f_sorted, f_sorted[k], side="right"))
+        while k > 0 and not g * f_sorted[k - 1] <= gamma_th:
+            k = int(np.searchsorted(f_sorted, f_sorted[k - 1], side="left"))
+        counts[p] = k
+    return counts
+
+
+class OutageCounter:
+    """Exact outage counts of ``schemes`` over ``gamma_bar``, one chunk of
+    trials at a time: the consumer a streamed outage sweep hands to
+    :func:`channel_statistics`, or called once on a stored pass as
+    ``counter(0, stats)``.
+
+    ``hits[k, p]`` is the number of trials so far with
+    fl(gamma_bar[p] * f) <= gamma_th, f the factor of scheme k.  Each
+    chunk's factors are formed and sorted once and counted exactly at every
+    grid point; integer sums do not depend on the order in which chunks
+    arrive, so the counts are the same at any chunk size or worker count.
+    ``gamma_bar`` is one average SNR or a 1-D sequence, as in
+    :func:`outage_from_stats`.
+    """
+
+    def __init__(self, schemes, gamma_bar, gamma_th: float):
+        self.schemes = list(schemes)
+        self.gamma_bars, self._scalar = _gamma_bars(gamma_bar)
+        if np.isnan(gamma_th):
+            raise ValueError("gamma_th must not be NaN")
+        self.gamma_th = gamma_th
+        self.hits = np.zeros((len(self.schemes), self.gamma_bars.size), dtype=np.int64)
+        self.trials = 0
+        self.seed = None
+        self._lock = threading.Lock()
+
+    def __call__(self, lo: int, chunk: TrialStats):
+        counts = [
+            _count_at_most(np.sort(scheme_snr_factor(chunk, s)), self.gamma_bars, self.gamma_th)
+            for s in self.schemes
+        ]
+        with self._lock:
+            for row, c in zip(self.hits, counts):
+                row += c
+            self.trials += chunk.trials
+            self.seed = chunk.seed
+
+    def estimates(self):
+        """Per scheme, its estimate at each gamma_bar (a list), or the one
+        estimate of a scalar gamma_bar."""
+        out = [
+            [
+                McEstimate(h / self.trials, wilson_halfwidth(h, self.trials), self.trials, self.seed)
+                for h in row.tolist()
+            ]
+            for row in self.hits
+        ]
+        return [row[0] for row in out] if self._scalar else out
 
 
 def outage_from_stats(stats: TrialStats, scheme: Scheme, gamma_bar, gamma_th: float):
     """Fraction of trials with gamma_bar * factor <= gamma_th.
 
     ``gamma_bar`` is one average SNR (one estimate is returned) or a 1-D
-    sequence (a list of estimates, one per value).  The scheme factor is
-    formed and sorted once; each count is exact.
+    sequence (a list of estimates, one per value).  This is an
+    :class:`OutageCounter` of the one scheme applied to the stored pass as
+    a single chunk; each count is exact.
     """
-    gammas, scalar = _gamma_bars(gamma_bar)
-    if np.isnan(gamma_th):
-        raise ValueError("gamma_th must not be NaN")
-    f_sorted = np.sort(scheme_snr_factor(stats, scheme))
-    out = []
-    for g in gammas:
-        hits = _count_at_most(f_sorted, g, gamma_th)
-        out.append(
-            _estimate(stats, hits / stats.trials, wilson_halfwidth(hits, stats.trials))
-        )
-    return out[0] if scalar else out
+    counter = OutageCounter([scheme], gamma_bar, gamma_th)
+    counter(0, stats)
+    return counter.estimates()[0]
 
 
 def throughput_from_stats(stats: TrialStats, scheme: Scheme, gamma_bar):
@@ -277,13 +366,15 @@ def estimate_outage(
     trials: int,
     seed: int,
     stream: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> McEstimate:
-    """Fraction of i.i.d. channel draws whose scheme SNR is <= gamma_th."""
+    """Fraction of i.i.d. channel draws whose scheme SNR is <= gamma_th,
+    counted chunk by chunk without storing the pass."""
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    stats = channel_statistics(seed, trials, stream=stream, workers=workers)
-    return outage_from_stats(stats, scheme, gamma_bar, gamma_th)
+    counter = OutageCounter([scheme], gamma_bar, gamma_th)
+    channel_statistics(seed, trials, stream=stream, workers=workers, consume=counter)
+    return counter.estimates()[0]
 
 
 def estimate_throughput(
@@ -292,7 +383,7 @@ def estimate_throughput(
     trials: int,
     seed: int,
     stream: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> McEstimate:
     """Sample mean of ln(1 + gamma) over i.i.d. channel draws."""
     if trials < 100:

@@ -457,6 +457,18 @@ def test_throughput_low_snr_slope_is_mean_snr():
         )
 
 
+def test_z_rule_is_scipys_gauss_legendre_bit_for_bit():
+    # built on numpy.linalg so that scipy.linalg is never imported, but
+    # with the very bits of roots_legendre, so that no CSV byte moves
+    from scipy.special import roots_legendre
+
+    for n in (analytic._Z_NODES, 2 * analytic._Z_NODES):
+        x, w = analytic._gauss_legendre(n)
+        want_x, want_w = roots_legendre(n)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(w, want_w)
+
+
 def test_outage_z_rule_is_converged(monkeypatch):
     # the same rule, near the pole of E{z^-s} at s = 2 (j1i1-cmp at small x)
     modes = [m for m in MODES if m.compensated]

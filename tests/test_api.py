@@ -34,16 +34,24 @@ def test_package_reexports_are_public():
         assert not stray, f"ris2x2 re-exports {stray} outside ris2x2.{node.module}.__all__"
 
 
-def test_scipy_integrate_is_never_imported():
+def test_scipy_integrate_is_never_imported(tmp_path):
     # no rule of the program runs on scipy.integrate, whose import (with
     # scipy.optimize, scipy.sparse and scipy.linalg) would add about a
-    # third of a second to the start-up of every run
+    # third of a second to the start-up of every run; nor does the
+    # Gauss-Legendre rule import scipy.linalg (about 0.06 s)
+    out = str(tmp_path / "o.csv")
     code = (
         "import sys\n"
         "import ris2x2.cli\n"
-        "assert 'scipy.integrate' not in sys.modules, 'after import'\n"
+        "def check(when):\n"
+        "    for name in ('scipy.integrate', 'scipy.linalg'):\n"
+        "        assert name not in sys.modules, (name, when)\n"
+        "check('after import')\n"
+        f"argv = ['outage', '--trials', '1000', '--snr-db-step', '10', '--out', {out!r}]\n"
+        "assert ris2x2.cli.main(argv) == 0\n"
+        "check('after outage')\n"
         "assert ris2x2.cli.main(['verify', '--level', 'smoke']) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'after verify'\n"
+        "check('after verify')\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

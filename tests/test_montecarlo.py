@@ -1,15 +1,22 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
+import ris2x2.montecarlo
 from ris2x2 import analytic
+from ris2x2.acceptance import curve_rows
 from ris2x2.altopt import optimize_batch
 from ris2x2.linalg2 import svd2
 from ris2x2.montecarlo import (
+    ALL_SCHEME_LABELS,
     ALT,
     AltScheme,
     EmpiricalCdf,
+    OutageCounter,
     TrialStats,
     channel_statistics,
     estimate_outage,
@@ -200,6 +207,10 @@ def test_trials_validation():
         estimate_outage(Mode(1, 1), 1.0, 1.0, trials=50, seed=1)
     with pytest.raises(ValueError):
         channel_statistics(1, 0)
+    # a chunk size below 1 would leave the stored pass uninitialized
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size"):
+            channel_statistics(1, 100, chunk_size=chunk)
 
 
 def test_wilson_interval():
@@ -343,3 +354,58 @@ def test_pass_memory_is_the_statistics_plus_a_few_chunks():
     chunk_temporaries = one_peak - _stats_nbytes(one)
     stats, peak = _traced_peak(lambda: channel_statistics(SEED, 1 << 18, workers=1))
     assert peak < _stats_nbytes(stats) + 2 * chunk_temporaries
+
+
+def test_streamed_outage_sweep_memory_does_not_grow_with_trials():
+    # the outage sweep counts each chunk and keeps only the counts: its
+    # traced peak is the chunks in flight, not the statistics of the pass
+    def sweep(trials):
+        run = partial(channel_statistics, SEED, trials, workers=2)
+        return curve_rows(run, ALL_SCHEME_LABELS, range(-5, 26, 5), 1.0, "outage")
+
+    sweep(1 << 12)  # the analytic column builds its cached nodes once
+    _, small = _traced_peak(lambda: sweep(1 << 17))
+    _, large = _traced_peak(lambda: sweep(1 << 19))
+    assert large <= 1.15 * small
+
+
+def test_streamed_counts_equal_the_stored_pass():
+    trials = 20_000
+    gammas = [10.0 ** (db / 10.0) for db in range(-5, 26, 3)]
+    schemes = [*MODES, ALT]
+    stats = channel_statistics(SEED, trials)
+    want = [outage_from_stats(stats, scheme, gammas, 1.0) for scheme in schemes]
+    counter = OutageCounter(schemes, gammas, 1.0)
+    assert channel_statistics(SEED, trials, workers=16, chunk_size=1 << 9, consume=counter) is None
+    assert counter.trials == trials
+    assert counter.estimates() == want
+    assert estimate_outage(MODES[3], gammas, 1.0, trials, SEED, workers=3) == want[3]
+
+
+def test_counter_totals_survive_thread_contention():
+    # one small chunk counted 2000 times on 16 threads that switch every
+    # microsecond: a lost update of the shared totals shows in either
+    chunk = channel_statistics(SEED, 64)
+    gammas = [10.0 ** (db / 10.0) for db in range(-5, 26, 3)]
+    once = OutageCounter([*MODES, ALT], gammas, 1.0)
+    once(0, chunk)
+    counter = OutageCounter([*MODES, ALT], gammas, 1.0)
+    calls = 2000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            list(pool.map(lambda lo: counter(lo, chunk), range(calls)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counter.trials == calls * chunk.trials
+    assert np.array_equal(counter.hits, calls * once.hits)
+
+
+def test_throughput_sweep_does_not_depend_on_its_threads(monkeypatch):
+    stats = channel_statistics(SEED, 5000)
+    rows = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(ris2x2.montecarlo, "_cpu_count", lambda cpus=cpus: cpus)
+        rows.append(curve_rows(stats, ALL_SCHEME_LABELS, range(-5, 26, 10), 0.0, "throughput"))
+    assert rows[0] == rows[1]
