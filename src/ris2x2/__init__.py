@@ -1,6 +1,6 @@
 """Two-tile reconfigurable surface assisted 2x2 link over Rayleigh fading.
 
-A numpy/scipy library (plus a small CLI) for the complete performance
+A numpy library (plus a small CLI) for the complete performance
 characterization of singular-vector transmission modes with and without
 per-tile phase compensation: exact alignment-factor and eigenvalue laws,
 the paper's closed-form outage, Mellin-Barnes outage and throughput of

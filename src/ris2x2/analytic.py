@@ -42,7 +42,6 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import eval_legendre, exp1, expit, kv, loggamma
 
 from .special import (
     _ABS_TOL,
@@ -53,6 +52,8 @@ from .special import (
     _g30,
     _half_line_integral,
     _line_integral,
+    bessel_k,
+    log_gamma,
     meijer_g,
     weighted_bessel_integral,
 )
@@ -113,6 +114,14 @@ _PDF_SERIES = tuple(2.0 * (-1) ** m / factorial(m + 3) for m in range(17))
 _Z_WEIGHT_SERIES = tuple(
     (-1) ** (k + 1) * k / factorial(2 * k + 1) for k in range(1, 11)
 )
+
+# The power series of E1(x) + euler_gamma + ln x, over x: the coefficients
+# (-1)^(k+1) / (k k!), k = 1..20, summed for x <= 1.
+_E1_SERIES = tuple((-1) ** (k + 1) / (k * factorial(k)) for k in range(1, 21))
+
+# (upper end, depth) of the bands of x > 1 over which the Laguerre continued
+# fractions run; each depth is within a few ulp at its band's lower end.
+_LAGUERRE_BANDS = ((1.5, 100), (2.0, 72), (3.0, 56), (5.0, 40), (10.0, 30), (20.0, 24), (np.inf, 12))
 
 # The oracles' rule: the share of rel_tol times P or R that each of its four
 # truncated tails may leave out, the step of its first level, the nodes
@@ -287,9 +296,11 @@ def _alignment_log_range(compensated: bool, mass: float):
 def _alignment_nodes(u, compensated: bool):
     """1/z and the weight of the alignment law per unit u at logistic
     nodes u."""
-    up, down = expit(u), expit(-u)
+    # the logistic expit(u) = 1 / (1 + e^-u), z itself without compensation
+    inv_z = 1.0 + np.exp(-u)
+    up, down = 1.0 / inv_z, 1.0 / (1.0 + np.exp(u))
     if not compensated:
-        return 1.0 + np.exp(-u), up * down
+        return inv_z, up * down
     half_pi = 0.5 * np.pi
     t = half_pi * up
     return 1.0 / np.sin(t) ** 2, _z_weight(t) * half_pi * up * down
@@ -414,15 +425,14 @@ def outage_closed_form(mode: Mode, x: float) -> float:
             terms = [cal(-2.0, 0, 1, 2.0, 2.0 * z)]
     else:
         g30 = lambda c, arg, b2: (c, _g30(arg, b2, -2.0), True)
-        bessel = lambda c, order, arg: (c, kv(order, arg), False)
+        bessel = lambda c, order, arg: (c, bessel_k(order, arg), False)
         if (j, i) == (1, 1):
             terms = [
                 g30(-4.0 * zz, z, -1.0), bessel(8.0 * sz, 1, 2.0 * sz), g30(-2.0 * zz, z, 1.0),
-                g30(8.0 * zz, 2.0 * z, -1.0), bessel(-4.0 * z, 0, 2.0 * sz),
+                g30(16.0 * zz, 2.0 * z, -1.0), bessel(-4.0 * z, 0, 2.0 * sz),
                 bessel(4.0 * z * sz, 1, 2.0 * sz), bessel(-2.0 * zz, 2, 2.0 * sz),
-                bessel(4.0 * z, 0, 2.0 * s2z), g30(8.0 * zz, 2.0 * z, -1.0),
-                bessel(-4.0 * s2z, 1, 2.0 * s2z), g30(4.0 * zz, 2.0 * z, 1.0),
-                g30(-16.0 * zz, 4.0 * z, -1.0),
+                bessel(4.0 * z, 0, 2.0 * s2z), bessel(-4.0 * s2z, 1, 2.0 * s2z),
+                g30(4.0 * zz, 2.0 * z, 1.0), g30(-16.0 * zz, 4.0 * z, -1.0),
             ]
         elif (j, i) in ((2, 1), (1, 2)):
             terms = [
@@ -450,24 +460,46 @@ def _laguerre_stieltjes(x, alphas):
     """int_0^inf u^alpha e^-u / (x + u) du at every x > 0 of an array, for
     each alpha of ``alphas`` (0 or 2).
 
-    alpha = 0 is exp(x) E1(x) and alpha = 2 is 1 - x + x^2 exp(x) E1(x).
-    Past x = 50 the first product overflows (x ~ 700) and the second
-    cancels, so both come from 16 levels of the Jacobi continued fraction
-    of the Laguerre weight u^alpha e^-u there (the same bits as 60).
+    alpha = 0 is exp(x) E1(x) and alpha = 2 is 1 - x + x^2 exp(x) E1(x).  Up
+    to x = 1 the first is exp(x) times the power series of E1, and the second
+    follows from it.  Beyond, where the series cancels and the second form
+    loses digits like x^2, both are the Jacobi continued fraction of the
+    Laguerre weight u^alpha e^-u at a depth banded by x
+    (:data:`_LAGUERRE_BANDS`).  Its depth-n convergent is the n-point Gauss
+    rule of that weight applied to 1/(x + u), which evaluates a band as one
+    array product.
     """
-    near = x <= 50.0
-    xn, xf = x[near], x[~near]
-    a0 = np.exp(xn) * exp1(xn)
+    series = x <= 1.0
+    xs = x[series]
+    a0 = np.exp(xs) * (-np.euler_gamma - np.log(xs) + xs * polyval(xs, _E1_SERIES))
     values = []
     for alpha in alphas:
         value = np.empty(x.shape)
-        value[near] = a0 if alpha == 0 else 1.0 - xn + xn * xn * a0
-        cf = np.zeros(xf.shape)
-        for k in range(16, 0, -1):
-            cf = k * (k + alpha) / (xf + 2.0 * k + alpha + 1.0 - cf)
-        value[~near] = (1.0 if alpha == 0 else 2.0) / (xf + alpha + 1.0 - cf)
+        value[series] = a0 if alpha == 0 else 1.0 - xs + xs * xs * a0
+        lower = 1.0
+        for upper, depth in _LAGUERRE_BANDS:
+            band = (x > lower) & (x <= upper)
+            nodes, weights = _gauss_laguerre(alpha, depth)
+            kernel = np.add.outer(x[band], nodes)
+            value[band] = np.reciprocal(kernel, out=kernel) @ weights
+            lower = upper
         values.append(value)
     return values
+
+
+@lru_cache(maxsize=16)
+def _gauss_laguerre(alpha: int, n: int):
+    """Nodes and weights of the n-point Gauss rule of the weight
+    u^alpha e^-u on [0, inf), by Golub-Welsch: the eigenvalues of the Jacobi
+    matrix of the generalized Laguerre recurrence and Gamma(alpha + 1) times
+    the squared first components of its eigenvectors.  Cached, read-only."""
+    k = np.arange(n)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    nodes, vectors = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1))
+    weights = factorial(alpha) * vectors[0] ** 2
+    for arr in (nodes, weights):
+        arr.setflags(write=False)
+    return nodes, weights
 
 
 def _capacity_kernel(c, which: str):
@@ -482,17 +514,38 @@ def _capacity_kernel(c, which: str):
     return 2.0 * zeroth + second - half
 
 
-def _mellin_eigenvalue(s, which: str):
+def _mellin_eigenvalue(s, which: str, g):
     """E{lambda^-s} of the largest/smallest squared singular value, Re s < 1
-    (smallest) or Re s < 4 (largest), term by term from the densities."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.exp(loggamma(1.0 - s))
-        if which == "smallest":
-            return 2.0**s * g
-        val = g * (2.0 - 2.0 * (1.0 - s) + (2.0 - s) * (1.0 - s) - 2.0**s)
-    # the bracket cancels the poles of Gamma(1 - s) at s = 1, 2, 3; the only
-    # one a contour crosses is s = 1, where the limit is E{1/lambda}
+    (smallest) or Re s < 4 (largest), term by term from the densities, given
+    g = Gamma(1 - s)."""
+    if which == "smallest":
+        return 2.0**s * g
+    # The bracket 2 - 2(1 - s) + (2 - s)(1 - s) - 2^s, which cancels the
+    # poles of Gamma(1 - s) at s = 1, 2, 3, as u + u^2 - 2 (2^u - 1) with
+    # u = s - 1 and 2^u - 1 = e^a cos b - 1 + j e^a sin b (a + jb = u ln 2)
+    # formed without cancellation: near s = 1, where the contour c = 1
+    # passes and the terms are largest, the direct form loses digits like
+    # 1/|s - 1|.
+    u = s - 1.0
+    a, b = np.log(2.0) * np.real(u), np.log(2.0) * np.imag(u)
+    power_m1 = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 + 1j * np.exp(a) * np.sin(b)
+    with np.errstate(invalid="ignore"):
+        val = g * (u + u * u - 2.0 * power_m1)
+    # the only pole a contour crosses is s = 1, where the limit is E{1/lambda}
     return np.where(s == 1.0, 2.0 * np.log(2.0) - 1.0, val)
+
+
+def _legendre(n: int, x):
+    """(P_{n-1}(x), P_n(x)), n >= 1, at every x of an array by the
+    three-term recurrence, in the operation order of
+    ``scipy.special.eval_legendre`` (which switches to a power series where
+    |x| < 1e-5), so that :func:`_gauss_legendre` keeps the bits of
+    ``scipy.special.roots_legendre``."""
+    previous, d, p = np.ones_like(x), x - 1.0, x.copy()
+    for k in range(1, n):
+        d = ((2.0 * k + 1.0) / (k + 1.0)) * (x - 1.0) * p + (k / (k + 1.0)) * d
+        previous, p = p, p + d
+    return previous, p
 
 
 def _gauss_legendre(n: int):
@@ -501,19 +554,20 @@ def _gauss_legendre(n: int):
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     Legendre recurrence, refined by one Newton step, and the weights are
     1 / (P_{n-1} P_n') normalized to sum to 2.  These are the steps and
-    the operation order of ``scipy.special.roots_legendre``, whose output
-    this matches bit for bit, but on ``numpy.linalg``: scipy's version
-    imports all of scipy.linalg for its banded eigensolver.
+    the operation order of ``scipy.special.roots_legendre``, on
+    ``numpy.linalg`` and :func:`_legendre`; the output matches scipy's bit
+    for bit at even n (at odd n, where scipy takes a node near 0 by its power
+    series, a weight can differ in the last place).
     """
     k = np.arange(1.0, n)
     off = k * np.sqrt(1.0 / (4 * k * k - 1))
     x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    y = eval_legendre(n, x)
-    dy = (-n * x * y + n * eval_legendre(n - 1, x)) / (1 - x**2)
+    fm, y = _legendre(n, x)
+    dy = (-n * x * y + n * fm) / (1 - x**2)
     x -= y / dy
     # P_{n-1} and P_n' span many decades: scale each by its geometric
     # mid-range before the product
-    fm = eval_legendre(n - 1, x)
+    fm = _legendre(n, x)[0]
     log_fm = np.log(np.abs(fm))
     log_dy = np.log(np.abs(dy))
     fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
@@ -594,7 +648,9 @@ def _mellin_transform(mode: Mode, s):
     # numpy's complex product does not commute bit for bit; one order of
     # the eigenvalue laws keeps M bit-identical when tx and rx swap
     first, second = sorted(_mode_laws(mode))
-    eig = _mellin_eigenvalue(s, first) * _mellin_eigenvalue(s, second)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.exp(log_gamma(1.0 - s))
+    eig = _mellin_eigenvalue(s, first, g) * _mellin_eigenvalue(s, second, g)
     return eig * _mellin_z(s, mode.compensated)
 
 
@@ -652,7 +708,10 @@ def _outage_line(mode: Mode, c: float, log_x: np.ndarray):
 
     def alias(step, scaled):
         near = np.min(log_moments + _log_geometric(sigmas - c, step), axis=1)
-        return np.logaddexp(_log_geometric(c, step), near) - (c * log_x + np.log(scaled))
+        # a sum that cancels to exactly 0 has no relative bound (+inf)
+        with np.errstate(divide="ignore"):
+            log_scaled = np.log(scaled)
+        return np.logaddexp(_log_geometric(c, step), near) - (c * log_x + log_scaled)
 
     return _line_integral(_KernelTransform(mode, "outage"), c, log_x, float(c < 0.0), alias)
 
@@ -697,20 +756,21 @@ def outage(mode: Mode, x):
     pole = diversity_order(mode)
     flat = xs.ravel()
     result = np.zeros(flat.shape)
-    todo = np.flatnonzero(flat > 0.0)
+    pending = flat > 0.0
     with np.errstate(divide="ignore"):
         log_x = np.log(flat)
     contours = (0.5 * pole, pole - _POLE_MARGIN, -0.5 * pole)
     for c in contours:
-        where = todo
+        where = np.flatnonzero(pending)
         if c != contours[0]:
             # the fallbacks: c = p - 0.15 below x = 1, c = -p/2 from x = 1 on
-            where = todo[(log_x[todo] < 0.0) == (c > 0.0)]
+            where = where[(log_x[where] < 0.0) == (c > 0.0)]
         if where.size == 0:
             continue
         value, ok = _outage_line(mode, c, log_x[where])
         result[where[ok]] = value[ok]
-        todo = np.setdiff1d(todo, where[ok])
+        pending[where[ok]] = False
+    todo = np.flatnonzero(pending)
     if todo.size:
         raise QuadratureError(
             f"outage({mode.label}): no Mellin-Barnes line meets rel_tol "

@@ -143,6 +143,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _require_count(name: str, value, least: int) -> None:
+    """ValueError unless ``value`` is an integer (a bool is not) of at
+    least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def _thread_map(fn, items, workers=None):
     """[fn(x) for x in items], on a pool of ``workers`` threads (default:
     the available CPUs) when there is more than one item.  numpy releases
@@ -195,10 +204,10 @@ def channel_statistics(
     the chunks in flight.  No value depends on ``workers`` or
     ``chunk_size``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    _require_count("trials", trials, 1)
+    _require_count("chunk_size", chunk_size, 1)
+    if workers is not None:
+        _require_count("workers", workers, 1)
     state = RngState(seed, stream)
     stats = None
     if consume is None:
@@ -233,6 +242,8 @@ def wilson_halfwidth(hits: int, trials: int, z: float = _Z95) -> float:
     """Half-width of the Wilson score interval for a proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= hits <= trials:
+        raise ValueError(f"hits must be in [0, trials], not {hits} of {trials}")
     p = hits / trials
     denom = 1.0 + z * z / trials
     return float(
@@ -370,8 +381,7 @@ def estimate_outage(
 ) -> McEstimate:
     """Fraction of i.i.d. channel draws whose scheme SNR is <= gamma_th,
     counted chunk by chunk without storing the pass."""
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
+    _require_count("trials", trials, 100)
     counter = OutageCounter([scheme], gamma_bar, gamma_th)
     channel_statistics(seed, trials, stream=stream, workers=workers, consume=counter)
     return counter.estimates()[0]
@@ -386,8 +396,7 @@ def estimate_throughput(
     workers: int | None = None,
 ) -> McEstimate:
     """Sample mean of ln(1 + gamma) over i.i.d. channel draws."""
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
+    _require_count("trials", trials, 100)
     stats = channel_statistics(seed, trials, stream=stream, workers=workers)
     return throughput_from_stats(stats, scheme, gamma_bar)
 

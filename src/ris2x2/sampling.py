@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Philox
 
 from .linalg2 import Svd2, UnitaryAngles, svd2, unitary_from_angles
 
@@ -71,7 +72,7 @@ def _uniform_blocks(state: RngState, start_block: int, n_blocks: int) -> np.ndar
         [state.seed & 0xFFFFFFFFFFFFFFFF, state.stream & 0xFFFFFFFFFFFFFFFF],
         dtype=np.uint64,
     )
-    bitgen = np.random.Philox(key=key, counter=int(start_block))
+    bitgen = Philox(key=key, counter=int(start_block))
     raw = bitgen.random_raw(n_blocks * _WORDS_PER_BLOCK)
     raw >>= np.uint64(11)
     # 53-bit integers convert exactly, and faster from int64 than from uint64

@@ -414,7 +414,8 @@ def test_throughput_oracle_matches_mellin_from_minus_40_to_40_db():
 def test_capacity_kernel_matches_exponential_integral():
     # E ln(1 + c lambda) = 2 L0(1/c) + L2(1/c) - L0(2/c) (largest) and L0(2/c)
     # (smallest), L0(x) = e^x E1(x) and L2(x) = 1 - x + x^2 L0(x); the grid
-    # crosses the continued-fraction branch at 1/c = 50 and 2/c = 50
+    # crosses the bands of the continued fraction and x = 50, where the
+    # direct L2 cancels by 1e3
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     c = np.concatenate([np.logspace(-8.0, 8.0, 81), [1.0 / 50.0, 1.0 / 49.9, 1.0 / 50.1, 2.0 / 50.1]])
@@ -455,6 +456,79 @@ def test_throughput_low_snr_slope_is_mean_snr():
         assert analytic.throughput(mode, gamma_bar) / gamma_bar == pytest.approx(
             analytic.mean_mode_snr(mode, 1.0), rel=1e-4
         )
+
+
+def _integrated_lines(monkeypatch):
+    """(transform, c) of every line the vertical-line rule integrates for
+    the closed forms (their Meijer G families), both Mellin-Barnes columns
+    and their contour fallbacks."""
+    lines = set()
+    integrate = special._line_integral
+
+    def spy(transform, c, *args, **kwargs):
+        lines.add((transform, c))
+        return integrate(transform, c, *args, **kwargs)
+
+    monkeypatch.setattr(special, "_line_integral", spy)
+    monkeypatch.setattr(analytic, "_line_integral", spy)
+    for mode in MODES:
+        for x in (1e-3, 0.25, 2.0):
+            analytic.outage_closed_form(mode, x)
+        analytic.throughput(mode, np.logspace(-3.0, 5.0, 9))
+        # outage's first line and both fallbacks, whichever x needs them
+        pole = analytic.diversity_order(mode)
+        for c in (0.5 * pole, pole - analytic._POLE_MARGIN, -0.5 * pole):
+            analytic._outage_line(mode, c, np.log([1e-3, 10.0]))
+    analytic.throughput_closed_r22_cmp(10.0)
+    return lines
+
+
+def test_log_gamma_on_every_integrated_line(monkeypatch):
+    # exp(log_gamma) against mpmath at the nodes of the first two levels of
+    # each line: the Gamma ratio of every Meijer G family, and Gamma(1 - s)
+    # of the eigenvalue transforms of the Mellin-Barnes columns
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    lines = _integrated_lines(monkeypatch)
+    kinds = {type(transform).__name__ for transform, _ in lines}
+    assert kinds == {"MeijerParams", "_KernelTransform"}
+    mellin_abscissae = set()
+    for transform, c in lines:
+        t = np.concatenate([special._line_level(transform, c, level)[0] for level in (0, 1)])
+        s = c + 1j * t
+        if isinstance(transform, MeijerParams):
+            m, n = transform.m, transform.n
+
+            def ratio(v):
+                g = mp.gamma
+                num = mp.fprod([g(b - v) for b in transform.b[:m]] + [g(1 - a + v) for a in transform.a[:n]])
+                den = mp.fprod([g(1 - b + v) for b in transform.b[m:]] + [g(a - v) for a in transform.a[n:]])
+                return complex(num / den)
+
+            ref = np.array([ratio(mp.mpc(v.real, v.imag)) for v in s])
+            assert transform(s) == pytest.approx(ref, rel=1e-12, abs=0.0), (transform, c)
+        elif c not in mellin_abscissae:
+            mellin_abscissae.add(c)
+            s = s[s != 1.0]  # the pole of Gamma(1 - s) the eigenvalue bracket cancels
+            ref = np.array([complex(mp.gamma(1 - mp.mpc(v.real, v.imag))) for v in s])
+            assert np.exp(special.log_gamma(1.0 - s)) == pytest.approx(ref, rel=1e-12, abs=0.0), c
+    # outage's three contours (p = 1 and 2) and throughput's
+    assert mellin_abscissae == {0.5, 0.85, -0.5, 1.0, 1.85, -1.0}
+
+
+def test_laguerre_stieltjes_is_exp_e1_to_the_last_digits():
+    # e^x E1(x): the series up to x = 1, then each band of the continued
+    # fraction from its lower end
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    edges = np.array([1.0] + [upper for upper, _ in analytic._LAGUERRE_BANDS[:-1]])
+    x = np.concatenate([
+        np.logspace(-300.0, np.log10(60.0), 200),
+        np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), np.linspace(0.9, 60.0, 100),
+    ])
+    ref = np.array([float(mp.exp(v) * mp.e1(v)) for v in x])
+    (value,) = analytic._laguerre_stieltjes(x, (0,))
+    assert value == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_z_rule_is_scipys_gauss_legendre_bit_for_bit():

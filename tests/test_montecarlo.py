@@ -213,6 +213,38 @@ def test_trials_validation():
             channel_statistics(1, 100, chunk_size=chunk)
 
 
+def test_worker_counts_below_one_are_rejected():
+    # they used to run the pass serially without a word
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            channel_statistics(1, 100, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            estimate_outage(Mode(1, 1), 1.0, 1.0, trials=100, seed=1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            estimate_throughput(Mode(1, 1), 1.0, trials=100, seed=1, workers=workers)
+
+
+def test_non_integer_trials_are_rejected():
+    # a float count used to fail with a bare TypeError from range()
+    for trials in (1000.0, 1e3, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            channel_statistics(1, trials)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            estimate_outage(Mode(1, 1), 1.0, 1.0, trials=trials, seed=1)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            estimate_throughput(Mode(1, 1), 1.0, trials=trials, seed=1)
+    # numpy integers are counts too
+    assert channel_statistics(1, np.int64(100)).trials == 100
+
+
+def test_wilson_rejects_hits_outside_the_trials():
+    # wilson_halfwidth(5, 3) used to return NaN with a RuntimeWarning
+    for hits, trials in ((5, 3), (-1, 10)):
+        with pytest.raises(ValueError, match="hits must be in"):
+            wilson_halfwidth(hits, trials)
+    assert wilson_halfwidth(3, 3) > 0.0
+
+
 def test_wilson_interval():
     assert wilson_halfwidth(0, 10**6) == pytest.approx(1.92e-6, rel=0.01)
     assert wilson_halfwidth(500, 1000) == pytest.approx(

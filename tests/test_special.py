@@ -4,7 +4,14 @@ from scipy.integrate import quad
 from scipy.special import kv
 
 from ris2x2 import special
-from ris2x2.special import MeijerParams, QuadratureError, meijer_g, weighted_bessel_integral
+from ris2x2.special import (
+    MeijerParams,
+    QuadratureError,
+    bessel_k,
+    log_gamma,
+    meijer_g,
+    weighted_bessel_integral,
+)
 
 
 def _bessel_integral_oracle(order, x):
@@ -26,46 +33,78 @@ def _bessel_integral_oracle(order, x):
     return val
 
 
-# The closed forms take K_nu from scipy.special.kv directly; these checks pin
-# the values their Bessel terms are built from.
+# The closed forms take K_n from special.bessel_k; these checks pin the
+# values their Bessel terms are built from.
 
 
 def test_bessel_k_against_integral_representation():
     for order, x in [(0, 1.0), (1, 1.0), (2, 0.5), (0, 0.1), (1, 10.0), (2, 3.0)]:
         oracle = _bessel_integral_oracle(order, x)
-        assert kv(order, x) == pytest.approx(oracle, rel=1e-12)
+        assert bessel_k(order, x) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_bessel_k0_at_one():
     # frozen from the integral-representation oracle
-    assert kv(0, 1.0) == pytest.approx(0.42102443824070834, rel=1e-13)
+    assert bessel_k(0, 1.0) == pytest.approx(0.42102443824070834, rel=1e-13)
 
 
 def test_bessel_recurrence():
     for x in (0.1, 1.0, 10.0):
-        lhs = kv(2, x)
-        rhs = kv(0, x) + (2.0 / x) * kv(1, x)
+        lhs = bessel_k(2, x)
+        rhs = bessel_k(0, x) + (2.0 / x) * bessel_k(1, x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_bessel_asymptotic_form():
     # K0(x) ~ sqrt(pi/(2x)) e^{-x} (1 - 1/(8x) + ...); at x = 20 the
     # leading-order product deviates by 1/(8x) ~ 6.1e-3 (oracle-computed)
-    prod20 = kv(0, 20.0) * np.exp(20.0) * np.sqrt(40.0 / np.pi)
+    prod20 = bessel_k(0, 20.0) * np.exp(20.0) * np.sqrt(40.0 / np.pi)
     assert prod20 == pytest.approx(1.0, abs=1e-2)
     assert prod20 == pytest.approx(1.0 - 1.0 / 160.0, abs=2e-4)
-    prod200 = kv(0, 200.0) * np.exp(200.0) * np.sqrt(400.0 / np.pi)
+    prod200 = bessel_k(0, 200.0) * np.exp(200.0) * np.sqrt(400.0 / np.pi)
     assert prod200 == pytest.approx(1.0, abs=1e-3)
 
 
 def test_bessel_monotone_positive():
     xs = np.linspace(0.05, 12.0, 200)
-    vals = np.array([kv(1, x) for x in xs])
+    vals = np.array([bessel_k(1, x) for x in xs])
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) < 0.0)
     # log-convex: midpoint inequality on the grid
     lv = np.log(vals)
     assert np.all(lv[:-2] + lv[2:] >= 2.0 * lv[1:-1])
+
+
+def test_bessel_k_against_mpmath():
+    # every order the closed forms take, over the arguments they reach
+    # before K underflows, one array call per order
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    x = np.concatenate([np.logspace(-12.0, np.log10(700.0), 120), np.linspace(0.5, 30.0, 60)])
+    for order in (-1, 0, 1, 2, 3):
+        ref = np.array([float(mp.besselk(order, mp.mpf(v))) for v in x])
+        assert bessel_k(order, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert bessel_k(order, float(x[7])) == pytest.approx(ref[7], rel=1e-13, abs=0.0)
+    # exactly 0 once K underflows; shapes follow x
+    assert np.all(bessel_k(1, np.array([746.0, 1e300])) == 0.0)
+    assert bessel_k(2, np.ones((2, 3))).shape == (2, 3)
+
+
+def test_bessel_k_rejects_what_it_does_not_compute():
+    for order in (4, -4, 0.5):
+        with pytest.raises(ValueError, match="order"):
+            bessel_k(order, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        bessel_k(0, np.array([1.0, 0.0]))
+
+
+def test_log_gamma_refuses_where_its_shift_could_overflow():
+    # its one shift to Re z >= 10 multiplies N factors, N = 10 - min Re z
+    assert np.exp(log_gamma(np.array([-49.5]))) == pytest.approx(
+        np.pi / (np.sin(np.pi * -49.5) * np.exp(log_gamma(np.array([50.5])))), rel=1e-12
+    )
+    with pytest.raises(ValueError, match="Re z >= -50"):
+        log_gamma(np.array([1.0, -50.5]))
 
 
 def test_meijer_g_bessel_reduction():
