@@ -22,7 +22,6 @@ from .sampling import (
     angle_diff_pdf,
     angle_sum_pdf,
     channel_realizations,
-    gaussian_channels,
     haar_angles,
     haar_unitaries,
 )

@@ -23,7 +23,7 @@ from . import analytic, montecarlo
 from .altopt import optimal_configuration
 from .linalg2 import svd2
 from .montecarlo import ALL_SCHEME_LABELS, AltScheme, EmpiricalCdf, TrialStats, parse_scheme
-from .sampling import RngState, channel_realizations, haar_unitaries
+from .sampling import ChannelRealization, RngState, bartlett_channels, haar_unitaries
 from .sysmodel import MODES, Mode, alignment_factors, instantaneous_snr
 
 __all__ = [
@@ -524,9 +524,12 @@ def check_joint_optimum(ctx: AcceptanceContext) -> CheckResult:
         alt_low = int(np.count_nonzero(alt < g_cmp * (1.0 - slack)))
         cmp_low = int(np.count_nonzero(g_cmp < g_unc * (1.0 - slack)))
 
-        # the optimum against its own configuration and a relative-phase sweep
+        # the optimum against its own configuration and a relative-phase sweep,
+        # on channels with the pass's Gram matrices: sigma(G Phi H) depends
+        # on G and H only through G^H G and H H^H
         n = min(stats.trials, _OPTIMUM_SAMPLE)
-        ch = channel_realizations(RngState(stats.seed, stats.stream), n)
+        g, h = bartlett_channels(RngState(stats.seed, stats.stream), n)
+        ch = ChannelRealization(g, h, svd2(g), svd2(h))
         alt = alt[:n]
         phasors, a, b = optimal_configuration(ch)
         config = instantaneous_snr(ch.g, ch.h, phasors, a, b, 1.0)

@@ -1,12 +1,17 @@
 """Monte Carlo estimation harness and empirical-distribution utilities.
 
-A single vectorized pass over channel draws produces every per-trial
+A single vectorized pass over random trials produces every per-trial
 statistic the figures need, 9 doubles: the squared singular values of G
 and H, the matched and crossed alignment factors z with and without
 compensation, and the jointly optimized SNR factor.  All are gauge
 invariant, so they come from the Gram matrices G^H G and H H^H and one
-leading eigenvector of each, without a singular basis.  Since the scheme
-SNRs scale linearly with gamma_bar, one pass serves a whole SNR sweep.
+leading eigenvector of each, without a singular basis.  The pass draws
+those Gram matrices directly, in Bartlett form
+(:func:`sampling.gram_matrices`: 9 uniforms, 8 logarithms and one phase
+per trial), never the channels; :func:`trial_statistics` is the one core,
+and callers holding channel matrices pass it their Gram entries.  Since
+the scheme SNRs scale linearly with gamma_bar, one pass serves a whole SNR
+sweep.
 
 Trial t is a pure function of (seed, stream, t) (see sampling).  The pass
 is one loop over fixed chunks of trials (2^15 by default, so that the
@@ -38,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .altopt import joint_optimum
-from .linalg2 import abs_det2, gram2, hermitian_eigen2
-from .sampling import RngState, channel_matrices
+from .linalg2 import hermitian_eigen2
+from .sampling import RngState, gram_matrices
 from .sysmodel import MODES, Mode, leading_z_factors
 
 # perfbench/child.py wraps these names here; the pass calls none of them
@@ -164,13 +169,13 @@ def _thread_map(fn, items, workers=None):
     return [fn(x) for x in items]
 
 
-def trial_statistics(g: np.ndarray, h: np.ndarray):
-    """(lam, om, z_plain, z_comp, alt_factor) of stacked channel pairs, the
-    per-trial columns of :class:`TrialStats`, from the Gram matrices
-    G^H G and H H^H and the two determinants; no singular basis is formed.
+def trial_statistics(a, b, det_g, det_h):
+    """(lam, om, z_plain, z_comp, alt_factor), the per-trial columns of
+    :class:`TrialStats`, from the Gram entries a = (a00, a11, a01) of
+    G^H G and b = (b00, b11, b01) of H H^H and det_g = |det G|^2,
+    det_h = |det H|^2; no singular basis is formed.  For channel matrices
+    pass ``gram2(g), gram2(h, left=True), abs_det2(g), abs_det2(h)``.
     """
-    a, b = gram2(g), gram2(h, left=True)
-    det_g, det_h = abs_det2(g), abs_det2(h)
     lam1, lam2, vx, vy, v_norm2 = hermitian_eigen2(*a, det_g)
     om1, om2, wx, wy, w_norm2 = hermitian_eigen2(*b, det_h)
     z_plain, z_comp = leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2)
@@ -191,7 +196,7 @@ def channel_statistics(
     chunk_size: int = 1 << 15,
     consume=None,
 ) -> TrialStats | None:
-    """One vectorized statistics pass over ``trials`` channel draws.
+    """One vectorized statistics pass over ``trials`` Gram-matrix draws.
 
     The trial range is split into fixed chunks of ``chunk_size`` trials,
     evaluated in turn or by a pool of ``workers`` threads (default: the
@@ -221,7 +226,7 @@ def channel_statistics(
 
     def run(lo):
         n = min(chunk_size, trials - lo)
-        columns = trial_statistics(*channel_matrices(state, n, lo))
+        columns = trial_statistics(*gram_matrices(state, n, lo))
         consume(lo, TrialStats(seed, stream, n, *columns))
 
     _thread_map(run, range(0, trials, chunk_size), workers)

@@ -7,11 +7,33 @@ chunks or workers therefore cannot change any value, and every sequence is
 bit-for-bit reproducible.  Every generator returns a stack; one draw is a
 stack of one (``n=1, start=k``).
 
-Matrix entries are CN(0, 1), by Box-Muller applied to the raw uniform
-stream (fixed consumption of uniforms per draw, no rejection), and Haar
-unitaries are assembled from the angle densities of the U(2)
-parameterization (theta12 with density sin 2*theta via inverse CDF,
-the three phase angles uniform on [0, 2*pi)).
+Channel matrices have CN(0, 1) entries, by Box-Muller applied to the raw
+uniform stream (fixed consumption of uniforms per draw, no rejection):
+:func:`channel_matrices` is the Gaussian path, which the demos and the
+checks on simulated channels use.  Haar unitaries are assembled from the
+angle densities of the U(2) parameterization (theta12 with density
+sin 2*theta via inverse CDF, the three phase angles uniform on [0, 2*pi)).
+
+The statistics pass reads G and H only through G^H G and H H^H, so
+:func:`gram_matrices` draws those directly.  G^H G of a 2x2 CN(0, 1)
+matrix is complex Wishart with 2 degrees of freedom (Goodman, Ann. Math.
+Stat. 1963), and by Bartlett's decomposition (Edelman, MIT thesis 1989) it
+equals L L^H in law, L lower triangular with independent l11^2 = p ~
+Gamma(2), l22^2 = r ~ Exp(1) and l21 ~ CN(0, 1), |l21|^2 = q ~ Exp(1):
+
+    a00 = p,  a11 = q + r,  a01 = sqrt(p q) e^{j theta},  |det G|^2 = p r.
+
+H H^H has the same law, from its own (p, q, r).  Trial t consumes counter
+blocks [3t, 3t+3), 12 uniforms of which it uses 9: four per Gram matrix
+(p = e0 + e1 and q, r from exponentials -ln(1 - u)) and one phase theta.
+One phase serves both matrices.  In law arg a01 and arg b01 are independent
+uniform angles, independent of every modulus; the eigenvalues, the
+compensated z factors and the joint optimum read only moduli, and the
+fixed-surface z factors read only arg a01 - arg b01 (conjugating both
+matrices by one diagonal unitary moves neither), so b01 is drawn real and
+a01 carries the relative phase.  :func:`bartlett_channels` gives channels
+with these Gram matrices (to rounding), G = L^H and H = M (lower
+triangular), from the same counter blocks.
 """
 
 from __future__ import annotations
@@ -26,9 +48,10 @@ from .linalg2 import Svd2, UnitaryAngles, svd2, unitary_from_angles
 __all__ = [
     "RngState",
     "ChannelRealization",
-    "gaussian_channels",
     "channel_matrices",
     "channel_realizations",
+    "gram_matrices",
+    "bartlett_channels",
     "haar_unitaries",
     "haar_angles",
     "angle_diff_pdf",
@@ -38,10 +61,10 @@ __all__ = [
 
 # Philox-4x64 emits 4 raw uint64 words per counter increment.
 _WORDS_PER_BLOCK = 4
-# One 2x2 complex Gaussian matrix consumes 8 uniforms (16 normals / 2).
-_BLOCKS_PER_MATRIX = 2
 # A (G, H) channel pair consumes 16 uniforms.
 _BLOCKS_PER_PAIR = 4
+# A trial of the Gram draw consumes 12 uniforms and uses the first 9.
+_BLOCKS_PER_GRAM_TRIAL = 3
 
 
 @dataclass(frozen=True)
@@ -103,12 +126,6 @@ def _matrices_from_uniforms(u: np.ndarray) -> np.ndarray:
     return out.T.reshape(u.shape[0], -1, 2, 2)
 
 
-def gaussian_channels(state: RngState, n: int, start: int = 0) -> np.ndarray:
-    """Draws start..start+n-1 of a 2x2 matrix with i.i.d. CN(0,1) entries."""
-    u = _uniform_blocks(state, _BLOCKS_PER_MATRIX * start, _BLOCKS_PER_MATRIX * n)
-    return _matrices_from_uniforms(u.reshape(n, 8)).reshape(n, 2, 2)
-
-
 def channel_matrices(state: RngState, n: int, start: int = 0):
     """Draws start..start+n-1 of channel pairs (g, h), each (n, 2, 2).
 
@@ -124,6 +141,54 @@ def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelReal
     """The draws of :func:`channel_matrices` with their SVDs."""
     g, h = channel_matrices(state, n, start=start)
     return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
+
+
+def _bartlett_variables(state: RngState, n: int, start: int):
+    """An (8, n) array whose rows 1-3 hold (p, q, r) of G^H G and rows 5-7
+    those of H H^H (rows 0 and 4 are free), and the phase theta of a01, for
+    trials start..start+n-1 (see the module docstring)."""
+    u = _uniform_blocks(
+        state, _BLOCKS_PER_GRAM_TRIAL * start, _BLOCKS_PER_GRAM_TRIAL * n
+    ).reshape(n, _WORDS_PER_BLOCK * _BLOCKS_PER_GRAM_TRIAL)
+    # entry-major, as the elementwise stages after it read best
+    e = np.negative(u[:, :8].T, out=np.empty((8, n)))
+    np.log1p(e, out=e)  # 1 - u in (0, 1], no log(0)
+    np.negative(e, out=e)
+    e[1] += e[0]
+    e[5] += e[4]
+    return e, (2.0 * np.pi) * u[:, 8]
+
+
+def gram_matrices(state: RngState, n: int, start: int = 0):
+    """Trials start..start+n-1 of (a, b, det_g, det_h): the Gram entries
+    a = (a00, a11, a01) of G^H G and b = (b00, b11, b01) of H H^H (as
+    :func:`linalg2.gram2` gives them), and |det G|^2, |det H|^2, for
+    independent 2x2 CN(0, 1) channels G and H in law (b01 is real)."""
+    e, theta = _bartlett_variables(state, n, start)
+    # in place, the rows (free, p, q, r) become (sqrt(p q), p, q + r, p r)
+    for k in (0, 4):
+        p, q, r = e[k + 1], e[k + 2], e[k + 3]
+        np.sqrt(np.multiply(p, q, out=e[k]), out=e[k])
+        np.add(q, r, out=q)
+        np.multiply(p, r, out=r)
+    a01 = np.empty(n, dtype=np.complex128)
+    np.multiply(e[0], np.cos(theta), out=a01.real)
+    np.multiply(e[0], np.sin(theta), out=a01.imag)
+    return (e[1], e[2], a01), (e[5], e[6], e[4]), e[3], e[7]
+
+
+def bartlett_channels(state: RngState, n: int, start: int = 0):
+    """Channel pairs (g, h), each (n, 2, 2), whose G^H G and H H^H are the
+    Gram matrices of :func:`gram_matrices` at the same trials:
+    G = [[sqrt p1, sqrt q1 e^{j theta}], [0, sqrt r1]] and
+    H = [[sqrt p2, 0], [sqrt q2, sqrt r2]]."""
+    e, theta = _bartlett_variables(state, n, start)
+    p1, q1, r1, _, p2, q2, r2 = np.sqrt(e[1:])
+    g = np.zeros((n, 2, 2), dtype=np.complex128)
+    h = np.zeros((n, 2, 2), dtype=np.complex128)
+    g[:, 0, 0], g[:, 0, 1], g[:, 1, 1] = p1, q1 * np.exp(1j * theta), r1
+    h[:, 0, 0], h[:, 1, 0], h[:, 1, 1] = p2, q2, r2
+    return g, h
 
 
 def haar_angles(state: RngState, n: int, start: int = 0) -> UnitaryAngles:

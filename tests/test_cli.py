@@ -148,13 +148,13 @@ def test_curve_rows_are_the_csv_rows(tmp_path, command):
     [
         (
             "outage",
-            "8f49278dc05bc58dc6a7bbe042a6309324d799703031e3ef204d7a99547b6861",
-            "c4cce1446c41b41e35d7fd0899da73fd7c06ee817c064385204258308abc4839",
+            "3fd11bf26d562389f7c1be2405d1b9161df352ab8bc938d335af1e0a4bb8bdcd",
+            "f488dd6f3e31975c113b9e0b67cf2eea72324754d186866188625ead01735164",
         ),
         (
             "throughput",
-            "ce864f8f920f18b87b8b925c03a702595884ba30dca7d630437374ae2b656c48",
-            "d360e59f9f1abcaddb21023d06f58df026dcce5991056b5919443bbc38e439f6",
+            "874e3b2320957ab889f97db54b60395d008e5a0fedd2a55cade9f956f82ce979",
+            "b7fd1d9a393e856ac665e1c564323e9a16737294ab21b8011b62f75cc82fff29",
         ),
     ],
     ids=["outage", "throughput"],

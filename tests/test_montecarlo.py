@@ -10,7 +10,7 @@ import ris2x2.montecarlo
 from ris2x2 import analytic
 from ris2x2.acceptance import curve_rows
 from ris2x2.altopt import optimize_batch
-from ris2x2.linalg2 import svd2
+from ris2x2.linalg2 import abs_det2, gram2, svd2
 from ris2x2.montecarlo import (
     ALL_SCHEME_LABELS,
     ALT,
@@ -29,10 +29,22 @@ from ris2x2.montecarlo import (
     trial_statistics,
     wilson_halfwidth,
 )
-from ris2x2.sampling import RngState, channel_matrices, channel_realizations, haar_unitaries
+from ris2x2.sampling import (
+    ChannelRealization,
+    RngState,
+    bartlett_channels,
+    channel_matrices,
+    gram_matrices,
+    haar_unitaries,
+)
 from ris2x2.sysmodel import MODES, Mode, alignment_factors, mode_z_factors
 
 SEED = 2718
+
+
+def _channel_trial_statistics(g, h):
+    """trial_statistics of stacked channel matrices, through their Gram entries."""
+    return trial_statistics(gram2(g), gram2(h, left=True), abs_det2(g), abs_det2(h))
 
 
 def test_outage_zero_threshold_is_zero():
@@ -61,11 +73,13 @@ def test_worker_and_chunk_invariance():
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("chunk", [1 << 15, 1000, 1 << 9])
 def test_pass_is_the_realization_pipeline(workers, chunk):
-    # the Gram-matrix pass gives the values of the SVD pipeline over the same
-    # draws, to rounding: the two routes differ in operation order only
+    # the Gram-matrix pass gives the values of the SVD pipeline on channels
+    # with the same Gram matrices, G = L^H and H = M of its Bartlett draw,
+    # to rounding: the two routes differ in operation order only
     trials = 5000
     stats = channel_statistics(SEED, trials, workers=workers, chunk_size=chunk)
-    ch = channel_realizations(RngState(SEED), trials)
+    g, h = bartlett_channels(RngState(SEED), trials)
+    ch = ChannelRealization(g, h, svd2(g), svd2(h))
     z_plain, z_comp = mode_z_factors(ch)
     assert np.allclose(stats.lam, ch.svd_g.sigma**2, rtol=2e-15, atol=0)
     assert np.allclose(stats.om, ch.svd_h.sigma**2, rtol=2e-15, atol=0)
@@ -78,7 +92,7 @@ def test_pass_is_the_realization_pipeline(workers, chunk):
 
 def test_gram_factors_match_the_singular_bases_on_a_large_stack():
     g, h = channel_matrices(RngState(SEED, 5), 100_000)
-    lam, om, z_plain, z_comp, _ = trial_statistics(g, h)
+    lam, om, z_plain, z_comp, _ = _channel_trial_statistics(g, h)
     svd_g, svd_h = svd2(g), svd2(h)
     full = alignment_factors(svd_g.v, svd_h.u)
     for pair, z in zip((z_plain, z_comp), full):
@@ -87,6 +101,47 @@ def test_gram_factors_match_the_singular_bases_on_a_large_stack():
                 assert np.abs(pair[:, int(i != j)] - z[:, j, i]).max() <= 1e-12
     assert np.allclose(lam, svd_g.sigma**2, rtol=2e-15, atol=0)
     assert np.allclose(om, svd_h.sigma**2, rtol=2e-15, atol=0)
+
+
+def _ks_two_sample(x, y):
+    """Two-sample Kolmogorov-Smirnov distance of two 1-D samples."""
+    x, y = np.sort(x), np.sort(y)
+    points = np.concatenate([x, y])
+    fx = np.searchsorted(x, points, side="right") / x.size
+    fy = np.searchsorted(y, points, side="right") / y.size
+    return float(np.max(np.abs(fx - fy)))
+
+
+def test_bartlett_pass_matches_gaussian_channel_draws():
+    # the pass draws Gram matrices, never channels; its statistics must have
+    # the law of those of CN(0, 1) channel draws, here on a stream of their own
+    n = 200_000
+    stats = channel_statistics(SEED, n, stream=31)
+    gauss = _channel_trial_statistics(*channel_matrices(RngState(SEED, 32), n))
+    ours = (stats.lam, stats.om, stats.z_plain, stats.z_comp, stats.alt_factor[:, None])
+    alpha = 1e-4
+    critical = np.sqrt(-np.log(alpha / 2.0) / 2.0) * np.sqrt(2.0 / n)  # 0.0070
+    for name, x, y in zip(("lam", "om", "z_plain", "z_comp", "alt"), ours, gauss):
+        y = y.reshape(n, -1)
+        for k in range(y.shape[1]):
+            d = _ks_two_sample(x[:, k], y[:, k])
+            assert d < critical, (name, k, d, critical)
+
+
+def test_statistics_read_only_moduli_and_the_relative_phase():
+    # arbitrary phases on a01 and b01 (G^H G and H H^H conjugated by diagonal
+    # unitaries) move no statistic but the fixed-surface z factors, and those
+    # only through the phase of a01 conj(b01): one drawn phase serves both
+    a, b, det_g, det_h = gram_matrices(RngState(SEED, 33), 20_000)
+    phase_a, phase_b = np.exp(2j * np.pi * np.random.default_rng(5).random((2, 20_000)))
+    base = trial_statistics(a, b, det_g, det_h)
+    turned = trial_statistics((*a[:2], a[2] * phase_a), (*b[:2], b[2] * phase_b), det_g, det_h)
+    relative = trial_statistics((*a[:2], a[2] * phase_a * np.conjugate(phase_b)), b, det_g, det_h)
+    for k in (0, 1, 4):  # lam, om, alt_factor
+        assert np.allclose(turned[k], base[k], rtol=1e-14, atol=0)
+    assert np.abs(turned[3] - base[3]).max() <= 1e-12  # z_comp
+    assert np.abs(turned[2] - relative[2]).max() <= 1e-12  # z_plain
+    assert np.abs(turned[2] - base[2]).max() > 0.5
 
 
 def _mp_trial_statistics(mp, g, h):
@@ -149,7 +204,7 @@ def _near_degenerate_cases():
     )
     # the smallest matched and crossed z_plain of 2^15 draws (5.6e-7 to 7.7e-5)
     g, h = channel_matrices(RngState(1729), 1 << 15)
-    z = trial_statistics(g, h)[2]
+    z = _channel_trial_statistics(g, h)[2]
     pick = np.concatenate([np.argsort(z[:, 0])[:4], np.argsort(z[:, 1])[:4]])
     yield g[pick], h[pick]
     # zero entries, diagonal Gram matrices either way round
@@ -165,7 +220,7 @@ def test_gram_factors_match_a_40_digit_eigendecomposition():
     mp = pytest.importorskip("mpmath").mp
     checked = 0
     for g, h in _near_degenerate_cases():
-        got = trial_statistics(g, h)
+        got = _channel_trial_statistics(g, h)
         for k in range(g.shape[0]):
             lam, om, z_plain, z_comp, alt, kappa = _mp_trial_statistics(mp, g[k], h[k])
             for value, ref in ((got[0][k], lam), (got[1][k], om), (got[4][k], alt)):
@@ -390,15 +445,19 @@ def test_pass_memory_is_the_statistics_plus_a_few_chunks():
 
 def test_streamed_outage_sweep_memory_does_not_grow_with_trials():
     # the outage sweep counts each chunk and keeps only the counts: its
-    # traced peak is the chunks in flight, not the statistics of the pass
-    def sweep(trials):
-        run = partial(channel_statistics, SEED, trials, workers=2)
+    # traced peak is the chunks in flight, at most one per worker, not the
+    # statistics of the pass.  How far the peaks of two workers' chunks
+    # overlap depends on thread timing, so the bound is twice the peak of
+    # the sweep on one worker and one chunk
+    def sweep(trials, workers=2):
+        run = partial(channel_statistics, SEED, trials, workers=workers)
         return curve_rows(run, ALL_SCHEME_LABELS, range(-5, 26, 5), 1.0, "outage")
 
     sweep(1 << 12)  # the analytic column builds its cached nodes once
-    _, small = _traced_peak(lambda: sweep(1 << 17))
-    _, large = _traced_peak(lambda: sweep(1 << 19))
-    assert large <= 1.15 * small
+    _, one_chunk = _traced_peak(lambda: sweep(1 << 15, workers=1))
+    for trials in (1 << 17, 1 << 19):
+        _, peak = _traced_peak(lambda: sweep(trials))
+        assert peak <= 1.15 * 2 * one_chunk, (trials, peak, one_chunk)
 
 
 def test_streamed_counts_equal_the_stored_pass():

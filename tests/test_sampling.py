@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ris2x2.linalg2 import unitary_from_angles
+from ris2x2.linalg2 import abs_det2, gram2, unitary_from_angles
 from ris2x2.montecarlo import EmpiricalCdf
 from ris2x2.sampling import (
     RngState,
@@ -10,8 +10,10 @@ from ris2x2.sampling import (
     angle_diff_cdf,
     angle_diff_pdf,
     angle_sum_pdf,
+    bartlett_channels,
+    channel_matrices,
     channel_realizations,
-    gaussian_channels,
+    gram_matrices,
     haar_angles,
     haar_unitaries,
 )
@@ -20,33 +22,57 @@ STATE = RngState(20240514, 0)
 
 
 def test_fixed_seed_reproducible():
-    a = gaussian_channels(STATE, 1, start=5)
-    b = gaussian_channels(STATE, 1, start=5)
-    assert a.shape == (1, 2, 2)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, gaussian_channels(STATE, 1, start=6))
+    g, h = channel_matrices(STATE, 1, start=5)
+    assert g.shape == h.shape == (1, 2, 2)
+    again = channel_matrices(STATE, 1, start=5)
+    assert np.array_equal(g, again[0]) and np.array_equal(h, again[1])
+    assert not np.array_equal(g, channel_matrices(STATE, 1, start=6)[0])
 
 
 def test_chunked_generation_is_identical():
-    whole = gaussian_channels(STATE, 1000)
-    parts = np.concatenate(
-        [gaussian_channels(STATE, 300), gaussian_channels(STATE, 700, start=300)]
-    )
-    assert np.array_equal(whole, parts)
+    whole = channel_matrices(STATE, 1000)
+    parts = zip(channel_matrices(STATE, 300), channel_matrices(STATE, 700, start=300))
+    for w, (a, b) in zip(whole, parts):
+        assert np.array_equal(w, np.concatenate([a, b]))
 
 
 def test_streams_are_distinct():
-    a = gaussian_channels(RngState(1, 0), 10)
-    b = gaussian_channels(RngState(1, 1), 10)
-    assert not np.array_equal(a, b)
+    a = channel_matrices(RngState(1, 0), 10)
+    b = channel_matrices(RngState(1, 1), 10)
+    assert not np.array_equal(a[0], b[0]) and not np.array_equal(a[1], b[1])
 
 
 def test_gaussian_moments_large_sample():
-    g = gaussian_channels(STATE, 1_000_000)
+    g = np.concatenate(channel_matrices(STATE, 500_000))
     assert np.abs(g.mean(axis=0)).max() < 4e-3
     assert np.abs((np.abs(g) ** 2).mean(axis=0) - 1.0).max() < 5e-3
     trace = (np.abs(g) ** 2).sum(axis=(1, 2)).mean()
     assert abs(trace - 4.0) < 2e-2
+
+
+def _gram_arrays(draw):
+    """a00, a11, a01, b00, b11, b01, det_g, det_h of a gram_matrices draw."""
+    a, b, det_g, det_h = draw
+    return (*a, *b, det_g, det_h)
+
+
+def test_gram_draws_are_windowed_and_keyed_by_stream():
+    whole = _gram_arrays(gram_matrices(STATE, 1000))
+    parts = zip(
+        _gram_arrays(gram_matrices(STATE, 300)),
+        _gram_arrays(gram_matrices(STATE, 700, start=300)),
+    )
+    for w, (x, y) in zip(whole, parts):
+        assert np.array_equal(w, np.concatenate([x, y]))
+    assert not np.array_equal(whole[2], _gram_arrays(gram_matrices(STATE.child(1), 1000))[2])
+
+
+def test_bartlett_channels_have_the_drawn_gram_matrices():
+    g, h = bartlett_channels(STATE, 5000, start=7)
+    got = (*gram2(g), *gram2(h, left=True), abs_det2(g), abs_det2(h))
+    for x, want in zip(got, _gram_arrays(gram_matrices(STATE, 5000, start=7))):
+        assert np.allclose(x, want, rtol=1e-15, atol=0)
+    assert np.all(g[:, 1, 0] == 0.0) and np.all(h[:, 0, 1] == 0.0)
 
 
 def test_channel_realization_caches_svd():
