@@ -23,7 +23,7 @@ from . import analytic, montecarlo
 from .altopt import optimal_configuration
 from .linalg2 import svd2
 from .montecarlo import ALL_SCHEME_LABELS, AltScheme, EmpiricalCdf, TrialStats, parse_scheme
-from .sampling import ChannelRealization, RngState, bartlett_channels, haar_unitaries
+from .sampling import RngState, bartlett_realizations, haar_unitaries
 from .sysmodel import MODES, Mode, alignment_factors, instantaneous_snr
 
 __all__ = [
@@ -528,8 +528,7 @@ def check_joint_optimum(ctx: AcceptanceContext) -> CheckResult:
         # on channels with the pass's Gram matrices: sigma(G Phi H) depends
         # on G and H only through G^H G and H H^H
         n = min(stats.trials, _OPTIMUM_SAMPLE)
-        g, h = bartlett_channels(RngState(stats.seed, stats.stream), n)
-        ch = ChannelRealization(g, h, svd2(g), svd2(h))
+        ch = bartlett_realizations(RngState(stats.seed, stats.stream), n)
         alt = alt[:n]
         phasors, a, b = optimal_configuration(ch)
         config = instantaneous_snr(ch.g, ch.h, phasors, a, b, 1.0)

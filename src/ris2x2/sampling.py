@@ -31,9 +31,9 @@ uniform angles, independent of every modulus; the eigenvalues, the
 compensated z factors and the joint optimum read only moduli, and the
 fixed-surface z factors read only arg a01 - arg b01 (conjugating both
 matrices by one diagonal unitary moves neither), so b01 is drawn real and
-a01 carries the relative phase.  :func:`bartlett_channels` gives channels
-with these Gram matrices (to rounding), G = L^H and H = M (lower
-triangular), from the same counter blocks.
+a01 carries the relative phase.  :func:`bartlett_realizations` gives
+channels with these Gram matrices (to rounding), G = L^H and H = M (lower
+triangular), from the same counter blocks, with their SVDs.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ __all__ = [
     "channel_matrices",
     "channel_realizations",
     "gram_matrices",
-    "bartlett_channels",
+    "bartlett_realizations",
     "haar_unitaries",
     "haar_angles",
     "angle_diff_pdf",
@@ -144,19 +144,14 @@ def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelReal
 
 
 def _bartlett_variables(state: RngState, n: int, start: int):
-    """An (8, n) array whose rows 1-3 hold (p, q, r) of G^H G and rows 5-7
-    those of H H^H (rows 0 and 4 are free), and the phase theta of a01, for
-    trials start..start+n-1 (see the module docstring)."""
+    """(p, q, r) of G^H G, (p, q, r) of H H^H and the phase theta of a01,
+    each (n,), for trials start..start+n-1 (see the module docstring)."""
     u = _uniform_blocks(
         state, _BLOCKS_PER_GRAM_TRIAL * start, _BLOCKS_PER_GRAM_TRIAL * n
     ).reshape(n, _WORDS_PER_BLOCK * _BLOCKS_PER_GRAM_TRIAL)
-    # entry-major, as the elementwise stages after it read best
-    e = np.negative(u[:, :8].T, out=np.empty((8, n)))
-    np.log1p(e, out=e)  # 1 - u in (0, 1], no log(0)
-    np.negative(e, out=e)
-    e[1] += e[0]
-    e[5] += e[4]
-    return e, (2.0 * np.pi) * u[:, 8]
+    # eight exponentials, entry-major; 1 - u in (0, 1], no log(0)
+    e = -np.log1p(-np.ascontiguousarray(u[:, :8].T))
+    return (e[0] + e[1], e[2], e[3]), (e[4] + e[5], e[6], e[7]), (2.0 * np.pi) * u[:, 8]
 
 
 def gram_matrices(state: RngState, n: int, start: int = 0):
@@ -164,31 +159,26 @@ def gram_matrices(state: RngState, n: int, start: int = 0):
     a = (a00, a11, a01) of G^H G and b = (b00, b11, b01) of H H^H (as
     :func:`linalg2.gram2` gives them), and |det G|^2, |det H|^2, for
     independent 2x2 CN(0, 1) channels G and H in law (b01 is real)."""
-    e, theta = _bartlett_variables(state, n, start)
-    # in place, the rows (free, p, q, r) become (sqrt(p q), p, q + r, p r)
-    for k in (0, 4):
-        p, q, r = e[k + 1], e[k + 2], e[k + 3]
-        np.sqrt(np.multiply(p, q, out=e[k]), out=e[k])
-        np.add(q, r, out=q)
-        np.multiply(p, r, out=r)
+    (p1, q1, r1), (p2, q2, r2), theta = _bartlett_variables(state, n, start)
+    s1 = np.sqrt(p1 * q1)
     a01 = np.empty(n, dtype=np.complex128)
-    np.multiply(e[0], np.cos(theta), out=a01.real)
-    np.multiply(e[0], np.sin(theta), out=a01.imag)
-    return (e[1], e[2], a01), (e[5], e[6], e[4]), e[3], e[7]
+    np.multiply(s1, np.cos(theta), out=a01.real)
+    np.multiply(s1, np.sin(theta), out=a01.imag)
+    return (p1, q1 + r1, a01), (p2, q2 + r2, np.sqrt(p2 * q2)), p1 * r1, p2 * r2
 
 
-def bartlett_channels(state: RngState, n: int, start: int = 0):
-    """Channel pairs (g, h), each (n, 2, 2), whose G^H G and H H^H are the
-    Gram matrices of :func:`gram_matrices` at the same trials:
-    G = [[sqrt p1, sqrt q1 e^{j theta}], [0, sqrt r1]] and
+def bartlett_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:
+    """Channel pairs (g, h), each (n, 2, 2), with their SVDs, whose G^H G
+    and H H^H are the Gram matrices of :func:`gram_matrices` at the same
+    trials: G = [[sqrt p1, sqrt q1 e^{j theta}], [0, sqrt r1]] and
     H = [[sqrt p2, 0], [sqrt q2, sqrt r2]]."""
-    e, theta = _bartlett_variables(state, n, start)
-    p1, q1, r1, _, p2, q2, r2 = np.sqrt(e[1:])
+    (p1, q1, r1), (p2, q2, r2), theta = _bartlett_variables(state, n, start)
     g = np.zeros((n, 2, 2), dtype=np.complex128)
     h = np.zeros((n, 2, 2), dtype=np.complex128)
-    g[:, 0, 0], g[:, 0, 1], g[:, 1, 1] = p1, q1 * np.exp(1j * theta), r1
-    h[:, 0, 0], h[:, 1, 0], h[:, 1, 1] = p2, q2, r2
-    return g, h
+    g[:, 0, 0], g[:, 1, 1] = np.sqrt(p1), np.sqrt(r1)
+    g[:, 0, 1] = np.sqrt(q1) * np.exp(1j * theta)
+    h[:, 0, 0], h[:, 1, 0], h[:, 1, 1] = np.sqrt(p2), np.sqrt(q2), np.sqrt(r2)
+    return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
 
 
 def haar_angles(state: RngState, n: int, start: int = 0) -> UnitaryAngles:

@@ -30,9 +30,8 @@ from ris2x2.montecarlo import (
     wilson_halfwidth,
 )
 from ris2x2.sampling import (
-    ChannelRealization,
     RngState,
-    bartlett_channels,
+    bartlett_realizations,
     channel_matrices,
     gram_matrices,
     haar_unitaries,
@@ -78,8 +77,7 @@ def test_pass_is_the_realization_pipeline(workers, chunk):
     # to rounding: the two routes differ in operation order only
     trials = 5000
     stats = channel_statistics(SEED, trials, workers=workers, chunk_size=chunk)
-    g, h = bartlett_channels(RngState(SEED), trials)
-    ch = ChannelRealization(g, h, svd2(g), svd2(h))
+    ch = bartlett_realizations(RngState(SEED), trials)
     z_plain, z_comp = mode_z_factors(ch)
     assert np.allclose(stats.lam, ch.svd_g.sigma**2, rtol=2e-15, atol=0)
     assert np.allclose(stats.om, ch.svd_h.sigma**2, rtol=2e-15, atol=0)
@@ -445,19 +443,21 @@ def test_pass_memory_is_the_statistics_plus_a_few_chunks():
 
 def test_streamed_outage_sweep_memory_does_not_grow_with_trials():
     # the outage sweep counts each chunk and keeps only the counts: its
-    # traced peak is the chunks in flight, at most one per worker, not the
-    # statistics of the pass.  How far the peaks of two workers' chunks
-    # overlap depends on thread timing, so the bound is twice the peak of
-    # the sweep on one worker and one chunk
-    def sweep(trials, workers=2):
+    # traced peak is the chunks in flight, not the statistics of the pass.
+    # On one worker one chunk is in flight at a time, so the peak must not
+    # grow with the trials; on two, at most two are, but how far their
+    # peaks overlap depends on thread timing, so that sweep is bounded by
+    # twice the one-worker peak
+    def sweep(trials, workers):
         run = partial(channel_statistics, SEED, trials, workers=workers)
         return curve_rows(run, ALL_SCHEME_LABELS, range(-5, 26, 5), 1.0, "outage")
 
-    sweep(1 << 12)  # the analytic column builds its cached nodes once
-    _, one_chunk = _traced_peak(lambda: sweep(1 << 15, workers=1))
-    for trials in (1 << 17, 1 << 19):
-        _, peak = _traced_peak(lambda: sweep(trials))
-        assert peak <= 1.15 * 2 * one_chunk, (trials, peak, one_chunk)
+    sweep(1 << 12, 1)  # the analytic column builds its cached nodes once
+    _, small = _traced_peak(lambda: sweep(1 << 17, 1))
+    _, large = _traced_peak(lambda: sweep(1 << 19, 1))
+    assert large <= 1.15 * small, (large, small)
+    _, two = _traced_peak(lambda: sweep(1 << 19, 2))
+    assert two <= 1.15 * 2 * small, (two, small)
 
 
 def test_streamed_counts_equal_the_stored_pass():

@@ -10,7 +10,7 @@ from ris2x2.sampling import (
     angle_diff_cdf,
     angle_diff_pdf,
     angle_sum_pdf,
-    bartlett_channels,
+    bartlett_realizations,
     channel_matrices,
     channel_realizations,
     gram_matrices,
@@ -67,8 +67,9 @@ def test_gram_draws_are_windowed_and_keyed_by_stream():
     assert not np.array_equal(whole[2], _gram_arrays(gram_matrices(STATE.child(1), 1000))[2])
 
 
-def test_bartlett_channels_have_the_drawn_gram_matrices():
-    g, h = bartlett_channels(STATE, 5000, start=7)
+def test_bartlett_realizations_have_the_drawn_gram_matrices():
+    ch = bartlett_realizations(STATE, 5000, start=7)
+    g, h = ch.g, ch.h
     got = (*gram2(g), *gram2(h, left=True), abs_det2(g), abs_det2(h))
     for x, want in zip(got, _gram_arrays(gram_matrices(STATE, 5000, start=7))):
         assert np.allclose(x, want, rtol=1e-15, atol=0)
