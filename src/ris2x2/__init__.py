@@ -67,7 +67,6 @@ from .montecarlo import (
     estimate_throughput,
     outage_from_stats,
     parse_scheme,
-    scheme_label,
     scheme_snr_factor,
     throughput_from_stats,
     wilson_halfwidth,

@@ -66,7 +66,6 @@ _CHUNK_CHECK_TRIALS = 40_000
 
 @dataclass(frozen=True)
 class AcceptanceSettings:
-    level: str = "full"
     trials: int = 1_000_000
     seed: int = 1729
     snr_db: tuple = tuple(float(s) for s in range(-5, 26))
@@ -87,7 +86,6 @@ class AcceptanceSettings:
     @classmethod
     def smoke(cls) -> "AcceptanceSettings":
         return cls(
-            level="smoke",
             trials=10_000,
             snr_db=tuple(float(s) for s in range(-5, 26, 5)),
             closed_form_grid=(1e-2, 0.25, 2.0),
@@ -313,8 +311,10 @@ def check_closed_forms(ctx: AcceptanceContext) -> CheckResult:
 
 
 def curve_rows(stats, names, snr_db, threshold: float, kind: str):
-    """(snr_db, name, analytic, mc, ci95) rows of an outage or throughput
-    sweep, SNR-major, with analytic None for the optimized scheme.
+    """(snr_db, label, analytic, mc, ci95) rows of an outage or throughput
+    sweep, SNR-major, with analytic None for the optimized scheme; each
+    name is parsed by :func:`montecarlo.parse_scheme` and its row carries
+    the scheme's label.
 
     The analytic column is the Mellin-Barnes outage or throughput, one call
     per mode over the whole grid; the paper's closed forms are checked by
@@ -360,9 +360,9 @@ def curve_rows(stats, names, snr_db, threshold: float, kind: str):
             lambda scheme: montecarlo.throughput_from_stats(stats, scheme, gamma_bars), schemes
         )
     return [
-        (db, name, ana[k][p], mc[k][p].value, mc[k][p].ci_half_width)
+        (db, scheme.label, ana[k][p], mc[k][p].value, mc[k][p].ci_half_width)
         for p, db in enumerate(snr_db)
-        for k, name in enumerate(names)
+        for k, scheme in enumerate(schemes)
     ]
 
 
@@ -660,10 +660,9 @@ CRITERIA = (
 )
 
 
-def run_acceptance(settings: AcceptanceSettings, criteria=None):
+def run_acceptance(settings: AcceptanceSettings):
     ctx = AcceptanceContext(settings)
-    selected = CRITERIA if criteria is None else criteria
-    return [fn(ctx) for fn in selected]
+    return [fn(ctx) for fn in CRITERIA]
 
 
 def format_report(results) -> str:

@@ -123,7 +123,7 @@ _E1_SERIES = tuple((-1) ** (k + 1) / (k * factorial(k)) for k in range(1, 21))
 # fractions run; each depth is within a few ulp at its band's lower end.
 _LAGUERRE_BANDS = ((1.5, 100), (2.0, 72), (3.0, 56), (5.0, 40), (10.0, 30), (20.0, 24), (np.inf, 12))
 
-# The oracles' rule: the share of rel_tol times P or R that each of its four
+# The oracles' rule: the share of _REL_TOL times P or R that each of its four
 # truncated tails may leave out, the step of its first level, the nodes
 # evaluated at once (64 kB per array) and the most nodes a level may have
 # (a few seconds of work; no outage x in [1e-8, 1e4] needs more than 4e5).
@@ -244,9 +244,9 @@ def _z_weight(t):
     return np.where(a < 1.0, a**3 * polyval(a * a, _Z_WEIGHT_SERIES), direct)
 
 
-def _outage_tail_mass(mode: Mode, x: float, rel_tol: float) -> float:
+def _outage_tail_mass(mode: Mode, x: float) -> float:
     """The probability mass each truncated tail of the outage oracle may
-    drop: a share of rel_tol times a lower bound of P(x).
+    drop: a share of _REL_TOL times a lower bound of P(x).
 
     Since the three events together imply lambda omega z <= x, P is at
     least P{lambda <= a} P{omega <= b} P{z <= c} whenever abc = x; the
@@ -263,7 +263,7 @@ def _outage_tail_mass(mode: Mode, x: float, rel_tol: float) -> float:
         f_om = eigenvalue_cdf(np.array([x, 1.0]), om_law)
         f_z = x * x / 3.0 if mode.compensated else x
         bound = max(f_lam[0] * f_om[1], f_lam[1] * f_om[0], f_lam[1] * f_om[1] * f_z)
-    return max(_ORACLE_TAIL_SHARE * rel_tol * bound, np.finfo(np.float64).tiny)
+    return max(_ORACLE_TAIL_SHARE * _REL_TOL * bound, np.finfo(np.float64).tiny)
 
 
 def _omega_log_range(which: str, mass: float):
@@ -306,7 +306,7 @@ def _alignment_nodes(u, compensated: bool):
     return 1.0 / np.sin(t) ** 2, _z_weight(t) * half_pi * up * down
 
 
-def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, mass: float, rel_tol: float):
+def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, mass: float):
     """int int kernel(y, lam_law) f_omega(e^s) e^s w(u) ds du at every a of
     ``scales``, y = a e^s z(u) (a e^-s / z(u) if ``inverse``), with the laws
     of :func:`_mode_laws`: the 2-D trapezoid rule of both oracles.
@@ -315,7 +315,7 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, mass: float, rel_tol
     expit(u), or with compensation t = (pi/2) expit(u) in z = sin^2 t,
     weighted by sin(2t)/2 - t cos(2t)) are cut where at most ``mass`` of
     probability lies beyond either end.  The step is halved from 1, reusing
-    the nodes of the level before, until two levels agree to rel_tol
+    the nodes of the level before, until two levels agree to _REL_TOL
     relative at an a, which then drops out; QuadratureError is raised once
     a level would exceed _ORACLE_MAX_NODES.
     """
@@ -355,7 +355,7 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, mass: float, rel_tol
             total += node_sum(np.arange(0, n_s, 2), np.arange(1, n_u, 2), step, a)
             previous, estimate = estimate, step * step * total
             change = np.abs(estimate - previous)
-            done = change <= rel_tol * estimate
+            done = change <= _REL_TOL * estimate
             result[active[done]] = estimate[done]
             active, total, estimate, change = (v[~done] for v in (active, total, estimate, change))
             if active.size == 0:
@@ -383,8 +383,8 @@ def outage_quadrature(mode: Mode, x: float) -> float:
         raise ValueError("x must be nonnegative and finite")
     if x == 0.0:
         return 0.0
-    mass = _outage_tail_mass(mode, float(x), _REL_TOL)
-    return float(_oracle_rule(mode, np.array([x]), True, eigenvalue_cdf, mass, _REL_TOL)[0])
+    mass = _outage_tail_mass(mode, float(x))
+    return float(_oracle_rule(mode, np.array([x]), True, eigenvalue_cdf, mass)[0])
 
 
 def outage_closed_form(mode: Mode, x: float) -> float:
@@ -821,9 +821,9 @@ def throughput(mode: Mode, gamma_bar):
     return result if result.ndim else float(result)
 
 
-def _throughput_tail_mass(mode: Mode, gamma_bar, rel_tol: float) -> float:
+def _throughput_tail_mass(mode: Mode, gamma_bar) -> float:
     """The probability mass each truncated tail of the throughput oracle may
-    drop on a grid of gamma_bar: a share of rel_tol times a lower bound of
+    drop on a grid of gamma_bar: a share of _REL_TOL times a lower bound of
     R, R >= P{lambda, omega, z >= 1/2} ln(1 + gamma_bar/8), over what a unit
     of mass can carry.  A tail A of (omega, z) of mass m drops at most
     m ln(1 + 3.5 gamma_bar) + E[omega; A] (ln(1 + ab) <= ln(1 + a) + b, and
@@ -833,7 +833,7 @@ def _throughput_tail_mass(mode: Mode, gamma_bar, rel_tol: float) -> float:
     lam_law, om_law = _mode_laws(mode)
     survival = (1.0 - eigenvalue_cdf(0.5, lam_law)) * (1.0 - eigenvalue_cdf(0.5, om_law))
     survival *= 1.0 - z_factor_cdf(0.5, mode.compensated)
-    budget = _ORACLE_TAIL_SHARE * rel_tol * survival * np.log1p(gamma_bar / 8.0)
+    budget = _ORACLE_TAIL_SHARE * _REL_TOL * survival * np.log1p(gamma_bar / 8.0)
     carry = np.log1p(3.5 * gamma_bar) + 3.5
     mass = budget / carry
     for _ in range(2):
@@ -857,8 +857,8 @@ def throughput_quadrature(mode: Mode, gamma_bar):
     if not np.all((gammas > 0.0) & (gammas < np.inf)):
         raise ValueError("gamma_bar must be positive and finite")
     flat = gammas.ravel()
-    mass = _throughput_tail_mass(mode, flat, _REL_TOL)
-    result = _oracle_rule(mode, flat, False, _capacity_kernel, mass, _REL_TOL)
+    mass = _throughput_tail_mass(mode, flat)
+    result = _oracle_rule(mode, flat, False, _capacity_kernel, mass)
     result = result.reshape(gammas.shape)
     return result if result.ndim else float(result)
 

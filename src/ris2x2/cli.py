@@ -267,11 +267,10 @@ def cmd_curve(args) -> int:
 
 
 def cmd_gain(args) -> int:
-    trials = args.trials if args.trials is not None else 1_000_000
-    seed = args.seed if args.seed is not None else 1729
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
-    stats = montecarlo.channel_statistics(seed, trials)
+    overrides = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
+    cfg = replace(ExperimentConfig(), **overrides)
+    cfg.validate()
+    stats = montecarlo.channel_statistics(cfg.seed, cfg.trials)
     zc = stats.z_comp[:, 0]
     zp = stats.z_plain[:, 0]
     ratio = float(zc.mean() / zp.mean())
@@ -291,7 +290,7 @@ def cmd_gain(args) -> int:
     print(
         f"compensation SNR gain: analytic {analytic.snr_gain_linear():.6f} "
         f"({analytic.snr_gain_db():.4f} dB); MC ratio {ratio:.6f} +- {half:.6f} "
-        f"({trials} trials)"
+        f"({cfg.trials} trials)"
     )
     print(
         f"consecutive-mode gap: derived {derived_db:.4f} dB (mean ratio 7); "

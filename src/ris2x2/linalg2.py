@@ -29,6 +29,9 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
+# Largest entry of S^H S - I that angles_from_unitary accepts.
+_UNITARY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Svd2:
@@ -199,7 +202,7 @@ def unitary_from_angles(angles: UnitaryAngles) -> np.ndarray:
     return np.stack([row0, row1], axis=-2)
 
 
-def angles_from_unitary(s: np.ndarray, tol: float = 1e-10) -> UnitaryAngles:
+def angles_from_unitary(s: np.ndarray) -> UnitaryAngles:
     """Recover the canonical angles of a (stacked) unitary matrix.
 
     theta12 comes from the moduli of the first column, the phases from the
@@ -212,7 +215,7 @@ def angles_from_unitary(s: np.ndarray, tol: float = 1e-10) -> UnitaryAngles:
         raise ValueError(f"expected trailing (2, 2) shape, got {s.shape}")
     gram = np.einsum("...ki,...kj->...ij", np.conjugate(s), s)
     eye = np.eye(2)
-    if np.max(np.abs(gram - eye)) > tol:
+    if np.max(np.abs(gram - eye)) > _UNITARY_TOL:
         raise ValueError("input is not unitary within tolerance")
 
     s00 = s[..., 0, 0]

@@ -28,9 +28,11 @@ a few chunks, whatever the number of trials, and integer sums make its
 estimates independent of chunking and worker count.  Throughput uses
 numpy's pairwise summation over the stored pass, whose result does not
 depend on how the pass was chunked either; each scheme's factor is formed
-once and reused at every grid point.  Proportions carry 95% Wilson
-intervals (sane coverage near zero outage), means carry normal-theory
-intervals.
+once and reused at every grid point.  An estimate is an
+:class:`McEstimate`, its value and the half-width of its 95% interval:
+Wilson for proportions (sane coverage near zero outage), normal theory
+for means.  :data:`SCHEMES` maps each scheme label (the eight modes
+'j{1|2}i{1|2}[-cmp]' and the joint optimum 'alt') to its scheme.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ __all__ = [
     "McEstimate",
     "TrialStats",
     "OutageCounter",
+    "SCHEMES",
     "parse_scheme",
     "trial_statistics",
-    "scheme_label",
     "channel_statistics",
     "scheme_snr_factor",
     "outage_from_stats",
@@ -79,34 +81,24 @@ _Z95 = 1.959963984540054
 class AltScheme:
     """The jointly optimized benchmark scheme (closed form, see altopt)."""
 
+    label = "alt"
+
 
 ALT = AltScheme()
 Scheme = Mode | AltScheme
 
+# Every scheme by its label: the eight modes, then the joint optimum.
+SCHEMES = {s.label: s for s in (*MODES, ALT)}
+ALL_SCHEME_LABELS = tuple(SCHEMES)
+
 
 def parse_scheme(name: str) -> Scheme:
-    """Parse 'j{1|2}i{1|2}[-cmp]' or 'alt'."""
-    name = name.strip().lower()
-    if name == "alt":
-        return ALT
-    base, _, suffix = name.partition("-")
-    if (
-        len(base) == 4
-        and base[0] == "j"
-        and base[2] == "i"
-        and base[1] in "12"
-        and base[3] in "12"
-        and suffix in ("", "cmp")
-    ):
-        return Mode(tx=int(base[3]), rx=int(base[1]), compensated=suffix == "cmp")
-    raise ValueError(f"unknown scheme name: {name!r}")
-
-
-def scheme_label(scheme: Scheme) -> str:
-    return "alt" if isinstance(scheme, AltScheme) else scheme.label
-
-
-ALL_SCHEME_LABELS = tuple(m.label for m in MODES) + ("alt",)
+    """The scheme of a label of :data:`SCHEMES`, 'j{1|2}i{1|2}[-cmp]' or
+    'alt', in any case and with surrounding blanks."""
+    key = name.strip().lower()
+    if key not in SCHEMES:
+        raise ValueError(f"unknown scheme name: {key!r}")
+    return SCHEMES[key]
 
 
 @dataclass(frozen=True)
@@ -115,8 +107,6 @@ class McEstimate:
 
     value: float
     ci_half_width: float
-    trials: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -243,13 +233,14 @@ def scheme_snr_factor(stats: TrialStats, scheme: Scheme) -> np.ndarray:
     return stats.lam[:, j] * stats.om[:, i] * z[:, int(i != j)]
 
 
-def wilson_halfwidth(hits: int, trials: int, z: float = _Z95) -> float:
-    """Half-width of the Wilson score interval for a proportion."""
+def wilson_halfwidth(hits: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval for a proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits must be in [0, trials], not {hits} of {trials}")
     p = hits / trials
+    z = _Z95
     denom = 1.0 + z * z / trials
     return float(
         z * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
@@ -264,12 +255,6 @@ def _gamma_bars(gamma_bar):
     if not np.all((g >= 0.0) & (g < np.inf)):
         raise ValueError("gamma_bar must be nonnegative and finite")
     return np.atleast_1d(g), g.ndim == 0
-
-
-def _estimate(stats: TrialStats, value: float, half: float) -> McEstimate:
-    return McEstimate(
-        value=value, ci_half_width=half, trials=stats.trials, seed=stats.seed
-    )
 
 
 def _count_at_most(f_sorted: np.ndarray, gammas: np.ndarray, gamma_th: float) -> np.ndarray:
@@ -320,7 +305,6 @@ class OutageCounter:
         self.gamma_th = gamma_th
         self.hits = np.zeros((len(self.schemes), self.gamma_bars.size), dtype=np.int64)
         self.trials = 0
-        self.seed = None
         self._lock = threading.Lock()
 
     def __call__(self, lo: int, chunk: TrialStats):
@@ -332,14 +316,13 @@ class OutageCounter:
             for row, c in zip(self.hits, counts):
                 row += c
             self.trials += chunk.trials
-            self.seed = chunk.seed
 
     def estimates(self):
         """Per scheme, its estimate at each gamma_bar (a list), or the one
         estimate of a scalar gamma_bar."""
         out = [
             [
-                McEstimate(h / self.trials, wilson_halfwidth(h, self.trials), self.trials, self.seed)
+                McEstimate(h / self.trials, wilson_halfwidth(h, self.trials))
                 for h in row.tolist()
             ]
             for row in self.hits
@@ -371,7 +354,7 @@ def throughput_from_stats(stats: TrialStats, scheme: Scheme, gamma_bar):
     for g in gammas:
         np.log1p(np.multiply(g, f, out=vals), out=vals)
         half = _Z95 * float(vals.std(ddof=1)) / np.sqrt(stats.trials)
-        out.append(_estimate(stats, float(vals.mean()), half))
+        out.append(McEstimate(float(vals.mean()), half))
     return out[0] if scalar else out
 
 
@@ -381,14 +364,13 @@ def estimate_outage(
     gamma_th: float,
     trials: int,
     seed: int,
-    stream: int = 0,
     workers: int | None = None,
 ) -> McEstimate:
     """Fraction of i.i.d. channel draws whose scheme SNR is <= gamma_th,
     counted chunk by chunk without storing the pass."""
     _require_count("trials", trials, 100)
     counter = OutageCounter([scheme], gamma_bar, gamma_th)
-    channel_statistics(seed, trials, stream=stream, workers=workers, consume=counter)
+    channel_statistics(seed, trials, workers=workers, consume=counter)
     return counter.estimates()[0]
 
 
@@ -397,12 +379,11 @@ def estimate_throughput(
     gamma_bar: float,
     trials: int,
     seed: int,
-    stream: int = 0,
     workers: int | None = None,
 ) -> McEstimate:
     """Sample mean of ln(1 + gamma) over i.i.d. channel draws."""
     _require_count("trials", trials, 100)
-    stats = channel_statistics(seed, trials, stream=stream, workers=workers)
+    stats = channel_statistics(seed, trials, workers=workers)
     return throughput_from_stats(stats, scheme, gamma_bar)
 
 

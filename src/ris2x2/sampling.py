@@ -10,9 +10,10 @@ stack of one (``n=1, start=k``).
 Channel matrices have CN(0, 1) entries, by Box-Muller applied to the raw
 uniform stream (fixed consumption of uniforms per draw, no rejection):
 :func:`channel_matrices` is the Gaussian path, which the demos and the
-checks on simulated channels use.  Haar unitaries are assembled from the
-angle densities of the U(2) parameterization (theta12 with density
-sin 2*theta via inverse CDF, the three phase angles uniform on [0, 2*pi)).
+checks on simulated channels use; the statistics pass draws no channels.
+Haar unitaries are assembled from the angle densities of the U(2)
+parameterization (theta12 with density sin 2*theta via inverse CDF, the
+three phase angles uniform on [0, 2*pi)).
 
 The statistics pass reads G and H only through G^H G and H H^H, so
 :func:`gram_matrices` draws those directly.  G^H G of a 2x2 CN(0, 1)
@@ -102,38 +103,19 @@ def _uniform_blocks(state: RngState, start_block: int, n_blocks: int) -> np.ndar
     return np.multiply(raw.view(np.int64), 2.0 ** -53)
 
 
-# numpy's complex division by sqrt(2) multiplies by this reciprocal
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def _matrices_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Map each row of 8k uniforms to k 2x2 CN(0,1) matrices (row-major
-    entries), an (n, k, 2, 2) view of an entry-major array (each entry is
-    contiguous across draws, as the elementwise stages after it read best).
-
-    Box-Muller takes uniform pair (u1, u2) to the entry (r cos t + j r sin t)
-    / sqrt(2), r = sqrt(-2 ln(1 - u1)), t = 2 pi u2, part by part.
-    """
-    u1 = u[:, 0::2]
-    r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], no log(0)
-    ang = (2.0 * np.pi) * u[:, 1::2]
-    out = np.empty(u1.shape[::-1], dtype=np.complex128)
-    np.multiply((r * np.cos(ang)).T, _INV_SQRT2, out=out.real)
-    np.multiply((r * np.sin(ang)).T, _INV_SQRT2, out=out.imag)
-    # a zero radius (u1 = 0) gives +0 in both parts, as the complex sum did
-    parts = out.view(np.float64)
-    parts += 0.0
-    return out.T.reshape(u.shape[0], -1, 2, 2)
-
-
 def channel_matrices(state: RngState, n: int, start: int = 0):
     """Draws start..start+n-1 of channel pairs (g, h), each (n, 2, 2).
 
     Pair t consumes counter blocks [4t, 4t+4): the first 8 uniforms build
-    g, the next 8 build h.
+    g, the next 8 build h, two per entry in row-major order.  Box-Muller
+    takes the pair (u1, u2) to the entry (r cos t + j r sin t) / sqrt(2),
+    r = sqrt(-2 ln(1 - u1)), t = 2 pi u2.
     """
     u = _uniform_blocks(state, _BLOCKS_PER_PAIR * start, _BLOCKS_PER_PAIR * n)
-    mats = _matrices_from_uniforms(u.reshape(n, 16))
+    u = u.reshape(n, 2, 2, 2, 2)  # pair, matrix, row, column, (u1, u2)
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))  # 1 - u1 in (0, 1], no log(0)
+    t = (2.0 * np.pi) * u[..., 1]
+    mats = (r * np.cos(t) + 1j * (r * np.sin(t))) / np.sqrt(2.0)
     return mats[:, 0], mats[:, 1]
 
 

@@ -59,6 +59,8 @@ def test_bad_sweep_input_exits_2(tmp_path, capsys, monkeypatch):
         ("--snr-db-min", "nan"),
         ("--threshold-db", "nan"),
         ("--snr-db-step", "1e-300"),
+        ("--schemes", "j1i1-"),
+        ("--schemes", "j1i1-,alt"),
     ):
         assert main(["outage", *FAST, flag, value, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -227,6 +229,18 @@ def test_throughput_csv(tmp_path):
     for snr in ("0", "10", "20"):
         assert comp[(snr, "alt")][2] == ""
         assert float(comp[(snr, "j1i1-cmp")][2]) > float(comp[(snr, "j2i2")][2])
+
+
+def test_scheme_names_are_written_as_their_labels(tmp_path):
+    # a name is matched in any case, and its rows carry the table's label
+    out = tmp_path / "c.csv"
+    flags = ["--snr-db-step", "10", "--schemes", " J1I1 ,Alt", "--out", str(out)]
+    assert main(["outage", *FAST, *flags, "--svg"]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    assert [r[1] for r in rows[:2]] == ["j1i1", "alt"]
+    assert {r[1] for r in rows} == {"j1i1", "alt"}
+    svg = out.with_suffix(".svg").read_text()
+    assert ">j1i1</text>" in svg and "J1I1" not in svg
 
 
 def test_empty_scheme_list_is_an_error(tmp_path):

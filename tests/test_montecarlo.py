@@ -14,6 +14,7 @@ from ris2x2.linalg2 import abs_det2, gram2, svd2
 from ris2x2.montecarlo import (
     ALL_SCHEME_LABELS,
     ALT,
+    SCHEMES,
     AltScheme,
     EmpiricalCdf,
     OutageCounter,
@@ -23,7 +24,6 @@ from ris2x2.montecarlo import (
     estimate_throughput,
     outage_from_stats,
     parse_scheme,
-    scheme_label,
     scheme_snr_factor,
     throughput_from_stats,
     trial_statistics,
@@ -335,13 +335,16 @@ def test_alignment_factor_laws_from_channels():
 
 
 def test_scheme_parsing_round_trip():
-    for mode in MODES:
-        assert parse_scheme(scheme_label(mode)) == mode
-    assert isinstance(parse_scheme("alt"), AltScheme)
-    with pytest.raises(ValueError):
-        parse_scheme("j3i1")
-    with pytest.raises(ValueError):
-        parse_scheme("j1i1-xyz")
+    assert list(SCHEMES.values()) == [*MODES, ALT]
+    assert ALL_SCHEME_LABELS == tuple(SCHEMES)
+    for label, scheme in SCHEMES.items():
+        assert scheme.label == label
+        assert parse_scheme(scheme.label) is scheme
+    assert parse_scheme(" J2I1-CMP ") == Mode(tx=1, rx=2, compensated=True)
+    assert isinstance(parse_scheme("ALT"), AltScheme)
+    for bad in ("j1i1-", "j3i1", "j1i1-xyz"):
+        with pytest.raises(ValueError, match="unknown scheme name"):
+            parse_scheme(bad)
 
 
 def test_mean_reduction_is_chunk_order_independent():
