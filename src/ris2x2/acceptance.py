@@ -56,10 +56,11 @@ _ALT_GAP_NATS = 0.1
 # of _OPTIMUM_SAMPLE matrices; 64 phases take about 0.05 s.
 _OPTIMUM_SAMPLE = 1000
 _PHASE_GRID = 64
-# C10 compares the default chunk of the statistics pass (2^15 trials) with
-# this one on a pass of this many trials, at both levels: numpy evaluates
-# x * tmp in place only for temporaries above 256 KiB, where a complex
-# product can round differently, so passes of small chunks cannot see it.
+# C10 compares the default chunk of the statistics pass
+# (montecarlo._CHUNK_SIZE trials) with this one on a pass of this many
+# trials, at both levels: a kernel whose rounding depended on the array
+# length (numpy evaluates x * tmp in place only for temporaries above
+# 256 KiB, where a complex product can round differently) would show there.
 _SMALL_CHUNK = 1 << 11
 _CHUNK_CHECK_TRIALS = 40_000
 
@@ -73,6 +74,9 @@ class AcceptanceSettings:
     mellin_grid: tuple = tuple(10.0**k for k in range(-6, 3))
     throughput_snr_db: tuple = tuple(float(s) for s in range(-5, 26))
     oracle_snr_db: tuple = (-5.0, 5.0, 15.0, 25.0)
+
+    def __post_init__(self):
+        RngState(self.seed)  # ValueError unless a seed in [0, 2^64)
 
     # statistical tolerances go as 1/sqrt(trials): 0.002, 0.01 and 0.02 at 10^6
     ks_tol = property(lambda self: 2.0 / math.sqrt(self.trials))
@@ -632,7 +636,8 @@ def check_determinism(ctx: AcceptanceContext) -> CheckResult:
         return (
             same,
             "bit-identical across reruns, worker counts 1/4/16, and chunk sizes "
-            f"2^15/2^11 over {_CHUNK_CHECK_TRIALS} trials; streamed outage counts "
+            f"2^{math.log2(montecarlo._CHUNK_SIZE):g}/2^{math.log2(_SMALL_CHUNK):g} over "
+            f"{_CHUNK_CHECK_TRIALS} trials; streamed outage counts "
             "equal the stored pass's",
             "",
         )

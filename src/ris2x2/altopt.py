@@ -31,6 +31,7 @@ import numpy as np
 
 from .linalg2 import abs_det2, gram2, svd2  # perfbench/child.py wraps svd2 here
 from .sampling import ChannelRealization
+from .workspace import Workspace
 
 __all__ = ["BatchAltOpt", "joint_optimum", "optimize_batch", "optimal_configuration"]
 
@@ -43,17 +44,36 @@ class BatchAltOpt:
     iterations: np.ndarray  # all zero; perfbench/child.py sums it as altopt.trial_cycles
 
 
-def joint_optimum(a, b, det2):
+def joint_optimum(a, b, det2, work=None):
     """sigma_max^2 of G Phi* H from the Gram entries a = (a00, a11, a01) of
     G^H G and b = (b00, b11, b01) of H H^H (see :func:`linalg2.gram2`) and
-    det2 = |det G|^2 |det H|^2.
+    det2 = |det G|^2 |det H|^2, in the workspace array "f" (see
+    :mod:`workspace`).
 
     ||g_k||^2 = a_kk, ||h_k||^2 = b_kk and c = a01 conj(b01), so
     F* = a00 b00 + a11 b11 + 2 |a01 conj(b01)|.
     """
-    # temporary on the left: see linalg2.gram2
-    f = a[0] * b[0] + a[1] * b[1] + 2.0 * np.abs(np.conjugate(b[2]) * a[2])
-    return 0.5 * f + np.sqrt(np.maximum(0.25 * f * f - det2, 0.0))
+    work = Workspace() if work is None else work
+    shape = np.broadcast_shapes(*map(np.shape, (*a, *b, det2)))
+    f = np.multiply(a[0], b[0], out=work.empty("f", shape))
+    t = np.multiply(a[1], b[1], out=work.empty("t", shape))
+    f += t
+    # c = conj(b01) a01, its temporary on the left (see linalg2.gram2);
+    # b01 is copied in first, as a ufunc casting a real b01 would buffer it
+    c = work.empty("c", shape, np.complex128)
+    np.copyto(c, b[2])
+    np.conjugate(c, out=c)
+    c *= a[2]
+    t = np.abs(c, out=t)
+    t *= 2.0
+    f += t
+    t = np.multiply(f, 0.25, out=t)
+    t *= f
+    t -= det2
+    np.sqrt(np.maximum(t, 0.0, out=t), out=t)
+    f *= 0.5
+    f += t
+    return f
 
 
 def optimize_batch(ch: ChannelRealization) -> BatchAltOpt:

@@ -27,6 +27,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .acceptance import AcceptanceSettings, curve_rows, format_report, run_acceptance
 from .montecarlo import _Z95, ALL_SCHEME_LABELS, parse_scheme
+from .sampling import RngState
 from .special import QuadratureError
 from .sysmodel import Mode
 
@@ -73,6 +74,7 @@ class ExperimentConfig:
             )
         if self.trials < 100:
             raise ValueError("trials must be >= 100")
+        RngState(self.seed)  # ValueError unless a seed in [0, 2^64)
         if not self.schemes:
             raise ValueError("scheme list must not be empty")
         for name in self.schemes:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .workspace import Workspace
+
 __all__ = [
     "Svd2",
     "UnitaryAngles",
@@ -66,8 +68,13 @@ class UnitaryAngles:
     theta22: np.ndarray | float
 
 
-def _abs2(z):
-    return z.real**2 + z.imag**2
+def _abs2(z, out=None, scratch=None):
+    """re^2 + im^2 of a real or complex array; written to ``out``, with
+    ``scratch`` holding im^2, when they are given."""
+    out = np.square(z.real, out=out)
+    if np.iscomplexobj(z):
+        out += np.square(z.imag, out=scratch)
+    return out
 
 
 def _orthogonal_complement(x, y):
@@ -105,7 +112,7 @@ def abs_det2(m: np.ndarray) -> np.ndarray:
     return _abs2(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
 
-def hermitian_eigen2(a00, a11, a01, det):
+def hermitian_eigen2(a00, a11, a01, det, work=None):
     """Eigenvalues e1 >= e2 >= 0 of the positive semidefinite matrix
     [[a00, a01], [conj(a01), a11]] with determinant ``det``, and an
     unnormalized leading eigenvector (x, y) with its squared norm.
@@ -114,20 +121,48 @@ def hermitian_eigen2(a00, a11, a01, det):
     cancellation of the smaller root.  Each row of the shifted matrix gives
     a leading eigenvector; the larger-norm one is the numerically reliable
     one.  Both vanish only for a multiple of the identity, where every
-    vector is an eigenvector and (1, 0) is returned.
+    vector is an eigenvector and (1, 0) is returned.  Every array returned
+    lives in ``work`` (see :mod:`workspace`).
     """
-    abs_a01_sq = _abs2(a01)
-    e1 = 0.5 * (a00 + a11) + np.sqrt(0.25 * (a00 - a11) ** 2 + abs_a01_sq)
-    pos = e1 > 0.0
-    e2 = np.where(pos, det / np.where(pos, e1, 1.0), 0.0)
-    d0, d1 = e1 - a00, e1 - a11
-    n0, n1 = abs_a01_sq + d0**2, d1**2 + abs_a01_sq
-    use0 = n0 >= n1
-    norm2 = np.where(use0, n0, n1)
-    degenerate = norm2 == 0.0
-    x = np.where(degenerate, 1.0 + 0.0j, np.where(use0, a01, d1))
-    y = np.where(degenerate, 0.0 + 0.0j, np.where(use0, d0, np.conjugate(a01)))
-    return e1, e2, x, y, np.where(degenerate, 1.0, norm2)
+    work = Workspace() if work is None else work
+    shape = np.broadcast_shapes(*map(np.shape, (a00, a11, a01, det)))
+
+    def buf(name, dtype=np.float64):
+        return work.empty(name, shape, dtype)
+
+    abs_a01_sq = _abs2(a01, buf("abs_a01_sq"), buf("scratch"))
+    e1 = np.add(a00, a11, out=buf("e1"))
+    e1 *= 0.5
+    root = np.subtract(a00, a11, out=buf("scratch"))
+    np.square(root, out=root)
+    root *= 0.25
+    root += abs_a01_sq
+    e1 += np.sqrt(root, out=root)
+    pos = np.greater(e1, 0.0, out=buf("pos", np.bool_))
+    e2 = buf("e2")
+    e2.fill(0.0)
+    np.divide(det, e1, out=e2, where=pos)
+    d0 = np.subtract(e1, a00, out=buf("d0"))
+    d1 = np.subtract(e1, a11, out=buf("d1"))
+    n0 = np.square(d0, out=buf("scratch"))
+    n0 += abs_a01_sq
+    norm2 = np.square(d1, out=buf("norm2"))  # n1 until it takes n0 where use0
+    norm2 += abs_a01_sq
+    use0 = np.greater_equal(n0, norm2, out=buf("use0", np.bool_))
+    np.copyto(norm2, n0, where=use0)
+    degenerate = np.equal(norm2, 0.0, out=buf("degenerate", np.bool_))
+    x = buf("x", np.complex128)
+    np.copyto(x, d1)
+    np.copyto(x, a01, where=use0)
+    np.copyto(x, 1.0, where=degenerate)
+    # copied, then conjugated: a ufunc casting a real a01 would buffer it
+    y = buf("y", np.complex128)
+    np.copyto(y, a01)
+    np.conjugate(y, out=y)
+    np.copyto(y, d0, where=use0)
+    np.copyto(y, 0.0, where=degenerate)
+    np.copyto(norm2, 1.0, where=degenerate)
+    return e1, e2, x, y, norm2
 
 
 def svd2(m: np.ndarray) -> Svd2:

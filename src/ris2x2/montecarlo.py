@@ -14,18 +14,27 @@ the scheme SNRs scale linearly with gamma_bar, one pass serves a whole SNR
 sweep.
 
 Trial t is a pure function of (seed, stream, t) (see sampling).  The pass
-is one loop over fixed chunks of trials (2^15 by default, so that the
-temporaries of a few threads stay small), run in turn or on a thread pool
-with one worker per available CPU, that hands each chunk's statistics to
-a consumer.  There are two.  Storing writes each chunk into one
-preallocated :class:`TrialStats` of the whole pass; the acceptance checks
-need it for their distribution tests, and throughput is reduced from it.
-:class:`OutageCounter` keeps only integer counts: per chunk it forms and
-sorts each scheme's factor (the trials in outage at any gamma_bar are a
-prefix of the sorted factors), counts every (scheme, gamma_bar) exactly
-and adds the counts to its total.  A streamed outage sweep therefore holds
-a few chunks, whatever the number of trials, and integer sums make its
-estimates independent of chunking and worker count.  Throughput uses
+is one loop over fixed chunks of trials (2^14 by default), run in turn or
+on a thread pool with one worker per available CPU, that hands each
+chunk's statistics to a consumer.  It allocates nothing per chunk: each
+worker takes one :class:`workspace.Workspace` on its first chunk, and the
+draw, the eigen step, the z factors and the joint optimum write every
+chunk into those same arrays through numpy's ``out=``/``where=``, so
+memory is not unmapped and faulted in again chunk after chunk.  A chunk's
+arrays are therefore valid only while its consumer runs; the pass drops
+the buffers when it returns.  2^14 trials (about 73 float64 columns,
+9 MB per worker) was the fastest default of 2^13..2^15 for the 10^6-trial
+outage sweep on a 2-vCPU host, and 2^15 needed 18 MB more memory.  There
+are two consumers.  Storing copies each chunk into one preallocated
+:class:`TrialStats` of the whole pass; the acceptance checks need it for
+their distribution tests, and throughput is reduced from it.
+:class:`OutageCounter` keeps only integer counts: per chunk it forms each
+scheme's factor in one buffer of its thread and sorts it in place (the
+trials in outage at any gamma_bar are a prefix of the sorted factors),
+counts every (scheme, gamma_bar) exactly and adds the counts to its
+total.  A streamed outage sweep therefore holds its workers' buffers,
+whatever the number of trials, and integer sums make its estimates
+independent of chunking and worker count.  Throughput uses
 numpy's pairwise summation over the stored pass, whose result does not
 depend on how the pass was chunked either; each scheme's factor is formed
 once and reused at every grid point.  An estimate is an
@@ -48,6 +57,7 @@ from .altopt import joint_optimum
 from .linalg2 import hermitian_eigen2
 from .sampling import RngState, gram_matrices
 from .sysmodel import MODES, Mode, leading_z_factors
+from .workspace import Workspace
 
 # perfbench/child.py wraps these names here; the pass calls none of them
 from .altopt import optimize_batch  # noqa: F401
@@ -75,6 +85,9 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054
+
+# Default trials per chunk of the statistics pass (see the module docstring).
+_CHUNK_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -147,6 +160,14 @@ def _require_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
+def _thread_workspace(local: threading.local) -> Workspace:
+    """The calling thread's workspace in ``local``, made on first use."""
+    work = getattr(local, "work", None)
+    if work is None:
+        work = local.work = Workspace()
+    return work
+
+
 def _thread_map(fn, items, workers=None):
     """[fn(x) for x in items], on a pool of ``workers`` threads (default:
     the available CPUs) when there is more than one item.  numpy releases
@@ -159,22 +180,26 @@ def _thread_map(fn, items, workers=None):
     return [fn(x) for x in items]
 
 
-def trial_statistics(a, b, det_g, det_h):
+def trial_statistics(a, b, det_g, det_h, work=None):
     """(lam, om, z_plain, z_comp, alt_factor), the per-trial columns of
     :class:`TrialStats`, from the Gram entries a = (a00, a11, a01) of
     G^H G and b = (b00, b11, b01) of H H^H and det_g = |det G|^2,
     det_h = |det H|^2; no singular basis is formed.  For channel matrices
     pass ``gram2(g), gram2(h, left=True), abs_det2(g), abs_det2(h)``.
+    Every array returned lives in ``work`` (see :mod:`workspace`).
     """
-    lam1, lam2, vx, vy, v_norm2 = hermitian_eigen2(*a, det_g)
-    om1, om2, wx, wy, w_norm2 = hermitian_eigen2(*b, det_h)
-    z_plain, z_comp = leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2)
+    work = Workspace() if work is None else work
+    shape = np.shape(det_g)
+    lam1, lam2, vx, vy, v_norm2 = hermitian_eigen2(*a, det_g, work.scope("g"))
+    om1, om2, wx, wy, w_norm2 = hermitian_eigen2(*b, det_h, work.scope("h"))
+    z_plain, z_comp = leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2, work.scope("z"))
+    det2 = np.multiply(det_g, det_h, out=work.empty("det2", shape))
     return (
-        np.stack([lam1, lam2], axis=-1),
-        np.stack([om1, om2], axis=-1),
+        np.stack([lam1, lam2], axis=-1, out=work.empty("lam", (*shape, 2))),
+        np.stack([om1, om2], axis=-1, out=work.empty("om", (*shape, 2))),
         z_plain,
         z_comp,
-        joint_optimum(a, b, det_g * det_h),
+        joint_optimum(a, b, det2, work.scope("alt")),
     )
 
 
@@ -183,21 +208,26 @@ def channel_statistics(
     trials: int,
     stream: int = 0,
     workers: int | None = None,
-    chunk_size: int = 1 << 15,
+    chunk_size: int = _CHUNK_SIZE,
     consume=None,
 ) -> TrialStats | None:
     """One vectorized statistics pass over ``trials`` Gram-matrix draws.
 
-    The trial range is split into fixed chunks of ``chunk_size`` trials,
-    evaluated in turn or by a pool of ``workers`` threads (default: the
-    CPUs this process may run on).  Each chunk's statistics, a
-    :class:`TrialStats` of its own trials, go to ``consume(lo, chunk)``,
-    ``lo`` being the index of its first trial; chunks arrive in any order
-    and from several threads at once.  With no consumer, the chunks are
-    written into one preallocated :class:`TrialStats` of the whole pass,
-    which is returned; with one, None is returned and the pass holds only
-    the chunks in flight.  No value depends on ``workers`` or
-    ``chunk_size``.
+    The trial range is split into fixed chunks of ``chunk_size`` trials
+    (2^14 by default), evaluated in turn or by a pool of ``workers``
+    threads (default: the CPUs this process may run on).  Each worker
+    allocates one :class:`workspace.Workspace` on its first chunk, sized
+    for min(chunk_size, trials) trials, and every later chunk it runs
+    draws and computes into the same arrays; they are released when the
+    pass returns.  Each chunk's statistics, a :class:`TrialStats` of its
+    own trials, go to ``consume(lo, chunk)``, ``lo`` being the index of its
+    first trial; chunks arrive in any order and from several threads at
+    once.  The chunk's arrays are valid only during that call: the
+    worker's next chunk overwrites them, so a consumer copies what it
+    keeps.  With no consumer, the chunks are copied into one preallocated
+    :class:`TrialStats` of the whole pass, which is returned; with one,
+    None is returned and the pass holds only its workers' buffers.  No
+    value depends on ``workers`` or ``chunk_size``.
     """
     _require_count("trials", trials, 1)
     _require_count("chunk_size", chunk_size, 1)
@@ -214,23 +244,31 @@ def channel_statistics(
             for name in _COLUMNS:
                 getattr(stats, name)[lo : lo + chunk.trials] = getattr(chunk, name)
 
+    buffers = threading.local()  # one workspace per worker thread
+
     def run(lo):
         n = min(chunk_size, trials - lo)
-        columns = trial_statistics(*gram_matrices(state, n, lo))
+        work = _thread_workspace(buffers)
+        columns = trial_statistics(*gram_matrices(state, n, lo, work), work)
         consume(lo, TrialStats(seed, stream, n, *columns))
 
     _thread_map(run, range(0, trials, chunk_size), workers)
     return stats
 
 
-def scheme_snr_factor(stats: TrialStats, scheme: Scheme) -> np.ndarray:
-    """Per-trial SNR / gamma_bar of a scheme."""
+def scheme_snr_factor(stats: TrialStats, scheme: Scheme, out=None) -> np.ndarray:
+    """Per-trial SNR / gamma_bar of a scheme, written to ``out`` when it is
+    given (else a new array, or the stored alt column itself)."""
     if isinstance(scheme, AltScheme):
-        return stats.alt_factor
+        if out is None:
+            return stats.alt_factor
+        np.copyto(out, stats.alt_factor)
+        return out
     z = stats.z_comp if scheme.compensated else stats.z_plain
     j = scheme.rx - 1
     i = scheme.tx - 1
-    return stats.lam[:, j] * stats.om[:, i] * z[:, int(i != j)]
+    out = np.multiply(stats.lam[:, j], stats.om[:, i], out=out)
+    return np.multiply(out, z[:, int(i != j)], out=out)
 
 
 def wilson_halfwidth(hits: int, trials: int) -> float:
@@ -306,12 +344,14 @@ class OutageCounter:
         self.hits = np.zeros((len(self.schemes), self.gamma_bars.size), dtype=np.int64)
         self.trials = 0
         self._lock = threading.Lock()
+        self._buffers = threading.local()  # each thread's factor buffer
 
     def __call__(self, lo: int, chunk: TrialStats):
-        counts = [
-            _count_at_most(np.sort(scheme_snr_factor(chunk, s)), self.gamma_bars, self.gamma_th)
-            for s in self.schemes
-        ]
+        f = _thread_workspace(self._buffers).empty("factor", (chunk.trials,))
+        counts = []
+        for s in self.schemes:
+            scheme_snr_factor(chunk, s, out=f).sort()
+            counts.append(_count_at_most(f, self.gamma_bars, self.gamma_th))
         with self._lock:
             for row, c in zip(self.hits, counts):
                 row += c

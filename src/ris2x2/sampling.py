@@ -42,9 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from .linalg2 import Svd2, UnitaryAngles, svd2, unitary_from_angles
+from .workspace import Workspace
 
 __all__ = [
     "RngState",
@@ -70,10 +71,24 @@ _BLOCKS_PER_GRAM_TRIAL = 3
 
 @dataclass(frozen=True)
 class RngState:
-    """Key of a counter-based random stream (64-bit seed and stream id)."""
+    """Key of a counter-based random stream (64-bit seed and stream id).
+
+    Each must be an integer in [0, 2^64) (a bool is not): a larger one
+    would alias a smaller one, and a float names no stream.
+    """
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, np.integer))
+                or not 0 <= value < 1 << 64
+            ):
+                raise ValueError(f"{name} must be an integer in [0, 2**64), not {value!r}")
 
     def child(self, stream: int) -> "RngState":
         return RngState(self.seed, stream)
@@ -90,17 +105,13 @@ class ChannelRealization:
     svd_h: Svd2
 
 
-def _uniform_blocks(state: RngState, start_block: int, n_blocks: int) -> np.ndarray:
-    """Uniforms in [0, 1) from counter blocks [start_block, start_block+n)."""
-    key = np.array(
-        [state.seed & 0xFFFFFFFFFFFFFFFF, state.stream & 0xFFFFFFFFFFFFFFFF],
-        dtype=np.uint64,
-    )
-    bitgen = Philox(key=key, counter=int(start_block))
-    raw = bitgen.random_raw(n_blocks * _WORDS_PER_BLOCK)
-    raw >>= np.uint64(11)
-    # 53-bit integers convert exactly, and faster from int64 than from uint64
-    return np.multiply(raw.view(np.int64), 2.0 ** -53)
+def _uniform_blocks(state: RngState, start_block: int, n_blocks: int, work=None) -> np.ndarray:
+    """Uniforms in [0, 1) from counter blocks [start_block, start_block+n),
+    (word >> 11) * 2^-53 of each raw word, in the workspace array "u"."""
+    work = Workspace() if work is None else work
+    u = work.empty("u", (n_blocks * _WORDS_PER_BLOCK,))
+    key = np.array([state.seed, state.stream], dtype=np.uint64)
+    return Generator(Philox(key=key, counter=int(start_block))).random(out=u)
 
 
 def channel_matrices(state: RngState, n: int, start: int = 0):
@@ -125,28 +136,44 @@ def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelReal
     return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
 
 
-def _bartlett_variables(state: RngState, n: int, start: int):
-    """(p, q, r) of G^H G, (p, q, r) of H H^H and the phase theta of a01,
-    each (n,), for trials start..start+n-1 (see the module docstring)."""
+def _bartlett_variables(state: RngState, n: int, start: int, work):
+    """(e, theta) for trials start..start+n-1: the rows of e, (8, n), are the
+    exponentials [e0, e1, q1, r1, e4, e5, q2, r2] (p1 = e0 + e1 and p2 =
+    e4 + e5), theta is the phase of a01 (see the module docstring)."""
     u = _uniform_blocks(
-        state, _BLOCKS_PER_GRAM_TRIAL * start, _BLOCKS_PER_GRAM_TRIAL * n
+        state, _BLOCKS_PER_GRAM_TRIAL * start, _BLOCKS_PER_GRAM_TRIAL * n, work
     ).reshape(n, _WORDS_PER_BLOCK * _BLOCKS_PER_GRAM_TRIAL)
-    # eight exponentials, entry-major; 1 - u in (0, 1], no log(0)
-    e = -np.log1p(-np.ascontiguousarray(u[:, :8].T))
-    return (e[0] + e[1], e[2], e[3]), (e[4] + e[5], e[6], e[7]), (2.0 * np.pi) * u[:, 8]
+    # eight exponentials -ln(1 - u), entry-major; 1 - u in (0, 1], no log(0)
+    e = work.empty("e", (8, n))
+    np.copyto(e, u[:, :8].T)
+    np.negative(e, out=e)
+    np.log1p(e, out=e)
+    np.negative(e, out=e)
+    return e, np.multiply(2.0 * np.pi, u[:, 8], out=work.empty("theta", (n,)))
 
 
-def gram_matrices(state: RngState, n: int, start: int = 0):
+def gram_matrices(state: RngState, n: int, start: int = 0, work=None):
     """Trials start..start+n-1 of (a, b, det_g, det_h): the Gram entries
     a = (a00, a11, a01) of G^H G and b = (b00, b11, b01) of H H^H (as
     :func:`linalg2.gram2` gives them), and |det G|^2, |det H|^2, for
-    independent 2x2 CN(0, 1) channels G and H in law (b01 is real)."""
-    (p1, q1, r1), (p2, q2, r2), theta = _bartlett_variables(state, n, start)
-    s1 = np.sqrt(p1 * q1)
-    a01 = np.empty(n, dtype=np.complex128)
-    np.multiply(s1, np.cos(theta), out=a01.real)
-    np.multiply(s1, np.sin(theta), out=a01.imag)
-    return (p1, q1 + r1, a01), (p2, q2 + r2, np.sqrt(p2 * q2)), p1 * r1, p2 * r2
+    independent 2x2 CN(0, 1) channels G and H in law (b01 is real).
+
+    Every array returned lives in ``work`` (see :mod:`workspace`).
+    """
+    work = Workspace() if work is None else work
+    e, theta = _bartlett_variables(state, n, start, work)
+    # each matrix's rows [e0, e1, q, r] become [p, sqrt(p q), q + r, p r] in place
+    for k in (0, 4):
+        p, s, q, r = e[k : k + 4]
+        np.add(p, s, out=p)
+        np.sqrt(np.multiply(p, q, out=s), out=s)
+        np.add(q, r, out=q)
+        np.multiply(p, r, out=r)
+    a01 = work.empty("a01", (n,), np.complex128)
+    trig = work.empty("trig", (n,))
+    np.multiply(e[1], np.cos(theta, out=trig), out=a01.real)
+    np.multiply(e[1], np.sin(theta, out=trig), out=a01.imag)
+    return (e[0], e[2], a01), (e[4], e[6], e[5]), e[3], e[7]
 
 
 def bartlett_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:
@@ -154,7 +181,8 @@ def bartlett_realizations(state: RngState, n: int, start: int = 0) -> ChannelRea
     and H H^H are the Gram matrices of :func:`gram_matrices` at the same
     trials: G = [[sqrt p1, sqrt q1 e^{j theta}], [0, sqrt r1]] and
     H = [[sqrt p2, 0], [sqrt q2, sqrt r2]]."""
-    (p1, q1, r1), (p2, q2, r2), theta = _bartlett_variables(state, n, start)
+    e, theta = _bartlett_variables(state, n, start, Workspace())
+    (p1, q1, r1), (p2, q2, r2) = (e[0] + e[1], e[2], e[3]), (e[4] + e[5], e[6], e[7])
     g = np.zeros((n, 2, 2), dtype=np.complex128)
     h = np.zeros((n, 2, 2), dtype=np.complex128)
     g[:, 0, 0], g[:, 1, 1] = np.sqrt(p1), np.sqrt(r1)

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg2 import _abs2
 from .sampling import ChannelRealization
+from .workspace import Workspace
 
 __all__ = [
     "Mode",
@@ -122,7 +124,7 @@ def alignment_factors(v, w):
     return np.minimum(z_plain, 1.0), np.minimum(z_comp, 1.0)
 
 
-def leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2):
+def leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2, work=None):
     """All z factors from unnormalized leading eigenvectors v of G^H G and
     w of H H^H, with their squared norms; d = |v|^2 |w|^2.
 
@@ -131,14 +133,38 @@ def leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2):
     with last axis [matched (1,1) = (2,2), crossed (1,2) = (2,1)]:
     z_plain = |v^H w|^2 / d, |vx wy - vy wx|^2 / d (1 - z_plain[0] without
     its cancellation) and z_comp = (|vx||wx| + |vy||wy|)^2 / d, with wx
-    and wy swapped for the crossed pair.
+    and wy swapped for the crossed pair.  Every array returned lives in
+    ``work`` (see :mod:`workspace`).
     """
-    inv = (1.0 / (v_norm2 * w_norm2))[..., None]
-    cross = np.conjugate(vx) * wx + np.conjugate(vy) * wy
-    det = vx * wy - vy * wx
-    z_plain = np.stack([cross.real**2 + cross.imag**2, det.real**2 + det.imag**2], -1) * inv
-    avx, avy, awx, awy = np.abs(vx), np.abs(vy), np.abs(wx), np.abs(wy)
-    z_comp = np.stack([avx * awx + avy * awy, avx * awy + avy * awx], -1) ** 2 * inv
+    work = Workspace() if work is None else work
+    shape = np.broadcast_shapes(*map(np.shape, (vx, vy, v_norm2, wx, wy, w_norm2)))
+
+    def buf(name, dtype=np.float64, last=()):
+        return work.empty(name, shape + last, dtype)
+
+    inv = np.multiply(v_norm2, w_norm2, out=buf("inv"))
+    np.divide(1.0, inv, out=inv)
+    # each complex product keeps the operand order of linalg2.gram2
+    cross = np.conjugate(vx, out=buf("cross", np.complex128))
+    cross *= wx
+    term = np.conjugate(vy, out=buf("term", np.complex128))
+    cross += np.multiply(term, wy, out=term)
+    det = np.multiply(vx, wy, out=buf("det", np.complex128))
+    det -= np.multiply(vy, wx, out=term)
+    z_plain = buf("z_plain", last=(2,))
+    for k, v in enumerate((cross, det)):
+        _abs2(v, z_plain[..., k], buf("scratch"))
+        z_plain[..., k] *= inv  # by column: a broadcast inv would be buffered
+    avx, avy = np.abs(vx, out=buf("avx")), np.abs(vy, out=buf("avy"))
+    awx, awy = np.abs(wx, out=buf("awx")), np.abs(wy, out=buf("awy"))
+    z_comp = buf("z_comp", last=(2,))
+    scratch = buf("scratch")
+    for k, (bx, by) in enumerate(((awx, awy), (awy, awx))):
+        np.multiply(avx, bx, out=z_comp[..., k])
+        z_comp[..., k] += np.multiply(avy, by, out=scratch)
+    np.square(z_comp, out=z_comp)
+    for k in (0, 1):
+        z_comp[..., k] *= inv
     return np.minimum(z_plain, 1.0, out=z_plain), np.minimum(z_comp, 1.0, out=z_comp)
 
 

@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import ris2x2.acceptance
 import ris2x2.analytic
+import ris2x2.cli
 import ris2x2.montecarlo
-from ris2x2.acceptance import curve_rows
+from ris2x2.acceptance import AcceptanceSettings, curve_rows
 from ris2x2.cli import ExperimentConfig, main
 from ris2x2.special import QuadratureError
 from ris2x2.sysmodel import Mode
@@ -61,6 +63,8 @@ def test_bad_sweep_input_exits_2(tmp_path, capsys, monkeypatch):
         ("--snr-db-step", "1e-300"),
         ("--schemes", "j1i1-"),
         ("--schemes", "j1i1-,alt"),
+        ("--seed", "-1"),
+        ("--seed", str(2**64 + 5)),
     ):
         assert main(["outage", *FAST, flag, value, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -298,6 +302,21 @@ def test_verify_smoke_passes(capsys):
     assert rc == 0
     assert "10/10 criteria passed" in out
     assert out.count("[PASS]") == 10
+
+
+def test_verify_rejects_a_seed_outside_64_bits(monkeypatch, capsys):
+    def no_criteria(*args, **kwargs):
+        raise AssertionError("a bad seed reached the acceptance checks")
+
+    monkeypatch.setattr(ris2x2.cli, "run_acceptance", no_criteria)
+    for seed in ("-1", str(2**64 + 5)):
+        assert main(["verify", "--level", "smoke", "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be an integer in")
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            replace(AcceptanceSettings.smoke(), seed=bad)
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            ExperimentConfig(seed=bad).validate()
 
 
 def test_verify_negative_control(monkeypatch, capsys):

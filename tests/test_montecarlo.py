@@ -37,6 +37,7 @@ from ris2x2.sampling import (
     haar_unitaries,
 )
 from ris2x2.sysmodel import MODES, Mode, alignment_factors, mode_z_factors
+from ris2x2.workspace import Workspace
 
 SEED = 2718
 
@@ -266,6 +267,14 @@ def test_trials_validation():
             channel_statistics(1, 100, chunk_size=chunk)
 
 
+def test_seeds_outside_64_bits_are_rejected_before_any_trial():
+    for bad in (-1, 2**64 + 5, 1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            channel_statistics(bad, 100)
+        with pytest.raises(ValueError, match="stream must be an integer in"):
+            channel_statistics(1, 100, stream=bad)
+
+
 def test_worker_counts_below_one_are_rejected():
     # they used to run the pass serially without a word
     for workers in (0, -3):
@@ -461,6 +470,33 @@ def test_streamed_outage_sweep_memory_does_not_grow_with_trials():
     assert large <= 1.15 * small, (large, small)
     _, two = _traced_peak(lambda: sweep(1 << 19, 2))
     assert two <= 1.15 * 2 * small, (two, small)
+
+
+def test_streamed_sweep_peaks_at_its_buffers(monkeypatch):
+    # each worker draws and counts every chunk in the buffers it allocated on
+    # its first, so a one-worker streamed sweep peaks at those buffers (the
+    # pass's and the counter's) plus less than one chunk-length column of
+    # anything else, at any number of trials: one per-chunk temporary of
+    # the factors' length would exceed it
+    workspaces = []
+
+    class Recorded(Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+    monkeypatch.setattr(ris2x2.montecarlo, "Workspace", Recorded)
+    column = np.dtype(np.float64).itemsize * ris2x2.montecarlo._CHUNK_SIZE
+    gammas = [10.0 ** (db / 10.0) for db in range(-5, 26)]
+    for trials in (1 << 17, 1 << 19):
+        workspaces.clear()
+        counter = OutageCounter([*MODES, ALT], gammas, 1.0)
+        _, peak = _traced_peak(
+            lambda: channel_statistics(SEED, trials, workers=1, consume=counter)
+        )
+        buffers = sum(w.nbytes for w in workspaces)
+        assert len(workspaces) == 2 and counter.trials == trials
+        assert buffers <= peak < buffers + column, (trials, peak, buffers, column)
 
 
 def test_streamed_counts_equal_the_stored_pass():

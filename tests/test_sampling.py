@@ -43,6 +43,18 @@ def test_streams_are_distinct():
     assert not np.array_equal(a[0], b[0]) and not np.array_equal(a[1], b[1])
 
 
+def test_seeds_and_streams_outside_64_bits_are_rejected():
+    # they used to be masked to 64 bits, so 2^64 + 5 drew the trials of 5
+    # and -1 those of 2^64 - 1; a float failed deep inside with a TypeError
+    for bad in (-1, 2**64 + 5, 2**64, 1.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            RngState(bad)
+        with pytest.raises(ValueError, match="stream must be an integer in"):
+            RngState(1, bad)
+    for good in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)):
+        assert channel_matrices(RngState(good, good), 1)[0].shape == (1, 2, 2)
+
+
 @pytest.mark.parametrize(
     "n, start, sha256",
     [
