@@ -58,9 +58,9 @@ _OPTIMUM_SAMPLE = 1000
 _PHASE_GRID = 64
 # C10 compares the default chunk of the statistics pass
 # (montecarlo._CHUNK_SIZE trials) with this one on a pass of this many
-# trials, at both levels: a kernel whose rounding depended on the array
-# length (numpy evaluates x * tmp in place only for temporaries above
-# 256 KiB, where a complex product can round differently) would show there.
+# trials, at both levels: every value must be the same whatever the chunk
+# size, as a kernel that reused a stale buffer or rounded differently with
+# the array length (a sum whose blocking follows it, say) would not be.
 _SMALL_CHUNK = 1 << 11
 _CHUNK_CHECK_TRIALS = 40_000
 

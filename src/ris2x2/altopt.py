@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg2 import abs_det2, gram2, svd2  # perfbench/child.py wraps svd2 here
+from .linalg2 import _phase, abs_det2, gram2, svd2  # perfbench/child.py wraps svd2 here
 from .sampling import ChannelRealization
 from .workspace import Workspace
 
@@ -44,32 +44,27 @@ class BatchAltOpt:
     iterations: np.ndarray  # all zero; perfbench/child.py sums it as altopt.trial_cycles
 
 
-def joint_optimum(a, b, det2, work=None):
-    """sigma_max^2 of G Phi* H from the Gram entries a = (a00, a11, a01) of
-    G^H G and b = (b00, b11, b01) of H H^H (see :func:`linalg2.gram2`) and
-    det2 = |det G|^2 |det H|^2, in the workspace array "f" (see
+def joint_optimum(g, h, work=None):
+    """sigma_max^2 of G Phi* H from the invariants g = (a00, a11, |a01|,
+    |det G|^2) of G^H G and h = (b00, b11, |b01|, |det H|^2) of H H^H
+    (see :func:`sampling.gram_matrices`), in the workspace array "f" (see
     :mod:`workspace`).
 
-    ||g_k||^2 = a_kk, ||h_k||^2 = b_kk and c = a01 conj(b01), so
-    F* = a00 b00 + a11 b11 + 2 |a01 conj(b01)|.
+    ||g_k||^2 = a_kk, ||h_k||^2 = b_kk and |c| = |a01| |b01|, so
+    F* = a00 b00 + a11 b11 + 2 |a01| |b01|.
     """
     work = Workspace() if work is None else work
-    shape = np.broadcast_shapes(*map(np.shape, (*a, *b, det2)))
-    f = np.multiply(a[0], b[0], out=work.empty("f", shape))
-    t = np.multiply(a[1], b[1], out=work.empty("t", shape))
+    (a00, a11, abs_a01, det_g), (b00, b11, abs_b01, det_h) = g, h
+    shape = np.broadcast_shapes(*map(np.shape, (*g, *h)))
+    f = np.multiply(a00, b00, out=work.empty("f", shape))
+    t = np.multiply(a11, b11, out=work.empty("t", shape))
     f += t
-    # c = conj(b01) a01, its temporary on the left (see linalg2.gram2);
-    # b01 is copied in first, as a ufunc casting a real b01 would buffer it
-    c = work.empty("c", shape, np.complex128)
-    np.copyto(c, b[2])
-    np.conjugate(c, out=c)
-    c *= a[2]
-    t = np.abs(c, out=t)
+    t = np.multiply(abs_a01, abs_b01, out=t)
     t *= 2.0
     f += t
     t = np.multiply(f, 0.25, out=t)
     t *= f
-    t -= det2
+    t -= np.multiply(det_g, det_h, out=work.empty("det2", shape))
     np.sqrt(np.maximum(t, 0.0, out=t), out=t)
     f *= 0.5
     f += t
@@ -78,7 +73,10 @@ def joint_optimum(a, b, det2, work=None):
 
 def optimize_batch(ch: ChannelRealization) -> BatchAltOpt:
     """sigma_max^2 of G Phi* H for each realization of a (stacked) draw."""
-    s = joint_optimum(gram2(ch.g), gram2(ch.h, left=True), abs_det2(ch.g) * abs_det2(ch.h))
+    (a00, a11, a01), (b00, b11, b01) = gram2(ch.g), gram2(ch.h, left=True)
+    s = joint_optimum(
+        (a00, a11, np.abs(a01), abs_det2(ch.g)), (b00, b11, np.abs(b01), abs_det2(ch.h))
+    )
     return BatchAltOpt(snr_factor=s, iterations=np.zeros(s.shape, dtype=np.int64))
 
 
@@ -90,8 +88,7 @@ def optimal_configuration(ch: ChannelRealization):
     right and left singular vectors of G Phi* H.
     """
     c = np.conjugate(gram2(ch.h, left=True)[2]) * gram2(ch.g)[2]
-    mag = np.abs(c)
-    rel = np.where(mag > 0.0, np.conjugate(c) / np.where(mag > 0.0, mag, 1.0), 1.0)
+    rel = _phase(np.conjugate(c))
     phasors = np.stack([np.ones_like(rel), rel], axis=-1)
     dec = svd2(ch.g * phasors[..., None, :] @ ch.h)
     return phasors, dec.v[..., :, 0], dec.u[..., :, 0]

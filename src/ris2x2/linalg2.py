@@ -6,8 +6,8 @@ million.  The SVD is computed analytically (quadratic eigenvalues of the
 2x2 Hermitian Gram matrix) rather than iteratively, and singular vectors
 are gauge fixed so repeated calls are bit-for-bit reproducible.  The Gram
 entries and the eigen-solution are public: the Monte Carlo statistics
-pass reads its gauge-invariant quantities from them without forming any
-basis.
+pass reads its gauge-invariant quantities from the eigenvalues and the
+moduli of the leading eigenvector, without forming any basis.
 """
 
 from __future__ import annotations
@@ -68,12 +68,11 @@ class UnitaryAngles:
     theta22: np.ndarray | float
 
 
-def _abs2(z, out=None, scratch=None):
-    """re^2 + im^2 of a real or complex array; written to ``out``, with
-    ``scratch`` holding im^2, when they are given."""
-    out = np.square(z.real, out=out)
+def _abs2(z):
+    """re^2 + im^2 of a real or complex array."""
+    out = np.square(z.real)
     if np.iscomplexobj(z):
-        out += np.square(z.imag, out=scratch)
+        out += np.square(z.imag)
     return out
 
 
@@ -82,12 +81,17 @@ def _orthogonal_complement(x, y):
     return -np.conjugate(y), np.conjugate(x)
 
 
+def _phase(z):
+    """The unit phasor z / |z|, and 1 where z = 0."""
+    mag = np.abs(z)
+    live = mag > 0.0
+    return np.where(live, z / np.where(live, mag, 1.0), 1.0 + 0.0j)
+
+
 def _gauge_column(x, y):
     """Rotate the column (x, y) by a unit phase making its largest-modulus
     component real nonnegative; ties pick the first component."""
-    ref = np.where(np.abs(x) >= np.abs(y), x, y)
-    aref = np.abs(ref)
-    phase = np.where(aref > 0.0, np.conjugate(ref) / np.where(aref > 0.0, aref, 1.0), 1.0 + 0.0j)
+    phase = _phase(np.conjugate(np.where(np.abs(x) >= np.abs(y), x, y)))
     return x * phase, y * phase
 
 
@@ -112,74 +116,78 @@ def abs_det2(m: np.ndarray) -> np.ndarray:
     return _abs2(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
 
-def hermitian_eigen2(a00, a11, a01, det, work=None):
+def hermitian_eigen2(a00, a11, abs_a01, det, work=None):
     """Eigenvalues e1 >= e2 >= 0 of the positive semidefinite matrix
-    [[a00, a01], [conj(a01), a11]] with determinant ``det``, and an
-    unnormalized leading eigenvector (x, y) with its squared norm.
+    [[a00, a01], [conj(a01), a11]] with |a01| = ``abs_a01`` and determinant
+    ``det``, and the moduli (c, s) of its unit leading eigenvector
+    (c, s conj(a01) / |a01|).
 
-    e1 is the exact quadratic root and e2 = det / e1, which avoids the
-    cancellation of the smaller root.  Each row of the shifted matrix gives
-    a leading eigenvector; the larger-norm one is the numerically reliable
-    one.  Both vanish only for a multiple of the identity, where every
-    vector is an eigenvector and (1, 0) is returned.  Every array returned
-    lives in ``work`` (see :mod:`workspace`).
+    With h = (a00 - a11) / 2 and r = sqrt(h^2 + |a01|^2), e1 = (a00 + a11)
+    / 2 + r is the exact quadratic root and e2 = det / e1 (0 where e1 = 0)
+    avoids the cancellation of the smaller root.  The larger modulus is
+    sqrt((r + |h|) / (2 r)) = 1 / sqrt(1 + t^2) and the smaller is t times
+    it, t = |a01| / (r + |h|); c is the larger where h >= 0.  Neither
+    cancels, and a01 = 0 gives exactly 0 and 1.  A multiple of the
+    identity (r = 0), where every vector is an eigenvector, takes t = 0 and
+    so (1, 0).  Every array returned lives in ``work`` (see
+    :mod:`workspace`).
     """
     work = Workspace() if work is None else work
-    shape = np.broadcast_shapes(*map(np.shape, (a00, a11, a01, det)))
+    shape = np.broadcast_shapes(*map(np.shape, (a00, a11, abs_a01, det)))
 
     def buf(name, dtype=np.float64):
         return work.empty(name, shape, dtype)
 
-    abs_a01_sq = _abs2(a01, buf("abs_a01_sq"), buf("scratch"))
+    h = np.subtract(a00, a11, out=buf("h"))
+    h *= 0.5
+    r = np.square(h, out=buf("r"))
+    r += np.square(abs_a01, out=buf("t"))
+    np.sqrt(r, out=r)
     e1 = np.add(a00, a11, out=buf("e1"))
     e1 *= 0.5
-    root = np.subtract(a00, a11, out=buf("scratch"))
-    np.square(root, out=root)
-    root *= 0.25
-    root += abs_a01_sq
-    e1 += np.sqrt(root, out=root)
+    e1 += r
     pos = np.greater(e1, 0.0, out=buf("pos", np.bool_))
     e2 = buf("e2")
     e2.fill(0.0)
     np.divide(det, e1, out=e2, where=pos)
-    d0 = np.subtract(e1, a00, out=buf("d0"))
-    d1 = np.subtract(e1, a11, out=buf("d1"))
-    n0 = np.square(d0, out=buf("scratch"))
-    n0 += abs_a01_sq
-    norm2 = np.square(d1, out=buf("norm2"))  # n1 until it takes n0 where use0
-    norm2 += abs_a01_sq
-    use0 = np.greater_equal(n0, norm2, out=buf("use0", np.bool_))
-    np.copyto(norm2, n0, where=use0)
-    degenerate = np.equal(norm2, 0.0, out=buf("degenerate", np.bool_))
-    x = buf("x", np.complex128)
-    np.copyto(x, d1)
-    np.copyto(x, a01, where=use0)
-    np.copyto(x, 1.0, where=degenerate)
-    # copied, then conjugated: a ufunc casting a real a01 would buffer it
-    y = buf("y", np.complex128)
-    np.copyto(y, a01)
-    np.conjugate(y, out=y)
-    np.copyto(y, d0, where=use0)
-    np.copyto(y, 0.0, where=degenerate)
-    np.copyto(norm2, 1.0, where=degenerate)
-    return e1, e2, x, y, norm2
+    c, s = buf("c"), buf("s")
+    r += np.abs(h, out=c)  # r + |h|, 0 only where r = 0
+    t = buf("t")
+    t.fill(0.0)
+    np.divide(abs_a01, r, out=t, where=np.greater(r, 0.0, out=pos))
+    larger = np.square(t, out=s)
+    larger += 1.0
+    np.sqrt(larger, out=larger)
+    np.divide(1.0, larger, out=larger)
+    # each modulus is t or 1 times the larger: c takes 1 where h >= 0, s where h < 0
+    first = np.heaviside(h, 1.0, out=h)
+    np.maximum(t, first, out=c)
+    c *= larger
+    np.maximum(t, np.subtract(1.0, first, out=first), out=t)
+    return e1, e2, c, np.multiply(larger, t, out=s)
 
 
 def svd2(m: np.ndarray) -> Svd2:
     """Singular value decomposition of (stacked) 2x2 complex matrices.
 
     Uses the analytic eigen-decomposition of m^H m
-    (:func:`hermitian_eigen2`), left vector u_1 = m v_1 / sigma_1 and u_2
-    completing it by orthogonality.  Deterministic for identical input.
+    (:func:`hermitian_eigen2`): v_1 = (c, s conj(a01) / |a01|) in its
+    gauge (the larger modulus real, ties to the first row), left vector
+    u_1 = m v_1 / sigma_1 and u_2 completing it by orthogonality.
+    Deterministic for identical input.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected trailing (2, 2) shape, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    e1, e2, vx, vy, norm2 = hermitian_eigen2(*gram2(m), abs_det2(m))
-    nrm = np.sqrt(norm2)
-    vx, vy = _gauge_column(vx / nrm, vy / nrm)
+    a00, a11, a01 = gram2(m)
+    abs_a01 = np.abs(a01)
+    e1, e2, c, s = hermitian_eigen2(a00, a11, abs_a01, abs_det2(m))
+    phase = _phase(a01)
+    first = c >= s
+    vx = np.where(first, c, c * phase)
+    vy = np.where(first, s * np.conjugate(phase), s)
     wx, wy = _gauge_column(*_orthogonal_complement(vx, vy))
     return Svd2(
         u=_left_basis(m, vx, vy, wx, wy),
@@ -208,8 +216,7 @@ def _left_basis(m, vx, vy, wx, wy):
     uy = np.where(good, uy / n, 0.0 + 0.0j)
     cx, cy = _orthogonal_complement(ux, uy)
     t = np.conjugate(cx) * (m00 * wx + m01 * wy) + np.conjugate(cy) * (m10 * wx + m11 * wy)
-    at = np.abs(t)
-    phase = np.where(at > 0.0, t / np.where(at > 0.0, at, 1.0), 1.0 + 0.0j)
+    phase = _phase(t)
     return _basis(ux, uy, cx * phase, cy * phase)
 
 

@@ -4,12 +4,13 @@ A single vectorized pass over random trials produces every per-trial
 statistic the figures need, 9 doubles: the squared singular values of G
 and H, the matched and crossed alignment factors z with and without
 compensation, and the jointly optimized SNR factor.  All are gauge
-invariant, so they come from the Gram matrices G^H G and H H^H and one
-leading eigenvector of each, without a singular basis.  The pass draws
-those Gram matrices directly, in Bartlett form
-(:func:`sampling.gram_matrices`: 9 uniforms, 8 logarithms and one phase
-per trial), never the channels; :func:`trial_statistics` is the one core,
-and callers holding channel matrices pass it their Gram entries.  Since
+invariant, so they come from four real invariants of each Gram matrix,
+G^H G and H H^H, and the one relative phase of their off-diagonal
+entries, without a singular basis or a complex number.  The pass draws
+those directly, in Bartlett form (:func:`sampling.gram_matrices`: 9
+uniforms, 8 logarithms and one phase per trial), never the channels;
+:func:`trial_statistics` is the one core, and callers holding channel
+matrices reduce their Gram entries to its inputs.  Since
 the scheme SNRs scale linearly with gamma_bar, one pass serves a whole SNR
 sweep.
 
@@ -22,9 +23,11 @@ draw, the eigen step, the z factors and the joint optimum write every
 chunk into those same arrays through numpy's ``out=``/``where=``, so
 memory is not unmapped and faulted in again chunk after chunk.  A chunk's
 arrays are therefore valid only while its consumer runs; the pass drops
-the buffers when it returns.  2^14 trials (about 73 float64 columns,
-9 MB per worker) was the fastest default of 2^13..2^15 for the 10^6-trial
-outage sweep on a 2-vCPU host, and 2^15 needed 18 MB more memory.  There
+the buffers when it returns: 30 arrays, none complex, 50 float64
+columns, 6.6 MB per worker at the default 2^14 trials.  That size was
+the fastest of 2^13..2^15 for the 10^6-trial outage sweep on a 2-vCPU
+host, and 2^15 needed 18 MB more memory (measured with the earlier
+9.4 MB complex workspace).  There
 are two consumers.  Storing copies each chunk into one preallocated
 :class:`TrialStats` of the whole pass; the acceptance checks need it for
 their distribution tests, and throughput is reduced from it.
@@ -180,26 +183,27 @@ def _thread_map(fn, items, workers=None):
     return [fn(x) for x in items]
 
 
-def trial_statistics(a, b, det_g, det_h, work=None):
+def trial_statistics(g, h, cos, sin, work=None):
     """(lam, om, z_plain, z_comp, alt_factor), the per-trial columns of
-    :class:`TrialStats`, from the Gram entries a = (a00, a11, a01) of
-    G^H G and b = (b00, b11, b01) of H H^H and det_g = |det G|^2,
-    det_h = |det H|^2; no singular basis is formed.  For channel matrices
-    pass ``gram2(g), gram2(h, left=True), abs_det2(g), abs_det2(h)``.
-    Every array returned lives in ``work`` (see :mod:`workspace`).
+    :class:`TrialStats`, from the invariants g = (a00, a11, |a01|,
+    |det G|^2) of G^H G and h = (b00, b11, |b01|, |det H|^2) of H H^H and
+    the cosine and sine of the relative phase arg(a01 conj(b01)), as
+    :func:`sampling.gram_matrices` draws them; no singular basis and no
+    complex number is formed.  Channel matrices reduce to these through
+    :func:`linalg2.gram2` and :func:`linalg2.abs_det2`.  Every array
+    returned lives in ``work`` (see :mod:`workspace`).
     """
     work = Workspace() if work is None else work
-    shape = np.shape(det_g)
-    lam1, lam2, vx, vy, v_norm2 = hermitian_eigen2(*a, det_g, work.scope("g"))
-    om1, om2, wx, wy, w_norm2 = hermitian_eigen2(*b, det_h, work.scope("h"))
-    z_plain, z_comp = leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2, work.scope("z"))
-    det2 = np.multiply(det_g, det_h, out=work.empty("det2", shape))
+    shape = np.shape(cos)
+    lam1, lam2, cg, sg = hermitian_eigen2(*g, work.scope("g"))
+    om1, om2, ch, sh = hermitian_eigen2(*h, work.scope("h"))
+    z_plain, z_comp = leading_z_factors(cg, sg, ch, sh, cos, sin, work.scope("z"))
     return (
         np.stack([lam1, lam2], axis=-1, out=work.empty("lam", (*shape, 2))),
         np.stack([om1, om2], axis=-1, out=work.empty("om", (*shape, 2))),
         z_plain,
         z_comp,
-        joint_optimum(a, b, det2, work.scope("alt")),
+        joint_optimum(g, h, work.scope("alt")),
     )
 
 

@@ -30,11 +30,13 @@ blocks [3t, 3t+3), 12 uniforms of which it uses 9: four per Gram matrix
 One phase serves both matrices.  In law arg a01 and arg b01 are independent
 uniform angles, independent of every modulus; the eigenvalues, the
 compensated z factors and the joint optimum read only moduli, and the
-fixed-surface z factors read only arg a01 - arg b01 (conjugating both
-matrices by one diagonal unitary moves neither), so b01 is drawn real and
-a01 carries the relative phase.  :func:`bartlett_realizations` gives
-channels with these Gram matrices (to rounding), G = L^H and H = M (lower
-triangular), from the same counter blocks, with their SVDs.
+fixed-surface z factors read only theta = arg a01 - arg b01 (conjugating
+both matrices by one diagonal unitary moves neither), so the draw returns
+four real invariants per matrix, (a00, a11, |a01|, |det|^2), and the one
+relative phase theta as (cos theta, sin theta).
+:func:`bartlett_realizations` gives channels with these invariants (to
+rounding), G = L^H, whose a01 carries theta, and H = M (lower
+triangular, b01 real), from the same counter blocks, with their SVDs.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelReal
 def _bartlett_variables(state: RngState, n: int, start: int, work):
     """(e, theta) for trials start..start+n-1: the rows of e, (8, n), are the
     exponentials [e0, e1, q1, r1, e4, e5, q2, r2] (p1 = e0 + e1 and p2 =
-    e4 + e5), theta is the phase of a01 (see the module docstring)."""
+    e4 + e5), theta is the relative phase (see the module docstring)."""
     u = _uniform_blocks(
         state, _BLOCKS_PER_GRAM_TRIAL * start, _BLOCKS_PER_GRAM_TRIAL * n, work
     ).reshape(n, _WORDS_PER_BLOCK * _BLOCKS_PER_GRAM_TRIAL)
@@ -153,10 +155,10 @@ def _bartlett_variables(state: RngState, n: int, start: int, work):
 
 
 def gram_matrices(state: RngState, n: int, start: int = 0, work=None):
-    """Trials start..start+n-1 of (a, b, det_g, det_h): the Gram entries
-    a = (a00, a11, a01) of G^H G and b = (b00, b11, b01) of H H^H (as
-    :func:`linalg2.gram2` gives them), and |det G|^2, |det H|^2, for
-    independent 2x2 CN(0, 1) channels G and H in law (b01 is real).
+    """Trials start..start+n-1 of (g, h, cos, sin): the invariants
+    g = (a00, a11, |a01|, |det G|^2) of G^H G and h = (b00, b11, |b01|,
+    |det H|^2) of H H^H, for independent 2x2 CN(0, 1) channels G and H in
+    law, and the cosine and sine of the relative phase arg(a01 conj(b01)).
 
     Every array returned lives in ``work`` (see :mod:`workspace`).
     """
@@ -169,17 +171,15 @@ def gram_matrices(state: RngState, n: int, start: int = 0, work=None):
         np.sqrt(np.multiply(p, q, out=s), out=s)
         np.add(q, r, out=q)
         np.multiply(p, r, out=r)
-    a01 = work.empty("a01", (n,), np.complex128)
-    trig = work.empty("trig", (n,))
-    np.multiply(e[1], np.cos(theta, out=trig), out=a01.real)
-    np.multiply(e[1], np.sin(theta, out=trig), out=a01.imag)
-    return (e[0], e[2], a01), (e[4], e[6], e[5]), e[3], e[7]
+    cos = np.cos(theta, out=work.empty("cos", (n,)))
+    return (e[0], e[2], e[1], e[3]), (e[4], e[6], e[5], e[7]), cos, np.sin(theta, out=theta)
 
 
 def bartlett_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:
     """Channel pairs (g, h), each (n, 2, 2), with their SVDs, whose G^H G
-    and H H^H are the Gram matrices of :func:`gram_matrices` at the same
-    trials: G = [[sqrt p1, sqrt q1 e^{j theta}], [0, sqrt r1]] and
+    and H H^H have the invariants and the relative phase of
+    :func:`gram_matrices` at the same trials:
+    G = [[sqrt p1, sqrt q1 e^{j theta}], [0, sqrt r1]] and
     H = [[sqrt p2, 0], [sqrt q2, sqrt r2]]."""
     e, theta = _bartlett_variables(state, n, start, Workspace())
     (p1, q1, r1), (p2, q2, r2) = (e[0] + e[1], e[2], e[3]), (e[4] + e[5], e[6], e[7])

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg2 import _abs2
 from .sampling import ChannelRealization
 from .workspace import Workspace
 
@@ -124,47 +123,37 @@ def alignment_factors(v, w):
     return np.minimum(z_plain, 1.0), np.minimum(z_comp, 1.0)
 
 
-def leading_z_factors(vx, vy, v_norm2, wx, wy, w_norm2, work=None):
-    """All z factors from unnormalized leading eigenvectors v of G^H G and
-    w of H H^H, with their squared norms; d = |v|^2 |w|^2.
+def leading_z_factors(cg, sg, ch, sh, cos, sin, work=None):
+    """All z factors from the moduli (cg, sg) of the unit leading
+    eigenvector of G^H G and (ch, sh) of H H^H (see
+    :func:`linalg2.hermitian_eigen2`) and the cosine and sine of the
+    relative phase theta = arg(a01 conj(b01)) of their off-diagonal entries.
 
-    The second singular vectors are the orthogonal complements of the
-    first, so z depends only on whether j = i.  Returns (z_plain, z_comp)
-    with last axis [matched (1,1) = (2,2), crossed (1,2) = (2,1)]:
-    z_plain = |v^H w|^2 / d, |vx wy - vy wx|^2 / d (1 - z_plain[0] without
-    its cancellation) and z_comp = (|vx||wx| + |vy||wy|)^2 / d, with wx
-    and wy swapped for the crossed pair.  Every array returned lives in
-    ``work`` (see :mod:`workspace`).
+    The leading vectors are v = (cg, sg e^{-j arg a01}) and w = (ch,
+    sh e^{-j arg b01}), and the second singular vectors are their
+    orthogonal complements, so z depends only on whether j = i.  Returns
+    (z_plain, z_comp) with last axis [matched (1,1) = (2,2), crossed (1,2)
+    = (2,1)]: with p = cg ch, q = sg sh (matched) or p = cg sh, q = sg ch
+    (crossed), z_plain = |p +- q e^{j theta}|^2 (+ matched, - crossed) and
+    z_comp = (p + q)^2.  Every array returned lives in ``work`` (see
+    :mod:`workspace`).
     """
     work = Workspace() if work is None else work
-    shape = np.broadcast_shapes(*map(np.shape, (vx, vy, v_norm2, wx, wy, w_norm2)))
+    shape = np.broadcast_shapes(*map(np.shape, (cg, sg, ch, sh, cos, sin)))
 
-    def buf(name, dtype=np.float64, last=()):
-        return work.empty(name, shape + last, dtype)
+    def buf(name, last=()):
+        return work.empty(name, shape + last)
 
-    inv = np.multiply(v_norm2, w_norm2, out=buf("inv"))
-    np.divide(1.0, inv, out=inv)
-    # each complex product keeps the operand order of linalg2.gram2
-    cross = np.conjugate(vx, out=buf("cross", np.complex128))
-    cross *= wx
-    term = np.conjugate(vy, out=buf("term", np.complex128))
-    cross += np.multiply(term, wy, out=term)
-    det = np.multiply(vx, wy, out=buf("det", np.complex128))
-    det -= np.multiply(vy, wx, out=term)
-    z_plain = buf("z_plain", last=(2,))
-    for k, v in enumerate((cross, det)):
-        _abs2(v, z_plain[..., k], buf("scratch"))
-        z_plain[..., k] *= inv  # by column: a broadcast inv would be buffered
-    avx, avy = np.abs(vx, out=buf("avx")), np.abs(vy, out=buf("avy"))
-    awx, awy = np.abs(wx, out=buf("awx")), np.abs(wy, out=buf("awy"))
-    z_comp = buf("z_comp", last=(2,))
-    scratch = buf("scratch")
-    for k, (bx, by) in enumerate(((awx, awy), (awy, awx))):
-        np.multiply(avx, bx, out=z_comp[..., k])
-        z_comp[..., k] += np.multiply(avy, by, out=scratch)
+    z_plain, z_comp = buf("z_plain", (2,)), buf("z_comp", (2,))
+    p, q, t = buf("p"), buf("q"), buf("t")
+    for k, (u, v, combine) in enumerate(((ch, sh, np.add), (sh, ch, np.subtract))):
+        np.multiply(cg, u, out=p)
+        np.multiply(sg, v, out=q)
+        np.add(p, q, out=z_comp[..., k])
+        combine(p, np.multiply(q, cos, out=t), out=p)
+        np.square(p, out=z_plain[..., k])
+        z_plain[..., k] += np.square(np.multiply(q, sin, out=t), out=t)
     np.square(z_comp, out=z_comp)
-    for k in (0, 1):
-        z_comp[..., k] *= inv
     return np.minimum(z_plain, 1.0, out=z_plain), np.minimum(z_comp, 1.0, out=z_comp)
 
 

@@ -129,8 +129,9 @@ def test_eigen_solution_of_a_multiple_of_the_identity():
     # every vector is an eigenvector there; the solver returns e_1
     a00, a11, a01 = gram2(np.array([[1, 1j], [1j, 1]], dtype=complex))
     assert (a00, a11, a01) == (2.0, 2.0, 0.0)
-    e1, e2, x, y, norm2 = hermitian_eigen2(a00, a11, a01, 4.0)
-    assert (e1, e2, x, y, norm2) == (2.0, 2.0, 1.0, 0.0, 1.0)
+    assert hermitian_eigen2(a00, a11, abs(a01), 4.0) == (2.0, 2.0, 1.0, 0.0)
+    # a diagonal matrix with the larger entry second has e_2 exactly
+    assert hermitian_eigen2(1.0, 3.0, 0.0, 3.0) == (3.0, 1.0, 0.0, 1.0)
 
 
 def test_left_gram_is_the_gram_of_the_conjugate_transpose():

@@ -43,8 +43,18 @@ SEED = 2718
 
 
 def _channel_trial_statistics(g, h):
-    """trial_statistics of stacked channel matrices, through their Gram entries."""
-    return trial_statistics(gram2(g), gram2(h, left=True), abs_det2(g), abs_det2(h))
+    """trial_statistics of stacked channel matrices, through the invariants
+    of their Gram matrices and the relative phase of a01 conj(b01)."""
+    (a00, a11, a01), (b00, b11, b01) = gram2(g), gram2(h, left=True)
+    c = a01 * np.conjugate(b01)
+    mag = np.abs(c)
+    phase = np.where(mag > 0.0, c / np.where(mag > 0.0, mag, 1.0), 1.0)
+    return trial_statistics(
+        (a00, a11, np.abs(a01), abs_det2(g)),
+        (b00, b11, np.abs(b01), abs_det2(h)),
+        phase.real,
+        phase.imag,
+    )
 
 
 def test_outage_zero_threshold_is_zero():
@@ -128,18 +138,20 @@ def test_bartlett_pass_matches_gaussian_channel_draws():
 
 
 def test_statistics_read_only_moduli_and_the_relative_phase():
-    # arbitrary phases on a01 and b01 (G^H G and H H^H conjugated by diagonal
-    # unitaries) move no statistic but the fixed-surface z factors, and those
-    # only through the phase of a01 conj(b01): one drawn phase serves both
-    a, b, det_g, det_h = gram_matrices(RngState(SEED, 33), 20_000)
-    phase_a, phase_b = np.exp(2j * np.pi * np.random.default_rng(5).random((2, 20_000)))
-    base = trial_statistics(a, b, det_g, det_h)
-    turned = trial_statistics((*a[:2], a[2] * phase_a), (*b[:2], b[2] * phase_b), det_g, det_h)
-    relative = trial_statistics((*a[:2], a[2] * phase_a * np.conjugate(phase_b)), b, det_g, det_h)
+    # independent phases on the columns of G and the rows of H (G^H G and
+    # H H^H conjugated by diagonal unitaries) move no statistic but the
+    # fixed-surface z factors; one diagonal unitary on both, G D and D^H H,
+    # leaves G Phi H and so every statistic as it was
+    ch = bartlett_realizations(RngState(SEED, 33), 20_000)
+    g, h = ch.g, ch.h
+    phases = np.exp(2j * np.pi * np.random.default_rng(5).random((3, 20_000, 1, 2)))
+    base = _channel_trial_statistics(g, h)
+    turned = _channel_trial_statistics(g * phases[0], phases[1].swapaxes(-1, -2) * h)
+    common = _channel_trial_statistics(g * phases[2], np.conjugate(phases[2]).swapaxes(-1, -2) * h)
     for k in (0, 1, 4):  # lam, om, alt_factor
         assert np.allclose(turned[k], base[k], rtol=1e-14, atol=0)
     assert np.abs(turned[3] - base[3]).max() <= 1e-12  # z_comp
-    assert np.abs(turned[2] - relative[2]).max() <= 1e-12  # z_plain
+    assert np.abs(common[2] - base[2]).max() <= 1e-12  # z_plain
     assert np.abs(turned[2] - base[2]).max() > 0.5
 
 
@@ -477,7 +489,8 @@ def test_streamed_sweep_peaks_at_its_buffers(monkeypatch):
     # its first, so a one-worker streamed sweep peaks at those buffers (the
     # pass's and the counter's) plus less than one chunk-length column of
     # anything else, at any number of trials: one per-chunk temporary of
-    # the factors' length would exceed it
+    # the factors' length would exceed it.  The pass reads real invariants
+    # only, so none of its buffers is complex
     workspaces = []
 
     class Recorded(Workspace):
@@ -496,6 +509,7 @@ def test_streamed_sweep_peaks_at_its_buffers(monkeypatch):
         )
         buffers = sum(w.nbytes for w in workspaces)
         assert len(workspaces) == 2 and counter.trials == trials
+        assert not any(np.iscomplexobj(a) for w in workspaces for a in w._arrays.values())
         assert buffers <= peak < buffers + column, (trials, peak, buffers, column)
 
 

@@ -79,9 +79,10 @@ def test_gaussian_moments_large_sample():
 
 
 def _gram_arrays(draw):
-    """a00, a11, a01, b00, b11, b01, det_g, det_h of a gram_matrices draw."""
-    a, b, det_g, det_h = draw
-    return (*a, *b, det_g, det_h)
+    """The invariants of G^H G and H H^H, then cos and sin of the relative
+    phase, of a gram_matrices draw."""
+    g, h, cos, sin = draw
+    return (*g, *h, cos, sin)
 
 
 def test_gram_draws_are_windowed_and_keyed_by_stream():
@@ -98,9 +99,13 @@ def test_gram_draws_are_windowed_and_keyed_by_stream():
 def test_bartlett_realizations_have_the_drawn_gram_matrices():
     ch = bartlett_realizations(STATE, 5000, start=7)
     g, h = ch.g, ch.h
-    got = (*gram2(g), *gram2(h, left=True), abs_det2(g), abs_det2(h))
-    for x, want in zip(got, _gram_arrays(gram_matrices(STATE, 5000, start=7))):
-        assert np.allclose(x, want, rtol=1e-15, atol=0)
+    (a00, a11, a01), (b00, b11, b01) = gram2(g), gram2(h, left=True)
+    got = (a00, a11, np.abs(a01), abs_det2(g), b00, b11, np.abs(b01), abs_det2(h))
+    *want, cos, sin = _gram_arrays(gram_matrices(STATE, 5000, start=7))
+    for x, w in zip(got, want):
+        assert np.allclose(x, w, rtol=1e-15, atol=0)
+    c = a01 * np.conjugate(b01)
+    assert np.abs(c / np.abs(c) - (cos + 1j * sin)).max() <= 1e-15
     assert np.all(g[:, 1, 0] == 0.0) and np.all(h[:, 0, 1] == 0.0)
 
 
