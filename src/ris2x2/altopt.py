@@ -19,7 +19,17 @@ grows with F = ||M||_F^2 = ||g1||^2 ||h1||^2 + ||g2||^2 ||h2||^2
     F* = ||g1||^2 ||h1||^2 + ||g2||^2 ||h2||^2 + 2 |c|
 
 for the relative phase phi2 - phi1 = -arg(c); the common phase is free.
-Every mode, compensated or not, is one feasible (a, b, Phi), so the optimum
+In the eigen-decompositions G^H G = V diag(l1, l2) V^H and
+H H^H = W diag(w1, w2) W^H this is
+
+    F* = l1 w2 + l2 w1 + (l1 - l2)(w1 - w2) z,   |det G|^2 |det H|^2 = l1 l2 w1 w2,
+
+with z = (|v11| |w11| + |v21| |w21|)^2 the compensated z factor of the
+leading mode j1i1-cmp (expand a00 = l2 + (l1 - l2)|v11|^2 and the other
+Gram entries), so the optimum is a function of five independent
+variables with known laws: l2, l1 - l2, w2, w1 - w2 and z (see
+:mod:`sampling` and :func:`analytic.z_factor_cdf`).  Every mode,
+compensated or not, is one feasible (a, b, Phi), so the optimum
 dominates each of them realization by realization.
 """
 
@@ -29,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg2 import _phase, abs_det2, gram2, svd2  # perfbench/child.py wraps svd2 here
+from .linalg2 import _phase, abs_det2, gram2, hermitian_eigen2, svd2  # perfbench/child.py wraps svd2 here
 from .sampling import ChannelRealization
+from .sysmodel import leading_z_factors
 from .workspace import Workspace
 
 __all__ = ["BatchAltOpt", "joint_optimum", "optimize_batch", "optimal_configuration"]
@@ -44,27 +55,29 @@ class BatchAltOpt:
     iterations: np.ndarray  # all zero; perfbench/child.py sums it as altopt.trial_cycles
 
 
-def joint_optimum(g, h, work=None):
-    """sigma_max^2 of G Phi* H from the invariants g = (a00, a11, |a01|,
-    |det G|^2) of G^H G and h = (b00, b11, |b01|, |det H|^2) of H H^H
-    (see :func:`sampling.gram_matrices`), in the workspace array "f" (see
-    :mod:`workspace`).
-
-    ||g_k||^2 = a_kk, ||h_k||^2 = b_kk and |c| = |a01| |b01|, so
-    F* = a00 b00 + a11 b11 + 2 |a01| |b01|.
+def joint_optimum(lam, om, z, work=None):
+    """sigma_max^2 of G Phi* H from the eigenvalues lam = (l1, l2) of
+    G^H G and om = (w1, w2) of H H^H and the compensated z factor ``z`` of
+    the leading mode (see the module docstring), in the workspace array
+    "f" (see :mod:`workspace`): F*/2 + sqrt(F*^2/4 - l1 l2 w1 w2).
     """
     work = Workspace() if work is None else work
-    (a00, a11, abs_a01, det_g), (b00, b11, abs_b01, det_h) = g, h
-    shape = np.broadcast_shapes(*map(np.shape, (*g, *h)))
-    f = np.multiply(a00, b00, out=work.empty("f", shape))
-    t = np.multiply(a11, b11, out=work.empty("t", shape))
+    (l1, l2), (w1, w2) = lam, om
+    shape = np.broadcast_shapes(*map(np.shape, (l1, l2, w1, w2, z)))
+    f = np.multiply(l1, w2, out=work.empty("f", shape))
+    t = np.multiply(l2, w1, out=work.empty("t", shape))
     f += t
-    t = np.multiply(abs_a01, abs_b01, out=t)
-    t *= 2.0
+    d = np.subtract(w1, w2, out=work.empty("d", shape))
+    t = np.subtract(l1, l2, out=t)
+    t *= d
+    t *= z
     f += t
     t = np.multiply(f, 0.25, out=t)
     t *= f
-    t -= np.multiply(det_g, det_h, out=work.empty("det2", shape))
+    d = np.multiply(l1, l2, out=d)
+    d *= w1
+    d *= w2
+    t -= d
     np.sqrt(np.maximum(t, 0.0, out=t), out=t)
     f *= 0.5
     f += t
@@ -72,11 +85,13 @@ def joint_optimum(g, h, work=None):
 
 
 def optimize_batch(ch: ChannelRealization) -> BatchAltOpt:
-    """sigma_max^2 of G Phi* H for each realization of a (stacked) draw."""
+    """sigma_max^2 of G Phi* H for each realization of a (stacked) draw,
+    from the eigen-decompositions of its Gram matrices."""
     (a00, a11, a01), (b00, b11, b01) = gram2(ch.g), gram2(ch.h, left=True)
-    s = joint_optimum(
-        (a00, a11, np.abs(a01), abs_det2(ch.g)), (b00, b11, np.abs(b01), abs_det2(ch.h))
-    )
+    l1, l2, cg, sg = hermitian_eigen2(a00, a11, np.abs(a01), abs_det2(ch.g))
+    w1, w2, cw, sw = hermitian_eigen2(b00, b11, np.abs(b01), abs_det2(ch.h))
+    z = leading_z_factors(cg, sg, cw, sw, 1.0, 0.0)[1][..., 0]
+    s = joint_optimum((l1, l2), (w1, w2), z)
     return BatchAltOpt(snr_factor=s, iterations=np.zeros(s.shape, dtype=np.int64))
 
 

@@ -5,9 +5,9 @@ complex matrix, so a single code path serves one matrix or a stack of a
 million.  The SVD is computed analytically (quadratic eigenvalues of the
 2x2 Hermitian Gram matrix) rather than iteratively, and singular vectors
 are gauge fixed so repeated calls are bit-for-bit reproducible.  The Gram
-entries and the eigen-solution are public: the Monte Carlo statistics
-pass reads its gauge-invariant quantities from the eigenvalues and the
-moduli of the leading eigenvector, without forming any basis.
+entries and the eigen-solution are public: they reduce channel matrices
+to the eigenvalues and the moduli of the leading eigenvector, the inputs
+of the Monte Carlo statistics pass, which draws those directly.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def abs_det2(m: np.ndarray) -> np.ndarray:
     return _abs2(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
 
-def hermitian_eigen2(a00, a11, abs_a01, det, work=None):
+def hermitian_eigen2(a00, a11, abs_a01, det):
     """Eigenvalues e1 >= e2 >= 0 of the positive semidefinite matrix
     [[a00, a01], [conj(a01), a11]] with |a01| = ``abs_a01`` and determinant
     ``det``, and the moduli (c, s) of its unit leading eigenvector
@@ -129,10 +129,9 @@ def hermitian_eigen2(a00, a11, abs_a01, det, work=None):
     it, t = |a01| / (r + |h|); c is the larger where h >= 0.  Neither
     cancels, and a01 = 0 gives exactly 0 and 1.  A multiple of the
     identity (r = 0), where every vector is an eigenvector, takes t = 0 and
-    so (1, 0).  Every array returned lives in ``work`` (see
-    :mod:`workspace`).
+    so (1, 0).
     """
-    work = Workspace() if work is None else work
+    work = Workspace()
     shape = np.broadcast_shapes(*map(np.shape, (a00, a11, abs_a01, det)))
 
     def buf(name, dtype=np.float64):

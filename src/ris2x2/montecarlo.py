@@ -4,30 +4,30 @@ A single vectorized pass over random trials produces every per-trial
 statistic the figures need, 9 doubles: the squared singular values of G
 and H, the matched and crossed alignment factors z with and without
 compensation, and the jointly optimized SNR factor.  All are gauge
-invariant, so they come from four real invariants of each Gram matrix,
-G^H G and H H^H, and the one relative phase of their off-diagonal
-entries, without a singular basis or a complex number.  The pass draws
-those directly, in Bartlett form (:func:`sampling.gram_matrices`: 9
-uniforms, 8 logarithms and one phase per trial), never the channels;
-:func:`trial_statistics` is the one core, and callers holding channel
-matrices reduce their Gram entries to its inputs.  Since
-the scheme SNRs scale linearly with gamma_bar, one pass serves a whole SNR
-sweep.
+invariant, so they come from the eigenvalues of each Gram matrix, G^H G
+and H H^H, the moduli of its unit leading eigenvector and the one
+relative phase of the two eigenvectors, without a singular basis or a
+complex number.  The pass draws those directly from their laws
+(:func:`sampling.eigen_draws`: 11 uniforms, 4 logarithms and one phase
+per trial), never the channels or the Gram matrices, so it solves no
+eigenproblem; :func:`trial_statistics` is the one core, and callers
+holding channel matrices reduce them to its inputs through
+:func:`linalg2.hermitian_eigen2`.  Since the scheme SNRs scale linearly
+with gamma_bar, one pass serves a whole SNR sweep.
 
 Trial t is a pure function of (seed, stream, t) (see sampling).  The pass
 is one loop over fixed chunks of trials (2^14 by default), run in turn or
 on a thread pool with one worker per available CPU, that hands each
 chunk's statistics to a consumer.  It allocates nothing per chunk: each
 worker takes one :class:`workspace.Workspace` on its first chunk, and the
-draw, the eigen step, the z factors and the joint optimum write every
-chunk into those same arrays through numpy's ``out=``/``where=``, so
-memory is not unmapped and faulted in again chunk after chunk.  A chunk's
-arrays are therefore valid only while its consumer runs; the pass drops
-the buffers when it returns: 30 arrays, none complex, 50 float64
-columns, 6.6 MB per worker at the default 2^14 trials.  That size was
-the fastest of 2^13..2^15 for the 10^6-trial outage sweep on a 2-vCPU
-host, and 2^15 needed 18 MB more memory (measured with the earlier
-9.4 MB complex workspace).  There
+draw, the z factors and the joint optimum write every chunk into those
+same arrays through numpy's ``out=``, so memory is not unmapped and
+faulted in again chunk after chunk.  A chunk's arrays are therefore
+valid only while its consumer runs; the pass drops the buffers when it
+returns: 21 arrays, none complex, 36 float64 columns, 4.7 MB per worker
+at the default 2^14 trials.  That size was the fastest of 2^13..2^15 for
+the 10^6-trial outage sweep on a 2-vCPU host, and 2^15 needed 18 MB more
+memory (measured with an earlier 9.4 MB complex workspace).  There
 are two consumers.  Storing copies each chunk into one preallocated
 :class:`TrialStats` of the whole pass; the acceptance checks need it for
 their distribution tests, and throughput is reduced from it.
@@ -57,8 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .altopt import joint_optimum
-from .linalg2 import hermitian_eigen2
-from .sampling import RngState, gram_matrices
+from .sampling import RngState, eigen_draws
 from .sysmodel import MODES, Mode, leading_z_factors
 from .workspace import Workspace
 
@@ -185,25 +184,27 @@ def _thread_map(fn, items, workers=None):
 
 def trial_statistics(g, h, cos, sin, work=None):
     """(lam, om, z_plain, z_comp, alt_factor), the per-trial columns of
-    :class:`TrialStats`, from the invariants g = (a00, a11, |a01|,
-    |det G|^2) of G^H G and h = (b00, b11, |b01|, |det H|^2) of H H^H and
-    the cosine and sine of the relative phase arg(a01 conj(b01)), as
-    :func:`sampling.gram_matrices` draws them; no singular basis and no
-    complex number is formed.  Channel matrices reduce to these through
-    :func:`linalg2.gram2` and :func:`linalg2.abs_det2`.  Every array
-    returned lives in ``work`` (see :mod:`workspace`).
+    :class:`TrialStats`, from g = (l1, l2, c, s), the eigenvalues of
+    G^H G and the moduli of its unit leading eigenvector, h the same of
+    H H^H, and the cosine and sine of the relative phase of the two
+    eigenvectors, as :func:`sampling.eigen_draws` draws them; no singular
+    basis and no complex number is formed.  Channel matrices reduce to
+    these through :func:`linalg2.gram2`, :func:`linalg2.abs_det2` and
+    :func:`linalg2.hermitian_eigen2`, whose relative phase is that of
+    a01 conj(b01).  Every array returned lives in ``work`` (see
+    :mod:`workspace`).
     """
     work = Workspace() if work is None else work
     shape = np.shape(cos)
-    lam1, lam2, cg, sg = hermitian_eigen2(*g, work.scope("g"))
-    om1, om2, ch, sh = hermitian_eigen2(*h, work.scope("h"))
+    (lam1, lam2, cg, sg), (om1, om2, ch, sh) = g, h
     z_plain, z_comp = leading_z_factors(cg, sg, ch, sh, cos, sin, work.scope("z"))
+    # each column contiguous, as the counter reads them one at a time
     return (
-        np.stack([lam1, lam2], axis=-1, out=work.empty("lam", (*shape, 2))),
-        np.stack([om1, om2], axis=-1, out=work.empty("om", (*shape, 2))),
+        np.moveaxis(np.stack([lam1, lam2], out=work.empty("lam", (2, *shape))), 0, -1),
+        np.moveaxis(np.stack([om1, om2], out=work.empty("om", (2, *shape))), 0, -1),
         z_plain,
         z_comp,
-        joint_optimum(g, h, work.scope("alt")),
+        joint_optimum((lam1, lam2), (om1, om2), z_comp[..., 0], work.scope("alt")),
     )
 
 
@@ -215,7 +216,7 @@ def channel_statistics(
     chunk_size: int = _CHUNK_SIZE,
     consume=None,
 ) -> TrialStats | None:
-    """One vectorized statistics pass over ``trials`` Gram-matrix draws.
+    """One vectorized statistics pass over ``trials`` eigen draws.
 
     The trial range is split into fixed chunks of ``chunk_size`` trials
     (2^14 by default), evaluated in turn or by a pool of ``workers``
@@ -253,7 +254,7 @@ def channel_statistics(
     def run(lo):
         n = min(chunk_size, trials - lo)
         work = _thread_workspace(buffers)
-        columns = trial_statistics(*gram_matrices(state, n, lo, work), work)
+        columns = trial_statistics(*eigen_draws(state, n, lo, work), work)
         consume(lo, TrialStats(seed, stream, n, *columns))
 
     _thread_map(run, range(0, trials, chunk_size), workers)

@@ -15,28 +15,37 @@ Haar unitaries are assembled from the angle densities of the U(2)
 parameterization (theta12 with density sin 2*theta via inverse CDF, the
 three phase angles uniform on [0, 2*pi)).
 
-The statistics pass reads G and H only through G^H G and H H^H, so
-:func:`gram_matrices` draws those directly.  G^H G of a 2x2 CN(0, 1)
-matrix is complex Wishart with 2 degrees of freedom (Goodman, Ann. Math.
-Stat. 1963), and by Bartlett's decomposition (Edelman, MIT thesis 1989) it
-equals L L^H in law, L lower triangular with independent l11^2 = p ~
-Gamma(2), l22^2 = r ~ Exp(1) and l21 ~ CN(0, 1), |l21|^2 = q ~ Exp(1):
+The statistics pass reads G and H only through the eigen-decompositions
+of G^H G and H H^H, so :func:`eigen_draws` draws those directly.  G^H G
+of a 2x2 CN(0, 1) matrix is complex Wishart with 2 degrees of freedom
+(Goodman, Ann. Math. Stat. 1963).  Its eigenvalues l1 >= l2 have the
+joint density e^{-l1 - l2} (l1 - l2)^2 (James, Ann. Math. Stat. 1964;
+Edelman, MIT thesis 1989), which factors: l2 ~ Exp(rate 2) and
+d = l1 - l2 ~ Gamma(3) are independent.  Its eigenvectors are Haar
+distributed and independent of the eigenvalues, so the squared modulus
+c^2 of the first entry of the unit leading eigenvector is U(0, 1), and
+the phases of the entries are uniform.  H H^H has the same law, and G
+and H are independent.
 
-    a00 = p,  a11 = q + r,  a01 = sqrt(p q) e^{j theta},  |det G|^2 = p r.
+Trial t consumes counter blocks [3t, 3t+3), 12 uniforms of which it uses
+11: five per link, then one phase, the last word unused.  A link takes
 
-H H^H has the same law, from its own (p, q, r).  Trial t consumes counter
-blocks [3t, 3t+3), 12 uniforms of which it uses 9: four per Gram matrix
-(p = e0 + e1 and q, r from exponentials -ln(1 - u)) and one phase theta.
-One phase serves both matrices.  In law arg a01 and arg b01 are independent
-uniform angles, independent of every modulus; the eigenvalues, the
-compensated z factors and the joint optimum read only moduli, and the
-fixed-surface z factors read only theta = arg a01 - arg b01 (conjugating
-both matrices by one diagonal unitary moves neither), so the draw returns
-four real invariants per matrix, (a00, a11, |a01|, |det|^2), and the one
-relative phase theta as (cos theta, sin theta).
-:func:`bartlett_realizations` gives channels with these invariants (to
-rounding), G = L^H, whose a01 carries theta, and H = M (lower
-triangular, b01 real), from the same counter blocks, with their SVDs.
+    l2 = -ln(1 - u0) / 2,   d = -ln((1 - u1)(1 - u2)(1 - u3)),
+    c = sqrt(u4),           s = sqrt(1 - u4),
+
+and l1 = l2 + d.  Every 1 - u is exact on the 2^-53 grid of the
+uniforms, and the product rounds twice, so the one logarithm gives a
+Gamma(3) draw with an absolute error of about 2^-52: a relative error
+of about 2^-53 (1 + 2 / d), worse than 1e-10 only for d < 2.2e-6, which
+has probability 2e-18.  The z factors read the leading eigenvectors
+v = (cg, sg e^{-j phi_g}) and w = (ch, sh e^{-j phi_h}) only through the
+moduli and the relative phase theta = phi_g - phi_h, uniform on
+[0, 2 pi) (conjugating both Gram matrices by one diagonal unitary moves
+no z factor), so the draw returns (l1, l2, c, s) per link and theta as
+(cos theta, sin theta).
+:func:`eigen_realizations` gives channels with these eigen-decompositions
+(to rounding), G = diag(sqrt l) V^H and H = W diag(sqrt w), from the
+same counter blocks, with their SVDs.
 """
 
 from __future__ import annotations
@@ -54,8 +63,8 @@ __all__ = [
     "ChannelRealization",
     "channel_matrices",
     "channel_realizations",
-    "gram_matrices",
-    "bartlett_realizations",
+    "eigen_draws",
+    "eigen_realizations",
     "haar_unitaries",
     "haar_angles",
     "angle_diff_pdf",
@@ -67,8 +76,8 @@ __all__ = [
 _WORDS_PER_BLOCK = 4
 # A (G, H) channel pair consumes 16 uniforms.
 _BLOCKS_PER_PAIR = 4
-# A trial of the Gram draw consumes 12 uniforms and uses the first 9.
-_BLOCKS_PER_GRAM_TRIAL = 3
+# A trial of the eigen draw consumes 12 uniforms and uses the first 11.
+_BLOCKS_PER_EIGEN_TRIAL = 3
 
 
 @dataclass(frozen=True)
@@ -138,56 +147,56 @@ def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelReal
     return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
 
 
-def _bartlett_variables(state: RngState, n: int, start: int, work):
-    """(e, theta) for trials start..start+n-1: the rows of e, (8, n), are the
-    exponentials [e0, e1, q1, r1, e4, e5, q2, r2] (p1 = e0 + e1 and p2 =
-    e4 + e5), theta is the relative phase (see the module docstring)."""
-    u = _uniform_blocks(
-        state, _BLOCKS_PER_GRAM_TRIAL * start, _BLOCKS_PER_GRAM_TRIAL * n, work
-    ).reshape(n, _WORDS_PER_BLOCK * _BLOCKS_PER_GRAM_TRIAL)
-    # eight exponentials -ln(1 - u), entry-major; 1 - u in (0, 1], no log(0)
-    e = work.empty("e", (8, n))
-    np.copyto(e, u[:, :8].T)
-    np.negative(e, out=e)
-    np.log1p(e, out=e)
-    np.negative(e, out=e)
-    return e, np.multiply(2.0 * np.pi, u[:, 8], out=work.empty("theta", (n,)))
-
-
-def gram_matrices(state: RngState, n: int, start: int = 0, work=None):
-    """Trials start..start+n-1 of (g, h, cos, sin): the invariants
-    g = (a00, a11, |a01|, |det G|^2) of G^H G and h = (b00, b11, |b01|,
-    |det H|^2) of H H^H, for independent 2x2 CN(0, 1) channels G and H in
-    law, and the cosine and sine of the relative phase arg(a01 conj(b01)).
+def eigen_draws(state: RngState, n: int, start: int = 0, work=None):
+    """Trials start..start+n-1 of (g, h, cos, sin): g = (l1, l2, c, s),
+    the eigenvalues l1 >= l2 of G^H G and the moduli (c, s) of its unit
+    leading eigenvector, h the same of H H^H, for independent 2x2
+    CN(0, 1) channels G and H in law, and the cosine and sine of the
+    relative phase of the two eigenvectors (see the module docstring).
 
     Every array returned lives in ``work`` (see :mod:`workspace`).
     """
     work = Workspace() if work is None else work
-    e, theta = _bartlett_variables(state, n, start, work)
-    # each matrix's rows [e0, e1, q, r] become [p, sqrt(p q), q + r, p r] in place
-    for k in (0, 4):
-        p, s, q, r = e[k : k + 4]
-        np.add(p, s, out=p)
-        np.sqrt(np.multiply(p, q, out=s), out=s)
-        np.add(q, r, out=q)
-        np.multiply(p, r, out=r)
+    u = _uniform_blocks(
+        state, _BLOCKS_PER_EIGEN_TRIAL * start, _BLOCKS_PER_EIGEN_TRIAL * n, work
+    ).reshape(n, _WORDS_PER_BLOCK * _BLOCKS_PER_EIGEN_TRIAL)
+    links = []
+    for k, name in ((0, "g"), (5, "h")):
+        l1, l2, c, s = (work.empty(f"{name}.{x}", (n,)) for x in ("l1", "l2", "c", "s"))
+        # 1 - u is exact; one column at a time, as a 2-D strided pass is slow
+        np.log(np.subtract(1.0, u[:, k], out=l2), out=l2)
+        l2 *= -0.5
+        np.subtract(1.0, u[:, k + 1], out=l1)
+        for j in (k + 2, k + 3):
+            l1 *= np.subtract(1.0, u[:, j], out=s)
+        np.log(l1, out=l1)
+        np.subtract(l2, l1, out=l1)  # l2 + d
+        np.sqrt(u[:, k + 4], out=c)
+        np.sqrt(np.subtract(1.0, u[:, k + 4], out=s), out=s)
+        links.append((l1, l2, c, s))
+    theta = np.multiply(2.0 * np.pi, u[:, 10], out=work.empty("sin", (n,)))
     cos = np.cos(theta, out=work.empty("cos", (n,)))
-    return (e[0], e[2], e[1], e[3]), (e[4], e[6], e[5], e[7]), cos, np.sin(theta, out=theta)
+    return links[0], links[1], cos, np.sin(theta, out=theta)
 
 
-def bartlett_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:
+def eigen_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:
     """Channel pairs (g, h), each (n, 2, 2), with their SVDs, whose G^H G
-    and H H^H have the invariants and the relative phase of
-    :func:`gram_matrices` at the same trials:
-    G = [[sqrt p1, sqrt q1 e^{j theta}], [0, sqrt r1]] and
-    H = [[sqrt p2, 0], [sqrt q2, sqrt r2]]."""
-    e, theta = _bartlett_variables(state, n, start, Workspace())
-    (p1, q1, r1), (p2, q2, r2) = (e[0] + e[1], e[2], e[3]), (e[4] + e[5], e[6], e[7])
-    g = np.zeros((n, 2, 2), dtype=np.complex128)
-    h = np.zeros((n, 2, 2), dtype=np.complex128)
-    g[:, 0, 0], g[:, 1, 1] = np.sqrt(p1), np.sqrt(r1)
-    g[:, 0, 1] = np.sqrt(q1) * np.exp(1j * theta)
-    h[:, 0, 0], h[:, 1, 0], h[:, 1, 1] = np.sqrt(p2), np.sqrt(q2), np.sqrt(r2)
+    and H H^H have the eigen-decompositions and the relative phase of
+    :func:`eigen_draws` at the same trials: G = diag(sqrt l1, sqrt l2) V^H
+    and H = W diag(sqrt w1, sqrt w2) with the unitaries
+    V = [[cg, -sg e^{j theta}], [sg e^{-j theta}, cg]] and
+    W = [[ch, -sh], [sh, ch]], so a01 of G^H G carries theta and b01 of
+    H H^H is real."""
+    (l1, l2, cg, sg), (w1, w2, ch, sh), cos, sin = eigen_draws(state, n, start)
+    phase = cos + 1j * sin
+    g = np.empty((n, 2, 2), dtype=np.complex128)
+    h = np.empty((n, 2, 2), dtype=np.complex128)
+    r1, r2 = np.sqrt(l1), np.sqrt(l2)
+    g[:, 0, 0], g[:, 0, 1] = r1 * cg, r1 * sg * phase
+    g[:, 1, 0], g[:, 1, 1] = -r2 * sg * np.conjugate(phase), r2 * cg
+    r1, r2 = np.sqrt(w1), np.sqrt(w2)
+    h[:, 0, 0], h[:, 0, 1] = ch * r1, -sh * r2
+    h[:, 1, 0], h[:, 1, 1] = sh * r1, ch * r2
     return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
 
 

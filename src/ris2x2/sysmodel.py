@@ -126,8 +126,9 @@ def alignment_factors(v, w):
 def leading_z_factors(cg, sg, ch, sh, cos, sin, work=None):
     """All z factors from the moduli (cg, sg) of the unit leading
     eigenvector of G^H G and (ch, sh) of H H^H (see
-    :func:`linalg2.hermitian_eigen2`) and the cosine and sine of the
-    relative phase theta = arg(a01 conj(b01)) of their off-diagonal entries.
+    :func:`linalg2.hermitian_eigen2` and :func:`sampling.eigen_draws`) and
+    the cosine and sine of the relative phase theta = arg(a01 conj(b01))
+    of their off-diagonal entries.
 
     The leading vectors are v = (cg, sg e^{-j arg a01}) and w = (ch,
     sh e^{-j arg b01}), and the second singular vectors are their
@@ -141,20 +142,23 @@ def leading_z_factors(cg, sg, ch, sh, cos, sin, work=None):
     work = Workspace() if work is None else work
     shape = np.broadcast_shapes(*map(np.shape, (cg, sg, ch, sh, cos, sin)))
 
-    def buf(name, last=()):
-        return work.empty(name, shape + last)
+    def buf(name, first=()):
+        return work.empty(name, first + shape)
 
+    # [matched, crossed] first, so that each factor is contiguous
     z_plain, z_comp = buf("z_plain", (2,)), buf("z_comp", (2,))
     p, q, t = buf("p"), buf("q"), buf("t")
     for k, (u, v, combine) in enumerate(((ch, sh, np.add), (sh, ch, np.subtract))):
         np.multiply(cg, u, out=p)
         np.multiply(sg, v, out=q)
-        np.add(p, q, out=z_comp[..., k])
+        np.add(p, q, out=z_comp[k, ...])
         combine(p, np.multiply(q, cos, out=t), out=p)
-        np.square(p, out=z_plain[..., k])
-        z_plain[..., k] += np.square(np.multiply(q, sin, out=t), out=t)
+        np.square(p, out=z_plain[k, ...])
+        z_plain[k, ...] += np.square(np.multiply(q, sin, out=t), out=t)
     np.square(z_comp, out=z_comp)
-    return np.minimum(z_plain, 1.0, out=z_plain), np.minimum(z_comp, 1.0, out=z_comp)
+    np.minimum(z_plain, 1.0, out=z_plain)
+    np.minimum(z_comp, 1.0, out=z_comp)
+    return np.moveaxis(z_plain, 0, -1), np.moveaxis(z_comp, 0, -1)
 
 
 def mode_z_factors(ch: ChannelRealization):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ris2x2.altopt import optimal_configuration, optimize_batch
-from ris2x2.linalg2 import svd2
+from ris2x2.linalg2 import abs_det2, gram2, svd2
 from ris2x2.montecarlo import ALT, estimate_outage, estimate_throughput
 from ris2x2.sampling import ChannelRealization, RngState, channel_realizations
 from ris2x2.sysmodel import instantaneous_snr, mode_z_factors
@@ -57,6 +57,17 @@ def test_pointwise_dominance_over_compensated_mode():
     assert np.all(res.snr_factor >= g_cmp * (1.0 - 1e-12))
     assert np.all(g_cmp >= g_unc * (1.0 - 1e-12))
     assert not res.iterations.any()
+
+
+def test_eigen_form_equals_the_gram_form_on_gaussian_channels():
+    # optimize_batch reads the eigen-decompositions of the Gram matrices:
+    # F* = l1 w2 + l2 w1 + (l1 - l2)(w1 - w2) z; the Gram entries give the
+    # same F* = a00 b00 + a11 b11 + 2 |a01| |b01| and |det|^2 directly
+    ch = channel_realizations(STATE.child(5), 200_000)
+    (a00, a11, a01), (b00, b11, b01) = gram2(ch.g), gram2(ch.h, left=True)
+    f = a00 * b00 + a11 * b11 + 2.0 * np.abs(a01) * np.abs(b01)
+    gram_form = f / 2.0 + np.sqrt(np.maximum(f * f / 4.0 - abs_det2(ch.g) * abs_det2(ch.h), 0.0))
+    assert np.allclose(optimize_batch(ch).snr_factor, gram_form, rtol=1e-13, atol=0)
 
 
 def test_final_configuration_is_consistent():

@@ -150,30 +150,36 @@ def test_curve_rows_are_the_csv_rows(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "command, sha256, mc_sha256",
+    "command, sha256, mc_sha256, analytic_sha256",
     [
         (
             "outage",
-            "3fd11bf26d562389f7c1be2405d1b9161df352ab8bc938d335af1e0a4bb8bdcd",
-            "f488dd6f3e31975c113b9e0b67cf2eea72324754d186866188625ead01735164",
+            "676ee412be6eb75e2b33884251c69a3d14c16a7eb8bc566bc88424d91c27f4a5",
+            "a88d4a9c47a3b17bc7a0af39b4d1ef47e72e669d2ed304fd488c1da24f292417",
+            "c0e153b2a65983c7dcf1f9c638cc172181bf9544acd8d1d9ec2c2b08df7659c1",
         ),
         (
             "throughput",
-            "874e3b2320957ab889f97db54b60395d008e5a0fedd2a55cade9f956f82ce979",
-            "b7fd1d9a393e856ac665e1c564323e9a16737294ab21b8011b62f75cc82fff29",
+            "bf755a3ab26e05040dc0441a777c54b1b56861ba4e2a0cb649f1d2026070d6f2",
+            "e7b6ffb4d2689ed58439bb082d8ab1dd95fe87c531be7015d3ae22a60004ade7",
+            "987cdfe56c83c270dac1ad277083e8512aabf27bbe54a137ef6b9c9d6317b16a",
         ),
     ],
     ids=["outage", "throughput"],
 )
-def test_small_sweep_csv_bytes_are_pinned(tmp_path, command, sha256, mc_sha256):
+def test_small_sweep_csv_bytes_are_pinned(tmp_path, command, sha256, mc_sha256, analytic_sha256):
     # pinned bytes of a small sweep at the default seed: a speed-up must not
-    # move a bit of the analytic or the MC column.  The mc and ci95 columns
-    # have a pin of their own, so that a new analytic method cannot hide a
-    # change to the statistics pass.
+    # move a bit of the analytic or the MC column.  The snr_db, scheme and
+    # analytic columns and the mc and ci95 columns have pins of their own,
+    # so that a change to the statistics pass cannot hide a change to an
+    # analytic cell, nor a new analytic method a change to the pass.
     out = tmp_path / "c.csv"
     assert main([command, "--trials", "2000", "--snr-db-step", "5", "--out", str(out)]) == 0
     text = out.read_bytes()
-    mc = b"".join(b",".join(line.split(b",")[3:]) + b"\n" for line in text.splitlines())
+    lines = text.splitlines()
+    analytic = b"".join(b",".join(line.split(b",")[:3]) + b"\n" for line in lines)
+    mc = b"".join(b",".join(line.split(b",")[3:]) + b"\n" for line in lines)
+    assert hashlib.sha256(analytic).hexdigest() == analytic_sha256
     assert hashlib.sha256(mc).hexdigest() == mc_sha256
     assert hashlib.sha256(text).hexdigest() == sha256
 

@@ -10,7 +10,7 @@ import ris2x2.montecarlo
 from ris2x2 import analytic
 from ris2x2.acceptance import curve_rows
 from ris2x2.altopt import optimize_batch
-from ris2x2.linalg2 import abs_det2, gram2, svd2
+from ris2x2.linalg2 import abs_det2, gram2, hermitian_eigen2, svd2
 from ris2x2.montecarlo import (
     ALL_SCHEME_LABELS,
     ALT,
@@ -31,9 +31,8 @@ from ris2x2.montecarlo import (
 )
 from ris2x2.sampling import (
     RngState,
-    bartlett_realizations,
     channel_matrices,
-    gram_matrices,
+    eigen_realizations,
     haar_unitaries,
 )
 from ris2x2.sysmodel import MODES, Mode, alignment_factors, mode_z_factors
@@ -43,15 +42,16 @@ SEED = 2718
 
 
 def _channel_trial_statistics(g, h):
-    """trial_statistics of stacked channel matrices, through the invariants
-    of their Gram matrices and the relative phase of a01 conj(b01)."""
+    """trial_statistics of stacked channel matrices, through the
+    eigen-decompositions of their Gram matrices and the relative phase of
+    a01 conj(b01)."""
     (a00, a11, a01), (b00, b11, b01) = gram2(g), gram2(h, left=True)
     c = a01 * np.conjugate(b01)
     mag = np.abs(c)
     phase = np.where(mag > 0.0, c / np.where(mag > 0.0, mag, 1.0), 1.0)
     return trial_statistics(
-        (a00, a11, np.abs(a01), abs_det2(g)),
-        (b00, b11, np.abs(b01), abs_det2(h)),
+        hermitian_eigen2(a00, a11, np.abs(a01), abs_det2(g)),
+        hermitian_eigen2(b00, b11, np.abs(b01), abs_det2(h)),
         phase.real,
         phase.imag,
     )
@@ -83,12 +83,12 @@ def test_worker_and_chunk_invariance():
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("chunk", [1 << 15, 1000, 1 << 9])
 def test_pass_is_the_realization_pipeline(workers, chunk):
-    # the Gram-matrix pass gives the values of the SVD pipeline on channels
-    # with the same Gram matrices, G = L^H and H = M of its Bartlett draw,
-    # to rounding: the two routes differ in operation order only
+    # the pass gives the values of the SVD pipeline on channels with the
+    # eigen-decompositions it draws, G = diag(sqrt l) V^H and
+    # H = W diag(sqrt w), to rounding
     trials = 5000
     stats = channel_statistics(SEED, trials, workers=workers, chunk_size=chunk)
-    ch = bartlett_realizations(RngState(SEED), trials)
+    ch = eigen_realizations(RngState(SEED), trials)
     z_plain, z_comp = mode_z_factors(ch)
     assert np.allclose(stats.lam, ch.svd_g.sigma**2, rtol=2e-15, atol=0)
     assert np.allclose(stats.om, ch.svd_h.sigma**2, rtol=2e-15, atol=0)
@@ -121,9 +121,10 @@ def _ks_two_sample(x, y):
     return float(np.max(np.abs(fx - fy)))
 
 
-def test_bartlett_pass_matches_gaussian_channel_draws():
-    # the pass draws Gram matrices, never channels; its statistics must have
-    # the law of those of CN(0, 1) channel draws, here on a stream of their own
+def test_eigen_pass_matches_gaussian_channel_draws():
+    # the pass draws eigen-decompositions, never channels; its statistics
+    # must have the law of those of CN(0, 1) channel draws, here on a stream
+    # of their own
     n = 200_000
     stats = channel_statistics(SEED, n, stream=31)
     gauss = _channel_trial_statistics(*channel_matrices(RngState(SEED, 32), n))
@@ -142,7 +143,7 @@ def test_statistics_read_only_moduli_and_the_relative_phase():
     # H H^H conjugated by diagonal unitaries) move no statistic but the
     # fixed-surface z factors; one diagonal unitary on both, G D and D^H H,
     # leaves G Phi H and so every statistic as it was
-    ch = bartlett_realizations(RngState(SEED, 33), 20_000)
+    ch = eigen_realizations(RngState(SEED, 33), 20_000)
     g, h = ch.g, ch.h
     phases = np.exp(2j * np.pi * np.random.default_rng(5).random((3, 20_000, 1, 2)))
     base = _channel_trial_statistics(g, h)
@@ -489,8 +490,10 @@ def test_streamed_sweep_peaks_at_its_buffers(monkeypatch):
     # its first, so a one-worker streamed sweep peaks at those buffers (the
     # pass's and the counter's) plus less than one chunk-length column of
     # anything else, at any number of trials: one per-chunk temporary of
-    # the factors' length would exceed it.  The pass reads real invariants
-    # only, so none of its buffers is complex
+    # the factors' length would exceed it.  The pass reads real eigenvalues,
+    # moduli and one phasor, so none of its buffers is complex, and its
+    # workspace holds 36 columns of a chunk (the uniforms 12, the draw 10,
+    # the z factors 7, the stacked eigenvalues 4, the joint optimum 3)
     workspaces = []
 
     class Recorded(Workspace):
@@ -509,6 +512,8 @@ def test_streamed_sweep_peaks_at_its_buffers(monkeypatch):
         )
         buffers = sum(w.nbytes for w in workspaces)
         assert len(workspaces) == 2 and counter.trials == trials
+        (work,) = [w for w in workspaces if "factor" not in w._arrays]
+        assert work.nbytes <= 36 * column, (work.nbytes, column)
         assert not any(np.iscomplexobj(a) for w in workspaces for a in w._arrays.values())
         assert buffers <= peak < buffers + column, (trials, peak, buffers, column)
 

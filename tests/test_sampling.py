@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ris2x2.linalg2 import abs_det2, gram2, unitary_from_angles
+from ris2x2.linalg2 import gram2, unitary_from_angles
 from ris2x2.montecarlo import EmpiricalCdf
 from ris2x2.sampling import (
     RngState,
     angle_diff_cdf,
     angle_diff_pdf,
     angle_sum_pdf,
-    bartlett_realizations,
     channel_matrices,
     channel_realizations,
-    gram_matrices,
+    eigen_draws,
+    eigen_realizations,
     haar_angles,
     haar_unitaries,
 )
@@ -78,35 +78,82 @@ def test_gaussian_moments_large_sample():
     assert abs(trace - 4.0) < 2e-2
 
 
-def _gram_arrays(draw):
-    """The invariants of G^H G and H H^H, then cos and sin of the relative
-    phase, of a gram_matrices draw."""
+def _eigen_arrays(draw):
+    """(l1, l2, c, s) of G^H G and of H H^H, then cos and sin of the
+    relative phase, of an eigen_draws draw."""
     g, h, cos, sin = draw
     return (*g, *h, cos, sin)
 
 
-def test_gram_draws_are_windowed_and_keyed_by_stream():
-    whole = _gram_arrays(gram_matrices(STATE, 1000))
+def test_eigen_draws_are_windowed_and_keyed_by_stream():
+    whole = _eigen_arrays(eigen_draws(STATE, 1000))
     parts = zip(
-        _gram_arrays(gram_matrices(STATE, 300)),
-        _gram_arrays(gram_matrices(STATE, 700, start=300)),
+        _eigen_arrays(eigen_draws(STATE, 300)),
+        _eigen_arrays(eigen_draws(STATE, 700, start=300)),
     )
     for w, (x, y) in zip(whole, parts):
         assert np.array_equal(w, np.concatenate([x, y]))
-    assert not np.array_equal(whole[2], _gram_arrays(gram_matrices(STATE.child(1), 1000))[2])
+    assert not np.array_equal(whole[2], _eigen_arrays(eigen_draws(STATE.child(1), 1000))[2])
 
 
-def test_bartlett_realizations_have_the_drawn_gram_matrices():
-    ch = bartlett_realizations(STATE, 5000, start=7)
+def test_eigen_draws_follow_the_wishart_eigen_laws():
+    # per link 2 l2 ~ Exp(1), l1 - l2 ~ Gamma(3) and c^2 ~ U(0, 1), and the
+    # relative phase is uniform, at the alpha = 1e-4 critical value
+    n = 200_000
+    (l1, l2, c, _), (w1, w2, ch, _), cos, sin = eigen_draws(STATE.child(41), n)
+    alpha = 1e-4
+    critical = np.sqrt(-np.log(alpha / 2.0) / 2.0) / np.sqrt(n)  # 0.0050
+
+    def exp1(x):
+        return -np.expm1(-x)
+
+    def gamma3(x):
+        return 1.0 - np.exp(-x) * (1.0 + x + x * x / 2.0)
+
+    def uniform(x):
+        return x
+
+    theta = np.arctan2(sin, cos) / (2.0 * np.pi) % 1.0
+    for name, x, cdf in (
+        ("2 l2", 2.0 * l2, exp1),
+        ("l1 - l2", l1 - l2, gamma3),
+        ("cg^2", c * c, uniform),
+        ("2 w2", 2.0 * w2, exp1),
+        ("w1 - w2", w1 - w2, gamma3),
+        ("ch^2", ch * ch, uniform),
+        ("theta / 2 pi", theta, uniform),
+    ):
+        d = EmpiricalCdf(x).ks_distance(cdf)
+        assert d < critical, (name, d, critical)
+
+
+def test_eigen_realizations_have_the_drawn_eigen_decompositions():
+    # G = diag(sqrt l) V^H and H = W diag(sqrt w) with unitary V and W, so
+    # G G^H = diag(l1, l2) and H^H H = diag(w1, w2); the drawn unit vectors
+    # (cg, sg e^{-j theta}) and (ch, sh) are leading eigenvectors of G^H G
+    # and H H^H.  Errors are measured against the trace, the size of the
+    # matrices; the phase of a01 = (l1 - l2) cg sg e^{j theta} is as
+    # accurate as (l1 - l2) relative to the trace.
+    ch = eigen_realizations(STATE, 5000, start=7)
     g, h = ch.g, ch.h
+    (l1, l2, cg, sg), (w1, w2, chh, sh), cos, sin = eigen_draws(STATE, 5000, start=7)
+    phase = cos + 1j * sin
+    for m, (e1, e2) in ((g @ np.conjugate(g).swapaxes(-1, -2), (l1, l2)),
+                        (np.conjugate(h).swapaxes(-1, -2) @ h, (w1, w2))):
+        want = np.zeros_like(m)
+        want[:, 0, 0], want[:, 1, 1] = e1, e2
+        assert np.all(np.abs(m - want).max(axis=(-1, -2)) <= 1e-15 * (e1 + e2))
     (a00, a11, a01), (b00, b11, b01) = gram2(g), gram2(h, left=True)
-    got = (a00, a11, np.abs(a01), abs_det2(g), b00, b11, np.abs(b01), abs_det2(h))
-    *want, cos, sin = _gram_arrays(gram_matrices(STATE, 5000, start=7))
-    for x, w in zip(got, want):
-        assert np.allclose(x, w, rtol=1e-15, atol=0)
+    for (x00, x11, x01), e1, e2, v in (
+        ((a00, a11, a01), l1, l2, (cg, sg * np.conjugate(phase))),
+        ((b00, b11, b01), w1, w2, (chh, sh)),
+    ):
+        r0 = x00 * v[0] + x01 * v[1] - e1 * v[0]
+        r1 = np.conjugate(x01) * v[0] + x11 * v[1] - e1 * v[1]
+        assert np.all(np.hypot(np.abs(r0), np.abs(r1)) <= 2e-15 * (e1 + e2))
     c = a01 * np.conjugate(b01)
-    assert np.abs(c / np.abs(c) - (cos + 1j * sin)).max() <= 1e-15
-    assert np.all(g[:, 1, 0] == 0.0) and np.all(h[:, 0, 1] == 0.0)
+    assert np.all(np.abs(c / np.abs(c) - phase) * (l1 - l2) <= 1e-15 * (l1 + l2))
+    assert np.all(h.imag == 0.0)
 
 
 def test_channel_realization_caches_svd():
