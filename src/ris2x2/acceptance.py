@@ -23,7 +23,7 @@ from . import analytic, montecarlo
 from .altopt import optimal_configuration
 from .linalg2 import svd2
 from .montecarlo import ALL_SCHEME_LABELS, AltScheme, EmpiricalCdf, TrialStats, parse_scheme
-from .sampling import RngState, eigen_realizations, haar_unitaries
+from .sampling import RngState, eigen_realizations, haar_angles
 from .sysmodel import MODES, Mode, alignment_factors, instantaneous_snr
 
 __all__ = [
@@ -132,11 +132,22 @@ class AcceptanceContext:
 
     @property
     def haar_z(self):
-        """(z_plain, z_comp) of the first columns of independent Haar pairs."""
+        """(z_plain, z_comp) of the first columns of independent Haar pairs.
+
+        Each column is formed from its angles as (e^{j theta11} cos theta12,
+        e^{j theta22} sin theta12), the expressions of
+        :func:`linalg2.unitary_from_angles`, without the whole unitary."""
         if self._haar is None:
             s = self.settings
-            v = haar_unitaries(RngState(s.seed, 101), s.trials)[:, :, :1]
-            w = haar_unitaries(RngState(s.seed, 102), s.trials)[:, :, :1]
+
+            def first_column(stream):
+                a = haar_angles(RngState(s.seed, stream), s.trials)
+                column = np.empty((s.trials, 2, 1), dtype=np.complex128)
+                column[:, 0, 0] = np.exp(1j * a.theta11) * np.cos(a.theta12)
+                column[:, 1, 0] = np.exp(1j * a.theta22) * np.sin(a.theta12)
+                return column
+
+            v, w = first_column(101), first_column(102)
             self._haar = tuple(z[:, 0, 0] for z in alignment_factors(v, w))
         return self._haar
 

@@ -93,11 +93,6 @@ REPORTED_GAP_DB = 10.0 * np.log10(6.0)
 # poles of pi/(s sin pi s) at s = -1 and s = 0.
 _THROUGHPUT_ABSCISSA = -0.5
 
-# Gauss-Legendre nodes in u of the compensated E{z^-s}, with t = (pi/2) u^2.
-# Doubling them moves no throughput by more than 1e-12 relative and no
-# outage by more than 1e-10 (checked in the tests).
-_Z_NODES = 200
-
 # Distance from the leading pole of the abscissa small outage x fall back to.
 _POLE_MARGIN = 0.15
 
@@ -535,54 +530,24 @@ def _mellin_eigenvalue(s, which: str, g):
     return np.where(s == 1.0, 2.0 * np.log(2.0) - 1.0, val)
 
 
-def _legendre(n: int, x):
-    """(P_{n-1}(x), P_n(x)), n >= 1, at every x of an array by the
-    three-term recurrence, in the operation order of
-    ``scipy.special.eval_legendre`` (which switches to a power series where
-    |x| < 1e-5), so that :func:`_gauss_legendre` keeps the bits of
-    ``scipy.special.roots_legendre``."""
-    previous, d, p = np.ones_like(x), x - 1.0, x.copy()
-    for k in range(1, n):
-        d = ((2.0 * k + 1.0) / (k + 1.0)) * (x - 1.0) * p + (k / (k + 1.0)) * d
-        previous, p = p, p + d
-    return previous, p
+def _z_gauss():
+    """The 200-point Gauss-Legendre rule (x, w) on [-1, 1] of the
+    compensated E{z^-s}: the nonnegative half held in :mod:`_gauss200`, the
+    bits of ``scipy.special.roots_legendre(200)``, and its mirror image, so
+    that no run solves an eigenproblem.  Doubling the nodes moves no
+    throughput by more than 1e-12 relative and no outage by more than 1e-10
+    (checked in the tests)."""
+    # imported on first use: compiling its literals takes a millisecond
+    from . import _gauss200
+
+    x, w = np.array(_gauss200.NODES), np.array(_gauss200.WEIGHTS)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Legendre recurrence, refined by one Newton step, and the weights are
-    1 / (P_{n-1} P_n') normalized to sum to 2.  These are the steps and
-    the operation order of ``scipy.special.roots_legendre``, on
-    ``numpy.linalg`` and :func:`_legendre`; the output matches scipy's bit
-    for bit at even n (at odd n, where scipy takes a node near 0 by its power
-    series, a weight can differ in the last place).
-    """
-    k = np.arange(1.0, n)
-    off = k * np.sqrt(1.0 / (4 * k * k - 1))
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    fm, y = _legendre(n, x)
-    dy = (-n * x * y + n * fm) / (1 - x**2)
-    x -= y / dy
-    # P_{n-1} and P_n' span many decades: scale each by its geometric
-    # mid-range before the product
-    fm = _legendre(n, x)[0]
-    log_fm = np.log(np.abs(fm))
-    log_dy = np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
-
-
-@lru_cache(maxsize=4)
-def _z_rule(nodes: int):
-    """Gauss-Legendre rule of the compensated alignment law in u, with
-    z = sin^2 t and t = (pi/2) u^2, u in [0, 1].
+@lru_cache(maxsize=1)
+def _z_rule():
+    """The rule of :func:`_z_gauss` for the compensated alignment law in u,
+    with z = sin^2 t and t = (pi/2) u^2, u = (x + 1)/2 in [0, 1].
 
     Returns (-ln z, weight, -ln t^2, onset): E{f(z)} ~ weight @ f(z), and
     onset @ t^-2s is the rule's value of int_0^{pi/2} (4/3) t^(3-2s) dt,
@@ -590,7 +555,7 @@ def _z_rule(nodes: int):
     factor pi u of dt flattens the weight's t^3 onset to u^7.  Built on
     first use and shared by every caller; the arrays are read-only.
     """
-    x, w = _gauss_legendre(nodes)
+    x, w = _z_gauss()
     u = 0.5 * (x + 1.0)
     t = 0.5 * np.pi * u * u
     jacobian = 0.5 * np.pi * u * w
@@ -618,7 +583,7 @@ def _mellin_z(s, compensated: bool):
     """
     if not compensated:
         return 1.0 / (1.0 - s)
-    minus_log_z, weight, minus_log_t2, onset = _z_rule(_Z_NODES)
+    minus_log_z, weight, minus_log_t2, onset = _z_rule()
     value = _weighted_powers(s, minus_log_z, weight)
     if np.max(np.real(s)) > 1.0:
         exact = (4.0 / 3.0) * np.exp((4.0 - 2.0 * s) * np.log(0.5 * np.pi)) / (4.0 - 2.0 * s)
@@ -673,10 +638,17 @@ class _KernelTransform:
     """K(s) M(s), s complex, the transform of the vertical-line rule of
     ``special`` for a mode's Mellin-Barnes column: K is 1/s for "outage" and
     pi/(s sin pi s), the transform of ln(1 + y), for "throughput".  Hashable,
-    so the rule caches its nodes per mode and kernel."""
+    so the rule caches its nodes per kernel and pair of eigenvalue laws."""
 
     mode: Mode
     kernel: str
+
+    def __post_init__(self):
+        # M(s) reads a mode only through its laws, bit for bit alike when tx
+        # and rx swap (see _mellin_transform): keyed by the canonical mode
+        # of those laws, j2i1 shares the cached nodes of j1i2
+        tx, rx = sorted((self.mode.tx, self.mode.rx), reverse=True)
+        object.__setattr__(self, "mode", Mode(tx, rx, self.mode.compensated))
 
     def __call__(self, s):
         m = _mellin_transform(self.mode, s)

@@ -391,14 +391,17 @@ def outage_from_stats(stats: TrialStats, scheme: Scheme, gamma_bar, gamma_th: fl
 def throughput_from_stats(stats: TrialStats, scheme: Scheme, gamma_bar):
     """Sample mean of ln(1 + gamma_bar * factor), with ``gamma_bar`` one
     average SNR or a 1-D sequence as in :func:`outage_from_stats`.  The
-    scheme factor is formed once."""
+    scheme factor is formed once.  The interval needs a sample standard
+    deviation, so a pass of fewer than 2 trials raises ValueError."""
+    if stats.trials < 2:
+        raise ValueError("throughput needs a pass of at least 2 trials")
     gammas, scalar = _gamma_bars(gamma_bar)
     f = scheme_snr_factor(stats, scheme)
     vals = np.empty_like(f)
     out = []
     for g in gammas:
         np.log1p(np.multiply(g, f, out=vals), out=vals)
-        half = _Z95 * float(vals.std(ddof=1)) / np.sqrt(stats.trials)
+        half = _Z95 * float(vals.std(ddof=1)) / float(np.sqrt(stats.trials))
         out.append(McEstimate(float(vals.mean()), half))
     return out[0] if scalar else out
 
@@ -439,6 +442,8 @@ class EmpiricalCdf:
         samples = np.asarray(samples, dtype=np.float64).ravel()
         if samples.size == 0:
             raise ValueError("need at least one sample")
+        if np.isnan(samples).any():
+            raise ValueError("samples must not be NaN")
         self.sorted = np.sort(samples)
         self.n = samples.size
 

@@ -278,21 +278,24 @@ def test_outage_shapes_and_arguments(fn, grid, bad, message):
             fn(Mode(1, 1), value)
 
 
-@pytest.mark.parametrize("fn, transform, grid", [
-    (analytic.outage, Mode(1, 1, True), np.logspace(-6.0, 2.0, 9)),
-    (analytic.throughput, Mode(1, 1, True), np.logspace(-2.0, 3.0, 11)),
-    (special.meijer_g, MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0)), np.logspace(-3.0, 3.0)),
-], ids=["outage", "throughput", "meijer_g"])
-def test_mellin_terms_are_evaluated_once_per_node(fn, transform, grid):
-    # the vertical-line rule caches its nodes per transform (a mode and a
-    # kernel, or a G family), line and level: a second call on the same
-    # transform and grid evaluates no new node
+@pytest.mark.parametrize("fn, transform, again, grid", [
+    (analytic.outage, Mode(1, 1, True), Mode(1, 1, True), np.logspace(-6.0, 2.0, 9)),
+    (analytic.throughput, Mode(1, 1, True), Mode(1, 1, True), np.logspace(-2.0, 3.0, 11)),
+    (special.meijer_g, MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0)),
+     MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0)), np.logspace(-3.0, 3.0)),
+    (analytic.outage, Mode(1, 2, True), Mode(2, 1, True), np.logspace(-6.0, 2.0, 9)),
+], ids=["outage", "throughput", "meijer_g", "outage-mirrored-mode"])
+def test_mellin_terms_are_evaluated_once_per_node(fn, transform, again, grid):
+    # the vertical-line rule caches its nodes per transform (a kernel and
+    # the eigenvalue laws of a mode, or a G family), line and level: a
+    # second call on the same transform, or on the mode with tx and rx
+    # swapped, and the same grid evaluates no new node
     special._line_level.cache_clear()
     try:
         first = fn(transform, grid)
         misses = special._line_level.cache_info().misses
         assert misses > 0
-        assert np.array_equal(fn(transform, grid), first)
+        assert np.array_equal(fn(again, grid), first)
         assert special._line_level.cache_info().misses == misses
     finally:
         special._line_level.cache_clear()
@@ -532,47 +535,49 @@ def test_laguerre_stieltjes_is_exp_e1_to_the_last_digits():
 
 
 def test_z_rule_is_scipys_gauss_legendre_bit_for_bit():
-    # built on numpy.linalg so that scipy.linalg is never imported, but
-    # with the very bits of roots_legendre, so that no CSV byte moves
+    # held as constants so that no run solves an eigenproblem, but with the
+    # very bits of roots_legendre, so that no CSV byte moves
     from scipy.special import roots_legendre
 
-    for n in (analytic._Z_NODES, 2 * analytic._Z_NODES):
-        x, w = analytic._gauss_legendre(n)
-        want_x, want_w = roots_legendre(n)
-        assert np.array_equal(x, want_x)
-        assert np.array_equal(w, want_w)
+    x, w = analytic._z_gauss()
+    want_x, want_w = roots_legendre(200)
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(w, want_w)
+
+
+def _doubled_z_rule(monkeypatch, fn, modes, grid):
+    """fn(m, grid) for each mode, on the z rule of 200 and of 400 nodes
+    (the cached rule and line nodes hold the rule they were built with, so
+    both caches are cleared around the change)."""
+    from scipy.special import roots_legendre
+
+    caches = (special._line_level, analytic._z_rule)
+    special._line_level.cache_clear()
+    base = [fn(m, grid) for m in modes]
+    monkeypatch.setattr(analytic, "_z_gauss", lambda: roots_legendre(400))
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        doubled = [fn(m, grid) for m in modes]
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    return np.concatenate(base), np.concatenate(doubled)
 
 
 def test_outage_z_rule_is_converged(monkeypatch):
     # the same rule, near the pole of E{z^-s} at s = 2 (j1i1-cmp at small x)
     modes = [m for m in MODES if m.compensated]
-    grid = np.logspace(-10.0, 2.0, 13)
-    special._line_level.cache_clear()
-    base = [analytic.outage(m, grid) for m in modes]
-    monkeypatch.setattr(analytic, "_Z_NODES", 2 * analytic._Z_NODES)
-    special._line_level.cache_clear()
-    try:
-        doubled = [analytic.outage(m, grid) for m in modes]
-    finally:
-        special._line_level.cache_clear()
-    assert np.concatenate(doubled) == pytest.approx(np.concatenate(base), rel=1e-10, abs=0.0)
+    base, doubled = _doubled_z_rule(monkeypatch, analytic.outage, modes, np.logspace(-10.0, 2.0, 13))
+    assert doubled == pytest.approx(base, rel=1e-10, abs=0.0)
 
 
 def test_throughput_z_rule_is_converged(monkeypatch):
     # the Gauss-Legendre rule of the compensated E{z^-s}: doubling its
-    # nodes must not move any throughput (the cached nodes hold M of the
-    # rule they were built with, so the cache is cleared around the change)
+    # nodes must not move any throughput
     modes = [m for m in MODES if m.compensated]
-    grid = np.array(_ENGINE_GAMMAS)
-    special._line_level.cache_clear()
-    base = [analytic.throughput(m, grid) for m in modes]
-    monkeypatch.setattr(analytic, "_Z_NODES", 2 * analytic._Z_NODES)
-    special._line_level.cache_clear()
-    try:
-        doubled = [analytic.throughput(m, grid) for m in modes]
-    finally:
-        special._line_level.cache_clear()
-    assert np.concatenate(doubled) == pytest.approx(np.concatenate(base), rel=1e-12, abs=0.0)
+    base, doubled = _doubled_z_rule(monkeypatch, analytic.throughput, modes, np.array(_ENGINE_GAMMAS))
+    assert doubled == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 def test_throughput_is_certified_from_minus_60_to_130_db():

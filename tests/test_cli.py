@@ -6,16 +6,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ris2x2.acceptance
 import ris2x2.analytic
 import ris2x2.cli
 import ris2x2.montecarlo
+import ris2x2.special
 from ris2x2.acceptance import AcceptanceSettings, curve_rows
 from ris2x2.cli import ExperimentConfig, main
 from ris2x2.special import QuadratureError
-from ris2x2.sysmodel import Mode
+from ris2x2.sysmodel import MODES, Mode
 
 FAST = ["--trials", "2000", "--seed", "11"]
 
@@ -111,6 +113,27 @@ def test_numerical_failures_are_the_caught_errors():
         ris2x2.analytic.outage_closed_form(Mode(1, 1, True), 1e-10)
     with pytest.raises(QuadratureError, match="no Mellin-Barnes line"):
         ris2x2.analytic.outage(Mode(1, 1, False), 1e-300)
+
+
+def test_outage_solves_no_eigenproblem(tmp_path, monkeypatch):
+    # the z rule is a constant and the pass uses closed-form 2x2 algebra, so
+    # no LAPACK call wakes a BLAS worker beside the statistics pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("ris2x2 outage called numpy.linalg")
+
+    for name in ("eigvalsh", "eigh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    caches = (ris2x2.special._line_level, ris2x2.analytic._z_rule)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        for mode in MODES:
+            ris2x2.analytic.outage(mode, np.logspace(-3.0, 1.0, 5))
+        out = tmp_path / "o.csv"
+        assert main(["outage", "--trials", "1000", "--out", str(out)]) == 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_formerly_failing_outage_grids_match_the_oracle(tmp_path):

@@ -320,6 +320,18 @@ def test_wilson_rejects_hits_outside_the_trials():
     assert wilson_halfwidth(3, 3) > 0.0
 
 
+def test_throughput_needs_two_stored_trials():
+    # a one-trial pass used to give a NaN half-width and numpy's "Degrees of
+    # freedom <= 0" warning; the half-width is a float, like outage's
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        throughput_from_stats(channel_statistics(1, 1), Mode(1, 1), 10.0)
+    stats = channel_statistics(1, 2)
+    for estimate in (throughput_from_stats(stats, Mode(1, 1), 10.0),
+                     outage_from_stats(stats, Mode(1, 1), 10.0, 1.0)):
+        assert type(estimate.ci_half_width) is float and np.isfinite(estimate.ci_half_width)
+    assert all(type(e.ci_half_width) is float for e in throughput_from_stats(stats, ALT, [1.0, 10.0]))
+
+
 def test_wilson_interval():
     assert wilson_halfwidth(0, 10**6) == pytest.approx(1.92e-6, rel=0.01)
     assert wilson_halfwidth(500, 1000) == pytest.approx(
@@ -335,6 +347,12 @@ def test_empirical_cdf_point_mass():
     assert cdf(1.9) == 0.0
     assert cdf(2.0) == 1.0
     assert cdf(2.1) == 1.0
+
+
+def test_empirical_cdf_rejects_nan_samples():
+    # a NaN sorted to the end and skewed the CDF and the KS distance
+    with pytest.raises(ValueError, match="NaN"):
+        EmpiricalCdf([0.1, np.nan, 0.5])
 
 
 def test_empirical_cdf_uniform_ks():
