@@ -77,6 +77,14 @@ class AcceptanceSettings:
 
     def __post_init__(self):
         RngState(self.seed)  # ValueError unless a seed in [0, 2^64)
+        montecarlo._require_count("trials", self.trials, 100)  # C10's estimate_outage needs 100
+        positive = ("closed_form_grid", "mellin_grid")
+        for name in ("snr_db", *positive, "throughput_snr_db", "oracle_snr_db"):
+            grid = np.asarray(getattr(self, name), dtype=np.float64)
+            if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+                raise ValueError(f"{name} must be a nonempty sequence of finite numbers")
+            if name in positive and not np.all(grid > 0.0):
+                raise ValueError(f"{name} must be positive")
 
     # statistical tolerances go as 1/sqrt(trials): 0.002, 0.01 and 0.02 at 10^6
     ks_tol = property(lambda self: 2.0 / math.sqrt(self.trials))

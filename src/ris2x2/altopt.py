@@ -19,8 +19,9 @@ grows with F = ||M||_F^2 = ||g1||^2 ||h1||^2 + ||g2||^2 ||h2||^2
     F* = ||g1||^2 ||h1||^2 + ||g2||^2 ||h2||^2 + 2 |c|
 
 for the relative phase phi2 - phi1 = -arg(c); the common phase is free.
-In the eigen-decompositions G^H G = V diag(l1, l2) V^H and
-H H^H = W diag(w1, w2) W^H this is
+Here c = a01 conj(b01) in the Gram entries: :func:`linalg2.channel_eigen`
+returns its phase with the eigen-decompositions G^H G = V diag(l1, l2) V^H
+and H H^H = W diag(w1, w2) W^H, in which
 
     F* = l1 w2 + l2 w1 + (l1 - l2)(w1 - w2) z,   |det G|^2 |det H|^2 = l1 l2 w1 w2,
 
@@ -35,24 +36,14 @@ dominates each of them realization by realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg2 import _phase, abs_det2, gram2, hermitian_eigen2, svd2  # perfbench/child.py wraps svd2 here
+from .linalg2 import channel_eigen, svd2  # perfbench/child.py wraps svd2 here
 from .sampling import ChannelRealization
 from .sysmodel import leading_z_factors
 from .workspace import Workspace
 
-__all__ = ["BatchAltOpt", "joint_optimum", "optimize_batch", "optimal_configuration"]
-
-
-@dataclass(frozen=True)
-class BatchAltOpt:
-    """Per-trial optimum SNR / gamma_bar (it does not depend on gamma_bar)."""
-
-    snr_factor: np.ndarray
-    iterations: np.ndarray  # all zero; perfbench/child.py sums it as altopt.trial_cycles
+__all__ = ["joint_optimum", "optimize_batch", "optimal_configuration"]
 
 
 def joint_optimum(lam, om, z, work=None):
@@ -84,26 +75,23 @@ def joint_optimum(lam, om, z, work=None):
     return f
 
 
-def optimize_batch(ch: ChannelRealization) -> BatchAltOpt:
-    """sigma_max^2 of G Phi* H for each realization of a (stacked) draw,
-    from the eigen-decompositions of its Gram matrices."""
-    (a00, a11, a01), (b00, b11, b01) = gram2(ch.g), gram2(ch.h, left=True)
-    l1, l2, cg, sg = hermitian_eigen2(a00, a11, np.abs(a01), abs_det2(ch.g))
-    w1, w2, cw, sw = hermitian_eigen2(b00, b11, np.abs(b01), abs_det2(ch.h))
-    z = leading_z_factors(cg, sg, cw, sw, 1.0, 0.0)[1][..., 0]
-    s = joint_optimum((l1, l2), (w1, w2), z)
-    return BatchAltOpt(snr_factor=s, iterations=np.zeros(s.shape, dtype=np.int64))
+def optimize_batch(ch: ChannelRealization) -> np.ndarray:
+    """sigma_max^2 of G Phi* H, the optimum SNR / gamma_bar, for each
+    realization of a (stacked) draw, from :func:`linalg2.channel_eigen`."""
+    g, h, cos, sin = channel_eigen(ch.g, ch.h)
+    z = leading_z_factors(*g[2:], *h[2:], cos, sin)[1][..., 0]
+    return joint_optimum(g[:2], h[:2], z)
 
 
 def optimal_configuration(ch: ChannelRealization):
     """Optimal (phasors, a, b) of a (stacked) realization.
 
     ``phasors[..., k]`` is exp(j*phi_k), the tile configuration of
-    :mod:`sysmodel`, with tile 1 held at phase 0; a and b are the leading
-    right and left singular vectors of G Phi* H.
+    :mod:`sysmodel`, with tile 1 held at phase 0 and tile 2 undoing the
+    relative phase of :func:`linalg2.channel_eigen`; a and b are the
+    leading right and left singular vectors of G Phi* H.
     """
-    c = np.conjugate(gram2(ch.h, left=True)[2]) * gram2(ch.g)[2]
-    rel = _phase(np.conjugate(c))
-    phasors = np.stack([np.ones_like(rel), rel], axis=-1)
+    *_, cos, sin = channel_eigen(ch.g, ch.h)
+    phasors = np.stack([np.ones_like(cos), cos - 1j * sin], axis=-1)
     dec = svd2(ch.g * phasors[..., None, :] @ ch.h)
     return phasors, dec.v[..., :, 0], dec.u[..., :, 0]

@@ -52,6 +52,7 @@ from .special import (
     _g30,
     _half_line_integral,
     _line_integral,
+    _require_scalar,
     bessel_k,
     log_gamma,
     meijer_g,
@@ -374,6 +375,7 @@ def outage_quadrature(mode: Mode, x: float) -> float:
     down, where the tails can no longer be cut that finely, QuadratureError
     is raised.
     """
+    _require_scalar("x", x)
     if not 0.0 <= x < np.inf:
         raise ValueError("x must be nonnegative and finite")
     if x == 0.0:
@@ -393,6 +395,7 @@ def outage_closed_form(mode: Mode, x: float) -> float:
     is raised: for j1i1-cmp below x ~ 3e-4, P ~ 0.0172 x^2 drowns in terms
     of order one.
     """
+    _require_scalar("x", x)
     if not 0.0 <= x < np.inf:
         raise ValueError("x must be nonnegative and finite")
     if x == 0.0:
@@ -838,6 +841,7 @@ def throughput_quadrature(mode: Mode, gamma_bar):
 def throughput_closed_r22(gamma_bar: float) -> float:
     """Closed form of the plain-surface (2,2)-mode throughput,
     (16/gamma_bar^2) G^{4,1}_{2,4}(4/gamma_bar | -2,0; -2,-1,-1,-2)."""
+    _require_scalar("gamma_bar", gamma_bar)
     if not 0.0 < gamma_bar < np.inf:
         raise ValueError("gamma_bar must be positive and finite")
     params = MeijerParams(4, 1, 2, 4, (-2.0, 0.0), (-2.0, -1.0, -1.0, -2.0))
@@ -847,6 +851,7 @@ def throughput_closed_r22(gamma_bar: float) -> float:
 def throughput_closed_r22_cmp(gamma_bar: float) -> float:
     """Closed form of the compensated (2,2)-mode throughput: a single
     G^{3,1}_{1,3} tail integral plus half the plain-surface value."""
+    _require_scalar("gamma_bar", gamma_bar)
     if not 0.0 < gamma_bar < np.inf:
         raise ValueError("gamma_bar must be positive and finite")
     params = MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0))

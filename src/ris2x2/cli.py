@@ -72,8 +72,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"SNR grid would have {points:.3g} points; at most {_MAX_GRID_POINTS}"
             )
-        if self.trials < 100:
-            raise ValueError("trials must be >= 100")
+        montecarlo._require_count("trials", self.trials, 100)
         RngState(self.seed)  # ValueError unless a seed in [0, 2^64)
         if not self.schemes:
             raise ValueError("scheme list must not be empty")

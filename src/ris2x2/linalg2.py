@@ -4,10 +4,10 @@ Everything here operates on arrays whose trailing two axes form a 2x2
 complex matrix, so a single code path serves one matrix or a stack of a
 million.  The SVD is computed analytically (quadratic eigenvalues of the
 2x2 Hermitian Gram matrix) rather than iteratively, and singular vectors
-are gauge fixed so repeated calls are bit-for-bit reproducible.  The Gram
-entries and the eigen-solution are public: they reduce channel matrices
-to the eigenvalues and the moduli of the leading eigenvector, the inputs
-of the Monte Carlo statistics pass, which draws those directly.
+are gauge fixed so repeated calls are bit-for-bit reproducible.  Both it
+and :func:`channel_eigen`, which reduces channel matrices to the inputs
+of the Monte Carlo statistics pass (that draws those directly), rest on
+one per-link eigen-decomposition of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .workspace import Workspace
-
 __all__ = [
     "Svd2",
     "UnitaryAngles",
     "gram2",
     "abs_det2",
     "hermitian_eigen2",
+    "channel_eigen",
     "svd2",
     "unitary_from_angles",
     "angles_from_unitary",
@@ -70,10 +69,7 @@ class UnitaryAngles:
 
 def _abs2(z):
     """re^2 + im^2 of a real or complex array."""
-    out = np.square(z.real)
-    if np.iscomplexobj(z):
-        out += np.square(z.imag)
-    return out
+    return np.square(z.real) + np.square(z.imag)
 
 
 def _orthogonal_complement(x, y):
@@ -131,39 +127,36 @@ def hermitian_eigen2(a00, a11, abs_a01, det):
     identity (r = 0), where every vector is an eigenvector, takes t = 0 and
     so (1, 0).
     """
-    work = Workspace()
-    shape = np.broadcast_shapes(*map(np.shape, (a00, a11, abs_a01, det)))
-
-    def buf(name, dtype=np.float64):
-        return work.empty(name, shape, dtype)
-
-    h = np.subtract(a00, a11, out=buf("h"))
-    h *= 0.5
-    r = np.square(h, out=buf("r"))
-    r += np.square(abs_a01, out=buf("t"))
-    np.sqrt(r, out=r)
-    e1 = np.add(a00, a11, out=buf("e1"))
-    e1 *= 0.5
-    e1 += r
-    pos = np.greater(e1, 0.0, out=buf("pos", np.bool_))
-    e2 = buf("e2")
-    e2.fill(0.0)
-    np.divide(det, e1, out=e2, where=pos)
-    c, s = buf("c"), buf("s")
-    r += np.abs(h, out=c)  # r + |h|, 0 only where r = 0
-    t = buf("t")
-    t.fill(0.0)
-    np.divide(abs_a01, r, out=t, where=np.greater(r, 0.0, out=pos))
-    larger = np.square(t, out=s)
-    larger += 1.0
-    np.sqrt(larger, out=larger)
-    np.divide(1.0, larger, out=larger)
+    h = (a00 - a11) * 0.5
+    r = np.sqrt(np.square(h) + np.square(abs_a01))
+    e1 = (a00 + a11) * 0.5 + r
+    e2 = np.divide(det, e1, out=np.zeros_like(e1), where=e1 > 0.0)
+    rh = r + np.abs(h)  # 0 only where r = 0
+    t = np.divide(abs_a01, rh, out=np.zeros_like(rh), where=rh > 0.0)
+    larger = 1.0 / np.sqrt(np.square(t) + 1.0)
     # each modulus is t or 1 times the larger: c takes 1 where h >= 0, s where h < 0
-    first = np.heaviside(h, 1.0, out=h)
-    np.maximum(t, first, out=c)
-    c *= larger
-    np.maximum(t, np.subtract(1.0, first, out=first), out=t)
-    return e1, e2, c, np.multiply(larger, t, out=s)
+    first = np.heaviside(h, 1.0)
+    return e1, e2, np.maximum(t, first) * larger, larger * np.maximum(t, 1.0 - first)
+
+
+def _gram_eigen(m, left: bool = False):
+    """:func:`hermitian_eigen2` of the Gram matrix m^H m (m m^H with
+    ``left=True``) of finite (stacked) 2x2 matrices ``m``, and its a01."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.shape[-2:] != (2, 2) or not np.all(np.isfinite(m)):
+        raise ValueError(f"expected finite matrices of shape (..., 2, 2), got {m.shape}")
+    a00, a11, a01 = gram2(m, left)
+    return hermitian_eigen2(a00, a11, np.abs(a01), abs_det2(m)), a01
+
+
+def channel_eigen(g, h):
+    """(g, h, cos, sin) of (stacked) channel matrices G and H, as
+    :func:`sampling.eigen_draws` returns them: per link (l1, l2, c, s) of
+    G^H G or H H^H, then the phase of a01 conj(b01), so that
+    ``trial_statistics(*channel_eigen(g, h))`` is the pass on them."""
+    (eig_g, a01), (eig_h, b01) = _gram_eigen(g), _gram_eigen(h, left=True)
+    phase = _phase(a01 * np.conjugate(b01))
+    return eig_g, eig_h, phase.real, phase.imag
 
 
 def svd2(m: np.ndarray) -> Svd2:
@@ -176,13 +169,7 @@ def svd2(m: np.ndarray) -> Svd2:
     Deterministic for identical input.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.shape[-2:] != (2, 2):
-        raise ValueError(f"expected trailing (2, 2) shape, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    a00, a11, a01 = gram2(m)
-    abs_a01 = np.abs(a01)
-    e1, e2, c, s = hermitian_eigen2(a00, a11, abs_a01, abs_det2(m))
+    (e1, e2, c, s), a01 = _gram_eigen(m)
     phase = _phase(a01)
     first = c >= s
     vx = np.where(first, c, c * phase)

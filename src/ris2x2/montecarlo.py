@@ -12,7 +12,7 @@ complex number.  The pass draws those directly from their laws
 per trial), never the channels or the Gram matrices, so it solves no
 eigenproblem; :func:`trial_statistics` is the one core, and callers
 holding channel matrices reduce them to its inputs through
-:func:`linalg2.hermitian_eigen2`.  Since the scheme SNRs scale linearly
+:func:`linalg2.channel_eigen`.  Since the scheme SNRs scale linearly
 with gamma_bar, one pass serves a whole SNR sweep.
 
 Trial t is a pure function of (seed, stream, t) (see sampling).  The pass
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .altopt import joint_optimum
-from .sampling import RngState, eigen_draws
+from .sampling import RngState, _is_integer, eigen_draws
 from .sysmodel import MODES, Mode, leading_z_factors
 from .workspace import Workspace
 
@@ -156,7 +156,7 @@ def _cpu_count() -> int:
 def _require_count(name: str, value, least: int) -> None:
     """ValueError unless ``value`` is an integer (a bool is not) of at
     least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
@@ -189,9 +189,9 @@ def trial_statistics(g, h, cos, sin, work=None):
     H H^H, and the cosine and sine of the relative phase of the two
     eigenvectors, as :func:`sampling.eigen_draws` draws them; no singular
     basis and no complex number is formed.  Channel matrices reduce to
-    these through :func:`linalg2.gram2`, :func:`linalg2.abs_det2` and
-    :func:`linalg2.hermitian_eigen2`, whose relative phase is that of
-    a01 conj(b01).  Every array returned lives in ``work`` (see
+    these through :func:`linalg2.channel_eigen`, so
+    ``trial_statistics(*channel_eigen(g, h))`` is the pass on given
+    channels.  Every array returned lives in ``work`` (see
     :mod:`workspace`).
     """
     work = Workspace() if work is None else work

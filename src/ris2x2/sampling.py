@@ -80,6 +80,11 @@ _BLOCKS_PER_PAIR = 4
 _BLOCKS_PER_EIGEN_TRIAL = 3
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RngState:
     """Key of a counter-based random stream (64-bit seed and stream id).
@@ -94,11 +99,7 @@ class RngState:
     def __post_init__(self):
         for name in ("seed", "stream"):
             value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, np.integer))
-                or not 0 <= value < 1 << 64
-            ):
+            if not _is_integer(value) or not 0 <= value < 1 << 64:
                 raise ValueError(f"{name} must be an integer in [0, 2**64), not {value!r}")
 
     def child(self, stream: int) -> "RngState":

@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 
+def _require_scalar(name: str, value) -> None:
+    """ValueError unless ``value`` is a scalar, for one-value functions."""
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a scalar, not of shape {np.shape(value)}")
+
+
 class QuadratureError(RuntimeError):
     """Raised when a vertical-line or half-line integral, an oracle or a
     closed form cannot be certified to its tolerance."""
@@ -394,6 +400,8 @@ def weighted_bessel_integral(a: int, alpha: int, gamma_param: float, x: float) -
         raise ValueError("a must be 0 or 2")
     if alpha not in (-1, 0, 1, 2, 3):
         raise ValueError("alpha must be in -1..3")
+    _require_scalar("gamma_param", gamma_param)
+    _require_scalar("x", x)
     if not (gamma_param > 0.0 and x > 0.0):
         raise ValueError("gamma_param and x must be positive")
     gam = float(gamma_param)

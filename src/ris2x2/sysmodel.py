@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import ChannelRealization
+from .sampling import ChannelRealization, _is_integer
+from .special import _require_scalar
 from .workspace import Workspace
 
 __all__ = [
@@ -54,8 +55,8 @@ class Mode:
     compensated: bool = False
 
     def __post_init__(self):
-        if self.tx not in (1, 2) or self.rx not in (1, 2):
-            raise ValueError("mode indices must be 1 or 2")
+        if not all(_is_integer(k) and k in (1, 2) for k in (self.tx, self.rx)):
+            raise ValueError(f"mode indices must be integers 1 or 2: {self.tx!r}, {self.rx!r}")
 
     @property
     def label(self) -> str:
@@ -99,6 +100,7 @@ def instantaneous_snr(g, h, phasors, a, b, gamma_bar: float):
             raise ValueError("a and b must be unit vectors")
     if not np.all(np.abs(np.abs(phasors) - 1.0) <= _UNIT_TOL):
         raise ValueError("tile phasors must have unit modulus")
+    _require_scalar("gamma_bar", gamma_bar)
     if not 0.0 < gamma_bar < np.inf:
         raise ValueError("gamma_bar must be positive and finite")
     bg = np.einsum("...i,...ij->...j", np.conjugate(b), g)
@@ -125,10 +127,10 @@ def alignment_factors(v, w):
 
 def leading_z_factors(cg, sg, ch, sh, cos, sin, work=None):
     """All z factors from the moduli (cg, sg) of the unit leading
-    eigenvector of G^H G and (ch, sh) of H H^H (see
-    :func:`linalg2.hermitian_eigen2` and :func:`sampling.eigen_draws`) and
-    the cosine and sine of the relative phase theta = arg(a01 conj(b01))
-    of their off-diagonal entries.
+    eigenvector of G^H G and (ch, sh) of H H^H and the cosine and sine of
+    the relative phase theta = arg(a01 conj(b01)) of their off-diagonal
+    entries, as :func:`linalg2.channel_eigen` reduces channel matrices and
+    :func:`sampling.eigen_draws` draws them.
 
     The leading vectors are v = (cg, sg e^{-j arg a01}) and w = (ch,
     sh e^{-j arg b01}), and the second singular vectors are their

@@ -109,5 +109,26 @@ def test_statistical_tolerances_scale_as_inverse_sqrt_trials():
     assert replace(smoke, seed=6).ks_tol == 0.02
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("trials", 0, "trials must be >= 100"),
+        ("trials", 99, "trials must be >= 100"),
+        ("trials", True, "trials must be an integer"),
+        ("trials", 1e4, "trials must be an integer"),
+        ("snr_db", (), "snr_db must be a nonempty"),
+        ("throughput_snr_db", (5.0, float("nan")), "throughput_snr_db must be a nonempty"),
+        ("oracle_snr_db", (float("inf"),), "oracle_snr_db must be a nonempty"),
+        ("closed_form_grid", (0.0, 1.0), "closed_form_grid must be positive"),
+        ("mellin_grid", (-1e-2, 1.0), "mellin_grid must be positive"),
+    ],
+)
+def test_settings_are_validated_at_construction(field, bad, message):
+    # a zero trial count would divide by zero in ks_tol, and an empty grid
+    # would let a criterion pass on no rows
+    with pytest.raises(ValueError, match=message):
+        replace(AcceptanceSettings.smoke(), **{field: bad})
+
+
 def test_criterion_10_determinism(ctx):
     _run(check_determinism, ctx)

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from ris2x2 import analytic, special
 from ris2x2.montecarlo import channel_statistics, scheme_snr_factor, throughput_from_stats
 from ris2x2.special import MeijerParams, QuadratureError
-from ris2x2.sysmodel import MODES, Mode
+from ris2x2.sysmodel import MODES, Mode, instantaneous_snr
 
 
 def test_z_cdf_compensated_values():
@@ -246,6 +246,38 @@ def test_outage_refuses_what_it_cannot_certify():
         with pytest.raises(QuadratureError, match="no Mellin-Barnes line"):
             analytic.outage(mode, 1e-100)
         assert analytic.outage(mode, np.finfo(np.float64).max) == 1.0
+
+
+_E1 = np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: analytic.outage_quadrature(Mode(2, 2), v),
+        lambda v: analytic.outage_closed_form(Mode(2, 2), v),
+        analytic.throughput_closed_r22,
+        analytic.throughput_closed_r22_cmp,
+        lambda v: special.weighted_bessel_integral(0, 1, v, 1.0),
+        lambda v: special.weighted_bessel_integral(0, 1, 1.0, v),
+        lambda v: instantaneous_snr(np.eye(2), np.eye(2), np.ones(2), _E1, _E1, v),
+    ],
+    ids=[
+        "outage_quadrature",
+        "outage_closed_form",
+        "throughput_closed_r22",
+        "throughput_closed_r22_cmp",
+        "weighted_bessel_integral.gamma_param",
+        "weighted_bessel_integral.x",
+        "instantaneous_snr",
+    ],
+)
+def test_scalar_only_functions_refuse_arrays(call):
+    # these take one value at a time; an array, even of one element, is
+    # refused by name rather than by numpy's ambiguous truth value
+    for value in (np.array([0.5, 2.0]), [0.5], np.ones((1, 1))):
+        with pytest.raises(ValueError, match="must be a scalar"):
+            call(value)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import ris2x2.montecarlo
 from ris2x2 import analytic
 from ris2x2.acceptance import curve_rows
 from ris2x2.altopt import optimize_batch
-from ris2x2.linalg2 import abs_det2, gram2, hermitian_eigen2, svd2
+from ris2x2.linalg2 import channel_eigen, svd2
 from ris2x2.montecarlo import (
     ALL_SCHEME_LABELS,
     ALT,
@@ -41,22 +41,6 @@ from ris2x2.workspace import Workspace
 SEED = 2718
 
 
-def _channel_trial_statistics(g, h):
-    """trial_statistics of stacked channel matrices, through the
-    eigen-decompositions of their Gram matrices and the relative phase of
-    a01 conj(b01)."""
-    (a00, a11, a01), (b00, b11, b01) = gram2(g), gram2(h, left=True)
-    c = a01 * np.conjugate(b01)
-    mag = np.abs(c)
-    phase = np.where(mag > 0.0, c / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return trial_statistics(
-        hermitian_eigen2(a00, a11, np.abs(a01), abs_det2(g)),
-        hermitian_eigen2(b00, b11, np.abs(b01), abs_det2(h)),
-        phase.real,
-        phase.imag,
-    )
-
-
 def test_outage_zero_threshold_is_zero():
     est = estimate_outage(Mode(1, 1), 10.0, 0.0, trials=1000, seed=SEED)
     assert est.value == 0.0
@@ -85,7 +69,8 @@ def test_worker_and_chunk_invariance():
 def test_pass_is_the_realization_pipeline(workers, chunk):
     # the pass gives the values of the SVD pipeline on channels with the
     # eigen-decompositions it draws, G = diag(sqrt l) V^H and
-    # H = W diag(sqrt w), to rounding
+    # H = W diag(sqrt w), to rounding; and reducing those channels back
+    # through channel_eigen gives the pass's own columns
     trials = 5000
     stats = channel_statistics(SEED, trials, workers=workers, chunk_size=chunk)
     ch = eigen_realizations(RngState(SEED), trials)
@@ -96,12 +81,18 @@ def test_pass_is_the_realization_pipeline(workers, chunk):
         for j in (0, 1):
             for i in (0, 1):
                 assert np.abs(pair[:, int(i != j)] - full[:, j, i]).max() <= 1e-12
-    assert np.allclose(stats.alt_factor, optimize_batch(ch).snr_factor, rtol=1e-14, atol=0)
+    assert np.allclose(stats.alt_factor, optimize_batch(ch), rtol=1e-14, atol=0)
+    lam, om, *z, alt = trial_statistics(*channel_eigen(ch.g, ch.h))
+    assert np.allclose(lam, stats.lam, rtol=2e-15, atol=0)
+    assert np.allclose(om, stats.om, rtol=2e-15, atol=0)
+    for got, want in zip(z, (stats.z_plain, stats.z_comp)):
+        assert np.abs(got - want).max() <= 1e-12
+    assert np.allclose(alt, stats.alt_factor, rtol=1e-14, atol=0)
 
 
 def test_gram_factors_match_the_singular_bases_on_a_large_stack():
     g, h = channel_matrices(RngState(SEED, 5), 100_000)
-    lam, om, z_plain, z_comp, _ = _channel_trial_statistics(g, h)
+    lam, om, z_plain, z_comp, _ = trial_statistics(*channel_eigen(g, h))
     svd_g, svd_h = svd2(g), svd2(h)
     full = alignment_factors(svd_g.v, svd_h.u)
     for pair, z in zip((z_plain, z_comp), full):
@@ -127,7 +118,7 @@ def test_eigen_pass_matches_gaussian_channel_draws():
     # of their own
     n = 200_000
     stats = channel_statistics(SEED, n, stream=31)
-    gauss = _channel_trial_statistics(*channel_matrices(RngState(SEED, 32), n))
+    gauss = trial_statistics(*channel_eigen(*channel_matrices(RngState(SEED, 32), n)))
     ours = (stats.lam, stats.om, stats.z_plain, stats.z_comp, stats.alt_factor[:, None])
     alpha = 1e-4
     critical = np.sqrt(-np.log(alpha / 2.0) / 2.0) * np.sqrt(2.0 / n)  # 0.0070
@@ -146,9 +137,11 @@ def test_statistics_read_only_moduli_and_the_relative_phase():
     ch = eigen_realizations(RngState(SEED, 33), 20_000)
     g, h = ch.g, ch.h
     phases = np.exp(2j * np.pi * np.random.default_rng(5).random((3, 20_000, 1, 2)))
-    base = _channel_trial_statistics(g, h)
-    turned = _channel_trial_statistics(g * phases[0], phases[1].swapaxes(-1, -2) * h)
-    common = _channel_trial_statistics(g * phases[2], np.conjugate(phases[2]).swapaxes(-1, -2) * h)
+    base = trial_statistics(*channel_eigen(g, h))
+    turned = trial_statistics(*channel_eigen(g * phases[0], phases[1].swapaxes(-1, -2) * h))
+    common = trial_statistics(
+        *channel_eigen(g * phases[2], np.conjugate(phases[2]).swapaxes(-1, -2) * h)
+    )
     for k in (0, 1, 4):  # lam, om, alt_factor
         assert np.allclose(turned[k], base[k], rtol=1e-14, atol=0)
     assert np.abs(turned[3] - base[3]).max() <= 1e-12  # z_comp
@@ -216,7 +209,7 @@ def _near_degenerate_cases():
     )
     # the smallest matched and crossed z_plain of 2^15 draws (5.6e-7 to 7.7e-5)
     g, h = channel_matrices(RngState(1729), 1 << 15)
-    z = _channel_trial_statistics(g, h)[2]
+    z = trial_statistics(*channel_eigen(g, h))[2]
     pick = np.concatenate([np.argsort(z[:, 0])[:4], np.argsort(z[:, 1])[:4]])
     yield g[pick], h[pick]
     # zero entries, diagonal Gram matrices either way round
@@ -232,7 +225,7 @@ def test_gram_factors_match_a_40_digit_eigendecomposition():
     mp = pytest.importorskip("mpmath").mp
     checked = 0
     for g, h in _near_degenerate_cases():
-        got = _channel_trial_statistics(g, h)
+        got = trial_statistics(*channel_eigen(g, h))
         for k in range(g.shape[0]):
             lam, om, z_plain, z_comp, alt, kappa = _mp_trial_statistics(mp, g[k], h[k])
             for value, ref in ((got[0][k], lam), (got[1][k], om), (got[4][k], alt)):

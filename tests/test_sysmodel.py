@@ -225,3 +225,11 @@ def test_mode_validation():
     with pytest.raises(ValueError):
         Mode(0, 1)
     assert Mode(1, 2, True).label == "j2i1-cmp"
+    # a bool or a float index would equal an int one and label another
+    for bad in (True, 1.0, 2.0, "1", None):
+        with pytest.raises(ValueError, match="integers 1 or 2"):
+            Mode(bad, 1)
+        with pytest.raises(ValueError, match="integers 1 or 2"):
+            Mode(1, bad)
+    mode = Mode(np.int64(2), np.int32(1))
+    assert mode == Mode(2, 1) and mode.label == "j1i2"
