@@ -41,38 +41,19 @@ import numpy as np
 from .linalg2 import channel_eigen, svd2  # perfbench/child.py wraps svd2 here
 from .sampling import ChannelRealization
 from .sysmodel import leading_z_factors
-from .workspace import Workspace
 
 __all__ = ["joint_optimum", "optimize_batch", "optimal_configuration"]
 
 
-def joint_optimum(lam, om, z, work=None):
+def joint_optimum(lam, om, z):
     """sigma_max^2 of G Phi* H from the eigenvalues lam = (l1, l2) of
     G^H G and om = (w1, w2) of H H^H and the compensated z factor ``z`` of
-    the leading mode (see the module docstring), in the workspace array
-    "f" (see :mod:`workspace`): F*/2 + sqrt(F*^2/4 - l1 l2 w1 w2).
+    the leading mode (see the module docstring):
+    F*/2 + sqrt(F*^2/4 - l1 l2 w1 w2).
     """
-    work = Workspace() if work is None else work
     (l1, l2), (w1, w2) = lam, om
-    shape = np.broadcast_shapes(*map(np.shape, (l1, l2, w1, w2, z)))
-    f = np.multiply(l1, w2, out=work.empty("f", shape))
-    t = np.multiply(l2, w1, out=work.empty("t", shape))
-    f += t
-    d = np.subtract(w1, w2, out=work.empty("d", shape))
-    t = np.subtract(l1, l2, out=t)
-    t *= d
-    t *= z
-    f += t
-    t = np.multiply(f, 0.25, out=t)
-    t *= f
-    d = np.multiply(l1, l2, out=d)
-    d *= w1
-    d *= w2
-    t -= d
-    np.sqrt(np.maximum(t, 0.0, out=t), out=t)
-    f *= 0.5
-    f += t
-    return f
+    f = l1 * w2 + l2 * w1 + (l1 - l2) * (w1 - w2) * z
+    return f * 0.5 + np.sqrt(np.maximum(f * 0.25 * f - l1 * l2 * w1 * w2, 0.0))
 
 
 def optimize_batch(ch: ChannelRealization) -> np.ndarray:

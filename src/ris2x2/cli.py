@@ -76,8 +76,9 @@ class ExperimentConfig:
         RngState(self.seed)  # ValueError unless a seed in [0, 2^64)
         if not self.schemes:
             raise ValueError("scheme list must not be empty")
-        for name in self.schemes:
-            parse_scheme(name)
+        labels = [parse_scheme(name).label for name in self.schemes]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"scheme list names a scheme twice: {', '.join(labels)}")
 
     def _grid_points(self) -> float:
         """Grid size as a float, so that a huge grid is sized, not built."""
@@ -101,6 +102,17 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _parse_svg(text: str) -> bool:
+    """The svg flag of a config file: 1/0, true/false, yes/no or on/off in
+    any case."""
+    key = text.lower()
+    if key in ("1", "true", "yes", "on"):
+        return True
+    if key in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"svg must be 1/0, true/false, yes/no or on/off, not {text!r}")
+
+
 _FIELD_PARSERS = {
     "snr_db_min": float,
     "snr_db_max": float,
@@ -110,7 +122,7 @@ _FIELD_PARSERS = {
     "seed": int,
     "schemes": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
     "out": str,
-    "svg": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "svg": _parse_svg,
 }
 
 
@@ -247,7 +259,7 @@ def cmd_curve(args) -> int:
     the Mellin-Barnes outage or throughput, and the statistics pass runs
     after it, so a contour that fails costs no trials."""
     kind = args.command
-    cfg = _build_config(args, default_out=f"{kind}.csv")
+    cfg = _build_config(args, default_out=kind + ".csv")
     threshold = 10.0 ** (cfg.threshold_db / 10.0)
     rows = curve_rows(
         partial(montecarlo.channel_statistics, cfg.seed, cfg.trials),

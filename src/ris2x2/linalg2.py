@@ -139,12 +139,27 @@ def hermitian_eigen2(a00, a11, abs_a01, det):
     return e1, e2, np.maximum(t, first) * larger, larger * np.maximum(t, 1.0 - first)
 
 
-def _gram_eigen(m, left: bool = False):
-    """:func:`hermitian_eigen2` of the Gram matrix m^H m (m m^H with
-    ``left=True``) of finite (stacked) 2x2 matrices ``m``, and its a01."""
+def _scaled(m):
+    """(2^-e m, e) of finite (stacked) 2x2 matrices m, e the exponent
+    (:func:`numpy.frexp`) of the largest real or imaginary part of each.
+    Scaling by a power of two is exact.  Unscaled, the Gram entries and
+    |det|^2 of entries beyond about 1e154 overflow, and of entries below
+    about 1e-154 underflow; scaled, every part is below 1 and the largest
+    at least 1/2."""
     m = np.asarray(m, dtype=np.complex128)
     if m.shape[-2:] != (2, 2) or not np.all(np.isfinite(m)):
         raise ValueError(f"expected finite matrices of shape (..., 2, 2), got {m.shape}")
+    e = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1)))[1]
+    scaled = np.empty_like(m)
+    scaled.real = np.ldexp(m.real, -e[..., None, None])
+    scaled.imag = np.ldexp(m.imag, -e[..., None, None])
+    return scaled, e
+
+
+def _gram_eigen(m, left: bool = False):
+    """:func:`hermitian_eigen2` of the Gram matrix m^H m (m m^H with
+    ``left=True``) of (stacked) 2x2 matrices ``m`` scaled by
+    :func:`_scaled`, and its a01."""
     a00, a11, a01 = gram2(m, left)
     return hermitian_eigen2(a00, a11, np.abs(a01), abs_det2(m)), a01
 
@@ -154,9 +169,15 @@ def channel_eigen(g, h):
     :func:`sampling.eigen_draws` returns them: per link (l1, l2, c, s) of
     G^H G or H H^H, then the phase of a01 conj(b01), so that
     ``trial_statistics(*channel_eigen(g, h))`` is the pass on them."""
-    (eig_g, a01), (eig_h, b01) = _gram_eigen(g), _gram_eigen(h, left=True)
+    (g, eg), (h, eh) = _scaled(g), _scaled(h)
+    ((g1, g2, cg, sg), a01), ((h1, h2, ch, sh), b01) = _gram_eigen(g), _gram_eigen(h, True)
     phase = _phase(a01 * np.conjugate(b01))
-    return eig_g, eig_h, phase.real, phase.imag
+    return (
+        (np.ldexp(g1, 2 * eg), np.ldexp(g2, 2 * eg), cg, sg),
+        (np.ldexp(h1, 2 * eh), np.ldexp(h2, 2 * eh), ch, sh),
+        phase.real,
+        phase.imag,
+    )
 
 
 def svd2(m: np.ndarray) -> Svd2:
@@ -165,10 +186,11 @@ def svd2(m: np.ndarray) -> Svd2:
     Uses the analytic eigen-decomposition of m^H m
     (:func:`hermitian_eigen2`): v_1 = (c, s conj(a01) / |a01|) in its
     gauge (the larger modulus real, ties to the first row), left vector
-    u_1 = m v_1 / sigma_1 and u_2 completing it by orthogonality.
-    Deterministic for identical input.
+    u_1 = m v_1 / sigma_1 and u_2 completing it by orthogonality, all of m
+    scaled by a power of two (so no entry is too small or too large to
+    square), and sigma scaled back.  Deterministic for identical input.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m, e = _scaled(m)
     (e1, e2, c, s), a01 = _gram_eigen(m)
     phase = _phase(a01)
     first = c >= s
@@ -177,7 +199,7 @@ def svd2(m: np.ndarray) -> Svd2:
     wx, wy = _gauge_column(*_orthogonal_complement(vx, vy))
     return Svd2(
         u=_left_basis(m, vx, vy, wx, wy),
-        sigma=np.sqrt(np.stack([e1, e2], axis=-1)),
+        sigma=np.ldexp(np.sqrt(np.stack([e1, e2], axis=-1)), e[..., None]),
         v=_basis(vx, vy, wx, wy),
     )
 

@@ -18,29 +18,21 @@ with gamma_bar, one pass serves a whole SNR sweep.
 Trial t is a pure function of (seed, stream, t) (see sampling).  The pass
 is one loop over fixed chunks of trials (2^14 by default), run in turn or
 on a thread pool with one worker per available CPU, that hands each
-chunk's statistics to a consumer.  It allocates nothing per chunk: each
-worker takes one :class:`workspace.Workspace` on its first chunk, and the
-draw, the z factors and the joint optimum write every chunk into those
-same arrays through numpy's ``out=``, so memory is not unmapped and
-faulted in again chunk after chunk.  A chunk's arrays are therefore
-valid only while its consumer runs; the pass drops the buffers when it
-returns: 21 arrays, none complex, 36 float64 columns, 4.7 MB per worker
-at the default 2^14 trials.  That size was the fastest of 2^13..2^15 for
-the 10^6-trial outage sweep on a 2-vCPU host, and 2^15 needed 18 MB more
-memory (measured with an earlier 9.4 MB complex workspace).  There
-are two consumers.  Storing copies each chunk into one preallocated
-:class:`TrialStats` of the whole pass; the acceptance checks need it for
-their distribution tests, and throughput is reduced from it.
-:class:`OutageCounter` keeps only integer counts: per chunk it forms each
-scheme's factor in one buffer of its thread and sorts it in place (the
-trials in outage at any gamma_bar are a prefix of the sorted factors),
-counts every (scheme, gamma_bar) exactly and adds the counts to its
-total.  A streamed outage sweep therefore holds its workers' buffers,
-whatever the number of trials, and integer sums make its estimates
-independent of chunking and worker count.  Throughput uses
-numpy's pairwise summation over the stored pass, whose result does not
-depend on how the pass was chunked either; each scheme's factor is formed
-once and reused at every grid point.  An estimate is an
+chunk's statistics to a consumer.  A chunk of 2^14 trials was the
+fastest of 2^13..2^15 for the 10^6-trial outage sweep on a 2-vCPU host,
+and 2^15 needed 18 MB more memory.  There are two consumers.  Storing copies each
+chunk into one preallocated :class:`TrialStats` of the whole pass; the
+acceptance checks need it for their distribution tests, and throughput
+is reduced from it.  :class:`OutageCounter` keeps only integer counts:
+per chunk it sorts a copy of each scheme's factor (the trials in outage
+at any gamma_bar are a prefix of the sorted factors), counts every
+(scheme, gamma_bar) exactly and adds the counts to its total.  A
+streamed outage sweep therefore holds a few chunks per worker, whatever
+the number of trials, and integer sums make its estimates independent
+of chunking and worker count.  Throughput uses numpy's pairwise
+summation over the stored pass, whose result does not depend on how the
+pass was chunked either; each scheme's factor is formed once and reused
+at every grid point.  An estimate is an
 :class:`McEstimate`, its value and the half-width of its 95% interval:
 Wilson for proportions (sane coverage near zero outage), normal theory
 for means.  :data:`SCHEMES` maps each scheme label (the eight modes
@@ -59,7 +51,6 @@ import numpy as np
 from .altopt import joint_optimum
 from .sampling import RngState, _is_integer, eigen_draws
 from .sysmodel import MODES, Mode, leading_z_factors
-from .workspace import Workspace
 
 # perfbench/child.py wraps these names here; the pass calls none of them
 from .altopt import optimize_batch  # noqa: F401
@@ -162,14 +153,6 @@ def _require_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
-def _thread_workspace(local: threading.local) -> Workspace:
-    """The calling thread's workspace in ``local``, made on first use."""
-    work = getattr(local, "work", None)
-    if work is None:
-        work = local.work = Workspace()
-    return work
-
-
 def _thread_map(fn, items, workers=None):
     """[fn(x) for x in items], on a pool of ``workers`` threads (default:
     the available CPUs) when there is more than one item.  numpy releases
@@ -182,7 +165,7 @@ def _thread_map(fn, items, workers=None):
     return [fn(x) for x in items]
 
 
-def trial_statistics(g, h, cos, sin, work=None):
+def trial_statistics(g, h, cos, sin):
     """(lam, om, z_plain, z_comp, alt_factor), the per-trial columns of
     :class:`TrialStats`, from g = (l1, l2, c, s), the eigenvalues of
     G^H G and the moduli of its unit leading eigenvector, h the same of
@@ -191,20 +174,17 @@ def trial_statistics(g, h, cos, sin, work=None):
     basis and no complex number is formed.  Channel matrices reduce to
     these through :func:`linalg2.channel_eigen`, so
     ``trial_statistics(*channel_eigen(g, h))`` is the pass on given
-    channels.  Every array returned lives in ``work`` (see
-    :mod:`workspace`).
+    channels.
     """
-    work = Workspace() if work is None else work
-    shape = np.shape(cos)
     (lam1, lam2, cg, sg), (om1, om2, ch, sh) = g, h
-    z_plain, z_comp = leading_z_factors(cg, sg, ch, sh, cos, sin, work.scope("z"))
+    z_plain, z_comp = leading_z_factors(cg, sg, ch, sh, cos, sin)
     # each column contiguous, as the counter reads them one at a time
     return (
-        np.moveaxis(np.stack([lam1, lam2], out=work.empty("lam", (2, *shape))), 0, -1),
-        np.moveaxis(np.stack([om1, om2], out=work.empty("om", (2, *shape))), 0, -1),
+        np.moveaxis(np.stack([lam1, lam2]), 0, -1),
+        np.moveaxis(np.stack([om1, om2]), 0, -1),
         z_plain,
         z_comp,
-        joint_optimum((lam1, lam2), (om1, om2), z_comp[..., 0], work.scope("alt")),
+        joint_optimum((lam1, lam2), (om1, om2), z_comp[..., 0]),
     )
 
 
@@ -220,18 +200,13 @@ def channel_statistics(
 
     The trial range is split into fixed chunks of ``chunk_size`` trials
     (2^14 by default), evaluated in turn or by a pool of ``workers``
-    threads (default: the CPUs this process may run on).  Each worker
-    allocates one :class:`workspace.Workspace` on its first chunk, sized
-    for min(chunk_size, trials) trials, and every later chunk it runs
-    draws and computes into the same arrays; they are released when the
-    pass returns.  Each chunk's statistics, a :class:`TrialStats` of its
-    own trials, go to ``consume(lo, chunk)``, ``lo`` being the index of its
-    first trial; chunks arrive in any order and from several threads at
-    once.  The chunk's arrays are valid only during that call: the
-    worker's next chunk overwrites them, so a consumer copies what it
-    keeps.  With no consumer, the chunks are copied into one preallocated
+    threads (default: the CPUs this process may run on).  Each chunk's
+    statistics, a :class:`TrialStats` of its own trials, go to
+    ``consume(lo, chunk)``, ``lo`` being the index of its first trial;
+    chunks arrive in any order and from several threads at once.  With no
+    consumer, the chunks are copied into one preallocated
     :class:`TrialStats` of the whole pass, which is returned; with one,
-    None is returned and the pass holds only its workers' buffers.  No
+    None is returned and the pass holds only the chunks in flight.  No
     value depends on ``workers`` or ``chunk_size``.
     """
     _require_count("trials", trials, 1)
@@ -249,31 +224,24 @@ def channel_statistics(
             for name in _COLUMNS:
                 getattr(stats, name)[lo : lo + chunk.trials] = getattr(chunk, name)
 
-    buffers = threading.local()  # one workspace per worker thread
-
     def run(lo):
         n = min(chunk_size, trials - lo)
-        work = _thread_workspace(buffers)
-        columns = trial_statistics(*eigen_draws(state, n, lo, work), work)
+        columns = trial_statistics(*eigen_draws(state, n, lo))
         consume(lo, TrialStats(seed, stream, n, *columns))
 
     _thread_map(run, range(0, trials, chunk_size), workers)
     return stats
 
 
-def scheme_snr_factor(stats: TrialStats, scheme: Scheme, out=None) -> np.ndarray:
-    """Per-trial SNR / gamma_bar of a scheme, written to ``out`` when it is
-    given (else a new array, or the stored alt column itself)."""
+def scheme_snr_factor(stats: TrialStats, scheme: Scheme) -> np.ndarray:
+    """Per-trial SNR / gamma_bar of a scheme: a new array, or for the joint
+    optimum the stored alt column itself."""
     if isinstance(scheme, AltScheme):
-        if out is None:
-            return stats.alt_factor
-        np.copyto(out, stats.alt_factor)
-        return out
+        return stats.alt_factor
     z = stats.z_comp if scheme.compensated else stats.z_plain
     j = scheme.rx - 1
     i = scheme.tx - 1
-    out = np.multiply(stats.lam[:, j], stats.om[:, i], out=out)
-    return np.multiply(out, z[:, int(i != j)], out=out)
+    return stats.lam[:, j] * stats.om[:, i] * z[:, int(i != j)]
 
 
 def wilson_halfwidth(hits: int, trials: int) -> float:
@@ -349,14 +317,13 @@ class OutageCounter:
         self.hits = np.zeros((len(self.schemes), self.gamma_bars.size), dtype=np.int64)
         self.trials = 0
         self._lock = threading.Lock()
-        self._buffers = threading.local()  # each thread's factor buffer
 
     def __call__(self, lo: int, chunk: TrialStats):
-        f = _thread_workspace(self._buffers).empty("factor", (chunk.trials,))
-        counts = []
-        for s in self.schemes:
-            scheme_snr_factor(chunk, s, out=f).sort()
-            counts.append(_count_at_most(f, self.gamma_bars, self.gamma_th))
+        # a sorted copy: the alt factor is the chunk's own column
+        counts = [
+            _count_at_most(np.sort(scheme_snr_factor(chunk, s)), self.gamma_bars, self.gamma_th)
+            for s in self.schemes
+        ]
         with self._lock:
             for row, c in zip(self.hits, counts):
                 row += c

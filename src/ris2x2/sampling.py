@@ -56,7 +56,6 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .linalg2 import Svd2, UnitaryAngles, svd2, unitary_from_angles
-from .workspace import Workspace
 
 __all__ = [
     "RngState",
@@ -117,13 +116,11 @@ class ChannelRealization:
     svd_h: Svd2
 
 
-def _uniform_blocks(state: RngState, start_block: int, n_blocks: int, work=None) -> np.ndarray:
+def _uniform_blocks(state: RngState, start_block: int, n_blocks: int) -> np.ndarray:
     """Uniforms in [0, 1) from counter blocks [start_block, start_block+n),
-    (word >> 11) * 2^-53 of each raw word, in the workspace array "u"."""
-    work = Workspace() if work is None else work
-    u = work.empty("u", (n_blocks * _WORDS_PER_BLOCK,))
+    (word >> 11) * 2^-53 of each raw word."""
     key = np.array([state.seed, state.stream], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=int(start_block))).random(out=u)
+    return Generator(Philox(key=key, counter=int(start_block))).random(n_blocks * _WORDS_PER_BLOCK)
 
 
 def channel_matrices(state: RngState, n: int, start: int = 0):
@@ -148,36 +145,24 @@ def channel_realizations(state: RngState, n: int, start: int = 0) -> ChannelReal
     return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
 
 
-def eigen_draws(state: RngState, n: int, start: int = 0, work=None):
+def eigen_draws(state: RngState, n: int, start: int = 0):
     """Trials start..start+n-1 of (g, h, cos, sin): g = (l1, l2, c, s),
     the eigenvalues l1 >= l2 of G^H G and the moduli (c, s) of its unit
     leading eigenvector, h the same of H H^H, for independent 2x2
     CN(0, 1) channels G and H in law, and the cosine and sine of the
     relative phase of the two eigenvectors (see the module docstring).
-
-    Every array returned lives in ``work`` (see :mod:`workspace`).
     """
-    work = Workspace() if work is None else work
     u = _uniform_blocks(
-        state, _BLOCKS_PER_EIGEN_TRIAL * start, _BLOCKS_PER_EIGEN_TRIAL * n, work
+        state, _BLOCKS_PER_EIGEN_TRIAL * start, _BLOCKS_PER_EIGEN_TRIAL * n
     ).reshape(n, _WORDS_PER_BLOCK * _BLOCKS_PER_EIGEN_TRIAL)
     links = []
-    for k, name in ((0, "g"), (5, "h")):
-        l1, l2, c, s = (work.empty(f"{name}.{x}", (n,)) for x in ("l1", "l2", "c", "s"))
+    for k in (0, 5):
         # 1 - u is exact; one column at a time, as a 2-D strided pass is slow
-        np.log(np.subtract(1.0, u[:, k], out=l2), out=l2)
-        l2 *= -0.5
-        np.subtract(1.0, u[:, k + 1], out=l1)
-        for j in (k + 2, k + 3):
-            l1 *= np.subtract(1.0, u[:, j], out=s)
-        np.log(l1, out=l1)
-        np.subtract(l2, l1, out=l1)  # l2 + d
-        np.sqrt(u[:, k + 4], out=c)
-        np.sqrt(np.subtract(1.0, u[:, k + 4], out=s), out=s)
-        links.append((l1, l2, c, s))
-    theta = np.multiply(2.0 * np.pi, u[:, 10], out=work.empty("sin", (n,)))
-    cos = np.cos(theta, out=work.empty("cos", (n,)))
-    return links[0], links[1], cos, np.sin(theta, out=theta)
+        l2 = np.log(1.0 - u[:, k]) * -0.5
+        d = -np.log((1.0 - u[:, k + 1]) * (1.0 - u[:, k + 2]) * (1.0 - u[:, k + 3]))
+        links.append((l2 + d, l2, np.sqrt(u[:, k + 4]), np.sqrt(1.0 - u[:, k + 4])))
+    theta = (2.0 * np.pi) * u[:, 10]
+    return links[0], links[1], np.cos(theta), np.sin(theta)
 
 
 def eigen_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:

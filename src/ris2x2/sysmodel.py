@@ -27,7 +27,6 @@ import numpy as np
 
 from .sampling import ChannelRealization, _is_integer
 from .special import _require_scalar
-from .workspace import Workspace
 
 __all__ = [
     "Mode",
@@ -125,7 +124,7 @@ def alignment_factors(v, w):
     return np.minimum(z_plain, 1.0), np.minimum(z_comp, 1.0)
 
 
-def leading_z_factors(cg, sg, ch, sh, cos, sin, work=None):
+def leading_z_factors(cg, sg, ch, sh, cos, sin):
     """All z factors from the moduli (cg, sg) of the unit leading
     eigenvector of G^H G and (ch, sh) of H H^H and the cosine and sine of
     the relative phase theta = arg(a01 conj(b01)) of their off-diagonal
@@ -138,28 +137,16 @@ def leading_z_factors(cg, sg, ch, sh, cos, sin, work=None):
     (z_plain, z_comp) with last axis [matched (1,1) = (2,2), crossed (1,2)
     = (2,1)]: with p = cg ch, q = sg sh (matched) or p = cg sh, q = sg ch
     (crossed), z_plain = |p +- q e^{j theta}|^2 (+ matched, - crossed) and
-    z_comp = (p + q)^2.  Every array returned lives in ``work`` (see
-    :mod:`workspace`).
+    z_comp = (p + q)^2.
     """
-    work = Workspace() if work is None else work
-    shape = np.broadcast_shapes(*map(np.shape, (cg, sg, ch, sh, cos, sin)))
-
-    def buf(name, first=()):
-        return work.empty(name, first + shape)
-
+    plain, comp = [], []
+    for u, v, combine in ((ch, sh, np.add), (sh, ch, np.subtract)):
+        p, q = cg * u, sg * v
+        comp.append(p + q)
+        plain.append(np.square(combine(p, q * cos)) + np.square(q * sin))
     # [matched, crossed] first, so that each factor is contiguous
-    z_plain, z_comp = buf("z_plain", (2,)), buf("z_comp", (2,))
-    p, q, t = buf("p"), buf("q"), buf("t")
-    for k, (u, v, combine) in enumerate(((ch, sh, np.add), (sh, ch, np.subtract))):
-        np.multiply(cg, u, out=p)
-        np.multiply(sg, v, out=q)
-        np.add(p, q, out=z_comp[k, ...])
-        combine(p, np.multiply(q, cos, out=t), out=p)
-        np.square(p, out=z_plain[k, ...])
-        z_plain[k, ...] += np.square(np.multiply(q, sin, out=t), out=t)
-    np.square(z_comp, out=z_comp)
-    np.minimum(z_plain, 1.0, out=z_plain)
-    np.minimum(z_comp, 1.0, out=z_comp)
+    z_plain = np.minimum(np.stack(plain), 1.0)
+    z_comp = np.minimum(np.square(np.stack(comp)), 1.0)
     return np.moveaxis(z_plain, 0, -1), np.moveaxis(z_comp, 0, -1)
 
 

@@ -40,6 +40,8 @@ def test_config_validation():
         ExperimentConfig(schemes=()).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(schemes=("nope",)).validate()
+    with pytest.raises(ValueError, match="names a scheme twice"):
+        ExperimentConfig(schemes=("j1i1", " J1I1 ")).validate()
     for field in ("snr_db_min", "snr_db_max", "snr_db_step", "threshold_db"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -65,6 +67,7 @@ def test_bad_sweep_input_exits_2(tmp_path, capsys, monkeypatch):
         ("--snr-db-step", "1e-300"),
         ("--schemes", "j1i1-"),
         ("--schemes", "j1i1-,alt"),
+        ("--schemes", "j1i1,J1I1"),
         ("--seed", "-1"),
         ("--seed", str(2**64 + 5)),
     ):
@@ -301,6 +304,18 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text("bogus=1\n")
     rc = main(["outage", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+def test_config_svg_must_be_a_boolean(tmp_path, capsys):
+    parse = ris2x2.cli._FIELD_PARSERS["svg"]
+    for text, value in (("1", True), ("True", True), ("YES", True), ("on", True),
+                        ("0", False), ("false", False), ("No", False), ("OFF", False)):
+        assert parse(text) is value
+    cfg = tmp_path / "bad.cfg"
+    for text in ("maybe", "", "2"):
+        cfg.write_text(f"svg={text}\n")
+        assert main(["outage", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "svg must be" in capsys.readouterr().err
 
 
 def test_svg_render(tmp_path):

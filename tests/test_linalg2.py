@@ -4,6 +4,7 @@ import pytest
 from ris2x2.linalg2 import (
     UnitaryAngles,
     angles_from_unitary,
+    channel_eigen,
     gram2,
     hermitian_eigen2,
     svd2,
@@ -149,6 +150,26 @@ def test_rank_deficient_completion():
     rec = r.u @ np.diag(r.sigma) @ r.v.conj().T
     assert np.allclose(rec, m, atol=1e-14)
     assert np.allclose(r.u.conj().T @ r.u, np.eye(2), atol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 2.0**-540, 1e160, 2.0**540])
+def test_tiny_and_huge_matrices(scale):
+    # unscaled, the Gram entries of these underflow (|entry|^2 < 1e-300)
+    # or overflow (> 1e300); a power-of-two scale moves no bit
+    m = np.array([[1.0, 2.0j], [3.0, 1.0]])
+    ref, r = svd2(m), svd2(m * scale)
+    rec = r.u @ np.diag(r.sigma) @ r.v.conj().T
+    np.testing.assert_allclose(rec / scale, m, rtol=0.0, atol=1e-14)
+    with np.errstate(over="ignore"):  # eigenvalues above 1e308 are inf
+        (_, _, c, s), _, cos, sin = channel_eigen(m * scale, m.T * scale)
+    (_, _, c0, s0), _, cos0, sin0 = channel_eigen(m, m.T)
+    if np.frexp(scale)[0] == 0.5:
+        assert np.array_equal(r.sigma, ref.sigma * scale)
+        assert np.array_equal(r.u, ref.u) and np.array_equal(r.v, ref.v)
+        assert (c, s, cos, sin) == (c0, s0, cos0, sin0)
+    else:
+        np.testing.assert_allclose(r.sigma, ref.sigma * scale, rtol=1e-15)
+        np.testing.assert_allclose([c, s, cos, sin], [c0, s0, cos0, sin0], rtol=1e-15)
 
 
 def test_nonfinite_rejected():

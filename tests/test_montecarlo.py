@@ -36,7 +36,6 @@ from ris2x2.sampling import (
     haar_unitaries,
 )
 from ris2x2.sysmodel import MODES, Mode, alignment_factors, mode_z_factors
-from ris2x2.workspace import Workspace
 
 SEED = 2718
 
@@ -496,37 +495,34 @@ def test_streamed_outage_sweep_memory_does_not_grow_with_trials():
     assert two <= 1.15 * 2 * small, (two, small)
 
 
-def test_streamed_sweep_peaks_at_its_buffers(monkeypatch):
-    # each worker draws and counts every chunk in the buffers it allocated on
-    # its first, so a one-worker streamed sweep peaks at those buffers (the
-    # pass's and the counter's) plus less than one chunk-length column of
-    # anything else, at any number of trials: one per-chunk temporary of
-    # the factors' length would exceed it.  The pass reads real eigenvalues,
-    # moduli and one phasor, so none of its buffers is complex, and its
-    # workspace holds 36 columns of a chunk (the uniforms 12, the draw 10,
-    # the z factors 7, the stacked eigenvalues 4, the joint optimum 3)
-    workspaces = []
-
-    class Recorded(Workspace):
-        def __init__(self):
-            super().__init__()
-            workspaces.append(self)
-
-    monkeypatch.setattr(ris2x2.montecarlo, "Workspace", Recorded)
+def test_streamed_sweep_peaks_at_a_few_chunk_columns():
+    # a one-worker streamed sweep of all 9 schemes draws, reduces and
+    # counts one chunk at a time in plain numpy temporaries, so its traced
+    # peak is a bounded number of chunk-length float64 columns at any
+    # number of trials (24 when this was written)
     column = np.dtype(np.float64).itemsize * ris2x2.montecarlo._CHUNK_SIZE
     gammas = [10.0 ** (db / 10.0) for db in range(-5, 26)]
     for trials in (1 << 17, 1 << 19):
-        workspaces.clear()
         counter = OutageCounter([*MODES, ALT], gammas, 1.0)
         _, peak = _traced_peak(
             lambda: channel_statistics(SEED, trials, workers=1, consume=counter)
         )
-        buffers = sum(w.nbytes for w in workspaces)
-        assert len(workspaces) == 2 and counter.trials == trials
-        (work,) = [w for w in workspaces if "factor" not in w._arrays]
-        assert work.nbytes <= 36 * column, (work.nbytes, column)
-        assert not any(np.iscomplexobj(a) for w in workspaces for a in w._arrays.values())
-        assert buffers <= peak < buffers + column, (trials, peak, buffers, column)
+        assert counter.trials == trials
+        assert peak <= 36 * column, (trials, peak / column)
+
+
+def test_counting_leaves_a_stored_pass_unchanged():
+    # the alt factor is the stored column itself: a counter that sorted it
+    # in place would reorder alt_factor for the checks that read it next
+    columns = ("lam", "om", "z_plain", "z_comp", "alt_factor")
+    chunks = []
+    channel_statistics(SEED, 5000, chunk_size=1 << 10, consume=lambda lo, c: chunks.append(c))
+    assert len(chunks) == 5
+    assert all(getattr(c, name).dtype == np.float64 for c in chunks for name in columns)
+    stats = channel_statistics(SEED, 5000)
+    before = [getattr(stats, name).tobytes() for name in columns]
+    OutageCounter([*MODES, ALT], [1.0, 10.0], 1.0)(0, stats)
+    assert [getattr(stats, name).tobytes() for name in columns] == before
 
 
 def test_streamed_counts_equal_the_stored_pass():
