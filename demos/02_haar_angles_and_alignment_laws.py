@@ -23,7 +23,7 @@ from ris2x2 import (
 state = RngState(seed=77, stream=0)
 n = 1_000_000
 
-# first columns of two Haar draws, through the routine of the statistics pass
+# matched z factors of the first columns of two independent Haar draws
 v = haar_unitaries(state.child(1), n)[:, :, :1]
 w = haar_unitaries(state.child(2), n)[:, :, :1]
 z_plain, z_comp = (z[:, 0, 0] for z in alignment_factors(v, w))

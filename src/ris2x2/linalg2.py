@@ -240,7 +240,8 @@ def unitary_from_angles(angles: UnitaryAngles) -> np.ndarray:
         ("theta22", t22, TWO_PI),
         ("theta12", t12, np.pi / 2),
     ):
-        if np.any(t < 0.0) or np.any(t > hi) or (hi == TWO_PI and np.any(t == hi)):
+        # NaN fails every comparison, so it is out of range too
+        if not np.all((t >= 0.0) & ((t < hi) if hi == TWO_PI else (t <= hi))):
             raise ValueError(f"{name} out of range")
     c = np.cos(t12)
     s = np.sin(t12)
@@ -263,6 +264,8 @@ def angles_from_unitary(s: np.ndarray) -> UnitaryAngles:
     s = np.asarray(s, dtype=np.complex128)
     if s.shape[-2:] != (2, 2):
         raise ValueError(f"expected trailing (2, 2) shape, got {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("input must be finite")
     gram = np.einsum("...ki,...kj->...ij", np.conjugate(s), s)
     eye = np.eye(2)
     if np.max(np.abs(gram - eye)) > _UNITARY_TOL:

@@ -15,7 +15,7 @@ holding channel matrices reduce them to its inputs through
 :func:`linalg2.channel_eigen`.  Since the scheme SNRs scale linearly
 with gamma_bar, one pass serves a whole SNR sweep.
 
-Trial t is a pure function of (seed, stream, t) (see sampling).  The pass
+Trial t is a pure function of (seed, t) (see sampling).  The pass
 is one loop over fixed chunks of trials (2^14 by default), run in turn or
 on a thread pool with one worker per available CPU, that hands each
 chunk's statistics to a consumer.  A chunk of 2^14 trials was the
@@ -119,10 +119,10 @@ class McEstimate:
 class TrialStats:
     """Per-trial channel statistics; SNR of mode (i,j) at average SNR
     gamma_bar is gamma_bar * lam[:, j-1] * om[:, i-1] * z[:, k], with k = 0
-    for the matched modes (i = j) and k = 1 for the crossed ones."""
+    for the matched modes (i = j) and k = 1 for the crossed ones.  Trial t
+    of a pass is a pure function of (seed, t); the statistics hold the
+    trials' values, not the key they were drawn with."""
 
-    seed: int
-    stream: int
     trials: int
     lam: np.ndarray  # (n, 2) squared singular values of G, descending
     om: np.ndarray  # (n, 2) squared singular values of H, descending
@@ -191,12 +191,12 @@ def trial_statistics(g, h, cos, sin):
 def channel_statistics(
     seed: int,
     trials: int,
-    stream: int = 0,
     workers: int | None = None,
     chunk_size: int = _CHUNK_SIZE,
     consume=None,
 ) -> TrialStats | None:
-    """One vectorized statistics pass over ``trials`` eigen draws.
+    """One vectorized statistics pass over eigen draws 0..trials-1 of
+    stream 0 of ``seed``.
 
     The trial range is split into fixed chunks of ``chunk_size`` trials
     (2^14 by default), evaluated in turn or by a pool of ``workers``
@@ -213,12 +213,10 @@ def channel_statistics(
     _require_count("chunk_size", chunk_size, 1)
     if workers is not None:
         _require_count("workers", workers, 1)
-    state = RngState(seed, stream)
+    state = RngState(seed)
     stats = None
     if consume is None:
-        stats = TrialStats(
-            seed, stream, trials, *[np.empty((trials, 2)) for _ in range(4)], np.empty(trials)
-        )
+        stats = TrialStats(trials, *[np.empty((trials, 2)) for _ in range(4)], np.empty(trials))
 
         def consume(lo, chunk):
             for name in _COLUMNS:
@@ -227,7 +225,7 @@ def channel_statistics(
     def run(lo):
         n = min(chunk_size, trials - lo)
         columns = trial_statistics(*eigen_draws(state, n, lo))
-        consume(lo, TrialStats(seed, stream, n, *columns))
+        consume(lo, TrialStats(n, *columns))
 
     _thread_map(run, range(0, trials, chunk_size), workers)
     return stats

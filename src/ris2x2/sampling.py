@@ -116,11 +116,17 @@ class ChannelRealization:
     svd_h: Svd2
 
 
-def _uniform_blocks(state: RngState, start_block: int, n_blocks: int) -> np.ndarray:
-    """Uniforms in [0, 1) from counter blocks [start_block, start_block+n),
-    (word >> 11) * 2^-53 of each raw word."""
+def _uniform_blocks(state: RngState, start, n, blocks_per_draw: int) -> np.ndarray:
+    """Uniforms in [0, 1) of draws start..start+n-1, draw k reading counter
+    blocks [b k, b k + b) with b = ``blocks_per_draw``: (word >> 11) * 2^-53
+    of each raw word.  ``start`` and ``n`` must be non-negative integers
+    (a bool is not): a fractional window would start mid-draw."""
+    for name, value in (("start", start), ("n", n)):
+        if not _is_integer(value) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
     key = np.array([state.seed, state.stream], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=int(start_block))).random(n_blocks * _WORDS_PER_BLOCK)
+    words = blocks_per_draw * int(n) * _WORDS_PER_BLOCK
+    return Generator(Philox(key=key, counter=blocks_per_draw * int(start))).random(words)
 
 
 def channel_matrices(state: RngState, n: int, start: int = 0):
@@ -131,7 +137,7 @@ def channel_matrices(state: RngState, n: int, start: int = 0):
     takes the pair (u1, u2) to the entry (r cos t + j r sin t) / sqrt(2),
     r = sqrt(-2 ln(1 - u1)), t = 2 pi u2.
     """
-    u = _uniform_blocks(state, _BLOCKS_PER_PAIR * start, _BLOCKS_PER_PAIR * n)
+    u = _uniform_blocks(state, start, n, _BLOCKS_PER_PAIR)
     u = u.reshape(n, 2, 2, 2, 2)  # pair, matrix, row, column, (u1, u2)
     r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))  # 1 - u1 in (0, 1], no log(0)
     t = (2.0 * np.pi) * u[..., 1]
@@ -152,9 +158,9 @@ def eigen_draws(state: RngState, n: int, start: int = 0):
     CN(0, 1) channels G and H in law, and the cosine and sine of the
     relative phase of the two eigenvectors (see the module docstring).
     """
-    u = _uniform_blocks(
-        state, _BLOCKS_PER_EIGEN_TRIAL * start, _BLOCKS_PER_EIGEN_TRIAL * n
-    ).reshape(n, _WORDS_PER_BLOCK * _BLOCKS_PER_EIGEN_TRIAL)
+    u = _uniform_blocks(state, start, n, _BLOCKS_PER_EIGEN_TRIAL).reshape(
+        n, _WORDS_PER_BLOCK * _BLOCKS_PER_EIGEN_TRIAL
+    )
     links = []
     for k in (0, 5):
         # 1 - u is exact; one column at a time, as a 2-D strided pass is slow
@@ -188,7 +194,7 @@ def eigen_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealiz
 
 def haar_angles(state: RngState, n: int, start: int = 0) -> UnitaryAngles:
     """Angles of n Haar draws; draw k consumes counter block start + k."""
-    u = _uniform_blocks(state, start, n).reshape(n, 4)
+    u = _uniform_blocks(state, start, n, 1).reshape(n, 4)
     return UnitaryAngles(
         theta11=(2.0 * np.pi) * u[:, 0],
         theta12=np.arcsin(np.sqrt(u[:, 3])),  # inverse CDF of sin(2*theta)

@@ -56,6 +56,8 @@ class Mode:
     def __post_init__(self):
         if not all(_is_integer(k) and k in (1, 2) for k in (self.tx, self.rx)):
             raise ValueError(f"mode indices must be integers 1 or 2: {self.tx!r}, {self.rx!r}")
+        if not isinstance(self.compensated, (bool, np.bool_)):
+            raise ValueError(f"compensated must be a bool, not {self.compensated!r}")
 
     @property
     def label(self) -> str:

@@ -6,11 +6,12 @@ Criterion 9 intentionally asserts the derived mean-ratio of 7 and only
 displays the quoted 7.78 dB reference.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
 
-from ris2x2 import analytic
+from ris2x2 import acceptance, analytic
 from ris2x2.acceptance import (
     AcceptanceContext,
     AcceptanceSettings,
@@ -25,6 +26,8 @@ from ris2x2.acceptance import (
     check_throughput_curves,
     check_z_laws,
 )
+from ris2x2.altopt import optimize_batch
+from ris2x2.cli import main
 from ris2x2.sysmodel import Mode
 
 
@@ -43,6 +46,15 @@ def _run(check, ctx):
 
 def test_criterion_01_snr_gain(ctx):
     _run(check_gain, ctx)
+
+
+def test_criterion_01_reads_the_ratio_gain_prints(capsys):
+    # C1 and `ris2x2 gain` read the matched alignment columns of one pass
+    assert main(["gain", "--trials", "20000", "--seed", "2"]) == 0
+    printed = re.search(r"MC ratio (\S+) \+-", capsys.readouterr().out).group(1)
+    settings = replace(AcceptanceSettings.smoke(), trials=20_000, seed=2)
+    observed = check_gain(AcceptanceContext(settings)).observed
+    assert re.match(r"MC ratio (\S+) ", observed).group(1) == printed
 
 
 def test_criterion_02_alignment_cdfs(ctx):
@@ -94,6 +106,16 @@ def test_criterion_07_mean_orderings(ctx):
 
 def test_criterion_08_joint_optimum(ctx):
     _run(check_joint_optimum, ctx)
+
+
+def test_criterion_08_fails_when_the_optimum_is_off(monkeypatch):
+    # a joint optimum 1e-9 above the SNR of its own configuration
+    smoke = AcceptanceContext(AcceptanceSettings.smoke())
+    assert check_joint_optimum(smoke).passed
+    monkeypatch.setattr(acceptance, "optimize_batch", lambda ch: optimize_batch(ch) * (1.0 + 1e-9))
+    result = check_joint_optimum(smoke)
+    assert not result.passed
+    assert "- 1| <= 1.0e-09" in result.observed
 
 
 def test_criterion_09_mode_gap_discrepancy_surfaced(ctx):

@@ -213,6 +213,25 @@ def test_angle_range_rejected():
         unitary_from_angles(UnitaryAngles(0.0, 0.0, 2 * np.pi, 0.0))
 
 
+def test_nonfinite_angles_and_unitaries_rejected():
+    # NaN fails every comparison, so a range or tolerance check alone lets
+    # it through
+    for k in range(4):
+        angles = [0.1, 0.2, 0.3, 0.4]
+        for bad in (np.nan, np.inf):
+            angles[k] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                unitary_from_angles(UnitaryAngles(*angles))
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        s = stack.copy()
+        s[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            angles_from_unitary(s)
+    with pytest.raises(ValueError, match="finite"):
+        angles_from_unitary(np.full((2, 2), np.nan, dtype=complex))
+
+
 def test_angles_from_unitary_canonical_cases():
     a = angles_from_unitary(np.eye(2, dtype=complex))
     assert (a.theta11, a.theta12, a.theta21, a.theta22) == (0.0, 0.0, 0.0, 0.0)

@@ -114,9 +114,9 @@ def _ks_two_sample(x, y):
 def test_eigen_pass_matches_gaussian_channel_draws():
     # the pass draws eigen-decompositions, never channels; its statistics
     # must have the law of those of CN(0, 1) channel draws, here on a stream
-    # of their own
+    # of their own (the pass runs on stream 0)
     n = 200_000
-    stats = channel_statistics(SEED, n, stream=31)
+    stats = channel_statistics(SEED, n)
     gauss = trial_statistics(*channel_eigen(*channel_matrices(RngState(SEED, 32), n)))
     ours = (stats.lam, stats.om, stats.z_plain, stats.z_comp, stats.alt_factor[:, None])
     alpha = 1e-4
@@ -276,8 +276,6 @@ def test_seeds_outside_64_bits_are_rejected_before_any_trial():
     for bad in (-1, 2**64 + 5, 1.5, True):
         with pytest.raises(ValueError, match="seed must be an integer in"):
             channel_statistics(bad, 100)
-        with pytest.raises(ValueError, match="stream must be an integer in"):
-            channel_statistics(1, 100, stream=bad)
 
 
 def test_worker_counts_below_one_are_rejected():
@@ -395,7 +393,7 @@ def _factor_stats(f):
     lam = np.ones((n, 2))
     lam[:, 0] = f
     return TrialStats(
-        seed=0, stream=0, trials=n, lam=lam, om=np.ones((n, 2)),
+        trials=n, lam=lam, om=np.ones((n, 2)),
         z_plain=np.ones((n, 2)), z_comp=np.ones((n, 2)), alt_factor=f,
     )
 

@@ -55,6 +55,24 @@ def test_seeds_and_streams_outside_64_bits_are_rejected():
         assert channel_matrices(RngState(good, good), 1)[0].shape == (1, 2, 2)
 
 
+def test_sampler_windows_must_be_non_negative_integers():
+    # a fractional window starts mid-draw: start=1.5 of the Gaussian draw is
+    # counter block 6, whose first G would be pair 1's H; start=True would
+    # read draw 1
+    samplers = (channel_matrices, channel_realizations, eigen_draws, eigen_realizations,
+                haar_angles, haar_unitaries)
+    for sampler in samplers:
+        for bad in (1.5, 0.5, True, -1, np.float64(2.0), "1", None):
+            with pytest.raises(ValueError, match="start must be a non-negative integer"):
+                sampler(STATE, 2, start=bad)
+        for bad in (1.5, False, -2, np.float64(3.0)):
+            with pytest.raises(ValueError, match="n must be a non-negative integer"):
+                sampler(STATE, bad)
+    for n, start in ((np.int64(3), np.uint64(2)), (3, np.int32(2))):
+        assert np.array_equal(channel_matrices(STATE, n, start)[0], channel_matrices(STATE, 3, 2)[0])
+        assert np.array_equal(haar_angles(STATE, n, start).theta12, haar_angles(STATE, 3, 2).theta12)
+
+
 @pytest.mark.parametrize(
     "n, start, sha256",
     [

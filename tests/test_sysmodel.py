@@ -233,3 +233,8 @@ def test_mode_validation():
             Mode(1, bad)
     mode = Mode(np.int64(2), np.int32(1))
     assert mode == Mode(2, 1) and mode.label == "j1i2"
+    # a truthy string would be labelled and analysed as compensated
+    for bad in ("no", "", 1, 0.0, None):
+        with pytest.raises(ValueError, match="compensated must be a bool"):
+            Mode(1, 1, bad)
+    assert Mode(1, 1, np.bool_(True)).label == "j1i1-cmp"
