@@ -52,7 +52,6 @@ from .special import (
     _g30,
     _half_line_integral,
     _line_integral,
-    _require_scalar,
     bessel_k,
     log_gamma,
     meijer_g,
@@ -116,8 +115,9 @@ _Z_WEIGHT_SERIES = tuple(
 _E1_SERIES = tuple((-1) ** (k + 1) / (k * factorial(k)) for k in range(1, 21))
 
 # (upper end, depth) of the bands of x > 1 over which the Laguerre continued
-# fractions run; each depth is within a few ulp at its band's lower end.
-_LAGUERRE_BANDS = ((1.5, 100), (2.0, 72), (3.0, 56), (5.0, 40), (10.0, 30), (20.0, 24), (np.inf, 12))
+# fraction runs; each depth is within a few ulp at its band's lower end.
+_LAGUERRE_BANDS = ((1.5, 100), (2.0, 72), (3.0, 56), (5.0, 40), (10.0, 30), (20.0, 24),
+                   (50.0, 12), (100.0, 8), (300.0, 6), (1e3, 5), (1e5, 4), (np.inf, 3))
 
 # The oracles' rule: the share of _REL_TOL times P or R that each of its four
 # truncated tails may leave out, the step of its first level, the nodes
@@ -240,9 +240,35 @@ def _z_weight(t):
     return np.where(a < 1.0, a**3 * polyval(a * a, _Z_WEIGHT_SERIES), direct)
 
 
+def _at_thresholds(x, values):
+    """``values`` of the flat x > 0 of an array x, and 0 at x = 0, in the
+    shape of x (a float for a scalar); ValueError unless x is finite, >= 0."""
+    xs = np.asarray(x, dtype=np.float64)
+    if not np.all((xs >= 0.0) & (xs < np.inf)):
+        raise ValueError("x must be nonnegative and finite")
+    flat = xs.ravel()
+    result = np.zeros(flat.shape)
+    live = flat > 0.0
+    if live.any():
+        result[live] = values(flat[live])
+    result = result.reshape(xs.shape)
+    return result if result.ndim else float(result)
+
+
+def _at_gamma_bars(gamma_bar, values):
+    """``values`` of the flat array of gamma_bar, in its shape (a float for
+    a scalar); ValueError unless every gamma_bar is positive and finite."""
+    gammas = np.asarray(gamma_bar, dtype=np.float64)
+    if not np.all((gammas > 0.0) & (gammas < np.inf)):
+        raise ValueError("gamma_bar must be positive and finite")
+    result = values(gammas.ravel()).reshape(gammas.shape)
+    return result if result.ndim else float(result)
+
+
 def _outage_tail_mass(mode: Mode, x: float) -> float:
     """The probability mass each truncated tail of the outage oracle may
-    drop: a share of _REL_TOL times a lower bound of P(x).
+    drop: a share of _REL_TOL times a lower bound of P(x), which grows
+    with x, so that the smallest x of a grid sets the mass of the grid.
 
     Since the three events together imply lambda omega z <= x, P is at
     least P{lambda <= a} P{omega <= b} P{z <= c} whenever abc = x; the
@@ -364,43 +390,40 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, mass: float):
     )
 
 
-def outage_quadrature(mode: Mode, x: float) -> float:
+def outage_quadrature(mode: Mode, x):
     """Outage probability P{lambda_j omega_i z <= x} by direct quadrature
-    of E{F_lambda(x / (omega z))}; the reference implementation.
+    of E{F_lambda(x / (omega z))} at every x of an array at once (a float
+    for a scalar); the reference implementation.
 
-    It runs on the oracles' rule (:func:`_oracle_rule`), whose four tails
-    each leave out at most 2.5e-4 ``special._REL_TOL`` times a closed-form
-    lower bound of P, until two levels agree to that relative tolerance.  P
-    is accurate in relative terms while it is above about 1e-290; further
-    down, where the tails can no longer be cut that finely, QuadratureError
-    is raised.
+    It runs on the oracles' rule (:func:`_oracle_rule`) once over the grid:
+    its four tails each leave out at most 2.5e-4 ``special._REL_TOL`` times a
+    closed-form lower bound of P at the smallest x, and it halves its step
+    until two levels agree to that relative tolerance at each x.  P is
+    accurate in relative terms while it is above about 1e-290; further down,
+    where the tails cannot be cut that finely, QuadratureError is raised.
     """
-    _require_scalar("x", x)
-    if not 0.0 <= x < np.inf:
-        raise ValueError("x must be nonnegative and finite")
-    if x == 0.0:
-        return 0.0
-    mass = _outage_tail_mass(mode, float(x))
-    return float(_oracle_rule(mode, np.array([x]), True, eigenvalue_cdf, mass)[0])
+    return _at_thresholds(
+        x, lambda z: _oracle_rule(mode, z, True, eigenvalue_cdf, _outage_tail_mass(mode, z.min()))
+    )
 
 
-def outage_closed_form(mode: Mode, x: float) -> float:
-    """Closed-form outage, mode-by-mode assembly of the Bessel and
-    Meijer-G expressions; validated against :func:`outage_quadrature`.
+def outage_closed_form(mode: Mode, x):
+    """Closed-form outage at every x of an array at once (a float for a
+    scalar), mode-by-mode assembly of the Bessel and Meijer-G expressions;
+    validated against :func:`outage_quadrature`.
 
-    Each Meijer-G and Bessel-tail term is certified to about max(_ABS_TOL,
-    _REL_TOL |term|), so P = 1 + sum of the terms carries an error budget of
-    _ABS_TOL times their |coefficients| plus _REL_TOL times their |values|,
-    plus eps times all |terms|.  Where that is not below |P|, QuadratureError
-    is raised: for j1i1-cmp below x ~ 3e-4, P ~ 0.0172 x^2 drowns in terms
-    of order one.
+    Each Meijer-G and Bessel-tail term is one call over the grid, certified
+    to about max(_ABS_TOL, _REL_TOL |term|) at every x, so P = 1 + sum of the
+    terms carries an error budget of _ABS_TOL times their |coefficients| plus
+    _REL_TOL times their |values|, plus eps times all |terms|.  Where that is
+    not below |P|, QuadratureError is raised at the first such x: for
+    j1i1-cmp below x ~ 3e-4, P ~ 0.0172 x^2 drowns in terms of order one.
     """
-    _require_scalar("x", x)
-    if not 0.0 <= x < np.inf:
-        raise ValueError("x must be nonnegative and finite")
-    if x == 0.0:
-        return 0.0
-    z = float(x)
+    return _at_thresholds(x, lambda z: _closed_form_sum(mode, z))
+
+
+def _closed_form_sum(mode: Mode, z):
+    """P of :func:`outage_closed_form` at every x = z > 0 of a flat array."""
     j, i = mode.rx, mode.tx
     zz, sz, s2z = z**2, np.sqrt(z), np.sqrt(2.0 * z)
     # (coefficient, value, from a quadrature) of every term after the leading 1
@@ -443,61 +466,50 @@ def outage_closed_form(mode: Mode, x: float) -> float:
     for c, term, _ in terms:
         value += c * term
     budget = _EPS + sum(
-        (_ABS_TOL * abs(c) + _REL_TOL * abs(c * t)) * quad + _EPS * abs(c * t)
+        (_ABS_TOL * np.abs(c) + _REL_TOL * np.abs(c * t)) * quad + _EPS * np.abs(c * t)
         for c, t, quad in terms
     )
-    if not budget < abs(value):
+    k = np.argmin(budget < np.abs(value))  # the first x that fails, if any
+    if not budget[k] < abs(value[k]):
         raise QuadratureError(
-            f"outage_closed_form({mode.label}) at x = {z:g}: error budget "
-            f"{budget:.3e} not below |P| = {abs(value):.3e}"
+            f"outage_closed_form({mode.label}) at x = {z[k]:g}: error budget "
+            f"{budget[k]:.3e} not below |P| = {abs(value[k]):.3e}"
         )
     return value
 
 
-def _laguerre_stieltjes(x, alphas):
-    """int_0^inf u^alpha e^-u / (x + u) du at every x > 0 of an array, for
-    each alpha of ``alphas`` (0 or 2).
+def _laguerre_stieltjes(x):
+    """(f_0, f_2), f_a(x) = int_0^inf u^a e^-u / (x + u) du, at every x > 0
+    of an array; f_0 is exp(x) E1(x), and f_a = (a - 1)! - x f_(a-1).
 
-    alpha = 0 is exp(x) E1(x) and alpha = 2 is 1 - x + x^2 exp(x) E1(x).  Up
-    to x = 1 the first is exp(x) times the power series of E1, and the second
-    follows from it.  Beyond, where the series cancels and the second form
-    loses digits like x^2, both are the Jacobi continued fraction of the
-    Laguerre weight u^alpha e^-u at a depth banded by x
-    (:data:`_LAGUERRE_BANDS`).  Its depth-n convergent is the n-point Gauss
-    rule of that weight applied to 1/(x + u), which evaluates a band as one
-    array product.
+    Up to x = 1, f_0 is exp(x) times the power series of E1, and f_2 = 1 - x
+    + x^2 f_0 follows.  Beyond, where the series cancels and that form of f_2
+    loses digits like x^2, f_2 is the Jacobi continued fraction of the
+    Laguerre weight u^2 e^-u, 2 / (x + 3 - 1*3 / (x + 5 - 2*4 / (x + 7 -
+    ...))), and f_0 = (x - 1 + f_2) / x^2 adds positive terms.  Its depth-n
+    convergent (the n-point Gauss rule of the weight at 1/(x + u)), at a
+    depth banded by x (:data:`_LAGUERRE_BANDS`), is a backward recurrence
+    over the x in order of decreasing depth, each step on a prefix of them.
     """
-    series = x <= 1.0
-    xs = x[series]
-    a0 = np.exp(xs) * (-np.euler_gamma - np.log(xs) + xs * polyval(xs, _E1_SERIES))
-    values = []
-    for alpha in alphas:
-        value = np.empty(x.shape)
-        value[series] = a0 if alpha == 0 else 1.0 - xs + xs * xs * a0
-        lower = 1.0
-        for upper, depth in _LAGUERRE_BANDS:
-            band = (x > lower) & (x <= upper)
-            nodes, weights = _gauss_laguerre(alpha, depth)
-            kernel = np.add.outer(x[band], nodes)
-            value[band] = np.reciprocal(kernel, out=kernel) @ weights
-            lower = upper
-        values.append(value)
-    return values
-
-
-@lru_cache(maxsize=16)
-def _gauss_laguerre(alpha: int, n: int):
-    """Nodes and weights of the n-point Gauss rule of the weight
-    u^alpha e^-u on [0, inf), by Golub-Welsch: the eigenvalues of the Jacobi
-    matrix of the generalized Laguerre recurrence and Gamma(alpha + 1) times
-    the squared first components of its eigenvectors.  Cached, read-only."""
-    k = np.arange(n)
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    nodes, vectors = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1))
-    weights = factorial(alpha) * vectors[0] ** 2
-    for arr in (nodes, weights):
-        arr.setflags(write=False)
-    return nodes, weights
+    flat = x.ravel()
+    f0, f2 = np.empty(flat.shape), np.empty(flat.shape)
+    series = flat <= 1.0
+    xs = flat[series]
+    f0[series] = np.exp(xs) * (-np.euler_gamma - np.log(xs) + xs * polyval(xs, _E1_SERIES))
+    f2[series] = 1.0 - xs + xs * xs * f0[series]
+    order = np.argsort(flat)[xs.size :]  # the x > 1, ascending
+    xb = flat[order]
+    edges, depths = np.array(_LAGUERRE_BANDS).T
+    depth = depths[np.searchsorted(edges, xb)]
+    # prefix[k]: how many x have depth > k, those of the smallest x
+    prefix = np.searchsorted(-depth, -np.arange(depth.max(initial=1)))
+    tail = np.zeros(xb.shape)
+    for k in range(prefix.size - 1, 0, -1):
+        m = prefix[k]
+        tail[:m] = k * (k + 2) / (xb[:m] + (2 * k + 3) - tail[:m])
+    f2[order] = 2.0 / (xb + 3.0 - tail)
+    f0[order] = (xb - 1.0 + f2[order]) / (xb * xb)
+    return f0.reshape(x.shape), f2.reshape(x.shape)
 
 
 def _capacity_kernel(c, which: str):
@@ -505,11 +517,10 @@ def _capacity_kernel(c, which: str):
     c > 0 of an array, the per-eigenvalue part of E ln(1 + gamma) after
     exchanging the order of integration; with S_largest(u) = 2 e^-u +
     u^2 e^-u - e^-2u and S_smallest(u) = e^-2u."""
-    (half,) = _laguerre_stieltjes(2.0 / c, (0,))
     if which == "smallest":
-        return half
-    zeroth, second = _laguerre_stieltjes(1.0 / c, (0, 2))
-    return 2.0 * zeroth + second - half
+        return _laguerre_stieltjes(2.0 / c)[0]
+    f0, f2 = _laguerre_stieltjes(np.stack((2.0 / c, 1.0 / c)))
+    return 2.0 * f0[1] + f2[1] - f0[0]
 
 
 def _mellin_eigenvalue(s, which: str, g):
@@ -725,34 +736,31 @@ def outage(mode: Mode, x):
     :func:`outage_quadrature` is the independent oracle, and
     :func:`outage_closed_form` the paper's expressions.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    if not np.all((xs >= 0.0) & (xs < np.inf)):
-        raise ValueError("x must be nonnegative and finite")
     pole = diversity_order(mode)
-    flat = xs.ravel()
-    result = np.zeros(flat.shape)
-    pending = flat > 0.0
-    with np.errstate(divide="ignore"):
-        log_x = np.log(flat)
     contours = (0.5 * pole, pole - _POLE_MARGIN, -0.5 * pole)
-    for c in contours:
-        where = np.flatnonzero(pending)
-        if c != contours[0]:
-            # the fallbacks: c = p - 0.15 below x = 1, c = -p/2 from x = 1 on
-            where = where[(log_x[where] < 0.0) == (c > 0.0)]
-        if where.size == 0:
-            continue
-        value, ok = _outage_line(mode, c, log_x[where])
-        result[where[ok]] = value[ok]
-        pending[where[ok]] = False
-    todo = np.flatnonzero(pending)
-    if todo.size:
-        raise QuadratureError(
-            f"outage({mode.label}): no Mellin-Barnes line meets rel_tol "
-            f"{_REL_TOL:g} at x = {flat[todo[0]]:g} ({todo.size} of {flat.size} x)"
-        )
-    result = result.reshape(xs.shape)
-    return result if result.ndim else float(result)
+
+    def lines(z):
+        log_x = np.log(z)
+        result, pending = np.empty(z.shape), np.ones(z.shape, dtype=bool)
+        for c in contours:
+            where = np.flatnonzero(pending)
+            if c != contours[0]:
+                # the fallbacks: c = p - 0.15 below x = 1, c = -p/2 from x = 1 on
+                where = where[(log_x[where] < 0.0) == (c > 0.0)]
+            if where.size == 0:
+                continue
+            value, ok = _outage_line(mode, c, log_x[where])
+            result[where[ok]] = value[ok]
+            pending[where[ok]] = False
+        todo = np.flatnonzero(pending)
+        if todo.size:
+            raise QuadratureError(
+                f"outage({mode.label}): no Mellin-Barnes line meets rel_tol "
+                f"{_REL_TOL:g} at x = {z[todo[0]]:g} ({todo.size} of {z.size} x)"
+            )
+        return result
+
+    return _at_thresholds(x, lines)
 
 
 def throughput(mode: Mode, gamma_bar):
@@ -775,25 +783,23 @@ def throughput(mode: Mode, gamma_bar):
     Returns a float for a scalar gamma_bar, else an array of its shape.
     :func:`throughput_quadrature` is the independent oracle.
     """
-    gammas = np.asarray(gamma_bar, dtype=np.float64)
-    if not np.all((gammas > 0.0) & (gammas < np.inf)):
-        raise ValueError("gamma_bar must be positive and finite")
-    flat = gammas.ravel()
     # No alias bound, unlike outage: at c = -1/2 the alias m of step h is R
     # at y e^(2 pi m/h) times e^(pi m/h); R falls like 1/y one way and grows
     # like ln(1/y) the other, so the aliases shrink like e^(-pi |m| / h) on
     # both sides and halving the step sees the leading one.
-    value, ok = _line_integral(
-        _KernelTransform(mode, "throughput"), _THROUGHPUT_ABSCISSA, -np.log(flat)
-    )
-    if not ok.all():
-        raise QuadratureError(
-            f"throughput({mode.label}): the Mellin-Barnes line does not meet rel_tol "
-            f"{_REL_TOL:g} at gamma_bar = {flat[~ok][0]:g} "
-            f"({np.count_nonzero(~ok)} of {flat.size} gamma_bar)"
+    def line(flat):
+        value, ok = _line_integral(
+            _KernelTransform(mode, "throughput"), _THROUGHPUT_ABSCISSA, -np.log(flat)
         )
-    result = value.reshape(gammas.shape)
-    return result if result.ndim else float(result)
+        if not ok.all():
+            raise QuadratureError(
+                f"throughput({mode.label}): the Mellin-Barnes line does not meet rel_tol "
+                f"{_REL_TOL:g} at gamma_bar = {flat[~ok][0]:g} "
+                f"({np.count_nonzero(~ok)} of {flat.size} gamma_bar)"
+            )
+        return value
+
+    return _at_gamma_bars(gamma_bar, line)
 
 
 def _throughput_tail_mass(mode: Mode, gamma_bar) -> float:
@@ -828,39 +834,35 @@ def throughput_quadrature(mode: Mode, gamma_bar):
     bound of R, and each value is certified by step halving to that relative
     tolerance, or QuadratureError is raised.
     """
-    gammas = np.asarray(gamma_bar, dtype=np.float64)
-    if not np.all((gammas > 0.0) & (gammas < np.inf)):
-        raise ValueError("gamma_bar must be positive and finite")
-    flat = gammas.ravel()
-    mass = _throughput_tail_mass(mode, flat)
-    result = _oracle_rule(mode, flat, False, _capacity_kernel, mass)
-    result = result.reshape(gammas.shape)
-    return result if result.ndim else float(result)
+    return _at_gamma_bars(
+        gamma_bar,
+        lambda g: _oracle_rule(mode, g, False, _capacity_kernel, _throughput_tail_mass(mode, g)),
+    )
 
 
-def throughput_closed_r22(gamma_bar: float) -> float:
+def throughput_closed_r22(gamma_bar):
     """Closed form of the plain-surface (2,2)-mode throughput,
-    (16/gamma_bar^2) G^{4,1}_{2,4}(4/gamma_bar | -2,0; -2,-1,-1,-2)."""
-    _require_scalar("gamma_bar", gamma_bar)
-    if not 0.0 < gamma_bar < np.inf:
-        raise ValueError("gamma_bar must be positive and finite")
+    (16/gamma_bar^2) G^{4,1}_{2,4}(4/gamma_bar | -2,0; -2,-1,-1,-2), at
+    every gamma_bar of an array at once (a float for a scalar)."""
     params = MeijerParams(4, 1, 2, 4, (-2.0, 0.0), (-2.0, -1.0, -1.0, -2.0))
-    return 16.0 / gamma_bar**2 * meijer_g(params, 4.0 / gamma_bar)
+    return _at_gamma_bars(gamma_bar, lambda g: 16.0 / g**2 * meijer_g(params, 4.0 / g))
 
 
-def throughput_closed_r22_cmp(gamma_bar: float) -> float:
+def throughput_closed_r22_cmp(gamma_bar):
     """Closed form of the compensated (2,2)-mode throughput: a single
-    G^{3,1}_{1,3} tail integral plus half the plain-surface value."""
-    _require_scalar("gamma_bar", gamma_bar)
-    if not 0.0 < gamma_bar < np.inf:
-        raise ValueError("gamma_bar must be positive and finite")
+    G^{3,1}_{1,3} tail integral plus half the plain-surface value, at every
+    gamma_bar of an array at once (a float for a scalar)."""
     params = MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0))
 
-    def tail(u):
-        # one G evaluation, on one contour, for every node of a level
-        t = 1.0 + u * u
-        g = meijer_g(params, 4.0 * t / gamma_bar)
-        return 2.0 * (1.0 - u * u) / t**2 * np.arcsin(1.0 / np.sqrt(t)) * g
+    def closed(gammas):
+        def tail(u):
+            # one G evaluation, on one contour, for every node of a level
+            # and every gamma_bar (a row each)
+            t = 1.0 + u * u
+            g = meijer_g(params, 4.0 * t / gammas[:, None])
+            return 2.0 * (1.0 - u * u) / t**2 * np.arcsin(1.0 / np.sqrt(t)) * g
 
-    integral = _half_line_integral(tail, "throughput_closed_r22_cmp")
-    return 0.5 * integral + 0.5 * throughput_closed_r22(gamma_bar)
+        integral = _half_line_integral(tail, "throughput_closed_r22_cmp")
+        return 0.5 * integral + 0.5 * throughput_closed_r22(gammas)
+
+    return _at_gamma_bars(gamma_bar, closed)

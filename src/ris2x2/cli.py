@@ -79,6 +79,8 @@ class ExperimentConfig:
         labels = [parse_scheme(name).label for name in self.schemes]
         if len(set(labels)) < len(labels):
             raise ValueError(f"scheme list names a scheme twice: {', '.join(labels)}")
+        if self.svg and Path(self.out).suffix == ".svg":
+            raise ValueError(f"out {self.out!r} would be overwritten by the svg chart")
 
     def _grid_points(self) -> float:
         """Grid size as a float, so that a huge grid is sized, not built."""

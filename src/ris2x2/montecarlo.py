@@ -404,13 +404,13 @@ class EmpiricalCdf:
     """Right-continuous step CDF of a sample."""
 
     def __init__(self, samples):
-        samples = np.asarray(samples, dtype=np.float64).ravel()
-        if samples.size == 0:
+        # one copy, sorted flat; NaN sorts to the end
+        self.sorted = np.sort(np.asarray(samples, dtype=np.float64), axis=None)
+        self.n = self.sorted.size
+        if self.n == 0:
             raise ValueError("need at least one sample")
-        if np.isnan(samples).any():
+        if np.isnan(self.sorted[-1]):
             raise ValueError("samples must not be NaN")
-        self.sorted = np.sort(samples)
-        self.n = samples.size
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -419,8 +419,8 @@ class EmpiricalCdf:
 
     def ks_distance(self, reference) -> float:
         """sup-norm distance to a reference CDF (vectorized callable)."""
+        # the step rises from (i - 1)/n to i/n at the i-th sample, and for
+        # a > b, max(|a - F|, |b - F|) = max(a - F, F - b) (monotone rounding)
         ref = np.asarray(reference(self.sorted), dtype=np.float64)
-        i = np.arange(1, self.n + 1)
-        upper = np.max(np.abs(i / self.n - ref))
-        lower = np.max(np.abs((i - 1) / self.n - ref))
-        return float(max(upper, lower))
+        steps = np.arange(self.n + 1) / self.n
+        return float(max(np.max(steps[1:] - ref), np.max(ref - steps[:-1])))

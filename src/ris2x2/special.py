@@ -11,8 +11,8 @@ expressions.  So do the two special functions they take, in numpy alone:
 * :func:`bessel_k`, K_n(x) of integer order |n| <= 3: the trapezoid rule
   on its integral representation in exp(-2x sinh^2(t/2)) cosh(nt).
 
-(``analytic`` holds the other three the package needs, each next to its
-one caller: e^x E1(x), the logistic and the Legendre recurrence.)
+(``analytic`` holds the other two the package needs, each next to its one
+caller: e^x E1(x), by series and continued fraction, and the logistic.)
 
 A Meijer G function and a Mellin-Barnes column are the same object,
 
@@ -53,12 +53,6 @@ __all__ = [
     "meijer_g",
     "weighted_bessel_integral",
 ]
-
-
-def _require_scalar(name: str, value) -> None:
-    """ValueError unless ``value`` is a scalar, for one-value functions."""
-    if np.ndim(value):
-        raise ValueError(f"{name} must be a scalar, not of shape {np.shape(value)}")
 
 
 class QuadratureError(RuntimeError):
@@ -332,11 +326,12 @@ def meijer_g(params: MeijerParams, z):
     return result if result.ndim else float(result)
 
 
-def _half_line_integral(f, what: str) -> float:
-    """int_0^inf f(u) du for an integrand analytic on a neighbourhood of the
-    half-line that decays at infinity at least like a power u^-(1+d), d > 0.
+def _half_line_integral(f, what: str):
+    """int_0^inf f(u) du for integrands analytic on a neighbourhood of the
+    half-line that decay at infinity at least like a power u^-(1+d), d > 0.
 
-    ``f`` maps an array of u to an array of values.  In the exp-sinh
+    ``f`` maps an array of u to values along its last axis: a 1-D array for
+    one integrand, or one row per integrand of a grid.  In the exp-sinh
     variable, u = exp((pi/2) sinh tau), f(u) du/dtau decays double
     exponentially both ways, so the trapezoid rule in tau converges
     geometrically as its step is halved from 1/2, up to six times.  Every
@@ -344,9 +339,11 @@ def _half_line_integral(f, what: str) -> float:
     integrands take overflows), where the terms at either end must be below
     1% of the tolerance (a span cut where a coarse level's terms are small
     could miss a narrow bump between them), and evaluates its new midpoints
-    as one array.  The value is certified once two levels agree to
-    0.5 max(_ABS_TOL, _REL_TOL |value|); otherwise, or if a term is not
-    finite, QuadratureError is raised.
+    as one array.  Each row keeps its value from the first level that
+    agrees with the one before to 0.5 max(_ABS_TOL, _REL_TOL |value|); a row
+    that no level certifies, or a term that is not finite, raises
+    QuadratureError.  Returns a float for one integrand, else an array of
+    the rows' shape.
     """
 
     def terms(tau):
@@ -358,22 +355,26 @@ def _half_line_integral(f, what: str) -> float:
 
     step, last = 0.5, 10
     values = terms(step * np.arange(-last, last + 1))
-    total = values.sum()
+    total = values.sum(axis=-1)
     estimate = step * total
-    ends = step * max(abs(values[0]), abs(values[-1]))
-    if ends > 0.01 * max(_ABS_TOL, _REL_TOL * abs(estimate)):
+    ends = step * np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1]))
+    if np.any(ends > 0.01 * np.maximum(_ABS_TOL, _REL_TOL * np.abs(estimate))):
         raise QuadratureError(f"{what}: integrand does not decay on the half-line")
+    result, pending = estimate, np.ones(np.shape(estimate), dtype=bool)
     for _ in range(6):
         # the next level adds the odd multiples of half the step
         step *= 0.5
         last *= 2
-        total += terms(step * np.arange(1 - last, last, 2)).sum()
+        total += terms(step * np.arange(1 - last, last, 2)).sum(axis=-1)
         previous, estimate = estimate, step * total
-        if abs(estimate - previous) <= 0.5 * max(_ABS_TOL, _REL_TOL * abs(estimate)):
-            return float(estimate)
+        result = np.where(pending, estimate, result)
+        pending &= np.abs(estimate - previous) > 0.5 * np.maximum(_ABS_TOL, _REL_TOL * np.abs(estimate))
+        if not pending.any():
+            return result if np.ndim(result) else float(result)
     raise QuadratureError(
-        f"{what}: half-line rule not converged at step {step:g} (last two "
-        f"estimates {previous:.6e}, {estimate:.6e})"
+        f"{what}: half-line rule not converged at step {step:g} on "
+        f"{np.count_nonzero(pending)} of {pending.size} rows (the first one's last two "
+        f"estimates {previous[pending][0]:.6e}, {estimate[pending][0]:.6e})"
     )
 
 
@@ -383,8 +384,10 @@ def _g30(z: float, b2: float, b3: float) -> float:
     return meijer_g(MeijerParams(3, 0, 1, 3, (0.0,), (-1.0, b2, b3)), z)
 
 
-def weighted_bessel_integral(a: int, alpha: int, gamma_param: float, x: float) -> float:
-    """The composite term of the compensated outage expressions.
+def weighted_bessel_integral(a: int, alpha: int, gamma_param, x):
+    """The composite term of the compensated outage expressions, at every
+    pair of ``gamma_param`` and ``x`` (arrays broadcast together; a float
+    for scalars).
 
     Equal to the double integral over the unit-interval alignment density
     f(u) and an exponential weight,
@@ -393,19 +396,16 @@ def weighted_bessel_integral(a: int, alpha: int, gamma_param: float, x: float) -
                 f(u) dw du,
 
     evaluated as a Meijer G term plus a one-dimensional Bessel tail
-    integral.  The endpoint singularity 1/sqrt(t-1) of the tail is removed
-    by substituting t = 1 + u^2.
+    integral, each one call over the whole grid.  The endpoint singularity
+    1/sqrt(t-1) of the tail is removed by substituting t = 1 + u^2.
     """
     if a not in (0, 2):
         raise ValueError("a must be 0 or 2")
     if alpha not in (-1, 0, 1, 2, 3):
         raise ValueError("alpha must be in -1..3")
-    _require_scalar("gamma_param", gamma_param)
-    _require_scalar("x", x)
-    if not (gamma_param > 0.0 and x > 0.0):
-        raise ValueError("gamma_param and x must be positive")
-    gam = float(gamma_param)
-    x = float(x)
+    gam, x = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (gamma_param, x)))
+    if not np.all((gam > 0.0) & (x > 0.0) & (gam < np.inf) & (x < np.inf)):
+        raise ValueError("gamma_param and x must be positive and finite")
 
     g30 = _g30(gam * x, alpha + a - 2.0, a - 2.0)
     g_term = x ** (2 - a) / (2.0 * gam ** (alpha + a - 2)) * g30
@@ -413,9 +413,11 @@ def weighted_bessel_integral(a: int, alpha: int, gamma_param: float, x: float) -
     exponent = a + alpha / 2.0 - 2.0
 
     def tail(u):
+        # one row of nodes per point of the grid
         t = 1.0 + u * u
-        bessel = bessel_k(alpha, w * np.sqrt(t))
+        bessel = bessel_k(alpha, np.multiply.outer(w, np.sqrt(t)))
         return 2.0 * t**exponent * (1.0 - u * u) * bessel * np.arcsin(1.0 / np.sqrt(t))
 
     what = f"weighted_bessel_integral(a={a}, alpha={alpha})"
-    return g_term + (x / gam) ** (alpha / 2.0) * _half_line_integral(tail, what)
+    value = g_term + (x / gam) ** (alpha / 2.0) * _half_line_integral(tail, what)
+    return value if np.ndim(value) else float(value)

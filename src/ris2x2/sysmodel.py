@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import ChannelRealization, _is_integer
-from .special import _require_scalar
 
 __all__ = [
     "Mode",
@@ -92,22 +91,23 @@ def compensated_phases(v_j, w_i) -> np.ndarray:
     return np.where(live, np.conjugate(prod) / np.where(live, mag, 1.0), 1.0 + 0.0j)
 
 
-def instantaneous_snr(g, h, phasors, a, b, gamma_bar: float):
+def instantaneous_snr(g, h, phasors, a, b, gamma_bar):
     """gamma_bar * |b^H G Phi H a|^2 for unit vectors a, b and unit tile
-    phasors (Phi = diag(phasors)), one value per realization."""
+    phasors (Phi = diag(phasors)), one value per realization and gamma_bar
+    (broadcast together; a float for one of each)."""
     a, b, phasors = np.asarray(a), np.asarray(b), np.asarray(phasors)
     for vec in (a, b):
-        if not np.all(np.abs(np.linalg.norm(vec, axis=-1) - 1.0) <= _UNIT_TOL):
+        if not np.all(np.abs(np.sqrt(np.sum(np.abs(vec) ** 2, axis=-1)) - 1.0) <= _UNIT_TOL):
             raise ValueError("a and b must be unit vectors")
     if not np.all(np.abs(np.abs(phasors) - 1.0) <= _UNIT_TOL):
         raise ValueError("tile phasors must have unit modulus")
-    _require_scalar("gamma_bar", gamma_bar)
-    if not 0.0 < gamma_bar < np.inf:
+    gamma_bar = np.asarray(gamma_bar, dtype=np.float64)
+    if not np.all((gamma_bar > 0.0) & (gamma_bar < np.inf)):
         raise ValueError("gamma_bar must be positive and finite")
     bg = np.einsum("...i,...ij->...j", np.conjugate(b), g)
     ha = np.einsum("...ij,...j->...i", h, a)
     amp = np.einsum("...k,...k,...k->...", bg, phasors, ha)
-    out = float(gamma_bar) * (amp.real**2 + amp.imag**2)
+    out = gamma_bar * (amp.real**2 + amp.imag**2)
     return out if out.ndim else float(out)
 
 

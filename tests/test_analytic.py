@@ -249,18 +249,30 @@ def test_outage_refuses_what_it_cannot_certify():
 
 
 _E1 = np.array([1.0, 0.0])
+_X_BAD = (-1.0, np.nan, np.inf)
+_GAMMA_BAD = (0.0, -1.0, np.nan, np.inf)
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, grid, bad, tol",
     [
-        lambda v: analytic.outage_quadrature(Mode(2, 2), v),
-        lambda v: analytic.outage_closed_form(Mode(2, 2), v),
-        analytic.throughput_closed_r22,
-        analytic.throughput_closed_r22_cmp,
-        lambda v: special.weighted_bessel_integral(0, 1, v, 1.0),
-        lambda v: special.weighted_bessel_integral(0, 1, 1.0, v),
-        lambda v: instantaneous_snr(np.eye(2), np.eye(2), np.ones(2), _E1, _E1, v),
+        # the oracle certifies each x to _REL_TOL relative, and a grid cuts
+        # its tails at the smallest x's mass
+        (lambda v: analytic.outage_quadrature(Mode(1, 1, True), v),
+         [[0.0, 1e-3], [0.5, 2.0]], _X_BAD, dict(rel=1e-10, abs=0.0)),
+        # P = 1 + sum of terms, each certified to max(1e-12, 1e-10 |term|)
+        (lambda v: analytic.outage_closed_form(Mode(1, 1, True), v),
+         [[1e-2, 0.25], [1.0, 5.0]], _X_BAD, dict(rel=1e-10, abs=1e-11)),
+        (analytic.throughput_closed_r22,
+         [[0.1, 1.0], [10.0, 300.0]], _GAMMA_BAD, dict(rel=1e-10, abs=1e-12)),
+        (analytic.throughput_closed_r22_cmp,
+         [[0.1, 1.0], [10.0, 300.0]], _GAMMA_BAD, dict(rel=1e-10, abs=1e-12)),
+        (lambda v: special.weighted_bessel_integral(2, -1, v, 0.5),
+         [[0.5, 1.0], [2.0, 4.0]], _GAMMA_BAD, dict(rel=1e-10, abs=1e-12)),
+        (lambda v: special.weighted_bessel_integral(0, 3, 1.0, v),
+         [[1e-3, 0.1], [1.0, 20.0]], _GAMMA_BAD, dict(rel=1e-10, abs=1e-12)),
+        (lambda v: instantaneous_snr(np.eye(2), np.eye(2), np.ones(2), _E1, _E1, v),
+         [[0.5, 1.0], [2.0, 4.0]], _GAMMA_BAD, dict(rel=0.0, abs=0.0)),
     ],
     ids=[
         "outage_quadrature",
@@ -272,11 +284,20 @@ _E1 = np.array([1.0, 0.0])
         "instantaneous_snr",
     ],
 )
-def test_scalar_only_functions_refuse_arrays(call):
-    # these take one value at a time; an array, even of one element, is
-    # refused by name rather than by numpy's ambiguous truth value
-    for value in (np.array([0.5, 2.0]), [0.5], np.ones((1, 1))):
-        with pytest.raises(ValueError, match="must be a scalar"):
+def test_closed_forms_and_oracles_take_a_grid(call, grid, bad, tol):
+    # one call over a 2-D grid keeps its shape and equals the calls at
+    # each point to the function's certified tolerance; a scalar gives a
+    # float, and one bad element refuses the whole grid
+    grid = np.array(grid)
+    values = call(grid)
+    assert values.shape == grid.shape
+    single = [call(float(v)) for v in grid.ravel()]
+    assert all(isinstance(v, float) for v in single)
+    assert values.ravel() == pytest.approx(single, **tol)
+    for value in bad:
+        with pytest.raises(ValueError, match="must be"):
+            call(np.array([[1.0, value], [2.0, 4.0]]))
+        with pytest.raises(ValueError, match="must be"):
             call(value)
 
 
@@ -562,8 +583,11 @@ def test_laguerre_stieltjes_is_exp_e1_to_the_last_digits():
         np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), np.linspace(0.9, 60.0, 100),
     ])
     ref = np.array([float(mp.exp(v) * mp.e1(v)) for v in x])
-    (value,) = analytic._laguerre_stieltjes(x, (0,))
+    value, second = analytic._laguerre_stieltjes(x)
     assert value == pytest.approx(ref, rel=1e-14, abs=0.0)
+    # beyond x = 1 the fraction gives f_2 = 1 - x + x^2 e^x E1(x) itself
+    ref = [float(1 - mp.mpf(v) + mp.mpf(v) ** 2 * mp.exp(v) * mp.e1(v)) for v in x]
+    assert second == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_z_rule_is_scipys_gauss_legendre_bit_for_bit():

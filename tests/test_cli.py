@@ -139,6 +139,26 @@ def test_outage_solves_no_eigenproblem(tmp_path, monkeypatch):
             cache.cache_clear()
 
 
+def test_verify_smoke_calls_no_linalg(monkeypatch, capsys):
+    # the throughput oracle's continued fraction runs by recurrence, not on
+    # Gauss nodes from an eigensolver: no numpy.linalg function is called
+    def refuse(*args, **kwargs):
+        raise AssertionError("ris2x2 verify called numpy.linalg")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    caches = (ris2x2.special._line_level, ris2x2.analytic._z_rule)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        assert main(["verify", "--level", "smoke"]) == 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert "10/10 criteria passed" in capsys.readouterr().out
+
+
 def test_formerly_failing_outage_grids_match_the_oracle(tmp_path):
     # the closed forms failed here (j1i1-cmp from 100 dB, every mode from
     # 150 dB); the Mellin column is accurate in relative terms
@@ -316,6 +336,23 @@ def test_config_svg_must_be_a_boolean(tmp_path, capsys):
         cfg.write_text(f"svg={text}\n")
         assert main(["outage", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert "svg must be" in capsys.readouterr().err
+
+
+def test_an_svg_out_with_svg_is_refused_before_any_trial(tmp_path, capsys, monkeypatch):
+    # the chart goes to the out path with suffix .svg, which would be the
+    # CSV itself
+    def no_trials(*args, **kwargs):
+        raise AssertionError("bad input reached the statistics pass")
+
+    monkeypatch.setattr(ris2x2.montecarlo, "channel_statistics", no_trials)
+    out = tmp_path / "curve.svg"
+    assert main(["outage", *FAST, "--out", str(out), "--svg"]) == 2
+    assert "would be overwritten by the svg chart" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"svg=yes\nout={out}\n")
+    assert main(["throughput", "--config", str(cfg)]) == 2
+    assert not out.exists()
+    ExperimentConfig(out="curve.svg").validate()  # a CSV of that name, no chart
 
 
 def test_svg_render(tmp_path):

@@ -225,6 +225,39 @@ def test_half_line_rule_matches_adaptive_quadrature():
         assert special._half_line_integral(g_tail, "test") == pytest.approx(ref, rel=1e-8)
 
 
+def test_half_line_rule_certifies_each_row_on_its_own():
+    # Lorentzian rows with poles at 1 +- jb: the nearer the pole to the
+    # half-line, the more levels a row takes; each row of one 2-D call
+    # keeps the value of its own 1-D call, and meets the exact integral
+    widths = np.array([[2.0, 1.0], [0.5, 0.3]])
+    exact = (0.5 * np.pi + np.arctan(1.0 / widths)) / widths
+    single, levels = [], []
+    for b in widths.ravel():
+        calls = []
+
+        def row(u, b=b, calls=calls):
+            calls.append(u.size)
+            return 1.0 / ((u - 1.0) ** 2 + b * b)
+
+        single.append(special._half_line_integral(row, "test"))
+        levels.append(len(calls))
+    assert all(isinstance(v, float) for v in single)
+    assert len(set(levels)) > 1, levels
+
+    def rows(u):
+        return 1.0 / ((u - 1.0) ** 2 + widths[..., None] ** 2)
+
+    values = special._half_line_integral(rows, "test")
+    assert values.shape == widths.shape
+    assert values.ravel() == pytest.approx(single, rel=1e-15, abs=0.0)
+    assert values == pytest.approx(exact, rel=1e-9)
+    # a row that no level certifies names itself among the rows
+    with pytest.raises(QuadratureError, match="1 of 2 rows"):
+        special._half_line_integral(
+            lambda u: np.stack([np.exp(-u), np.exp(-u) * np.abs(u - 1.0) ** 0.5]), "test"
+        )
+
+
 def test_half_line_rule_refuses_what_it_cannot_certify():
     with pytest.raises(QuadratureError, match="does not decay"):
         special._half_line_integral(lambda u: 1.0 / (1.0 + u), "test")
