@@ -14,17 +14,8 @@ every function takes one realization or a stack of a million (leading
 axes), and a tile configuration is always a pair of unit phasors.
 """
 
-from .linalg2 import Svd2, UnitaryAngles, angles_from_unitary, svd2, unitary_from_angles
-from .sampling import (
-    ChannelRealization,
-    RngState,
-    angle_diff_cdf,
-    angle_diff_pdf,
-    angle_sum_pdf,
-    channel_realizations,
-    haar_angles,
-    haar_unitaries,
-)
+from .linalg2 import Svd2, svd2
+from .sampling import ChannelRealization, RngState, channel_realizations
 from .sysmodel import (
     MODES,
     Mode,

@@ -18,20 +18,12 @@ import numpy as np
 
 __all__ = [
     "Svd2",
-    "UnitaryAngles",
     "gram2",
     "abs_det2",
     "hermitian_eigen2",
     "channel_eigen",
     "svd2",
-    "unitary_from_angles",
-    "angles_from_unitary",
 ]
-
-TWO_PI = 2.0 * np.pi
-
-# Largest entry of S^H S - I that angles_from_unitary accepts.
-_UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,23 +40,6 @@ class Svd2:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-
-@dataclass(frozen=True)
-class UnitaryAngles:
-    """Angles of the standard U(2) parameterization.
-
-    theta11, theta21, theta22 live in [0, 2*pi); theta12 in [0, pi/2].
-    The matrix they encode is
-
-        [ exp(j*t11) cos t12            -exp(j*(t11+t21)) sin t12 ]
-        [ exp(j*t22) sin t12             exp(j*(t22+t21)) cos t12 ]
-    """
-
-    theta11: np.ndarray | float
-    theta12: np.ndarray | float
-    theta21: np.ndarray | float
-    theta22: np.ndarray | float
 
 
 def _abs2(z):
@@ -226,65 +201,3 @@ def _left_basis(m, vx, vy, wx, wy):
     t = np.conjugate(cx) * (m00 * wx + m01 * wy) + np.conjugate(cy) * (m10 * wx + m11 * wy)
     phase = _phase(t)
     return _basis(ux, uy, cx * phase, cy * phase)
-
-
-def unitary_from_angles(angles: UnitaryAngles) -> np.ndarray:
-    """Assemble the U(2) matrix encoded by ``angles`` (broadcastable)."""
-    t11 = np.asarray(angles.theta11, dtype=np.float64)
-    t12 = np.asarray(angles.theta12, dtype=np.float64)
-    t21 = np.asarray(angles.theta21, dtype=np.float64)
-    t22 = np.asarray(angles.theta22, dtype=np.float64)
-    for name, t, hi in (
-        ("theta11", t11, TWO_PI),
-        ("theta21", t21, TWO_PI),
-        ("theta22", t22, TWO_PI),
-        ("theta12", t12, np.pi / 2),
-    ):
-        # NaN fails every comparison, so it is out of range too
-        if not np.all((t >= 0.0) & ((t < hi) if hi == TWO_PI else (t <= hi))):
-            raise ValueError(f"{name} out of range")
-    c = np.cos(t12)
-    s = np.sin(t12)
-    e11 = np.exp(1j * t11)
-    e22 = np.exp(1j * t22)
-    e21 = np.exp(1j * t21)
-    row0 = np.stack([e11 * c, -e11 * e21 * s], axis=-1)
-    row1 = np.stack([e22 * s, e22 * e21 * c], axis=-1)
-    return np.stack([row0, row1], axis=-2)
-
-
-def angles_from_unitary(s: np.ndarray) -> UnitaryAngles:
-    """Recover the canonical angles of a (stacked) unitary matrix.
-
-    theta12 comes from the moduli of the first column, the phases from the
-    entries directly; theta21 is read off whichever second-column entry has
-    the larger modulus.  Inverse of :func:`unitary_from_angles` away from
-    the theta12 endpoints, where absent phases default to zero.
-    """
-    s = np.asarray(s, dtype=np.complex128)
-    if s.shape[-2:] != (2, 2):
-        raise ValueError(f"expected trailing (2, 2) shape, got {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("input must be finite")
-    gram = np.einsum("...ki,...kj->...ij", np.conjugate(s), s)
-    eye = np.eye(2)
-    if np.max(np.abs(gram - eye)) > _UNITARY_TOL:
-        raise ValueError("input is not unitary within tolerance")
-
-    s00 = s[..., 0, 0]
-    s01 = s[..., 0, 1]
-    s10 = s[..., 1, 0]
-    s11 = s[..., 1, 1]
-    t12 = np.arctan2(np.abs(s10), np.abs(s00))
-    t11 = np.where(np.abs(s00) > 0.0, np.angle(s00), 0.0) % TWO_PI
-    t22 = np.where(np.abs(s10) > 0.0, np.angle(s10), 0.0) % TWO_PI
-    # theta21 lives in both second-column entries; read the bigger one.
-    from_s11 = np.abs(s11) >= np.abs(s01)
-    t21_a = (np.angle(s11) - t22) % TWO_PI
-    t21_b = (np.angle(-s01) - t11) % TWO_PI
-    second_col_zero = (np.abs(s11) == 0.0) & (np.abs(s01) == 0.0)
-    t21 = np.where(from_s11, t21_a, t21_b)
-    t21 = np.where(second_col_zero, 0.0, t21)
-    if t12.ndim == 0:
-        return UnitaryAngles(float(t11), float(t12), float(t21), float(t22))
-    return UnitaryAngles(t11, t12, t21, t22)

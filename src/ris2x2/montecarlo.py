@@ -82,6 +82,10 @@ _Z95 = 1.959963984540054
 # Default trials per chunk of the statistics pass (see the module docstring).
 _CHUNK_SIZE = 1 << 14
 
+# Sorted samples per evaluation of the reference CDF in a KS distance; the
+# laws' temporaries span a few such blocks whatever the sample size.
+_KS_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class AltScheme:
@@ -418,9 +422,14 @@ class EmpiricalCdf:
         return out if out.ndim else float(out)
 
     def ks_distance(self, reference) -> float:
-        """sup-norm distance to a reference CDF (vectorized callable)."""
+        """sup-norm distance to a reference CDF (vectorized callable),
+        evaluated on :data:`_KS_BLOCK` sorted samples at a time."""
         # the step rises from (i - 1)/n to i/n at the i-th sample, and for
         # a > b, max(|a - F|, |b - F|) = max(a - F, F - b) (monotone rounding)
-        ref = np.asarray(reference(self.sorted), dtype=np.float64)
-        steps = np.arange(self.n + 1) / self.n
-        return float(max(np.max(steps[1:] - ref), np.max(ref - steps[:-1])))
+        worst = []
+        for lo in range(0, self.n, _KS_BLOCK):
+            block = self.sorted[lo : lo + _KS_BLOCK]
+            ref = np.asarray(reference(block), dtype=np.float64)
+            steps = np.arange(lo, lo + block.size + 1) / self.n
+            worst += [np.max(steps[1:] - ref), np.max(ref - steps[:-1])]
+        return float(np.max(worst))

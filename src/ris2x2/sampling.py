@@ -1,4 +1,5 @@
-"""Seedable, counter-based random generation of channels and unitaries.
+"""Seedable, counter-based random generation of channels and their
+Gram eigen-decompositions.
 
 Randomness is keyed by ``RngState(seed, stream)`` and a draw index: draw k
 of a given kind touches a fixed window of Philox counter blocks, so the
@@ -11,9 +12,6 @@ Channel matrices have CN(0, 1) entries, by Box-Muller applied to the raw
 uniform stream (fixed consumption of uniforms per draw, no rejection):
 :func:`channel_matrices` is the Gaussian path, which the demos and the
 checks on simulated channels use; the statistics pass draws no channels.
-Haar unitaries are assembled from the angle densities of the U(2)
-parameterization (theta12 with density sin 2*theta via inverse CDF, the
-three phase angles uniform on [0, 2*pi)).
 
 The statistics pass reads G and H only through the eigen-decompositions
 of G^H G and H H^H, so :func:`eigen_draws` draws those directly.  G^H G
@@ -43,9 +41,6 @@ moduli and the relative phase theta = phi_g - phi_h, uniform on
 [0, 2 pi) (conjugating both Gram matrices by one diagonal unitary moves
 no z factor), so the draw returns (l1, l2, c, s) per link and theta as
 (cos theta, sin theta).
-:func:`eigen_realizations` gives channels with these eigen-decompositions
-(to rounding), G = diag(sqrt l) V^H and H = W diag(sqrt w), from the
-same counter blocks, with their SVDs.
 """
 
 from __future__ import annotations
@@ -55,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .linalg2 import Svd2, UnitaryAngles, svd2, unitary_from_angles
+from .linalg2 import Svd2, svd2
 
 __all__ = [
     "RngState",
@@ -63,12 +58,6 @@ __all__ = [
     "channel_matrices",
     "channel_realizations",
     "eigen_draws",
-    "eigen_realizations",
-    "haar_unitaries",
-    "haar_angles",
-    "angle_diff_pdf",
-    "angle_diff_cdf",
-    "angle_sum_pdf",
 ]
 
 # Philox-4x64 emits 4 raw uint64 words per counter increment.
@@ -169,80 +158,3 @@ def eigen_draws(state: RngState, n: int, start: int = 0):
         links.append((l2 + d, l2, np.sqrt(u[:, k + 4]), np.sqrt(1.0 - u[:, k + 4])))
     theta = (2.0 * np.pi) * u[:, 10]
     return links[0], links[1], np.cos(theta), np.sin(theta)
-
-
-def eigen_realizations(state: RngState, n: int, start: int = 0) -> ChannelRealization:
-    """Channel pairs (g, h), each (n, 2, 2), with their SVDs, whose G^H G
-    and H H^H have the eigen-decompositions and the relative phase of
-    :func:`eigen_draws` at the same trials: G = diag(sqrt l1, sqrt l2) V^H
-    and H = W diag(sqrt w1, sqrt w2) with the unitaries
-    V = [[cg, -sg e^{j theta}], [sg e^{-j theta}, cg]] and
-    W = [[ch, -sh], [sh, ch]], so a01 of G^H G carries theta and b01 of
-    H H^H is real."""
-    (l1, l2, cg, sg), (w1, w2, ch, sh), cos, sin = eigen_draws(state, n, start)
-    phase = cos + 1j * sin
-    g = np.empty((n, 2, 2), dtype=np.complex128)
-    h = np.empty((n, 2, 2), dtype=np.complex128)
-    r1, r2 = np.sqrt(l1), np.sqrt(l2)
-    g[:, 0, 0], g[:, 0, 1] = r1 * cg, r1 * sg * phase
-    g[:, 1, 0], g[:, 1, 1] = -r2 * sg * np.conjugate(phase), r2 * cg
-    r1, r2 = np.sqrt(w1), np.sqrt(w2)
-    h[:, 0, 0], h[:, 0, 1] = ch * r1, -sh * r2
-    h[:, 1, 0], h[:, 1, 1] = sh * r1, ch * r2
-    return ChannelRealization(g=g, h=h, svd_g=svd2(g), svd_h=svd2(h))
-
-
-def haar_angles(state: RngState, n: int, start: int = 0) -> UnitaryAngles:
-    """Angles of n Haar draws; draw k consumes counter block start + k."""
-    u = _uniform_blocks(state, start, n, 1).reshape(n, 4)
-    return UnitaryAngles(
-        theta11=(2.0 * np.pi) * u[:, 0],
-        theta12=np.arcsin(np.sqrt(u[:, 3])),  # inverse CDF of sin(2*theta)
-        theta21=(2.0 * np.pi) * u[:, 1],
-        theta22=(2.0 * np.pi) * u[:, 2],
-    )
-
-
-def haar_unitaries(state: RngState, n: int, start: int = 0) -> np.ndarray:
-    """Haar-distributed U(2) draws start..start+n-1."""
-    return unitary_from_angles(haar_angles(state, n, start=start))
-
-
-def angle_diff_pdf(x):
-    """Density of the difference of two independent angles with density
-    sin(2*theta) on [0, pi/2]; supported on [-pi/2, pi/2], zero outside."""
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    val = 0.5 * (
-        (np.pi / 2.0) * np.cos(2.0 * x)
-        - ax * np.cos(2.0 * x)
-        + 0.5 * np.sin(2.0 * ax)
-    )
-    out = np.where(ax <= np.pi / 2.0, val, 0.0)
-    return out if out.ndim else float(out)
-
-
-def angle_diff_cdf(x):
-    """Antiderivative of :func:`angle_diff_pdf`, clamped to [0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.clip(np.abs(x), 0.0, np.pi / 2.0)
-    half = (
-        (np.pi / 8.0) * np.sin(2.0 * ax)
-        - (ax / 4.0) * np.sin(2.0 * ax)
-        - 0.25 * np.cos(2.0 * ax)
-        + 0.25
-    )
-    out = 0.5 + np.sign(x) * half
-    out = np.clip(out, 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
-def angle_sum_pdf(x):
-    """Density of the sum of two independent angles with density
-    sin(2*theta) on [0, pi/2]; supported on [0, pi], zero outside."""
-    x = np.asarray(x, dtype=np.float64)
-    low = 0.25 * np.sin(2.0 * x) - 0.5 * x * np.cos(2.0 * x)
-    high = -0.25 * np.sin(2.0 * x) - 0.5 * (np.pi - x) * np.cos(2.0 * x)
-    val = np.where(x < np.pi / 2.0, low, high)
-    out = np.where((x >= 0.0) & (x <= np.pi), val, 0.0)
-    return out if out.ndim else float(out)

@@ -63,3 +63,36 @@ def test_scipy_is_never_imported(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    # the benchmark's tracer (perfbench/child.py) wraps module attributes by
+    # name with getattr, and reads two TrialStats fields; deleting one of
+    # them makes every traced run fail before it starts
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    tree = ast.parse(child.read_text())
+    # a name may be a loop variable over a tuple of literals
+    loops = {
+        node.target.id: [e.value for e in node.iter.elts]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)
+    }
+    targets = [
+        (call.args[0].id, attr)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "patch"
+        for attr in (
+            [call.args[1].value]
+            if isinstance(call.args[1], ast.Constant)
+            else loops[call.args[1].id]
+        )
+    ]
+    assert ("analytic", "outage_quadrature") in targets, targets
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in targets
+        if not hasattr(importlib.import_module(f"ris2x2.{module}"), attr)
+    ]
+    assert not missing, f"the benchmark tracer wraps missing names {missing}"
+    fields = ris2x2.montecarlo.TrialStats.__dataclass_fields__
+    assert {"alt_iterations", "alt_converged"} <= set(fields)

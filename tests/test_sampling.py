@@ -2,22 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from ris2x2.linalg2 import gram2, unitary_from_angles
 from ris2x2.montecarlo import EmpiricalCdf
-from ris2x2.sampling import (
-    RngState,
-    angle_diff_cdf,
-    angle_diff_pdf,
-    angle_sum_pdf,
-    channel_matrices,
-    channel_realizations,
-    eigen_draws,
-    eigen_realizations,
-    haar_angles,
-    haar_unitaries,
-)
+from ris2x2.sampling import RngState, channel_matrices, channel_realizations, eigen_draws
 
 STATE = RngState(20240514, 0)
 
@@ -59,9 +46,7 @@ def test_sampler_windows_must_be_non_negative_integers():
     # a fractional window starts mid-draw: start=1.5 of the Gaussian draw is
     # counter block 6, whose first G would be pair 1's H; start=True would
     # read draw 1
-    samplers = (channel_matrices, channel_realizations, eigen_draws, eigen_realizations,
-                haar_angles, haar_unitaries)
-    for sampler in samplers:
+    for sampler in (channel_matrices, channel_realizations, eigen_draws):
         for bad in (1.5, 0.5, True, -1, np.float64(2.0), "1", None):
             with pytest.raises(ValueError, match="start must be a non-negative integer"):
                 sampler(STATE, 2, start=bad)
@@ -70,7 +55,7 @@ def test_sampler_windows_must_be_non_negative_integers():
                 sampler(STATE, bad)
     for n, start in ((np.int64(3), np.uint64(2)), (3, np.int32(2))):
         assert np.array_equal(channel_matrices(STATE, n, start)[0], channel_matrices(STATE, 3, 2)[0])
-        assert np.array_equal(haar_angles(STATE, n, start).theta12, haar_angles(STATE, 3, 2).theta12)
+        assert np.array_equal(eigen_draws(STATE, n, start)[2], eigen_draws(STATE, 3, 2)[2])
 
 
 @pytest.mark.parametrize(
@@ -145,35 +130,6 @@ def test_eigen_draws_follow_the_wishart_eigen_laws():
         assert d < critical, (name, d, critical)
 
 
-def test_eigen_realizations_have_the_drawn_eigen_decompositions():
-    # G = diag(sqrt l) V^H and H = W diag(sqrt w) with unitary V and W, so
-    # G G^H = diag(l1, l2) and H^H H = diag(w1, w2); the drawn unit vectors
-    # (cg, sg e^{-j theta}) and (ch, sh) are leading eigenvectors of G^H G
-    # and H H^H.  Errors are measured against the trace, the size of the
-    # matrices; the phase of a01 = (l1 - l2) cg sg e^{j theta} is as
-    # accurate as (l1 - l2) relative to the trace.
-    ch = eigen_realizations(STATE, 5000, start=7)
-    g, h = ch.g, ch.h
-    (l1, l2, cg, sg), (w1, w2, chh, sh), cos, sin = eigen_draws(STATE, 5000, start=7)
-    phase = cos + 1j * sin
-    for m, (e1, e2) in ((g @ np.conjugate(g).swapaxes(-1, -2), (l1, l2)),
-                        (np.conjugate(h).swapaxes(-1, -2) @ h, (w1, w2))):
-        want = np.zeros_like(m)
-        want[:, 0, 0], want[:, 1, 1] = e1, e2
-        assert np.all(np.abs(m - want).max(axis=(-1, -2)) <= 1e-15 * (e1 + e2))
-    (a00, a11, a01), (b00, b11, b01) = gram2(g), gram2(h, left=True)
-    for (x00, x11, x01), e1, e2, v in (
-        ((a00, a11, a01), l1, l2, (cg, sg * np.conjugate(phase))),
-        ((b00, b11, b01), w1, w2, (chh, sh)),
-    ):
-        r0 = x00 * v[0] + x01 * v[1] - e1 * v[0]
-        r1 = np.conjugate(x01) * v[0] + x11 * v[1] - e1 * v[1]
-        assert np.all(np.hypot(np.abs(r0), np.abs(r1)) <= 2e-15 * (e1 + e2))
-    c = a01 * np.conjugate(b01)
-    assert np.all(np.abs(c / np.abs(c) - phase) * (l1 - l2) <= 1e-15 * (l1 + l2))
-    assert np.all(h.imag == 0.0)
-
-
 def test_channel_realization_caches_svd():
     ch = channel_realizations(STATE, 1, start=3)
     rec = ch.svd_g.u * ch.svd_g.sigma[..., None, :] @ ch.svd_g.v.conj().swapaxes(-1, -2)
@@ -182,84 +138,3 @@ def test_channel_realization_caches_svd():
     assert np.array_equal(batch.g[3], ch.g[0])
     assert np.array_equal(batch.h[3], ch.h[0])
 
-
-def test_haar_draws_are_unitary():
-    s = haar_unitaries(STATE.child(2), 1000)
-    gram = np.einsum("nki,nkj->nij", np.conjugate(s), s) - np.eye(2)
-    assert np.abs(gram).max() < 1e-13
-
-
-def test_haar_mixing_angle_distribution():
-    ang = haar_angles(STATE.child(2), 1_000_000)
-    ks = EmpiricalCdf(ang.theta12).ks_distance(lambda t: np.sin(t) ** 2)
-    assert ks < 0.0017
-
-
-def test_haar_entry_moment():
-    s = haar_unitaries(STATE.child(2), 1_000_000)
-    assert abs((np.abs(s[:, 0, 0]) ** 2).mean() - 0.5) < 3e-3
-
-
-def test_haar_left_invariance():
-    # |(T S)_11|^2 must stay uniform on [0, 1] for any fixed unitary T
-    from ris2x2.linalg2 import UnitaryAngles
-
-    t = unitary_from_angles(UnitaryAngles(0.9, 0.6, 4.0, 2.5))
-    s = haar_unitaries(STATE.child(9), 1_000_000)
-    ts = np.einsum("ij,njk->nik", t, s)
-    ks = EmpiricalCdf(np.abs(ts[:, 0, 0]) ** 2).ks_distance(
-        lambda z: np.clip(z, 0.0, 1.0)
-    )
-    assert ks < 0.002
-
-
-def test_angle_diff_pdf_values():
-    assert angle_diff_pdf(0.0) == pytest.approx(np.pi / 4)
-    x = np.linspace(-np.pi / 2, np.pi / 2, 101)
-    assert np.allclose(angle_diff_pdf(x), angle_diff_pdf(-x))
-    total, _ = quad(angle_diff_pdf, -np.pi / 2, np.pi / 2, epsabs=1e-12)
-    assert abs(total - 1.0) < 1e-10
-    assert angle_diff_pdf(2.0) == 0.0
-
-
-def test_angle_sum_pdf_values():
-    assert angle_sum_pdf(0.0) == 0.0
-    # both branches meet at pi/2
-    eps = 1e-9
-    assert angle_sum_pdf(np.pi / 2 - eps) == pytest.approx(np.pi / 4, abs=1e-6)
-    assert angle_sum_pdf(np.pi / 2) == pytest.approx(np.pi / 4, abs=1e-12)
-    total, _ = quad(angle_sum_pdf, 0.0, np.pi, epsabs=1e-12)
-    assert abs(total - 1.0) < 1e-10
-    assert angle_sum_pdf(-0.5) == 0.0 and angle_sum_pdf(4.0) == 0.0
-
-
-def test_angle_diff_cdf_matches_pdf():
-    xs = np.linspace(-np.pi / 2, np.pi / 2, 41)
-    for x in xs:
-        # integrate piecewise: the density has a kink at zero
-        if x <= 0.0:
-            num, _ = quad(angle_diff_pdf, -np.pi / 2, x, epsabs=1e-13)
-        else:
-            lo, _ = quad(angle_diff_pdf, -np.pi / 2, 0.0, epsabs=1e-13)
-            hi, _ = quad(angle_diff_pdf, 0.0, x, epsabs=1e-13)
-            num = lo + hi
-        assert angle_diff_cdf(x) == pytest.approx(num, abs=1e-10)
-
-
-def test_empirical_angle_difference_law():
-    a = haar_angles(STATE.child(21), 1_000_000).theta12
-    b = haar_angles(STATE.child(22), 1_000_000).theta12
-    ks = EmpiricalCdf(a - b).ks_distance(angle_diff_cdf)
-    assert ks < 0.002
-
-
-def test_empirical_angle_sum_law():
-    a = haar_angles(STATE.child(23), 500_000).theta12
-    b = haar_angles(STATE.child(24), 500_000).theta12
-    grid = np.linspace(0.0, np.pi, 2049)
-    pdf = angle_sum_pdf(grid)
-    cdf_grid = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(grid))])
-    ks = EmpiricalCdf(a + b).ks_distance(
-        lambda x: np.interp(x, grid, cdf_grid / cdf_grid[-1])
-    )
-    assert ks < 0.003

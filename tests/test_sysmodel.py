@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ris2x2.linalg2 import angles_from_unitary, svd2
-from ris2x2.sampling import ChannelRealization, RngState, channel_realizations, haar_unitaries
+from ris2x2.linalg2 import svd2
+from ris2x2.sampling import ChannelRealization, RngState, channel_realizations
 from ris2x2.sysmodel import (
     MODES,
     Mode,
@@ -54,9 +54,10 @@ def test_compensated_phases_direct_argument():
 
 
 def test_compensated_phases_achieve_triangle_bound():
-    n = 100_000
-    v = haar_unitaries(STATE.child(1), n)[:, :, 0]
-    w = haar_unitaries(STATE.child(2), n)[:, :, 0]
+    # the vectors a mode's phases align: a right singular vector of G and a
+    # left singular vector of H
+    ch = channel_realizations(STATE.child(1), 100_000)
+    v, w = ch.svd_g.v[:, :, 0], ch.svd_h.u[:, :, 0]
     phasors = compensated_phases(v, w)
     assert np.abs(np.abs(phasors) - 1.0).max() < 1e-15
     achieved = np.abs(np.einsum("nk,nk,nk->n", np.conjugate(v), phasors, w)) ** 2
@@ -176,8 +177,10 @@ def test_gauge_invariance_of_z_factors():
 def test_compensated_z_equals_angle_identity():
     ch = channel_realizations(STATE.child(7), 100_000)
     _, z_comp = mode_z_factors(ch)
-    xi = np.asarray(angles_from_unitary(ch.svd_g.v).theta12)
-    psi = np.asarray(angles_from_unitary(ch.svd_h.u).theta12)
+    # the mixing angles of the singular bases, from the moduli of their
+    # first columns
+    xi = np.arctan2(np.abs(ch.svd_g.v[:, 1, 0]), np.abs(ch.svd_g.v[:, 0, 0]))
+    psi = np.arctan2(np.abs(ch.svd_h.u[:, 1, 0]), np.abs(ch.svd_h.u[:, 0, 0]))
     same = np.cos(xi - psi) ** 2
     cross = np.sin(xi + psi) ** 2
     assert np.abs(z_comp[:, 0, 0] - same).max() < 1e-10
