@@ -56,6 +56,8 @@ from .montecarlo import (
     channel_statistics,
     estimate_outage,
     estimate_throughput,
+    gain_ratio,
+    mode_gap_ratio,
     outage_from_stats,
     parse_scheme,
     scheme_snr_factor,

@@ -1,19 +1,27 @@
 """Acceptance checks tying the analytic results to their oracles.
 
-Each criterion is a function producing one :class:`CheckResult`; the
-registry is shared by the ``verify`` CLI subcommand and the test suite.
-The expensive input, the Monte Carlo statistics pass, is computed once per
-run through a lazy :class:`AcceptanceContext`; every sampled criterion
-reads it, except C8's checks of the optimum on Gaussian channel draws.
+Every criterion has one shape: a ``check_*(ctx)`` returning (passed,
+observed, note), declared once with ``@_criterion(number, name, expected,
+tolerance)``, which times it, builds its :class:`CheckResult` and
+registers it in :data:`CRITERIA` in report order; the registry is shared by
+the ``verify`` CLI subcommand and the test suite.  The expensive input, the
+Monte Carlo statistics pass, is computed once per run through a lazy
+:class:`AcceptanceContext`; every sampled criterion reads it, except C8's
+checks of the optimum on Gaussian channel draws.  No criterion recomputes
+a number the program holds: C1 and C9 read the gain and mode-gap ratios
+``ris2x2 gain`` prints (:func:`montecarlo.gain_ratio`,
+:func:`montecarlo.mode_gap_ratio`).
 
 Statistical tolerances scale as 1/sqrt(trials), so a quick smoke run
 stays as meaningful as the full one.  C5 and C6 check the rows of
 :func:`curve_rows`, the same rows ``ris2x2 outage`` and ``ris2x2 throughput``
-write.
+write; C6's paired alt gap is the alt row's mean minus the j1i1-cmp row's,
+two means over the same trials.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -138,110 +146,88 @@ class AcceptanceContext:
 
     def __init__(self, settings: AcceptanceSettings):
         self.settings = settings
-        self._stats = None
 
-    @property
+    @functools.cached_property
     def stats(self) -> TrialStats:
-        if self._stats is None:
-            s = self.settings
-            self._stats = montecarlo.channel_statistics(s.seed, s.trials)
-        return self._stats
+        return montecarlo.channel_statistics(self.settings.seed, self.settings.trials)
 
 
-def _timed(criterion, name, expected, tolerance, fn):
-    start = time.perf_counter()
-    passed, observed, note = fn()
-    return CheckResult(
-        criterion=criterion,
-        name=name,
-        passed=passed,
-        expected=expected,
-        observed=observed,
-        tolerance=tolerance,
-        seconds=time.perf_counter() - start,
-        note=note,
+# the criteria in report order, each registered by @_criterion
+CRITERIA = []
+
+
+def _criterion(number: int, name: str, expected: str, tolerance: str):
+    """Register ``check(ctx) -> (passed, observed, note)`` as criterion
+    ``number``: the registered function, which carries ``criterion`` and
+    ``name``, times the check and returns its :class:`CheckResult`.
+    ``tolerance`` is a format string of the settings ``s``."""
+
+    def register(check):
+        @functools.wraps(check)
+        def run(ctx: AcceptanceContext) -> CheckResult:
+            start = time.perf_counter()
+            passed, observed, note = check(ctx)
+            return CheckResult(
+                criterion=number,
+                name=name,
+                passed=passed,
+                expected=expected,
+                observed=observed,
+                tolerance=tolerance.format(s=ctx.settings),
+                seconds=time.perf_counter() - start,
+                note=note,
+            )
+
+        run.criterion, run.name = number, name
+        CRITERIA.append(run)
+        return run
+
+    return register
+
+
+@_criterion(1, "compensation SNR gain", "1 + pi^2/16 = 1.61685", "rel {s.mean_rel_tol}")
+def check_gain(ctx: AcceptanceContext):
+    s = ctx.settings
+    # the ratio `ris2x2 gain` prints, of the matched alignment columns
+    ratio = montecarlo.gain_ratio(ctx.stats).value
+    gain = analytic.snr_gain_linear()
+    rel = abs(ratio / gain - 1.0)
+    mean_ok = abs(float(ctx.stats.z_comp[:, 0].mean()) / analytic.mean_z(True) - 1.0)
+    return (
+        rel <= s.mean_rel_tol and mean_ok <= s.mean_rel_tol,
+        f"MC ratio {ratio:.6f} (rel dev {rel:.2e}), E[z_comp] dev {mean_ok:.2e}",
+        f"analytic {gain:.6f} = {analytic.snr_gain_db():.4f} dB",
     )
 
 
-def check_gain(ctx: AcceptanceContext) -> CheckResult:
-    s = ctx.settings
-
-    def run():
-        # the matched alignment columns of the pass, as `ris2x2 gain` reads them
-        z_comp, z_plain = ctx.stats.z_comp[:, 0], ctx.stats.z_plain[:, 0]
-        gain = analytic.snr_gain_linear()
-        ratio = float(z_comp.mean() / z_plain.mean())
-        rel = abs(ratio / gain - 1.0)
-        mean_ok = abs(float(z_comp.mean()) / analytic.mean_z(True) - 1.0)
-        ok = rel <= s.mean_rel_tol and mean_ok <= s.mean_rel_tol
-        return (
-            ok,
-            f"MC ratio {ratio:.6f} (rel dev {rel:.2e}), E[z_comp] dev {mean_ok:.2e}",
-            f"analytic {gain:.6f} = {analytic.snr_gain_db():.4f} dB",
-        )
-
-    return _timed(
-        1,
-        "compensation SNR gain",
-        "1 + pi^2/16 = 1.61685",
-        f"rel {ctx.settings.mean_rel_tol}",
-        run,
+@_criterion(2, "alignment-factor CDFs", "KS below tolerance for both laws", "KS < {s.ks_tol}")
+def check_z_laws(ctx: AcceptanceContext):
+    z_comp, z_plain = ctx.stats.z_comp[:, 0], ctx.stats.z_plain[:, 0]
+    ks_c = EmpiricalCdf(z_comp).ks_distance(lambda z: analytic.z_factor_cdf(z, True))
+    ks_p = EmpiricalCdf(z_plain).ks_distance(lambda z: analytic.z_factor_cdf(z, False))
+    return (
+        max(ks_c, ks_p) <= ctx.settings.ks_tol,
+        f"KS comp {ks_c:.5f}, plain {ks_p:.5f}",
+        "",
     )
 
 
-def check_z_laws(ctx: AcceptanceContext) -> CheckResult:
-    s = ctx.settings
-
-    def run():
-        z_comp, z_plain = ctx.stats.z_comp[:, 0], ctx.stats.z_plain[:, 0]
-        ks_c = EmpiricalCdf(z_comp).ks_distance(
-            lambda z: analytic.z_factor_cdf(z, True)
-        )
-        ks_p = EmpiricalCdf(z_plain).ks_distance(
-            lambda z: analytic.z_factor_cdf(z, False)
-        )
-        worst = max(ks_c, ks_p)
-        return (
-            worst <= s.ks_tol,
-            f"KS comp {ks_c:.5f}, plain {ks_p:.5f}",
-            "",
-        )
-
-    return _timed(
-        2,
-        "alignment-factor CDFs",
-        "KS below tolerance for both laws",
-        f"KS < {s.ks_tol}",
-        run,
-    )
-
-
-def check_eigenvalue_laws(ctx: AcceptanceContext) -> CheckResult:
-    s = ctx.settings
-
-    def run():
-        stats = ctx.stats
-        ks1 = EmpiricalCdf(stats.lam[:, 0]).ks_distance(
-            lambda y: analytic.eigenvalue_cdf(y, "largest")
-        )
-        ks2 = EmpiricalCdf(stats.lam[:, 1]).ks_distance(
-            lambda y: analytic.eigenvalue_cdf(y, "smallest")
-        )
-        m1 = abs(float(stats.lam[:, 0].mean()) / 3.5 - 1.0)
-        m2 = abs(float(stats.lam[:, 1].mean()) / 0.5 - 1.0)
-        ok = max(ks1, ks2) <= s.ks_tol and max(m1, m2) <= s.mean_rel_tol
-        return (
-            ok,
-            f"KS ({ks1:.5f}, {ks2:.5f}), mean rel dev ({m1:.2e}, {m2:.2e})",
-            "",
-        )
-
-    return _timed(
-        3,
-        "squared-singular-value laws",
-        "KS and means match (7/2, 1/2)",
-        f"KS < {s.ks_tol}, means rel {s.mean_rel_tol}",
-        run,
+@_criterion(
+    3,
+    "squared-singular-value laws",
+    "KS and means match (7/2, 1/2)",
+    "KS < {s.ks_tol}, means rel {s.mean_rel_tol}",
+)
+def check_eigenvalue_laws(ctx: AcceptanceContext):
+    s, lam = ctx.settings, ctx.stats.lam
+    ks1 = EmpiricalCdf(lam[:, 0]).ks_distance(lambda y: analytic.eigenvalue_cdf(y, "largest"))
+    ks2 = EmpiricalCdf(lam[:, 1]).ks_distance(lambda y: analytic.eigenvalue_cdf(y, "smallest"))
+    m1 = abs(float(lam[:, 0].mean()) / 3.5 - 1.0)
+    m2 = abs(float(lam[:, 1].mean()) / 0.5 - 1.0)
+    return (
+        max(ks1, ks2) <= s.ks_tol and max(m1, m2) <= s.mean_rel_tol,
+        f"KS ({ks1:.5f}, {ks2:.5f}), mean rel dev ({m1:.2e}, {m2:.2e})",
+        "",
     )
 
 
@@ -255,57 +241,52 @@ _DISTINCT_MODES = (
 )
 
 
-def check_closed_forms(ctx: AcceptanceContext) -> CheckResult:
+@_criterion(
+    4,
+    "closed-form and Mellin outage vs quadrature oracle",
+    "six closed forms match the 2-D quadrature; Mellin matches it in "
+    "relative terms and does not move with its contour (c = p/2 vs p - 0.15)",
+    f"abs {_CLOSED_FORM_ABS_TOL} / rel {_MELLIN_REL_TOL} / shift rel {_CONTOUR_SHIFT_REL_TOL}",
+)
+def check_closed_forms(ctx: AcceptanceContext):
     s = ctx.settings
-
-    def run():
-        worst = worst_rel = worst_shift = 0.0
-        worst_at = worst_rel_at = ""
-        shifted = 0
-        closed_grid, grid = np.array(s.closed_form_grid), np.array(s.mellin_grid)
-        # one oracle call per mode over both grids, each point once
-        points, where = np.unique(np.concatenate((closed_grid, grid)), return_inverse=True)
-        for mode in _DISTINCT_MODES:
-            oracle = analytic.outage_quadrature(mode, points)[where]
-            diff = np.abs(analytic.outage_closed_form(mode, closed_grid) - oracle[: closed_grid.size])
-            if diff.max() > worst:
-                worst = float(diff.max())
-                worst_at = f"{mode.label} @ x={closed_grid[diff.argmax()]:g}"
-            rel = np.abs(analytic.outage(mode, grid) / oracle[closed_grid.size :] - 1.0)
-            if rel.max() >= worst_rel:
-                worst_rel = float(rel.max())
-                worst_rel_at = f"{mode.label} @ x={grid[rel.argmax()]:g}"
-            # the same integral on two contours, where each certifies it
-            pole = analytic.diversity_order(mode)
-            mid, mid_ok = analytic._outage_line(mode, 0.5 * pole, np.log(grid))
-            near, near_ok = analytic._outage_line(mode, pole - _SHIFTED_CONTOUR, np.log(grid))
-            dev = np.abs(mid / near - 1.0)[mid_ok & near_ok]
-            shifted += dev.size
-            # a mode with no point certified on both contours fails the check
-            worst_shift = max(worst_shift, float(dev.max()) if dev.size else np.inf)
-        points = len(_DISTINCT_MODES) * grid.size
-        ok = (
-            worst <= _CLOSED_FORM_ABS_TOL
-            and worst_rel <= _MELLIN_REL_TOL
-            and worst_shift <= _CONTOUR_SHIFT_REL_TOL
-        )
-        return (
-            ok,
-            f"worst |closed - quadrature| = {worst:.2e} ({worst_at}); Mellin vs "
-            f"quadrature rel dev {worst_rel:.2e} ({worst_rel_at}); contour shift rel "
-            f"dev {worst_shift:.2e}",
-            f"shift compared at {shifted} of {points} points; the others are too "
-            "close to cancellation on the c = p/2 contour",
-        )
-
-    return _timed(
-        4,
-        "closed-form and Mellin outage vs quadrature oracle",
-        "six closed forms match the 2-D quadrature; Mellin matches it in "
-        "relative terms and does not move with its contour (c = p/2 vs p - 0.15)",
-        f"abs {_CLOSED_FORM_ABS_TOL} / rel {_MELLIN_REL_TOL} / shift rel "
-        f"{_CONTOUR_SHIFT_REL_TOL}",
-        run,
+    worst = worst_rel = worst_shift = 0.0
+    worst_at = worst_rel_at = ""
+    shifted = 0
+    closed_grid, grid = np.array(s.closed_form_grid), np.array(s.mellin_grid)
+    # one oracle call per mode over both grids, each point once
+    points, where = np.unique(np.concatenate((closed_grid, grid)), return_inverse=True)
+    for mode in _DISTINCT_MODES:
+        oracle = analytic.outage_quadrature(mode, points)[where]
+        diff = np.abs(analytic.outage_closed_form(mode, closed_grid) - oracle[: closed_grid.size])
+        if diff.max() > worst:
+            worst = float(diff.max())
+            worst_at = f"{mode.label} @ x={closed_grid[diff.argmax()]:g}"
+        rel = np.abs(analytic.outage(mode, grid) / oracle[closed_grid.size :] - 1.0)
+        if rel.max() >= worst_rel:
+            worst_rel = float(rel.max())
+            worst_rel_at = f"{mode.label} @ x={grid[rel.argmax()]:g}"
+        # the same integral on two contours, where each certifies it
+        pole = analytic.diversity_order(mode)
+        mid, mid_ok = analytic._outage_line(mode, 0.5 * pole, np.log(grid))
+        near, near_ok = analytic._outage_line(mode, pole - _SHIFTED_CONTOUR, np.log(grid))
+        dev = np.abs(mid / near - 1.0)[mid_ok & near_ok]
+        shifted += dev.size
+        # a mode with no point certified on both contours fails the check
+        worst_shift = max(worst_shift, float(dev.max()) if dev.size else np.inf)
+    points = len(_DISTINCT_MODES) * grid.size
+    ok = (
+        worst <= _CLOSED_FORM_ABS_TOL
+        and worst_rel <= _MELLIN_REL_TOL
+        and worst_shift <= _CONTOUR_SHIFT_REL_TOL
+    )
+    return (
+        ok,
+        f"worst |closed - quadrature| = {worst:.2e} ({worst_at}); Mellin vs "
+        f"quadrature rel dev {worst_rel:.2e} ({worst_rel_at}); contour shift rel "
+        f"dev {worst_shift:.2e}",
+        f"shift compared at {shifted} of {points} points; the others are too "
+        "close to cancellation on the c = p/2 contour",
     )
 
 
@@ -378,286 +359,219 @@ def _worst_ci_ratio(rows):
     return worst, worst_at
 
 
-def check_outage_curves(ctx: AcceptanceContext) -> CheckResult:
-    s = ctx.settings
-
-    def run():
-        th = 10.0 ** (_THRESHOLD_DB / 10.0)
-        rows = curve_rows(ctx.stats, ALL_SCHEME_LABELS, s.snr_db, th, "outage")
-        worst_ratio, worst_at = _worst_ci_ratio(rows)
-        p = {(db, name): mc for db, name, _ana, mc, _ci in rows}
-        order_ok = all(
-            all(p[db, f"{m.label}-cmp"] <= p[db, m.label] for m in MODES if not m.compensated)
-            and p[db, "alt"] <= p[db, "j1i1-cmp"] <= p[db, "j1i1"]
-            for db in s.snr_db
-        )
-        ok = worst_ratio <= 1.0 and order_ok
-        return (
-            ok,
-            f"worst |analytic-MC| = {worst_ratio:.3f} x (3 CI) ({worst_at}), "
-            f"orderings {'hold' if order_ok else 'VIOLATED'}",
-            "",
-        )
-
-    return _timed(
-        5,
-        "outage curve reproduction",
-        "analytic within 3 CI of MC at every grid point; orderings hold",
-        "3 * Wilson CI",
-        run,
-    )
-
-
-def check_throughput_curves(ctx: AcceptanceContext) -> CheckResult:
-    s = ctx.settings
-
-    def run():
-        stats = ctx.stats
-        rows = curve_rows(stats, ALL_SCHEME_LABELS, s.throughput_snr_db, 0.0, "throughput")
-        worst_ratio, _ = _worst_ci_ratio(rows)
-        cell = {(db, name): (ana, mc, ci) for db, name, ana, mc, ci in rows}
-        gbars = np.array([10.0 ** (db / 10.0) for db in s.throughput_snr_db])
-        closed_forms = (
-            (Mode(2, 2, False), analytic.throughput_closed_r22),
-            (Mode(2, 2, True), analytic.throughput_closed_r22_cmp),
-        )
-        worst_closed = max(
-            float(np.max(np.abs(closed(gbars) / analytic.throughput(mode, gbars) - 1.0)))
-            for mode, closed in closed_forms
-        )
-        max_gap_low = max_gap_high = 0.0
-        bound_ok = True
-        g_cmp = montecarlo.scheme_snr_factor(stats, Mode(1, 1, True))
-        for snr_db, gbar in zip(s.throughput_snr_db, gbars):
-            _ana, alt, alt_ci = cell[snr_db, "alt"]
-            bound_ok = bound_ok and cell[snr_db, "j1i1-cmp"][0] <= alt + 3.0 * alt_ci
-            # paired over the same trials, so the gap carries no MC noise of
-            # the alt estimate on its own
-            gap = float(np.mean(np.log1p(gbar * stats.alt_factor) - np.log1p(gbar * g_cmp)))
-            if snr_db <= 10.0:
-                max_gap_low = max(max_gap_low, gap)
-            else:
-                max_gap_high = max(max_gap_high, gap)
-        worst_oracle = 0.0
-        worst_oracle_at = ""
-        oracle_gbars = 10.0 ** (np.array(s.oracle_snr_db) / 10.0)
-        for mode in _DISTINCT_MODES:
-            oracle = analytic.throughput_quadrature(mode, oracle_gbars)
-            rel = np.abs(analytic.throughput(mode, oracle_gbars) / oracle - 1.0)
-            if rel.max() >= worst_oracle:
-                worst_oracle = float(rel.max())
-                worst_oracle_at = f"{mode.label} @ {s.oracle_snr_db[rel.argmax()]:g} dB"
-        ok = (
-            worst_ratio <= 1.0
-            and worst_closed <= _CLOSED_VS_ANALYTIC_REL_TOL
-            and worst_oracle <= _ORACLE_REL_TOL
-            and bound_ok
-            and max_gap_low < _ALT_GAP_NATS
-        )
-        return (
-            ok,
-            f"worst |analytic-MC| = {worst_ratio:.3f} x (3 CI), closed-form rel dev "
-            f"{worst_closed:.2e}, Mellin vs quadrature oracle rel dev "
-            f"{worst_oracle:.2e} ({worst_oracle_at}), paired alt gap <=10dB "
-            f"{max_gap_low:.4f}",
-            f"gap above 10 dB reaches {max_gap_high:.4f} nats (reported only)",
-        )
-
-    return _timed(
-        6,
-        "throughput curve reproduction",
-        "Mellin, quadrature oracle, closed forms and MC mutually agree; "
-        "optimized bound tight",
-        f"3 CI / rel {_CLOSED_VS_ANALYTIC_REL_TOL} / oracle rel {_ORACLE_REL_TOL} "
-        f"/ gap {_ALT_GAP_NATS}",
-        run,
-    )
-
-
-def check_mean_orderings(ctx: AcceptanceContext) -> CheckResult:
-    def run():
-        stats = ctx.stats
-        notes = []
-        ok = True
-        for compensated in (False, True):
-            g = {
-                (j, i): montecarlo.scheme_snr_factor(stats, Mode(i, j, compensated))
-                for j in (1, 2)
-                for i in (1, 2)
-            }
-            n = stats.trials
-
-            def sep(a, b):
-                d = a - b
-                return float(d.mean()), float(d.std(ddof=1) / np.sqrt(n))
-
-            top, se_top = sep(g[(1, 1)], g[(2, 1)])
-            mid, se_mid = sep(g[(2, 1)], g[(1, 2)])
-            bot, se_bot = sep(g[(1, 2)], g[(2, 2)])
-            tag = "comp" if compensated else "plain"
-            if not (top > 3 * se_top and bot > 3 * se_bot and abs(mid) <= 3 * se_mid):
-                ok = False
-            notes.append(
-                f"{tag}: top {top:.4f}>{3*se_top:.4f}, middle |{mid:.5f}|<="
-                f"{3*se_mid:.5f}, bottom {bot:.4f}>{3*se_bot:.4f}"
-            )
-        return ok, "; ".join(notes), ""
-
-    return _timed(
-        7,
-        "mean-SNR orderings",
-        "strict outer ordering, equal middle modes (3 SE)",
-        "3 standard errors",
-        run,
-    )
-
-
-def check_joint_optimum(ctx: AcceptanceContext) -> CheckResult:
-    s = ctx.settings
-
-    def run():
-        stats = ctx.stats
-        alt = stats.alt_factor
-        g_cmp = montecarlo.scheme_snr_factor(stats, Mode(1, 1, True))
-        g_unc = montecarlo.scheme_snr_factor(stats, Mode(1, 1, False))
-        slack = 1e-12
-        alt_low = int(np.count_nonzero(alt < g_cmp * (1.0 - slack)))
-        cmp_low = int(np.count_nonzero(g_cmp < g_unc * (1.0 - slack)))
-
-        # the pass's core (optimize_batch) against its own configuration and
-        # a relative-phase sweep, on CN(0, 1) channels of a stream of their own
-        n = min(s.trials, _OPTIMUM_SAMPLE)
-        ch = channel_realizations(RngState(s.seed, _OPTIMUM_STREAM), n)
-        alt = optimize_batch(ch)
-        phasors, a, b = optimal_configuration(ch)
-        config = instantaneous_snr(ch.g, ch.h, phasors, a, b, 1.0)
-        config_dev = float(np.max(np.abs(config / alt - 1.0)))
-        sweep = np.zeros(n)
-        for t in 2.0 * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID:
-            tiles = np.array([1.0, np.exp(1j * t)])
-            sweep = np.maximum(sweep, svd2(ch.g * tiles @ ch.h).sigma[:, 0] ** 2)
-        grid_excess = float(np.max(sweep / alt - 1.0))
-        ok = (
-            alt_low == 0
-            and cmp_low == 0
-            and config_dev <= slack
-            and grid_excess <= slack
-        )
-        return (
-            ok,
-            f"alt<cmp on {alt_low} trials, cmp<plain on {cmp_low} trials; "
-            f"on {n} channel draws |alt/|b^H G Phi H a|^2 - 1| <= {config_dev:.1e}, "
-            f"max over {_PHASE_GRID} grid phases of sigma_max^2/alt - 1 = {grid_excess:.1e}",
-            f"{stats.trials} trials",
-        )
-
-    return _timed(
-        8,
-        "joint optimum dominance",
-        "alt >= compensated (1,1) >= plain (1,1) on 100% of trials; alt equals its "
-        "configuration's SNR and no grid phase beats it",
-        "1e-12 relative slack",
-        run,
-    )
-
-
-def check_mode_gap(ctx: AcceptanceContext) -> CheckResult:
-    s = ctx.settings
-
-    def run():
-        stats = ctx.stats
-        g11 = montecarlo.scheme_snr_factor(stats, Mode(1, 1))
-        g21 = montecarlo.scheme_snr_factor(stats, Mode(1, 2))
-        ratio = float(g11.mean() / g21.mean())
-        derived_db, reported_db = analytic.consecutive_mode_gap_db()
-        ok = abs(ratio / 7.0 - 1.0) <= s.gap_rel_tol
-        return (
-            ok,
-            f"MC ratio {ratio:.4f} (target 7)",
-            f"derived {derived_db:.3f} dB; quoted reference {reported_db:.3f} dB "
-            "(displayed, never asserted)",
-        )
-
-    return _timed(
-        9,
-        "consecutive-mode gap",
-        "mean-SNR ratio 7 = 8.451 dB",
-        f"rel {s.gap_rel_tol}",
-        run,
-    )
-
-
-def check_determinism(ctx: AcceptanceContext) -> CheckResult:
-    s = ctx.settings
-
-    def run():
-        trials = min(s.trials, 100_000)
-        mode = Mode(2, 2, False)
-        runs = [
-            montecarlo.estimate_outage(
-                mode, 10.0, 1.0, trials, s.seed, workers=w
-            )
-            for w in (1, 4, 16)
-        ]
-        repeat = montecarlo.estimate_outage(mode, 10.0, 1.0, trials, s.seed)
-        a = montecarlo.channel_statistics(s.seed, _CHUNK_CHECK_TRIALS)
-        # the outage sweep's counts, streamed at both chunk sizes, against
-        # the stored pass; every streamed chunk must equal its slice of it
-        schemes = [parse_scheme(name) for name in ALL_SCHEME_LABELS]
-        gamma_bars = [10.0 ** (db / 10.0) for db in s.snr_db]
-        th = 10.0 ** (_THRESHOLD_DB / 10.0)
-        streamed, chunks_equal = [], []
-        for kwargs in ({}, {"chunk_size": _SMALL_CHUNK, "workers": 4}):
-            counter = montecarlo.OutageCounter(schemes, gamma_bars, th)
-
-            def consume(lo, chunk, counter=counter):
-                counter(lo, chunk)
-                chunks_equal.append(
-                    all(
-                        np.array_equal(getattr(a, f)[lo : lo + chunk.trials], getattr(chunk, f))
-                        for f in montecarlo._COLUMNS
-                    )
-                )
-
-            montecarlo.channel_statistics(s.seed, _CHUNK_CHECK_TRIALS, consume=consume, **kwargs)
-            streamed.append(counter.estimates())
-        stored = [montecarlo.outage_from_stats(a, scheme, gamma_bars, th) for scheme in schemes]
-        same = (
-            all(r == runs[0] for r in runs)
-            and repeat == runs[0]
-            and all(chunks_equal)
-            and streamed[0] == streamed[1] == stored
-        )
-        return (
-            same,
-            "bit-identical across reruns, worker counts 1/4/16, and chunk sizes "
-            f"2^{math.log2(montecarlo._CHUNK_SIZE):g}/2^{math.log2(_SMALL_CHUNK):g} over "
-            f"{_CHUNK_CHECK_TRIALS} trials; streamed outage counts "
-            "equal the stored pass's",
-            "",
-        )
-
-    return _timed(
-        10,
-        "determinism",
-        "bit-identical estimates at fixed seed",
-        "exact equality",
-        run,
-    )
-
-
-CRITERIA = (
-    check_gain,
-    check_z_laws,
-    check_eigenvalue_laws,
-    check_closed_forms,
-    check_outage_curves,
-    check_throughput_curves,
-    check_mean_orderings,
-    check_joint_optimum,
-    check_mode_gap,
-    check_determinism,
+@_criterion(
+    5,
+    "outage curve reproduction",
+    "analytic within 3 CI of MC at every grid point; orderings hold",
+    "3 * Wilson CI",
 )
+def check_outage_curves(ctx: AcceptanceContext):
+    s = ctx.settings
+    th = 10.0 ** (_THRESHOLD_DB / 10.0)
+    rows = curve_rows(ctx.stats, ALL_SCHEME_LABELS, s.snr_db, th, "outage")
+    worst_ratio, worst_at = _worst_ci_ratio(rows)
+    p = {(db, name): mc for db, name, _ana, mc, _ci in rows}
+    order_ok = all(
+        all(p[db, f"{m.label}-cmp"] <= p[db, m.label] for m in MODES if not m.compensated)
+        and p[db, "alt"] <= p[db, "j1i1-cmp"] <= p[db, "j1i1"]
+        for db in s.snr_db
+    )
+    return (
+        worst_ratio <= 1.0 and order_ok,
+        f"worst |analytic-MC| = {worst_ratio:.3f} x (3 CI) ({worst_at}), "
+        f"orderings {'hold' if order_ok else 'VIOLATED'}",
+        "",
+    )
+
+
+@_criterion(
+    6,
+    "throughput curve reproduction",
+    "Mellin, quadrature oracle, closed forms and MC mutually agree; optimized bound tight",
+    f"3 CI / rel {_CLOSED_VS_ANALYTIC_REL_TOL} / oracle rel {_ORACLE_REL_TOL} "
+    f"/ gap {_ALT_GAP_NATS}",
+)
+def check_throughput_curves(ctx: AcceptanceContext):
+    s = ctx.settings
+    rows = curve_rows(ctx.stats, ALL_SCHEME_LABELS, s.throughput_snr_db, 0.0, "throughput")
+    worst_ratio, _ = _worst_ci_ratio(rows)
+    cell = {(db, name): (ana, mc, ci) for db, name, ana, mc, ci in rows}
+    gbars = np.array([10.0 ** (db / 10.0) for db in s.throughput_snr_db])
+    closed_forms = (
+        (Mode(2, 2, False), analytic.throughput_closed_r22),
+        (Mode(2, 2, True), analytic.throughput_closed_r22_cmp),
+    )
+    worst_closed = max(
+        float(np.max(np.abs(closed(gbars) / analytic.throughput(mode, gbars) - 1.0)))
+        for mode, closed in closed_forms
+    )
+    max_gap_low = max_gap_high = 0.0
+    bound_ok = True
+    for snr_db in s.throughput_snr_db:
+        _ana, alt, alt_ci = cell[snr_db, "alt"]
+        cmp_ana, cmp_mc, _ci = cell[snr_db, "j1i1-cmp"]
+        bound_ok = bound_ok and cmp_ana <= alt + 3.0 * alt_ci
+        # both rows are means over the same trials, so their difference is
+        # the paired mean gap, free of the alt estimate's own MC noise
+        gap = alt - cmp_mc
+        if snr_db <= 10.0:
+            max_gap_low = max(max_gap_low, gap)
+        else:
+            max_gap_high = max(max_gap_high, gap)
+    worst_oracle = 0.0
+    worst_oracle_at = ""
+    oracle_gbars = 10.0 ** (np.array(s.oracle_snr_db) / 10.0)
+    for mode in _DISTINCT_MODES:
+        oracle = analytic.throughput_quadrature(mode, oracle_gbars)
+        rel = np.abs(analytic.throughput(mode, oracle_gbars) / oracle - 1.0)
+        if rel.max() >= worst_oracle:
+            worst_oracle = float(rel.max())
+            worst_oracle_at = f"{mode.label} @ {s.oracle_snr_db[rel.argmax()]:g} dB"
+    ok = (
+        worst_ratio <= 1.0
+        and worst_closed <= _CLOSED_VS_ANALYTIC_REL_TOL
+        and worst_oracle <= _ORACLE_REL_TOL
+        and bound_ok
+        and max_gap_low < _ALT_GAP_NATS
+    )
+    return (
+        ok,
+        f"worst |analytic-MC| = {worst_ratio:.3f} x (3 CI), closed-form rel dev "
+        f"{worst_closed:.2e}, Mellin vs quadrature oracle rel dev "
+        f"{worst_oracle:.2e} ({worst_oracle_at}), paired alt gap <=10dB "
+        f"{max_gap_low:.4f}",
+        f"gap above 10 dB reaches {max_gap_high:.4f} nats (reported only)",
+    )
+
+
+@_criterion(
+    7,
+    "mean-SNR orderings",
+    "strict outer ordering, equal middle modes (3 SE)",
+    "3 standard errors",
+)
+def check_mean_orderings(ctx: AcceptanceContext):
+    stats = ctx.stats
+    notes = []
+    ok = True
+    for compensated in (False, True):
+        # consecutive differences j1i1-j2i1, j2i1-j1i2, j1i2-j2i2, with no
+        # more than two mode factors held at once
+        seps, prev = [], None
+        for j, i in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            g = montecarlo.scheme_snr_factor(stats, Mode(i, j, compensated))
+            if prev is not None:
+                d = prev - g
+                seps.append((float(d.mean()), float(d.std(ddof=1) / np.sqrt(stats.trials))))
+            prev = g
+        (top, se_top), (mid, se_mid), (bot, se_bot) = seps
+        tag = "comp" if compensated else "plain"
+        if not (top > 3 * se_top and bot > 3 * se_bot and abs(mid) <= 3 * se_mid):
+            ok = False
+        notes.append(
+            f"{tag}: top {top:.4f}>{3*se_top:.4f}, middle |{mid:.5f}|<="
+            f"{3*se_mid:.5f}, bottom {bot:.4f}>{3*se_bot:.4f}"
+        )
+    return ok, "; ".join(notes), ""
+
+
+@_criterion(
+    8,
+    "joint optimum dominance",
+    "alt >= compensated (1,1) >= plain (1,1) on 100% of trials; alt equals its "
+    "configuration's SNR and no grid phase beats it",
+    "1e-12 relative slack",
+)
+def check_joint_optimum(ctx: AcceptanceContext):
+    s, stats = ctx.settings, ctx.stats
+    alt = stats.alt_factor
+    g_cmp = montecarlo.scheme_snr_factor(stats, Mode(1, 1, True))
+    g_unc = montecarlo.scheme_snr_factor(stats, Mode(1, 1, False))
+    slack = 1e-12
+    alt_low = int(np.count_nonzero(alt < g_cmp * (1.0 - slack)))
+    cmp_low = int(np.count_nonzero(g_cmp < g_unc * (1.0 - slack)))
+
+    # the pass's core (optimize_batch) against its own configuration and
+    # a relative-phase sweep, on CN(0, 1) channels of a stream of their own
+    n = min(s.trials, _OPTIMUM_SAMPLE)
+    ch = channel_realizations(RngState(s.seed, _OPTIMUM_STREAM), n)
+    alt = optimize_batch(ch)
+    phasors, a, b = optimal_configuration(ch)
+    config = instantaneous_snr(ch.g, ch.h, phasors, a, b, 1.0)
+    config_dev = float(np.max(np.abs(config / alt - 1.0)))
+    sweep = np.zeros(n)
+    for t in 2.0 * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID:
+        tiles = np.array([1.0, np.exp(1j * t)])
+        sweep = np.maximum(sweep, svd2(ch.g * tiles @ ch.h).sigma[:, 0] ** 2)
+    grid_excess = float(np.max(sweep / alt - 1.0))
+    ok = alt_low == 0 and cmp_low == 0 and config_dev <= slack and grid_excess <= slack
+    return (
+        ok,
+        f"alt<cmp on {alt_low} trials, cmp<plain on {cmp_low} trials; "
+        f"on {n} channel draws |alt/|b^H G Phi H a|^2 - 1| <= {config_dev:.1e}, "
+        f"max over {_PHASE_GRID} grid phases of sigma_max^2/alt - 1 = {grid_excess:.1e}",
+        f"{stats.trials} trials",
+    )
+
+
+@_criterion(9, "consecutive-mode gap", "mean-SNR ratio 7 = 8.451 dB", "rel {s.gap_rel_tol}")
+def check_mode_gap(ctx: AcceptanceContext):
+    ratio = montecarlo.mode_gap_ratio(ctx.stats)
+    derived_db, reported_db = analytic.consecutive_mode_gap_db()
+    return (
+        abs(ratio / 7.0 - 1.0) <= ctx.settings.gap_rel_tol,
+        f"MC ratio {ratio:.4f} (target 7)",
+        f"derived {derived_db:.3f} dB; quoted reference {reported_db:.3f} dB "
+        "(displayed, never asserted)",
+    )
+
+
+@_criterion(10, "determinism", "bit-identical estimates at fixed seed", "exact equality")
+def check_determinism(ctx: AcceptanceContext):
+    s = ctx.settings
+    trials = min(s.trials, 100_000)
+    mode = Mode(2, 2, False)
+    runs = [
+        montecarlo.estimate_outage(mode, 10.0, 1.0, trials, s.seed, workers=w)
+        for w in (1, 4, 16)
+    ]
+    repeat = montecarlo.estimate_outage(mode, 10.0, 1.0, trials, s.seed)
+    a = montecarlo.channel_statistics(s.seed, _CHUNK_CHECK_TRIALS)
+    # the outage sweep's counts, streamed at both chunk sizes, against
+    # the stored pass; every streamed chunk must equal its slice of it
+    schemes = [parse_scheme(name) for name in ALL_SCHEME_LABELS]
+    gamma_bars = [10.0 ** (db / 10.0) for db in s.snr_db]
+    th = 10.0 ** (_THRESHOLD_DB / 10.0)
+    streamed, chunks_equal = [], []
+    for kwargs in ({}, {"chunk_size": _SMALL_CHUNK, "workers": 4}):
+        counter = montecarlo.OutageCounter(schemes, gamma_bars, th)
+
+        def consume(lo, chunk, counter=counter):
+            counter(lo, chunk)
+            chunks_equal.append(
+                all(
+                    np.array_equal(getattr(a, f)[lo : lo + chunk.trials], getattr(chunk, f))
+                    for f in montecarlo._COLUMNS
+                )
+            )
+
+        montecarlo.channel_statistics(s.seed, _CHUNK_CHECK_TRIALS, consume=consume, **kwargs)
+        streamed.append(counter.estimates())
+    stored = [montecarlo.outage_from_stats(a, scheme, gamma_bars, th) for scheme in schemes]
+    same = (
+        all(r == runs[0] for r in runs)
+        and repeat == runs[0]
+        and all(chunks_equal)
+        and streamed[0] == streamed[1] == stored
+    )
+    return (
+        same,
+        "bit-identical across reruns, worker counts 1/4/16, and chunk sizes "
+        f"2^{math.log2(montecarlo._CHUNK_SIZE):g}/2^{math.log2(_SMALL_CHUNK):g} over "
+        f"{_CHUNK_CHECK_TRIALS} trials; streamed outage counts "
+        "equal the stored pass's",
+        "",
+    )
 
 
 def run_acceptance(settings: AcceptanceSettings):

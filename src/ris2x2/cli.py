@@ -26,10 +26,9 @@ import numpy as np
 
 from . import analytic, montecarlo
 from .acceptance import AcceptanceSettings, curve_rows, format_report, run_acceptance
-from .montecarlo import _Z95, ALL_SCHEME_LABELS, parse_scheme
+from .montecarlo import ALL_SCHEME_LABELS, parse_scheme
 from .sampling import RngState
 from .special import QuadratureError
-from .sysmodel import Mode
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -286,26 +285,13 @@ def cmd_gain(args) -> int:
     cfg = replace(ExperimentConfig(), **overrides)
     cfg.validate()
     stats = montecarlo.channel_statistics(cfg.seed, cfg.trials)
-    zc = stats.z_comp[:, 0]
-    zp = stats.z_plain[:, 0]
-    ratio = float(zc.mean() / zp.mean())
-    # delta-method CI of the ratio of correlated means
-    n = stats.trials
-    cov = np.cov(zc, zp, ddof=1) / n
-    var = ratio**2 * (
-        cov[0, 0] / zc.mean() ** 2
-        + cov[1, 1] / zp.mean() ** 2
-        - 2.0 * cov[0, 1] / (zc.mean() * zp.mean())
-    )
-    half = _Z95 * float(np.sqrt(max(var, 0.0)))
-    g11 = montecarlo.scheme_snr_factor(stats, Mode(1, 1))
-    g21 = montecarlo.scheme_snr_factor(stats, Mode(1, 2))
-    gap_ratio = float(g11.mean() / g21.mean())
+    gain = montecarlo.gain_ratio(stats)
+    gap_ratio = montecarlo.mode_gap_ratio(stats)
     derived_db, reported_db = analytic.consecutive_mode_gap_db()
     print(
         f"compensation SNR gain: analytic {analytic.snr_gain_linear():.6f} "
-        f"({analytic.snr_gain_db():.4f} dB); MC ratio {ratio:.6f} +- {half:.6f} "
-        f"({cfg.trials} trials)"
+        f"({analytic.snr_gain_db():.4f} dB); MC ratio {gain.value:.6f} "
+        f"+- {gain.ci_half_width:.6f} ({cfg.trials} trials)"
     )
     print(
         f"consecutive-mode gap: derived {derived_db:.4f} dB (mean ratio 7); "

@@ -69,6 +69,8 @@ __all__ = [
     "trial_statistics",
     "channel_statistics",
     "scheme_snr_factor",
+    "gain_ratio",
+    "mode_gap_ratio",
     "outage_from_stats",
     "throughput_from_stats",
     "estimate_outage",
@@ -105,6 +107,8 @@ ALL_SCHEME_LABELS = tuple(SCHEMES)
 def parse_scheme(name: str) -> Scheme:
     """The scheme of a label of :data:`SCHEMES`, 'j{1|2}i{1|2}[-cmp]' or
     'alt', in any case and with surrounding blanks."""
+    if not isinstance(name, str):
+        raise ValueError(f"scheme name must be a string, not {name!r}")
     key = name.strip().lower()
     if key not in SCHEMES:
         raise ValueError(f"unknown scheme name: {key!r}")
@@ -244,6 +248,30 @@ def scheme_snr_factor(stats: TrialStats, scheme: Scheme) -> np.ndarray:
     j = scheme.rx - 1
     i = scheme.tx - 1
     return stats.lam[:, j] * stats.om[:, i] * z[:, int(i != j)]
+
+
+def gain_ratio(stats: TrialStats) -> McEstimate:
+    """The compensation SNR gain of a pass: the mean compensated over the
+    mean fixed-surface matched alignment factor.  Its 95% half-width is the
+    delta method's for a ratio r of correlated means, the standard error of
+    the mean of z_comp - r z_plain over the mean of z_plain, so a pass of
+    fewer than 2 trials raises ValueError."""
+    if stats.trials < 2:
+        raise ValueError("the gain interval needs a pass of at least 2 trials")
+    zc, zp = stats.z_comp[:, 0], stats.z_plain[:, 0]
+    mean_plain = zp.mean()
+    ratio = float(zc.mean() / mean_plain)
+    resid = np.multiply(ratio, zp)
+    np.subtract(zc, resid, out=resid)
+    se = float(resid.std(ddof=1)) / float(np.sqrt(stats.trials))
+    return McEstimate(ratio, _Z95 * se / float(mean_plain))
+
+
+def mode_gap_ratio(stats: TrialStats) -> float:
+    """The consecutive-mode gap of a pass: the mean SNR factor of j1i1 over
+    that of j2i1 (7 in theory)."""
+    top = scheme_snr_factor(stats, Mode(1, 1)).mean()
+    return float(top / scheme_snr_factor(stats, Mode(1, 2)).mean())
 
 
 def wilson_halfwidth(hits: int, trials: int) -> float:
@@ -417,8 +445,10 @@ class EmpiricalCdf:
             raise ValueError("samples must not be NaN")
 
     def __call__(self, x):
+        """The CDF at x (a scalar or an array), NaN where x is NaN."""
         x = np.asarray(x, dtype=np.float64)
         out = np.searchsorted(self.sorted, x, side="right") / self.n
+        out = np.where(np.isnan(x), np.nan, out)
         return out if out.ndim else float(out)
 
     def ks_distance(self, reference) -> float:

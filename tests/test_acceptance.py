@@ -9,10 +9,12 @@ displays the quoted 7.78 dB reference.
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from ris2x2 import acceptance, analytic
+from ris2x2 import acceptance, analytic, montecarlo
 from ris2x2.acceptance import (
+    CRITERIA,
     AcceptanceContext,
     AcceptanceSettings,
     check_closed_forms,
@@ -25,6 +27,7 @@ from ris2x2.acceptance import (
     check_outage_curves,
     check_throughput_curves,
     check_z_laws,
+    curve_rows,
 )
 from ris2x2.altopt import optimize_batch
 from ris2x2.cli import main
@@ -42,6 +45,16 @@ def _run(check, ctx):
     print(result.line())
     assert result.passed, result.line()
     return result
+
+
+def test_criteria_are_registered_once_in_report_order():
+    # the report, and the benchmark's output check, expect C1..C10 in turn
+    assert [check.criterion for check in CRITERIA] == list(range(1, 11))
+    names = [check.name for check in CRITERIA]
+    assert len(set(names)) == len(names)
+    checks = {n: f for n, f in vars(acceptance).items() if n.startswith("check_")}
+    assert sorted(check.__name__ for check in CRITERIA) == sorted(checks)
+    assert all(checks[check.__name__] is check for check in CRITERIA)
 
 
 def test_criterion_01_snr_gain(ctx):
@@ -98,6 +111,21 @@ def test_criterion_06_smoke_seed_6():
     # (MC alt minus analytic j1i1-cmp) crosses 0.1 nats at 10^4 trials; the
     # paired gap over the same trials stays near its 0.084 mean
     _run(check_throughput_curves, AcceptanceContext(replace(AcceptanceSettings.smoke(), seed=6)))
+
+
+def test_paired_alt_gap_is_the_difference_of_the_throughput_rows():
+    # C6 reads the paired gap as the alt row minus the j1i1-cmp row: both
+    # are means over the same trials, so this is the mean of the per-trial
+    # difference up to rounding
+    stats = montecarlo.channel_statistics(1729, 100_000)
+    snr_db = AcceptanceSettings().throughput_snr_db
+    rows = curve_rows(stats, ("alt", "j1i1-cmp"), snr_db, 0.0, "throughput")
+    g_cmp = montecarlo.scheme_snr_factor(stats, Mode(1, 1, True))
+    for k, db in enumerate(snr_db):
+        (_, _, _, alt, _), (_, _, _, cmp_mc, _) = rows[2 * k : 2 * k + 2]
+        gbar = 10.0 ** (db / 10.0)
+        paired = np.mean(np.log1p(gbar * stats.alt_factor) - np.log1p(gbar * g_cmp))
+        assert abs((alt - cmp_mc) - paired) <= 1e-12, db
 
 
 def test_criterion_07_mean_orderings(ctx):

@@ -21,6 +21,8 @@ from ris2x2.montecarlo import (
     channel_statistics,
     estimate_outage,
     estimate_throughput,
+    gain_ratio,
+    mode_gap_ratio,
     outage_from_stats,
     parse_scheme,
     scheme_snr_factor,
@@ -327,6 +329,14 @@ def test_empirical_cdf_rejects_nan_samples():
         EmpiricalCdf([0.1, np.nan, 0.5])
 
 
+def test_empirical_cdf_is_nan_at_nan():
+    # NaN sorts past every sample, so the search put it at 1.0
+    cdf = EmpiricalCdf([1.0, 2.0])
+    assert np.isnan(cdf(np.nan))
+    values = cdf([0.5, np.nan, 1.5, 3.0])
+    assert np.array_equal(values, [0.0, np.nan, 0.5, 1.0], equal_nan=True)
+
+
 def test_empirical_cdf_uniform_ks():
     rng = np.random.default_rng(4)
     samples = rng.random(1_000_000)
@@ -382,6 +392,31 @@ def test_scheme_parsing_round_trip():
     for bad in ("j1i1-", "j3i1", "j1i1-xyz"):
         with pytest.raises(ValueError, match="unknown scheme name"):
             parse_scheme(bad)
+    # a non-string raised AttributeError from .strip()
+    for bad in (3, None):
+        with pytest.raises(ValueError, match="scheme name must be a string"):
+            parse_scheme(bad)
+
+
+def test_gain_ratio_interval_is_the_covariance_delta_method():
+    # the residual form of the delta method equals the textbook one from
+    # the 2x2 sample covariance of the two means, up to rounding
+    stats = channel_statistics(SEED, 50_000)
+    zc, zp = stats.z_comp[:, 0], stats.z_plain[:, 0]
+    ratio = zc.mean() / zp.mean()
+    cov = np.cov(zc, zp, ddof=1) / stats.trials
+    var = ratio**2 * (
+        cov[0, 0] / zc.mean() ** 2
+        + cov[1, 1] / zp.mean() ** 2
+        - 2.0 * cov[0, 1] / (zc.mean() * zp.mean())
+    )
+    gain = gain_ratio(stats)
+    assert gain.value == float(ratio)
+    assert gain.ci_half_width == pytest.approx(1.959963984540054 * np.sqrt(var), rel=1e-12)
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        gain_ratio(channel_statistics(SEED, 1))
+    g11 = scheme_snr_factor(stats, Mode(1, 1))
+    assert mode_gap_ratio(stats) == float(g11.mean() / scheme_snr_factor(stats, Mode(1, 2)).mean())
 
 
 def test_mean_reduction_is_chunk_order_independent():
