@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analytic, montecarlo
 from .altopt import optimal_configuration, optimize_batch
-from .linalg2 import svd2
+from .linalg2 import _gram_eigen, _scaled
 from .montecarlo import ALL_SCHEME_LABELS, AltScheme, EmpiricalCdf, TrialStats, parse_scheme
 from .sampling import RngState, channel_realizations
 from .sysmodel import MODES, Mode, instantaneous_snr
@@ -63,7 +63,9 @@ _ALT_GAP_NATS = 0.1
 # C8 checks the optimum's configuration and a relative-phase sweep on
 # _OPTIMUM_SAMPLE Gaussian channel draws of stream _OPTIMUM_STREAM (stream 0
 # is the statistics pass's), one phase at a time so that memory stays that
-# of _OPTIMUM_SAMPLE matrices; 64 phases take about 0.05 s.
+# of _OPTIMUM_SAMPLE matrices; each phase adds the two tile paths and reads
+# sigma_max^2 from the Gram eigen step alone, and 64 phases take about
+# 0.02 s on one vCPU.
 _OPTIMUM_SAMPLE = 1000
 _OPTIMUM_STREAM = 8
 _PHASE_GRID = 64
@@ -72,8 +74,14 @@ _PHASE_GRID = 64
 # trials, at both levels: every value must be the same whatever the chunk
 # size, as a kernel that reused a stale buffer or rounded differently with
 # the array length (a sum whose blocking follows it, say) would not be.
+# The same passes compare worker counts, each over several chunks: the
+# stored pass runs on one worker, the streamed pass at the default chunk on
+# the default count and the one at the small chunk on a pool of this many
+# threads.  A pool at the default chunk would hold more chunks at once and
+# raise the peak memory of verify.
 _SMALL_CHUNK = 1 << 11
 _CHUNK_CHECK_TRIALS = 40_000
+_POOLED_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -475,6 +483,20 @@ def check_mean_orderings(ctx: AcceptanceContext):
     return ok, "; ".join(notes), ""
 
 
+def _tile_paths(ch):
+    """The outer products g_k h_k of column k of G and row k of H, the
+    paths through tile k: G diag(1, e^jt) H = P_1 + e^jt P_2."""
+    return tuple(ch.g[..., :, k, None] * ch.h[..., k, None, :] for k in (0, 1))
+
+
+def _sigma_max_squared(paths, t):
+    """sigma_max^2 of P_1 + e^jt P_2 from the Gram eigen step of
+    :func:`linalg2.svd2`, which forms no singular vectors."""
+    m, e = _scaled(paths[0] + np.exp(1j * t) * paths[1])
+    (e1, *_), _ = _gram_eigen(m)
+    return np.ldexp(e1, 2 * e)
+
+
 @_criterion(
     8,
     "joint optimum dominance",
@@ -499,10 +521,10 @@ def check_joint_optimum(ctx: AcceptanceContext):
     phasors, a, b = optimal_configuration(ch)
     config = instantaneous_snr(ch.g, ch.h, phasors, a, b, 1.0)
     config_dev = float(np.max(np.abs(config / alt - 1.0)))
+    paths = _tile_paths(ch)
     sweep = np.zeros(n)
     for t in 2.0 * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID:
-        tiles = np.array([1.0, np.exp(1j * t)])
-        sweep = np.maximum(sweep, svd2(ch.g * tiles @ ch.h).sigma[:, 0] ** 2)
+        sweep = np.maximum(sweep, _sigma_max_squared(paths, t))
     grid_excess = float(np.max(sweep / alt - 1.0))
     ok = alt_low == 0 and cmp_low == 0 and config_dev <= slack and grid_excess <= slack
     return (
@@ -531,19 +553,15 @@ def check_determinism(ctx: AcceptanceContext):
     s = ctx.settings
     trials = min(s.trials, 100_000)
     mode = Mode(2, 2, False)
-    runs = [
-        montecarlo.estimate_outage(mode, 10.0, 1.0, trials, s.seed, workers=w)
-        for w in (1, 4, 16)
-    ]
-    repeat = montecarlo.estimate_outage(mode, 10.0, 1.0, trials, s.seed)
-    a = montecarlo.channel_statistics(s.seed, _CHUNK_CHECK_TRIALS)
+    runs = [montecarlo.estimate_outage(mode, 10.0, 1.0, trials, s.seed) for _ in range(2)]
+    a = montecarlo.channel_statistics(s.seed, _CHUNK_CHECK_TRIALS, workers=1)
     # the outage sweep's counts, streamed at both chunk sizes, against
     # the stored pass; every streamed chunk must equal its slice of it
     schemes = [parse_scheme(name) for name in ALL_SCHEME_LABELS]
     gamma_bars = [10.0 ** (db / 10.0) for db in s.snr_db]
     th = 10.0 ** (_THRESHOLD_DB / 10.0)
     streamed, chunks_equal = [], []
-    for kwargs in ({}, {"chunk_size": _SMALL_CHUNK, "workers": 4}):
+    for kwargs in ({}, {"chunk_size": _SMALL_CHUNK, "workers": _POOLED_WORKERS}):
         counter = montecarlo.OutageCounter(schemes, gamma_bars, th)
 
         def consume(lo, chunk, counter=counter):
@@ -558,18 +576,14 @@ def check_determinism(ctx: AcceptanceContext):
         montecarlo.channel_statistics(s.seed, _CHUNK_CHECK_TRIALS, consume=consume, **kwargs)
         streamed.append(counter.estimates())
     stored = [montecarlo.outage_from_stats(a, scheme, gamma_bars, th) for scheme in schemes]
-    same = (
-        all(r == runs[0] for r in runs)
-        and repeat == runs[0]
-        and all(chunks_equal)
-        and streamed[0] == streamed[1] == stored
-    )
+    same = runs[0] == runs[1] and all(chunks_equal) and streamed[0] == streamed[1] == stored
+    workers = f"1/{montecarlo._cpu_count()}/{_POOLED_WORKERS}"
     return (
         same,
-        "bit-identical across reruns, worker counts 1/4/16, and chunk sizes "
-        f"2^{math.log2(montecarlo._CHUNK_SIZE):g}/2^{math.log2(_SMALL_CHUNK):g} over "
-        f"{_CHUNK_CHECK_TRIALS} trials; streamed outage counts "
-        "equal the stored pass's",
+        f"bit-identical across reruns, and over {_CHUNK_CHECK_TRIALS} trials across "
+        f"worker counts {workers} and chunk sizes "
+        f"2^{math.log2(montecarlo._CHUNK_SIZE):g}/2^{math.log2(_SMALL_CHUNK):g}; "
+        "streamed outage counts equal the stored pass's",
         "",
     )
 

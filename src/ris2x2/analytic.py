@@ -28,10 +28,15 @@ directly, with no Bessel, Meijer-G or Mellin step.  Throughput has
 E ln(1 + c lambda) as an exponential-integral kernel.  Both oracles run in
 the real domain on one 2-D trapezoid rule in s = ln omega and a logistic
 variable of the alignment factor, where the integrand is analytic on a
-strip, so halving the step converges geometrically; their tails are cut
-by closed-form bounds relative to P or R, and the laws are evaluated
-without cancellation, so they are accurate in relative terms far into the
-high-SNR tail.
+strip, so halving the step converges geometrically.  Each of the four
+tails of a rule is cut where it leaves out at most 2.5e-4 of the relative
+tolerance: a tail toward which the integrand falls by its mass alone, the
+upper tails of omega and z in outage and their lower tails in throughput;
+the lower outage tails by a closed-form lower bound of P; and the upper
+throughput tails by ln(1 + c z) >= z ln(1 + c) on z in [0, 1] and
+ln(1 + c omega) <= omega ln(1 + c) for omega >= 1.  The laws are
+evaluated without cancellation, so both oracles are accurate in relative
+terms far into the high-SNR tail.
 """
 
 from __future__ import annotations
@@ -114,10 +119,15 @@ _Z_WEIGHT_SERIES = tuple(
 # (-1)^(k+1) / (k k!), k = 1..20, summed for x <= 1.
 _E1_SERIES = tuple((-1) ** (k + 1) / (k * factorial(k)) for k in range(1, 21))
 
-# (upper end, depth) of the bands of x > 1 over which the Laguerre continued
-# fraction runs; each depth is within a few ulp at its band's lower end.
-_LAGUERRE_BANDS = ((1.5, 100), (2.0, 72), (3.0, 56), (5.0, 40), (10.0, 30), (20.0, 24),
-                   (50.0, 12), (100.0, 8), (300.0, 6), (1e3, 5), (1e5, 4), (np.inf, 3))
+# (upper end, depth) of the two bands of x > 1 of _laguerre_stieltjes: the
+# continued fraction at its depth gives f_2 at the centers of its Taylor
+# polynomials over the first band and f_2 itself over the second, within an
+# ulp from the band's lower end on.  The polynomials have degree
+# _LAGUERRE_DEGREE, at _LAGUERRE_STEPS centers c per unit of ln x, and each
+# is within an ulp at |h| <= c / 512.
+_LAGUERRE_BANDS = ((128.0, 120), (np.inf, 5))
+_LAGUERRE_STEPS = 256
+_LAGUERRE_DEGREE = 6
 
 # The oracles' rule: the share of _REL_TOL times P or R that each of its four
 # truncated tails may leave out, the step of its first level, the nodes
@@ -266,9 +276,11 @@ def _at_gamma_bars(gamma_bar, values):
 
 
 def _outage_tail_mass(mode: Mode, x: float) -> float:
-    """The probability mass each truncated tail of the outage oracle may
-    drop: a share of _REL_TOL times a lower bound of P(x), which grows
-    with x, so that the smallest x of a grid sets the mass of the grid.
+    """The probability mass each lower tail of the outage oracle may drop: a
+    share of _REL_TOL times a lower bound of P(x), which grows with x, so
+    that the smallest x of a grid sets the mass of the grid.  Where omega or
+    z is small, x / (omega z) is large and F_lambda near 1, so a lower tail
+    drops up to its mass.
 
     Since the three events together imply lambda omega z <= x, P is at
     least P{lambda <= a} P{omega <= b} P{z <= c} whenever abc = x; the
@@ -288,21 +300,26 @@ def _outage_tail_mass(mode: Mode, x: float) -> float:
     return max(_ORACLE_TAIL_SHARE * _REL_TOL * bound, np.finfo(np.float64).tiny)
 
 
-def _omega_log_range(which: str, mass: float):
-    """[ln w_lo, ln w_hi] with P{omega < w_lo} and P{omega > w_hi} at most
-    ``mass``, from F(w) <= 2w, S(w) = e^-2w (smallest) and
-    F(w) <= w^4/12, S(w) <= (2 + w^2) e^-w (largest)."""
+def _omega_log_range(which: str, lo_mass: float, hi_moment: float):
+    """[ln w_lo, ln w_hi] with P{omega < w_lo} <= ``lo_mass`` and
+    E[omega; omega > w_hi] <= ``hi_moment``, which bounds P{omega > w_hi}
+    as well (w_hi > 1 for a moment below 0.2), from F(w) <= 2w and
+    E[omega; omega > w] = (w + 1/2) e^-2w (smallest), and F(w) <= w^4/12
+    and E[omega; omega > w] = w S(w) + int_w^inf S <= (w^3 + w^2 + 4w + 4)
+    e^-w with S(w) <= (2 + w^2) e^-w (largest)."""
     if which == "smallest":
-        return np.log(0.5 * mass), np.log(-0.5 * np.log(mass))
-    w_hi = -np.log(mass)
-    for _ in range(8):  # w = ln((2 + w^2)/mass) is a contraction
-        w_hi = np.log(2.0 + w_hi * w_hi) - np.log(mass)
-    return 0.25 * np.log(12.0 * mass), np.log(w_hi)
+        w_lo, rate, moment = 0.5 * lo_mass, 2.0, (0.5, 1.0)
+    else:
+        w_lo, rate, moment = (12.0 * lo_mass) ** 0.25, 1.0, (4.0, 4.0, 1.0, 1.0)
+    w_hi = -np.log(hi_moment) / rate
+    for _ in range(8):  # w = ln(moment(w) / hi_moment) / rate is a contraction
+        w_hi = (np.log(polyval(w_hi, moment)) - np.log(hi_moment)) / rate
+    return np.log(w_lo), np.log(w_hi)
 
 
-def _alignment_log_range(compensated: bool, mass: float):
+def _alignment_log_range(compensated: bool, lo_mass: float, hi_mass: float):
     """[u_lo, u_hi] of the logistic variable of the alignment factor with
-    at most ``mass`` of probability beyond either end.
+    at most ``lo_mass`` of probability below u_lo and ``hi_mass`` above u_hi.
 
     Without compensation z = expit(u) and P{z < expit(ln m)} <= m.  With
     it t = (pi/2) expit(u) and z = sin^2 t, whose weight is at most 4t^3/3
@@ -310,9 +327,33 @@ def _alignment_log_range(compensated: bool, mass: float):
     P{t > pi/2 - d} <= pi d/2.
     """
     if not compensated:
-        return np.log(mass), -np.log(mass)
-    t_lo = (3.0 * mass) ** 0.25
-    return np.log(2.0 * t_lo / np.pi), np.log(0.25 * np.pi**2 / mass)
+        return np.log(lo_mass), -np.log(hi_mass)
+    t_lo = (3.0 * lo_mass) ** 0.25
+    return np.log(2.0 * t_lo / np.pi), np.log(0.25 * np.pi**2 / hi_mass)
+
+
+def _falling_tail_mass() -> float:
+    """The mass m of a tail over which the integrand is at most its value at
+    the cut: the tail drops at most m times that value, the rest at least
+    1 - m times it, so at most m / (1 - m) of the integral is left out, and
+    this m leaves out _ORACLE_TAIL_SHARE _REL_TOL of it."""
+    share = _ORACLE_TAIL_SHARE * _REL_TOL
+    return share / (1.0 + share)
+
+
+def _outage_box(mode: Mode, x: float):
+    """((s_lo, s_hi), (u_lo, u_hi)), the outage oracle's cuts of s = ln
+    omega and of the logistic variable u of z for a grid whose smallest x
+    is ``x``, each tail leaving out at most _ORACLE_TAIL_SHARE _REL_TOL of
+    P at every x of the grid.
+
+    The lower tails drop up to their mass (:func:`_outage_tail_mass`).
+    The upper ones need no bound of P: F_lambda(x / (omega z)) falls as
+    omega and z grow (:func:`_falling_tail_mass`).
+    """
+    _, om_law = _mode_laws(mode)
+    low, high = _outage_tail_mass(mode, x), _falling_tail_mass()
+    return _omega_log_range(om_law, low, high), _alignment_log_range(mode.compensated, low, high)
 
 
 def _alignment_nodes(u, compensated: bool):
@@ -328,44 +369,52 @@ def _alignment_nodes(u, compensated: bool):
     return 1.0 / np.sin(t) ** 2, _z_weight(t) * half_pi * up * down
 
 
-def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, mass: float):
+def _oracle_sum(mode: Mode, scales, inverse: bool, kernel, s, u):
+    """sum_{s, u} kernel(y, lam_law) f_omega(e^s) e^s w(u) over the nodes s
+    x u at every a of ``scales``, y = a e^s z(u) (a e^-s / z(u) if
+    ``inverse``), with the laws of :func:`_mode_laws`: the node sum of both
+    oracles' rule, _ORACLE_BLOCK nodes at a time."""
+    lam_law, om_law = _mode_laws(mode)
+    omega = np.exp(s)
+    row_weight = eigenvalue_pdf(omega, om_law) * omega
+    inv_z, col_weight = _alignment_nodes(u, mode.compensated)
+    outer = np.divide.outer if inverse else np.multiply.outer
+    rows, cols = outer(scales, omega), (inv_z if inverse else 1.0 / inv_z)
+    block = max(1, _ORACLE_BLOCK // (scales.size * cols.size))
+    total = np.zeros(scales.size)
+    for i in range(0, omega.size, block):
+        y = np.multiply.outer(rows[:, i : i + block], cols)
+        total += (kernel(y, lam_law) @ col_weight) @ row_weight[i : i + block]
+    return total
+
+
+def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box):
     """int int kernel(y, lam_law) f_omega(e^s) e^s w(u) ds du at every a of
-    ``scales``, y = a e^s z(u) (a e^-s / z(u) if ``inverse``), with the laws
-    of :func:`_mode_laws`: the 2-D trapezoid rule of both oracles.
+    ``scales`` over ``box`` = ((s_lo, s_hi), (u_lo, u_hi)), y as in
+    :func:`_oracle_sum`: the 2-D trapezoid rule of both oracles.
 
     s = ln omega and the logistic variable u of the alignment factor (z =
     expit(u), or with compensation t = (pi/2) expit(u) in z = sin^2 t,
-    weighted by sin(2t)/2 - t cos(2t)) are cut where at most ``mass`` of
-    probability lies beyond either end.  The step is halved from 1, reusing
-    the nodes of the level before, until two levels agree to _REL_TOL
-    relative at an a, which then drops out; QuadratureError is raised once
-    a level would exceed _ORACLE_MAX_NODES.
+    weighted by sin(2t)/2 - t cos(2t)) run from the lower cuts of ``box``
+    to at least its upper ones.  The step is halved from 1, reusing the
+    nodes of the level before, until two levels agree to _REL_TOL relative
+    at an a, which then drops out; QuadratureError is raised once a level
+    would exceed _ORACLE_MAX_NODES.
     """
-    lam_law, om_law = _mode_laws(mode)
-    s_lo, s_hi = _omega_log_range(om_law, mass)
-    u_lo, u_hi = _alignment_log_range(mode.compensated, mass)
-    outer = np.divide.outer if inverse else np.multiply.outer
+    (s_lo, s_hi), (u_lo, u_hi) = box
 
     def node_sum(k_s, k_u, step, a):
-        # the rule's sum over the nodes (s_lo + k_s step, u_lo + k_u step) at every a
-        omega = np.exp(s_lo + k_s * step)
-        row_weight = eigenvalue_pdf(omega, om_law) * omega
-        inv_z, col_weight = _alignment_nodes(u_lo + k_u * step, mode.compensated)
-        rows, cols = outer(a, omega), (inv_z if inverse else 1.0 / inv_z)
-        block = max(1, _ORACLE_BLOCK // (a.size * cols.size))
-        total = np.zeros(a.size)
-        for i in range(0, omega.size, block):
-            y = np.multiply.outer(rows[:, i : i + block], cols)
-            total += (kernel(y, lam_law) @ col_weight) @ row_weight[i : i + block]
-        return total
+        # the sum over the nodes (s_lo + k_s step, u_lo + k_u step) at every a
+        return _oracle_sum(mode, a, inverse, kernel, s_lo + k_s * step, u_lo + k_u * step)
 
     step = _ORACLE_FIRST_STEP
     n_s = int(np.ceil((s_hi - s_lo) / step)) + 1
     n_u = int(np.ceil((u_hi - u_lo) / step)) + 1
     result = np.empty(scales.shape)
     active = np.arange(scales.size)
-    # a y that overflows to inf just saturates the outage kernel
-    with np.errstate(over="ignore"):
+    # a y that overflows to inf just saturates the outage kernel, and one
+    # that underflows to 0 zeroes the throughput kernel (at x = 2/y = inf)
+    with np.errstate(over="ignore", divide="ignore"):
         total = node_sum(np.arange(n_s), np.arange(n_u), step, scales)
         estimate, change = step * step * total, np.full(scales.shape, np.inf)
         while (2 * n_s - 1) * (2 * n_u - 1) <= _ORACLE_MAX_NODES:
@@ -377,7 +426,8 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, mass: float):
             total += node_sum(np.arange(0, n_s, 2), np.arange(1, n_u, 2), step, a)
             previous, estimate = estimate, step * step * total
             change = np.abs(estimate - previous)
-            done = change <= _REL_TOL * estimate
+            # a sum that underflows to 0 certifies nothing in relative terms
+            done = (change <= _REL_TOL * estimate) & (estimate > 0.0)
             result[active[done]] = estimate[done]
             active, total, estimate, change = (v[~done] for v in (active, total, estimate, change))
             if active.size == 0:
@@ -395,15 +445,17 @@ def outage_quadrature(mode: Mode, x):
     of E{F_lambda(x / (omega z))} at every x of an array at once (a float
     for a scalar); the reference implementation.
 
-    It runs on the oracles' rule (:func:`_oracle_rule`) once over the grid:
-    its four tails each leave out at most 2.5e-4 ``special._REL_TOL`` times a
-    closed-form lower bound of P at the smallest x, and it halves its step
-    until two levels agree to that relative tolerance at each x.  P is
-    accurate in relative terms while it is above about 1e-290; further down,
-    where the tails cannot be cut that finely, QuadratureError is raised.
+    It runs on the oracles' rule (:func:`_oracle_rule`) once over the grid,
+    on the cuts of :func:`_outage_box`: each of the four tails leaves out
+    at most 2.5e-4 ``special._REL_TOL`` of P at every x, the lower ones by
+    a closed-form lower bound of P at the smallest x, the upper ones, where
+    the integrand falls, by their mass alone.  It halves its step until two
+    levels agree to that relative tolerance at each x.  P is accurate in
+    relative terms while it is above about 1e-290; further down, where the
+    lower tails cannot be cut that finely, QuadratureError is raised.
     """
     return _at_thresholds(
-        x, lambda z: _oracle_rule(mode, z, True, eigenvalue_cdf, _outage_tail_mass(mode, z.min()))
+        x, lambda z: _oracle_rule(mode, z, True, eigenvalue_cdf, _outage_box(mode, z.min()))
     )
 
 
@@ -484,12 +536,12 @@ def _laguerre_stieltjes(x):
 
     Up to x = 1, f_0 is exp(x) times the power series of E1, and f_2 = 1 - x
     + x^2 f_0 follows.  Beyond, where the series cancels and that form of f_2
-    loses digits like x^2, f_2 is the Jacobi continued fraction of the
-    Laguerre weight u^2 e^-u, 2 / (x + 3 - 1*3 / (x + 5 - 2*4 / (x + 7 -
-    ...))), and f_0 = (x - 1 + f_2) / x^2 adds positive terms.  Its depth-n
-    convergent (the n-point Gauss rule of the weight at 1/(x + u)), at a
-    depth banded by x (:data:`_LAGUERRE_BANDS`), is a backward recurrence
-    over the x in order of decreasing depth, each step on a prefix of them.
+    loses digits like x^2, f_2 comes first and f_0 = (x - 1 + f_2) / x^2 adds
+    positive terms (taken as (1 - (1 - f_2) / x) / x: x^2 overflows from x
+    ~ 1e154 on).  f_2 is the Taylor polynomial at the nearest center of
+    :func:`_laguerre_taylor` over the first band of :data:`_LAGUERRE_BANDS`
+    and the continued fraction :func:`_laguerre_fraction` over the second.
+    Either takes a fixed number of array operations, whatever the x.
     """
     flat = x.ravel()
     f0, f2 = np.empty(flat.shape), np.empty(flat.shape)
@@ -497,19 +549,60 @@ def _laguerre_stieltjes(x):
     xs = flat[series]
     f0[series] = np.exp(xs) * (-np.euler_gamma - np.log(xs) + xs * polyval(xs, _E1_SERIES))
     f2[series] = 1.0 - xs + xs * xs * f0[series]
-    order = np.argsort(flat)[xs.size :]  # the x > 1, ascending
-    xb = flat[order]
-    edges, depths = np.array(_LAGUERRE_BANDS).T
-    depth = depths[np.searchsorted(edges, xb)]
-    # prefix[k]: how many x have depth > k, those of the smallest x
-    prefix = np.searchsorted(-depth, -np.arange(depth.max(initial=1)))
-    tail = np.zeros(xb.shape)
-    for k in range(prefix.size - 1, 0, -1):
-        m = prefix[k]
-        tail[:m] = k * (k + 2) / (xb[:m] + (2 * k + 3) - tail[:m])
-    f2[order] = 2.0 / (xb + 3.0 - tail)
-    f0[order] = (xb - 1.0 + f2[order]) / (xb * xb)
+    (table_end, _), (_, depth) = _LAGUERRE_BANDS
+    far = flat > table_end
+    near = ~series & ~far
+    xn = flat[near]
+    centers, coefficients = _laguerre_taylor()
+    j = np.rint(np.log(xn) * _LAGUERRE_STEPS).astype(np.intp)
+    h = xn - centers[j]  # exact: x and its center are within a factor of 2
+    f2[near] = polyval(h, coefficients[j].T, tensor=False)
+    f2[far] = _laguerre_fraction(flat[far], depth)
+    xb = flat[~series]
+    f0[~series] = (1.0 - (1.0 - f2[~series]) / xb) / xb
     return f0.reshape(x.shape), f2.reshape(x.shape)
+
+
+def _laguerre_fraction(x, depth: int):
+    """f_2 of :func:`_laguerre_stieltjes` at every x > 1 of an array by the
+    Jacobi continued fraction of the Laguerre weight u^2 e^-u, 2 / (x + 3 -
+    1*3 / (x + 5 - 2*4 / (x + 7 - ...))), at ``depth``: a backward
+    recurrence.  The depth-n convergent is the n-point Gauss rule of the
+    weight at 1/(x + u)."""
+    tail, denominator = np.zeros(x.shape), np.empty(x.shape)
+    for k in range(depth - 1, 0, -1):
+        np.add(x, 2 * k + 3, out=denominator)
+        np.subtract(denominator, tail, out=denominator)
+        np.divide(k * (k + 2), denominator, out=tail)
+    return 2.0 / (x + 3.0 - tail)
+
+
+@lru_cache(maxsize=1)
+def _laguerre_taylor():
+    """(centers, coefficients) of the Taylor polynomials of f_2 of
+    :func:`_laguerre_stieltjes` over the first band of :data:`_LAGUERRE_BANDS`:
+    centers c = e^(j / _LAGUERRE_STEPS) from 1 to past the band's end, and
+    at each the coefficients d_n of f_2(c + h) = sum d_n h^n up to
+    _LAGUERRE_DEGREE, a row each.
+
+    d_0 is the continued fraction at the band's depth.  f_2 solves x f_2' =
+    (x + 2) f_2 - 2, so c (n + 1) d_(n+1) = (c + 2 - n) d_n + d_(n-1) - 2
+    [n = 0].  The recurrence is stable: the equation's other solution, x^2
+    e^x, is entire and its coefficients fall like 1/n!, and at |h| <= c / 512
+    its growth keeps an error of d_0 within e^|h| of itself.  Built on first
+    use and shared by every caller; the arrays are read-only.
+    """
+    (table_end, depth), _ = _LAGUERRE_BANDS
+    count = int(np.ceil(_LAGUERRE_STEPS * np.log(table_end))) + 1
+    centers = np.exp(np.arange(count) / _LAGUERRE_STEPS)
+    d = [_laguerre_fraction(centers, depth)]
+    for n in range(_LAGUERRE_DEGREE):
+        lower = d[n - 1] if n else -2.0
+        d.append(((centers + (2.0 - n)) * d[n] + lower) / (centers * (n + 1)))
+    coefficients = np.stack(d, axis=-1)
+    for arr in (centers, coefficients):
+        arr.setflags(write=False)
+    return centers, coefficients
 
 
 def _capacity_kernel(c, which: str):
@@ -802,24 +895,28 @@ def throughput(mode: Mode, gamma_bar):
     return _at_gamma_bars(gamma_bar, line)
 
 
-def _throughput_tail_mass(mode: Mode, gamma_bar) -> float:
-    """The probability mass each truncated tail of the throughput oracle may
-    drop on a grid of gamma_bar: a share of _REL_TOL times a lower bound of
-    R, R >= P{lambda, omega, z >= 1/2} ln(1 + gamma_bar/8), over what a unit
-    of mass can carry.  A tail A of (omega, z) of mass m drops at most
-    m ln(1 + 3.5 gamma_bar) + E[omega; A] (ln(1 + ab) <= ln(1 + a) + b, and
-    Jensen over lambda), and E[omega; A] <= (w_hi + 3.5) m, w_hi the upper
-    cut of omega, which grows like ln(1/m); so m is solved for twice and
-    halved."""
-    lam_law, om_law = _mode_laws(mode)
-    survival = (1.0 - eigenvalue_cdf(0.5, lam_law)) * (1.0 - eigenvalue_cdf(0.5, om_law))
-    survival *= 1.0 - z_factor_cdf(0.5, mode.compensated)
-    budget = _ORACLE_TAIL_SHARE * _REL_TOL * survival * np.log1p(gamma_bar / 8.0)
-    carry = np.log1p(3.5 * gamma_bar) + 3.5
-    mass = budget / carry
-    for _ in range(2):
-        mass = 0.5 * budget / (carry + np.exp(_omega_log_range(om_law, mass)[1]))
-    return max(float(np.min(mass)), np.finfo(np.float64).tiny)
+def _throughput_box(mode: Mode):
+    """((s_lo, s_hi), (u_lo, u_hi)), the throughput oracle's cuts of s =
+    ln omega and of the logistic variable u of z, each tail leaving out at
+    most _ORACLE_TAIL_SHARE _REL_TOL of R at every gamma_bar.
+
+    R is an integral of ln(1 + gamma_bar lambda omega z), which rises with
+    omega and z, so each bound is a ratio of the tail to R that holds
+    whatever gamma_bar:
+    * the integrand falls toward a lower tail (:func:`_falling_tail_mass`);
+    * ln(1 + c z) lies between z ln(1 + c) and ln(1 + c) for z in [0, 1],
+      so the upper z tail of mass m drops at most m / E{z} of R;
+    * ln(1 + c omega) <= omega ln(1 + c) for omega >= 1, so the upper
+      omega tail drops at most E[omega; omega > w_hi] / P{omega >= 1} of R.
+    """
+    _, om_law = _mode_laws(mode)
+    share = _ORACLE_TAIL_SHARE * _REL_TOL
+    low = _falling_tail_mass()
+    om_high = share * (1.0 - eigenvalue_cdf(1.0, om_law))
+    z_high = share * mean_z(mode.compensated)
+    return _omega_log_range(om_law, low, om_high), _alignment_log_range(
+        mode.compensated, low, z_high
+    )
 
 
 def throughput_quadrature(mode: Mode, gamma_bar):
@@ -829,14 +926,14 @@ def throughput_quadrature(mode: Mode, gamma_bar):
 
     E ln(1 + c lambda) is an exponential-integral kernel
     (:func:`_capacity_kernel`), and omega and z run on the oracles' rule
-    (:func:`_oracle_rule`), with no Mellin step.  Each of its four tails
-    leaves out at most 2.5e-4 ``special._REL_TOL`` times a closed-form lower
-    bound of R, and each value is certified by step halving to that relative
-    tolerance, or QuadratureError is raised.
+    (:func:`_oracle_rule`), with no Mellin step, on the cuts of
+    :func:`_throughput_box`: each of the four tails leaves out at most
+    2.5e-4 ``special._REL_TOL`` of R, by a bound of the tail relative to R
+    that holds at every gamma_bar.  Each value is certified by step halving
+    to that relative tolerance, or QuadratureError is raised.
     """
     return _at_gamma_bars(
-        gamma_bar,
-        lambda g: _oracle_rule(mode, g, False, _capacity_kernel, _throughput_tail_mass(mode, g)),
+        gamma_bar, lambda g: _oracle_rule(mode, g, False, _capacity_kernel, _throughput_box(mode))
     )
 
 

@@ -31,6 +31,8 @@ from ris2x2.acceptance import (
 )
 from ris2x2.altopt import optimize_batch
 from ris2x2.cli import main
+from ris2x2.linalg2 import svd2
+from ris2x2.sampling import RngState, channel_realizations
 from ris2x2.sysmodel import Mode
 
 
@@ -146,6 +148,19 @@ def test_criterion_08_fails_when_the_optimum_is_off(monkeypatch):
     assert "- 1| <= 1.0e-09" in result.observed
 
 
+def test_criterion_08_sweep_is_svd2_sigma_max_squared():
+    # the sweep adds the two tile paths and stops at the Gram eigen step;
+    # svd2 of the product G diag(1, e^jt) H must agree to a few ulp
+    ch = channel_realizations(
+        RngState(1729, acceptance._OPTIMUM_STREAM), acceptance._OPTIMUM_SAMPLE
+    )
+    paths = acceptance._tile_paths(ch)
+    for t in 2.0 * np.pi * np.array([0.0, 1.0, 13.0, 32.0, 47.0, 63.0]) / 64.0:
+        want = svd2(ch.g * np.array([1.0, np.exp(1j * t)]) @ ch.h).sigma[:, 0] ** 2
+        rel = np.abs(acceptance._sigma_max_squared(paths, t) / want - 1.0)
+        assert rel.max() <= 8.0 * np.finfo(np.float64).eps, t
+
+
 def test_criterion_09_mode_gap_discrepancy_surfaced(ctx):
     result = _run(check_mode_gap, ctx)
     assert "8.451" in result.note and "7.782" in result.note
@@ -182,3 +197,25 @@ def test_settings_are_validated_at_construction(field, bad, message):
 
 def test_criterion_10_determinism(ctx):
     _run(check_determinism, ctx)
+
+
+def test_criterion_10_compares_each_worker_count_over_several_chunks(monkeypatch):
+    # a count given a single chunk takes the sequential path whatever its
+    # value, and would compare nothing
+    calls = []
+    thread_map = montecarlo._thread_map
+
+    def recorded(fn, items, workers=None):
+        items = list(items)
+        calls.append((workers, len(items)))
+        return thread_map(fn, items, workers)
+
+    monkeypatch.setattr(montecarlo, "_thread_map", recorded)
+    for settings in (AcceptanceSettings.smoke(), AcceptanceSettings.full()):
+        calls.clear()
+        assert check_determinism(AcceptanceContext(settings)).passed
+        compared = [(workers, chunks) for workers, chunks in calls if workers is not None]
+        assert {workers for workers, _ in compared} == {1, acceptance._POOLED_WORKERS}
+        assert all(chunks >= 2 for _, chunks in compared), compared
+        # the streamed pass at the default chunk runs on the default count
+        assert (None, -(-acceptance._CHUNK_CHECK_TRIALS // montecarlo._CHUNK_SIZE)) in calls

@@ -467,6 +467,62 @@ def test_throughput_oracle_matches_mellin_from_minus_40_to_40_db():
         )
 
 
+def test_throughput_oracle_is_linear_at_vanishing_snr():
+    # R = gamma_bar E{X} (1 - O(gamma_bar)); the kernel's e^x E1(x) at x =
+    # 1/c must not lose its 1/x to an overflow of x^2 (which once gave 4/7
+    # of R for j1i1-cmp at 1e-200)
+    gammas = np.array([1e-150, 1e-200, 1e-250, 1e-300])
+    for mode in MODES:
+        want = gammas * analytic.mean_mode_snr(mode, 1.0)
+        assert analytic.throughput_quadrature(mode, gammas) == pytest.approx(want, rel=1e-12)
+
+
+def _dropped_shares(mode, scales, inverse, kernel, box, step=0.125, width=16.0):
+    """What each of the four cuts of an oracle's ``box`` drops, relative to
+    the value: the rule's node sum, at one fixed step, over a strip of
+    ``width`` beyond the cut (the omega strips across every u), over its sum
+    on the box.  Each tail falls away from its cut, so the strip's sum is
+    below the tail's integral."""
+    (s_lo, s_hi), (u_lo, u_hi) = box
+
+    def nodes(lo, hi):
+        return lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
+
+    def part(s, u):
+        return analytic._oracle_sum(mode, scales, inverse, kernel, s, u)
+
+    beyond = step * np.arange(1, int(width / step) + 1)
+    s, u, u_all = nodes(s_lo, s_hi), nodes(u_lo, u_hi), nodes(u_lo - width, u_hi + width)
+    value = part(s, u)
+    strips = {
+        "omega below": (s_lo - beyond, u_all),
+        "omega above": (s_hi + beyond, u_all),
+        "z below": (s, u_lo - beyond),
+        "z above": (s, u_hi + beyond),
+    }
+    return {tail: part(*strip) / value for tail, strip in strips.items()}
+
+
+def test_oracle_cuts_drop_at_most_their_share():
+    # each tail of each oracle may leave out 2.5e-4 _REL_TOL of its value:
+    # the outage cuts are set at the smallest x of a grid, the throughput
+    # cuts hold at every gamma_bar; a cut too far in would also stall the
+    # step halving, whose error is then the jump at the cut
+    share = analytic._ORACLE_TAIL_SHARE * analytic._REL_TOL
+    gammas = 10.0 ** (np.arange(-40.0, 41.0, 10.0) / 10.0)
+    with np.errstate(over="ignore"):
+        for mode in MODES:
+            for x in (1e-8, 1e-4, 1.0, 1e4):
+                box = analytic._outage_box(mode, x)
+                shares = _dropped_shares(mode, np.array([x]), True, analytic.eigenvalue_cdf, box)
+                for tail, dropped in shares.items():
+                    assert dropped.max() <= share, (mode, x, tail, dropped)
+            box = analytic._throughput_box(mode)
+            shares = _dropped_shares(mode, gammas, False, analytic._capacity_kernel, box)
+            for tail, dropped in shares.items():
+                assert dropped.max() <= share, (mode, tail, dropped)
+
+
 def test_capacity_kernel_matches_exponential_integral():
     # E ln(1 + c lambda) = 2 L0(1/c) + L2(1/c) - L0(2/c) (largest) and L0(2/c)
     # (smallest), L0(x) = e^x E1(x) and L2(x) = 1 - x + x^2 L0(x); the grid
