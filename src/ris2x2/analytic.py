@@ -17,7 +17,9 @@ one-dimensional transforms, against a kernel (1/s, or pi/(s sin pi s) for
 ln(1 + y)).  Both run on the vertical-line rule of ``special``, the one the
 Meijer G functions of the closed forms run on: a step-halved trapezoid rule
 on cached contour nodes, over a whole grid at once, certifying each value
-in relative terms.
+in relative terms.  Each factor of the transform depends only on its law
+and the node, so each is evaluated once per node set of a contour and
+shared by every mode and both kernels.
 
 Outage is computed three ways on purpose.  ``outage_closed_form``
 assembles the paper's Bessel/Meijer-G expressions, the reproduced artifact,
@@ -27,8 +29,10 @@ directly, with no Bessel, Meijer-G or Mellin step.  Throughput has
 ``throughput`` and its oracle ``throughput_quadrature``, which takes
 E ln(1 + c lambda) as an exponential-integral kernel.  Both oracles run in
 the real domain on one 2-D trapezoid rule in s = ln omega and a logistic
-variable of the alignment factor, where the integrand is analytic on a
-strip, so halving the step converges geometrically.  Each of the four
+variable u of the alignment factor, where the integrand is analytic on a
+strip, taken uniform in sinh-mapped variables (s = c + 4 sinh v, u = 4
+sinh w) that space the nodes out in the tails, so halving the step
+converges geometrically on fewer nodes.  Each of the four
 tails of a rule is cut where it leaves out at most 2.5e-4 of the relative
 tolerance: a tail toward which the integrand falls by its mass alone, the
 upper tails of omega and z in outage and their lower tails in throughput;
@@ -46,7 +50,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .special import (
     _ABS_TOL,
@@ -57,6 +60,7 @@ from .special import (
     _g30,
     _half_line_integral,
     _line_integral,
+    _line_nodes,
     bessel_k,
     log_gamma,
     meijer_g,
@@ -130,11 +134,13 @@ _LAGUERRE_STEPS = 256
 _LAGUERRE_DEGREE = 6
 
 # The oracles' rule: the share of _REL_TOL times P or R that each of its four
-# truncated tails may leave out, the step of its first level, the nodes
-# evaluated at once (64 kB per array) and the most nodes a level may have
-# (a few seconds of work; no outage x in [1e-8, 1e4] needs more than 4e5).
+# truncated tails may leave out, the step of its first level in the mapped
+# variables and the scale of their sinh maps, the nodes evaluated at once
+# (64 kB per array) and the most nodes a level may have (a few seconds of
+# work; no outage x in [1e-8, 1e4] needs more than 4e5).
 _ORACLE_TAIL_SHARE = 2.5e-4
-_ORACLE_FIRST_STEP = 1.0
+_ORACLE_FIRST_STEP = 0.25
+_ORACLE_SINH_SCALE = 4.0
 _ORACLE_BLOCK = 1 << 13
 _ORACLE_MAX_NODES = 1 << 25
 
@@ -173,7 +179,7 @@ def eigenvalue_cdf(y, which: str = "largest"):
         head = 0.5 * rise - v * decay
         small = v < 1.0
         vs = v[small]
-        head[small] = decay[small] * vs**3 * polyval(vs * vs, _SINH_SERIES)
+        head[small] = decay[small] * vs**3 * _horner(vs * vs, _SINH_SERIES)
         val = 2.0 * head * (rise + yc * decay)
     elif which == "smallest":
         val = -np.expm1(-2.0 * yc)
@@ -194,7 +200,7 @@ def eigenvalue_pdf(y, which: str = "largest"):
         bracket = 2.0 - 2.0 * yc + yc * yc - 2.0 * decay
         small = yc < 1.0
         ys = yc[small]
-        bracket[small] = ys**3 * polyval(ys, _PDF_SERIES)
+        bracket[small] = ys**3 * _horner(ys, _PDF_SERIES)
         val = decay * bracket
     elif which == "smallest":
         val = 2.0 * np.exp(-2.0 * yc)
@@ -247,7 +253,17 @@ def _z_weight(t):
     compensation, accurate in relative terms down to t -> 0 (~ 4t^3/3)."""
     a = 2.0 * np.asarray(t, dtype=np.float64)
     direct = 0.5 * (np.sin(a) - a * np.cos(a))
-    return np.where(a < 1.0, a**3 * polyval(a * a, _Z_WEIGHT_SERIES), direct)
+    return np.where(a < 1.0, a**3 * _horner(a * a, _Z_WEIGHT_SERIES), direct)
+
+
+def _horner(x, coefficients):
+    """sum_n coefficients[n] x^n, the lowest order first, by Horner's rule
+    in the order of operations of numpy's ``polyval`` (bit for bit alike);
+    a coefficient may be an array of x's shape."""
+    value = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        value = c + value * x
+    return value
 
 
 def _at_thresholds(x, values):
@@ -313,7 +329,7 @@ def _omega_log_range(which: str, lo_mass: float, hi_moment: float):
         w_lo, rate, moment = (12.0 * lo_mass) ** 0.25, 1.0, (4.0, 4.0, 1.0, 1.0)
     w_hi = -np.log(hi_moment) / rate
     for _ in range(8):  # w = ln(moment(w) / hi_moment) / rate is a contraction
-        w_hi = (np.log(polyval(w_hi, moment)) - np.log(hi_moment)) / rate
+        w_hi = (np.log(_horner(w_hi, moment)) - np.log(hi_moment)) / rate
     return np.log(w_lo), np.log(w_hi)
 
 
@@ -369,15 +385,18 @@ def _alignment_nodes(u, compensated: bool):
     return 1.0 / np.sin(t) ** 2, _z_weight(t) * half_pi * up * down
 
 
-def _oracle_sum(mode: Mode, scales, inverse: bool, kernel, s, u):
+def _oracle_sum(mode: Mode, scales, inverse: bool, kernel, s, u, s_weight=1.0, u_weight=1.0):
     """sum_{s, u} kernel(y, lam_law) f_omega(e^s) e^s w(u) over the nodes s
     x u at every a of ``scales``, y = a e^s z(u) (a e^-s / z(u) if
-    ``inverse``), with the laws of :func:`_mode_laws`: the node sum of both
-    oracles' rule, _ORACLE_BLOCK nodes at a time."""
+    ``inverse``), with the laws of :func:`_mode_laws` and each node weighted
+    by ``s_weight`` and ``u_weight`` (the Jacobians of a change of
+    variables): the node sum of both oracles' rule, _ORACLE_BLOCK nodes at
+    a time."""
     lam_law, om_law = _mode_laws(mode)
     omega = np.exp(s)
-    row_weight = eigenvalue_pdf(omega, om_law) * omega
+    row_weight = eigenvalue_pdf(omega, om_law) * omega * s_weight
     inv_z, col_weight = _alignment_nodes(u, mode.compensated)
+    col_weight = col_weight * u_weight
     outer = np.divide.outer if inverse else np.multiply.outer
     rows, cols = outer(scales, omega), (inv_z if inverse else 1.0 / inv_z)
     block = max(1, _ORACLE_BLOCK // (scales.size * cols.size))
@@ -396,20 +415,50 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box):
     s = ln omega and the logistic variable u of the alignment factor (z =
     expit(u), or with compensation t = (pi/2) expit(u) in z = sin^2 t,
     weighted by sin(2t)/2 - t cos(2t)) run from the lower cuts of ``box``
-    to at least its upper ones.  The step is halved from 1, reusing the
-    nodes of the level before, until two levels agree to _REL_TOL relative
-    at an a, which then drops out; QuadratureError is raised once a level
-    would exceed _ORACLE_MAX_NODES.
+    to at least its upper ones, on a uniform grid in the mapped variables
+    s = c + _ORACLE_SINH_SCALE sinh v and u = _ORACLE_SINH_SCALE sinh w,
+    the Jacobians as node weights.  c is +1 for the largest omega law and
+    -1 for the smallest, near the bulk of omega.  The map keeps the rule's
+    geometric convergence, and its node spacing grows with the distance
+    from the bulk, so the tails, where the integrand decays exponentially
+    over tens of units, take few nodes (Trefethen & Weideman, SIAM Review
+    2014); a feature far out in a tail needs many halvings (see
+    :func:`outage_quadrature`).  The step in (v, w) is halved from _ORACLE_FIRST_STEP, reusing the nodes of
+    the level before, until two levels agree to _REL_TOL relative at an a,
+    which then drops out; QuadratureError is raised once a level would
+    exceed _ORACLE_MAX_NODES, and at once if even the largest y of the box
+    at the smallest a is not a normal float, where no node carries a digit
+    the sum could certify.
     """
     (s_lo, s_hi), (u_lo, u_hi) = box
+    _, om_law = _mode_laws(mode)
+    center = 1.0 if om_law == "largest" else -1.0
+    scale = _ORACLE_SINH_SCALE
+    v_lo, v_hi = np.arcsinh((s_lo - center) / scale), np.arcsinh((s_hi - center) / scale)
+    w_lo, w_hi = np.arcsinh(u_lo / scale), np.arcsinh(u_hi / scale)
+    label = f"{'outage' if inverse else 'throughput'}_quadrature({mode.label})"
+    # y is largest at the box's upper omega and z corner, or with the
+    # inverse at its lower one
+    inv_z = _alignment_nodes(np.array([u_lo, u_hi]), mode.compensated)[0]
+    with np.errstate(over="ignore"):
+        top = scales.min() * (np.exp(-s_lo) * inv_z[0] if inverse else np.exp(s_hi) / inv_z[1])
+    if not top >= np.finfo(np.float64).tiny:
+        raise QuadratureError(
+            f"{label} at {scales.min():g}: every kernel argument of the box is below "
+            f"the normal floats (at most {top:.3e})"
+        )
 
-    def node_sum(k_s, k_u, step, a):
-        # the sum over the nodes (s_lo + k_s step, u_lo + k_u step) at every a
-        return _oracle_sum(mode, a, inverse, kernel, s_lo + k_s * step, u_lo + k_u * step)
+    def node_sum(k_v, k_w, step, a):
+        # the sum over the nodes (v_lo + k_v step, w_lo + k_w step) at every a
+        v, w = v_lo + k_v * step, w_lo + k_w * step
+        return _oracle_sum(
+            mode, a, inverse, kernel, center + scale * np.sinh(v), scale * np.sinh(w),
+            scale * np.cosh(v), scale * np.cosh(w),
+        )
 
     step = _ORACLE_FIRST_STEP
-    n_s = int(np.ceil((s_hi - s_lo) / step)) + 1
-    n_u = int(np.ceil((u_hi - u_lo) / step)) + 1
+    n_s = int(np.ceil((v_hi - v_lo) / step)) + 1
+    n_u = int(np.ceil((w_hi - w_lo) / step)) + 1
     result = np.empty(scales.shape)
     active = np.arange(scales.size)
     # a y that overflows to inf just saturates the outage kernel, and one
@@ -433,8 +482,7 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box):
             if active.size == 0:
                 return result
     raise QuadratureError(
-        f"{'outage' if inverse else 'throughput'}_quadrature({mode.label}) at "
-        f"{scales[active[0]]:g}: trapezoid not converged at step "
+        f"{label} at {scales[active[0]]:g}: trapezoid not converged at step "
         f"{step:g} on {n_s}x{n_u} nodes (estimate {estimate[0]:.6e}, last "
         f"change {change[0]:.3e})"
     )
@@ -446,13 +494,17 @@ def outage_quadrature(mode: Mode, x):
     for a scalar); the reference implementation.
 
     It runs on the oracles' rule (:func:`_oracle_rule`) once over the grid,
-    on the cuts of :func:`_outage_box`: each of the four tails leaves out
-    at most 2.5e-4 ``special._REL_TOL`` of P at every x, the lower ones by
-    a closed-form lower bound of P at the smallest x, the upper ones, where
-    the integrand falls, by their mass alone.  It halves its step until two
-    levels agree to that relative tolerance at each x.  P is accurate in
-    relative terms while it is above about 1e-290; further down, where the
-    lower tails cannot be cut that finely, QuadratureError is raised.
+    uniform in the sinh-mapped variables of s = ln omega and the logistic
+    variable of z, on the cuts of :func:`_outage_box`: each of the four
+    tails leaves out at most 2.5e-4 ``special._REL_TOL`` of P at every x,
+    the lower ones by a closed-form lower bound of P at the smallest x, the
+    upper ones, where the integrand falls, by their mass alone.  It halves
+    its step until two levels agree to that relative tolerance at each x.
+    Every mode is certified down to x = 1e-70.  Further down, F_lambda
+    turns where omega z ~ x, so far into the mapped lower tails, whose
+    nodes are tens of units apart there, that the rule reaches its node
+    limit and QuadratureError is raised (from about x = 1e-80 for j1i1-cmp
+    and j2i2-cmp); it is raised too where P itself underflows.
     """
     return _at_thresholds(
         x, lambda z: _oracle_rule(mode, z, True, eigenvalue_cdf, _outage_box(mode, z.min()))
@@ -547,7 +599,7 @@ def _laguerre_stieltjes(x):
     f0, f2 = np.empty(flat.shape), np.empty(flat.shape)
     series = flat <= 1.0
     xs = flat[series]
-    f0[series] = np.exp(xs) * (-np.euler_gamma - np.log(xs) + xs * polyval(xs, _E1_SERIES))
+    f0[series] = np.exp(xs) * (-np.euler_gamma - np.log(xs) + xs * _horner(xs, _E1_SERIES))
     f2[series] = 1.0 - xs + xs * xs * f0[series]
     (table_end, _), (_, depth) = _LAGUERRE_BANDS
     far = flat > table_end
@@ -556,7 +608,7 @@ def _laguerre_stieltjes(x):
     centers, coefficients = _laguerre_taylor()
     j = np.rint(np.log(xn) * _LAGUERRE_STEPS).astype(np.intp)
     h = xn - centers[j]  # exact: x and its center are within a factor of 2
-    f2[near] = polyval(h, coefficients[j].T, tensor=False)
+    f2[near] = _horner(h, coefficients[j].T)
     f2[far] = _laguerre_fraction(flat[far], depth)
     xb = flat[~series]
     f0[~series] = (1.0 - (1.0 - f2[~series]) / xb) / xb
@@ -677,7 +729,7 @@ def _z_rule():
     return rule
 
 
-def _mellin_z(s, compensated: bool):
+def _mellin_z(s, compensated: bool, c=None):
     """E{z^-s} of the alignment factor at complex s, Re s < 1 (fixed
     surface) or Re s < 2 (compensated).
 
@@ -686,24 +738,30 @@ def _mellin_z(s, compensated: bool):
     s = 2 the integrand goes like t^(3-2s), which no fixed rule resolves;
     so where some Re s exceeds 1, the onset (4/3) t^(3-2s) is integrated
     exactly, (4/3)(pi/2)^(4-2s)/(4-2s), and the rule takes only the rest,
-    of order t^(5-2s).
+    of order t^(5-2s).  Given the contour c of nodes s = c + jt, the
+    rule's modulus rows are formed once for all of them (see
+    :func:`_weighted_powers`); the compensated value at the nodes of a
+    line is shared by every mode and kernel through :func:`_line_factor`.
     """
     if not compensated:
         return 1.0 / (1.0 - s)
     minus_log_z, weight, minus_log_t2, onset = _z_rule()
-    value = _weighted_powers(s, minus_log_z, weight)
-    if np.max(np.real(s)) > 1.0:
+    re = np.real(s) if c is None else c
+    value = _weighted_powers(re, np.imag(s), minus_log_z, weight)
+    if np.max(re) > 1.0:
         exact = (4.0 / 3.0) * np.exp((4.0 - 2.0 * s) * np.log(0.5 * np.pi)) / (4.0 - 2.0 * s)
-        value += exact - _weighted_powers(s, minus_log_t2, onset)
+        value += exact - _weighted_powers(re, np.imag(s), minus_log_t2, onset)
     return value
 
 
-def _weighted_powers(s, log_base, weight):
-    """sum_k weight_k exp(s log_base_k) for every s, from real moduli and
-    phases (twice as fast as numpy's complex exp)."""
-    modulus = np.exp(np.multiply.outer(np.real(s), log_base))
+def _weighted_powers(re, im, log_base, weight):
+    """sum_k weight_k exp(s log_base_k) at every s = re + j im, from real
+    moduli and phases (twice as fast as numpy's complex exp).  ``re`` is an
+    array of im's shape, or one real part for all s: the contour of a line,
+    whose one modulus row exp(re log_base_k) weight_k serves every node."""
+    modulus = np.exp(np.multiply.outer(re, log_base))
     modulus *= weight
-    phase = np.multiply.outer(np.imag(s), log_base)
+    phase = np.multiply.outer(im, log_base)
     return (modulus * np.cos(phase)).sum(axis=-1) + 1j * (modulus * np.sin(phase)).sum(axis=-1)
 
 
@@ -715,15 +773,50 @@ def _mode_laws(mode: Mode):
     return sorted(("largest" if k == 1 else "smallest" for k in (mode.rx, mode.tx)), reverse=True)
 
 
-def _mellin_transform(mode: Mode, s):
-    """E{X^-s} of X = lambda_j omega_i z at complex s."""
+def _gamma_one_minus(s):
+    """Gamma(1 - s) at complex s (inf at the poles s = 1, 2, ...)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp(log_gamma(1.0 - s))
+
+
+@lru_cache(maxsize=256)
+def _line_factor(factor: str, c: float, level: int, count: int):
+    """One factor of E{X^-s} at the nodes s = c + jt of a node set of the
+    vertical-line rule (``special._line_nodes(level, count)``): "gamma",
+    Gamma(1 - s); "largest" or "smallest", the eigenvalue transform of
+    that law; "z", the compensated alignment transform.
+
+    Each is the expression of :func:`_mellin_transform` on the same nodes,
+    so its bits are those of a direct evaluation.  Cached per node set,
+    values only and read-only: every mode and both kernels on a contour
+    share them, and outage's c = -p/2 fallback meets throughput's line at
+    c = -1/2.
+    """
+    s = c + 1j * _line_nodes(level, count)
+    if factor == "gamma":
+        value = _gamma_one_minus(s)
+    elif factor == "z":
+        value = _mellin_z(s, True, c)
+    else:
+        value = _mellin_eigenvalue(s, factor, _line_factor("gamma", c, level, count))
+    value.setflags(write=False)
+    return value
+
+
+def _mellin_transform(mode: Mode, s, line=None):
+    """E{X^-s} of X = lambda_j omega_i z at complex s; at the nodes of a
+    node set ``line`` = (c, level, count) of the vertical-line rule, from
+    the factors :func:`_line_factor` shares across modes and kernels."""
     # numpy's complex product does not commute bit for bit; one order of
     # the eigenvalue laws keeps M bit-identical when tx and rx swap
     first, second = sorted(_mode_laws(mode))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.exp(log_gamma(1.0 - s))
-    eig = _mellin_eigenvalue(s, first, g) * _mellin_eigenvalue(s, second, g)
-    return eig * _mellin_z(s, mode.compensated)
+    if line is None:
+        g = _gamma_one_minus(s)
+        eig = _mellin_eigenvalue(s, first, g) * _mellin_eigenvalue(s, second, g)
+        return eig * _mellin_z(s, mode.compensated)
+    eig = _line_factor(first, *line) * _line_factor(second, *line)
+    z = _line_factor("z", *line) if mode.compensated else _mellin_z(s, False)
+    return eig * z
 
 
 def diversity_order(mode: Mode) -> float:
@@ -745,7 +838,9 @@ class _KernelTransform:
     """K(s) M(s), s complex, the transform of the vertical-line rule of
     ``special`` for a mode's Mellin-Barnes column: K is 1/s for "outage" and
     pi/(s sin pi s), the transform of ln(1 + y), for "throughput".  Hashable,
-    so the rule caches its nodes per kernel and pair of eigenvalue laws."""
+    so the rule caches its nodes per kernel and pair of eigenvalue laws; M
+    comes from the factors shared per node set (:func:`_line_factor`), whose
+    key ``line`` the rule passes with the nodes."""
 
     mode: Mode
     kernel: str
@@ -757,8 +852,8 @@ class _KernelTransform:
         tx, rx = sorted((self.mode.tx, self.mode.rx), reverse=True)
         object.__setattr__(self, "mode", Mode(tx, rx, self.mode.compensated))
 
-    def __call__(self, s):
-        m = _mellin_transform(self.mode, s)
+    def __call__(self, s, line=None):
+        m = _mellin_transform(self.mode, s, line)
         return m / s if self.kernel == "outage" else np.pi * m / (s * np.sin(np.pi * s))
 
 
@@ -926,11 +1021,14 @@ def throughput_quadrature(mode: Mode, gamma_bar):
 
     E ln(1 + c lambda) is an exponential-integral kernel
     (:func:`_capacity_kernel`), and omega and z run on the oracles' rule
-    (:func:`_oracle_rule`), with no Mellin step, on the cuts of
-    :func:`_throughput_box`: each of the four tails leaves out at most
+    (:func:`_oracle_rule`), uniform in the sinh-mapped variables of s = ln
+    omega and the logistic variable of z, with no Mellin step, on the cuts
+    of :func:`_throughput_box`: each of the four tails leaves out at most
     2.5e-4 ``special._REL_TOL`` of R, by a bound of the tail relative to R
     that holds at every gamma_bar.  Each value is certified by step halving
-    to that relative tolerance, or QuadratureError is raised.
+    to that relative tolerance, or QuadratureError is raised: at once for a
+    gamma_bar so small (below about 1e-309) that every kernel argument is
+    below the normal floats.
     """
     return _at_gamma_bars(
         gamma_bar, lambda g: _oracle_rule(mode, g, False, _capacity_kernel, _throughput_box(mode))

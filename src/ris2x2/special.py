@@ -187,7 +187,8 @@ class MeijerParams:
         if len(self.a) != self.p or len(self.b) != self.q:
             raise ValueError("parameter lengths must match p and q")
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
+    def __call__(self, s: np.ndarray, line=None) -> np.ndarray:
+        # (``line``, the key of the rule's node set, is not needed here)
         # the numerator's Gamma arguments, then the denominator's: one array
         lg = log_gamma(
             [b - s for b in self.b[: self.m]]
@@ -199,12 +200,21 @@ class MeijerParams:
         return np.exp(lg[:upper].sum(axis=0) - lg[upper:].sum(axis=0))
 
 
+def _line_nodes(level: int, count: int):
+    """The first ``count`` nodes t >= 0 of level ``level`` of the
+    vertical-line rule: the multiples of the first step at level 0, the odd
+    multiples of step / 2^level after."""
+    if level == 0:
+        return _LINE_FIRST_STEP * np.arange(count)
+    return _LINE_FIRST_STEP * 0.5**level * np.arange(1, 2 * count, 2)
+
+
 @lru_cache(maxsize=64)
 def _line_level(transform, c: float, level: int):
     """Nodes t >= 0 and terms transform(c + jt) that level ``level`` of the
-    rule on Re s = c adds: every multiple of the first step up to the
-    truncation span (the term at t = 0 halved) at level 0, the odd multiples
-    of step / 2^level after.
+    rule on Re s = c adds (:func:`_line_nodes`): every multiple of the first
+    step up to the truncation span (the term at t = 0 halved) at level 0,
+    the odd multiples of step / 2^level after.
 
     The span grows by half from _LINE_SPAN until the last term is below
     _LINE_TAIL_SHARE * eps * sum|terms|; wherever the cancellation bound of
@@ -213,14 +223,18 @@ def _line_level(transform, c: float, level: int):
     transform does not decay and QuadratureError is raised.
 
     ``transform`` is hashable (a :class:`MeijerParams`, or a kernel and a
-    mode of ``analytic``).  Cached, read-only: the calls of one sweep and of
-    the checks that reuse a line evaluate the transform once per node.
+    mode of ``analytic``) and is called as transform(s, line) with the key
+    line = (c, level, count) of its node set, by which transforms on the
+    same nodes may share factors.  Cached, read-only: the calls of one sweep
+    and of the checks that reuse a line evaluate the transform once per
+    node.
     """
     if level == 0:
         span = _LINE_SPAN
         for _ in range(_LINE_GROWTHS):
-            t = _LINE_FIRST_STEP * np.arange(int(np.ceil(span / _LINE_FIRST_STEP)) + 1)
-            values = transform(c + 1j * t)
+            count = int(np.ceil(span / _LINE_FIRST_STEP)) + 1
+            t = _line_nodes(0, count)
+            values = transform(c + 1j * t, (c, 0, count))
             values[0] *= 0.5
             if np.abs(values[-1]) <= _LINE_TAIL_SHARE * _EPS * np.abs(values).sum():
                 break
@@ -230,9 +244,9 @@ def _line_level(transform, c: float, level: int):
                 f"{transform} does not decay on the line Re s = {c:g} (half-span {span:g})"
             )
     else:
-        intervals = (len(_line_level(transform, c, 0)[0]) - 1) << (level - 1)
-        t = _LINE_FIRST_STEP * 0.5**level * np.arange(1, 2 * intervals, 2)
-        values = transform(c + 1j * t)
+        count = (len(_line_level(transform, c, 0)[0]) - 1) << (level - 1)
+        t = _line_nodes(level, count)
+        values = transform(c + 1j * t, (c, level, count))
     for arr in (t, values):
         arr.setflags(write=False)
     return t, values

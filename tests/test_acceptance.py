@@ -161,6 +161,25 @@ def test_criterion_08_sweep_is_svd2_sigma_max_squared():
         assert rel.max() <= 8.0 * np.finfo(np.float64).eps, t
 
 
+def test_criterion_08_sweep_blocks_keep_the_running_max():
+    # phases swept a block per array operation give the running max of the
+    # sweep one phase at a time, bit for bit, whatever the block
+    ch = channel_realizations(
+        RngState(1729, acceptance._OPTIMUM_STREAM), acceptance._OPTIMUM_SAMPLE
+    )
+    paths = acceptance._tile_paths(ch)
+    phases = 2.0 * np.pi * np.arange(acceptance._PHASE_GRID) / acceptance._PHASE_GRID
+    one_at_a_time = np.zeros(ch.g.shape[0])
+    for t in phases:
+        one_at_a_time = np.maximum(one_at_a_time, acceptance._sigma_max_squared(paths, t))
+    assert acceptance._PHASE_GRID % acceptance._PHASE_BLOCK == 0
+    for size in (8, 16, 64, acceptance._PHASE_BLOCK):
+        sweep = np.zeros(ch.g.shape[0])
+        for block in np.split(phases, phases.size // size):
+            sweep = np.maximum(sweep, acceptance._sigma_max_squared(paths, block).max(axis=0))
+        assert np.array_equal(sweep, one_at_a_time), size
+
+
 def test_criterion_09_mode_gap_discrepancy_surfaced(ctx):
     result = _run(check_mode_gap, ctx)
     assert "8.451" in result.note and "7.782" in result.note

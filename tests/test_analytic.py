@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -354,6 +359,139 @@ def test_mellin_terms_are_evaluated_once_per_node(fn, transform, again, grid):
         special._line_level.cache_clear()
 
 
+def _direct_terms(mode, kernel, s):
+    """K(s) E{X^-s} at s as the rule evaluated it before its factors were
+    shared: Gamma(1 - s) and both eigenvalue brackets per call, and the
+    compensated E{z^-s} on the 200-node rule with a modulus row per node."""
+    first, second = sorted(analytic._mode_laws(mode))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.exp(special.log_gamma(1.0 - s))
+    eig = analytic._mellin_eigenvalue(s, first, g) * analytic._mellin_eigenvalue(s, second, g)
+    if mode.compensated:
+        minus_log_z, weight, minus_log_t2, onset = analytic._z_rule()
+
+        def powers(log_base, w):
+            modulus = np.exp(np.multiply.outer(np.real(s), log_base))
+            modulus *= w
+            phase = np.multiply.outer(np.imag(s), log_base)
+            return (modulus * np.cos(phase)).sum(axis=-1) + 1j * (modulus * np.sin(phase)).sum(axis=-1)
+
+        z = powers(minus_log_z, weight)
+        if np.max(np.real(s)) > 1.0:
+            exact = (4.0 / 3.0) * np.exp((4.0 - 2.0 * s) * np.log(0.5 * np.pi)) / (4.0 - 2.0 * s)
+            z += exact - powers(minus_log_t2, onset)
+    else:
+        z = 1.0 / (1.0 - s)
+    m = eig * z
+    return m / s if kernel == "outage" else np.pi * m / (s * np.sin(np.pi * s))
+
+
+def _mellin_lines():
+    """(mode, kernel, c) of every contour of outage and throughput."""
+    for mode in MODES:
+        pole = analytic.diversity_order(mode)
+        for c in (0.5 * pole, pole - analytic._POLE_MARGIN, -0.5 * pole):
+            yield mode, "outage", c
+        yield mode, "throughput", analytic._THROUGHPUT_ABSCISSA
+
+
+def test_shared_factors_give_the_direct_terms_bit_for_bit():
+    # every mode, both kernels, every contour, levels 0-5: the terms of the
+    # line rule, built from factors shared across modes and kernels, have
+    # the bits of the direct product on the same nodes
+    for mode, kernel, c in _mellin_lines():
+        transform = analytic._KernelTransform(mode, kernel)
+        for level in range(6):
+            t, values = special._line_level(transform, c, level)
+            want = _direct_terms(mode, kernel, c + 1j * t)
+            if level == 0:
+                want[0] *= 0.5
+            assert np.array_equal(values.view(np.float64), want.view(np.float64)), (
+                mode, kernel, c, level,
+            )
+
+
+def test_a_repeated_contour_evaluates_no_new_factor(monkeypatch):
+    # Gamma(1 - s) once for all modes, each eigenvalue bracket once per law
+    # and the compensated E{z^-s} once for every compensated mode and both
+    # kernels, per node set; a second sweep whose terms must be rebuilt
+    # (the line cache cleared) evaluates none of them again
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(s, *args):
+            s = np.asarray(s)
+            # nodes of a contour (not real moments); the plain E{z^-s} =
+            # 1/(1 - s) is left to each transform
+            if np.any(np.imag(s) != 0.0) and False not in args[:1]:
+                nodes = (s.flat[0], s.flat[-1], s.size)
+                key = (name, args[0] if name == "bracket" else None, nodes)
+                calls[key] = calls.get(key, 0) + 1
+            return fn(s, *args)
+
+        return wrapper
+
+    def sweep():
+        return [
+            (analytic.outage(m, np.logspace(-6.0, 2.0, 9)), analytic.throughput(m, np.logspace(-2.0, 3.0, 11)))
+            for m in MODES
+        ]
+
+    for cache in (special._line_level, analytic._line_factor):
+        cache.cache_clear()
+    monkeypatch.setattr(analytic, "_gamma_one_minus", counted("gamma", analytic._gamma_one_minus))
+    monkeypatch.setattr(analytic, "_mellin_eigenvalue", counted("bracket", analytic._mellin_eigenvalue))
+    monkeypatch.setattr(analytic, "_mellin_z", counted("z", analytic._mellin_z))
+    try:
+        first = sweep()
+        assert calls and max(calls.values()) == 1
+        assert {name for name, _, _ in calls} == {"gamma", "bracket", "z"}
+        evaluated = dict(calls)
+        special._line_level.cache_clear()
+        second = sweep()
+        assert calls == evaluated
+        for a, b in zip(first, second):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        # the cache holds arrays of its nodes' values, read-only and owning
+        # their data (no view keeps a node or phase table alive)
+        info = analytic._line_factor.cache_info()
+        assert 0 < info.currsize < info.maxsize
+        for name, kind, (s0, _, count) in evaluated:
+            factor = kind if name == "bracket" else name
+            level = 0 if s0.imag == 0.0 else round(np.log2(special._LINE_FIRST_STEP / s0.imag))
+            value = analytic._line_factor(factor, s0.real, level, count)
+            assert value.dtype == np.complex128 and value.shape == (count,)
+            assert value.flags.owndata and not value.flags.writeable
+        assert analytic._line_factor.cache_info().misses == info.misses
+    finally:
+        for cache in (special._line_level, analytic._line_factor):
+            cache.cache_clear()
+
+
+def test_horner_is_polyval_bit_for_bit():
+    # the analytic layer's polynomials without numpy.polynomial: the same
+    # order of operations, so the same bits
+    from numpy.polynomial.polynomial import polyval
+
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 1000)
+    for series in (analytic._SINH_SERIES, analytic._PDF_SERIES, analytic._Z_WEIGHT_SERIES,
+                   analytic._E1_SERIES, (4.0, 4.0, 1.0, 1.0)):
+        assert np.array_equal(analytic._horner(x, series), polyval(x, series))
+        assert analytic._horner(0.37, series) == polyval(0.37, series)
+    _, coefficients = analytic._laguerre_taylor()
+    rows = coefficients[np.arange(1000) % len(coefficients)]
+    h = x * 1e-3
+    assert np.array_equal(analytic._horner(h, rows.T), polyval(h, rows.T, tensor=False))
+
+
+def test_import_loads_no_numpy_polynomial():
+    # importing numpy.polynomial (nine modules) cost every run a few ms
+    code = "import sys, ris2x2.cli; print('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
+
+
 def test_closed_form_monotone_in_threshold():
     grid = np.logspace(-3, 1, 100)
     for mode in (Mode(1, 1, True), Mode(2, 1, False), Mode(2, 2, True)):
@@ -523,6 +661,100 @@ def test_oracle_cuts_drop_at_most_their_share():
                 assert dropped.max() <= share, (mode, tail, dropped)
 
 
+def _uniform_rule(mode, scales, inverse, kernel, box):
+    """The oracles' 2-D trapezoid rule uniform in (s, u) itself, its step
+    halved from 1 until two levels agree to _REL_TOL at every scale: the
+    reference the sinh-mapped rule is held to."""
+    (s_lo, s_hi), (u_lo, u_hi) = box
+    step = 1.0
+    n_s, n_u = int(np.ceil(s_hi - s_lo)) + 1, int(np.ceil(u_hi - u_lo)) + 1
+
+    def part(k_s, k_u):
+        return analytic._oracle_sum(mode, scales, inverse, kernel, s_lo + k_s * step, u_lo + k_u * step)
+
+    with np.errstate(over="ignore", divide="ignore"):
+        total = part(np.arange(n_s), np.arange(n_u))
+        estimate = total.copy()
+        while True:
+            step *= 0.5
+            n_s, n_u = 2 * n_s - 1, 2 * n_u - 1
+            total += part(np.arange(1, n_s, 2), np.arange(n_u))
+            total += part(np.arange(0, n_s, 2), np.arange(1, n_u, 2))
+            previous, estimate = estimate, step * step * total
+            if np.all(np.abs(estimate - previous) <= analytic._REL_TOL * estimate):
+                return estimate
+
+
+def test_mapped_oracles_agree_with_the_uniform_rule():
+    # both rules converge geometrically, so where each has certified 1e-10
+    # both are at rounding level: they must agree far below the tolerance
+    gammas = 10.0 ** (np.arange(-40.0, 41.0, 5.0) / 10.0)
+    for mode in MODES:
+        for x in (1e-8, 1e-4, 1.0, 1e4):
+            box = analytic._outage_box(mode, x)
+            want = _uniform_rule(mode, np.array([x]), True, analytic.eigenvalue_cdf, box)
+            got = analytic.outage_quadrature(mode, x)
+            assert got == pytest.approx(want[0], rel=1e-13, abs=0.0), (mode, x)
+        box = analytic._throughput_box(mode)
+        want = _uniform_rule(mode, gammas, False, analytic._capacity_kernel, box)
+        got = analytic.throughput_quadrature(mode, gammas)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), mode
+
+
+def _kernel_evaluations(monkeypatch, call):
+    """How many kernel arguments y ``call()`` passes to the oracles'
+    kernels, F_lambda of outage and E ln(1 + c lambda) of throughput."""
+    count = [0]
+
+    def counted(kernel):
+        def wrapper(y, *args):
+            count[0] += np.size(y)
+            return kernel(y, *args)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "eigenvalue_cdf", counted(analytic.eigenvalue_cdf))
+        patch.setattr(analytic, "_capacity_kernel", counted(analytic._capacity_kernel))
+        call()
+    return count[0]
+
+
+def test_oracles_on_the_smoke_grids_stay_within_their_kernel_budget(monkeypatch):
+    # the six distinct modes on the grids of verify --level smoke (C4's x,
+    # C6's gamma_bar): the uniform rule evaluated 3.3e6 and 3.9e5 kernel
+    # arguments, the sinh-mapped one about 0.91e6 and 0.86e5
+    from ris2x2.acceptance import AcceptanceSettings
+
+    smoke = AcceptanceSettings.smoke()
+    x = np.unique(np.concatenate((smoke.closed_form_grid, smoke.mellin_grid)))
+    gammas = 10.0 ** (np.array(smoke.oracle_snr_db) / 10.0)
+    modes = [Mode(j, i, c) for j, i in ((1, 1), (2, 1), (2, 2)) for c in (False, True)]
+    outage = _kernel_evaluations(monkeypatch, lambda: [analytic.outage_quadrature(m, x) for m in modes])
+    rate = _kernel_evaluations(
+        monkeypatch, lambda: [analytic.throughput_quadrature(m, gammas) for m in modes]
+    )
+    assert outage <= 1.5e6
+    assert rate <= 1.5e5
+
+
+def test_oracle_refuses_a_scale_that_underflows_every_node_at_once():
+    # at gamma_bar = 1e-310 every kernel argument of the box is subnormal:
+    # the rule once ran every level up to its node limit (about 5 s a mode)
+    # on a sum of zeros before it raised
+    start = time.perf_counter()
+    for mode in MODES:
+        with pytest.raises(QuadratureError, match="below the normal floats"):
+            analytic.throughput_quadrature(mode, 1e-310)
+        with pytest.raises(QuadratureError, match="below the normal floats"):
+            analytic.throughput_quadrature(mode, np.array([1.0, 1e-310]))
+    assert time.perf_counter() - start < 1.0
+    # a normal gamma_bar a decade up is still certified
+    assert analytic.throughput_quadrature(Mode(1, 1, True), 1e-300) == pytest.approx(
+        1e-300 * analytic.mean_mode_snr(Mode(1, 1, True), 1.0), rel=1e-12
+    )
+
+
 def test_capacity_kernel_matches_exponential_integral():
     # E ln(1 + c lambda) = 2 L0(1/c) + L2(1/c) - L0(2/c) (largest) and L0(2/c)
     # (smallest), L0(x) = e^x E1(x) and L2(x) = 1 - x + x^2 L0(x); the grid
@@ -659,11 +891,11 @@ def test_z_rule_is_scipys_gauss_legendre_bit_for_bit():
 
 def _doubled_z_rule(monkeypatch, fn, modes, grid):
     """fn(m, grid) for each mode, on the z rule of 200 and of 400 nodes
-    (the cached rule and line nodes hold the rule they were built with, so
-    both caches are cleared around the change)."""
+    (the cached rule, line factors and line nodes hold the rule they were
+    built with, so the caches are cleared around the change)."""
     from scipy.special import roots_legendre
 
-    caches = (special._line_level, analytic._z_rule)
+    caches = (special._line_level, analytic._line_factor, analytic._z_rule)
     special._line_level.cache_clear()
     base = [fn(m, grid) for m in modes]
     monkeypatch.setattr(analytic, "_z_gauss", lambda: roots_legendre(400))

@@ -126,7 +126,7 @@ def test_outage_solves_no_eigenproblem(tmp_path, monkeypatch):
 
     for name in ("eigvalsh", "eigh", "eig"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    caches = (ris2x2.special._line_level, ris2x2.analytic._z_rule)
+    caches = (ris2x2.special._line_level, ris2x2.analytic._line_factor, ris2x2.analytic._z_rule)
     try:
         for cache in caches:
             cache.cache_clear()
@@ -148,7 +148,7 @@ def test_verify_smoke_calls_no_linalg(monkeypatch, capsys):
     for name in np.linalg.__all__:
         if not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, refuse)
-    caches = (ris2x2.special._line_level, ris2x2.analytic._z_rule)
+    caches = (ris2x2.special._line_level, ris2x2.analytic._line_factor, ris2x2.analytic._z_rule)
     try:
         for cache in caches:
             cache.cache_clear()

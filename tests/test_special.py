@@ -142,9 +142,10 @@ def test_meijer_g_contour_shift_invariance():
 
 
 def test_line_rule_refuses_a_transform_that_does_not_decay():
-    # the truncation search gives up after a bounded number of growths
+    # the truncation search gives up after a bounded number of growths (a
+    # transform takes the nodes and the key of their node set)
     with pytest.raises(QuadratureError, match="does not decay"):
-        special._line_integral(lambda s: 1.0 / (1.0 + s * s) ** 0.25, 0.5, np.zeros(3))
+        special._line_integral(lambda s, line: 1.0 / (1.0 + s * s) ** 0.25, 0.5, np.zeros(3))
 
 
 def test_meijer_g_against_mpmath():
