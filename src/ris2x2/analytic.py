@@ -32,7 +32,9 @@ the real domain on one 2-D trapezoid rule in s = ln omega and a logistic
 variable u of the alignment factor, where the integrand is analytic on a
 strip, taken uniform in sinh-mapped variables (s = c + 4 sinh v, u = 4
 sinh w) that space the nodes out in the tails, so halving the step
-converges geometrically on fewer nodes.  Each of the four
+converges geometrically on fewer nodes.  Where the outage kernel turns
+far below the bulk of omega, at tiny x, the maps centre on that band and
+widen with it, so the rule stays near uniform there.  Each of the four
 tails of a rule is cut where it leaves out at most 2.5e-4 of the relative
 tolerance: a tail toward which the integrand falls by its mass alone, the
 upper tails of omega and z in outage and their lower tails in throughput;
@@ -134,13 +136,17 @@ _LAGUERRE_STEPS = 256
 _LAGUERRE_DEGREE = 6
 
 # The oracles' rule: the share of _REL_TOL times P or R that each of its four
-# truncated tails may leave out, the step of its first level in the mapped
-# variables and the scale of their sinh maps, the nodes evaluated at once
-# (64 kB per array) and the most nodes a level may have (a few seconds of
-# work; no outage x in [1e-8, 1e4] needs more than 4e5).
+# truncated tails may leave out, the node spacing of its first level at the
+# centres of its sinh maps, the scale of the maps centred on the bulk of
+# omega, the widest band of the outage kernel's turn they are used for (they
+# space the nodes at its far end at most 4.1 times as far apart as at the
+# bulk), the nodes evaluated at once (64 kB per array) and the most nodes a
+# level may have (a few seconds of work; no outage x in [1e-8, 1e4] needs
+# more than 4e5).
 _ORACLE_TAIL_SHARE = 2.5e-4
-_ORACLE_FIRST_STEP = 0.25
+_ORACLE_FIRST_SPACING = 1.0
 _ORACLE_SINH_SCALE = 4.0
+_ORACLE_NEAR = 16.0
 _ORACLE_BLOCK = 1 << 13
 _ORACLE_MAX_NODES = 1 << 25
 
@@ -372,6 +378,22 @@ def _outage_box(mode: Mode, x: float):
     return _omega_log_range(om_law, low, high), _alignment_log_range(mode.compensated, low, high)
 
 
+def _omega_centre(mode: Mode) -> float:
+    """Near the bulk of s = ln omega: +1 for the largest law, -1 for the
+    smallest."""
+    return 1.0 if _mode_laws(mode)[1] == "largest" else -1.0
+
+
+def _outage_band(mode: Mode, x: float) -> float:
+    """The width of the band of s = ln omega over which the outage kernel
+    turns for a grid whose smallest x is ``x``, if wider than _ORACLE_NEAR
+    (0 otherwise): F_lambda(x / (omega z)) turns along s + ln z = ln x,
+    from s = ln x, where z is near 1, up to the bulk of omega at
+    :func:`_omega_centre`."""
+    width = _omega_centre(mode) - np.log(x)
+    return width if width > _ORACLE_NEAR else 0.0
+
+
 def _alignment_nodes(u, compensated: bool):
     """1/z and the weight of the alignment law per unit u at logistic
     nodes u."""
@@ -407,7 +429,7 @@ def _oracle_sum(mode: Mode, scales, inverse: bool, kernel, s, u, s_weight=1.0, u
     return total
 
 
-def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box):
+def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box, band=0.0):
     """int int kernel(y, lam_law) f_omega(e^s) e^s w(u) ds du at every a of
     ``scales`` over ``box`` = ((s_lo, s_hi), (u_lo, u_hi)), y as in
     :func:`_oracle_sum`: the 2-D trapezoid rule of both oracles.
@@ -416,26 +438,36 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box):
     expit(u), or with compensation t = (pi/2) expit(u) in z = sin^2 t,
     weighted by sin(2t)/2 - t cos(2t)) run from the lower cuts of ``box``
     to at least its upper ones, on a uniform grid in the mapped variables
-    s = c + _ORACLE_SINH_SCALE sinh v and u = _ORACLE_SINH_SCALE sinh w,
-    the Jacobians as node weights.  c is +1 for the largest omega law and
-    -1 for the smallest, near the bulk of omega.  The map keeps the rule's
-    geometric convergence, and its node spacing grows with the distance
-    from the bulk, so the tails, where the integrand decays exponentially
-    over tens of units, take few nodes (Trefethen & Weideman, SIAM Review
-    2014); a feature far out in a tail needs many halvings (see
-    :func:`outage_quadrature`).  The step in (v, w) is halved from _ORACLE_FIRST_STEP, reusing the nodes of
-    the level before, until two levels agree to _REL_TOL relative at an a,
-    which then drops out; QuadratureError is raised once a level would
-    exceed _ORACLE_MAX_NODES, and at once if even the largest y of the box
-    at the smallest a is not a normal float, where no node carries a digit
-    the sum could certify.
+    s = c_s + S_s sinh v and u = c_u + S_u sinh w, the Jacobians as node
+    weights.  The map keeps the rule's geometric convergence, and its node
+    spacing grows with the distance from its centre, so the tails, where
+    the integrand decays exponentially over tens of units, take few nodes
+    (Trefethen & Weideman, SIAM Review 2014).
+
+    With no ``band`` the maps centre on the bulk, c_s = +1 for the largest
+    omega law and -1 for the smallest and c_u = 0, at scale
+    _ORACLE_SINH_SCALE.  A ``band`` (:func:`_outage_band`), where the
+    kernel turns far below the bulk, centres the s map on [c_s - band,
+    c_s] at twice its width, so the Jacobian varies by at most 3% across
+    it and the rule is near uniform there, as it must be for tiny outage
+    x; the u map centres on the band's image in u, ln z ~ u (2u with
+    compensation), likewise.
+
+    The node spacing at the maps' centres is halved from
+    _ORACLE_FIRST_SPACING, reusing the nodes of the level before, until two
+    levels agree to _REL_TOL relative at an a, which then drops out;
+    QuadratureError is raised once a level would exceed _ORACLE_MAX_NODES,
+    and at once if even the largest y of the box at the smallest a is not a
+    normal float, where no node carries a digit the sum could certify.
     """
     (s_lo, s_hi), (u_lo, u_hi) = box
-    _, om_law = _mode_laws(mode)
-    center = 1.0 if om_law == "largest" else -1.0
-    scale = _ORACLE_SINH_SCALE
-    v_lo, v_hi = np.arcsinh((s_lo - center) / scale), np.arcsinh((s_hi - center) / scale)
-    w_lo, w_hi = np.arcsinh(u_lo / scale), np.arcsinh(u_hi / scale)
+    squeeze = 0.5 if mode.compensated else 1.0
+    (s_centre, s_scale), (u_centre, u_scale) = (
+        (centre - 0.5 * width, max(_ORACLE_SINH_SCALE, 2.0 * width))
+        for centre, width in ((_omega_centre(mode), band), (0.0, squeeze * band))
+    )
+    v_lo, v_hi = np.arcsinh((s_lo - s_centre) / s_scale), np.arcsinh((s_hi - s_centre) / s_scale)
+    w_lo, w_hi = np.arcsinh((u_lo - u_centre) / u_scale), np.arcsinh((u_hi - u_centre) / u_scale)
     label = f"{'outage' if inverse else 'throughput'}_quadrature({mode.label})"
     # y is largest at the box's upper omega and z corner, or with the
     # inverse at its lower one
@@ -448,32 +480,36 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box):
             f"the normal floats (at most {top:.3e})"
         )
 
-    def node_sum(k_v, k_w, step, a):
-        # the sum over the nodes (v_lo + k_v step, w_lo + k_w step) at every a
-        v, w = v_lo + k_v * step, w_lo + k_w * step
+    def node_sum(k_v, k_w, spacing, a):
+        # the sum over the nodes (v_lo + k_v h_v, w_lo + k_w h_w) at every a,
+        # h the step in each mapped variable that gives ``spacing`` at the
+        # maps' centres
+        v, w = v_lo + k_v * (spacing / s_scale), w_lo + k_w * (spacing / u_scale)
         return _oracle_sum(
-            mode, a, inverse, kernel, center + scale * np.sinh(v), scale * np.sinh(w),
-            scale * np.cosh(v), scale * np.cosh(w),
+            mode, a, inverse, kernel, s_centre + s_scale * np.sinh(v), u_centre + u_scale * np.sinh(w),
+            s_scale * np.cosh(v), u_scale * np.cosh(w),
         )
 
-    step = _ORACLE_FIRST_STEP
-    n_s = int(np.ceil((v_hi - v_lo) / step)) + 1
-    n_u = int(np.ceil((w_hi - w_lo) / step)) + 1
+    spacing = _ORACLE_FIRST_SPACING
+    n_s = int(np.ceil((v_hi - v_lo) / (spacing / s_scale))) + 1
+    n_u = int(np.ceil((w_hi - w_lo) / (spacing / u_scale))) + 1
     result = np.empty(scales.shape)
     active = np.arange(scales.size)
     # a y that overflows to inf just saturates the outage kernel, and one
     # that underflows to 0 zeroes the throughput kernel (at x = 2/y = inf)
     with np.errstate(over="ignore", divide="ignore"):
-        total = node_sum(np.arange(n_s), np.arange(n_u), step, scales)
-        estimate, change = step * step * total, np.full(scales.shape, np.inf)
+        total = node_sum(np.arange(n_s), np.arange(n_u), spacing, scales)
+        cell = (spacing / s_scale) * (spacing / u_scale)
+        estimate, change = cell * total, np.full(scales.shape, np.inf)
         while (2 * n_s - 1) * (2 * n_u - 1) <= _ORACLE_MAX_NODES:
-            step *= 0.5
+            spacing *= 0.5
             n_s, n_u = 2 * n_s - 1, 2 * n_u - 1
             # the new nodes: odd rows at all columns, even rows at odd columns
             a = scales[active]
-            total += node_sum(np.arange(1, n_s, 2), np.arange(n_u), step, a)
-            total += node_sum(np.arange(0, n_s, 2), np.arange(1, n_u, 2), step, a)
-            previous, estimate = estimate, step * step * total
+            total += node_sum(np.arange(1, n_s, 2), np.arange(n_u), spacing, a)
+            total += node_sum(np.arange(0, n_s, 2), np.arange(1, n_u, 2), spacing, a)
+            cell *= 0.25
+            previous, estimate = estimate, cell * total
             change = np.abs(estimate - previous)
             # a sum that underflows to 0 certifies nothing in relative terms
             done = (change <= _REL_TOL * estimate) & (estimate > 0.0)
@@ -482,8 +518,8 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box):
             if active.size == 0:
                 return result
     raise QuadratureError(
-        f"{label} at {scales[active[0]]:g}: trapezoid not converged at step "
-        f"{step:g} on {n_s}x{n_u} nodes (estimate {estimate[0]:.6e}, last "
+        f"{label} at {scales[active[0]]:g}: trapezoid not converged at spacing "
+        f"{spacing:g} on {n_s}x{n_u} nodes (estimate {estimate[0]:.6e}, last "
         f"change {change[0]:.3e})"
     )
 
@@ -498,16 +534,20 @@ def outage_quadrature(mode: Mode, x):
     variable of z, on the cuts of :func:`_outage_box`: each of the four
     tails leaves out at most 2.5e-4 ``special._REL_TOL`` of P at every x,
     the lower ones by a closed-form lower bound of P at the smallest x, the
-    upper ones, where the integrand falls, by their mass alone.  It halves
-    its step until two levels agree to that relative tolerance at each x.
-    Every mode is certified down to x = 1e-70.  Further down, F_lambda
-    turns where omega z ~ x, so far into the mapped lower tails, whose
-    nodes are tens of units apart there, that the rule reaches its node
-    limit and QuadratureError is raised (from about x = 1e-80 for j1i1-cmp
-    and j2i2-cmp); it is raised too where P itself underflows.
+    upper ones, where the integrand falls, by their mass alone.  Once the
+    band where F_lambda turns, s + ln z = ln x, reaches far below the bulk
+    of omega (:func:`_outage_band`: x below about 3e-7, or 4e-8 for the
+    smallest omega law), the maps centre on it and the rule is near
+    uniform over it.  It halves its node spacing until two levels agree to
+    that relative tolerance at each x.  P is accurate in relative terms
+    while it is above about 1e-290; further down, where the lower tails
+    cannot be cut that finely, QuadratureError is raised.
     """
     return _at_thresholds(
-        x, lambda z: _oracle_rule(mode, z, True, eigenvalue_cdf, _outage_box(mode, z.min()))
+        x,
+        lambda z: _oracle_rule(
+            mode, z, True, eigenvalue_cdf, _outage_box(mode, z.min()), _outage_band(mode, z.min())
+        ),
     )
 
 

@@ -701,6 +701,24 @@ def test_mapped_oracles_agree_with_the_uniform_rule():
         assert got == pytest.approx(want, rel=1e-13, abs=0.0), mode
 
 
+def test_outage_oracle_reaches_as_far_down_as_the_uniform_rule():
+    # F_lambda turns along s + ln z = ln x, hundreds of units below the bulk
+    # of omega at these x: maps centred on the bulk spaced the nodes there
+    # tens of units apart and raised from about x = 1e-80; maps centred on
+    # that band certify each mode as far down as the uniform rule did, in
+    # about its time (about 1 s for all six here)
+    smallest = {Mode(1, 1, False): 1e-250, Mode(1, 1, True): 1e-100}
+    modes = [Mode(j, i, c) for j, i in ((1, 1), (2, 1), (2, 2)) for c in (False, True)]
+    start = time.perf_counter()
+    got = [analytic.outage_quadrature(mode, smallest.get(mode, 1e-300)) for mode in modes]
+    assert time.perf_counter() - start < 4.0
+    for mode, value in zip(modes, got):
+        x = np.array([smallest.get(mode, 1e-300)])
+        box = analytic._outage_box(mode, x[0])
+        want = _uniform_rule(mode, x, True, analytic.eigenvalue_cdf, box)
+        assert value == pytest.approx(want[0], rel=1e-12, abs=0.0), mode
+
+
 def _kernel_evaluations(monkeypatch, call):
     """How many kernel arguments y ``call()`` passes to the oracles'
     kernels, F_lambda of outage and E ln(1 + c lambda) of throughput."""
