@@ -706,7 +706,7 @@ def test_outage_oracle_reaches_as_far_down_as_the_uniform_rule():
     # of omega at these x: maps centred on the bulk spaced the nodes there
     # tens of units apart and raised from about x = 1e-80; maps centred on
     # that band certify each mode as far down as the uniform rule did, in
-    # about its time (about 1 s for all six here)
+    # about its time (about 1 s for all six on a 2-vCPU Xeon)
     smallest = {Mode(1, 1, False): 1e-250, Mode(1, 1, True): 1e-100}
     modes = [Mode(j, i, c) for j, i in ((1, 1), (2, 1), (2, 2)) for c in (False, True)]
     start = time.perf_counter()
