@@ -2,24 +2,31 @@
 
 The mode SNR factors as gamma = gamma_bar * lambda_j * omega_i * z with
 independent pieces, so every distributional quantity reduces to integrals
-over three known laws:
+over four known laws:
 
-* z with the surface compensated:  F(z) = z - sqrt(z(1-z)) asin(sqrt z);
-* z with a fixed surface:          F(z) = z (uniform on [0, 1]);
 * squared singular values of a 2x2 complex Gaussian matrix:
       F_largest(y)  = 1 - 2 e^{-y} - y^2 e^{-y} + e^{-2y},
       F_smallest(y) = 1 - e^{-2y},
-  with means 7/2 and 1/2.
+  with means 7/2 and 1/2;
+* z with a fixed surface:          F(z) = z (uniform on [0, 1]);
+* z with the surface compensated:  F(z) = z - sqrt(z(1-z)) asin(sqrt z).
+
+Every fact of a law that a result reads lives in one row of one table, a
+:class:`_Law` each in ``_EIGENVALUE_LAWS`` and ``_Z_LAWS``: its mean, the
+leading pole of its transform, its CDF and density, E{X^-s}, the capacity
+kernel and the bounds and node maps of the oracles.  :func:`_mode_laws` is
+the one place a mode is mapped to its rows; everything else reads fields.
 
 ``outage`` and ``throughput`` are Mellin-Barnes line integrals of the
 transform E{X^-s} of X = lambda_j omega_i z, a product of three
-one-dimensional transforms, against a kernel (1/s, or pi/(s sin pi s) for
-ln(1 + y)).  Both run on the vertical-line rule of ``special``, the one the
-Meijer G functions of the closed forms run on: a step-halved trapezoid rule
-on cached contour nodes, over a whole grid at once, certifying each value
-in relative terms.  Each factor of the transform depends only on its law
-and the node, so each is evaluated once per node set of a contour and
-shared by every mode and both kernels.
+one-dimensional transforms (Springer, The Algebra of Random Variables,
+1979), against a kernel (1/s, or pi/(s sin pi s) for ln(1 + y)).  Both
+run on the vertical-line rule of ``special``, the one the Meijer G
+functions of the closed forms run on: a step-halved trapezoid rule on
+cached contour nodes, over a whole grid at once, certifying each value in
+relative terms.  Each factor of the transform depends only on its law and
+the node, so each is evaluated once per node set of a contour and shared
+by every mode and both kernels.
 
 Outage is computed three ways on purpose.  ``outage_closed_form``
 assembles the paper's Bessel/Meijer-G expressions, the reproduced artifact,
@@ -47,6 +54,7 @@ terms far into the high-SNR tail.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -158,75 +166,29 @@ def z_factor_cdf(z, compensated: bool = True):
     like z^2/3 near 0; in z = sin^2 t it is sin t (sin t - t cos t), taken
     as 2 sqrt(z) _z_weight(t/2), accurate in relative terms down to z -> 0.
     """
-    z = np.asarray(z, dtype=np.float64)
-    zc = np.clip(z, 0.0, 1.0)
-    if compensated:
-        # arctan2 keeps t accurate near z = 1, where arcsin(sqrt z) is not
-        t = np.arctan2(np.sqrt(zc), np.sqrt(1.0 - zc))
-        val = 2.0 * np.sqrt(zc) * _z_weight(0.5 * t)
-    else:
-        val = zc
-    return val if val.ndim else float(val)
+    return _z_law(compensated).cdf(z)
 
 
 def eigenvalue_cdf(y, which: str = "largest"):
     """CDF of the largest/smallest squared singular value of a 2x2
     complex Gaussian matrix (unit-variance entries), accurate in relative
     terms down to y -> 0, where the largest law goes like y^4/12."""
-    y = np.asarray(y, dtype=np.float64)
-    yc = np.clip(y, 0.0, _EIG_SATURATION).ravel()
-    if which == "largest":
-        # 1 - 2e^-y - y^2 e^-y + e^-2y = (1 - e^-y)^2 - (y e^(-y/2))^2, and
-        # the factor 1 - e^-y - y e^(-y/2) that vanishes is 2 e^-v (sinh v - v)
-        # with v = y/2; head holds e^-v (sinh v - v)
-        v = 0.5 * yc
-        decay = np.exp(-v)
-        rise = -np.expm1(-yc)
-        head = 0.5 * rise - v * decay
-        small = v < 1.0
-        vs = v[small]
-        head[small] = decay[small] * vs**3 * _horner(vs * vs, _SINH_SERIES)
-        val = 2.0 * head * (rise + yc * decay)
-    elif which == "smallest":
-        val = -np.expm1(-2.0 * yc)
-    else:
-        raise ValueError("which must be 'largest' or 'smallest'")
-    val = np.where(y < 0.0, 0.0, val.reshape(y.shape))
-    return val if val.ndim else float(val)
+    return _eigenvalue_law(which).cdf(y)
 
 
 def eigenvalue_pdf(y, which: str = "largest"):
     """Density of the largest/smallest squared singular value, accurate in
     relative terms down to y -> 0, where the largest law goes like y^3/3."""
-    y = np.asarray(y, dtype=np.float64)
-    yc = np.clip(y, 0.0, _EIG_SATURATION).ravel()
-    if which == "largest":
-        # e^-y (2 - 2y + y^2 - 2e^-y); the bracket is 2 y^3/3! - 2 y^4/4! + ...
-        decay = np.exp(-yc)
-        bracket = 2.0 - 2.0 * yc + yc * yc - 2.0 * decay
-        small = yc < 1.0
-        ys = yc[small]
-        bracket[small] = ys**3 * _horner(ys, _PDF_SERIES)
-        val = decay * bracket
-    elif which == "smallest":
-        val = 2.0 * np.exp(-2.0 * yc)
-    else:
-        raise ValueError("which must be 'largest' or 'smallest'")
-    val = np.where(y < 0.0, 0.0, val.reshape(y.shape))
-    return val if val.ndim else float(val)
+    return _eigenvalue_law(which).pdf(y)
 
 
 def eigenvalue_mean(which: str = "largest") -> float:
     """Exact means: integrating the survival functions gives 7/2 and 1/2."""
-    if which == "largest":
-        return 3.5
-    if which == "smallest":
-        return 0.5
-    raise ValueError("which must be 'largest' or 'smallest'")
+    return _eigenvalue_law(which).mean
 
 
 def mean_z(compensated: bool = True) -> float:
-    return 0.5 * GAIN_LINEAR if compensated else 0.5
+    return _z_law(compensated).mean
 
 
 def snr_gain_linear() -> float:
@@ -250,8 +212,8 @@ def consecutive_mode_gap_db():
 
 def mean_mode_snr(mode: Mode, gamma_bar: float) -> float:
     """E{gamma} of a mode: (gamma_bar) * E{lambda_j} E{omega_i} E{z}."""
-    lam, om = (eigenvalue_mean(law) for law in _mode_laws(mode))
-    return gamma_bar * lam * om * mean_z(mode.compensated)
+    lam, om, z = _mode_laws(mode)
+    return gamma_bar * lam.mean * om.mean * z.mean
 
 
 def _z_weight(t):
@@ -307,51 +269,31 @@ def _outage_tail_mass(mode: Mode, x: float) -> float:
     Since the three events together imply lambda omega z <= x, P is at
     least P{lambda <= a} P{omega <= b} P{z <= c} whenever abc = x; the
     bound gives all of x <= 1 to the factor with the heaviest lower tail
-    (with compensation F_z(c) >= c^2/3), and sqrt(x) to each eigenvalue
-    above.  The mass is floored at the smallest normal float, which keeps
-    the nodes finite; relative accuracy holds while P is above about 1e-290.
+    (the z row's lower bound of F on [0, 1]), and sqrt(x) to each
+    eigenvalue above.  The mass is floored at the smallest normal float,
+    which keeps the nodes finite; relative accuracy holds while P is above
+    about 1e-290.
     """
-    lam_law, om_law = _mode_laws(mode)
+    lam, om, z = _mode_laws(mode)
     if x > 1.0:
-        bound = eigenvalue_cdf(np.sqrt(x), lam_law) * eigenvalue_cdf(np.sqrt(x), om_law)
+        bound = lam.cdf(np.sqrt(x)) * om.cdf(np.sqrt(x))
     else:
-        f_lam = eigenvalue_cdf(np.array([x, 1.0]), lam_law)
-        f_om = eigenvalue_cdf(np.array([x, 1.0]), om_law)
-        f_z = x * x / 3.0 if mode.compensated else x
-        bound = max(f_lam[0] * f_om[1], f_lam[1] * f_om[0], f_lam[1] * f_om[1] * f_z)
+        f_lam, f_om = lam.cdf(np.array([x, 1.0])), om.cdf(np.array([x, 1.0]))
+        bound = max(f_lam[0] * f_om[1], f_lam[1] * f_om[0], f_lam[1] * f_om[1] * z.floor(x))
     return max(_ORACLE_TAIL_SHARE * _REL_TOL * bound, np.finfo(np.float64).tiny)
 
 
-def _omega_log_range(which: str, lo_mass: float, hi_moment: float):
+def _omega_log_range(om: _Law, lo_mass: float, hi_moment: float):
     """[ln w_lo, ln w_hi] with P{omega < w_lo} <= ``lo_mass`` and
     E[omega; omega > w_hi] <= ``hi_moment``, which bounds P{omega > w_hi}
-    as well (w_hi > 1 for a moment below 0.2), from F(w) <= 2w and
-    E[omega; omega > w] = (w + 1/2) e^-2w (smallest), and F(w) <= w^4/12
-    and E[omega; omega > w] = w S(w) + int_w^inf S <= (w^3 + w^2 + 4w + 4)
-    e^-w with S(w) <= (2 + w^2) e^-w (largest)."""
-    if which == "smallest":
-        w_lo, rate, moment = 0.5 * lo_mass, 2.0, (0.5, 1.0)
-    else:
-        w_lo, rate, moment = (12.0 * lo_mass) ** 0.25, 1.0, (4.0, 4.0, 1.0, 1.0)
+    as well (w_hi > 1 for a moment below 0.2), from the tail bounds of the
+    row ``om``: F(w) <= w^pole / onset and E[omega; omega > w] <= moment(w)
+    e^(-rate w)."""
+    rate, moment = om.tail
     w_hi = -np.log(hi_moment) / rate
     for _ in range(8):  # w = ln(moment(w) / hi_moment) / rate is a contraction
         w_hi = (np.log(_horner(w_hi, moment)) - np.log(hi_moment)) / rate
-    return np.log(w_lo), np.log(w_hi)
-
-
-def _alignment_log_range(compensated: bool, lo_mass: float, hi_mass: float):
-    """[u_lo, u_hi] of the logistic variable of the alignment factor with
-    at most ``lo_mass`` of probability below u_lo and ``hi_mass`` above u_hi.
-
-    Without compensation z = expit(u) and P{z < expit(ln m)} <= m.  With
-    it t = (pi/2) expit(u) and z = sin^2 t, whose weight is at most 4t^3/3
-    below and at most pi/2 everywhere, so P{t < t_lo} <= t_lo^4/3 and
-    P{t > pi/2 - d} <= pi d/2.
-    """
-    if not compensated:
-        return np.log(lo_mass), -np.log(hi_mass)
-    t_lo = (3.0 * lo_mass) ** 0.25
-    return np.log(2.0 * t_lo / np.pi), np.log(0.25 * np.pi**2 / hi_mass)
+    return np.log((om.onset * lo_mass) ** (1.0 / om.pole)), np.log(w_hi)
 
 
 def _falling_tail_mass() -> float:
@@ -373,51 +315,33 @@ def _outage_box(mode: Mode, x: float):
     The upper ones need no bound of P: F_lambda(x / (omega z)) falls as
     omega and z grow (:func:`_falling_tail_mass`).
     """
-    _, om_law = _mode_laws(mode)
+    _, om, z = _mode_laws(mode)
     low, high = _outage_tail_mass(mode, x), _falling_tail_mass()
-    return _omega_log_range(om_law, low, high), _alignment_log_range(mode.compensated, low, high)
-
-
-def _omega_centre(mode: Mode) -> float:
-    """Near the bulk of s = ln omega: +1 for the largest law, -1 for the
-    smallest."""
-    return 1.0 if _mode_laws(mode)[1] == "largest" else -1.0
+    return _omega_log_range(om, low, high), z.cuts(low, high)
 
 
 def _outage_band(mode: Mode, x: float) -> float:
     """The width of the band of s = ln omega over which the outage kernel
     turns for a grid whose smallest x is ``x``, if wider than _ORACLE_NEAR
     (0 otherwise): F_lambda(x / (omega z)) turns along s + ln z = ln x,
-    from s = ln x, where z is near 1, up to the bulk of omega at
-    :func:`_omega_centre`."""
-    width = _omega_centre(mode) - np.log(x)
+    from s = ln x, where z is near 1, up to the bulk of omega, the centre
+    of its row."""
+    width = _mode_laws(mode)[1].centre - np.log(x)
     return width if width > _ORACLE_NEAR else 0.0
 
 
-def _alignment_nodes(u, compensated: bool):
-    """1/z and the weight of the alignment law per unit u at logistic
-    nodes u."""
-    # the logistic expit(u) = 1 / (1 + e^-u), z itself without compensation
-    inv_z = 1.0 + np.exp(-u)
-    up, down = 1.0 / inv_z, 1.0 / (1.0 + np.exp(u))
-    if not compensated:
-        return inv_z, up * down
-    half_pi = 0.5 * np.pi
-    t = half_pi * up
-    return 1.0 / np.sin(t) ** 2, _z_weight(t) * half_pi * up * down
-
-
-def _oracle_sum(mode: Mode, scales, inverse: bool, kernel, s, u, s_weight=1.0, u_weight=1.0):
-    """sum_{s, u} kernel(y, lam_law) f_omega(e^s) e^s w(u) over the nodes s
-    x u at every a of ``scales``, y = a e^s z(u) (a e^-s / z(u) if
-    ``inverse``), with the laws of :func:`_mode_laws` and each node weighted
-    by ``s_weight`` and ``u_weight`` (the Jacobians of a change of
-    variables): the node sum of both oracles' rule, _ORACLE_BLOCK nodes at
-    a time."""
-    lam_law, om_law = _mode_laws(mode)
+def _oracle_sum(mode: Mode, scales, inverse: bool, s, u, s_weight=1.0, u_weight=1.0):
+    """sum_{s, u} K(y) f_omega(e^s) e^s w(u) over the nodes s x u at every
+    a of ``scales``, y = a e^s z(u) and K the capacity kernel of lambda's
+    row (with ``inverse``, y = a e^-s / z(u) and K its CDF), with the rows of
+    :func:`_mode_laws` and each node weighted by ``s_weight`` and
+    ``u_weight`` (the Jacobians of a change of variables): the node sum of
+    both oracles' rule, _ORACLE_BLOCK nodes at a time."""
+    lam, om, z = _mode_laws(mode)
+    kernel = lam.cdf if inverse else lam.kernel
     omega = np.exp(s)
-    row_weight = eigenvalue_pdf(omega, om_law) * omega * s_weight
-    inv_z, col_weight = _alignment_nodes(u, mode.compensated)
+    row_weight = om.pdf(omega) * omega * s_weight
+    inv_z, col_weight = z.nodes(u)
     col_weight = col_weight * u_weight
     outer = np.divide.outer if inverse else np.multiply.outer
     rows, cols = outer(scales, omega), (inv_z if inverse else 1.0 / inv_z)
@@ -425,13 +349,13 @@ def _oracle_sum(mode: Mode, scales, inverse: bool, kernel, s, u, s_weight=1.0, u
     total = np.zeros(scales.size)
     for i in range(0, omega.size, block):
         y = np.multiply.outer(rows[:, i : i + block], cols)
-        total += (kernel(y, lam_law) @ col_weight) @ row_weight[i : i + block]
+        total += (kernel(y) @ col_weight) @ row_weight[i : i + block]
     return total
 
 
-def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box, band=0.0):
-    """int int kernel(y, lam_law) f_omega(e^s) e^s w(u) ds du at every a of
-    ``scales`` over ``box`` = ((s_lo, s_hi), (u_lo, u_hi)), y as in
+def _oracle_rule(mode: Mode, scales, inverse: bool, box, band=0.0):
+    """int int K(y) f_omega(e^s) e^s w(u) ds du at every a of ``scales``
+    over ``box`` = ((s_lo, s_hi), (u_lo, u_hi)), K and y as in
     :func:`_oracle_sum`: the 2-D trapezoid rule of both oracles.
 
     s = ln omega and the logistic variable u of the alignment factor (z =
@@ -444,14 +368,14 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box, band=0.0):
     the integrand decays exponentially over tens of units, take few nodes
     (Trefethen & Weideman, SIAM Review 2014).
 
-    With no ``band`` the maps centre on the bulk, c_s = +1 for the largest
-    omega law and -1 for the smallest and c_u = 0, at scale
-    _ORACLE_SINH_SCALE.  A ``band`` (:func:`_outage_band`), where the
-    kernel turns far below the bulk, centres the s map on [c_s - band,
+    With no ``band`` the maps centre on the bulk, c_s the centre of
+    omega's row (+1 for the largest law, -1 for the smallest) and c_u = 0,
+    at scale _ORACLE_SINH_SCALE.  A ``band`` (:func:`_outage_band`), where
+    the kernel turns far below the bulk, centres the s map on [c_s - band,
     c_s] at twice its width, so the Jacobian varies by at most 3% across
     it and the rule is near uniform there, as it must be for tiny outage
-    x; the u map centres on the band's image in u, ln z ~ u (2u with
-    compensation), likewise.
+    x; the u map centres on the band's image in u, ln z ~ u / squeeze of
+    z's row (2u with compensation), likewise.
 
     The node spacing at the maps' centres is halved from
     _ORACLE_FIRST_SPACING, reusing the nodes of the level before, until two
@@ -461,17 +385,17 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box, band=0.0):
     normal float, where no node carries a digit the sum could certify.
     """
     (s_lo, s_hi), (u_lo, u_hi) = box
-    squeeze = 0.5 if mode.compensated else 1.0
+    _, om, z = _mode_laws(mode)
     (s_centre, s_scale), (u_centre, u_scale) = (
         (centre - 0.5 * width, max(_ORACLE_SINH_SCALE, 2.0 * width))
-        for centre, width in ((_omega_centre(mode), band), (0.0, squeeze * band))
+        for centre, width in ((om.centre, band), (0.0, z.squeeze * band))
     )
     v_lo, v_hi = np.arcsinh((s_lo - s_centre) / s_scale), np.arcsinh((s_hi - s_centre) / s_scale)
     w_lo, w_hi = np.arcsinh((u_lo - u_centre) / u_scale), np.arcsinh((u_hi - u_centre) / u_scale)
     label = f"{'outage' if inverse else 'throughput'}_quadrature({mode.label})"
     # y is largest at the box's upper omega and z corner, or with the
     # inverse at its lower one
-    inv_z = _alignment_nodes(np.array([u_lo, u_hi]), mode.compensated)[0]
+    inv_z = z.nodes(np.array([u_lo, u_hi]))[0]
     with np.errstate(over="ignore"):
         top = scales.min() * (np.exp(-s_lo) * inv_z[0] if inverse else np.exp(s_hi) / inv_z[1])
     if not top >= np.finfo(np.float64).tiny:
@@ -486,7 +410,7 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, kernel, box, band=0.0):
         # maps' centres
         v, w = v_lo + k_v * (spacing / s_scale), w_lo + k_w * (spacing / u_scale)
         return _oracle_sum(
-            mode, a, inverse, kernel, s_centre + s_scale * np.sinh(v), u_centre + u_scale * np.sinh(w),
+            mode, a, inverse, s_centre + s_scale * np.sinh(v), u_centre + u_scale * np.sinh(w),
             s_scale * np.cosh(v), u_scale * np.cosh(w),
         )
 
@@ -543,11 +467,10 @@ def outage_quadrature(mode: Mode, x):
     while it is above about 1e-290; further down, where the lower tails
     cannot be cut that finely, QuadratureError is raised.
     """
+    _mode_laws(mode)  # a scheme that is not a mode fails whatever the x
     return _at_thresholds(
         x,
-        lambda z: _oracle_rule(
-            mode, z, True, eigenvalue_cdf, _outage_box(mode, z.min()), _outage_band(mode, z.min())
-        ),
+        lambda z: _oracle_rule(mode, z, True, _outage_box(mode, z.min()), _outage_band(mode, z.min())),
     )
 
 
@@ -563,6 +486,7 @@ def outage_closed_form(mode: Mode, x):
     not below |P|, QuadratureError is raised at the first such x: for
     j1i1-cmp below x ~ 3e-4, P ~ 0.0172 x^2 drowns in terms of order one.
     """
+    _mode_laws(mode)  # a scheme that is not a mode fails whatever the x
     return _at_thresholds(x, lambda z: _closed_form_sum(mode, z))
 
 
@@ -697,23 +621,43 @@ def _laguerre_taylor():
     return centers, coefficients
 
 
-def _capacity_kernel(c, which: str):
-    """int_0^inf S_lambda(u) * c / (1 + c u) du = E ln(1 + c lambda) at every
-    c > 0 of an array, the per-eigenvalue part of E ln(1 + gamma) after
-    exchanging the order of integration; with S_largest(u) = 2 e^-u +
-    u^2 e^-u - e^-2u and S_smallest(u) = e^-2u."""
-    if which == "smallest":
-        return _laguerre_stieltjes(2.0 / c)[0]
+def _largest_cdf(y):
+    """F of the largest law at every y of a flat array in [0, _EIG_SATURATION]."""
+    # 1 - 2e^-y - y^2 e^-y + e^-2y = (1 - e^-y)^2 - (y e^(-y/2))^2, and
+    # the factor 1 - e^-y - y e^(-y/2) that vanishes is 2 e^-v (sinh v - v)
+    # with v = y/2; head holds e^-v (sinh v - v)
+    v = 0.5 * y
+    decay = np.exp(-v)
+    rise = -np.expm1(-y)
+    head = 0.5 * rise - v * decay
+    small = v < 1.0
+    vs = v[small]
+    head[small] = decay[small] * vs**3 * _horner(vs * vs, _SINH_SERIES)
+    return 2.0 * head * (rise + y * decay)
+
+
+def _largest_pdf(y):
+    """The density of the largest law at every y of a flat array in [0,
+    _EIG_SATURATION]."""
+    # e^-y (2 - 2y + y^2 - 2e^-y); the bracket is 2 y^3/3! - 2 y^4/4! + ...
+    decay = np.exp(-y)
+    bracket = 2.0 - 2.0 * y + y * y - 2.0 * decay
+    small = y < 1.0
+    ys = y[small]
+    bracket[small] = ys**3 * _horner(ys, _PDF_SERIES)
+    return decay * bracket
+
+
+def _largest_kernel(c):
+    """E ln(1 + c lambda) of the largest law, 2 f_0(1/c) + f_2(1/c) - f_0(2/c)
+    in the terms of :func:`_laguerre_stieltjes`."""
     f0, f2 = _laguerre_stieltjes(np.stack((2.0 / c, 1.0 / c)))
     return 2.0 * f0[1] + f2[1] - f0[0]
 
 
-def _mellin_eigenvalue(s, which: str, g):
-    """E{lambda^-s} of the largest/smallest squared singular value, Re s < 1
-    (smallest) or Re s < 4 (largest), term by term from the densities, given
-    g = Gamma(1 - s)."""
-    if which == "smallest":
-        return 2.0**s * g
+def _mellin_largest(s, re, g):
+    """E{lambda^-s} of the largest law, Re s < 4, term by term from the
+    density, given g = Gamma(1 - s)."""
     # The bracket 2 - 2(1 - s) + (2 - s)(1 - s) - 2^s, which cancels the
     # poles of Gamma(1 - s) at s = 1, 2, 3, as u + u^2 - 2 (2^u - 1) with
     # u = s - 1 and 2^u - 1 = e^a cos b - 1 + j e^a sin b (a + jb = u ln 2)
@@ -750,9 +694,10 @@ def _z_rule():
 
     Returns (-ln z, weight, -ln t^2, onset): E{f(z)} ~ weight @ f(z), and
     onset @ t^-2s is the rule's value of int_0^{pi/2} (4/3) t^(3-2s) dt,
-    the leading term of the law at t -> 0 (see :func:`_mellin_z`).  The
-    factor pi u of dt flattens the weight's t^3 onset to u^7.  Built on
-    first use and shared by every caller; the arrays are read-only.
+    the leading term of the law at t -> 0 (see
+    :func:`_mellin_compensated`).  The factor pi u of dt flattens the
+    weight's t^3 onset to u^7.  Built on first use and shared by every
+    caller; the arrays are read-only.
     """
     x, w = _z_gauss()
     u = 0.5 * (x + 1.0)
@@ -769,24 +714,29 @@ def _z_rule():
     return rule
 
 
-def _mellin_z(s, compensated: bool, c=None):
-    """E{z^-s} of the alignment factor at complex s, Re s < 1 (fixed
-    surface) or Re s < 2 (compensated).
+def _compensated_cdf(z):
+    """F of the compensated alignment law at every z of a flat array in
+    [0, 1] (see :func:`z_factor_cdf`)."""
+    # arctan2 keeps t accurate near z = 1, where arcsin(sqrt z) is not
+    t = np.arctan2(np.sqrt(z), np.sqrt(1.0 - z))
+    return 2.0 * np.sqrt(z) * _z_weight(0.5 * t)
 
-    With compensation it is int_0^{pi/2} (sin t)^-2s w(t) dt, w(t) =
-    4t^3/3 + O(t^5), on the rule of :func:`_z_rule`.  Near the pole at
-    s = 2 the integrand goes like t^(3-2s), which no fixed rule resolves;
-    so where some Re s exceeds 1, the onset (4/3) t^(3-2s) is integrated
-    exactly, (4/3)(pi/2)^(4-2s)/(4-2s), and the rule takes only the rest,
-    of order t^(5-2s).  Given the contour c of nodes s = c + jt, the
-    rule's modulus rows are formed once for all of them (see
-    :func:`_weighted_powers`); the compensated value at the nodes of a
-    line is shared by every mode and kernel through :func:`_line_factor`.
+
+def _mellin_compensated(s, re, g):
+    """E{z^-s} of the compensated alignment law at complex s, Re s < 2,
+    given its real part ``re``.
+
+    It is int_0^{pi/2} (sin t)^-2s w(t) dt, w(t) = 4t^3/3 + O(t^5), on the
+    rule of :func:`_z_rule`.  Near the pole at s = 2 the integrand goes
+    like t^(3-2s), which no fixed rule resolves; so where some Re s exceeds
+    1, the onset (4/3) t^(3-2s) is integrated exactly, (4/3)(pi/2)^(4-2s)/
+    (4-2s), and the rule takes only the rest, of order t^(5-2s).  Given one
+    real part c for the nodes s = c + jt of a contour, the rule's modulus
+    rows are formed once for all of them (see :func:`_weighted_powers`);
+    the value at the nodes of a line is shared by every mode and kernel
+    through :func:`_line_factor`.
     """
-    if not compensated:
-        return 1.0 / (1.0 - s)
     minus_log_z, weight, minus_log_t2, onset = _z_rule()
-    re = np.real(s) if c is None else c
     value = _weighted_powers(re, np.imag(s), minus_log_z, weight)
     if np.max(re) > 1.0:
         exact = (4.0 / 3.0) * np.exp((4.0 - 2.0 * s) * np.log(0.5 * np.pi)) / (4.0 - 2.0 * s)
@@ -805,12 +755,145 @@ def _weighted_powers(re, im, log_base, weight):
     return (modulus * np.cos(phase)).sum(axis=-1) + 1j * (modulus * np.sin(phase)).sum(axis=-1)
 
 
+def _plain_nodes(u):
+    """1/z and the weight per unit u of the plain alignment law at nodes u
+    of its logistic variable, z = expit(u) = 1 / (1 + e^-u)."""
+    inv_z = 1.0 + np.exp(-u)
+    return inv_z, (1.0 / inv_z) * (1.0 / (1.0 + np.exp(u)))
+
+
+def _compensated_nodes(u):
+    """1/z and the weight per unit u of the compensated alignment law at
+    nodes u of its logistic variable, t = (pi/2) expit(u) in z = sin^2 t."""
+    half_pi = 0.5 * np.pi
+    up, down = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
+    t = half_pi * up
+    return 1.0 / np.sin(t) ** 2, _z_weight(t) * half_pi * up * down
+
+
+def _clipped(fact, top: float):
+    """A law's ``fact``, its CDF or density at a flat array in [0, top], at
+    every x of an array: x clamped to [0, top] and the value 0 below 0 (a
+    float for a scalar)."""
+
+    def at(x):
+        x = np.asarray(x, dtype=np.float64)
+        val = fact(np.clip(x, 0.0, top).ravel())
+        val = np.where(x < 0.0, 0.0, val.reshape(x.shape))
+        return val if val.ndim else float(val)
+
+    return at
+
+
+@dataclass(frozen=True, eq=False)
+class _Law:
+    """One row of the table of the laws of a mode SNR's factors: every fact
+    of a law that a result reads.  Rows compare and hash by identity, so a
+    row keys the caches of its transforms, and print as their names.
+
+    Every row has a name, its mean, the leading pole of its transform
+    E{X^-s} (F(x) goes like x^pole as x -> 0), ``cdf``, F at every x of an
+    array (clamped to the law's support, a float for a scalar), and
+    ``mellin``, E{X^-s} at complex s given Re s (one number for the nodes of
+    a contour) and g = Gamma(1 - s).
+
+    A squared singular value, the lambda and omega of a mode, also has its
+    density ``pdf``, the ``onset`` of F(w) <= w^pole / onset, the capacity
+    ``kernel`` E ln(1 + c X), the ``centre`` of the bulk of ln X and its
+    upper ``tail`` (rate, moment): E[X; X > w] <= moment(w) e^(-rate w), the
+    polynomial's lowest order first.  An alignment factor has a lower bound
+    ``floor`` of F on [0, 1], its node map ``nodes``, 1/z and the weight
+    per unit u at nodes u of its logistic variable, its ``cuts``, [u_lo,
+    u_hi] with at most the given masses below and above, and its
+    ``squeeze``: ln z ~ u / squeeze far down.
+    """
+
+    name: str
+    mean: float
+    pole: float
+    cdf: Callable
+    mellin: Callable
+    onset: float | None = None
+    pdf: Callable | None = None
+    kernel: Callable | None = None
+    centre: float | None = None
+    tail: tuple | None = None
+    floor: Callable | None = None
+    nodes: Callable | None = None
+    cuts: Callable | None = None
+    squeeze: float | None = None
+
+    def __repr__(self):
+        return self.name
+
+
+# The eigenvalue laws, by a mode's index (1 the largest).  F_smallest(w) =
+# 1 - e^-2w <= 2w and E[X; X > w] = (w + 1/2) e^-2w.  F_largest(w) <=
+# w^4/12, and with S = 1 - F <= (2 + w^2) e^-w, E[X; X > w] = w S(w) +
+# int_w^inf S <= (w^3 + w^2 + 4w + 4) e^-w.  The capacity kernels are
+# int_0^inf S(u) c / (1 + c u) du, with S_largest(u) = 2 e^-u + u^2 e^-u -
+# e^-2u and S_smallest(u) = e^-2u.  The bulk of ln X is near +1 and -1.
+_EIGENVALUE_LAWS = (
+    _Law(
+        "largest", 3.5, 4.0, _clipped(_largest_cdf, _EIG_SATURATION), _mellin_largest,
+        onset=12.0, pdf=_clipped(_largest_pdf, _EIG_SATURATION), kernel=_largest_kernel,
+        centre=1.0, tail=(1.0, (4.0, 4.0, 1.0, 1.0)),
+    ),
+    _Law(
+        "smallest", 0.5, 1.0, _clipped(lambda y: -np.expm1(-2.0 * y), _EIG_SATURATION),
+        lambda s, re, g: 2.0**s * g, onset=0.5,
+        pdf=_clipped(lambda y: 2.0 * np.exp(-2.0 * y), _EIG_SATURATION),
+        kernel=lambda c: _laguerre_stieltjes(2.0 / c)[0], centre=-1.0, tail=(2.0, (0.5, 1.0)),
+    ),
+)
+
+# The alignment laws, without and with compensation.  Without it z =
+# expit(u) is uniform, P{z < expit(ln m)} <= m and ln z ~ u.  With it
+# F(z) >= z^2/3 on [0, 1] and ln z ~ 2u, with t = (pi/2) expit(u) in z =
+# sin^2 t, whose weight is at most 4t^3/3 below and at most pi/2
+# everywhere, so P{t < t_lo} <= t_lo^4/3 and P{t > pi/2 - d} <= pi d/2.
+_Z_LAWS = (
+    _Law(
+        "plain z", 0.5, 1.0, _clipped(lambda z: z, 1.0), lambda s, re, g: 1.0 / (1.0 - s),
+        floor=lambda c: c, nodes=_plain_nodes, cuts=lambda lo, hi: (np.log(lo), -np.log(hi)),
+        squeeze=1.0,
+    ),
+    _Law(
+        "compensated z", 0.5 * GAIN_LINEAR, 2.0, _clipped(_compensated_cdf, 1.0),
+        _mellin_compensated, floor=lambda c: c * c / 3.0, nodes=_compensated_nodes, squeeze=0.5,
+        cuts=lambda lo, hi: (np.log(2.0 * (3.0 * lo) ** 0.25 / np.pi), np.log(np.pi**2 / 4.0 / hi)),
+    ),
+)
+
+
+def _eigenvalue_law(which: str) -> _Law:
+    """The row of the "largest" or "smallest" eigenvalue law."""
+    for law in _EIGENVALUE_LAWS:
+        if law.name == which:
+            return law
+    raise ValueError("which must be 'largest' or 'smallest'")
+
+
+def _z_law(compensated: bool) -> _Law:
+    """The row of the alignment law with or without compensation;
+    ValueError for anything but a bool."""
+    if not isinstance(compensated, (bool, np.bool_)):
+        raise ValueError(f"compensated must be a bool, not {compensated!r}")
+    return _Z_LAWS[bool(compensated)]
+
+
 def _mode_laws(mode: Mode):
-    """Laws of a mode's two eigenvalues, "largest" for index 1, the smallest
-    first.  Every result is symmetric in the two; the oracles take the
-    second as omega, the outer one, whose short lower tail (F ~ w^4/12) is
-    then used whenever the mode has one."""
-    return sorted(("largest" if k == 1 else "smallest" for k in (mode.rx, mode.tx)), reverse=True)
+    """The rows (lam, om, z) of a mode's laws, the one place a mode is
+    mapped to them: each eigenvalue's row by its index, the smallest law
+    first, and the alignment row by the mode's compensation.  Every result
+    is symmetric in the two eigenvalues; the oracles take the second as
+    omega, the outer one, whose short lower tail (F ~ w^4/12) is then used
+    whenever the mode has one.  ValueError for a scheme that is not a mode,
+    such as the joint optimum, which has no such factors."""
+    if not isinstance(mode, Mode):
+        raise ValueError(f"mode must be a Mode, not {mode!r}")
+    lam, om = (_EIGENVALUE_LAWS[k - 1] for k in sorted((mode.rx, mode.tx), reverse=True))
+    return lam, om, _z_law(mode.compensated)
 
 
 def _gamma_one_minus(s):
@@ -820,11 +903,11 @@ def _gamma_one_minus(s):
 
 
 @lru_cache(maxsize=256)
-def _line_factor(factor: str, c: float, level: int, count: int):
+def _line_factor(law, c: float, level: int, count: int):
     """One factor of E{X^-s} at the nodes s = c + jt of a node set of the
-    vertical-line rule (``special._line_nodes(level, count)``): "gamma",
-    Gamma(1 - s); "largest" or "smallest", the eigenvalue transform of
-    that law; "z", the compensated alignment transform.
+    vertical-line rule (``special._line_nodes(level, count)``): the
+    transform of the row ``law``, or with ``law`` None Gamma(1 - s), which
+    the eigenvalue rows' transforms take.
 
     Each is the expression of :func:`_mellin_transform` on the same nodes,
     so its bits are those of a direct evaluation.  Cached per node set,
@@ -833,67 +916,53 @@ def _line_factor(factor: str, c: float, level: int, count: int):
     c = -1/2.
     """
     s = c + 1j * _line_nodes(level, count)
-    if factor == "gamma":
-        value = _gamma_one_minus(s)
-    elif factor == "z":
-        value = _mellin_z(s, True, c)
-    else:
-        value = _mellin_eigenvalue(s, factor, _line_factor("gamma", c, level, count))
+    value = law.mellin(s, c, _line_factor(None, c, level, count)) if law else _gamma_one_minus(s)
     value.setflags(write=False)
     return value
 
 
-def _mellin_transform(mode: Mode, s, line=None):
-    """E{X^-s} of X = lambda_j omega_i z at complex s; at the nodes of a
-    node set ``line`` = (c, level, count) of the vertical-line rule, from
-    the factors :func:`_line_factor` shares across modes and kernels."""
-    # numpy's complex product does not commute bit for bit; one order of
-    # the eigenvalue laws keeps M bit-identical when tx and rx swap
-    first, second = sorted(_mode_laws(mode))
+def _mellin_transform(laws, s, line=None):
+    """E{X^-s} of X = lambda_j omega_i z at complex s, for the rows
+    ``laws`` = (lam, om, z) of :func:`_mode_laws`; at the nodes of a node
+    set ``line`` = (c, level, count) of the vertical-line rule, from the
+    factors :func:`_line_factor` shares across modes and kernels."""
+    # numpy's complex product does not commute bit for bit: M is taken as
+    # M_omega M_lambda M_z, omega the largest law whenever the mode has one
+    lam, om, z = laws
     if line is None:
-        g = _gamma_one_minus(s)
-        eig = _mellin_eigenvalue(s, first, g) * _mellin_eigenvalue(s, second, g)
-        return eig * _mellin_z(s, mode.compensated)
-    eig = _line_factor(first, *line) * _line_factor(second, *line)
-    z = _line_factor("z", *line) if mode.compensated else _mellin_z(s, False)
-    return eig * z
+        re, g = np.real(s), _gamma_one_minus(s)
+        return om.mellin(s, re, g) * lam.mellin(s, re, g) * z.mellin(s, re, g)
+    return _line_factor(om, *line) * _line_factor(lam, *line) * _line_factor(z, *line)
 
 
 def diversity_order(mode: Mode) -> float:
     """Leading pole p of E{X^-s}, X = lambda_j omega_i z: the outage goes
     like x^p (times powers of ln x) as x -> 0.
 
-    It is the smallest of the factors' poles: 1 for the smallest eigenvalue
-    (density 2 at 0), 4 for the largest (density ~ y^3/3), 1 for the fixed
-    surface's uniform z and 2 with compensation (F(z) ~ z^2/3).  So it is 2
-    for the compensated (1,1) mode and 1 for every other mode.
+    It is the smallest pole of the mode's three rows: 1 for the smallest
+    eigenvalue (density 2 at 0), 4 for the largest (density ~ y^3/3), 1 for
+    the fixed surface's uniform z and 2 with compensation (F(z) ~ z^2/3).
+    So it is 2 for the compensated (1,1) mode and 1 for every other mode.
     """
-    lam_law, om_law = _mode_laws(mode)
-    poles = {"smallest": 1.0, "largest": 4.0}
-    return min(poles[lam_law], poles[om_law], 2.0 if mode.compensated else 1.0)
+    return min(law.pole for law in _mode_laws(mode))
 
 
 @dataclass(frozen=True)
 class _KernelTransform:
     """K(s) M(s), s complex, the transform of the vertical-line rule of
     ``special`` for a mode's Mellin-Barnes column: K is 1/s for "outage" and
-    pi/(s sin pi s), the transform of ln(1 + y), for "throughput".  Hashable,
-    so the rule caches its nodes per kernel and pair of eigenvalue laws; M
-    comes from the factors shared per node set (:func:`_line_factor`), whose
-    key ``line`` the rule passes with the nodes."""
+    pi/(s sin pi s), the transform of ln(1 + y), for "throughput", and M the
+    transform of the mode's rows ``laws`` (:func:`_mode_laws`).  Hashable,
+    so the rule caches its nodes per kernel and rows, which j2i1 shares
+    with j1i2; M comes from the factors shared per node set
+    (:func:`_line_factor`), whose key ``line`` the rule passes with the
+    nodes."""
 
-    mode: Mode
+    laws: tuple
     kernel: str
 
-    def __post_init__(self):
-        # M(s) reads a mode only through its laws, bit for bit alike when tx
-        # and rx swap (see _mellin_transform): keyed by the canonical mode
-        # of those laws, j2i1 shares the cached nodes of j1i2
-        tx, rx = sorted((self.mode.tx, self.mode.rx), reverse=True)
-        object.__setattr__(self, "mode", Mode(tx, rx, self.mode.compensated))
-
     def __call__(self, s, line=None):
-        m = _mellin_transform(self.mode, s, line)
+        m = _mellin_transform(self.laws, s, line)
         return m / s if self.kernel == "outage" else np.pi * m / (s * np.sin(np.pi * s))
 
 
@@ -912,12 +981,12 @@ def _outage_line(mode: Mode, c: float, log_x: np.ndarray):
     #     [q(c) + M(sigma) x^sigma q(sigma - c)] / |P|,
     # with q(a) = e^(-2 pi |a| / h) / (1 - e^(-2 pi |a| / h)), and the
     # tightest of a few sigma is taken.
-    pole = diversity_order(mode)
+    laws, pole = _mode_laws(mode), diversity_order(mode)
     if c > 0.0:
         sigmas = pole - (pole - c) * 0.5 ** np.arange(1, 9)
     else:
         sigmas = c * 2.0 ** np.arange(1, 5)
-    moments = _mellin_transform(mode, sigmas.astype(np.complex128)).real
+    moments = _mellin_transform(laws, sigmas.astype(np.complex128)).real
     log_moments = np.log(moments) + np.multiply.outer(log_x, sigmas)
 
     def alias(step, scaled):
@@ -927,7 +996,7 @@ def _outage_line(mode: Mode, c: float, log_x: np.ndarray):
             log_scaled = np.log(scaled)
         return np.logaddexp(_log_geometric(c, step), near) - (c * log_x + log_scaled)
 
-    return _line_integral(_KernelTransform(mode, "outage"), c, log_x, float(c < 0.0), alias)
+    return _line_integral(_KernelTransform(laws, "outage"), c, log_x, float(c < 0.0), alias)
 
 
 def _log_geometric(a, step: float):
@@ -1017,7 +1086,7 @@ def throughput(mode: Mode, gamma_bar):
     # both sides and halving the step sees the leading one.
     def line(flat):
         value, ok = _line_integral(
-            _KernelTransform(mode, "throughput"), _THROUGHPUT_ABSCISSA, -np.log(flat)
+            _KernelTransform(_mode_laws(mode), "throughput"), _THROUGHPUT_ABSCISSA, -np.log(flat)
         )
         if not ok.all():
             raise QuadratureError(
@@ -1044,14 +1113,10 @@ def _throughput_box(mode: Mode):
     * ln(1 + c omega) <= omega ln(1 + c) for omega >= 1, so the upper
       omega tail drops at most E[omega; omega > w_hi] / P{omega >= 1} of R.
     """
-    _, om_law = _mode_laws(mode)
+    _, om, z = _mode_laws(mode)
     share = _ORACLE_TAIL_SHARE * _REL_TOL
     low = _falling_tail_mass()
-    om_high = share * (1.0 - eigenvalue_cdf(1.0, om_law))
-    z_high = share * mean_z(mode.compensated)
-    return _omega_log_range(om_law, low, om_high), _alignment_log_range(
-        mode.compensated, low, z_high
-    )
+    return _omega_log_range(om, low, share * (1.0 - om.cdf(1.0))), z.cuts(low, share * z.mean)
 
 
 def throughput_quadrature(mode: Mode, gamma_bar):
@@ -1059,8 +1124,8 @@ def throughput_quadrature(mode: Mode, gamma_bar):
     of an array at once (a float for a scalar); the oracle of
     :func:`throughput`.
 
-    E ln(1 + c lambda) is an exponential-integral kernel
-    (:func:`_capacity_kernel`), and omega and z run on the oracles' rule
+    E ln(1 + c lambda) is an exponential-integral kernel (the capacity
+    kernel of lambda's row), and omega and z run on the oracles' rule
     (:func:`_oracle_rule`), uniform in the sinh-mapped variables of s = ln
     omega and the logistic variable of z, with no Mellin step, on the cuts
     of :func:`_throughput_box`: each of the four tails leaves out at most
@@ -1071,7 +1136,7 @@ def throughput_quadrature(mode: Mode, gamma_bar):
     below the normal floats.
     """
     return _at_gamma_bars(
-        gamma_bar, lambda g: _oracle_rule(mode, g, False, _capacity_kernel, _throughput_box(mode))
+        gamma_bar, lambda g: _oracle_rule(mode, g, False, _throughput_box(mode))
     )
 
 

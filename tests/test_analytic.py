@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from ris2x2 import analytic, special
-from ris2x2.montecarlo import channel_statistics, scheme_snr_factor, throughput_from_stats
+from ris2x2.montecarlo import ALT, channel_statistics, scheme_snr_factor, throughput_from_stats
 from ris2x2.special import MeijerParams, QuadratureError
 from ris2x2.sysmodel import MODES, Mode, instantaneous_snr
 
@@ -97,6 +98,63 @@ def test_gain_constants():
     # E{z_comp} also follows from integrating the survival of its CDF
     val, _ = quad(lambda z: 1.0 - analytic.z_factor_cdf(z), 0.0, 1.0, epsabs=1e-13)
     assert val == pytest.approx(analytic.mean_z(True), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "fn, args", [(analytic.z_factor_cdf, (0.5,)), (analytic.mean_z, ())], ids=["z_factor_cdf", "mean_z"]
+)
+def test_alignment_law_takes_only_a_bool(fn, args):
+    # a truthy string once picked the compensated law: z_factor_cdf(0.5,
+    # "no") read 0.1073 instead of 0.5, and mean_z("no") 0.808
+    for bad in ("no", 1, 0, None, 1.0):
+        with pytest.raises(ValueError, match="compensated must be a bool"):
+            fn(*args, bad)
+    assert fn(*args, np.True_) == fn(*args, True)
+    assert fn(*args, np.False_) == fn(*args, False)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (analytic.outage, (0.5,)),
+    (analytic.outage_closed_form, (0.5,)),
+    (analytic.outage_closed_form, (0.0,)),
+    (analytic.outage_quadrature, (0.5,)),
+    (analytic.outage_quadrature, (0.0,)),
+    (analytic.throughput, (10.0,)),
+    (analytic.throughput_quadrature, (10.0,)),
+    (analytic.diversity_order, ()),
+    (analytic.mean_mode_snr, (1.0,)),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_mode_functions_refuse_the_joint_optimum(fn, args):
+    # the joint optimum has no eigenvalue or alignment law: every function
+    # of a mode names it in a ValueError (not an AttributeError on .rx),
+    # also at x = 0, where no value needs the mode
+    with pytest.raises(ValueError, match="not AltScheme"):
+        fn(ALT, *args)
+
+
+_LAW_MEANS = {
+    "largest": 3.5, "smallest": 0.5, "plain z": 0.5, "compensated z": (1.0 + np.pi**2 / 16.0) / 2.0
+}
+
+
+@pytest.mark.parametrize("law", [*analytic._EIGENVALUE_LAWS, *analytic._Z_LAWS], ids=repr)
+def test_each_law_row_agrees_with_itself(law):
+    # the facts of one row of the table hold together
+    assert law.mean == pytest.approx(_LAW_MEANS[law.name], rel=1e-15)
+    # the mean is E{X^-s} at s = -1
+    s = np.array([-1.0 + 0.0j])
+    moment = law.mellin(s, np.real(s), analytic._gamma_one_minus(s))[0]
+    assert moment.real == pytest.approx(law.mean, rel=1e-12, abs=0.0) and moment.imag == 0.0
+    # F goes like x^pole as x -> 0
+    assert law.cdf(1e-8) / law.cdf(1e-9) == pytest.approx(10.0**law.pole, rel=1e-6)
+    if law in analytic._Z_LAWS:
+        # the lower bound of F the outage oracle's lower tails are cut by
+        z = np.linspace(0.0, 1.0, 1001)
+        assert np.all(law.floor(z) <= law.cdf(z))
+    else:
+        # the bound the lower cut of omega is taken from
+        w = np.logspace(-4.0, 3.0, 141)
+        assert np.all(law.cdf(w) <= w**law.pole / law.onset)
 
 
 def test_mode_gap_reports_both_values():
@@ -363,10 +421,10 @@ def _direct_terms(mode, kernel, s):
     """K(s) E{X^-s} at s as the rule evaluated it before its factors were
     shared: Gamma(1 - s) and both eigenvalue brackets per call, and the
     compensated E{z^-s} on the 200-node rule with a modulus row per node."""
-    first, second = sorted(analytic._mode_laws(mode))
+    lam, om, _ = analytic._mode_laws(mode)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.exp(special.log_gamma(1.0 - s))
-    eig = analytic._mellin_eigenvalue(s, first, g) * analytic._mellin_eigenvalue(s, second, g)
+    eig = om.mellin(s, np.real(s), g) * lam.mellin(s, np.real(s), g)
     if mode.compensated:
         minus_log_z, weight, minus_log_t2, onset = analytic._z_rule()
 
@@ -400,7 +458,7 @@ def test_shared_factors_give_the_direct_terms_bit_for_bit():
     # line rule, built from factors shared across modes and kernels, have
     # the bits of the direct product on the same nodes
     for mode, kernel, c in _mellin_lines():
-        transform = analytic._KernelTransform(mode, kernel)
+        transform = analytic._KernelTransform(analytic._mode_laws(mode), kernel)
         for level in range(6):
             t, values = special._line_level(transform, c, level)
             want = _direct_terms(mode, kernel, c + 1j * t)
@@ -418,18 +476,20 @@ def test_a_repeated_contour_evaluates_no_new_factor(monkeypatch):
     # (the line cache cleared) evaluates none of them again
     calls = {}
 
-    def counted(name, fn):
+    def counted(name, fn, law=None):
         def wrapper(s, *args):
             s = np.asarray(s)
-            # nodes of a contour (not real moments); the plain E{z^-s} =
-            # 1/(1 - s) is left to each transform
-            if np.any(np.imag(s) != 0.0) and False not in args[:1]:
+            # nodes of a contour (not real moments)
+            if np.any(np.imag(s) != 0.0):
                 nodes = (s.flat[0], s.flat[-1], s.size)
-                key = (name, args[0] if name == "bracket" else None, nodes)
+                key = (name, law, nodes)
                 calls[key] = calls.get(key, 0) + 1
             return fn(s, *args)
 
         return wrapper
+
+    def counted_row(name, law):
+        return dataclasses.replace(law, mellin=counted(name, law.mellin, law.name))
 
     def sweep():
         return [
@@ -440,8 +500,12 @@ def test_a_repeated_contour_evaluates_no_new_factor(monkeypatch):
     for cache in (special._line_level, analytic._line_factor):
         cache.cache_clear()
     monkeypatch.setattr(analytic, "_gamma_one_minus", counted("gamma", analytic._gamma_one_minus))
-    monkeypatch.setattr(analytic, "_mellin_eigenvalue", counted("bracket", analytic._mellin_eigenvalue))
-    monkeypatch.setattr(analytic, "_mellin_z", counted("z", analytic._mellin_z))
+    # the rows' transforms; the plain E{z^-s} = 1/(1 - s) is not counted
+    rows = tuple(counted_row("bracket", law) for law in analytic._EIGENVALUE_LAWS)
+    monkeypatch.setattr(analytic, "_EIGENVALUE_LAWS", rows)
+    plain, compensated = analytic._Z_LAWS
+    monkeypatch.setattr(analytic, "_Z_LAWS", (plain, counted_row("z", compensated)))
+    rows = {law.name: law for law in (*analytic._EIGENVALUE_LAWS, *analytic._Z_LAWS)}
     try:
         first = sweep()
         assert calls and max(calls.values()) == 1
@@ -457,7 +521,7 @@ def test_a_repeated_contour_evaluates_no_new_factor(monkeypatch):
         info = analytic._line_factor.cache_info()
         assert 0 < info.currsize < info.maxsize
         for name, kind, (s0, _, count) in evaluated:
-            factor = kind if name == "bracket" else name
+            factor = rows.get(kind)  # None for Gamma(1 - s)
             level = 0 if s0.imag == 0.0 else round(np.log2(special._LINE_FIRST_STEP / s0.imag))
             value = analytic._line_factor(factor, s0.real, level, count)
             assert value.dtype == np.complex128 and value.shape == (count,)
@@ -615,7 +679,7 @@ def test_throughput_oracle_is_linear_at_vanishing_snr():
         assert analytic.throughput_quadrature(mode, gammas) == pytest.approx(want, rel=1e-12)
 
 
-def _dropped_shares(mode, scales, inverse, kernel, box, step=0.125, width=16.0):
+def _dropped_shares(mode, scales, inverse, box, step=0.125, width=16.0):
     """What each of the four cuts of an oracle's ``box`` drops, relative to
     the value: the rule's node sum, at one fixed step, over a strip of
     ``width`` beyond the cut (the omega strips across every u), over its sum
@@ -627,7 +691,7 @@ def _dropped_shares(mode, scales, inverse, kernel, box, step=0.125, width=16.0):
         return lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
 
     def part(s, u):
-        return analytic._oracle_sum(mode, scales, inverse, kernel, s, u)
+        return analytic._oracle_sum(mode, scales, inverse, s, u)
 
     beyond = step * np.arange(1, int(width / step) + 1)
     s, u, u_all = nodes(s_lo, s_hi), nodes(u_lo, u_hi), nodes(u_lo - width, u_hi + width)
@@ -652,16 +716,16 @@ def test_oracle_cuts_drop_at_most_their_share():
         for mode in MODES:
             for x in (1e-8, 1e-4, 1.0, 1e4):
                 box = analytic._outage_box(mode, x)
-                shares = _dropped_shares(mode, np.array([x]), True, analytic.eigenvalue_cdf, box)
+                shares = _dropped_shares(mode, np.array([x]), True, box)
                 for tail, dropped in shares.items():
                     assert dropped.max() <= share, (mode, x, tail, dropped)
             box = analytic._throughput_box(mode)
-            shares = _dropped_shares(mode, gammas, False, analytic._capacity_kernel, box)
+            shares = _dropped_shares(mode, gammas, False, box)
             for tail, dropped in shares.items():
                 assert dropped.max() <= share, (mode, tail, dropped)
 
 
-def _uniform_rule(mode, scales, inverse, kernel, box):
+def _uniform_rule(mode, scales, inverse, box):
     """The oracles' 2-D trapezoid rule uniform in (s, u) itself, its step
     halved from 1 until two levels agree to _REL_TOL at every scale: the
     reference the sinh-mapped rule is held to."""
@@ -670,7 +734,7 @@ def _uniform_rule(mode, scales, inverse, kernel, box):
     n_s, n_u = int(np.ceil(s_hi - s_lo)) + 1, int(np.ceil(u_hi - u_lo)) + 1
 
     def part(k_s, k_u):
-        return analytic._oracle_sum(mode, scales, inverse, kernel, s_lo + k_s * step, u_lo + k_u * step)
+        return analytic._oracle_sum(mode, scales, inverse, s_lo + k_s * step, u_lo + k_u * step)
 
     with np.errstate(over="ignore", divide="ignore"):
         total = part(np.arange(n_s), np.arange(n_u))
@@ -692,11 +756,11 @@ def test_mapped_oracles_agree_with_the_uniform_rule():
     for mode in MODES:
         for x in (1e-8, 1e-4, 1.0, 1e4):
             box = analytic._outage_box(mode, x)
-            want = _uniform_rule(mode, np.array([x]), True, analytic.eigenvalue_cdf, box)
+            want = _uniform_rule(mode, np.array([x]), True, box)
             got = analytic.outage_quadrature(mode, x)
             assert got == pytest.approx(want[0], rel=1e-13, abs=0.0), (mode, x)
         box = analytic._throughput_box(mode)
-        want = _uniform_rule(mode, gammas, False, analytic._capacity_kernel, box)
+        want = _uniform_rule(mode, gammas, False, box)
         got = analytic.throughput_quadrature(mode, gammas)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0), mode
 
@@ -715,13 +779,14 @@ def test_outage_oracle_reaches_as_far_down_as_the_uniform_rule():
     for mode, value in zip(modes, got):
         x = np.array([smallest.get(mode, 1e-300)])
         box = analytic._outage_box(mode, x[0])
-        want = _uniform_rule(mode, x, True, analytic.eigenvalue_cdf, box)
+        want = _uniform_rule(mode, x, True, box)
         assert value == pytest.approx(want[0], rel=1e-12, abs=0.0), mode
 
 
 def _kernel_evaluations(monkeypatch, call):
     """How many kernel arguments y ``call()`` passes to the oracles'
-    kernels, F_lambda of outage and E ln(1 + c lambda) of throughput."""
+    kernels, F_lambda of outage and E ln(1 + c lambda) of throughput, the
+    CDF and capacity kernel of the eigenvalue rows."""
     count = [0]
 
     def counted(kernel):
@@ -731,9 +796,12 @@ def _kernel_evaluations(monkeypatch, call):
 
         return wrapper
 
+    rows = tuple(
+        dataclasses.replace(law, cdf=counted(law.cdf), kernel=counted(law.kernel))
+        for law in analytic._EIGENVALUE_LAWS
+    )
     with monkeypatch.context() as patch:
-        patch.setattr(analytic, "eigenvalue_cdf", counted(analytic.eigenvalue_cdf))
-        patch.setattr(analytic, "_capacity_kernel", counted(analytic._capacity_kernel))
+        patch.setattr(analytic, "_EIGENVALUE_LAWS", rows)
         call()
     return count[0]
 
@@ -754,6 +822,9 @@ def test_oracles_on_the_smoke_grids_stay_within_their_kernel_budget(monkeypatch)
     )
     assert outage <= 1.5e6
     assert rate <= 1.5e5
+    # a hook that no longer sees the kernels' calls would count 0
+    assert outage >= 0.45e6
+    assert rate >= 0.43e5
 
 
 def test_oracle_refuses_a_scale_that_underflows_every_node_at_once():
@@ -793,7 +864,8 @@ def test_capacity_kernel_matches_exponential_integral():
                 ref.append(float(l0(2 * x)))
             else:
                 ref.append(float(2 * l0(x) + (1 - x + x * x * l0(x)) - l0(2 * x)))
-        assert analytic._capacity_kernel(c, which) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        kernel = analytic._eigenvalue_law(which).kernel
+        assert kernel(c) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_throughput_transmit_receive_symmetry():
