@@ -476,13 +476,13 @@ def test_a_repeated_contour_evaluates_no_new_factor(monkeypatch):
     # (the line cache cleared) evaluates none of them again
     calls = {}
 
-    def counted(name, fn, law=None):
+    def counted(name, fn, kind=None):
         def wrapper(s, *args):
             s = np.asarray(s)
             # nodes of a contour (not real moments)
             if np.any(np.imag(s) != 0.0):
                 nodes = (s.flat[0], s.flat[-1], s.size)
-                key = (name, law, nodes)
+                key = (name, kind, nodes)
                 calls[key] = calls.get(key, 0) + 1
             return fn(s, *args)
 
@@ -501,8 +501,8 @@ def test_a_repeated_contour_evaluates_no_new_factor(monkeypatch):
         cache.cache_clear()
     monkeypatch.setattr(analytic, "_gamma_one_minus", counted("gamma", analytic._gamma_one_minus))
     # the rows' transforms; the plain E{z^-s} = 1/(1 - s) is not counted
-    rows = tuple(counted_row("bracket", law) for law in analytic._EIGENVALUE_LAWS)
-    monkeypatch.setattr(analytic, "_EIGENVALUE_LAWS", rows)
+    eigenvalue_rows = tuple(counted_row("bracket", law) for law in analytic._EIGENVALUE_LAWS)
+    monkeypatch.setattr(analytic, "_EIGENVALUE_LAWS", eigenvalue_rows)
     plain, compensated = analytic._Z_LAWS
     monkeypatch.setattr(analytic, "_Z_LAWS", (plain, counted_row("z", compensated)))
     rows = {law.name: law for law in (*analytic._EIGENVALUE_LAWS, *analytic._Z_LAWS)}
