@@ -158,6 +158,21 @@ _ORACLE_NEAR = 16.0
 _ORACLE_BLOCK = 1 << 13
 _ORACLE_MAX_NODES = 1 << 25
 
+# The least first-level estimate at the smallest scale that the oracles'
+# rule goes on from; below it the step halving cannot reach _REL_TOL, and
+# the rule raises at once (both bounds measured on every mode on half-decade
+# grids of x and gamma_bar):
+# * outage: where the lower cuts sit at the smallest normal float, the sums
+#   keep an edge of up to tiny F_lambda(top) that stalls the halving at P
+#   near tiny / (16 _REL_TOL) (j1i1 certifies P = 1.5e-299, j2i2-cmp stalls
+#   at 1.3e-299); the floor is _ORACLE_EDGE_MARGIN / 16 = 4 times below;
+# * throughput: below R = 5e-306 the bulk of the kernel's arguments is
+#   under 1e-306, where the capacity kernel loses its accuracy (j1i1-cmp
+#   certifies R = 9.9e-306, j2i2-cmp stalls at 2.0e-306);
+# * neither: no value below 2^-1074 / _REL_TOL carries _REL_TOL.
+_ORACLE_EDGE_MARGIN = 64.0
+_THROUGHPUT_FLOOR = 5e-306
+
 
 def z_factor_cdf(z, compensated: bool = True):
     """CDF of the alignment factor z, clamped outside [0, 1].
@@ -382,10 +397,12 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, box, band=0.0):
     levels agree to _REL_TOL relative at an a, which then drops out;
     QuadratureError is raised once a level would exceed _ORACLE_MAX_NODES,
     and at once if even the largest y of the box at the smallest a is not a
-    normal float, where no node carries a digit the sum could certify.
+    normal float, where no node carries a digit the sum could certify, or if
+    the first level's estimate there is below the least value the rule can
+    certify (_ORACLE_EDGE_MARGIN, _THROUGHPUT_FLOOR).
     """
     (s_lo, s_hi), (u_lo, u_hi) = box
-    _, om, z = _mode_laws(mode)
+    lam, om, z = _mode_laws(mode)
     (s_centre, s_scale), (u_centre, u_scale) = (
         (centre - 0.5 * width, max(_ORACLE_SINH_SCALE, 2.0 * width))
         for centre, width in ((om.centre, band), (0.0, z.squeeze * band))
@@ -398,7 +415,8 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, box, band=0.0):
     inv_z = z.nodes(np.array([u_lo, u_hi]))[0]
     with np.errstate(over="ignore"):
         top = scales.min() * (np.exp(-s_lo) * inv_z[0] if inverse else np.exp(s_hi) / inv_z[1])
-    if not top >= np.finfo(np.float64).tiny:
+    tiny = np.finfo(np.float64).tiny
+    if not top >= tiny:
         raise QuadratureError(
             f"{label} at {scales.min():g}: every kernel argument of the box is below "
             f"the normal floats (at most {top:.3e})"
@@ -425,6 +443,15 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, box, band=0.0):
         total = node_sum(np.arange(n_s), np.arange(n_u), spacing, scales)
         cell = (spacing / s_scale) * (spacing / u_scale)
         estimate, change = cell * total, np.full(scales.shape, np.inf)
+        floor = max(
+            tiny * lam.cdf(top) / (_ORACLE_EDGE_MARGIN * _REL_TOL) if inverse else _THROUGHPUT_FLOOR,
+            np.finfo(np.float64).smallest_subnormal / _REL_TOL,
+        )
+        if not estimate.min() > floor:
+            raise QuadratureError(
+                f"{label} at {scales.min():g}: the first estimate {estimate.min():.3e} is "
+                f"below the {floor:.3e} the rule can certify"
+            )
         while (2 * n_s - 1) * (2 * n_u - 1) <= _ORACLE_MAX_NODES:
             spacing *= 0.5
             n_s, n_u = 2 * n_s - 1, 2 * n_u - 1
@@ -464,8 +491,9 @@ def outage_quadrature(mode: Mode, x):
     smallest omega law), the maps centre on it and the rule is near
     uniform over it.  It halves its node spacing until two levels agree to
     that relative tolerance at each x.  P is accurate in relative terms
-    while it is above about 1e-290; further down, where the lower tails
-    cannot be cut that finely, QuadratureError is raised.
+    while it is above about 1e-299; further down, where the lower tails
+    cannot be cut that finely, QuadratureError is raised, at once where the
+    first level's estimate is below 3.5e-300 (:func:`_oracle_rule`).
     """
     _mode_laws(mode)  # a scheme that is not a mode fails whatever the x
     return _at_thresholds(
@@ -1131,9 +1159,10 @@ def throughput_quadrature(mode: Mode, gamma_bar):
     of :func:`_throughput_box`: each of the four tails leaves out at most
     2.5e-4 ``special._REL_TOL`` of R, by a bound of the tail relative to R
     that holds at every gamma_bar.  Each value is certified by step halving
-    to that relative tolerance, or QuadratureError is raised: at once for a
-    gamma_bar so small (below about 1e-309) that every kernel argument is
-    below the normal floats.
+    to that relative tolerance, or QuadratureError is raised: at once where
+    the first level's estimate of R is below 5e-306 (gamma_bar below about
+    1e-305 to 1e-306 by mode), or every kernel argument below the normal
+    floats.
     """
     return _at_gamma_bars(
         gamma_bar, lambda g: _oracle_rule(mode, g, False, _throughput_box(mode))

@@ -91,6 +91,7 @@ class ExperimentConfig:
 
 
 def _read_config_file(path: str) -> dict:
+    """The sweep options of a file of key=value lines, by _FIELD_PARSERS."""
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -100,7 +101,10 @@ def _read_config_file(path: str) -> dict:
         if not sep:
             raise ValueError(f"malformed config line: {raw!r}")
         values[key.strip()] = value.strip()
-    return values
+    unknown = set(values) - set(_FIELD_PARSERS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return {k: _FIELD_PARSERS[k](v) for k, v in values.items()}
 
 
 def _parse_svg(text: str) -> bool:
@@ -114,6 +118,14 @@ def _parse_svg(text: str) -> bool:
     raise ValueError(f"svg must be 1/0, true/false, yes/no or on/off, not {text!r}")
 
 
+def _parse_schemes(text: str) -> tuple:
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+_parse_schemes.help = "comma-separated: j{1|2}i{1|2}[-cmp] and alt"
+
+# The sweep options: each an ExperimentConfig field, a config key and, with
+# "_" as "-", a flag, parsed by its entry (the flag --svg is a switch).
 _FIELD_PARSERS = {
     "snr_db_min": float,
     "snr_db_max": float,
@@ -121,33 +133,16 @@ _FIELD_PARSERS = {
     "threshold_db": float,
     "trials": int,
     "seed": int,
-    "schemes": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
+    "schemes": _parse_schemes,
     "out": str,
     "svg": _parse_svg,
 }
 
 
-def _build_config(args, default_out: str) -> ExperimentConfig:
-    cfg = ExperimentConfig(out=default_out)
-    if args.config:
-        file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(_FIELD_PARSERS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(
-            cfg, **{k: _FIELD_PARSERS[k](v) for k, v in file_values.items()}
-        )
-    overrides = {}
-    for name in ("snr_db_min", "snr_db_max", "snr_db_step", "threshold_db",
-                 "trials", "seed", "out"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.schemes is not None:
-        overrides["schemes"] = _FIELD_PARSERS["schemes"](args.schemes)
-    if args.svg:
-        overrides["svg"] = True
-    cfg = replace(cfg, **overrides)
+def _build_config(args, **defaults) -> ExperimentConfig:
+    file_values = _read_config_file(args.config) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in _FIELD_PARSERS and v is not None}
+    cfg = ExperimentConfig(**{**defaults, **file_values, **flags})
     cfg.validate()
     return cfg
 
@@ -260,7 +255,7 @@ def cmd_curve(args) -> int:
     the Mellin-Barnes outage or throughput, and the statistics pass runs
     after it, so a contour that fails costs no trials."""
     kind = args.command
-    cfg = _build_config(args, default_out=kind + ".csv")
+    cfg = _build_config(args, out=kind + ".csv")
     threshold = 10.0 ** (cfg.threshold_db / 10.0)
     rows = curve_rows(
         partial(montecarlo.channel_statistics, cfg.seed, cfg.trials),
@@ -281,9 +276,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_gain(args) -> int:
-    overrides = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
-    cfg = replace(ExperimentConfig(), **overrides)
-    cfg.validate()
+    cfg = _build_config(args)
     stats = montecarlo.channel_statistics(cfg.seed, cfg.trials)
     gain = montecarlo.gain_ratio(stats)
     gap_ratio = montecarlo.mode_gap_ratio(stats)
@@ -312,22 +305,13 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--snr-db-min", dest="snr_db_min", type=float, default=None)
-    parser.add_argument("--snr-db-max", dest="snr_db_max", type=float, default=None)
-    parser.add_argument("--snr-db-step", dest="snr_db_step", type=float, default=None)
-    parser.add_argument("--threshold-db", dest="threshold_db", type=float, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--schemes",
-        type=str,
-        default=None,
-        help="comma-separated: j{1|2}i{1|2}[-cmp] and alt",
-    )
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--svg", action="store_true")
-    parser.add_argument("--config", type=str, default=None)
+def _add_flags(parser: argparse.ArgumentParser, names=tuple(_FIELD_PARSERS)):
+    for name in names:
+        flag, parse = "--" + name.replace("_", "-"), _FIELD_PARSERS[name]
+        if parse is _parse_svg:
+            parser.add_argument(flag, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, type=parse, help=getattr(parse, "help", None))
 
 
 def main(argv=None) -> int:
@@ -342,17 +326,17 @@ def main(argv=None) -> int:
         ("throughput", "average throughput vs average SNR"),
     ):
         p_curve = sub.add_parser(kind, help=what)
-        _add_common(p_curve)
+        _add_flags(p_curve)
+        p_curve.add_argument("--config", type=str, default=None)
         p_curve.set_defaults(fn=cmd_curve)
 
     p_gain = sub.add_parser("gain", help="print gain/gap constants with MC checks")
-    p_gain.add_argument("--trials", type=int, default=None)
-    p_gain.add_argument("--seed", type=int, default=None)
-    p_gain.set_defaults(fn=cmd_gain)
+    _add_flags(p_gain, ("trials", "seed"))
+    p_gain.set_defaults(fn=cmd_gain, config=None)  # gain reads no config file
 
     p_ver = sub.add_parser("verify", help="run the acceptance checks")
     p_ver.add_argument("--level", choices=("smoke", "full"), default="smoke")
-    p_ver.add_argument("--seed", type=int, default=None)
+    _add_flags(p_ver, ("seed",))
     p_ver.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)

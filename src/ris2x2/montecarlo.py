@@ -309,7 +309,7 @@ def _count_at_most(f_sorted: np.ndarray, gammas: np.ndarray, gamma_th: float) ->
     exactly.
     """
     n = f_sorted.size
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         counts = np.searchsorted(f_sorted, gamma_th / gammas, side="right")
     off = (counts < n) & (gammas * f_sorted[np.minimum(counts, n - 1)] <= gamma_th)
     off |= (counts > 0) & ~(gammas * f_sorted[np.maximum(counts - 1, 0)] <= gamma_th)

@@ -844,6 +844,23 @@ def test_oracle_refuses_a_scale_that_underflows_every_node_at_once():
     )
 
 
+def test_oracles_refuse_what_they_cannot_certify_at_once():
+    # each of these ran every level up to the node limit (0.85-4.4 s) before
+    # it raised; the last was returned as certified, 1.8e-4 off P ~ 1.13 x
+    calls = [
+        (analytic.outage_quadrature, Mode(1, 1), 1e-300),
+        (analytic.outage_quadrature, Mode(1, 1, True), 1e-200),
+        (analytic.throughput_quadrature, Mode(1, 1), 1e-308),
+        (analytic.throughput_quadrature, Mode(2, 2, True), 1e-305),
+        (analytic.outage_quadrature, Mode(1, 2, True), 1e-320),
+    ]
+    for oracle, mode, x in calls:
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="below the .* the rule can certify"):
+            oracle(mode, x)
+        assert time.perf_counter() - start < 0.5, (oracle.__name__, mode, x)
+
+
 def test_capacity_kernel_matches_exponential_integral():
     # E ln(1 + c lambda) = 2 L0(1/c) + L2(1/c) - L0(2/c) (largest) and L0(2/c)
     # (smallest), L0(x) = e^x E1(x) and L2(x) = 1 - x + x^2 L0(x); the grid

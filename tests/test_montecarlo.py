@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -464,6 +465,21 @@ def test_sorted_outage_counts_are_exact_at_the_boundary():
             got = outage_from_stats(stats, scheme, gammas, threshold)
             assert [e.value for e in got] == want
             assert [outage_from_stats(stats, scheme, g, threshold) for g in gammas] == got
+
+
+def test_outage_counts_at_extreme_gamma_bars_raise_no_warning():
+    # th / gamma_bar overflows (1 / 5e-324), divides by zero (1 / 0) and is
+    # 0 / 0 here; the search lands at an end and the counts stay exact
+    stats = channel_statistics(SEED, 1000)
+    gammas = [0.0, 5e-324, 1e-320, 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in (ALT, Mode(1, 1)):
+            f = scheme_snr_factor(stats, scheme)
+            for threshold in (-1.0, 0.0, 1.0, np.inf):
+                got = outage_from_stats(stats, scheme, gammas, threshold)
+                want = [np.count_nonzero(g * f <= threshold) / f.size for g in gammas]
+                assert [e.value for e in got] == want
 
 
 def test_sequence_reductions_equal_per_point_calls():
