@@ -77,9 +77,9 @@ _PHASE_BLOCK = 8
 # the array length (a sum whose blocking follows it, say) would not be.
 # The same passes compare worker counts, each over several chunks: the
 # stored pass runs on one worker, the streamed pass at the default chunk on
-# the default count and the one at the small chunk on a pool of this many
-# threads.  A pool at the default chunk would hold more chunks at once and
-# raise the peak memory of verify.
+# the default count and the one at the small chunk on this many threads.
+# That many at the default chunk would hold more chunks at once and raise
+# the peak memory of verify.
 _SMALL_CHUNK = 1 << 11
 _CHUNK_CHECK_TRIALS = 40_000
 _POOLED_WORKERS = 4

@@ -140,6 +140,11 @@ _E1_SERIES = tuple((-1) ** (k + 1) / (k * factorial(k)) for k in range(1, 21))
 # _LAGUERRE_DEGREE, at _LAGUERRE_STEPS centers c per unit of ln x, and each
 # is within an ulp at |h| <= c / 512.
 _LAGUERRE_BANDS = ((128.0, 120), (np.inf, 5))
+
+# The argument of the capacity kernels below which E ln(1 + c X) = c E{X}
+# to double precision: the next term, c E{X^2} / (2 E{X}), is at most 2.3 c
+# relative for both eigenvalue laws.
+_KERNEL_LINEAR = 1e-17
 _LAGUERRE_STEPS = 256
 _LAGUERRE_DEGREE = 6
 
@@ -166,9 +171,12 @@ _ORACLE_MAX_NODES = 1 << 25
 #   keep an edge of up to tiny F_lambda(top) that stalls the halving at P
 #   near tiny / (16 _REL_TOL) (j1i1 certifies P = 1.5e-299, j2i2-cmp stalls
 #   at 1.3e-299); the floor is _ORACLE_EDGE_MARGIN / 16 = 4 times below;
-# * throughput: below R = 5e-306 the bulk of the kernel's arguments is
-#   under 1e-306, where the capacity kernel loses its accuracy (j1i1-cmp
-#   certifies R = 9.9e-306, j2i2-cmp stalls at 2.0e-306);
+# * throughput: R = 5e-306 was set where the capacity kernels lost their
+#   accuracy, below c ~ 1e-306; since they take c E{X} below
+#   _KERNEL_LINEAR, every mode certifies gamma_bar E{X} within 2e-14 on
+#   quarter-decade grids down to where the box leaves the normal floats
+#   (gamma_bar ~ 10^-309), so the floor only keeps the range the rule was
+#   first measured to certify;
 # * neither: no value below 2^-1074 / _REL_TOL carries _REL_TOL.
 _ORACLE_EDGE_MARGIN = 64.0
 _THROUGHPUT_FLOOR = 5e-306
@@ -438,8 +446,8 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, box, band=0.0):
     result = np.empty(scales.shape)
     active = np.arange(scales.size)
     # a y that overflows to inf just saturates the outage kernel, and one
-    # that underflows to 0 zeroes the throughput kernel (at x = 2/y = inf)
-    with np.errstate(over="ignore", divide="ignore"):
+    # that underflows to 0 zeroes the throughput kernel
+    with np.errstate(over="ignore"):
         total = node_sum(np.arange(n_s), np.arange(n_u), spacing, scales)
         cell = (spacing / s_scale) * (spacing / u_scale)
         estimate, change = cell * total, np.full(scales.shape, np.inf)
@@ -676,6 +684,21 @@ def _largest_pdf(y):
     return decay * bracket
 
 
+def _capacity_kernel(exact, mean: float):
+    """The capacity kernel E ln(1 + c X) of a law of mean ``mean`` at every
+    c of an array: ``exact`` from _KERNEL_LINEAR up, and c E{X} below, where
+    ln(1 + c X) = c X to double precision and 2/c in ``exact`` would
+    overflow from c ~ 1.1e-308 down."""
+
+    def kernel(c):
+        out = c * mean
+        large = c >= _KERNEL_LINEAR
+        out[large] = exact(c[large])
+        return out
+
+    return kernel
+
+
 def _largest_kernel(c):
     """E ln(1 + c lambda) of the largest law, 2 f_0(1/c) + f_2(1/c) - f_0(2/c)
     in the terms of :func:`_laguerre_stieltjes`."""
@@ -864,14 +887,16 @@ class _Law:
 _EIGENVALUE_LAWS = (
     _Law(
         "largest", 3.5, 4.0, _clipped(_largest_cdf, _EIG_SATURATION), _mellin_largest,
-        onset=12.0, pdf=_clipped(_largest_pdf, _EIG_SATURATION), kernel=_largest_kernel,
+        onset=12.0, pdf=_clipped(_largest_pdf, _EIG_SATURATION),
+        kernel=_capacity_kernel(_largest_kernel, 3.5),
         centre=1.0, tail=(1.0, (4.0, 4.0, 1.0, 1.0)),
     ),
     _Law(
         "smallest", 0.5, 1.0, _clipped(lambda y: -np.expm1(-2.0 * y), _EIG_SATURATION),
         lambda s, re, g: 2.0**s * g, onset=0.5,
         pdf=_clipped(lambda y: 2.0 * np.exp(-2.0 * y), _EIG_SATURATION),
-        kernel=lambda c: _laguerre_stieltjes(2.0 / c)[0], centre=-1.0, tail=(2.0, (0.5, 1.0)),
+        kernel=_capacity_kernel(lambda c: _laguerre_stieltjes(2.0 / c)[0], 0.5), centre=-1.0,
+        tail=(2.0, (0.5, 1.0)),
     ),
 )
 

@@ -17,8 +17,9 @@ with gamma_bar, one pass serves a whole SNR sweep.
 
 Trial t is a pure function of (seed, t) (see sampling).  The pass
 is one loop over fixed chunks of trials (2^14 by default), run in turn or
-on a thread pool with one worker per available CPU, that hands each
-chunk's statistics to a consumer.  A chunk of 2^14 trials was the
+by the calling thread and one helper thread per further available CPU,
+each taking the next chunk, that hands each chunk's statistics to a
+consumer.  A chunk of 2^14 trials was the
 fastest of 2^13..2^15 for the 10^6-trial outage sweep on a 2-vCPU host,
 and 2^15 needed 18 MB more memory.  There are two consumers.  Storing copies each
 chunk into one preallocated :class:`TrialStats` of the whole pass; the
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,15 +162,49 @@ def _require_count(name: str, value, least: int) -> None:
 
 
 def _thread_map(fn, items, workers=None):
-    """[fn(x) for x in items], on a pool of ``workers`` threads (default:
-    the available CPUs) when there is more than one item.  numpy releases
-    the GIL inside the array work, so the threads run in parallel."""
+    """[fn(x) for x in items], worked through by the calling thread and
+    ``workers - 1`` helper threads (``workers`` by default the available
+    CPUs, at most one thread per item), each taking the next item under one
+    lock; with one thread it runs inline.  numpy releases the GIL inside
+    the array work, so the threads run in parallel.  The first exception
+    raised on any thread stops the others from taking new items and is
+    re-raised once every helper has joined."""
     items = list(items)
     workers = _cpu_count() if workers is None else workers
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+    helpers = min(workers, len(items)) - 1
+    if helpers < 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    failures = []
+    lock = threading.Lock()
+    pending = enumerate(items)
+
+    def work():
+        while True:
+            with lock:
+                taken = None if failures else next(pending, None)
+            if taken is None:
+                return
+            k, x = taken
+            try:
+                results[k] = fn(x)
+            except BaseException as exc:  # re-raised on the calling thread
+                with lock:
+                    failures.append(exc)
+                return
+
+    threads = []
+    try:
+        for _ in range(helpers):
+            threads.append(threading.Thread(target=work))
+            threads[-1].start()
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def trial_statistics(g, h, cos, sin):
@@ -207,8 +241,9 @@ def channel_statistics(
     stream 0 of ``seed``.
 
     The trial range is split into fixed chunks of ``chunk_size`` trials
-    (2^14 by default), evaluated in turn or by a pool of ``workers``
-    threads (default: the CPUs this process may run on).  Each chunk's
+    (2^14 by default), evaluated in turn or by the calling thread and
+    ``workers - 1`` helper threads (``workers`` by default the CPUs this
+    process may run on), each taking the next chunk.  Each chunk's
     statistics, a :class:`TrialStats` of its own trials, go to
     ``consume(lo, chunk)``, ``lo`` being the index of its first trial;
     chunks arrive in any order and from several threads at once.  With no

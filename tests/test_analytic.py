@@ -881,8 +881,35 @@ def test_capacity_kernel_matches_exponential_integral():
                 ref.append(float(l0(2 * x)))
             else:
                 ref.append(float(2 * l0(x) + (1 - x + x * x * l0(x)) - l0(2 * x)))
-        kernel = analytic._eigenvalue_law(which).kernel
-        assert kernel(c) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        law = analytic._eigenvalue_law(which)
+        assert law.kernel(c) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        # below 1e-17, E ln(1 + c lambda) = c E{lambda} to double precision;
+        # 2/c overflows from c ~ 1.1e-308 down
+        tiny = 10.0 ** -np.arange(17.0, 321.0)
+        assert law.kernel(tiny) == pytest.approx(tiny * law.mean, rel=1e-15, abs=0.0)
+
+
+def test_throughput_oracle_certifies_only_right_values_near_its_floor():
+    # R = gamma_bar E{X} to 1e-300 relative on this grid.  The capacity
+    # kernels once lost their accuracy below c ~ 1e-306 and returned 0 from
+    # c ~ 1.1e-308 down: 39 of the 171 values certified here were more than
+    # 1e-10 off, and j1i1 at 10^-305.5 ran 1.1 s before it raised
+    certified = 0
+    for mode in MODES:
+        for exponent in np.arange(-307.0, -299.99, 0.25):
+            gamma_bar = 10.0**exponent
+            start = time.perf_counter()
+            try:
+                value = analytic.throughput_quadrature(mode, gamma_bar)
+            except QuadratureError as exc:
+                assert "the rule can certify" in str(exc), (mode, exponent)
+                value = None
+            assert time.perf_counter() - start < 0.5, (mode, exponent)
+            if value is not None:
+                certified += 1
+                want = gamma_bar * analytic.mean_mode_snr(mode, 1.0)
+                assert value == pytest.approx(want, rel=1e-10, abs=0.0), (mode, exponent)
+    assert certified >= 174
 
 
 def test_throughput_transmit_receive_symmetry():

@@ -39,14 +39,16 @@ def test_scipy_is_never_imported(tmp_path):
     # array_api_compat, numpy.testing, numpy.f2py and numpy.ma) took about
     # half of every run's start-up, and scipy.integrate or scipy.linalg
     # would add more; nor does a run load numpy's testing, f2py or masked
-    # array modules itself (np.unique loads numpy.ma, about 9 ms)
+    # array modules itself (np.unique loads numpy.ma, about 9 ms), nor the
+    # executor machinery of concurrent.futures and the logging it brings in
     out = str(tmp_path / "o.csv")
     code = (
         "import sys\n"
         "import ris2x2.cli\n"
         "def check(when):\n"
         "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "    loaded += [m for m in ('numpy.testing', 'numpy.f2py', 'numpy.ma') if m in sys.modules]\n"
+        "    banned = ('numpy.testing', 'numpy.f2py', 'numpy.ma', 'concurrent.futures', 'logging')\n"
+        "    loaded += [m for m in banned if m in sys.modules]\n"
         "    assert not loaded, (loaded[:5], when)\n"
         "check('after import')\n"
         f"argv = ['outage', '--trials', '1000', '--snr-db-step', '10', '--out', {out!r}]\n"

@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -621,3 +622,62 @@ def test_throughput_sweep_does_not_depend_on_its_threads(monkeypatch):
         monkeypatch.setattr(ris2x2.montecarlo, "_cpu_count", lambda cpus=cpus: cpus)
         rows.append(curve_rows(stats, ALL_SCHEME_LABELS, range(-5, 26, 10), 0.0, "throughput"))
     assert rows[0] == rows[1]
+
+
+def test_thread_map_works_on_the_caller_and_keeps_input_order():
+    # one barrier party per item: the items run at once, each on its own
+    # thread, the calling one among them, and no more threads than items
+    # are started however many workers are asked for
+    before = threading.active_count()
+    caller = threading.get_ident()
+    items = list(range(4))
+    barrier = threading.Barrier(len(items), timeout=10)
+    seen, counts = [], []
+
+    def fn(x):
+        seen.append(threading.get_ident())
+        counts.append(threading.active_count())
+        barrier.wait()
+        return x * x
+
+    for workers in (len(items), len(items) + 3):
+        seen.clear()
+        counts.clear()
+        assert ris2x2.montecarlo._thread_map(fn, iter(items), workers) == [x * x for x in items]
+        assert len(set(seen)) == len(items) and caller in seen
+        assert max(counts) == before + len(items) - 1
+        assert threading.active_count() == before
+    # one worker runs inline, in order
+    order = []
+    out = ris2x2.montecarlo._thread_map(lambda x: order.append(threading.get_ident()) or -x, items, 1)
+    assert out == [-x for x in items]
+    assert order == [caller] * len(items)
+
+
+class _ItemFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_caller", [False, True], ids=["helper", "caller"])
+def test_thread_map_reraises_a_failure_once_its_helpers_have_joined(on_caller):
+    # the failing item runs on the helper or on the caller; the other
+    # thread's items wait until it has raised, so each thread takes one,
+    # and the failure stops both from taking the rest
+    before = threading.active_count()
+    caller = threading.get_ident()
+    raised = threading.Event()
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        if (threading.get_ident() == caller) == on_caller:
+            raised.set()
+            raise _ItemFailed(x)
+        assert raised.wait(10)
+        return x
+
+    items = range(100_000)
+    with pytest.raises(_ItemFailed):
+        ris2x2.montecarlo._thread_map(fn, items, workers=2)
+    assert threading.active_count() == before
+    assert len(calls) < len(items)
