@@ -196,8 +196,9 @@ def _thread_map(fn, items, workers=None):
     threads = []
     try:
         for _ in range(helpers):
-            threads.append(threading.Thread(target=work))
-            threads[-1].start()
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
         work()
     finally:
         for thread in threads:
