@@ -140,13 +140,13 @@ _E1_SERIES = tuple((-1) ** (k + 1) / (k * factorial(k)) for k in range(1, 21))
 # _LAGUERRE_DEGREE, at _LAGUERRE_STEPS centers c per unit of ln x, and each
 # is within an ulp at |h| <= c / 512.
 _LAGUERRE_BANDS = ((128.0, 120), (np.inf, 5))
+_LAGUERRE_STEPS = 256
+_LAGUERRE_DEGREE = 6
 
 # The argument of the capacity kernels below which E ln(1 + c X) = c E{X}
 # to double precision: the next term, c E{X^2} / (2 E{X}), is at most 2.3 c
 # relative for both eigenvalue laws.
 _KERNEL_LINEAR = 1e-17
-_LAGUERRE_STEPS = 256
-_LAGUERRE_DEGREE = 6
 
 # The oracles' rule: the share of _REL_TOL times P or R that each of its four
 # truncated tails may leave out, the node spacing of its first level at the

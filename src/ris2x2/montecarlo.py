@@ -19,8 +19,8 @@ Trial t is a pure function of (seed, t) (see sampling).  The pass
 is one loop over fixed chunks of trials (2^14 by default), run in turn or
 by the calling thread and one helper thread per further available CPU,
 each taking the next chunk, that hands each chunk's statistics to a
-consumer.  A chunk of 2^14 trials was the
-fastest of 2^13..2^15 for the 10^6-trial outage sweep on a 2-vCPU host,
+consumer.  A chunk of 2^14 trials was the fastest of 2^13..2^15 for
+the 10^6-trial outage sweep on a 2-vCPU host,
 and 2^15 needed 18 MB more memory.  There are two consumers.  Storing copies each
 chunk into one preallocated :class:`TrialStats` of the whole pass; the
 acceptance checks need it for their distribution tests, and throughput

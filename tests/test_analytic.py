@@ -893,7 +893,7 @@ def test_throughput_oracle_certifies_only_right_values_near_its_floor():
     # R = gamma_bar E{X} to 1e-300 relative on this grid.  The capacity
     # kernels once lost their accuracy below c ~ 1e-306 and returned 0 from
     # c ~ 1.1e-308 down: 39 of the 171 values certified here were more than
-    # 1e-10 off, and j1i1 at 10^-305.5 ran 1.1 s before it raised
+    # 1e-10 off, and j1i1 near 10^-305.5 ran about 1 s before it raised
     certified = 0
     for mode in MODES:
         for exponent in np.arange(-307.0, -299.99, 0.25):
