@@ -71,6 +71,7 @@ from .special import (
     _half_line_integral,
     _line_integral,
     _line_nodes,
+    _line_phasors,
     bessel_k,
     log_gamma,
     meijer_g,
@@ -129,6 +130,10 @@ _Z_WEIGHT_SERIES = tuple(
     (-1) ** (k + 1) * k / factorial(2 * k + 1) for k in range(1, 11)
 )
 
+# The running sums of the compensated E{z^-s} at the nodes of a line: its
+# 200-node rule (and the 400-node one of the tests) in blocks of 25 (50).
+_Z_BLOCKS = 8
+
 # The power series of E1(x) + euler_gamma + ln x, over x: the coefficients
 # (-1)^(k+1) / (k k!), k = 1..20, summed for x <= 1.
 _E1_SERIES = tuple((-1) ** (k + 1) / (k * factorial(k)) for k in range(1, 21))
@@ -167,10 +172,14 @@ _ORACLE_MAX_NODES = 1 << 25
 # rule goes on from; below it the step halving cannot reach _REL_TOL, and
 # the rule raises at once (both bounds measured on every mode on half-decade
 # grids of x and gamma_bar):
-# * outage: where the lower cuts sit at the smallest normal float, the sums
-#   keep an edge of up to tiny F_lambda(top) that stalls the halving at P
-#   near tiny / (16 _REL_TOL) (j1i1 certifies P = 1.5e-299, j2i2-cmp stalls
-#   at 1.3e-299); the floor is _ORACLE_EDGE_MARGIN / 16 = 4 times below;
+# * outage: where the lower cuts sit at the smallest normal float, each
+#   lower tail drops up to its mass there, tiny F_lambda(top); with full
+#   weight on the nodes of those cuts that edge stalled the halving at P
+#   near tiny / (16 _REL_TOL), and the floor was set _ORACLE_EDGE_MARGIN /
+#   16 = 4 times below.  With half weight there every mode certifies down
+#   to the floor (on a half-decade grid of x from 1e-296 to 1e-310, in at
+#   most 0.9 s), but a P below about tiny / _REL_TOL = 2e-298 carries the
+#   dropped edge, up to tiny / P relative (4.7e-9 for j1i1 at 10^-298.5);
 # * throughput: R = 5e-306 was set where the capacity kernels lost their
 #   accuracy, below c ~ 1e-306; since they take c E{X} below
 #   _KERNEL_LINEAR, every mode certifies gamma_bar E{X} within 2e-14 on
@@ -386,7 +395,8 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, box, band=0.0):
     weighted by sin(2t)/2 - t cos(2t)) run from the lower cuts of ``box``
     to at least its upper ones, on a uniform grid in the mapped variables
     s = c_s + S_s sinh v and u = c_u + S_u sinh w, the Jacobians as node
-    weights.  The map keeps the rule's geometric convergence, and its node
+    weights, each node on a lower cut at half weight, as an end of the
+    trapezoid.  The map keeps the rule's geometric convergence, and its node
     spacing grows with the distance from its centre, so the tails, where
     the integrand decays exponentially over tens of units, take few nodes
     (Trefethen & Weideman, SIAM Review 2014).
@@ -433,11 +443,13 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, box, band=0.0):
     def node_sum(k_v, k_w, spacing, a):
         # the sum over the nodes (v_lo + k_v h_v, w_lo + k_w h_w) at every a,
         # h the step in each mapped variable that gives ``spacing`` at the
-        # maps' centres
+        # maps' centres; a node on a lower cut (k = 0) is an end of the
+        # trapezoid and weighs half
         v, w = v_lo + k_v * (spacing / s_scale), w_lo + k_w * (spacing / u_scale)
         return _oracle_sum(
             mode, a, inverse, s_centre + s_scale * np.sinh(v), u_centre + u_scale * np.sinh(w),
-            s_scale * np.cosh(v), u_scale * np.cosh(w),
+            s_scale * np.cosh(v) * np.where(k_v == 0, 0.5, 1.0),
+            u_scale * np.cosh(w) * np.where(k_w == 0, 0.5, 1.0),
         )
 
     spacing = _ORACLE_FIRST_SPACING
@@ -498,10 +510,11 @@ def outage_quadrature(mode: Mode, x):
     of omega (:func:`_outage_band`: x below about 3e-7, or 4e-8 for the
     smallest omega law), the maps centre on it and the rule is near
     uniform over it.  It halves its node spacing until two levels agree to
-    that relative tolerance at each x.  P is accurate in relative terms
-    while it is above about 1e-299; further down, where the lower tails
-    cannot be cut that finely, QuadratureError is raised, at once where the
-    first level's estimate is below 3.5e-300 (:func:`_oracle_rule`).
+    that relative tolerance at each x.  P is accurate to that tolerance
+    while it is above about 2e-298; further down the lower tails cannot be
+    cut that finely, and each drops up to the smallest normal float, tiny
+    / P relative.  QuadratureError is raised at once where the first
+    level's estimate is below 3.5e-300 (:func:`_oracle_rule`).
     """
     _mode_laws(mode)  # a scheme that is not a mode fails whatever the x
     return _at_thresholds(
@@ -706,7 +719,7 @@ def _largest_kernel(c):
     return 2.0 * f0[1] + f2[1] - f0[0]
 
 
-def _mellin_largest(s, re, g):
+def _mellin_largest(s, re, g, line=None):
     """E{lambda^-s} of the largest law, Re s < 4, term by term from the
     density, given g = Gamma(1 - s)."""
     # The bracket 2 - 2(1 - s) + (2 - s)(1 - s) - 2^s, which cancels the
@@ -773,7 +786,7 @@ def _compensated_cdf(z):
     return 2.0 * np.sqrt(z) * _z_weight(0.5 * t)
 
 
-def _mellin_compensated(s, re, g):
+def _mellin_compensated(s, re, g, line=None):
     """E{z^-s} of the compensated alignment law at complex s, Re s < 2,
     given its real part ``re``.
 
@@ -783,25 +796,41 @@ def _mellin_compensated(s, re, g):
     1, the onset (4/3) t^(3-2s) is integrated exactly, (4/3)(pi/2)^(4-2s)/
     (4-2s), and the rule takes only the rest, of order t^(5-2s).  Given one
     real part c for the nodes s = c + jt of a contour, the rule's modulus
-    rows are formed once for all of them (see :func:`_weighted_powers`);
-    the value at the nodes of a line is shared by every mode and kernel
-    through :func:`_line_factor`.
+    rows are formed once for all of them, and at the nodes of a node set
+    ``line`` of the vertical-line rule its phases come from the set's
+    phasor tables (see :func:`_weighted_powers`); the value at the nodes of
+    a line is shared by every mode and kernel through :func:`_line_factor`.
     """
     minus_log_z, weight, minus_log_t2, onset = _z_rule()
-    value = _weighted_powers(re, np.imag(s), minus_log_z, weight)
+    value = _weighted_powers(re, np.imag(s), minus_log_z, weight, line)
     if np.max(re) > 1.0:
         exact = (4.0 / 3.0) * np.exp((4.0 - 2.0 * s) * np.log(0.5 * np.pi)) / (4.0 - 2.0 * s)
-        value += exact - _weighted_powers(re, np.imag(s), minus_log_t2, onset)
+        value += exact - _weighted_powers(re, np.imag(s), minus_log_t2, onset, line)
     return value
 
 
-def _weighted_powers(re, im, log_base, weight):
+def _weighted_powers(re, im, log_base, weight, line=None):
     """sum_k weight_k exp(s log_base_k) at every s = re + j im, from real
-    moduli and phases (twice as fast as numpy's complex exp).  ``re`` is an
-    array of im's shape, or one real part for all s: the contour of a line,
-    whose one modulus row exp(re log_base_k) weight_k serves every node."""
+    moduli and phases.  ``re`` is an array of im's shape, or one real part
+    for all s: the contour of a line, whose one modulus row exp(re
+    log_base_k) weight_k serves every node.
+
+    At the nodes of a node set ``line`` of the vertical-line rule (one real
+    part) the phases come from the set's phasor tables at omega = log_base
+    (``special._line_phasors``), the modulus row folded into the coarse
+    one: about 2 sqrt(n) cos and sin per base for n nodes instead of n.
+    The sum over k is ``einsum`` (no BLAS) in _Z_BLOCKS running sums, added
+    at the end: near t = 0, where the terms align, one running sum of all
+    of them would lose a few eps more.  Elsewhere (real moments, a direct
+    transform) each s takes its own cos and sin.
+    """
     modulus = np.exp(np.multiply.outer(re, log_base))
     modulus *= weight
+    if line is not None:
+        coarse, fine = _line_phasors(line, log_base)
+        coarse *= modulus
+        blocks = (table.reshape(table.shape[0], _Z_BLOCKS, -1) for table in (coarse, fine))
+        return np.einsum("qbk,rbk->qrb", *blocks).sum(axis=-1).ravel()[: line[2]].copy()
     phase = np.multiply.outer(im, log_base)
     return (modulus * np.cos(phase)).sum(axis=-1) + 1j * (modulus * np.sin(phase)).sum(axis=-1)
 
@@ -846,7 +875,8 @@ class _Law:
     E{X^-s} (F(x) goes like x^pole as x -> 0), ``cdf``, F at every x of an
     array (clamped to the law's support, a float for a scalar), and
     ``mellin``, E{X^-s} at complex s given Re s (one number for the nodes of
-    a contour) and g = Gamma(1 - s).
+    a contour), g = Gamma(1 - s) and, at the nodes of a node set of the
+    vertical-line rule, the set's key ``line`` (None elsewhere).
 
     A squared singular value, the lambda and omega of a mode, also has its
     density ``pdf``, the ``onset`` of F(w) <= w^pole / onset, the capacity
@@ -893,7 +923,7 @@ _EIGENVALUE_LAWS = (
     ),
     _Law(
         "smallest", 0.5, 1.0, _clipped(lambda y: -np.expm1(-2.0 * y), _EIG_SATURATION),
-        lambda s, re, g: 2.0**s * g, onset=0.5,
+        lambda s, re, g, line=None: 2.0**s * g, onset=0.5,
         pdf=_clipped(lambda y: 2.0 * np.exp(-2.0 * y), _EIG_SATURATION),
         kernel=_capacity_kernel(lambda c: _laguerre_stieltjes(2.0 / c)[0], 0.5), centre=-1.0,
         tail=(2.0, (0.5, 1.0)),
@@ -907,7 +937,8 @@ _EIGENVALUE_LAWS = (
 # everywhere, so P{t < t_lo} <= t_lo^4/3 and P{t > pi/2 - d} <= pi d/2.
 _Z_LAWS = (
     _Law(
-        "plain z", 0.5, 1.0, _clipped(lambda z: z, 1.0), lambda s, re, g: 1.0 / (1.0 - s),
+        "plain z", 0.5, 1.0, _clipped(lambda z: z, 1.0),
+        lambda s, re, g, line=None: 1.0 / (1.0 - s),
         floor=lambda c: c, nodes=_plain_nodes, cuts=lambda lo, hi: (np.log(lo), -np.log(hi)),
         squeeze=1.0,
     ),
@@ -962,14 +993,18 @@ def _line_factor(law, c: float, level: int, count: int):
     transform of the row ``law``, or with ``law`` None Gamma(1 - s), which
     the eigenvalue rows' transforms take.
 
-    Each is the expression of :func:`_mellin_transform` on the same nodes,
-    so its bits are those of a direct evaluation.  Cached per node set,
+    Each is the row's transform given the key (c, level, count) of the node
+    set, so its bits are those of a direct call with that key (the
+    compensated E{z^-s} takes the set's phasor tables).  Cached per node set,
     values only and read-only: every mode and both kernels on a contour
     share them, and outage's c = -p/2 fallback meets throughput's line at
     c = -1/2.
     """
     s = c + 1j * _line_nodes(level, count)
-    value = law.mellin(s, c, _line_factor(None, c, level, count)) if law else _gamma_one_minus(s)
+    if law is None:
+        value = _gamma_one_minus(s)
+    else:
+        value = law.mellin(s, c, _line_factor(None, c, level, count), (c, level, count))
     value.setflags(write=False)
     return value
 
@@ -1069,18 +1104,19 @@ def outage(mode: Mode, x):
 
     for 0 < c < p, with p = :func:`diversity_order` the leading pole of
     M: 2 for the compensated (1,1) mode and 1 for the others.  M is
-    evaluated once per node of a contour, and x^s over all x is one outer
-    product.  On the line the integrand is of size x^c while P goes like
-    x^p as x -> 0, so the sum cancels by about x^(c-p) for small x, and by
-    x^c for large x.  Each x therefore takes the first of these lines that
-    meets the relative tolerance ``special._REL_TOL`` (1e-10):
-    c = p/2; then, below x = 1, c = p - 0.15, and from x = 1 on c = -p/2,
-    where the line has crossed the pole at 0 and P = 1 + (the line
-    integral).  A line meets the tolerance at x when its trapezoid rule,
-    halved step by step, has converged there, its alias bound is within
-    the tolerance, and so is its cancellation bound eps * sum|terms| / |P|.
-    An x that no line certifies raises QuadratureError: step-halving
-    agreement cannot detect cancellation.
+    evaluated once per node of a contour, and x^s over all x comes from the
+    phasor tables of its node sets (``special._phasor_sum``).  On the line
+    the integrand is of size x^c while P goes like x^p as x -> 0, so the
+    sum cancels by about x^(c-p) for small x, and by x^c for large x.
+    Each x therefore takes the first of these lines that meets the
+    relative tolerance ``special._REL_TOL`` (1e-10): c = p/2; then, below
+    x = 1, c = p - 0.15, and from x = 1 on c = -p/2, where the line has
+    crossed the pole at 0 and P = 1 + (the line integral).  A line meets
+    the tolerance at x when its trapezoid rule, halved step by step, has
+    converged there, its alias bound is within the tolerance, and so is its
+    cancellation bound 2 eps * sum|terms| / |P|.  An x that no line
+    certifies raises QuadratureError: step-halving agreement cannot detect
+    cancellation.
 
     Returns a float for a scalar x, else an array of x's shape.
     :func:`outage_quadrature` is the independent oracle, and
@@ -1124,11 +1160,11 @@ def throughput(mode: Mode, gamma_bar):
     on the line c = -1/2, inside the strip -1 < Re s < 0 where
     pi/(s sin pi s) is the Mellin transform of ln(1 + y).  The integrand
     decays like exp(-2 pi |Im s|).  It runs on the rule and the cached
-    nodes of :func:`outage`, so y^s over all gamma_bar is one outer product.
-    Each value is certified, by step halving and the cancellation bound
-    eps * sum|terms| y^c / R, to ``special._REL_TOL`` (1e-10), or
-    QuadratureError is raised: from 136.5 dB on for j1i1-cmp, 155.5 dB for
-    j2i2-cmp.
+    nodes of :func:`outage`, with y^s over all gamma_bar from the phasor
+    tables of its node sets.  Each value is certified, by step halving and
+    the cancellation bound 2 eps * sum|terms| y^c / R, to
+    ``special._REL_TOL`` (1e-10), or QuadratureError is raised: from
+    130.5 dB on for j1i1-cmp, 149.5 dB for j2i2-cmp.
 
     Returns a float for a scalar gamma_bar, else an array of its shape.
     :func:`throughput_quadrature` is the independent oracle.

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -418,9 +419,12 @@ def test_mellin_terms_are_evaluated_once_per_node(fn, transform, again, grid):
 
 
 def _direct_terms(mode, kernel, s):
-    """K(s) E{X^-s} at s as the rule evaluated it before its factors were
-    shared: Gamma(1 - s) and both eigenvalue brackets per call, and the
-    compensated E{z^-s} on the 200-node rule with a modulus row per node."""
+    """K(s) E{X^-s} at the nodes s = c + jt of one level of a line, as the
+    rule evaluates it without sharing factors: Gamma(1 - s) and both
+    eigenvalue brackets per call, and the compensated E{z^-s} on the
+    200-node rule with one modulus row and the phases of the ladder t_k =
+    t0 + d k, e^(j t_k L) = e^(j (t0 + d w q) L) e^(j d r L), k = w q + r
+    and w = ceil(sqrt n) for n nodes."""
     lam, om, _ = analytic._mode_laws(mode)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.exp(special.log_gamma(1.0 - s))
@@ -429,10 +433,24 @@ def _direct_terms(mode, kernel, s):
         minus_log_z, weight, minus_log_t2, onset = analytic._z_rule()
 
         def powers(log_base, w):
-            modulus = np.exp(np.multiply.outer(np.real(s), log_base))
+            t = np.imag(s)
+            t0, d = t[0], t[1] - t[0]
+            width = math.isqrt(t.size - 1) + 1
+            rows = -(-t.size // width)
+            modulus = np.exp(np.real(s[0]) * log_base)
             modulus *= w
-            phase = np.multiply.outer(np.imag(s), log_base)
-            return (modulus * np.cos(phase)).sum(axis=-1) + 1j * (modulus * np.sin(phase)).sum(axis=-1)
+            tables = []
+            for ladder in (t0 + (d * width) * np.arange(rows), d * np.arange(width)):
+                phase = np.multiply.outer(ladder, log_base)
+                table = np.empty(phase.shape, dtype=np.complex128)
+                np.cos(phase, out=table.real)
+                np.sin(phase, out=table.imag)
+                tables.append(table)
+            coarse, fine = tables
+            coarse *= modulus
+            # the sum over k in 8 running sums, added at the end
+            blocks = (table.reshape(table.shape[0], 8, -1) for table in (coarse, fine))
+            return np.einsum("qbk,rbk->qrb", *blocks).sum(axis=-1).ravel()[: t.size]
 
         z = powers(minus_log_z, weight)
         if np.max(np.real(s)) > 1.0:
@@ -467,6 +485,29 @@ def test_shared_factors_give_the_direct_terms_bit_for_bit():
             assert np.array_equal(values.view(np.float64), want.view(np.float64)), (
                 mode, kernel, c, level,
             )
+
+
+def test_compensated_transform_on_a_line_matches_the_per_node_sum():
+    # both sums of the compensated E{z^-s} (the z rule and its onset) at
+    # the nodes of every compensated contour, levels 0-8, from the node
+    # sets' phasor tables against a cos and a sin per node and rule node:
+    # within 4 eps sum|v| of the rule's terms v = weight e^(c L), plus eps
+    # |t L| |v| per term for the phases t L that each side rounds
+    eps = np.finfo(np.float64).eps
+    minus_log_z, weight, minus_log_t2, onset = analytic._z_rule()
+    contours = sorted({c for mode, _, c in _mellin_lines() if mode.compensated})
+    assert contours == [-1.0, -0.5, 0.5, 0.85, 1.0, 1.85]
+    for c in contours:
+        for level in range(9):
+            count = 65 if level == 0 else 64 << (level - 1)
+            t = special._line_nodes(level, count)
+            for log_base, w in ((minus_log_z, weight), (minus_log_t2, onset)):
+                got = analytic._weighted_powers(c, t, log_base, w, (c, level, count))
+                direct = analytic._weighted_powers(np.full(count, c), t, log_base, w)
+                v = np.abs(np.exp(c * log_base) * w)
+                phases = eps * (np.abs(np.multiply.outer(t, log_base)) * v).sum(axis=-1)
+                bound = 4.0 * eps * v.sum() + phases
+                assert np.all(np.abs(got - direct) <= bound), (c, level)
 
 
 def test_a_repeated_contour_evaluates_no_new_factor(monkeypatch):
@@ -727,14 +768,18 @@ def test_oracle_cuts_drop_at_most_their_share():
 
 def _uniform_rule(mode, scales, inverse, box):
     """The oracles' 2-D trapezoid rule uniform in (s, u) itself, its step
-    halved from 1 until two levels agree to _REL_TOL at every scale: the
-    reference the sinh-mapped rule is held to."""
+    halved from 1 until two levels agree to _REL_TOL at every scale, the
+    nodes on the lower cuts at half weight: the reference the sinh-mapped
+    rule is held to."""
     (s_lo, s_hi), (u_lo, u_hi) = box
     step = 1.0
     n_s, n_u = int(np.ceil(s_hi - s_lo)) + 1, int(np.ceil(u_hi - u_lo)) + 1
 
     def part(k_s, k_u):
-        return analytic._oracle_sum(mode, scales, inverse, s_lo + k_s * step, u_lo + k_u * step)
+        return analytic._oracle_sum(
+            mode, scales, inverse, s_lo + k_s * step, u_lo + k_u * step,
+            np.where(k_s == 0, 0.5, 1.0), np.where(k_u == 0, 0.5, 1.0),
+        )
 
     with np.errstate(over="ignore", divide="ignore"):
         total = part(np.arange(n_s), np.arange(n_u))
@@ -783,6 +828,22 @@ def test_outage_oracle_reaches_as_far_down_as_the_uniform_rule():
         assert value == pytest.approx(want[0], rel=1e-12, abs=0.0), mode
 
 
+def test_outage_oracle_certifies_just_above_its_floor():
+    # the nodes on the lower cuts weigh half, as the ends of a trapezoid:
+    # with full weight the rule's change there fell only like its step, and
+    # it ran to its node limit (4.4 s on a 2-vCPU Xeon, now 0.8 s) and raised
+    x = 10.0**-298.5
+    start = time.perf_counter()
+    value = analytic.outage_quadrature(Mode(1, 1), x)
+    assert time.perf_counter() - start < 2.0
+    # P = x E{1/lambda}^2 = x (2 ln 2 - 1)^2 to double precision, the
+    # leading residue; each lower tail of the box drops up to its mass,
+    # floored at the smallest normal float
+    want = x * (2.0 * np.log(2.0) - 1.0) ** 2
+    dropped = 2.0 * np.finfo(np.float64).tiny
+    assert want * (1.0 - analytic._REL_TOL) - dropped <= value <= want * (1.0 + analytic._REL_TOL)
+
+
 def _kernel_evaluations(monkeypatch, call):
     """How many kernel arguments y ``call()`` passes to the oracles'
     kernels, F_lambda of outage and E ln(1 + c lambda) of throughput, the
@@ -825,6 +886,63 @@ def test_oracles_on_the_smoke_grids_stay_within_their_kernel_budget(monkeypatch)
     # a hook that no longer sees the kernels' calls would count 0
     assert outage >= 0.45e6
     assert rate >= 0.43e5
+
+
+def _trig_arguments(monkeypatch, call):
+    """How many arguments ``call()`` passes to np.cos and to np.sin, from
+    empty line caches."""
+    count = {"cos": 0, "sin": 0}
+
+    def counted(name):
+        fn = getattr(np, name)
+
+        def wrapper(x, *args, **kwargs):
+            count[name] += np.size(x)
+            return fn(x, *args, **kwargs)
+
+        return wrapper
+
+    caches = (special._line_level, analytic._line_factor)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            for name in count:
+                patch.setattr(np, name, counted(name))
+            call()
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    return count
+
+
+def test_mellin_columns_stay_within_their_trig_budget(monkeypatch):
+    # the default outage column (eight modes, 31 SNR points, 0 dB) and the
+    # Mellin columns of verify --level smoke (the outage and throughput
+    # columns of C5 and C6 and C4's Mellin grid): with a cos and a sin per
+    # (x, node) and per (node, z-rule node) they took 0.28e6 and 0.75e6 of
+    # each; the node sets' phasor tables take about 0.06e6 and 0.13e6
+    from ris2x2.acceptance import AcceptanceSettings
+
+    smoke = AcceptanceSettings.smoke()
+    gammas = 10.0 ** (np.arange(-5.0, 26.0) / 10.0)
+    column = _trig_arguments(monkeypatch, lambda: [analytic.outage(m, 1.0 / gammas) for m in MODES])
+
+    def smoke_columns():
+        outage_gammas = 10.0 ** (np.array(smoke.snr_db) / 10.0)
+        rate_gammas = 10.0 ** (np.array(smoke.throughput_snr_db) / 10.0)
+        for m in MODES:
+            analytic.outage(m, 1.0 / outage_gammas)
+            analytic.throughput(m, rate_gammas)
+            analytic.outage(m, np.array(smoke.mellin_grid))
+
+    columns = _trig_arguments(monkeypatch, smoke_columns)
+    for name in ("cos", "sin"):
+        assert column[name] <= 0.08e6, column
+        assert columns[name] <= 0.18e6, columns
+        # a hook that no longer sees the calls would count 0
+        assert column[name] >= 0.03e6, column
+        assert columns[name] >= 0.07e6, columns
 
 
 def test_oracle_refuses_a_scale_that_underflows_every_node_at_once():

@@ -141,6 +141,36 @@ def test_meijer_g_contour_shift_invariance():
             assert value[0] == pytest.approx(base, rel=1e-9)
 
 
+def test_phasor_tables_give_the_per_node_sum():
+    # sum_k e^(j omega t_k) v_k from the two phasor tables of a node set,
+    # against a cos and a sin per node, on both ladders (t0, d) = (0, h) and
+    # (h / 2^l, h / 2^(l-1)), for 1 to 3000 nodes and |omega| = |ln x| up
+    # to 700.  With omega rounded to 40 bits every phase omega t is exact on
+    # both sides and the tables' product adds a rounding per term: within
+    # 4 eps sum|v|.  With omega as it comes each side also rounds its
+    # phases, the per-node one by eps/2 |omega t_k| and the tables by as
+    # much again (their two phases add up to omega t_k).
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(35)
+    counts = [1, 2, 3, 4, 63, 64, 65, 97, 1000, 2999, 3000, *rng.integers(5, 3000, 8)]
+    for level in (0, 1, 8):
+        for count in counts:
+            t = special._line_nodes(level, count)
+            omega = np.concatenate(
+                ([-700.0, 0.0, 700.0], rng.uniform(-700.0, 700.0, 5), rng.uniform(-3.0, 3.0, 3))
+            )
+            v = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+            for exact in (True, False):
+                w = np.round(omega * 2.0**30) / 2.0**30 if exact else omega
+                phase = np.multiply.outer(w, t)
+                direct = ((np.cos(phase) + 1j * np.sin(phase)) * v).sum(axis=-1)
+                got = special._phasor_sum((0.5, level, count), w, v)
+                bound = 4.0 * eps * np.abs(v).sum()
+                if not exact:
+                    bound = bound + eps * (np.abs(phase) * np.abs(v)).sum(axis=-1)
+                assert np.all(np.abs(got - direct) <= bound), (level, count, exact)
+
+
 def test_line_rule_refuses_a_transform_that_does_not_decay():
     # the truncation search gives up after a bounded number of growths (a
     # transform takes the nodes and the key of their node set)
