@@ -234,23 +234,21 @@ def _line_phasors(line, omega):
         e^(j omega t_k) = coarse[q] * fine[r],
         coarse[q] = e^(j omega (t0 + d w q)),  fine[r] = e^(j omega d r),
 
-    each table one row per q or r in the shape of ``omega``.  Its phases
-    are exact ladder nodes times omega, so the tables take about 2 sqrt
-    count cos and sin per frequency instead of count; their product adds a
-    rounding per term.  ceil(count / w) w >= count: the caller drops the
-    products past the last node."""
+    each table one row per q or r in the shape of ``omega`` (two views of
+    one array).  Its phases are exact ladder nodes times omega, so the
+    tables take about 2 sqrt count cos and sin per frequency instead of
+    count; their product adds a rounding per term.  ceil(count / w) w >=
+    count: the caller drops the products past the last node."""
     _, level, count = line
     t0, d = _line_ladder(level)
     width = isqrt(count - 1) + 1
     rows = -(-count // width)
-    tables = []
-    for ladder in (t0 + (d * width) * np.arange(rows), d * np.arange(width)):
-        phase = np.multiply.outer(ladder, omega)
-        table = np.empty(phase.shape, dtype=np.complex128)
-        np.cos(phase, out=table.real)
-        np.sin(phase, out=table.imag)
-        tables.append(table)
-    return tuple(tables)
+    ladder = np.concatenate((t0 + (d * width) * np.arange(rows), d * np.arange(width)))
+    phase = np.multiply.outer(ladder, omega)
+    table = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=table.real)
+    np.sin(phase, out=table.imag)
+    return table[:rows], table[rows:]
 
 
 def _phasor_sum(line, omega, values):
