@@ -25,7 +25,7 @@ from .sysmodel import (
     mode_vectors,
     mode_z_factors,
 )
-from .special import MeijerParams, QuadratureError, meijer_g, weighted_bessel_integral
+from .special import MeijerParams, QuadratureError, meijer_g
 from .analytic import (
     consecutive_mode_gap_db,
     diversity_order,
@@ -43,6 +43,7 @@ from .analytic import (
     throughput_closed_r22,
     throughput_closed_r22_cmp,
     throughput_quadrature,
+    weighted_bessel_integral,
     z_factor_cdf,
 )
 from .altopt import optimal_configuration, optimize_batch

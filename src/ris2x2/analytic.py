@@ -67,15 +67,15 @@ from .special import (
     _REL_TOL,
     MeijerParams,
     QuadratureError,
+    _certified_line,
+    _contour_abscissa,
     _g30,
-    _half_line_integral,
     _line_integral,
     _line_nodes,
     _line_phasors,
     bessel_k,
     log_gamma,
     meijer_g,
-    weighted_bessel_integral,
 )
 from .sysmodel import Mode
 
@@ -99,6 +99,7 @@ __all__ = [
     "throughput_quadrature",
     "throughput_closed_r22",
     "throughput_closed_r22_cmp",
+    "weighted_bessel_integral",
 ]
 
 # Mean-SNR improvement of phase compensation, E{z_comp} / E{z_plain}.
@@ -167,28 +168,6 @@ _ORACLE_SINH_SCALE = 4.0
 _ORACLE_NEAR = 16.0
 _ORACLE_BLOCK = 1 << 13
 _ORACLE_MAX_NODES = 1 << 25
-
-# The least first-level estimate at the smallest scale that the oracles'
-# rule goes on from; below it the step halving cannot reach _REL_TOL, and
-# the rule raises at once (both bounds measured on every mode on half-decade
-# grids of x and gamma_bar):
-# * outage: where the lower cuts sit at the smallest normal float, each
-#   lower tail drops up to its mass there, tiny F_lambda(top); with full
-#   weight on the nodes of those cuts that edge stalled the halving at P
-#   near tiny / (16 _REL_TOL), and the floor was set _ORACLE_EDGE_MARGIN /
-#   16 = 4 times below.  With half weight there every mode certifies down
-#   to the floor (on a half-decade grid of x from 1e-296 to 1e-310, in at
-#   most 0.9 s), but a P below about tiny / _REL_TOL = 2e-298 carries the
-#   dropped edge, up to tiny / P relative (4.7e-9 for j1i1 at 10^-298.5);
-# * throughput: R = 5e-306 was set where the capacity kernels lost their
-#   accuracy, below c ~ 1e-306; since they take c E{X} below
-#   _KERNEL_LINEAR, every mode certifies gamma_bar E{X} within 2e-14 on
-#   quarter-decade grids down to where the box leaves the normal floats
-#   (gamma_bar ~ 10^-309), so the floor only keeps the range the rule was
-#   first measured to certify;
-# * neither: no value below 2^-1074 / _REL_TOL carries _REL_TOL.
-_ORACLE_EDGE_MARGIN = 64.0
-_THROUGHPUT_FLOOR = 5e-306
 
 
 def z_factor_cdf(z, compensated: bool = True):
@@ -417,7 +396,9 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, box, band=0.0):
     and at once if even the largest y of the box at the smallest a is not a
     normal float, where no node carries a digit the sum could certify, or if
     the first level's estimate there is below the least value the rule can
-    certify (_ORACLE_EDGE_MARGIN, _THROUGHPUT_FLOOR).
+    certify: 2^-1074 / _REL_TOL, and for outage what its two lower tails
+    may drop at the smallest normal float, 2 tiny F_lambda(top), over
+    _REL_TOL.
     """
     (s_lo, s_hi), (u_lo, u_hi) = box
     lam, om, z = _mode_laws(mode)
@@ -463,8 +444,12 @@ def _oracle_rule(mode: Mode, scales, inverse: bool, box, band=0.0):
         total = node_sum(np.arange(n_s), np.arange(n_u), spacing, scales)
         cell = (spacing / s_scale) * (spacing / u_scale)
         estimate, change = cell * total, np.full(scales.shape, np.inf)
+        # below this first estimate the step halving cannot certify _REL_TOL:
+        # where the outage box's lower cuts sit at the smallest normal float,
+        # its two lower tails drop up to tiny F_lambda(top) each, and no value
+        # below 2^-1074 / _REL_TOL carries _REL_TOL
         floor = max(
-            tiny * lam.cdf(top) / (_ORACLE_EDGE_MARGIN * _REL_TOL) if inverse else _THROUGHPUT_FLOOR,
+            2.0 * tiny * lam.cdf(top) / _REL_TOL if inverse else 0.0,
             np.finfo(np.float64).smallest_subnormal / _REL_TOL,
         )
         if not estimate.min() > floor:
@@ -510,11 +495,11 @@ def outage_quadrature(mode: Mode, x):
     of omega (:func:`_outage_band`: x below about 3e-7, or 4e-8 for the
     smallest omega law), the maps centre on it and the rule is near
     uniform over it.  It halves its node spacing until two levels agree to
-    that relative tolerance at each x.  P is accurate to that tolerance
-    while it is above about 2e-298; further down the lower tails cannot be
-    cut that finely, and each drops up to the smallest normal float, tiny
-    / P relative.  QuadratureError is raised at once where the first
-    level's estimate is below 3.5e-300 (:func:`_oracle_rule`).
+    that relative tolerance at each x.  Far down the lower tails cannot be
+    cut that finely, and each drops up to the smallest normal float, so
+    QuadratureError is raised at once where the first level's estimate is
+    below what they drop over that tolerance, at most 4.5e-298
+    (:func:`_oracle_rule`): j1i1 from x = 1e-297 on.
     """
     _mode_laws(mode)  # a scheme that is not a mode fails whatever the x
     return _at_thresholds(
@@ -528,12 +513,13 @@ def outage_closed_form(mode: Mode, x):
     scalar), mode-by-mode assembly of the Bessel and Meijer-G expressions;
     validated against :func:`outage_quadrature`.
 
-    Each Meijer-G and Bessel-tail term is one call over the grid, certified
-    to about max(_ABS_TOL, _REL_TOL |term|) at every x, so P = 1 + sum of the
-    terms carries an error budget of _ABS_TOL times their |coefficients| plus
-    _REL_TOL times their |values|, plus eps times all |terms|.  Where that is
-    not below |P|, QuadratureError is raised at the first such x: for
-    j1i1-cmp below x ~ 3e-4, P ~ 0.0172 x^2 drowns in terms of order one.
+    Each Meijer-G and composite term (:func:`weighted_bessel_integral`) is
+    one call over the grid, certified to about max(_ABS_TOL, _REL_TOL
+    |term|) at every x, so P = 1 + sum of the terms carries an error
+    budget of _ABS_TOL times their |coefficients| plus _REL_TOL times their
+    |values|, plus eps times all |terms|.  Where that is not below |P|,
+    QuadratureError is raised at the first such x: for j1i1-cmp below
+    x ~ 3e-4, P ~ 0.0172 x^2 drowns in terms of order one.
     """
     _mode_laws(mode)  # a scheme that is not a mode fails whatever the x
     return _at_thresholds(x, lambda z: _closed_form_sum(mode, z))
@@ -593,6 +579,46 @@ def _closed_form_sum(mode: Mode, z):
             f"{budget[k]:.3e} not below |P| = {abs(value[k]):.3e}"
         )
     return value
+
+
+def weighted_bessel_integral(a: int, alpha: int, gamma_param, x):
+    """The composite term of the compensated outage expressions, at every
+    pair of ``gamma_param`` and ``x`` (arrays broadcast together; a float
+    for scalars).
+
+    Equal to the double integral over the compensated alignment density
+    f(u) and an exponential weight,
+
+        W = int_0^1 int_0^inf u^{-a} w^{alpha-1} exp(-x/(u w) - gamma_param*w)
+                f(u) dw du.
+
+    With exp(-y) the Mellin-Barnes integral of Gamma(-s) y^s on Re s < 0,
+    the w integral gives Gamma(alpha - s) gamma_param^(s - alpha) and the u
+    integral E{z^-(s+a)} of the compensated law, so
+
+        W = gamma_param^-alpha (1/2 pi j) int Gamma(-s) Gamma(alpha - s)
+                E{z^-(s+a)} (gamma_param x)^s ds
+
+    on the line Re s = min(0, alpha, 2 - a) - 1/2, left of the poles of
+    all three factors: one call of the vertical-line rule over the grid,
+    certified to max(_ABS_TOL, _REL_TOL |W|) at every point.
+    """
+    if a not in (0, 2):
+        raise ValueError("a must be 0 or 2")
+    if alpha not in (-1, 0, 1, 2, 3):
+        raise ValueError("alpha must be in -1..3")
+    gam, x = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (gamma_param, x)))
+    if not np.all((gam > 0.0) & (x > 0.0) & (gam < np.inf) & (x < np.inf)):
+        raise ValueError("gamma_param and x must be positive and finite")
+    params = MeijerParams(2, 0, 0, 2, (), (0.0, float(alpha)))
+    transform = _AlignedTransform(params, float(a), (0.0, 1.0))
+    scale = gam.ravel() ** alpha
+    what = f"weighted_bessel_integral(a={a}, alpha={alpha})"
+    values = _certified_line(
+        transform, min(0, alpha, 2 - a) - 0.5, (gam * x).ravel(), _ABS_TOL * scale, what
+    )
+    value = (values / scale).reshape(gam.shape)
+    return value if value.ndim else float(value)
 
 
 def _laguerre_stieltjes(x):
@@ -1054,6 +1080,30 @@ class _KernelTransform:
         return m / s if self.kernel == "outage" else np.pi * m / (s * np.sin(np.pi * s))
 
 
+@dataclass(frozen=True)
+class _AlignedTransform:
+    """T(s) sum_k w_k E{z_k^-(s + shift)}, s complex, the transform of the
+    vertical-line rule for the composite terms of the compensated closed
+    forms: T the Gamma ratio ``params`` and z_k the alignment rows of
+    ``_Z_LAWS`` (plain, compensated), weighted by ``weights``.  Hashable,
+    like :class:`_KernelTransform`; at the nodes of a node set ``line`` =
+    (c, level, count) each E{z^-s} is the factor :func:`_line_factor`
+    shares at real part c + shift, on the same nodes."""
+
+    params: MeijerParams
+    shift: float
+    weights: tuple
+
+    def __call__(self, s, line):
+        c, level, count = line
+        mix = sum(
+            w * _line_factor(law, c + self.shift, level, count)
+            for law, w in zip(_Z_LAWS, self.weights)
+            if w
+        )
+        return self.params(s) * mix
+
+
 def _outage_line(mode: Mode, c: float, log_x: np.ndarray):
     """P at x = exp(log_x) from the line Re s = c, and which x it certifies:
     the vertical-line rule with K = 1/s, held also to the alias bound below.
@@ -1221,9 +1271,8 @@ def throughput_quadrature(mode: Mode, gamma_bar):
     2.5e-4 ``special._REL_TOL`` of R, by a bound of the tail relative to R
     that holds at every gamma_bar.  Each value is certified by step halving
     to that relative tolerance, or QuadratureError is raised: at once where
-    the first level's estimate of R is below 5e-306 (gamma_bar below about
-    1e-305 to 1e-306 by mode), or every kernel argument below the normal
-    floats.
+    every kernel argument of the box is below the normal floats (from
+    gamma_bar ~ 10^-309.5 down, 10^-309 for j2i2 and j2i2-cmp).
     """
     return _at_gamma_bars(
         gamma_bar, lambda g: _oracle_rule(mode, g, False, _throughput_box(mode))
@@ -1239,20 +1288,24 @@ def throughput_closed_r22(gamma_bar):
 
 
 def throughput_closed_r22_cmp(gamma_bar):
-    """Closed form of the compensated (2,2)-mode throughput: a single
+    """Closed form of the compensated (2,2)-mode throughput: half a
     G^{3,1}_{1,3} tail integral plus half the plain-surface value, at every
-    gamma_bar of an array at once (a float for a scalar)."""
+    gamma_bar of an array at once (a float for a scalar).
+
+    The tail, int_0^inf 2(1 - u^2) asin(t^-1/2) / t^2 G(4t / gamma_bar) du
+    with t = 1 + u^2 and G = G^{3,1}_{1,3}( . | 0; 0, 1, 0), is in z = 1/t
+    int_0^1 (2 f(z) - 1) G(4 / (gamma_bar z)) dz, f the compensated
+    alignment density and 1 the plain (uniform) one.  So it is G at
+    4/gamma_bar with 2 E{z^-s} - E{z^-s} of the compensated and the plain
+    law in its Mellin-Barnes integrand, on G's own line, certified to
+    max(_ABS_TOL, _REL_TOL |tail|).
+    """
     params = MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0))
+    tail = _AlignedTransform(params, 0.0, (-1.0, 2.0))
 
     def closed(gammas):
-        def tail(u):
-            # one G evaluation, on one contour, for every node of a level
-            # and every gamma_bar (a row each)
-            t = 1.0 + u * u
-            g = meijer_g(params, 4.0 * t / gammas[:, None])
-            return 2.0 * (1.0 - u * u) / t**2 * np.arcsin(1.0 / np.sqrt(t)) * g
-
-        integral = _half_line_integral(tail, "throughput_closed_r22_cmp")
+        what = "throughput_closed_r22_cmp"
+        integral = _certified_line(tail, _contour_abscissa(params), 4.0 / gammas, _ABS_TOL, what)
         return 0.5 * integral + 0.5 * throughput_closed_r22(gammas)
 
     return _at_gamma_bars(gamma_bar, closed)

@@ -1,10 +1,10 @@
 """Special functions behind the closed-form outage and throughput results.
 
-Two rules live here, with the terms the closed forms are built from: the
-package's one vertical-line rule, behind both :func:`meijer_g` and the
-Mellin-Barnes outage and throughput of ``analytic``, and a half-line rule,
-behind the composite Bessel/Meijer integral of the compensated outage
-expressions.  So do the two special functions they take, in numpy alone:
+The package's one vertical-line rule lives here, behind :func:`meijer_g`,
+the composite Bessel/Meijer terms of the compensated closed forms and the
+Mellin-Barnes outage and throughput of ``analytic``, with the terms the
+closed forms are built from.  So do the two special functions they take,
+in numpy alone:
 
 * :func:`log_gamma`, complex ln Gamma up to 2 pi j: Stirling's series after
   one recurrence shift of the whole array to Re z >= 10;
@@ -38,10 +38,8 @@ entries each, e^{j t_k ln x} = coarse[k // w] fine[k % w] with w = ceil
 sqrt(n): about 2 sqrt(n) cos and sin per x instead of n.  The product
 rounds once more per term, so the rule's cancellation bound counts 2 eps
 of every |term| (the error of a term itself and of its phase t ln x are not
-counted).  Integrals over a half-line run on a trapezoid rule in the
-exp-sinh variable u = exp((pi/2) sinh tau), which converges geometrically
-too (Takahasi & Mori, Publ. RIMS 1974).  Both rules certify each value by
-step halving, or raise :class:`QuadratureError`.
+counted).  The rule certifies each value by step halving, or raises
+:class:`QuadratureError`.
 """
 
 from __future__ import annotations
@@ -58,13 +56,12 @@ __all__ = [
     "bessel_k",
     "log_gamma",
     "meijer_g",
-    "weighted_bessel_integral",
 ]
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a vertical-line or half-line integral, an oracle or a
-    closed form cannot be certified to its tolerance."""
+    """Raised when a vertical-line integral, an oracle or a closed form
+    cannot be certified to its tolerance."""
 
 
 # The tolerances of every certified value: two levels of a step-halved rule
@@ -281,9 +278,10 @@ def _line_level(transform, c: float, level: int):
     transform does not decay and QuadratureError is raised.
 
     ``transform`` is hashable (a :class:`MeijerParams`, or a kernel and a
-    mode of ``analytic``) and is called as transform(s, line) with the key
-    line = (c, level, count) of its node set, by which transforms on the
-    same nodes may share factors.  Cached, read-only: the calls of one sweep
+    mode of ``analytic``, or a Gamma ratio and alignment laws of its
+    composite closed-form terms) and is called as transform(s, line) with
+    the key line = (c, level, count) of its node set, by which transforms
+    on the same nodes may share factors.  Cached, read-only: the calls of one sweep
     and of the checks that reuse a line evaluate the transform once per
     node.
     """
@@ -310,7 +308,7 @@ def _line_level(transform, c: float, level: int):
     return t, values
 
 
-def _line_integral(transform, c: float, log_x, residue=0.0, alias=None, floor=0.0):
+def _line_integral(transform, c: float, log_x, residue=0.0, alias=None, floor=None):
     """V = residue + (1/2 pi j) int x^s T(s) ds on Re s = c at x = exp(log_x),
     for T = ``transform``, and which x it certifies.
 
@@ -328,9 +326,9 @@ def _line_integral(transform, c: float, log_x, residue=0.0, alias=None, floor=0.
     rounding of its phasor's cos and sin and that of the tables' product;
     the error of T itself and eps |t ln x| of the phase are left out.  The
     tolerance is _REL_TOL |V|, raised to an absolute ``floor`` if one is
-    given (:func:`meijer_g`'s).  The step is halved until ok marks every x
-    the cancellation bound leaves, at most _LINE_HALVINGS times; the other x
-    carry no usable value.
+    given, one number or one per x (:func:`_certified_line`).  The step is
+    halved until ok marks every x the cancellation bound leaves, at most
+    _LINE_HALVINGS times; the other x carry no usable value.
     """
     x_c = np.exp(c * log_x)
     total = magnitude = estimate = 0.0
@@ -347,7 +345,7 @@ def _line_integral(transform, c: float, log_x, residue=0.0, alias=None, floor=0.
         # |V| / x^c, the scale of the sums (x^c underflows for tiny x)
         scaled = np.abs(value) / x_c if residue else np.abs(estimate)
         tol = _REL_TOL * scaled
-        if floor:
+        if floor is not None:
             tol = np.maximum(tol, floor / x_c)
         live = 2.0 * _EPS * step * magnitude / np.pi <= tol
         ok = live & (np.abs(estimate - previous) <= tol)
@@ -389,110 +387,27 @@ def meijer_g(params: MeijerParams, z):
     zs = np.asarray(z, dtype=np.float64)
     if not np.all(zs > 0.0):
         raise ValueError("z must be positive")
-    flat = zs.ravel()
-    values, ok = _line_integral(params, _contour_abscissa(params), np.log(flat), floor=_ABS_TOL)
-    if not ok.all():
-        raise QuadratureError(
-            f"meijer_g{params.m, params.n, params.p, params.q}: the vertical line does "
-            f"not meet its tolerance at z = {flat[~ok][0]:g} ({np.count_nonzero(~ok)} "
-            f"of {flat.size} z)"
-        )
+    what = f"meijer_g{params.m, params.n, params.p, params.q}"
+    values = _certified_line(params, _contour_abscissa(params), zs.ravel(), _ABS_TOL, what)
     result = values.reshape(zs.shape)
     return result if result.ndim else float(result)
 
 
-def _half_line_integral(f, what: str):
-    """int_0^inf f(u) du for integrands analytic on a neighbourhood of the
-    half-line that decay at infinity at least like a power u^-(1+d), d > 0.
-
-    ``f`` maps an array of u to values along its last axis: a 1-D array for
-    one integrand, or one row per integrand of a grid.  In the exp-sinh
-    variable, u = exp((pi/2) sinh tau), f(u) du/dtau decays double
-    exponentially both ways, so the trapezoid rule in tau converges
-    geometrically as its step is halved from 1/2, up to six times.  Every
-    level spans |tau| <= 5 (u = e^{+-116}, where no power of u the
-    integrands take overflows), where the terms at either end must be below
-    1% of the tolerance (a span cut where a coarse level's terms are small
-    could miss a narrow bump between them), and evaluates its new midpoints
-    as one array.  Each row keeps its value from the first level that
-    agrees with the one before to 0.5 max(_ABS_TOL, _REL_TOL |value|); a row
-    that no level certifies, or a term that is not finite, raises
-    QuadratureError.  Returns a float for one integrand, else an array of
-    the rows' shape.
-    """
-
-    def terms(tau):
-        u = np.exp(0.5 * np.pi * np.sinh(tau))
-        values = f(u) * u * (0.5 * np.pi * np.cosh(tau))
-        if not np.all(np.isfinite(values)):
-            raise QuadratureError(f"{what}: integrand not finite on the half-line")
-        return values
-
-    step, last = 0.5, 10
-    values = terms(step * np.arange(-last, last + 1))
-    total = values.sum(axis=-1)
-    estimate = step * total
-    ends = step * np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1]))
-    if np.any(ends > 0.01 * np.maximum(_ABS_TOL, _REL_TOL * np.abs(estimate))):
-        raise QuadratureError(f"{what}: integrand does not decay on the half-line")
-    result, pending = estimate, np.ones(np.shape(estimate), dtype=bool)
-    for _ in range(6):
-        # the next level adds the odd multiples of half the step
-        step *= 0.5
-        last *= 2
-        total += terms(step * np.arange(1 - last, last, 2)).sum(axis=-1)
-        previous, estimate = estimate, step * total
-        result = np.where(pending, estimate, result)
-        pending &= np.abs(estimate - previous) > 0.5 * np.maximum(_ABS_TOL, _REL_TOL * np.abs(estimate))
-        if not pending.any():
-            return result if np.ndim(result) else float(result)
-    raise QuadratureError(
-        f"{what}: half-line rule not converged at step {step:g} on "
-        f"{np.count_nonzero(pending)} of {pending.size} rows (the first one's last two "
-        f"estimates {previous[pending][0]:.6e}, {estimate[pending][0]:.6e})"
-    )
+def _certified_line(transform, c: float, z, floor, what: str):
+    """V of :func:`_line_integral` for ``transform`` on Re s = c at every z
+    > 0 of a flat array, certified to max(``floor``, _REL_TOL |V|) at each
+    (``floor`` one number or one per z), or QuadratureError naming the
+    first z it is not."""
+    values, ok = _line_integral(transform, c, np.log(z), floor=floor)
+    if not ok.all():
+        raise QuadratureError(
+            f"{what}: the vertical line does not meet its tolerance at z = "
+            f"{z[~ok][0]:g} ({np.count_nonzero(~ok)} of {z.size} z)"
+        )
+    return values
 
 
 def _g30(z: float, b2: float, b3: float) -> float:
     """G^{3,0}_{1,3}(z | 0; -1, b2, b3), the Meijer block of the outage
     closed forms."""
     return meijer_g(MeijerParams(3, 0, 1, 3, (0.0,), (-1.0, b2, b3)), z)
-
-
-def weighted_bessel_integral(a: int, alpha: int, gamma_param, x):
-    """The composite term of the compensated outage expressions, at every
-    pair of ``gamma_param`` and ``x`` (arrays broadcast together; a float
-    for scalars).
-
-    Equal to the double integral over the unit-interval alignment density
-    f(u) and an exponential weight,
-
-        int_0^1 int_0^inf u^{-a} w^{alpha-1} exp(-x/(u w) - gamma_param*w)
-                f(u) dw du,
-
-    evaluated as a Meijer G term plus a one-dimensional Bessel tail
-    integral, each one call over the whole grid.  The endpoint singularity
-    1/sqrt(t-1) of the tail is removed by substituting t = 1 + u^2.
-    """
-    if a not in (0, 2):
-        raise ValueError("a must be 0 or 2")
-    if alpha not in (-1, 0, 1, 2, 3):
-        raise ValueError("alpha must be in -1..3")
-    gam, x = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (gamma_param, x)))
-    if not np.all((gam > 0.0) & (x > 0.0) & (gam < np.inf) & (x < np.inf)):
-        raise ValueError("gamma_param and x must be positive and finite")
-
-    g30 = _g30(gam * x, alpha + a - 2.0, a - 2.0)
-    g_term = x ** (2 - a) / (2.0 * gam ** (alpha + a - 2)) * g30
-    w = 2.0 * np.sqrt(gam * x)
-    exponent = a + alpha / 2.0 - 2.0
-
-    def tail(u):
-        # one row of nodes per point of the grid
-        t = 1.0 + u * u
-        bessel = bessel_k(alpha, np.multiply.outer(w, np.sqrt(t)))
-        return 2.0 * t**exponent * (1.0 - u * u) * bessel * np.arcsin(1.0 / np.sqrt(t))
-
-    what = f"weighted_bessel_integral(a={a}, alpha={alpha})"
-    value = g_term + (x / gam) ** (alpha / 2.0) * _half_line_integral(tail, what)
-    return value if np.ndim(value) else float(value)

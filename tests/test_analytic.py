@@ -331,9 +331,9 @@ _GAMMA_BAD = (0.0, -1.0, np.nan, np.inf)
          [[0.1, 1.0], [10.0, 300.0]], _GAMMA_BAD, dict(rel=1e-10, abs=1e-12)),
         (analytic.throughput_closed_r22_cmp,
          [[0.1, 1.0], [10.0, 300.0]], _GAMMA_BAD, dict(rel=1e-10, abs=1e-12)),
-        (lambda v: special.weighted_bessel_integral(2, -1, v, 0.5),
+        (lambda v: analytic.weighted_bessel_integral(2, -1, v, 0.5),
          [[0.5, 1.0], [2.0, 4.0]], _GAMMA_BAD, dict(rel=1e-10, abs=1e-12)),
-        (lambda v: special.weighted_bessel_integral(0, 3, 1.0, v),
+        (lambda v: analytic.weighted_bessel_integral(0, 3, 1.0, v),
          [[1e-3, 0.1], [1.0, 20.0]], _GAMMA_BAD, dict(rel=1e-10, abs=1e-12)),
         (lambda v: instantaneous_snr(np.eye(2), np.eye(2), np.ones(2), _E1, _E1, v),
          [[0.5, 1.0], [2.0, 4.0]], _GAMMA_BAD, dict(rel=0.0, abs=0.0)),
@@ -832,16 +832,15 @@ def test_outage_oracle_certifies_just_above_its_floor():
     # the nodes on the lower cuts weigh half, as the ends of a trapezoid:
     # with full weight the rule's change there fell only like its step, and
     # it ran to its node limit (4.4 s on a 2-vCPU Xeon, now 0.8 s) and raised
-    x = 10.0**-298.5
+    x = 10.0**-296.5
     start = time.perf_counter()
     value = analytic.outage_quadrature(Mode(1, 1), x)
     assert time.perf_counter() - start < 2.0
     # P = x E{1/lambda}^2 = x (2 ln 2 - 1)^2 to double precision, the
-    # leading residue; each lower tail of the box drops up to its mass,
-    # floored at the smallest normal float
+    # leading residue; what the lower tails drop at the smallest normal
+    # float is within the tolerance at every P the rule certifies
     want = x * (2.0 * np.log(2.0) - 1.0) ** 2
-    dropped = 2.0 * np.finfo(np.float64).tiny
-    assert want * (1.0 - analytic._REL_TOL) - dropped <= value <= want * (1.0 + analytic._REL_TOL)
+    assert value == pytest.approx(want, rel=analytic._REL_TOL, abs=0.0)
 
 
 def _kernel_evaluations(monkeypatch, call):
@@ -968,13 +967,13 @@ def test_oracles_refuse_what_they_cannot_certify_at_once():
     calls = [
         (analytic.outage_quadrature, Mode(1, 1), 1e-300),
         (analytic.outage_quadrature, Mode(1, 1, True), 1e-200),
-        (analytic.throughput_quadrature, Mode(1, 1), 1e-308),
-        (analytic.throughput_quadrature, Mode(2, 2, True), 1e-305),
+        (analytic.throughput_quadrature, Mode(1, 1), 1e-310),
+        (analytic.throughput_quadrature, Mode(2, 2, True), 1e-309),
         (analytic.outage_quadrature, Mode(1, 2, True), 1e-320),
     ]
     for oracle, mode, x in calls:
         start = time.perf_counter()
-        with pytest.raises(QuadratureError, match="below the .* the rule can certify"):
+        with pytest.raises(QuadratureError, match="below the .* the rule can certify|below the normal floats"):
             oracle(mode, x)
         assert time.perf_counter() - start < 0.5, (oracle.__name__, mode, x)
 
@@ -1030,6 +1029,18 @@ def test_throughput_oracle_certifies_only_right_values_near_its_floor():
     assert certified >= 174
 
 
+def test_throughput_oracle_certifies_down_to_the_normal_floats():
+    # R = gamma_bar E{X} to double precision this far down: every mode
+    # certifies it on a quarter-decade grid until its box's kernel
+    # arguments leave the normal floats
+    for mode in MODES:
+        for exponent in np.arange(-300.0, -308.51, -0.25):
+            gamma_bar = 10.0**exponent
+            want = gamma_bar * analytic.mean_mode_snr(mode, 1.0)
+            value = analytic.throughput_quadrature(mode, gamma_bar)
+            assert value == pytest.approx(want, rel=1e-13, abs=0.0), (mode, exponent)
+
+
 def test_throughput_transmit_receive_symmetry():
     # the Mellin transform takes the eigenvalue product in one order
     for compensated in (False, True):
@@ -1081,28 +1092,30 @@ def _integrated_lines(monkeypatch):
 
 def test_log_gamma_on_every_integrated_line(monkeypatch):
     # exp(log_gamma) against mpmath at the nodes of the first two levels of
-    # each line: the Gamma ratio of every Meijer G family, and Gamma(1 - s)
-    # of the eigenvalue transforms of the Mellin-Barnes columns
+    # each line: the Gamma ratio of every Meijer G family and of every
+    # composite closed-form term, and Gamma(1 - s) of the eigenvalue
+    # transforms of the Mellin-Barnes columns
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     lines = _integrated_lines(monkeypatch)
     kinds = {type(transform).__name__ for transform, _ in lines}
-    assert kinds == {"MeijerParams", "_KernelTransform"}
+    assert kinds == {"MeijerParams", "_KernelTransform", "_AlignedTransform"}
     mellin_abscissae = set()
     for transform, c in lines:
         t = np.concatenate([special._line_level(transform, c, level)[0] for level in (0, 1)])
         s = c + 1j * t
-        if isinstance(transform, MeijerParams):
-            m, n = transform.m, transform.n
+        params = transform.params if isinstance(transform, analytic._AlignedTransform) else transform
+        if isinstance(params, MeijerParams):
+            m, n = params.m, params.n
 
             def ratio(v):
                 g = mp.gamma
-                num = mp.fprod([g(b - v) for b in transform.b[:m]] + [g(1 - a + v) for a in transform.a[:n]])
-                den = mp.fprod([g(1 - b + v) for b in transform.b[m:]] + [g(a - v) for a in transform.a[n:]])
+                num = mp.fprod([g(b - v) for b in params.b[:m]] + [g(1 - a + v) for a in params.a[:n]])
+                den = mp.fprod([g(1 - b + v) for b in params.b[m:]] + [g(a - v) for a in params.a[n:]])
                 return complex(num / den)
 
             ref = np.array([ratio(mp.mpc(v.real, v.imag)) for v in s])
-            assert transform(s) == pytest.approx(ref, rel=1e-12, abs=0.0), (transform, c)
+            assert params(s) == pytest.approx(ref, rel=1e-12, abs=0.0), (transform, c)
         elif c not in mellin_abscissae:
             mellin_abscissae.add(c)
             s = s[s != 1.0]  # the pole of Gamma(1 - s) the eigenvalue bracket cancels
@@ -1177,7 +1190,7 @@ def test_throughput_z_rule_is_converged(monkeypatch):
 
 
 def test_throughput_is_certified_from_minus_60_to_130_db():
-    # past about 136 dB (j1i1-cmp) the sum cancels below the tolerance and
+    # from 130.5 dB on (j1i1-cmp) the sum cancels below the tolerance and
     # QuadratureError is raised; below it every mode returns a value
     grid = 10.0 ** (np.arange(-60.0, 131.0, 10.0) / 10.0)
     for mode in MODES:

@@ -4,13 +4,13 @@ from scipy.integrate import quad
 from scipy.special import kv
 
 from ris2x2 import special
+from ris2x2.analytic import throughput_closed_r22, throughput_closed_r22_cmp, weighted_bessel_integral
 from ris2x2.special import (
     MeijerParams,
     QuadratureError,
     bessel_k,
     log_gamma,
     meijer_g,
-    weighted_bessel_integral,
 )
 
 
@@ -231,72 +231,47 @@ def test_meijer_g_takes_an_array_of_z():
         meijer_g(_G31, np.array([1.0, 0.0]))
 
 
-def test_half_line_rule_matches_adaptive_quadrature():
-    # the Bessel tails of the C4 closed forms and the Meijer tail of C6,
-    # against scipy's adaptive quad as an outside check
-    for a, alpha, gam, x in [(0, 1, 1.0, 1e-3), (0, 3, 1.0, 0.25), (2, -1, 2.0, 2.0), (0, 1, 2.0, 10.0)]:
-        w = 2.0 * np.sqrt(gam * x)
-        exponent = a + alpha / 2.0 - 2.0
+def test_weighted_bessel_integral_meets_its_tolerance():
+    # scipy's adaptive quad over z = sin^2 t of the closed-form inner
+    # integral, 2 (x/(z gam))^(alpha/2) K_alpha(2 sqrt(gam x / z)) z^-a,
+    # against the compensated density: every (a, alpha) is within its
+    # certified max(1e-12, 1e-10 |W|)
+    import warnings
+    from scipy.integrate import IntegrationWarning
+
+    def reference(a, alpha, gam, x):
+        def inner(t):
+            z = np.sin(t) ** 2
+            bessel = kv(alpha, 2.0 * np.sqrt(gam * x / z))
+            return 2.0 * (x / (z * gam)) ** (alpha / 2.0) * bessel * z ** (-a) * _alignment_weight(t)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            return quad(inner, 0.0, np.pi / 2, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+
+    for a in (0, 2):
+        for alpha in (-1, 0, 1, 2, 3):
+            for gam in (1.0, 2.0):
+                for x in (1e-3, 0.01, 0.25, 2.0, 10.0):
+                    want = reference(a, alpha, gam, x)
+                    got = weighted_bessel_integral(a, alpha, gam, x)
+                    assert abs(got - want) <= max(1e-12, 1e-10 * abs(want)), (a, alpha, gam, x)
+
+
+def test_compensated_r22_throughput_matches_its_meijer_tail():
+    # half the tail int_0^inf 2(1 - u^2) asin(t^-1/2) / t^2 G(4t / gamma_bar)
+    # du, t = 1 + u^2, by scipy's adaptive quad over one G per node, plus
+    # half the plain-surface closed form
+    for gamma_bar in (10.0**-0.5, 10.0**2.5):
 
         def tail(u):
             t = 1.0 + u * u
-            return 2.0 * t**exponent * (1.0 - u * u) * kv(alpha, w * np.sqrt(t)) * np.arcsin(1.0 / np.sqrt(t))
-
-        ref, _ = quad(tail, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=400)
-        mine = special._half_line_integral(tail, "test")
-        assert mine == pytest.approx(ref, rel=1e-9, abs=1e-12)
-    for gamma_bar in (10.0**-0.5, 10.0**2.5):
-
-        def g_tail(u):
-            t = 1.0 + u * u
-            g = np.array([meijer_g(_G31, 4.0 * v / gamma_bar) for v in np.atleast_1d(t)])
+            g = meijer_g(_G31, 4.0 * t / gamma_bar)
             return 2.0 * (1.0 - u * u) / t**2 * np.arcsin(1.0 / np.sqrt(t)) * g
 
-        ref, _ = quad(lambda u: g_tail(u)[0], 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
-        assert special._half_line_integral(g_tail, "test") == pytest.approx(ref, rel=1e-8)
-
-
-def test_half_line_rule_certifies_each_row_on_its_own():
-    # Lorentzian rows with poles at 1 +- jb: the nearer the pole to the
-    # half-line, the more levels a row takes; each row of one 2-D call
-    # keeps the value of its own 1-D call, and meets the exact integral
-    widths = np.array([[2.0, 1.0], [0.5, 0.3]])
-    exact = (0.5 * np.pi + np.arctan(1.0 / widths)) / widths
-    single, levels = [], []
-    for b in widths.ravel():
-        calls = []
-
-        def row(u, b=b, calls=calls):
-            calls.append(u.size)
-            return 1.0 / ((u - 1.0) ** 2 + b * b)
-
-        single.append(special._half_line_integral(row, "test"))
-        levels.append(len(calls))
-    assert all(isinstance(v, float) for v in single)
-    assert len(set(levels)) > 1, levels
-
-    def rows(u):
-        return 1.0 / ((u - 1.0) ** 2 + widths[..., None] ** 2)
-
-    values = special._half_line_integral(rows, "test")
-    assert values.shape == widths.shape
-    assert values.ravel() == pytest.approx(single, rel=1e-15, abs=0.0)
-    assert values == pytest.approx(exact, rel=1e-9)
-    # a row that no level certifies names itself among the rows
-    with pytest.raises(QuadratureError, match="1 of 2 rows"):
-        special._half_line_integral(
-            lambda u: np.stack([np.exp(-u), np.exp(-u) * np.abs(u - 1.0) ** 0.5]), "test"
-        )
-
-
-def test_half_line_rule_refuses_what_it_cannot_certify():
-    with pytest.raises(QuadratureError, match="does not decay"):
-        special._half_line_integral(lambda u: 1.0 / (1.0 + u), "test")
-    with pytest.raises(QuadratureError, match="not finite"):
-        special._half_line_integral(lambda u: np.where(u > 1.0, np.nan, 1.0), "test")
-    # an integrand with a kink at u = 1 converges only algebraically
-    with pytest.raises(QuadratureError, match="not converged"):
-        special._half_line_integral(lambda u: np.exp(-u) * np.abs(u - 1.0) ** 0.5, "test")
+        ref, _ = quad(tail, 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
+        want = 0.5 * ref + 0.5 * throughput_closed_r22(gamma_bar)
+        assert throughput_closed_r22_cmp(gamma_bar) == pytest.approx(want, rel=1e-8)
 
 
 def test_meijer_g_refuses_what_it_cannot_certify():
