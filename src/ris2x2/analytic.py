@@ -843,22 +843,39 @@ def _weighted_powers(re, im, log_base, weight, line=None):
 
     At the nodes of a node set ``line`` of the vertical-line rule (one real
     part) the phases come from the set's phasor tables at omega = log_base
-    (``special._line_phasors``), the modulus row folded into the coarse
-    one: about 2 sqrt(n) cos and sin per base for n nodes instead of n.
-    The sum over k is ``einsum`` (no BLAS) in _Z_BLOCKS running sums, added
-    at the end: near t = 0, where the terms align, one running sum of all
-    of them would lose a few eps more.  Elsewhere (real moments, a direct
-    transform) each s takes its own cos and sin.
+    (:func:`_base_phasors`, shared by every contour), the modulus row
+    folded into a copy of the coarse one: about 2 sqrt(n) cos and sin per
+    base for n nodes instead of n, once per level and count.  The sum over
+    k is ``einsum`` (no BLAS) in _Z_BLOCKS running sums, added at the end:
+    near t = 0, where the terms align, one running sum of all of them would
+    lose a few eps more.  Elsewhere (a direct transform) each s takes its
+    own cos and sin, and real moments none: cos 0 = 1 and sin 0 = 0.
     """
     modulus = np.exp(np.multiply.outer(re, log_base))
     modulus *= weight
     if line is not None:
-        coarse, fine = _line_phasors(line, log_base)
-        coarse *= modulus
-        blocks = (table.reshape(table.shape[0], _Z_BLOCKS, -1) for table in (coarse, fine))
-        return np.einsum("qbk,rbk->qrb", *blocks).sum(axis=-1).ravel()[: line[2]].copy()
+        _, level, count = line
+        coarse, fine = _base_phasors(level, count, log_base.tobytes())
+        blocks = (table.reshape(table.shape[0], _Z_BLOCKS, -1) for table in (coarse * modulus, fine))
+        return np.einsum("qbk,rbk->qrb", *blocks).sum(axis=-1).ravel()[:count].copy()
+    if not np.any(im):
+        return modulus.sum(axis=-1) + 0j
     phase = np.multiply.outer(im, log_base)
     return (modulus * np.cos(phase)).sum(axis=-1) + 1j * (modulus * np.sin(phase)).sum(axis=-1)
+
+
+@lru_cache(maxsize=16)
+def _base_phasors(level: int, count: int, log_base: bytes):
+    """The phasor tables (coarse, fine) of ``special._line_phasors`` of
+    the nodes of level ``level`` and count ``count`` of the vertical-line
+    rule at the frequencies ``log_base``, the bytes of a float64 array (a
+    row of :func:`_z_rule`).  They do not depend on the contour, so every
+    contour with that node set shares them; keyed by the row's bytes, a
+    rebuilt rule gets its own.  Cached, read-only."""
+    tables = _line_phasors((None, level, count), np.frombuffer(log_base))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _plain_nodes(u):

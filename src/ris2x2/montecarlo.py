@@ -16,21 +16,23 @@ holding channel matrices reduce them to its inputs through
 with gamma_bar, one pass serves a whole SNR sweep.
 
 Trial t is a pure function of (seed, t) (see sampling).  The pass
-is one loop over fixed chunks of trials (2^14 by default), run in turn or
+is one loop over fixed chunks of trials (2^13 by default), run in turn or
 by the calling thread and one helper thread per further available CPU,
 each taking the next chunk, that hands each chunk's statistics to a
-consumer.  A chunk of 2^14 trials was the fastest of 2^13..2^15 for
-the 10^6-trial outage sweep on a 2-vCPU host,
-and 2^15 needed 18 MB more memory.  There are two consumers.  Storing copies each
-chunk into one preallocated :class:`TrialStats` of the whole pass; the
-acceptance checks need it for their distribution tests, and throughput
-is reduced from it.  :class:`OutageCounter` keeps only integer counts:
-per chunk it sorts a copy of each scheme's factor (the trials in outage
-at any gamma_bar are a prefix of the sorted factors), counts every
-(scheme, gamma_bar) exactly and adds the counts to its total.  A
-streamed outage sweep therefore holds a few chunks per worker, whatever
-the number of trials, and integer sums make its estimates independent
-of chunking and worker count.  Throughput uses numpy's pairwise
+consumer.  Each worker holds about 24 chunk-length columns at a time.
+For the 10^6-trial outage sweep on a 2-vCPU host, 2^13 trials took the
+time of 2^14 with a peak about 3 MB lower; 2^12 took about 10% longer,
+and 2^15 needed 18 MB more memory.  There are two consumers.  Storing
+copies each chunk into one preallocated :class:`TrialStats` of the whole
+pass; the acceptance checks need it for their distribution tests, and
+throughput is reduced from it.  :class:`OutageCounter` keeps only
+integer counts: per chunk it forms every scheme's factor as one row of a
+block and sorts the rows in one call (the trials in outage at any
+gamma_bar are a prefix of each sorted row), counts every (scheme,
+gamma_bar) exactly and adds the counts to its total.  A streamed outage
+sweep therefore holds a few chunks per worker, whatever the number of
+trials, and integer sums make its estimates independent of chunking and
+worker count.  Throughput uses numpy's pairwise
 summation over the stored pass, whose result does not depend on how the
 pass was chunked either; each scheme's factor is formed once and reused
 at every grid point.  An estimate is an
@@ -82,7 +84,7 @@ __all__ = [
 _Z95 = 1.959963984540054
 
 # Default trials per chunk of the statistics pass (see the module docstring).
-_CHUNK_SIZE = 1 << 14
+_CHUNK_SIZE = 1 << 13
 
 # Sorted samples per evaluation of the reference CDF in a KS distance; the
 # laws' temporaries span a few such blocks whatever the sample size.
@@ -242,7 +244,7 @@ def channel_statistics(
     stream 0 of ``seed``.
 
     The trial range is split into fixed chunks of ``chunk_size`` trials
-    (2^14 by default), evaluated in turn or by the calling thread and
+    (2^13 by default), evaluated in turn or by the calling thread and
     ``workers - 1`` helper threads (``workers`` by default the CPUs this
     process may run on), each taking the next chunk.  Each chunk's
     statistics, a :class:`TrialStats` of its own trials, go to
@@ -280,10 +282,18 @@ def scheme_snr_factor(stats: TrialStats, scheme: Scheme) -> np.ndarray:
     optimum the stored alt column itself."""
     if isinstance(scheme, AltScheme):
         return stats.alt_factor
-    z = stats.z_comp if scheme.compensated else stats.z_plain
-    j = scheme.rx - 1
-    i = scheme.tx - 1
-    return stats.lam[:, j] * stats.om[:, i] * z[:, int(i != j)]
+    return _mode_factor(stats, scheme, np.empty(stats.trials))
+
+
+def _mode_factor(stats: TrialStats, mode: Mode, out: np.ndarray) -> np.ndarray:
+    """lam[:, j-1] * om[:, i-1] * z[:, k] of mode (i,j) into ``out``, which
+    is returned (see :class:`TrialStats`)."""
+    z = stats.z_comp if mode.compensated else stats.z_plain
+    j = mode.rx - 1
+    i = mode.tx - 1
+    np.multiply(stats.lam[:, j], stats.om[:, i], out=out)
+    out *= z[:, int(i != j)]
+    return out
 
 
 def gain_ratio(stats: TrialStats) -> McEstimate:
@@ -334,28 +344,32 @@ def _gamma_bars(gamma_bar):
     return np.atleast_1d(g), g.ndim == 0
 
 
-def _count_at_most(f_sorted: np.ndarray, gammas: np.ndarray, gamma_th: float) -> np.ndarray:
-    """Number of sorted factors f with fl(g * f) <= gamma_th, for each g of
-    ``gammas``.
+def _count_at_most(block: np.ndarray, gammas: np.ndarray, gamma_th: float) -> np.ndarray:
+    """(rows, grid) counts of the factors f of each row of ``block``, sorted
+    along its rows, with fl(g * f) <= gamma_th, for each g of ``gammas``.
 
-    Rounding is monotone, so those factors are a prefix of ``f_sorted``.  A
-    binary search for gamma_th / g lands within a rounding step of its end.
-    Where the predicate then holds just past the end or fails just before
-    it, whole runs of equal factors are stepped across until it holds
-    exactly.
+    Rounding is monotone, so those factors are a prefix of each row.  A
+    binary search for gamma_th / g lands within a rounding step of its end,
+    and one check over every (row, g) pair flags where the predicate holds
+    just past the end or fails just before it.  At those pairs alone, whole
+    runs of equal factors are stepped across until it holds exactly.
     """
-    n = f_sorted.size
+    n = block.shape[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        counts = np.searchsorted(f_sorted, gamma_th / gammas, side="right")
-    off = (counts < n) & (gammas * f_sorted[np.minimum(counts, n - 1)] <= gamma_th)
-    off |= (counts > 0) & ~(gammas * f_sorted[np.maximum(counts - 1, 0)] <= gamma_th)
-    for p in np.flatnonzero(off):
-        g, k = gammas[p], int(counts[p])
+        cutoffs = gamma_th / gammas
+    counts = np.empty((block.shape[0], gammas.size), dtype=np.int64)
+    for row, out in zip(block, counts):
+        out[:] = row.searchsorted(cutoffs, side="right")
+    rows = np.arange(block.shape[0])[:, None]
+    off = (counts < n) & (gammas * block[rows, np.minimum(counts, n - 1)] <= gamma_th)
+    off |= (counts > 0) & ~(gammas * block[rows, np.maximum(counts - 1, 0)] <= gamma_th)
+    for r, p in zip(*off.nonzero()):
+        f_sorted, g, k = block[r], gammas[p], int(counts[r, p])
         while k < n and g * f_sorted[k] <= gamma_th:
             k = int(np.searchsorted(f_sorted, f_sorted[k], side="right"))
         while k > 0 and not g * f_sorted[k - 1] <= gamma_th:
             k = int(np.searchsorted(f_sorted, f_sorted[k - 1], side="left"))
-        counts[p] = k
+        counts[r, p] = k
     return counts
 
 
@@ -366,12 +380,14 @@ class OutageCounter:
     ``counter(0, stats)``.
 
     ``hits[k, p]`` is the number of trials so far with
-    fl(gamma_bar[p] * f) <= gamma_th, f the factor of scheme k.  Each
-    chunk's factors are formed and sorted once and counted exactly at every
-    grid point; integer sums do not depend on the order in which chunks
-    arrive, so the counts are the same at any chunk size or worker count.
-    ``gamma_bar`` is one average SNR or a 1-D sequence, as in
-    :func:`outage_from_stats`.
+    fl(gamma_bar[p] * f) <= gamma_th, f the factor of scheme k.  A chunk is
+    counted in blocks of at most :data:`_CHUNK_SIZE` trials (a stored pass
+    in many), each block one (schemes, trials) array of the schemes'
+    factors, sorted along its rows in one call and counted exactly at
+    every grid point (:func:`_count_at_most`).  Integer sums do not depend
+    on the order in which chunks arrive, so the counts are the same at any
+    chunk size or worker count.  ``gamma_bar`` is one average SNR or a 1-D
+    sequence, as in :func:`outage_from_stats`.
     """
 
     def __init__(self, schemes, gamma_bar, gamma_th: float):
@@ -385,14 +401,23 @@ class OutageCounter:
         self._lock = threading.Lock()
 
     def __call__(self, lo: int, chunk: TrialStats):
-        # a sorted copy: the alt factor is the chunk's own column
-        counts = [
-            _count_at_most(np.sort(scheme_snr_factor(chunk, s)), self.gamma_bars, self.gamma_th)
-            for s in self.schemes
-        ]
+        counts = np.zeros_like(self.hits)
+        for a in range(0, chunk.trials, _CHUNK_SIZE):
+            part = TrialStats(
+                min(_CHUNK_SIZE, chunk.trials - a),
+                *[getattr(chunk, name)[a : a + _CHUNK_SIZE] for name in _COLUMNS],
+            )
+            # the alt row a copy: the alt factor is the chunk's own column
+            block = np.empty((len(self.schemes), part.trials))
+            for row, s in zip(block, self.schemes):
+                if isinstance(s, AltScheme):
+                    row[:] = part.alt_factor
+                else:
+                    _mode_factor(part, s, row)
+            block.sort(axis=1)
+            counts += _count_at_most(block, self.gamma_bars, self.gamma_th)
         with self._lock:
-            for row, c in zip(self.hits, counts):
-                row += c
+            self.hits += counts
             self.trials += chunk.trials
 
     def estimates(self):

@@ -510,6 +510,85 @@ def test_compensated_transform_on_a_line_matches_the_per_node_sum():
                 assert np.all(np.abs(got - direct) <= bound), (c, level)
 
 
+def test_z_rule_phasor_tables_are_shared_read_only_and_keep_the_bits(monkeypatch):
+    # the tables of a node set do not depend on the contour: cached per
+    # (level, count, z-rule row), read-only, and a warm cache gives the
+    # bytes of a cold one on every contour
+    minus_log_z, weight, minus_log_t2, onset = analytic._z_rule()
+    builds = []
+
+    def counted(line, omega):
+        builds.append(line[1:])
+        return special._line_phasors(line, omega)
+
+    monkeypatch.setattr(analytic, "_line_phasors", counted)
+    for level, count in ((0, 65), (3, 256)):
+        t = special._line_nodes(level, count)
+        for log_base, w in ((minus_log_z, weight), (minus_log_t2, onset)):
+            got = []
+            for c in (-1.0, 0.5, 1.85):
+                analytic._base_phasors.cache_clear()
+                cold = analytic._weighted_powers(c, t, log_base, w, (c, level, count))
+                warm = analytic._weighted_powers(c, t, log_base, w, (c, level, count))
+                assert cold.tobytes() == warm.tobytes()
+                got.append(cold)
+            builds.clear()
+            for c, cold in zip((-1.0, 0.5, 1.85), got):
+                shared = analytic._weighted_powers(c, t, log_base, w, (c, level, count))
+                assert shared.tobytes() == cold.tobytes()
+            assert builds == []
+            for table in analytic._base_phasors(level, count, log_base.tobytes()):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0, 0] = 0.0
+    # real moments take no trigonometry and keep the bits of cos 0 and sin 0
+    s = np.array([-1.0, 0.5, 1.5])
+    modulus = np.exp(np.multiply.outer(s, minus_log_z)) * weight
+    zero = np.zeros_like(modulus)
+    want = (modulus * np.cos(zero)).sum(axis=-1) + 1j * (modulus * np.sin(zero)).sum(axis=-1)
+    assert analytic._weighted_powers(s, np.zeros(3), minus_log_z, weight).tobytes() == want.tobytes()
+
+
+def test_a_repeated_smoke_grid_builds_no_new_phasor_table(monkeypatch):
+    # the Mellin columns of verify --level smoke, rebuilt from cleared line
+    # caches: the second time every z-rule table comes from the cache
+    from ris2x2.acceptance import AcceptanceSettings
+
+    smoke = AcceptanceSettings.smoke()
+    builds = []
+
+    def counted(line, omega):
+        builds.append((*line[1:], omega.tobytes()))
+        return special._line_phasors(line, omega)
+
+    def columns():
+        outage_gammas = 10.0 ** (np.array(smoke.snr_db) / 10.0)
+        rate_gammas = 10.0 ** (np.array(smoke.throughput_snr_db) / 10.0)
+        return [
+            (analytic.outage(m, 1.0 / outage_gammas), analytic.throughput(m, rate_gammas),
+             analytic.outage(m, np.array(smoke.mellin_grid)))
+            for m in MODES
+        ]
+
+    monkeypatch.setattr(analytic, "_line_phasors", counted)
+    caches = (special._line_level, analytic._line_factor, analytic._base_phasors)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        first = columns()
+        assert builds and len(builds) == len(set(builds)) == analytic._base_phasors.cache_info().misses
+        builds.clear()
+        for cache in caches[:2]:
+            cache.cache_clear()
+        second = columns()
+        assert builds == []
+        for a, b in zip(first, second):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
 def test_a_repeated_contour_evaluates_no_new_factor(monkeypatch):
     # Gamma(1 - s) once for all modes, each eigenvalue bracket once per law
     # and the compensated E{z^-s} once for every compensated mode and both
@@ -889,7 +968,7 @@ def test_oracles_on_the_smoke_grids_stay_within_their_kernel_budget(monkeypatch)
 
 def _trig_arguments(monkeypatch, call):
     """How many arguments ``call()`` passes to np.cos and to np.sin, from
-    empty line caches."""
+    empty line caches and phasor tables."""
     count = {"cos": 0, "sin": 0}
 
     def counted(name):
@@ -901,7 +980,7 @@ def _trig_arguments(monkeypatch, call):
 
         return wrapper
 
-    caches = (special._line_level, analytic._line_factor)
+    caches = (special._line_level, analytic._line_factor, analytic._base_phasors)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -920,7 +999,9 @@ def test_mellin_columns_stay_within_their_trig_budget(monkeypatch):
     # Mellin columns of verify --level smoke (the outage and throughput
     # columns of C5 and C6 and C4's Mellin grid): with a cos and a sin per
     # (x, node) and per (node, z-rule node) they took 0.28e6 and 0.75e6 of
-    # each; the node sets' phasor tables take about 0.06e6 and 0.13e6
+    # each, and 0.06e6 and 0.13e6 with the node sets' phasor tables built
+    # per contour; shared by every contour, and with no trigonometry for
+    # the real moments, they take about 0.04e6 and 0.07e6
     from ris2x2.acceptance import AcceptanceSettings
 
     smoke = AcceptanceSettings.smoke()
@@ -937,11 +1018,11 @@ def test_mellin_columns_stay_within_their_trig_budget(monkeypatch):
 
     columns = _trig_arguments(monkeypatch, smoke_columns)
     for name in ("cos", "sin"):
-        assert column[name] <= 0.08e6, column
-        assert columns[name] <= 0.18e6, columns
+        assert column[name] <= 0.045e6, column
+        assert columns[name] <= 0.08e6, columns
         # a hook that no longer sees the calls would count 0
-        assert column[name] >= 0.03e6, column
-        assert columns[name] >= 0.07e6, columns
+        assert column[name] >= 0.02e6, column
+        assert columns[name] >= 0.04e6, columns
 
 
 def test_oracle_refuses_a_scale_that_underflows_every_node_at_once():

@@ -468,6 +468,68 @@ def test_sorted_outage_counts_are_exact_at_the_boundary():
             assert [outage_from_stats(stats, scheme, g, threshold) for g in gammas] == got
 
 
+def _boundary_pass(th, gammas, schemes, block=4096, seed=11):
+    """A hand-made pass in which each scheme's factor sits, on its own block
+    of trials, at th / gamma_bar for its own share of ``gammas`` (every
+    len(schemes)-th point), one and two ulps either side, on ties and at
+    zero, over lognormal filler; every other scheme's factor there is 0.
+    Trials are shuffled, so that every chunk holds some of each block."""
+    rng = np.random.default_rng(seed)
+    n = len(schemes) * block
+    stats = TrialStats(n, *[np.zeros((n, 2)) for _ in range(4)], np.zeros(n))
+    for r, scheme in enumerate(schemes):
+        c = th / gammas[1 + r :: len(schemes)]
+        down, up = np.nextafter(c, 0.0), np.nextafter(c, np.inf)
+        f = np.concatenate([
+            c, c, down, np.nextafter(down, 0.0), up, np.nextafter(up, np.inf),
+            np.full(40, c[r % c.size]), np.zeros(10),
+        ])
+        f = np.concatenate([f, rng.lognormal(0.0, 1.5, block - f.size)])
+        rows = slice(r * block, (r + 1) * block)
+        if isinstance(scheme, AltScheme):
+            stats.alt_factor[rows] = f
+            continue
+        j, i = scheme.rx - 1, scheme.tx - 1
+        z = stats.z_comp if scheme.compensated else stats.z_plain
+        stats.lam[rows, j] = f
+        stats.om[rows, i] = 1.0
+        z[rows, int(i != j)] = 1.0
+    order = rng.permutation(n)
+    return TrialStats(n, *[getattr(stats, name)[order] for name in ris2x2.montecarlo._COLUMNS])
+
+
+@pytest.mark.parametrize("chunk", [1 << 11, 1 << 13, 1 << 14])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_block_counts_are_exact_at_every_rows_own_boundary(chunk, workers):
+    # all nine schemes counted in one block per chunk: the exactness check
+    # and the steps across ties must each read their own row
+    th = 7.155094189435861
+    gammas = np.concatenate([[0.0], np.geomspace(0.5, 700.0, 540)])
+    schemes = [*MODES, ALT]
+    stats = _boundary_pass(th, gammas, schemes)
+    factors = [scheme_snr_factor(stats, s) for s in schemes]
+    # the rows' blocks are disjoint; the binary search alone would be off
+    # on every row, and in both directions on some
+    assert np.all(np.count_nonzero(factors, axis=0) <= 1)
+    shares = [gammas[1 + r :: len(schemes)] for r in range(len(schemes))]
+    assert all(np.any(g * (th / g) > th) for g in shares)
+    assert sum(np.any(g * np.nextafter(th / g, np.inf) <= th) for g in shares) >= 3
+    counter = OutageCounter(schemes, gammas, th)
+
+    def count(lo):
+        part = [getattr(stats, name)[lo : lo + chunk] for name in ris2x2.montecarlo._COLUMNS]
+        counter(lo, TrialStats(min(chunk, stats.trials - lo), *part))
+
+    ris2x2.montecarlo._thread_map(count, range(0, stats.trials, chunk), workers)
+    assert counter.trials == stats.trials
+    want = np.array([[np.count_nonzero(g * f <= th) for g in gammas] for f in factors])
+    assert np.array_equal(counter.hits, want)
+    for scheme, row in zip(schemes, counter.hits):
+        single = OutageCounter([scheme], gammas, th)
+        single(0, stats)
+        assert np.array_equal(single.hits[0], row)
+
+
 def test_outage_counts_at_extreme_gamma_bars_raise_no_warning():
     # th / gamma_bar overflows (1 / 5e-324), divides by zero (1 / 0) and is
     # 0 / 0 here; the search lands at an end and the counts stay exact
@@ -556,7 +618,8 @@ def test_streamed_sweep_peaks_at_a_few_chunk_columns():
     # a one-worker streamed sweep of all 9 schemes draws, reduces and
     # counts one chunk at a time in plain numpy temporaries, so its traced
     # peak is a bounded number of chunk-length float64 columns at any
-    # number of trials (24 when this was written)
+    # number of trials (24 at chunks of 2^14 and of 2^13 trials when this
+    # was written)
     column = np.dtype(np.float64).itemsize * ris2x2.montecarlo._CHUNK_SIZE
     gammas = [10.0 ** (db / 10.0) for db in range(-5, 26)]
     for trials in (1 << 17, 1 << 19):
