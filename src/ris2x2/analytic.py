@@ -23,8 +23,9 @@ one-dimensional transforms (Springer, The Algebra of Random Variables,
 1979), against a kernel (1/s, or pi/(s sin pi s) for ln(1 + y)).  Both
 run on the vertical-line rule of ``special``, the one the Meijer G
 functions of the closed forms run on: a step-halved trapezoid rule on
-cached contour nodes, over a whole grid at once, certifying each value in
-relative terms.  Each factor of the transform depends only on its law and
+cached contour nodes, over a whole grid at once from phasor tables that
+``special`` builds, caches and sums, certifying each value in relative
+terms.  Each factor of the transform depends only on its law and
 the node, so each is evaluated once per node set of a contour and shared
 by every mode and both kernels.
 
@@ -69,13 +70,12 @@ from .special import (
     QuadratureError,
     _certified_line,
     _contour_abscissa,
+    _frequency_sum,
     _g30,
     _line_integral,
     _line_nodes,
-    _line_phasors,
     bessel_k,
     log_gamma,
-    meijer_g,
 )
 from .sysmodel import Mode
 
@@ -130,10 +130,6 @@ _PDF_SERIES = tuple(2.0 * (-1) ** m / factorial(m + 3) for m in range(17))
 _Z_WEIGHT_SERIES = tuple(
     (-1) ** (k + 1) * k / factorial(2 * k + 1) for k in range(1, 11)
 )
-
-# The running sums of the compensated E{z^-s} at the nodes of a line: its
-# 200-node rule (and the 400-node one of the tests) in blocks of 25 (50).
-_Z_BLOCKS = 8
 
 # The power series of E1(x) + euler_gamma + ln x, over x: the coefficients
 # (-1)^(k+1) / (k k!), k = 1..20, summed for x <= 1.
@@ -527,6 +523,12 @@ def outage_closed_form(mode: Mode, x):
 
 def _closed_form_sum(mode: Mode, z):
     """P of :func:`outage_closed_form` at every x = z > 0 of a flat array."""
+    # the coefficients reach 16 x^2, which overflows from x ~ 3.4e153 on
+    big = z > np.sqrt(np.finfo(np.float64).max / 16.0)
+    if big.any():
+        raise QuadratureError(
+            f"outage_closed_form({mode.label}) at x = {z[big][0]:g}: its coefficients overflow"
+        )
     j, i = mode.rx, mode.tx
     zz, sz, s2z = z**2, np.sqrt(z), np.sqrt(2.0 * z)
     # (coefficient, value, from a quadrature) of every term after the leading 1
@@ -842,40 +844,19 @@ def _weighted_powers(re, im, log_base, weight, line=None):
     log_base_k) weight_k serves every node.
 
     At the nodes of a node set ``line`` of the vertical-line rule (one real
-    part) the phases come from the set's phasor tables at omega = log_base
-    (:func:`_base_phasors`, shared by every contour), the modulus row
-    folded into a copy of the coarse one: about 2 sqrt(n) cos and sin per
-    base for n nodes instead of n, once per level and count.  The sum over
-    k is ``einsum`` (no BLAS) in _Z_BLOCKS running sums, added at the end:
-    near t = 0, where the terms align, one running sum of all of them would
-    lose a few eps more.  Elsewhere (a direct transform) each s takes its
-    own cos and sin, and real moments none: cos 0 = 1 and sin 0 = 0.
+    part) ``special._frequency_sum`` sums the modulus row over the
+    frequencies log_base at every node, from the set's phasor tables.
+    Elsewhere (a direct transform) each s takes its own cos and sin, and
+    real moments none: cos 0 = 1 and sin 0 = 0.
     """
     modulus = np.exp(np.multiply.outer(re, log_base))
     modulus *= weight
     if line is not None:
-        _, level, count = line
-        coarse, fine = _base_phasors(level, count, log_base.tobytes())
-        blocks = (table.reshape(table.shape[0], _Z_BLOCKS, -1) for table in (coarse * modulus, fine))
-        return np.einsum("qbk,rbk->qrb", *blocks).sum(axis=-1).ravel()[:count].copy()
+        return _frequency_sum(line, log_base, modulus)
     if not np.any(im):
         return modulus.sum(axis=-1) + 0j
     phase = np.multiply.outer(im, log_base)
     return (modulus * np.cos(phase)).sum(axis=-1) + 1j * (modulus * np.sin(phase)).sum(axis=-1)
-
-
-@lru_cache(maxsize=16)
-def _base_phasors(level: int, count: int, log_base: bytes):
-    """The phasor tables (coarse, fine) of ``special._line_phasors`` of
-    the nodes of level ``level`` and count ``count`` of the vertical-line
-    rule at the frequencies ``log_base``, the bytes of a float64 array (a
-    row of :func:`_z_rule`).  They do not depend on the contour, so every
-    contour with that node set shares them; keyed by the row's bytes, a
-    rebuilt rule gets its own.  Cached, read-only."""
-    tables = _line_phasors((None, level, count), np.frombuffer(log_base))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
 
 
 def _plain_nodes(u):
@@ -1299,9 +1280,22 @@ def throughput_quadrature(mode: Mode, gamma_bar):
 def throughput_closed_r22(gamma_bar):
     """Closed form of the plain-surface (2,2)-mode throughput,
     (16/gamma_bar^2) G^{4,1}_{2,4}(4/gamma_bar | -2,0; -2,-1,-1,-2), at
-    every gamma_bar of an array at once (a float for a scalar)."""
+    every gamma_bar of an array at once (a float for a scalar).
+
+    G is certified in relative terms alone, to _REL_TOL |G|: an absolute
+    floor on G would be scaled by 16/gamma_bar^2 at low SNR.  Its line
+    cancels as gamma_bar falls: measured on 1 dB steps, the value is within
+    5e-10 of :func:`throughput_quadrature` down to -103 dB, and
+    QuadratureError is raised from -104 dB down.
+    """
     params = MeijerParams(4, 1, 2, 4, (-2.0, 0.0), (-2.0, -1.0, -1.0, -2.0))
-    return _at_gamma_bars(gamma_bar, lambda g: 16.0 / g**2 * meijer_g(params, 4.0 / g))
+
+    def closed(gammas):
+        what = "throughput_closed_r22"
+        g = _certified_line(params, _contour_abscissa(params), 4.0 / gammas, None, what)
+        return 16.0 / gammas**2 * g
+
+    return _at_gamma_bars(gamma_bar, closed)
 
 
 def throughput_closed_r22_cmp(gamma_bar):
@@ -1314,15 +1308,17 @@ def throughput_closed_r22_cmp(gamma_bar):
     int_0^1 (2 f(z) - 1) G(4 / (gamma_bar z)) dz, f the compensated
     alignment density and 1 the plain (uniform) one.  So it is G at
     4/gamma_bar with 2 E{z^-s} - E{z^-s} of the compensated and the plain
-    law in its Mellin-Barnes integrand, on G's own line, certified to
-    max(_ABS_TOL, _REL_TOL |tail|).
+    law in its Mellin-Barnes integrand, on G's own line, certified like
+    the plain value in relative terms alone, to _REL_TOL |tail|.  Like the
+    plain value it is within 5e-10 of the oracle down to -103 dB and raises
+    QuadratureError from -104 dB down.
     """
     params = MeijerParams(3, 1, 1, 3, (0.0,), (0.0, 1.0, 0.0))
     tail = _AlignedTransform(params, 0.0, (-1.0, 2.0))
 
     def closed(gammas):
         what = "throughput_closed_r22_cmp"
-        integral = _certified_line(tail, _contour_abscissa(params), 4.0 / gammas, _ABS_TOL, what)
+        integral = _certified_line(tail, _contour_abscissa(params), 4.0 / gammas, None, what)
         return 0.5 * integral + 0.5 * throughput_closed_r22(gammas)
 
     return _at_gamma_bars(gamma_bar, closed)

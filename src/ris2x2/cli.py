@@ -100,7 +100,10 @@ def _read_config_file(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"malformed config line: {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"repeated config key: {key}")
+        values[key] = value.strip()
     unknown = set(values) - set(_FIELD_PARSERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -422,7 +422,10 @@ class OutageCounter:
 
     def estimates(self):
         """Per scheme, its estimate at each gamma_bar (a list), or the one
-        estimate of a scalar gamma_bar."""
+        estimate of a scalar gamma_bar; ValueError before any trial is
+        counted."""
+        if not self.trials:
+            raise ValueError("no trials were counted")
         out = [
             [
                 McEstimate(h / self.trials, wilson_halfwidth(h, self.trials))

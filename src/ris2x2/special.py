@@ -35,7 +35,9 @@ a transform and a line are evaluated once and cached, and one contour serves
 a whole array of x.  The nodes of each level are a ladder t_k = t0 + d k,
 so x^{jt} at n of them is the product of two phasor tables of about sqrt(n)
 entries each, e^{j t_k ln x} = coarse[k // w] fine[k % w] with w = ceil
-sqrt(n): about 2 sqrt(n) cos and sin per x instead of n.  The product
+sqrt(n): about 2 sqrt(n) cos and sin per x instead of n.  This module
+alone builds, caches and sums these tables, over the nodes at each x and,
+for ``analytic``'s E{z^-s}, over the frequencies at each node.  The product
 rounds once more per term, so the rule's cancellation bound counts 2 eps
 of every |term| (the error of a term itself and of its phase t ln x are not
 counted).  The rule certifies each value by step halving, or raises
@@ -80,6 +82,12 @@ _LINE_SPAN = 16.0
 _LINE_GROWTHS = 12
 _LINE_TAIL_SHARE = 1e-2
 _EPS = np.finfo(np.float64).eps
+
+# The phasor tables the rule keeps, of the 50 one full verify builds, and the
+# running sums of :func:`_frequency_sum`: near t = 0, where its terms align,
+# one running sum of all of them would lose a few eps more.
+_PHASOR_TABLES = 64
+_PHASOR_BLOCKS = 8
 
 # Stirling's series of ln Gamma(z), taken at Re z >= _STIRLING_SHIFT: its
 # coefficients B_2k / (2k (2k - 1)), k = 1..6, whose first omitted term is
@@ -222,29 +230,31 @@ def _line_nodes(level: int, count: int):
     return t0 + d * np.arange(count)
 
 
-def _line_phasors(line, omega):
-    """(coarse, fine), the phasor tables of the node set ``line`` = (c,
-    level, count) at every frequency of the array ``omega``: with the nodes
-    t_k = t0 + d k of the level (:func:`_line_ladder`) and w = ceil(sqrt
-    count), k = w q + r,
+@lru_cache(maxsize=_PHASOR_TABLES)
+def _line_phasors(level: int, count: int, omega_bytes: bytes):
+    """(coarse, fine), the phasor tables of the node set of ``level`` and
+    ``count`` at every frequency of the float64 array ``omega_bytes`` holds:
+    with the nodes t_k = t0 + d k of the level (:func:`_line_ladder`) and
+    w = ceil(sqrt count), k = w q + r,
 
         e^(j omega t_k) = coarse[q] * fine[r],
         coarse[q] = e^(j omega (t0 + d w q)),  fine[r] = e^(j omega d r),
 
-    each table one row per q or r in the shape of ``omega`` (two views of
+    each table one row per q or r and a column per frequency (two views of
     one array).  Its phases are exact ladder nodes times omega, so the
     tables take about 2 sqrt count cos and sin per frequency instead of
     count; their product adds a rounding per term.  ceil(count / w) w >=
-    count: the caller drops the products past the last node."""
-    _, level, count = line
+    count: the sums drop the products past the last node.  Cached and
+    read-only: both sums and every contour on the node set share them."""
     t0, d = _line_ladder(level)
     width = isqrt(count - 1) + 1
     rows = -(-count // width)
     ladder = np.concatenate((t0 + (d * width) * np.arange(rows), d * np.arange(width)))
-    phase = np.multiply.outer(ladder, omega)
+    phase = np.multiply.outer(ladder, np.frombuffer(omega_bytes))
     table = np.empty(phase.shape, dtype=np.complex128)
     np.cos(phase, out=table.real)
     np.sin(phase, out=table.imag)
+    table.setflags(write=False)
     return table[:rows], table[rows:]
 
 
@@ -254,7 +264,7 @@ def _phasor_sum(line, omega, values):
     phasor tables (:func:`_line_phasors`): sum_q coarse[q] sum_r fine[r]
     values_(wq+r), the values on a grid of rows q and columns r, zero past
     the last node.  Two sums of products (``einsum``, no BLAS)."""
-    coarse, fine = _line_phasors(line, omega)
+    coarse, fine = _line_phasors(*line[1:], np.asarray(omega, dtype=np.float64).tobytes())
     width = fine.shape[0]
     grid = np.zeros(coarse.shape[0] * width, dtype=np.complex128)
     grid[: line[2]] = values
@@ -262,6 +272,18 @@ def _phasor_sum(line, omega, values):
     # along contiguous memory in both operands (twice as fast for 31 x)
     rows = np.einsum("xr,qr->xq", np.ascontiguousarray(fine.T), grid.reshape(-1, width))
     return np.einsum("qx,xq->x", coarse, rows)
+
+
+def _frequency_sum(line, omega, weights):
+    """sum_k weights_k e^(j omega_k t_n) over the frequencies omega_k at
+    every node t_n of the node set ``line``, for 1-D arrays ``omega`` and
+    ``weights`` of a length divisible by _PHASOR_BLOCKS, from the set's
+    phasor tables (:func:`_line_phasors`): at node n = w q + r, the sum
+    over k of coarse[q] weights fine[r].  One sum of products (``einsum``,
+    no BLAS) in _PHASOR_BLOCKS running sums over k, added at the end."""
+    coarse, fine = _line_phasors(*line[1:], np.asarray(omega, dtype=np.float64).tobytes())
+    blocks = (table.reshape(table.shape[0], _PHASOR_BLOCKS, -1) for table in (coarse * weights, fine))
+    return np.einsum("qbk,rbk->qrb", *blocks).sum(axis=-1).ravel()[: line[2]].copy()
 
 
 @lru_cache(maxsize=64)
@@ -328,9 +350,14 @@ def _line_integral(transform, c: float, log_x, residue=0.0, alias=None, floor=No
     tolerance is _REL_TOL |V|, raised to an absolute ``floor`` if one is
     given, one number or one per x (:func:`_certified_line`).  The step is
     halved until ok marks every x the cancellation bound leaves, at most
-    _LINE_HALVINGS times; the other x carry no usable value.
+    _LINE_HALVINGS times; the other x carry no usable value, nor does an x
+    at which x^c overflows.
     """
-    x_c = np.exp(c * log_x)
+    with np.errstate(over="ignore"):
+        x_c = np.exp(c * log_x)
+    # where x^c overflows 1 stands in, and the x is never certified
+    fits = x_c < np.inf
+    x_c[~fits] = 1.0
     total = magnitude = estimate = 0.0
     for level in range(_LINE_HALVINGS + 1):
         step = _LINE_FIRST_STEP * 0.5**level
@@ -342,12 +369,15 @@ def _line_integral(transform, c: float, log_x, residue=0.0, alias=None, floor=No
         if level == 0:
             continue
         value = x_c * estimate + residue
-        # |V| / x^c, the scale of the sums (x^c underflows for tiny x)
-        scaled = np.abs(value) / x_c if residue else np.abs(estimate)
-        tol = _REL_TOL * scaled
-        if floor is not None:
-            tol = np.maximum(tol, floor / x_c)
-        live = 2.0 * _EPS * step * magnitude / np.pi <= tol
+        # |V| / x^c, the scale of the sums, and the floor on that scale: inf
+        # where x^c underflows to 0, so that V is the residue, or within
+        # the floor
+        with np.errstate(divide="ignore"):
+            scaled = np.abs(value) / x_c if residue else np.abs(estimate)
+            tol = _REL_TOL * scaled
+            if floor is not None:
+                tol = np.maximum(tol, floor / x_c)
+        live = fits & (2.0 * _EPS * step * magnitude / np.pi <= tol)
         ok = live & (np.abs(estimate - previous) <= tol)
         if alias is not None:
             ok &= alias(step, scaled) <= np.log(_REL_TOL)
@@ -385,8 +415,8 @@ def meijer_g(params: MeijerParams, z):
     max(_ABS_TOL, _REL_TOL |G|) at every z, or QuadratureError is raised.
     """
     zs = np.asarray(z, dtype=np.float64)
-    if not np.all(zs > 0.0):
-        raise ValueError("z must be positive")
+    if not np.all((zs > 0.0) & (zs < np.inf)):
+        raise ValueError("z must be positive and finite")
     what = f"meijer_g{params.m, params.n, params.p, params.q}"
     values = _certified_line(params, _contour_abscissa(params), zs.ravel(), _ABS_TOL, what)
     result = values.reshape(zs.shape)
@@ -396,8 +426,8 @@ def meijer_g(params: MeijerParams, z):
 def _certified_line(transform, c: float, z, floor, what: str):
     """V of :func:`_line_integral` for ``transform`` on Re s = c at every z
     > 0 of a flat array, certified to max(``floor``, _REL_TOL |V|) at each
-    (``floor`` one number or one per z), or QuadratureError naming the
-    first z it is not."""
+    (``floor`` one number, one per z or None for _REL_TOL |V| alone), or
+    QuadratureError naming the first z it is not."""
     values, ok = _line_integral(transform, c, np.log(z), floor=floor)
     if not ok.all():
         raise QuadratureError(

@@ -326,6 +326,16 @@ def test_unknown_config_key_rejected(tmp_path):
     assert rc == 2
 
 
+def test_repeated_config_key_rejected(tmp_path, capsys):
+    # a file that sets a key twice is refused, not read as its last value
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("trials=200\ntrials=300\n")
+    rc = main(["outage", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "repeated config key: trials" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_svg_must_be_a_boolean(tmp_path, capsys):
     parse = ris2x2.cli._FIELD_PARSERS["svg"]
     for text, value in (("1", True), ("True", True), ("YES", True), ("on", True),
@@ -429,4 +439,6 @@ def test_benchmark_traced_run(tmp_path, argv):
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(result.read_text())["exit_code"] == 0
+    record = json.loads(result.read_text())
+    assert record["exit_code"] == 0
+    assert "cli.main" in {span[1] for span in record["spans"]}

@@ -645,6 +645,12 @@ def test_counting_leaves_a_stored_pass_unchanged():
     assert [getattr(stats, name).tobytes() for name in columns] == before
 
 
+def test_counter_refuses_estimates_before_any_trial():
+    counter = OutageCounter([*MODES, ALT], [1.0, 10.0], 1.0)
+    with pytest.raises(ValueError, match="no trials were counted"):
+        counter.estimates()
+
+
 def test_streamed_counts_equal_the_stored_pass():
     trials = 20_000
     gammas = [10.0 ** (db / 10.0) for db in range(-5, 26, 3)]

@@ -292,6 +292,22 @@ def test_meijer_g_rejects_unsupported():
         meijer_g(MeijerParams(2, 1, 1, 2, (3.0,), (0.0, 1.0)), 1.0)
 
 
+def test_extreme_arguments_give_a_value_or_an_error_and_no_warning():
+    # tier-1 turns a RuntimeWarning into an error: an infinite z is refused
+    # up front; at z = 1e300 the line's x^c underflows to 0 and the value is
+    # within the absolute floor, and at 1e-300 it overflows and the call
+    # raises
+    with pytest.raises(ValueError, match="positive and finite"):
+        meijer_g(_G30(1), np.inf)
+    assert meijer_g(_G30(1), 1e300) == 0.0
+    with pytest.raises(QuadratureError):
+        meijer_g(_G30(1), 1e-300)
+    for a in (0, 2):
+        assert weighted_bessel_integral(a, -1, 1.0, 1e300) == 0.0
+        with pytest.raises(QuadratureError):
+            weighted_bessel_integral(a, -1, 1.0, 1e-300)
+
+
 def _alignment_weight(th):
     return 0.5 * np.sin(2.0 * th) - th * np.cos(2.0 * th)
 
